@@ -375,9 +375,10 @@ impl MeshAdapter {
     ///
     /// # Panics
     ///
-    /// Panics unless `fraction` is in `(0, 1]`.
+    /// Panics unless `fraction` is in `[0.02, 1]` (the mesh carries at
+    /// most 255 flits per packet, and a data packet starts at 5).
     pub fn with_width_fraction(mut self, fraction: f64) -> Self {
-        assert!(fraction > 0.0 && fraction <= 1.0);
+        assert!((0.02..=1.0).contains(&fraction));
         self.width_fraction = fraction;
         self
     }
@@ -455,6 +456,14 @@ impl Interconnect for MeshAdapter {
 
     fn name(&self) -> &'static str {
         "mesh"
+    }
+
+    fn next_event_at(&self) -> Option<Cycle> {
+        Some(self.net.next_event_at().unwrap_or(Cycle(u64::MAX)))
+    }
+
+    fn advance_to(&mut self, target: Cycle) {
+        self.net.advance_to(target);
     }
 }
 

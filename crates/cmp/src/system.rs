@@ -1162,19 +1162,18 @@ mod tests {
         sys.report()
     }
 
-    #[test]
-    fn fast_forward_is_byte_identical_on_idle_heavy_workload() {
-        // Long compute gaps leave the network idle most of the time, so
-        // the fast path spends almost every iteration skipping; the full
-        // export must still match the cycle-by-cycle reference exactly.
+    /// `run()` against the ticked reference on one workload: same clock,
+    /// byte-identical exports.
+    fn assert_fast_forward_exact(kind: NetworkKind, max: u64, tune: impl Fn(&mut AppProfile)) {
         let build = || {
-            let (cfg, mut app) = small_cfg(NetworkKind::fsoi(16));
-            app.mean_gap = 400.0;
-            app.ops_per_core = 60;
+            let (cfg, mut app) = small_cfg(kind.clone());
+            tune(&mut app);
             CmpSystem::new(cfg, app)
         };
-        let fast = build().run(2_000_000);
-        let slow = run_cycle_by_cycle(build(), 2_000_000);
+        let mut sys = build();
+        let fast = sys.run(max);
+        assert!(sys.ff_jumps > 0, "the workload must exercise the skip path");
+        let slow = run_cycle_by_cycle(build(), max);
         assert_eq!(fast.cycles, slow.cycles, "clocks must agree");
         let (fa, sa) = (fast.registry(), slow.registry());
         assert_eq!(fa.to_jsonl(), sa.to_jsonl(), "exports must be identical");
@@ -1182,22 +1181,36 @@ mod tests {
     }
 
     #[test]
+    fn fast_forward_is_byte_identical_on_idle_heavy_workload() {
+        // Long compute gaps leave the network idle most of the time, so
+        // the fast path spends almost every iteration skipping; the full
+        // export must still match the cycle-by-cycle reference exactly.
+        assert_fast_forward_exact(NetworkKind::fsoi(16), 2_000_000, |app| {
+            app.mean_gap = 400.0;
+            app.ops_per_core = 60;
+        });
+    }
+
+    #[test]
     fn fast_forward_is_byte_identical_on_saturated_workload() {
         // Back-to-back shared accesses keep every slot busy, so the fast
         // path degenerates to ticking — it must change nothing.
-        let build = || {
-            let (cfg, mut app) = small_cfg(NetworkKind::fsoi(16));
+        assert_fast_forward_exact(NetworkKind::fsoi(16), 4_000_000, |app| {
             app.mean_gap = 1.0;
             app.shared_hot_fraction = 0.5;
             app.ops_per_core = 250;
-            CmpSystem::new(cfg, app)
-        };
-        let fast = build().run(4_000_000);
-        let slow = run_cycle_by_cycle(build(), 4_000_000);
-        assert_eq!(fast.cycles, slow.cycles, "clocks must agree");
-        let (fa, sa) = (fast.registry(), slow.registry());
-        assert_eq!(fa.to_jsonl(), sa.to_jsonl(), "exports must be identical");
-        assert_eq!(fa.to_table(), sa.to_table());
+        });
+    }
+
+    #[test]
+    fn fast_forward_is_byte_identical_on_the_mesh() {
+        // With long compute gaps most skips start while a lone packet is
+        // mid-flight — heads inside router pipelines, flits on links — so
+        // the mesh's own next-event bound, not just "idle", is exercised.
+        assert_fast_forward_exact(NetworkKind::mesh(16), 2_000_000, |app| {
+            app.mean_gap = 400.0;
+            app.ops_per_core = 60;
+        });
     }
 
     #[test]

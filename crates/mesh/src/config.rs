@@ -1,5 +1,47 @@
 //! Mesh configuration.
 
+use fsoi_sim::det::NodeMask;
+
+/// A rejected mesh configuration, carrying the offending value.
+///
+/// The limits come from the dense state of the hot path — per-router
+/// `u32` masks over the `5 × vcs` input VCs, [`NodeMask`] live sets over
+/// the routers — and are enforced at construction instead of surfacing as
+/// a shift overflow or capacity assert inside a running simulation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MeshConfigError {
+    /// `vcs` is zero or more than [`MeshConfig::MAX_VCS`].
+    VcCount {
+        /// The requested VCs per input port.
+        vcs: usize,
+    },
+    /// More routers than the network's live-set bitmask holds.
+    TooManyNodes {
+        /// The requested node count.
+        nodes: usize,
+    },
+}
+
+impl std::fmt::Display for MeshConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            MeshConfigError::VcCount { vcs } => write!(
+                f,
+                "{vcs} VCs per port: a router tracks its 5 x vcs input VCs in u32 masks, \
+                 so vcs must be 1..={}",
+                MeshConfig::MAX_VCS
+            ),
+            MeshConfigError::TooManyNodes { nodes } => write!(
+                f,
+                "{nodes} nodes exceed the NodeMask capacity of {}",
+                NodeMask::CAPACITY
+            ),
+        }
+    }
+}
+
+impl std::error::Error for MeshConfigError {}
+
 /// Configuration of a [`MeshNetwork`](crate::network::MeshNetwork).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeshConfig {
@@ -20,6 +62,9 @@ pub struct MeshConfig {
 }
 
 impl MeshConfig {
+    /// Most VCs per input port: `5 × vcs` mask bits must fit a `u32`.
+    pub const MAX_VCS: usize = 6;
+
     /// The paper's baseline for `n` nodes (must be a perfect square):
     /// 4 VCs × 12-flit buffers, 4-cycle routers, 1-cycle links.
     ///
@@ -52,9 +97,14 @@ impl MeshConfig {
     }
 
     /// Builder-style: sets the VC count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the result fails [`validate`](Self::validate).
     pub fn with_vcs(mut self, vcs: usize) -> Self {
-        assert!(vcs >= 1);
         self.vcs = vcs;
+        let valid = self.validate();
+        assert!(valid.is_ok(), "{valid:?}");
         self
     }
 
@@ -68,6 +118,23 @@ impl MeshConfig {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.width * self.height
+    }
+
+    /// Checks the limits the network's dense state relies on (the fields
+    /// are public, so a literal can hold anything): `vcs` in
+    /// `1..=`[`MAX_VCS`](Self::MAX_VCS) and at most [`NodeMask::CAPACITY`]
+    /// nodes. [`MeshNetwork::new`](crate::MeshNetwork::new) panics on a
+    /// configuration that fails this.
+    pub fn validate(&self) -> Result<(), MeshConfigError> {
+        if !(1..=Self::MAX_VCS).contains(&self.vcs) {
+            return Err(MeshConfigError::VcCount { vcs: self.vcs });
+        }
+        if self.node_count() > NodeMask::CAPACITY {
+            return Err(MeshConfigError::TooManyNodes {
+                nodes: self.node_count(),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -97,6 +164,41 @@ mod tests {
         assert_eq!(c.router_cycles, 2);
         assert_eq!(c.vcs, 2);
         assert_eq!(c.vc_depth, 4);
+    }
+
+    #[test]
+    fn validate_rejects_zero_vcs() {
+        let c = MeshConfig {
+            vcs: 0,
+            ..MeshConfig::nodes(16)
+        };
+        assert_eq!(c.validate(), Err(MeshConfigError::VcCount { vcs: 0 }));
+    }
+
+    #[test]
+    fn validate_rejects_more_vcs_than_the_masks_hold() {
+        assert_eq!(MeshConfig::nodes(16).with_vcs(6).validate(), Ok(()));
+        let c = MeshConfig {
+            vcs: 7,
+            ..MeshConfig::nodes(16)
+        };
+        let err = c.validate().unwrap_err();
+        assert_eq!(err, MeshConfigError::VcCount { vcs: 7 });
+        assert!(err.to_string().contains("1..=6"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_more_nodes_than_the_live_set_holds() {
+        assert_eq!(MeshConfig::nodes(256).validate(), Ok(()));
+        let err = MeshConfig::nodes(289).validate().unwrap_err();
+        assert_eq!(err, MeshConfigError::TooManyNodes { nodes: 289 });
+        assert!(err.to_string().contains("256"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "VcCount { vcs: 7 }")]
+    fn with_vcs_panics_on_an_invalid_count() {
+        let _ = MeshConfig::nodes(16).with_vcs(7);
     }
 
     #[test]

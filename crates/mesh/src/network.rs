@@ -1,14 +1,17 @@
 //! The full cycle-driven mesh: routers, links, injection and ejection.
+//!
+//! A tick visits only the nodes with something to inject and the routers
+//! holding flits ([`NodeMask`] sets), in ascending node order — a loop
+//! over every node, minus the nodes where it would find nothing to do.
 
 use crate::config::MeshConfig;
-use crate::packet::{flits_of, Flit, MeshPacket};
-use crate::router::Router;
-use crate::routing::{coords, node_at, Port};
+use crate::packet::{Flit, MeshPacket};
+use crate::router::{Departure, Router, LOCAL, NEVER};
+use fsoi_sim::det::NodeMask;
 use fsoi_sim::event::MonotoneQueue;
 use fsoi_sim::queue::BoundedQueue;
 use fsoi_sim::stats::Summary;
 use fsoi_sim::Cycle;
-use std::collections::VecDeque;
 
 /// A delivered packet with its measured latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +30,7 @@ impl MeshDelivered {
 }
 
 /// Aggregate mesh statistics.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MeshStats {
     /// Packets accepted.
     pub injected: u64,
@@ -54,10 +57,23 @@ pub struct MeshStats {
 }
 
 /// In-progress injection of one packet's flits at a node.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct InjectionState {
-    flits: VecDeque<Flit>,
-    vc: usize,
+    slot: u32,
+    dst: u16,
+    /// Sequence number of the next flit to inject.
+    next: u8,
+    flits: u8,
+    vc: u8,
+}
+
+/// A flit in flight on a link, addressed to its landing buffer.
+#[derive(Debug, Clone, Copy)]
+struct LinkFlit {
+    router: u16,
+    port: u8,
+    vc: u8,
+    flit: Flit,
 }
 
 /// The mesh network.
@@ -66,21 +82,30 @@ pub struct MeshNetwork {
     cfg: MeshConfig,
     now: Cycle,
     routers: Vec<Router>,
-    /// Per-node packet injection queues.
-    inject_q: Vec<BoundedQueue<MeshPacket>>,
-    /// Packets across all injection queues (O(1) gate for `inject_flits`).
-    queued: usize,
+    /// The neighbour out of each non-local port, `[node][port]` (unused
+    /// at the mesh edge: XY routing never points off it).
+    neighbours: Vec<[u16; 4]>,
+    /// Every packet in the network, held once: queues and flits carry the
+    /// slot index. Slots are recycled through `free_slots`.
+    packets: Vec<MeshPacket>,
+    free_slots: Vec<u32>,
+    /// Per-node packet injection queues (slab slots).
+    inject_q: Vec<BoundedQueue<u32>>,
     /// Per-node current packet being flit-injected.
     injecting: Vec<Option<InjectionState>>,
-    /// Nodes with an in-progress flit injection.
-    streaming: usize,
-    /// Flits in flight on links: (destination router, in-port, vc, flit).
-    /// Every push is due `link_cycles` after `now`, so arrival order is
-    /// push order — the FIFO queue is exactly the event-heap order.
-    links: MonotoneQueue<(usize, usize, usize, Flit)>,
+    /// Nodes with a queued packet or an in-progress flit injection.
+    injectors: NodeMask,
+    /// Routers holding at least one flit.
+    live: NodeMask,
+    /// The switch-allocation round-robin pointer. It advances by one per
+    /// cycle at every router, busy or idle, so all routers share it.
+    sa_rr: usize,
+    /// Flits in flight on links. Every push is due `link_cycles` after
+    /// `now`, so arrival order is push order — the FIFO queue is exactly
+    /// the event-heap order.
+    links: MonotoneQueue<LinkFlit>,
     /// Scratch buffer for per-router departures, reused across cycles.
-    departures: Vec<crate::router::Departure>,
-    /// Partial packets being reassembled at ejection (tail ⇒ delivered).
+    departures: Vec<Departure>,
     delivered: Vec<MeshDelivered>,
     stats: MeshStats,
     next_id: u64,
@@ -88,16 +113,37 @@ pub struct MeshNetwork {
 
 impl MeshNetwork {
     /// Creates a mesh.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`MeshConfig::validate`].
     pub fn new(cfg: MeshConfig) -> Self {
-        let n = cfg.node_count();
+        let valid = cfg.validate();
+        assert!(valid.is_ok(), "{valid:?}");
+        let (n, w, h) = (cfg.node_count(), cfg.width, cfg.height);
+        let neighbours = |node: usize| {
+            let (x, y) = (node % w, node / w);
+            // In `Port::index` order: west, east, north, south.
+            [
+                (x > 0, node.wrapping_sub(1)),
+                (x + 1 < w, node + 1),
+                (y > 0, node.wrapping_sub(w)),
+                (y + 1 < h, node + w),
+            ]
+            .map(|(inside, at)| if inside { at as u16 } else { u16::MAX })
+        };
         MeshNetwork {
             routers: (0..n).map(|i| Router::new(&cfg, i)).collect(),
+            neighbours: (0..n).map(neighbours).collect(),
+            packets: Vec::new(),
+            free_slots: Vec::new(),
             inject_q: (0..n)
                 .map(|_| BoundedQueue::new(cfg.injection_queue))
                 .collect(),
-            queued: 0,
-            injecting: (0..n).map(|_| None).collect(),
-            streaming: 0,
+            injecting: vec![None; n],
+            injectors: NodeMask::new(),
+            live: NodeMask::new(),
+            sa_rr: 0,
             links: MonotoneQueue::new(),
             departures: Vec::new(),
             delivered: Vec::new(),
@@ -131,24 +177,30 @@ impl MeshNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `src == dst` or out of range.
+    /// Panics if `src == dst`, either is out of range, or the packet is
+    /// not 1 to 255 flits long.
     pub fn inject(&mut self, mut packet: MeshPacket) -> Result<u64, MeshPacket> {
         assert_ne!(packet.src, packet.dst, "no self-injection");
         assert!(packet.src < self.routers.len() && packet.dst < self.routers.len());
+        assert!((1..=255).contains(&packet.flits), "1 to 255 flits");
         packet.id = self.next_id;
         packet.enqueued_at = self.now;
-        match self.inject_q[packet.src].push(packet) {
-            Ok(()) => {
-                self.next_id += 1;
-                self.stats.injected += 1;
-                self.queued += 1;
-                Ok(packet.id)
-            }
-            Err(p) => {
-                self.stats.rejected += 1;
-                Err(p)
-            }
+        if self.inject_q[packet.src].is_full() {
+            self.stats.rejected += 1;
+            return Err(packet);
         }
+        let slot = self.free_slots.pop().unwrap_or(self.packets.len() as u32);
+        if slot as usize == self.packets.len() {
+            self.packets.push(packet);
+        } else {
+            self.packets[slot as usize] = packet;
+        }
+        let queued = self.inject_q[packet.src].push(slot);
+        debug_assert_eq!(queued, Ok(()));
+        self.next_id += 1;
+        self.stats.injected += 1;
+        self.injectors.insert(packet.src);
+        Ok(packet.id)
     }
 
     /// Takes all deliveries since the last drain.
@@ -162,144 +214,197 @@ impl MeshNetwork {
     }
 
     /// True when nothing is queued or in flight.
+    ///
+    /// Empty buffers everywhere suffice for the routers: a VC that still
+    /// holds a route is waiting for the rest of a packet, and those flits
+    /// are in an injector, on a link or in a buffer upstream.
     pub fn is_idle(&self) -> bool {
-        debug_assert_eq!(self.queued == 0, self.inject_q.iter().all(|q| q.is_empty()));
-        debug_assert_eq!(
-            self.streaming == 0,
-            self.injecting.iter().all(|i| i.is_none())
-        );
-        self.links.is_empty()
-            && self.queued == 0
-            && self.streaming == 0
-            && self.routers.iter().all(|r| r.is_idle())
+        self.check_active_sets();
+        self.links.is_empty() && self.injectors.is_empty() && self.live.is_empty()
+    }
+
+    /// Debug builds: recomputes both active sets, every router's masks
+    /// and the slab occupancy from the state they summarize, and checks
+    /// that no route is held once nothing is left to arrive.
+    fn check_active_sets(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let mut routers_idle = true;
+        for (node, router) in self.routers.iter().enumerate() {
+            routers_idle &= router.is_idle(); // recomputes the router's masks too
+            let injector = !self.inject_q[node].is_empty() || self.injecting[node].is_some();
+            assert_eq!(
+                (self.live.contains(node), self.injectors.contains(node)),
+                (router.has_flits(), injector),
+                "(live, injector) at node {node}"
+            );
+        }
+        let quiet = self.links.is_empty() && self.injectors.is_empty();
+        assert_eq!(quiet && self.live.is_empty(), quiet && routers_idle);
+        let held = (self.packets.len() - self.free_slots.len()) as u64;
+        assert_eq!(held, self.stats.injected - self.stats.delivered, "slab");
     }
 
     /// Advances one cycle.
     pub fn tick(&mut self) {
         self.land_link_flits();
         self.inject_flits();
-        for r in &mut self.routers {
-            r.allocate(self.now);
-        }
-        self.traverse_switches();
+        self.step_routers();
         self.now += 1;
     }
 
-    /// Runs `cycles` ticks.
+    /// Runs `cycles` ticks, jumping over cycles in which nothing can move.
     pub fn run(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.tick();
+        self.advance_to(self.now + cycles);
+    }
+
+    /// The earliest cycle `>= now` at which the network has any work to
+    /// do: `now` while a packet is queued or streaming in, or some router
+    /// has a front flit through its pipeline or awaiting an output VC;
+    /// otherwise the next link arrival or pipeline exit, whichever is
+    /// first. `None` when nothing will ever happen without an injection.
+    pub fn next_event_at(&self) -> Option<Cycle> {
+        if !self.injectors.is_empty() {
+            return Some(self.now);
+        }
+        let mut next = self.links.peek_time().unwrap_or(NEVER);
+        for node in &self.live {
+            next = next.min(self.routers[node].next_event_at(self.now));
+        }
+        (next != NEVER).then_some(next)
+    }
+
+    /// Advances to `target`, ticking only the cycles at or after each
+    /// [`next_event_at`](Self::next_event_at) bound.
+    ///
+    /// Identical to calling [`tick`](Self::tick) `target - now` times: in
+    /// a cycle below the bound no flit lands, none is injected, no head
+    /// wants an output VC and no front flit is through its pipeline, so
+    /// the tick would change nothing but the shared switch-allocation
+    /// pointer, which advances by one — replayed here for the whole span.
+    pub fn advance_to(&mut self, target: Cycle) {
+        while self.now < target {
+            let next = self.next_event_at().map_or(target, |at| at.min(target));
+            if next > self.now {
+                let span = next - self.now;
+                let total = 5 * self.cfg.vcs as u64;
+                self.sa_rr = ((self.sa_rr as u64 + span % total) % total) as usize;
+                self.now = next;
+            } else {
+                self.tick();
+            }
         }
     }
 
     fn land_link_flits(&mut self) {
-        while let Some((_, (router, port, vc, flit))) = self.links.pop_due(self.now) {
-            self.routers[router].receive_flit(port, vc, flit, self.now);
+        while let Some((_, l)) = self.links.pop_due(self.now) {
+            let router = usize::from(l.router);
+            self.routers[router].receive_flit(l.port.into(), l.vc.into(), l.flit, self.now);
+            self.live.insert(router);
         }
     }
 
     fn inject_flits(&mut self) {
-        if self.queued == 0 && self.streaming == 0 {
-            return; // no node has anything to inject
-        }
-        let local = Port::Local.index();
-        for node in 0..self.routers.len() {
+        for node in &self.injectors {
+            let router = &mut self.routers[node];
             if self.injecting[node].is_none() {
-                if let Some(&pkt) = self.inject_q[node].front() {
-                    if let Some(vc) = self.routers[node].free_local_vc() {
+                if let Some(&slot) = self.inject_q[node].front() {
+                    if let Some(vc) = router.free_local_vc() {
                         self.inject_q[node].pop();
-                        self.queued -= 1;
+                        let packet = &self.packets[slot as usize];
                         self.injecting[node] = Some(InjectionState {
-                            flits: flits_of(pkt).into(),
-                            vc,
+                            slot,
+                            dst: packet.dst as u16,
+                            next: 0,
+                            flits: packet.flits as u8,
+                            vc: vc as u8,
                         });
-                        self.streaming += 1;
                     }
                 }
             }
             if let Some(state) = &mut self.injecting[node] {
-                if self.routers[node].buffer_free(local, state.vc) > 0 {
-                    if let Some(flit) = state.flits.pop_front() {
-                        self.routers[node].receive_flit(local, state.vc, flit, self.now);
-                    }
+                if router.buffer_free(LOCAL, state.vc.into()) > 0 {
+                    let flit = Flit::new(state.slot, state.dst, state.next, state.flits);
+                    router.receive_flit(LOCAL, state.vc.into(), flit, self.now);
+                    self.live.insert(node);
+                    state.next += 1;
                 }
-                if state.flits.is_empty() {
+                if state.next == state.flits {
                     self.injecting[node] = None;
-                    self.streaming -= 1;
                 }
+            }
+            if self.injecting[node].is_none() && self.inject_q[node].is_empty() {
+                self.injectors.remove(node);
             }
         }
     }
 
-    fn traverse_switches(&mut self) {
-        let local = Port::Local.index();
-        let width = self.cfg.width;
+    /// VC allocation then switch traversal at every live router.
+    ///
+    /// One fused pass equals allocating everywhere before switching
+    /// anywhere: `allocate` reads and writes only its own router, and the
+    /// one thing a switching router changes elsewhere — a credit returned
+    /// upstream — `allocate` never reads.
+    fn step_routers(&mut self) {
         let mut departures = std::mem::take(&mut self.departures);
-        for node in 0..self.routers.len() {
+        for node in &self.live {
+            let router = &mut self.routers[node];
+            router.allocate();
             departures.clear();
-            self.routers[node].switch_into(self.now, &mut departures);
+            router.switch_into(self.now, self.sa_rr, &mut departures);
+            if !router.has_flits() {
+                self.live.remove(node);
+            }
             for &dep in &departures {
+                let (in_port, out_port) = (usize::from(dep.in_port), usize::from(dep.out_port));
                 // The consumed input-buffer slot frees a credit upstream
                 // (injection from the local port is credit-free: the
                 // injector checks buffer space directly).
-                if dep.in_port != local {
-                    let (x, y) = coords(node, width);
-                    let upstream = match Port::ALL[dep.in_port] {
-                        Port::East => node_at(x + 1, y, width),
-                        Port::West => node_at(x - 1, y, width),
-                        Port::South => node_at(x, y + 1, width),
-                        Port::North => node_at(x, y - 1, width),
-                        Port::Local => unreachable!(),
-                    };
-                    let up_out = Port::ALL[dep.in_port].opposite().index();
-                    self.routers[upstream].credit_return(up_out, dep.in_vc);
+                if in_port != LOCAL {
+                    let upstream = usize::from(self.neighbours[node][in_port]);
+                    self.routers[upstream].credit_return(in_port ^ 1, dep.in_vc.into());
                 }
-                if dep.out_port == local {
+                if out_port == LOCAL {
                     if dep.flit.kind.is_tail() {
-                        let d = MeshDelivered {
-                            packet: dep.flit.packet,
-                            delivered_at: self.now,
-                        };
-                        self.stats.delivered += 1;
-                        let lat = d.latency() as f64;
-                        self.stats.latency.record(lat);
-                        if d.packet.is_meta() {
-                            self.stats.meta_latency.record(lat);
-                        } else {
-                            self.stats.data_latency.record(lat);
-                        }
-                        self.delivered.push(d);
+                        self.eject(dep.flit.slot);
                     }
                     continue;
                 }
-                // Forward over the link to the neighbour.
-                let (x, y) = coords(node, width);
-                let neighbour = match Port::ALL[dep.out_port] {
-                    Port::East => node_at(x + 1, y, width),
-                    Port::West => node_at(x - 1, y, width),
-                    Port::South => node_at(x, y + 1, width),
-                    Port::North => node_at(x, y - 1, width),
-                    Port::Local => unreachable!(),
-                };
-                let in_port = Port::ALL[dep.out_port].opposite().index();
+                // Forward over the link to the neighbour, which receives
+                // on the opposite port.
                 self.stats.link_traversals += 1;
                 self.links.push(
                     self.now + self.cfg.link_cycles,
-                    (neighbour, in_port, dep.out_vc, dep.flit),
+                    LinkFlit {
+                        router: self.neighbours[node][out_port],
+                        port: dep.out_port ^ 1,
+                        vc: dep.out_vc,
+                        flit: dep.flit,
+                    },
                 );
             }
         }
         self.departures = departures;
-        // Credit returns: a flit consumed from an input buffer frees a slot
-        // upstream. We return credits for the flits that traversed switches
-        // this cycle (handled above by reading router counters is racy, so
-        // we do it inline via a second pass).
-        self.collect_power_counters();
+        self.sa_rr = (self.sa_rr + 1) % (5 * self.cfg.vcs);
     }
 
-    fn collect_power_counters(&mut self) {
-        // Power counters are gathered incrementally at the end of the run;
-        // nothing to do per cycle. (Kept as a hook for extensions.)
+    /// Delivers the packet in `slot`, whose tail just left the network.
+    fn eject(&mut self, slot: u32) {
+        let d = MeshDelivered {
+            packet: self.packets[slot as usize],
+            delivered_at: self.now,
+        };
+        self.free_slots.push(slot);
+        self.stats.delivered += 1;
+        let lat = d.latency() as f64;
+        self.stats.latency.record(lat);
+        if d.packet.is_meta() {
+            self.stats.meta_latency.record(lat);
+        } else {
+            self.stats.data_latency.record(lat);
+        }
+        self.delivered.push(d);
     }
 
     /// Gathers router event counters into the stats block (call after a
@@ -409,10 +514,7 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(
-            out as u64 + net.stats().delivered - out as u64,
-            net.stats().delivered
-        );
+        assert_eq!(out as u64, wanted, "every accepted packet is drained");
         assert_eq!(net.stats().delivered, wanted);
         assert!(net.is_idle(), "network must drain");
     }

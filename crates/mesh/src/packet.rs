@@ -92,36 +92,44 @@ impl FlitKind {
     }
 }
 
-/// One flit in flight.
+/// One flit in flight: 8 bytes. The packet itself is held once, in the
+/// network's slab, and looked up by `slot` when the tail is ejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
-    /// The packet this flit belongs to (replicated for convenience).
-    pub packet: MeshPacket,
+    /// Slab slot of the packet this flit belongs to.
+    pub slot: u32,
+    /// Destination node (all a router needs for route computation).
+    pub dst: u16,
+    /// Index within the packet (0 = head).
+    pub seq: u8,
     /// Head/body/tail marker.
     pub kind: FlitKind,
-    /// Index within the packet (0 = head).
-    pub seq: usize,
 }
 
-/// Splits a packet into its flit sequence.
-pub fn flits_of(packet: MeshPacket) -> Vec<Flit> {
-    (0..packet.flits)
-        .map(|seq| Flit {
-            packet,
-            kind: match (seq, packet.flits) {
+impl Flit {
+    /// Flit `seq` of a `flits`-flit packet held in `slot`.
+    pub fn new(slot: u32, dst: u16, seq: u8, flits: u8) -> Self {
+        Flit {
+            slot,
+            dst,
+            seq,
+            kind: match (seq, flits) {
                 (0, 1) => FlitKind::HeadTail,
                 (0, _) => FlitKind::Head,
                 (s, n) if s == n - 1 => FlitKind::Tail,
                 _ => FlitKind::Body,
             },
-            seq,
-        })
-        .collect()
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn flits_of(slot: u32, p: &MeshPacket) -> impl Iterator<Item = Flit> + '_ {
+        (0..p.flits as u8).map(move |seq| Flit::new(slot, p.dst as u16, seq, p.flits as u8))
+    }
 
     #[test]
     fn meta_and_data_sizes() {
@@ -137,7 +145,7 @@ mod tests {
 
     #[test]
     fn single_flit_is_headtail() {
-        let fs = flits_of(MeshPacket::meta(0, 1, 0));
+        let fs: Vec<Flit> = flits_of(0, &MeshPacket::meta(0, 1, 0)).collect();
         assert_eq!(fs.len(), 1);
         assert_eq!(fs[0].kind, FlitKind::HeadTail);
         assert!(fs[0].kind.is_head() && fs[0].kind.is_tail());
@@ -145,8 +153,9 @@ mod tests {
 
     #[test]
     fn multi_flit_structure() {
-        let fs = flits_of(MeshPacket::data(2, 3, 0));
+        let fs: Vec<Flit> = flits_of(7, &MeshPacket::data(2, 3, 0)).collect();
         assert_eq!(fs.len(), 5);
+        assert_eq!(std::mem::size_of::<Flit>(), 8);
         assert_eq!(fs[0].kind, FlitKind::Head);
         assert_eq!(fs[1].kind, FlitKind::Body);
         assert_eq!(fs[3].kind, FlitKind::Body);
@@ -155,7 +164,7 @@ mod tests {
         assert!(!fs[2].kind.is_head() && !fs[2].kind.is_tail());
         assert!(fs[4].kind.is_tail() && !fs[4].kind.is_head());
         for (i, f) in fs.iter().enumerate() {
-            assert_eq!(f.seq, i);
+            assert_eq!((f.slot, f.dst, f.seq as usize), (7, 3, i));
         }
     }
 }

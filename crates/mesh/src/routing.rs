@@ -30,8 +30,9 @@ impl Port {
         Port::Local,
     ];
 
-    /// Dense index 0..5.
-    pub fn index(self) -> usize {
+    /// Dense index 0..5. Opposite directions are index pairs `(0, 1)` and
+    /// `(2, 3)`, so `index ^ 1` is the [`opposite`](Self::opposite) port's.
+    pub const fn index(self) -> usize {
         match self {
             Port::West => 0,
             Port::East => 1,
@@ -122,6 +123,9 @@ mod tests {
         for (i, p) in Port::ALL.iter().enumerate() {
             assert_eq!(p.index(), i);
             assert_eq!(p.opposite().opposite(), *p);
+            if *p != Port::Local {
+                assert_eq!(p.opposite().index(), i ^ 1);
+            }
         }
     }
 

@@ -7,7 +7,8 @@
 #   scripts/ci.sh --tier quick    # fmt check + build + test
 #   scripts/ci.sh --tier lint     # fsoi-lint check + clippy
 #   scripts/ci.sh --tier full     # scripts/verify.sh (incl. trace build + microbench guard)
-#   scripts/ci.sh --tier bench    # scripts/bench_gate.sh vs the committed baseline
+#   scripts/ci.sh --tier bench    # scripts/bench_gate.sh vs the committed baseline,
+#                                 # then the layered benchmark's smoke run
 #   scripts/ci.sh --tier scale    # beyond-the-paper grids: 64-node four-network
 #                                 # smoke grid + a single 256-node cell, with
 #                                 # shape-class and byte-identity assertions
@@ -70,6 +71,12 @@ tier_bench() {
     # artifact so a regression investigation starts from real numbers.
     cargo run -q --release --offline -p fsoi-bench --bin experiments -- \
         profile --out target/RUN_manifest.json --det target/RUN_det.txt
+    # The layered benchmark (BENCHMARK.json, benchmark/) at ~1/20 size,
+    # untraced and traced: every workload must run, pass its correctness
+    # checks and print every metric BENCHMARK.json declares. It is a
+    # package of its own that the workspace build never sees, so this is
+    # the step that notices an API change breaking it.
+    bash benchmark/run.sh --smoke
 }
 
 tier_scale() {
