@@ -5,21 +5,15 @@
 //!
 //! cmd: table1 | fig3 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | fig10 |
 //!      fig11 | table4 | bm | opts | corona | l1 | ber | receivers |
-//!      seeds | snapshot | bench | profile | grid | all
+//!      seeds | snapshot | profile | grid | diag | all
 //! ```
 //!
-//! `--full` uses larger workloads (closer statistics, slower).
+//! `--full` uses larger workloads (closer statistics, slower). `diag`
+//! prints per-app calibration diagnostics (not a paper figure, not in `all`).
 //!
 //! `snapshot` dumps the metric registry (table + JSONL) for the Figure 6
 //! 16-node runs — the single code path behind every exported number. Two
 //! same-seed invocations emit byte-identical output.
-//!
-//! `bench [--out PATH] [--threads 1,2,8]` runs the sweep benchmark:
-//! wall time, cells/sec and thread scaling over the default Figure 6
-//! sweep, written as schema-versioned JSON (default `BENCH_sweep.json`)
-//! for `scripts/bench_gate.sh` to compare against the committed baseline.
-//! Sweeps parallelize across (app, network, seed) cells; `FSOI_THREADS`
-//! caps the worker count without changing any output byte.
 //!
 //! `grid [--nodes N] [--ops N] [--apps LIST] [--networks LIST]
 //! [--out PATH]` runs a beyond-the-paper design-space grid: the four-way
@@ -77,7 +71,6 @@ fn main() {
         "receivers" => receivers(scale),
         "seeds" => seed_stability(scale),
         "snapshot" => snapshot(scale),
-        "bench" => bench(&args[1..]),
         "profile" => profile(&args[1..]),
         "grid" => grid(&args[1..]),
         "all" => {
@@ -924,102 +917,6 @@ fn snapshot(scale: u64) {
     print!("{}", reg.to_jsonl());
 }
 
-// ------------------------------------------------------------------ bench
-
-/// Runs the sweep benchmark and writes the schema-versioned JSON report
-/// (see `fsoi_bench::sweepbench`). Exits nonzero if any parallel run's
-/// merged export differed from the serial fold.
-fn bench(args: &[String]) {
-    header("bench: default-sweep wall time, throughput and thread scaling");
-    let mut out_path = String::from("BENCH_sweep.json");
-    let mut threads = default_bench_threads();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                out_path = args
-                    .get(i + 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("bench: --out needs a path");
-                        std::process::exit(2);
-                    })
-                    .clone();
-                i += 2;
-            }
-            "--threads" => {
-                let list = args.get(i + 1).unwrap_or_else(|| {
-                    eprintln!("bench: --threads needs a comma list, e.g. 1,2,8");
-                    std::process::exit(2);
-                });
-                threads = list
-                    .split(',')
-                    .map(|t| {
-                        t.trim().parse().unwrap_or_else(|_| {
-                            eprintln!("bench: bad thread count {t:?}");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-                i += 2;
-            }
-            "--full" => i += 1,
-            other => {
-                eprintln!("bench: unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if threads.first() != Some(&1) {
-        threads.insert(0, 1); // speedups are relative to the serial run
-    }
-    println!(
-        "  host cpus: {}; thread counts: {threads:?}",
-        fsoi_bench::sweepbench::host_cpus()
-    );
-    let opts = SweepOptions::quick_16();
-    let networks = ["mesh", "fsoi", "L0", "Lr1", "Lr2"];
-    println!(
-        "  sweep: {} apps x {} networks = {} cells (ops/core {}, seed {})",
-        AppProfile::suite().len(),
-        networks.len(),
-        AppProfile::suite().len() * networks.len(),
-        opts.ops_per_core,
-        opts.seed
-    );
-    let report = fsoi_bench::sweepbench::run(opts, &networks, &threads);
-    println!(
-        "  {:>7} {:>12} {:>12} {:>8}",
-        "threads", "wall ms", "cells/sec", "speedup"
-    );
-    for p in &report.scaling {
-        println!(
-            "  {:>7} {:>12.1} {:>12.2} {:>8.2}",
-            p.threads, p.wall_ms, p.cells_per_sec, p.speedup
-        );
-    }
-    println!(
-        "  phases: build {:.2} ms, merge {:.2} ms; byte-identical: {}",
-        report.build_ms, report.merge_ms, report.byte_identical
-    );
-    println!(
-        "  sim throughput: {:.1} Mcycles/sec ({} cycles); cell ms min/mean/max {:.1}/{:.1}/{:.1}",
-        report.sim_cycles_per_sec() / 1e6,
-        report.sim_cycles_total,
-        report.cell_ms_min(),
-        report.cell_ms_mean(),
-        report.cell_ms_max()
-    );
-    if let Err(e) = std::fs::write(&out_path, report.render_json()) {
-        eprintln!("bench: cannot write {out_path}: {e}");
-        std::process::exit(2);
-    }
-    println!("  wrote {out_path}");
-    if !report.byte_identical {
-        eprintln!("bench: FAIL — parallel merged export diverged from the serial fold");
-        std::process::exit(1);
-    }
-}
-
 // ------------------------------------------------------------------- grid
 
 /// One cell's exported metric registry as sorted JSONL — the byte-level
@@ -1437,31 +1334,16 @@ fn render_manifest(
     out.push_str("  },\n");
     out.push_str("  \"telemetry\": {\n");
     let _ = writeln!(out, "    \"threads\": {threads},");
-    let _ = writeln!(
-        out,
-        "    \"host_cpus\": {},",
-        fsoi_bench::sweepbench::host_cpus()
-    );
+    let _ = writeln!(out, "    \"host_cpus\": {},", host_cpus());
     let _ = writeln!(out, "    \"snapshot\": {}", snap.to_json("    "));
     out.push_str("  }\n");
     out.push_str("}\n");
     out
 }
 
-/// Default thread counts for the scaling curve, adapted to the host:
-/// sampling 8 threads on a 1-CPU container only measures oversubscription
-/// overhead and poisons the committed baseline with a bogus "<1.0
-/// speedup" (exactly what happened to the original `BENCH_sweep.json`).
-/// A 1-CPU host samples the serial point only; multi-core hosts sample
-/// `[1, 2, min(8, cpus)]`. `--threads` overrides.
-fn default_bench_threads() -> Vec<usize> {
-    let cpus = fsoi_bench::sweepbench::host_cpus();
-    if cpus == 1 {
-        return vec![1];
-    }
-    let mut threads = vec![1, 2, cpus.min(8)];
-    threads.dedup();
-    threads
+/// The host's available parallelism (1 when undeterminable).
+fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 // ------------------------------------------------------------------ seeds

@@ -4,14 +4,11 @@
 //!
 //! The heavy lifting lives in [`runner`]; the `experiments` binary exposes
 //! one subcommand per table/figure and prints rows shaped like the paper's
-//! plots. The micro-benches under `benches/` (built only with the
-//! non-default `criterion` feature, on the in-repo [`microbench`] shim)
-//! reuse the same entry points.
+//! plots. The repo's own speed is measured by the separate `benchmark/`
+//! package (see `BENCHMARK.json`), which drives the same entry points.
 
 #![warn(missing_docs)]
 
-pub mod microbench;
 pub mod runner;
-pub mod sweepbench;
 
 pub use runner::{run_app, sweep_apps, AppResult, CellSpec, SweepOptions};

@@ -146,21 +146,6 @@ impl CellSpec {
     }
 }
 
-/// Runs cells serially, timing each one. The reports are byte-identical
-/// to any threaded run (same cells, same order); the second vector is
-/// per-cell wall milliseconds — the bench report's cell breakdown.
-pub fn run_cells_serial_timed(cells: &[CellSpec]) -> (Vec<RunReport>, Vec<f64>) {
-    let mut reports = Vec::with_capacity(cells.len());
-    let mut cell_ms = Vec::with_capacity(cells.len());
-    for c in cells {
-        let cell = c.to_batch_cell();
-        let t = std::time::Instant::now();
-        reports.push(cell.run(MAX_CYCLES));
-        cell_ms.push(t.elapsed().as_secs_f64() * 1e3);
-    }
-    (reports, cell_ms)
-}
-
 /// Runs cells on `threads` worker threads; reports come back in cell
 /// order, byte-identical to a serial run for any thread count.
 ///

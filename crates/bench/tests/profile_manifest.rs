@@ -96,3 +96,23 @@ fn deterministic_plane_is_byte_identical_across_thread_counts() {
         );
     }
 }
+
+#[test]
+fn unknown_commands_exit_2_and_manifest_reports_host_cpus() {
+    // `bench` is a retired subcommand: rejected like any typo.
+    for cmd in ["bench", "no-such-cmd"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .arg(cmd)
+            .output()
+            .expect("spawn experiments");
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {:?}", out.status);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown experiment: {cmd}")),
+            "{cmd}: {stderr}"
+        );
+    }
+    // A thread count the other test does not use: own temp files.
+    let (manifest, _) = run_profile("3");
+    assert!(sum_counts(&manifest, "\"host_cpus\": ") > 0, "{manifest}");
+}

@@ -7,8 +7,6 @@
 //! average (121 W for the FSOI system): each core dissipates ~7 W active
 //! and ~3 W stalled, with ~1.7 W of leakage per node.
 
-use fsoi_sim::stats::MetricSet;
-
 /// Per-node power rates at 3.3 GHz / 45 nm.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipPowerModel {
@@ -51,16 +49,6 @@ impl ChipEnergy {
     /// Energy-delay product (J·s) over `cycles`.
     pub fn edp(&self, cycles: u64, clock_hz: f64) -> f64 {
         self.total_j() * cycles as f64 / clock_hz
-    }
-
-    /// As labelled metrics for reporting.
-    pub fn metrics(&self) -> MetricSet {
-        let mut m = MetricSet::new();
-        m.set("energy.network_j", self.network_j);
-        m.set("energy.core_j", self.core_j);
-        m.set("energy.leakage_j", self.leakage_j);
-        m.set("energy.total_j", self.total_j());
-        m
     }
 }
 
@@ -132,7 +120,7 @@ mod tests {
     }
 
     #[test]
-    fn edp_and_metrics() {
+    fn edp_and_totals() {
         let e = ChipEnergy {
             network_j: 1.0,
             core_j: 2.0,
@@ -140,9 +128,6 @@ mod tests {
         };
         assert_eq!(e.total_j(), 6.0);
         assert!(e.edp(3_300_000, 3.3e9) > 0.0);
-        let m = e.metrics();
-        assert_eq!(m.get("energy.total_j"), 6.0);
-        assert_eq!(m.get("energy.core_j"), 2.0);
         assert_eq!(ChipEnergy::default().average_power_w(0, 3.3e9), 0.0);
     }
 }

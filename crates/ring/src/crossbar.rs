@@ -91,8 +91,6 @@ struct Port {
     /// Waiting writers, FIFO (the electrical arbiter grants in request
     /// order; FIFO is the fair-service approximation).
     queue: BoundedQueue<RingPacket>,
-    served: u64,
-    port_wait: Summary,
 }
 
 /// Statistics of a crossbar run.
@@ -130,8 +128,6 @@ impl CrossbarNetwork {
                 .map(|_| Port {
                     busy_until: Cycle::ZERO,
                     queue: BoundedQueue::new(cfg.injection_queue),
-                    served: 0,
-                    port_wait: Summary::new(),
                 })
                 .collect(),
             now: Cycle::ZERO,
@@ -211,11 +207,9 @@ impl CrossbarNetwork {
                     self.cfg.meta_serialization
                 };
                 let wait = start.saturating_sub(packet.enqueued_at.as_u64().into());
-                port.port_wait.record(wait as f64);
                 self.stats.port_wait.record(wait as f64);
                 let done = start + ser;
                 port.busy_until = done;
-                port.served += 1;
                 let arrive = done + self.cfg.traversal_cycles;
                 self.deliveries.push(arrive, packet);
             }

@@ -77,8 +77,6 @@ struct Channel {
     /// Waiting writers, FIFO (the token visits writers in ring order; FIFO
     /// is a fair-service approximation).
     queue: BoundedQueue<RingPacket>,
-    served: u64,
-    token_wait: Summary,
 }
 
 /// Statistics of a ring run.
@@ -117,8 +115,6 @@ impl RingNetwork {
                     token_free_at: Cycle::ZERO,
                     last_release: None,
                     queue: BoundedQueue::new(cfg.injection_queue),
-                    served: 0,
-                    token_wait: Summary::new(),
                 })
                 .collect(),
             now: Cycle::ZERO,
@@ -207,13 +203,10 @@ impl RingNetwork {
                 } else {
                     self.cfg.meta_serialization
                 };
-                let wait = start.saturating_sub(packet.enqueued_at.as_u64().into());
-                ch.token_wait.record(wait as f64);
                 self.stats.token_wait.record(acquisition as f64);
                 let done = start + ser;
                 ch.token_free_at = done;
                 ch.last_release = Some(done);
-                ch.served += 1;
                 // Flight: the reader sits somewhere on the loop; half a
                 // circulation on average.
                 let arrive = done + self.cfg.ring_circulation_cycles / 2;

@@ -13,8 +13,8 @@
 //! * [`det::DetMap`] / [`det::DetSet`] — order-deterministic associative
 //!   containers (the sanctioned replacement for `HashMap`/`HashSet` in
 //!   simulation code, enforced by `fsoi-lint` rule D1),
-//! * [`stats`] — counters, streaming summaries, histograms and rate
-//!   estimators used by all measurement code,
+//! * [`stats`] — counters, streaming summaries and histograms used by
+//!   all measurement code,
 //! * [`metrics::Registry`] — named, labelled metrics with deterministic
 //!   JSONL/table export, the single code path behind reported numbers,
 //! * [`par`] — the work-stealing sweep executor: the only sanctioned home

@@ -1,5 +1,4 @@
-//! Measurement primitives: counters, streaming summaries, histograms,
-//! exponentially-weighted rates, and labelled series.
+//! Measurement primitives: counters, streaming summaries and histograms.
 //!
 //! These are the building blocks behind every number reported in
 //! `EXPERIMENTS.md`: packet-latency breakdowns (Fig 6/7), collision-rate
@@ -9,7 +8,6 @@
 //! report-building code should migrate there rather than accrete more
 //! bespoke counter fields.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A saturating event counter.
@@ -331,104 +329,6 @@ impl Histogram {
     }
 }
 
-/// Exponentially-weighted moving average for on-line rate estimation.
-///
-/// The FSOI receiver uses one to track the background transmission rate `G`
-/// that parameterizes the back-off analysis (Figure 4).
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    alpha: f64,
-    value: f64,
-    initialized: bool,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]`; larger
-    /// alpha weights recent samples more.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Ewma {
-            alpha,
-            value: 0.0,
-            initialized: false,
-        }
-    }
-
-    /// Feeds one sample.
-    pub fn record(&mut self, x: f64) {
-        if self.initialized {
-            self.value += self.alpha * (x - self.value);
-        } else {
-            self.value = x;
-            self.initialized = true;
-        }
-    }
-
-    /// Current estimate (0.0 before any sample).
-    pub fn get(&self) -> f64 {
-        self.value
-    }
-}
-
-/// A labelled map of named scalar metrics, used to assemble report rows.
-///
-/// Keys iterate in sorted order (BTreeMap) so printed tables are stable.
-///
-/// This is the flat, scalar-only precursor of
-/// [`crate::metrics::Registry`], which additionally carries labels,
-/// counters, summaries and histograms plus JSONL/table export; prefer the
-/// registry for new measurement code.
-#[derive(Debug, Clone, Default)]
-pub struct MetricSet {
-    values: BTreeMap<String, f64>,
-}
-
-impl MetricSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets metric `name` to `value` (overwriting).
-    pub fn set(&mut self, name: &str, value: f64) {
-        self.values.insert(name.to_string(), value);
-    }
-
-    /// Adds `value` to metric `name` (starting from zero).
-    pub fn add(&mut self, name: &str, value: f64) {
-        *self.values.entry(name.to_string()).or_insert(0.0) += value;
-    }
-
-    /// Reads metric `name`, defaulting to 0.0.
-    pub fn get(&self, name: &str) -> f64 {
-        self.values.get(name).copied().unwrap_or(0.0)
-    }
-
-    /// True if the metric has been set.
-    pub fn contains(&self, name: &str) -> bool {
-        self.values.contains_key(name)
-    }
-
-    /// Iterates `(name, value)` in lexicographic order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.values.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Number of metrics recorded.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when no metric has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-}
-
 /// Computes the geometric mean of strictly positive values.
 ///
 /// The paper reports all speedups as geometric means. Returns `None` for an
@@ -599,33 +499,6 @@ mod tests {
         h.record(7);
         let pairs: Vec<_> = h.iter().collect();
         assert_eq!(pairs, vec![(0, 0), (5, 1), (10, 0)]);
-    }
-
-    #[test]
-    fn ewma_converges() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.get(), 0.0);
-        e.record(10.0);
-        assert_eq!(e.get(), 10.0); // first sample initializes
-        for _ in 0..50 {
-            e.record(2.0);
-        }
-        assert!((e.get() - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn metric_set_ops() {
-        let mut m = MetricSet::new();
-        assert!(m.is_empty());
-        m.set("x", 1.0);
-        m.add("x", 2.0);
-        m.add("y", 5.0);
-        assert_eq!(m.get("x"), 3.0);
-        assert_eq!(m.get("missing"), 0.0);
-        assert!(m.contains("y"));
-        assert_eq!(m.len(), 2);
-        let names: Vec<_> = m.iter().map(|(k, _)| k.to_string()).collect();
-        assert_eq!(names, vec!["x", "y"]);
     }
 
     #[test]

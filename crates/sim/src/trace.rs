@@ -23,8 +23,8 @@
 //! --release`) every [`emit_with`] site reduces to `if false`, so the
 //! closure — and the event construction inside it — is compiled out
 //! entirely. When compiled in, recording is one thread-local flag check
-//! plus a ring-buffer slot write; the `trace_overhead` microbench in
-//! `fsoi-bench` guards this.
+//! plus a ring-buffer slot write; DESIGN.md "Observability" gives the
+//! `experiments profile` command that measures it.
 //!
 //! # Runtime knobs
 //!

@@ -6,9 +6,9 @@
 #   scripts/ci.sh                 # all tiers in order: quick lint full bench
 #   scripts/ci.sh --tier quick    # fmt check + build + test
 #   scripts/ci.sh --tier lint     # fsoi-lint check + clippy
-#   scripts/ci.sh --tier full     # scripts/verify.sh (incl. trace build + microbench guard)
-#   scripts/ci.sh --tier bench    # scripts/bench_gate.sh vs the committed baseline,
-#                                 # then the layered benchmark's smoke run
+#   scripts/ci.sh --tier full     # scripts/verify.sh (incl. model check + trace build)
+#   scripts/ci.sh --tier bench    # `experiments profile` run manifest, then the
+#                                 # layered benchmark's smoke run
 #   scripts/ci.sh --tier scale    # beyond-the-paper grids: 64-node four-network
 #                                 # smoke grid + a single 256-node cell, with
 #                                 # shape-class and byte-identity assertions
@@ -49,8 +49,8 @@ tier_lint() {
     banner lint
     cargo run -q --release --offline -p fsoi-lint -- check
     # [workspace.lints] (deny unused_must_use, clippy disallowed_types)
-    # applies to every target, including feature-gated benches.
-    cargo clippy --offline --workspace --all-targets --features criterion -- -D warnings
+    # applies to every target.
+    cargo clippy --offline --workspace --all-targets -- -D warnings
     # The model-feature build is a distinct cfg surface (virtual-thread
     # shim paths); lint and test it here so a warning or schedule-space
     # regression fails the same tier that owns static analysis.
@@ -65,7 +65,6 @@ tier_full() {
 
 tier_bench() {
     banner bench
-    scripts/bench_gate.sh
     # Observability: emit the run manifest (deterministic spans + executor
     # telemetry) for this run; CI uploads target/RUN_manifest.json as an
     # artifact so a regression investigation starts from real numbers.
