@@ -10,6 +10,8 @@
 //!
 //! `--full` uses larger workloads (closer statistics, slower). `diag`
 //! prints per-app calibration diagnostics (not a paper figure, not in `all`).
+//! Anything else on the command line — an unknown command, a stray
+//! argument, a bad flag value — prints `<cmd>: …` and exits 2.
 //!
 //! `snapshot` dumps the metric registry (table + JSONL) for the Figure 6
 //! 16-node runs — the single code path behind every exported number. Two
@@ -38,6 +40,7 @@ use fsoi_bench::runner::{
     network_by_name, run_app, run_cells, run_cells_threads, run_cells_threads_profiled,
     suite_cells, sweep_apps, CellSpec, SweepOptions, MAX_CYCLES,
 };
+use fsoi_cmp::configs::NetworkKind;
 use fsoi_cmp::workload::AppProfile;
 use fsoi_net::analysis::backoff as ab;
 use fsoi_net::analysis::bandwidth::BandwidthAllocationModel;
@@ -51,6 +54,16 @@ fn main() {
     let full = args.iter().any(|a| a == "--full");
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     let scale = if full { 2 } else { 1 };
+    // `profile` and `grid` parse their own flags; everything else takes
+    // `--full` only.
+    if !matches!(cmd, "profile" | "grid") {
+        if let Some(bad) = args.iter().skip(1).find(|a| *a != "--full") {
+            usage_error(
+                cmd,
+                &format!("unexpected argument {bad:?} (only --full is accepted)"),
+            );
+        }
+    }
     match cmd {
         "table1" => table1(),
         "fig3" => fig3(),
@@ -101,6 +114,28 @@ fn main() {
     }
 }
 
+/// Prints `{cmd}: {msg}` and exits 2: the one path for rejected input.
+fn usage_error(cmd: &str, msg: &str) -> ! {
+    eprintln!("{cmd}: {msg}");
+    std::process::exit(2);
+}
+
+/// Consumes and returns the value following the flag at `args[*i]`.
+fn take<'a>(cmd: &str, args: &'a [String], i: &mut usize) -> &'a str {
+    *i += 1;
+    match args.get(*i) {
+        Some(v) => v,
+        None => usage_error(cmd, &format!("{} needs a value", args[*i - 1])),
+    }
+}
+
+/// [`take`], parsed.
+fn take_parsed<T: std::str::FromStr>(cmd: &str, args: &[String], i: &mut usize) -> T {
+    let v = take(cmd, args, i);
+    v.parse()
+        .unwrap_or_else(|_| usage_error(cmd, &format!("bad {} value {v:?}", args[*i - 1])))
+}
+
 /// Calibration diagnostics (not a paper figure).
 fn diag() {
     header("diag: per-app miss rates and latency makeup");
@@ -110,8 +145,8 @@ fn diag() {
         "app", "miss%", "fsoi cyc", "mesh cyc", "replyF", "replyM", "speedup", "p(meta)", "collD%"
     );
     for app in AppProfile::suite() {
-        let f = run_app(app, network_by_name("fsoi", 16), opts);
-        let m = run_app(app, network_by_name("mesh", 16), opts);
+        let f = run_app(app, NetworkKind::fsoi(16), opts);
+        let m = run_app(app, NetworkKind::mesh(16), opts);
         println!(
             "  {:<6} {:>6.1}% {:>8} {:>8} {:>9.1} {:>9.1} {:>8.2} {:>7.2}% {:>7.1}%",
             app.name,
@@ -497,7 +532,7 @@ fn fig10(scale: u64) {
                 CellSpec::new(app, "fsoi", opts),
                 CellSpec {
                     app,
-                    network: fsoi_cmp::configs::NetworkKind::Fsoi(stripped.clone()),
+                    network: NetworkKind::Fsoi(stripped.clone()),
                     opts,
                 },
             ]
@@ -559,9 +594,7 @@ fn fig11(scale: u64) {
         let cfg = fsoi_net::config::FsoiConfig::nodes(16).with_lanes(lanes);
         let fsoi_cycles: f64 = apps
             .iter()
-            .map(|a| {
-                run_app(*a, fsoi_cmp::configs::NetworkKind::Fsoi(cfg.clone()), opts).cycles as f64
-            })
+            .map(|a| run_app(*a, NetworkKind::Fsoi(cfg.clone()), opts).cycles as f64)
             .sum();
         // Mesh: links narrowed to the same fraction — packets serialize
         // into proportionally more flits.
@@ -669,10 +702,10 @@ fn opts(scale: u64) {
     o.ops_per_core *= scale;
     // Hints: resolution delay and accuracy on a contended app.
     let app = AppProfile::by_name("mp").unwrap();
-    let with = run_app(app, network_by_name("fsoi", 16), o);
+    let with = run_app(app, NetworkKind::fsoi(16), o);
     let no_hints = {
         let cfg = fsoi_net::config::FsoiConfig::nodes(16).with_hints(false);
-        run_app(app, fsoi_cmp::configs::NetworkKind::Fsoi(cfg), o)
+        run_app(app, NetworkKind::Fsoi(cfg), o)
     };
     println!(
         "  hint accuracy          = {:.1}%   (paper: 94%)",
@@ -692,10 +725,10 @@ fn opts(scale: u64) {
     let mut saved = 0u64;
     for name in sync_apps {
         let a = AppProfile::by_name(name).unwrap();
-        let on = run_app(a, network_by_name("fsoi", 16), o);
+        let on = run_app(a, NetworkKind::fsoi(16), o);
         let off = run_app(
             a,
-            network_by_name("fsoi", 16),
+            NetworkKind::fsoi(16),
             SweepOptions {
                 optimizations: false,
                 ..o
@@ -730,7 +763,7 @@ fn corona(scale: u64) {
                 CellSpec::new(app, "fsoi", opts),
                 CellSpec {
                     app,
-                    network: fsoi_cmp::configs::NetworkKind::ring(64),
+                    network: NetworkKind::ring(64),
                     opts,
                 },
             ]
@@ -777,8 +810,8 @@ fn l1_sensitivity(scale: u64) {
                 cfg.l1_lines = lines;
                 fsoi_cmp::system::CmpSystem::new(cfg, a).run(fsoi_bench::runner::MAX_CYCLES)
             };
-            let mesh = run(fsoi_cmp::configs::NetworkKind::mesh(16));
-            let fsoi = run(fsoi_cmp::configs::NetworkKind::fsoi(16));
+            let mesh = run(NetworkKind::mesh(16));
+            let fsoi = run(NetworkKind::fsoi(16));
             speeds.push(mesh.cycles as f64 / fsoi.cycles as f64);
             miss += fsoi.l1_miss_rate;
         }
@@ -817,10 +850,8 @@ fn ber_relaxation(scale: u64) {
             let mut app = AppProfile::by_name(name).unwrap();
             app.ops_per_core = o.ops_per_core;
             let cfg = fsoi_net::config::FsoiConfig::nodes(16).with_bit_error_rate(ber);
-            let sys_cfg = fsoi_cmp::configs::SystemConfig::paper_16(
-                fsoi_cmp::configs::NetworkKind::Fsoi(cfg),
-            )
-            .with_seed(o.seed);
+            let sys_cfg =
+                fsoi_cmp::configs::SystemConfig::paper_16(NetworkKind::Fsoi(cfg)).with_seed(o.seed);
             let mut sys = fsoi_cmp::system::CmpSystem::new(sys_cfg, app);
             let r = sys.run(fsoi_bench::runner::MAX_CYCLES);
             cycles += r.cycles;
@@ -861,7 +892,7 @@ fn receivers(scale: u64) {
         for name in apps {
             cells.push(CellSpec {
                 app: AppProfile::by_name(name).unwrap(),
-                network: fsoi_cmp::configs::NetworkKind::Fsoi(cfg.clone()),
+                network: NetworkKind::Fsoi(cfg.clone()),
                 opts: o,
             });
         }
@@ -946,51 +977,48 @@ fn grid(args: &[String]) {
     let mut networks_arg = String::from("fsoi,mesh,ring,crossbar");
     let mut out_path: Option<String> = None;
     let mut i = 0;
-    let take = |args: &[String], i: usize, flag: &str| -> String {
-        args.get(i + 1)
-            .unwrap_or_else(|| {
-                eprintln!("grid: {flag} needs a value");
-                std::process::exit(2);
-            })
-            .clone()
-    };
     while i < args.len() {
         match args[i].as_str() {
-            "--nodes" => {
-                let v = take(args, i, "--nodes");
-                nodes = v.parse().unwrap_or_else(|_| {
-                    eprintln!("grid: bad node count {v:?}");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--ops" => {
-                let v = take(args, i, "--ops");
-                ops_override = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("grid: bad ops count {v:?}");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
-            "--apps" => {
-                apps_arg = take(args, i, "--apps");
-                i += 2;
-            }
-            "--networks" => {
-                networks_arg = take(args, i, "--networks");
-                i += 2;
-            }
-            "--out" => {
-                out_path = Some(take(args, i, "--out"));
-                i += 2;
-            }
-            "--full" => i += 1,
-            other => {
-                eprintln!("grid: unknown flag {other}");
-                std::process::exit(2);
-            }
+            "--nodes" => nodes = take_parsed("grid", args, &mut i),
+            "--ops" => ops_override = Some(take_parsed("grid", args, &mut i)),
+            "--apps" => apps_arg = take("grid", args, &mut i).into(),
+            "--networks" => networks_arg = take("grid", args, &mut i).into(),
+            "--out" => out_path = Some(take("grid", args, &mut i).into()),
+            "--full" => {}
+            other => usage_error("grid", &format!("unknown flag {other}")),
         }
+        i += 1;
     }
+    // Everything typed is checked here, before any cell is built.
+    let max_nodes = fsoi_sim::det::NodeMask::CAPACITY;
+    if !(2..=max_nodes).contains(&nodes) {
+        usage_error(
+            "grid",
+            &format!("--nodes must be in 2..={max_nodes}, got {nodes}"),
+        );
+    }
+    let networks: Vec<String> = networks_arg.split(',').map(|s| s.trim().into()).collect();
+    // The mesh and the ideal networks laid out on it are square grids.
+    let on_mesh = |n: &String| matches!(n.as_str(), "mesh" | "L0" | "Lr1" | "Lr2");
+    if networks.iter().any(on_mesh) && nodes.isqrt().pow(2) != nodes {
+        usage_error(
+            "grid",
+            &format!("mesh, L0, Lr1 and Lr2 need a perfect-square --nodes, got {nodes}"),
+        );
+    }
+    if let Some(bad) = networks
+        .iter()
+        .find(|n| network_by_name(n, nodes).is_none())
+    {
+        usage_error("grid", &format!("unknown network {bad:?}"));
+    }
+    let apps: Vec<AppProfile> = apps_arg
+        .split(',')
+        .map(|n| {
+            AppProfile::by_name(n.trim())
+                .unwrap_or_else(|| usage_error("grid", &format!("unknown app {n:?}")))
+        })
+        .collect();
     header(&format!(
         "grid: {nodes}-node design-space grid over {networks_arg}"
     ));
@@ -999,27 +1027,17 @@ fn grid(args: &[String]) {
         opts.ops_per_core = ops;
     }
     if nodes > 16 {
-        match network_by_name("fsoi", nodes) {
-            fsoi_cmp::configs::NetworkKind::Fsoi(cfg) => assert!(
+        match NetworkKind::fsoi(nodes) {
+            NetworkKind::Fsoi(cfg) => assert!(
                 matches!(
                     cfg.array,
                     fsoi_net::config::TransmitterArray::PhaseArray { .. }
                 ),
                 "grid sizes beyond 16 nodes must select the phase-array transmitter"
             ),
-            _ => unreachable!("network_by_name(\"fsoi\") builds an FSOI config"),
+            _ => unreachable!("NetworkKind::fsoi builds an FSOI config"),
         }
     }
-    let networks: Vec<String> = networks_arg.split(',').map(|s| s.trim().into()).collect();
-    let apps: Vec<AppProfile> = apps_arg
-        .split(',')
-        .map(|n| {
-            AppProfile::by_name(n.trim()).unwrap_or_else(|| {
-                eprintln!("grid: unknown app {n:?}");
-                std::process::exit(2);
-            })
-        })
-        .collect();
     let cells: Vec<CellSpec> = apps
         .iter()
         .flat_map(|app| {
@@ -1167,7 +1185,7 @@ fn grid(args: &[String]) {
 /// versioned run manifest. The `deterministic` section — span profile,
 /// merged-registry size, content hash — is a pure function of the cell
 /// list and is byte-identical for any `FSOI_THREADS`; the `telemetry`
-/// section (worker/steal/phase/cache counters) is wall-clock data and
+/// section (worker/phase/cache counters) is wall-clock data and
 /// deliberately excluded from byte-identity gates.
 fn profile(args: &[String]) {
     header("profile: harness observability over the standard 80-cell sweep");
@@ -1177,44 +1195,13 @@ fn profile(args: &[String]) {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--out" => {
-                out_path = args
-                    .get(i + 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("profile: --out needs a path");
-                        std::process::exit(2);
-                    })
-                    .clone();
-                i += 2;
-            }
-            "--det" => {
-                det_path = Some(
-                    args.get(i + 1)
-                        .unwrap_or_else(|| {
-                            eprintln!("profile: --det needs a path");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-                i += 2;
-            }
-            "--ops" => {
-                let n = args.get(i + 1).unwrap_or_else(|| {
-                    eprintln!("profile: --ops needs a count");
-                    std::process::exit(2);
-                });
-                ops_override = Some(n.parse().unwrap_or_else(|_| {
-                    eprintln!("profile: bad ops count {n:?}");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
-            "--full" => i += 1,
-            other => {
-                eprintln!("profile: unknown flag {other}");
-                std::process::exit(2);
-            }
+            "--out" => out_path = take("profile", args, &mut i).into(),
+            "--det" => det_path = Some(take("profile", args, &mut i).into()),
+            "--ops" => ops_override = Some(take_parsed("profile", args, &mut i)),
+            "--full" => {}
+            other => usage_error("profile", &format!("unknown flag {other}")),
         }
+        i += 1;
     }
     fsoi_sim::telemetry::reset();
     fsoi_sim::telemetry::set_enabled(true);
@@ -1284,7 +1271,7 @@ fn profile(args: &[String]) {
     print!("{}", snap.to_table());
 }
 
-/// Renders the `fsoi-run-manifest/v1` JSON document (hand-rolled, no
+/// Renders the `fsoi-run-manifest/v2` JSON document (hand-rolled, no
 /// JSON dependency; one key per line, stable field order).
 #[allow(clippy::too_many_arguments)]
 fn render_manifest(
@@ -1301,7 +1288,7 @@ fn render_manifest(
     use std::fmt::Write as _;
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"fsoi-run-manifest/v1\",\n");
+    out.push_str("  \"schema\": \"fsoi-run-manifest/v2\",\n");
     out.push_str("  \"config\": {\n");
     let _ = writeln!(out, "    \"cells\": {cells},");
     let _ = writeln!(out, "    \"networks\": \"{}\",", networks.join(","));

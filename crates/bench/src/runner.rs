@@ -93,9 +93,10 @@ pub struct AppResult {
     pub reports: Vec<RunReport>,
 }
 
-/// Builds the network kind for a name at a node count.
-pub fn network_by_name(name: &str, nodes: usize) -> NetworkKind {
-    match name {
+/// Builds the network kind for a name at a node count; `None` for a
+/// name that is not a network (the CLI's input check).
+pub fn network_by_name(name: &str, nodes: usize) -> Option<NetworkKind> {
+    Some(match name {
         "fsoi" => NetworkKind::fsoi(nodes),
         "mesh" => NetworkKind::mesh(nodes),
         "ring" => NetworkKind::ring(nodes),
@@ -103,8 +104,8 @@ pub fn network_by_name(name: &str, nodes: usize) -> NetworkKind {
         "L0" => NetworkKind::L0,
         "Lr1" => NetworkKind::Lr1,
         "Lr2" => NetworkKind::Lr2,
-        other => panic!("unknown network {other}"),
-    }
+        _ => return None,
+    })
 }
 
 /// The system configuration for one sweep cell. Every code path —
@@ -130,12 +131,15 @@ pub struct CellSpec {
 
 impl CellSpec {
     /// Builds a cell for a named network.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a name [`network_by_name`] does not know; callers
+    /// holding user input check it there first.
     pub fn new(app: AppProfile, network_name: &str, opts: SweepOptions) -> Self {
-        CellSpec {
-            app,
-            network: network_by_name(network_name, opts.nodes),
-            opts,
-        }
+        let network = network_by_name(network_name, opts.nodes)
+            .unwrap_or_else(|| panic!("unknown network {network_name}"));
+        CellSpec { app, network, opts }
     }
 
     /// Lowers to the isolated batch cell this spec describes.

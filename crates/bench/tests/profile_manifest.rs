@@ -1,8 +1,8 @@
 //! End-to-end pin of the `experiments profile` observability contract:
 //! the run manifest's deterministic-plane section (and the raw `--det`
 //! export) must be byte-identical for `FSOI_THREADS` ∈ {1, 2, 8} on the
-//! standard 80-cell sweep, while the telemetry section reports real
-//! executor activity (chunks or steals) on multi-thread runs.
+//! standard 80-cell sweep, while the telemetry section accounts for
+//! every cell exactly once across the workers of a multi-thread run.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -49,8 +49,8 @@ fn det_section(manifest: &str) -> &str {
     &manifest[start..end]
 }
 
-/// Sums every `<key><integer>` occurrence, e.g. all workers' chunk
-/// counts for `"\"chunks\": "`.
+/// Sums every `<key><integer>` occurrence, e.g. all workers' cell
+/// counts for `"\"cells\": "`.
 fn sum_counts(text: &str, key: &str) -> u64 {
     let mut total = 0u64;
     let mut rest = text;
@@ -76,7 +76,7 @@ fn deterministic_plane_is_byte_identical_across_thread_counts() {
 
     // Manifest: versioned schema, deterministic section thread-blind.
     for m in [&m1, &m2, &m8] {
-        assert!(m.contains("\"schema\": \"fsoi-run-manifest/v1\""), "{m}");
+        assert!(m.contains("\"schema\": \"fsoi-run-manifest/v2\""), "{m}");
         assert!(m.contains("\"config_hash\": \""), "{m}");
     }
     assert_eq!(det_section(&m1), det_section(&m2));
@@ -87,30 +87,48 @@ fn deterministic_plane_is_byte_identical_across_thread_counts() {
         det_section(&m1)
     );
 
-    // Telemetry plane: real executor activity on multi-thread runs.
+    // Telemetry plane: the workers' cell counts account for the sweep.
     for (threads, m) in [("2", &m2), ("8", &m8)] {
-        let activity = sum_counts(m, "\"chunks\": ") + sum_counts(m, "\"steals\": ");
-        assert!(
-            activity > 0,
-            "threads={threads}: telemetry shows no chunks or steals: {m}"
+        let telemetry = &m[m.find("\"telemetry\": {").expect("telemetry section")..];
+        assert_eq!(
+            sum_counts(telemetry, "\"cells\": "),
+            80,
+            "threads={threads}: worker cells must sum to the sweep: {m}"
         );
     }
 }
 
 #[test]
 fn unknown_commands_exit_2_and_manifest_reports_host_cpus() {
-    // `bench` is a retired subcommand: rejected like any typo.
-    for cmd in ["bench", "no-such-cmd"] {
+    // `bench` is a retired subcommand: rejected like any typo. Garbage
+    // arguments are usage errors too, never a panic or a silent run.
+    for (args, complaint) in [
+        (&["bench"][..], "unknown experiment: bench"),
+        (&["no-such-cmd"], "unknown experiment: no-such-cmd"),
+        (&["fig6", "--bogus-flag"], "fig6: unexpected argument"),
+        (&["grid", "--networks", "foo"], "grid: unknown network"),
+        (
+            &["grid", "--nodes", "300"],
+            "grid: --nodes must be in 2..=256",
+        ),
+        (
+            &["grid", "--nodes", "1"],
+            "grid: --nodes must be in 2..=256",
+        ),
+        (
+            &["grid", "--nodes", "10", "--networks", "mesh"],
+            "grid: mesh, L0, Lr1 and Lr2 need a perfect-square",
+        ),
+        (&["grid", "--nodes"], "grid: --nodes needs a value"),
+        (&["profile", "--ops", "many"], "profile: bad --ops value"),
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-            .arg(cmd)
+            .args(args)
             .output()
             .expect("spawn experiments");
-        assert_eq!(out.status.code(), Some(2), "{cmd}: {:?}", out.status);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {:?}", out.status);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(&format!("unknown experiment: {cmd}")),
-            "{cmd}: {stderr}"
-        );
+        assert!(stderr.contains(complaint), "{args:?}: {stderr}");
     }
     // A thread count the other test does not use: own temp files.
     let (manifest, _) = run_profile("3");

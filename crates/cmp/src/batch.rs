@@ -80,12 +80,6 @@ pub fn run_batch(cells: &[BatchCell], threads: usize, max_cycles: u64) -> Vec<Ru
     par::sweep(cells.len(), threads, |i| cells[i].run(max_cycles))
 }
 
-/// [`run_batch`] with the default [`fsoi_sim::par::thread_count`]
-/// (the `FSOI_THREADS` knob, else available parallelism).
-pub fn run_batch_auto(cells: &[BatchCell], max_cycles: u64) -> Vec<RunReport> {
-    run_batch(cells, par::thread_count(), max_cycles)
-}
-
 /// Like [`run_batch`], but amortizes seed-independent construction work:
 /// cells that differ **only by seed** share one unrun template
 /// [`CmpSystem`] — the preloaded distributed-L2 directories, L1 arrays

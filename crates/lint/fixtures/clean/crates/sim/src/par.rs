@@ -1,43 +1,19 @@
 //! Clean-fixture stand-in for `fsoi_sim::par`: `crates/sim/src/par.rs`
-//! is a simulation-library path exempt from rule D3, so threads and
-//! locks here must not fire — and the drain/steal shapes below are the
-//! *fixed* (post-PR-6) forms, so rule D4b must stay quiet too.
-//! Never compiled — only lexed.
+//! is a simulation-library path exempt from rule D3, so threads here
+//! must not fire. Never compiled — only lexed.
 
-use std::collections::VecDeque;
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-fn recover<T>(e: PoisonError<T>) -> T {
-    e.into_inner()
-}
-
-pub fn sweep_exempt() -> u64 {
-    let queue: Mutex<VecDeque<u64>> = Mutex::new(VecDeque::new());
+pub fn sweep_exempt(cells: usize) -> usize {
+    let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        let h = s.spawn(|| queue.lock().map(|q| q.len() as u64).unwrap_or(0));
+        let h = s.spawn(|| {
+            let mut ran = 0;
+            while next.fetch_add(1, Ordering::Relaxed) < cells {
+                ran += 1;
+            }
+            ran
+        });
         h.join().unwrap_or(0)
     })
-}
-
-/// The fixed steal loop: the own-queue guard is block-scoped, so it is
-/// dead before the victim's lock is requested (D4b-clean).
-pub fn drain_then_steal(queues: &[Mutex<VecDeque<u64>>], me: usize) -> Option<u64> {
-    let own = {
-        let mut q = queues[me].lock().unwrap_or_else(recover);
-        q.pop_front()
-    };
-    own.or_else(|| {
-        let got = queues[(me + 1) % queues.len()].lock().unwrap_or_else(recover).pop_back();
-        got
-    })
-}
-
-/// An explicit `drop(guard)` also ends the guard's life before the
-/// blocking call (D4b-clean).
-pub fn handoff(a: &Mutex<u64>, b: &Mutex<u64>) -> u64 {
-    let first = a.lock().unwrap_or_else(recover);
-    let seed = *first;
-    drop(first);
-    let second = b.lock().unwrap_or_else(recover);
-    seed + *second
 }

@@ -21,17 +21,6 @@
 //!   any order-sensitive reduction — scheduler-dependent. Parallel
 //!   sweeps go through `fsoi_sim::par::sweep`, whose reduction is keyed
 //!   on cell index.
-//! * **D4b** — no lock guard live across a call into a blocking,
-//!   stealing or parking function. A guard born from a call spelled
-//!   `lock(...)`/`.lock(...)` — whether `let`-bound or a statement
-//!   temporary (which lives to the end of its full statement) — must be
-//!   dead before any call to `lock`/`park`/`join`/`wait`/`recv`/
-//!   `steal`/`sleep`/`yield_now`. This is the PR 6 executor deadlock
-//!   (own-queue guard held across the steal's lock) made a static
-//!   rule. Syntactic, not a proof: guards returned through differently
-//!   named helpers are not tracked, and the blocking set is a name
-//!   list — the `model` feature's schedule exploration is the dynamic
-//!   backstop.
 //! * **T1** — trace emissions in simulation library code must use
 //!   `trace::emit_with` (lazy closure), never eager `trace::emit`:
 //!   everything in a simulation crate is reachable from some `tick()`,
@@ -78,15 +67,9 @@ pub const ALLOWED_ENV_KNOBS: &[&str] = &[
     "FSOI_TRACE_DUMP",
 ];
 
-/// Files exempt from D3: the deterministic sweep executor, the
-/// concurrency shim it is written against, and the model checker that
-/// drives the shim's virtual threads are the sanctioned homes for
-/// threads and locks in simulation library code.
-pub const D3_EXEMPT_PATHS: &[&str] = &[
-    "crates/sim/src/par.rs",
-    "crates/sim/src/sync.rs",
-    "crates/sim/src/model.rs",
-];
+/// Files exempt from D3: the deterministic sweep executor is the
+/// sanctioned home for threads in simulation library code.
+pub const D3_EXEMPT_PATHS: &[&str] = &["crates/sim/src/par.rs"];
 
 /// Files exempt from D2's wall-clock/OS-entropy ident ban: the telemetry
 /// module is the explicitly nondeterministic observability plane, kept
@@ -127,27 +110,6 @@ const D2_BANNED_IDENTS: &[(&str, &str)] = &[
     ),
 ];
 
-/// D4b: calls that block, steal work, or park the calling thread. A
-/// live lock guard across any of these can form a cross-thread lock
-/// cycle (a second `lock`), a lost-progress window (`park`/`wait`), or
-/// an unbounded hold (`join`/`recv`/`sleep`). Exact-ident match only:
-/// `worker_steal` or `wait_for` do not trip it.
-const D4B_BLOCKING_FNS: &[&str] = &[
-    "lock",
-    "park",
-    "join",
-    "wait",
-    "recv",
-    "steal",
-    "sleep",
-    "yield_now",
-];
-
-/// D4b: method adapters that pass a lock guard through unchanged, so
-/// `m.lock().unwrap()` and `m.lock().unwrap_or_else(...)` still count
-/// as guard births.
-const D4B_GUARD_ADAPTERS: &[&str] = &["unwrap", "expect", "unwrap_or_else"];
-
 /// `std::env` functions that read process state. `var`/`var_os` with a
 /// documented knob literal are fine; everything else needs an allow.
 const D2_ENV_READS: &[&str] = &[
@@ -163,7 +125,7 @@ const D2_ENV_READS: &[&str] = &[
 ];
 
 /// The rule identifiers, in report order.
-pub const RULES: &[&str] = &["D1", "D2", "D3", "D4b", "T1", "P1", "A1", "A2"];
+pub const RULES: &[&str] = &["D1", "D2", "D3", "T1", "P1", "A1", "A2"];
 
 /// One-line description per rule (for `fsoi-lint rules` and reports).
 pub fn rule_summary(rule: &str) -> &'static str {
@@ -171,7 +133,6 @@ pub fn rule_summary(rule: &str) -> &'static str {
         "D1" => "no HashMap/HashSet in sim library code; use fsoi_sim::det::{DetMap, DetSet}",
         "D2" => "no wall-clock/OS-entropy/undocumented-env reads in sim library code outside fsoi_sim::telemetry",
         "D3" => "no thread::spawn/Mutex/RwLock in sim library code outside fsoi_sim::par",
-        "D4b" => "no lock guard (binding or statement temporary) live across a blocking/stealing/parking call",
         "T1" => "trace emissions must be lazy (trace::emit_with, never trace::emit)",
         "P1" => "no unwrap/expect/panic! in library code without `// lint: allow(P1) reason`",
         "A1" => "lint allow-annotations must name known rules and carry a reason",
@@ -426,10 +387,6 @@ pub fn lint_source(rel: &str, src: &str) -> FileFindings {
             }
         }
     }
-    // D4b: guard-lifetime scan over the same test-filtered token stream.
-    if sim_scope {
-        d4b_scan(&code, |line, msg| push("D4b", line, msg));
-    }
     // A2: a well-formed allow that suppressed nothing is itself a
     // violation (A2 is deliberately not allow-suppressible). Allows
     // inside `#[cfg(test)]` items are exempt: their sites never reach
@@ -453,143 +410,6 @@ pub fn lint_source(rel: &str, src: &str) -> FileFindings {
     }
     out.violations.sort();
     out
-}
-
-/// The D4b scan: tracks lock-guard lifetimes at token level and flags
-/// any call into a blocking/stealing/parking function made while a
-/// guard is live.
-///
-/// A guard is born by an exact-ident `lock(…)` call (free or method),
-/// optionally passed through the [`D4B_GUARD_ADAPTERS`] chain. What
-/// happens next classifies it:
-///
-/// * `let NAME = …lock()…;` — a **binding**, live until its enclosing
-///   block closes or an explicit `drop(NAME)`;
-/// * `…lock()….method(…)` continuing mid-expression — a **statement
-///   temporary**, live until the `;` ending its full statement (inner
-///   `;`s at deeper brace depth do not end it);
-/// * `…lock()…` directly before `}` — returned out of the block, out
-///   of this scan's sight (the caller's file answers for it);
-/// * a bare `…lock()…;` statement — dead at its own `;`.
-///
-/// `fn lock(`/`fn wait(`-style declarations are skipped (preceding
-/// `fn` token). Deliberately syntactic: guards threaded through
-/// differently named helpers or `?` are not tracked — the `model`
-/// feature's schedule exploration is the dynamic backstop.
-fn d4b_scan(code: &[(usize, &Tok)], mut push: impl FnMut(u32, String)) {
-    enum Guard {
-        Binding {
-            name: String,
-            depth: usize,
-            line: u32,
-        },
-        Temp {
-            depth: usize,
-            line: u32,
-        },
-    }
-    let tok = |k: usize| code.get(k).map(|&(_, t)| t);
-    // Index of the bracket closing the one at `open`.
-    let close_of = |open: usize| -> usize {
-        let mut d = 0usize;
-        let mut k = open;
-        while let Some(t) = tok(k) {
-            if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
-                d += 1;
-            } else if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") {
-                d -= 1;
-                if d == 0 {
-                    return k;
-                }
-            }
-            k += 1;
-        }
-        code.len()
-    };
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut depth = 0usize;
-    let mut pending_let: Option<String> = None;
-    for k in 0..code.len() {
-        let t = code[k].1;
-        if t.is_punct("{") {
-            depth += 1;
-        } else if t.is_punct("}") {
-            depth = depth.saturating_sub(1);
-            // Everything born inside the closed block is gone.
-            guards.retain(|g| match g {
-                Guard::Binding { depth: d, .. } | Guard::Temp { depth: d, .. } => *d <= depth,
-            });
-        } else if t.is_punct(";") {
-            // A statement boundary at (or below) a temporary's depth
-            // ends its full statement.
-            guards.retain(|g| !matches!(g, Guard::Temp { depth: d, .. } if depth <= *d));
-            pending_let = None;
-        } else if t.is_ident("let") {
-            let mut j = k + 1;
-            if tok(j).is_some_and(|n| n.is_ident("mut")) {
-                j += 1;
-            }
-            pending_let = tok(j)
-                .filter(|n| n.kind == TokKind::Ident)
-                .map(|n| n.text.clone());
-        } else if t.is_ident("drop")
-            && tok(k + 1).is_some_and(|n| n.is_punct("("))
-            && tok(k + 3).is_some_and(|n| n.is_punct(")"))
-        {
-            if let Some(victim) = tok(k + 2).filter(|n| n.kind == TokKind::Ident) {
-                guards
-                    .retain(|g| !matches!(g, Guard::Binding { name, .. } if *name == victim.text));
-            }
-        } else if t.kind == TokKind::Ident
-            && D4B_BLOCKING_FNS.contains(&t.text.as_str())
-            && tok(k + 1).is_some_and(|n| n.is_punct("("))
-            && !(k > 0 && code[k - 1].1.is_ident("fn"))
-        {
-            if let Some(g) = guards.first() {
-                let held = match g {
-                    Guard::Binding { name, line, .. } => format!("guard `{name}` (line {line})"),
-                    Guard::Temp { line, .. } => format!("temporary guard (line {line})"),
-                };
-                push(
-                    t.line,
-                    format!(
-                        "`{}(…)` can block while lock {held} is still live; drop the guard before blocking (the PR 6 steal-deadlock class)",
-                        t.text
-                    ),
-                );
-            }
-            if t.text == "lock" {
-                let mut end = close_of(k + 1);
-                while tok(end + 1).is_some_and(|n| n.is_punct("."))
-                    && tok(end + 2).is_some_and(|n| {
-                        n.kind == TokKind::Ident && D4B_GUARD_ADAPTERS.contains(&n.text.as_str())
-                    })
-                    && tok(end + 3).is_some_and(|n| n.is_punct("("))
-                {
-                    end = close_of(end + 3);
-                }
-                match tok(end + 1) {
-                    Some(n) if n.is_punct(";") => {
-                        if let Some(name) = pending_let.take() {
-                            guards.push(Guard::Binding {
-                                name,
-                                depth,
-                                line: t.line,
-                            });
-                        }
-                    }
-                    // Returned out of the block (or EOF): untracked.
-                    Some(n) if n.is_punct("}") => {}
-                    None => {}
-                    // Consumed mid-expression: a statement temporary.
-                    Some(_) => guards.push(Guard::Temp {
-                        depth,
-                        line: t.line,
-                    }),
-                }
-            }
-        }
-    }
 }
 
 /// Token-index spans of `#[cfg(test)]` / `#[test]` items (the attribute
@@ -870,62 +690,6 @@ mod tests {
         let src = "fn f() -> usize { std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) }\n";
         let v = lint_as("crates/sim/src/x.rs", src);
         assert!(v.iter().all(|v| v.rule != "D3"));
-    }
-
-    #[test]
-    fn d4b_flags_binding_guard_across_blocking_call() {
-        let src =
-            "fn f() {\n    let g = m.lock().expect(\"e\");\n    other.lock();\n    drop(g);\n}\n";
-        let v = lint_as("crates/sim/src/x.rs", src);
-        assert!(
-            v.iter()
-                .any(|v| v.rule == "D4b" && v.line == 3 && v.msg.contains("`g`")),
-            "the second lock() runs under a live binding: {v:?}"
-        );
-    }
-
-    #[test]
-    fn d4b_flags_pr6_style_temporary_chain() {
-        // The pre-PR-6 shape: the own-queue guard is a statement
-        // temporary held through the steal's lock in one chained
-        // expression.
-        let src = "fn f() {\n    let job = own.lock().expect(\"e\").pop_front().or_else(|| victim.lock().expect(\"e\").pop_back());\n    let _ = job;\n}\n";
-        let v = lint_as("crates/sim/src/x.rs", src);
-        assert!(
-            v.iter()
-                .any(|v| v.rule == "D4b" && v.msg.contains("temporary guard")),
-            "the chained steal must be flagged: {v:?}"
-        );
-    }
-
-    #[test]
-    fn d4b_accepts_block_scoped_guard_and_explicit_drop() {
-        let src = "fn f() {\n    let own = {\n        let mut q = a.lock().expect(\"e\");\n        q.pop_front()\n    };\n    let _ = own;\n    let g = a.lock().expect(\"e\");\n    drop(g);\n    let s = b.lock().expect(\"e\");\n    let _ = s;\n}\n";
-        let v = lint_as("crates/sim/src/x.rs", src);
-        assert!(
-            v.iter().all(|v| v.rule != "D4b"),
-            "block scoping and drop() end guard lifetimes: {v:?}"
-        );
-    }
-
-    #[test]
-    fn d4b_statement_temporary_dies_at_its_semicolon() {
-        let src = "fn f() {\n    q.lock().expect(\"e\").push_back(1);\n    h.join();\n}\n";
-        let v = lint_as("crates/sim/src/x.rs", src);
-        assert!(
-            v.iter().all(|v| v.rule != "D4b"),
-            "the temporary ends before the join: {v:?}"
-        );
-    }
-
-    #[test]
-    fn d4b_skips_declarations_and_returned_guards() {
-        // `fn lock(` / `fn wait(` are declarations, not calls, and a
-        // guard returned straight out of a helper is the caller's
-        // problem, not a live guard in this file.
-        let src = "fn lock(m: &M) -> G {\n    m.lock().unwrap_or_else(p)\n}\nfn wait(x: u32) -> u32 {\n    x\n}\n";
-        let v = lint_as("crates/sim/src/x.rs", src);
-        assert!(v.iter().all(|v| v.rule != "D4b"), "{v:?}");
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! iteration order (and anything derived from it, like eviction-victim
 //! tie-breaks or export ordering) changes run to run.
 //!
-//! [`DetMap`] and [`DetSet`] are the sanctioned replacements: thin
-//! wrappers over `BTreeMap`/`BTreeSet` that keep the familiar map/set API
-//! while guaranteeing
+//! [`DetMap`] and [`DetSet`] are the sanctioned replacements: the names
+//! simulation code uses for `BTreeMap`/`BTreeSet`, which guarantee
 //!
 //! * iteration in strict ascending key order, identical in every process,
 //! * no dependence on OS entropy, ASLR, or hasher state,
@@ -35,228 +34,13 @@
 //! assert_eq!(s.iter().copied().collect::<Vec<_>>(), vec![4, 9]);
 //! ```
 
-use std::collections::{btree_map, btree_set, BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// A deterministic map: `BTreeMap` behind a name the lint can whitelist.
-///
-/// Only the subset of the map API the workspace uses is delegated; reach
-/// the rest through [`DetMap::as_btree`] / [`DetMap::as_btree_mut`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DetMap<K, V> {
-    inner: BTreeMap<K, V>,
-}
+/// A deterministic map: `BTreeMap` under the name lint rule D1 points to.
+pub type DetMap<K, V> = BTreeMap<K, V>;
 
-impl<K: Ord, V> Default for DetMap<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Ord, V> DetMap<K, V> {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        DetMap {
-            inner: BTreeMap::new(),
-        }
-    }
-
-    /// Inserts `value` at `key`, returning the previous value if any.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        self.inner.insert(key, value)
-    }
-
-    /// Removes and returns the value at `key`.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.inner.remove(key)
-    }
-
-    /// Borrows the value at `key`.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.inner.get(key)
-    }
-
-    /// Mutably borrows the value at `key`.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.inner.get_mut(key)
-    }
-
-    /// True if `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.inner.contains_key(key)
-    }
-
-    /// The standard entry API (`or_default`, `or_insert_with`, …).
-    pub fn entry(&mut self, key: K) -> btree_map::Entry<'_, K, V> {
-        self.inner.entry(key)
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True when the map holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Iterates `(key, value)` in ascending key order.
-    pub fn iter(&self) -> btree_map::Iter<'_, K, V> {
-        self.inner.iter()
-    }
-
-    /// Iterates keys in ascending order.
-    pub fn keys(&self) -> btree_map::Keys<'_, K, V> {
-        self.inner.keys()
-    }
-
-    /// Iterates values in ascending key order.
-    pub fn values(&self) -> btree_map::Values<'_, K, V> {
-        self.inner.values()
-    }
-
-    /// Keeps only the entries for which `f` returns true.
-    pub fn retain(&mut self, f: impl FnMut(&K, &mut V) -> bool) {
-        self.inner.retain(f);
-    }
-
-    /// Removes every entry.
-    pub fn clear(&mut self) {
-        self.inner.clear();
-    }
-
-    /// The underlying `BTreeMap`, for APIs not delegated here.
-    pub fn as_btree(&self) -> &BTreeMap<K, V> {
-        &self.inner
-    }
-
-    /// Mutable access to the underlying `BTreeMap`.
-    pub fn as_btree_mut(&mut self) -> &mut BTreeMap<K, V> {
-        &mut self.inner
-    }
-}
-
-impl<K: Ord, V> std::ops::Index<&K> for DetMap<K, V> {
-    type Output = V;
-    /// Panics if `key` is absent, like the std map `Index` impls.
-    fn index(&self, key: &K) -> &V {
-        &self.inner[key]
-    }
-}
-
-impl<'a, K: Ord, V> IntoIterator for &'a DetMap<K, V> {
-    type Item = (&'a K, &'a V);
-    type IntoIter = btree_map::Iter<'a, K, V>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.inner.iter()
-    }
-}
-
-impl<K: Ord, V> IntoIterator for DetMap<K, V> {
-    type Item = (K, V);
-    type IntoIter = btree_map::IntoIter<K, V>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.inner.into_iter()
-    }
-}
-
-impl<K: Ord, V> FromIterator<(K, V)> for DetMap<K, V> {
-    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        DetMap {
-            inner: BTreeMap::from_iter(iter),
-        }
-    }
-}
-
-/// A deterministic set: `BTreeSet` behind a name the lint can whitelist.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DetSet<T> {
-    inner: BTreeSet<T>,
-}
-
-impl<T: Ord> Default for DetSet<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Ord> DetSet<T> {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        DetSet {
-            inner: BTreeSet::new(),
-        }
-    }
-
-    /// Inserts `value`; returns true if it was not already present.
-    pub fn insert(&mut self, value: T) -> bool {
-        self.inner.insert(value)
-    }
-
-    /// Removes `value`; returns true if it was present.
-    pub fn remove(&mut self, value: &T) -> bool {
-        self.inner.remove(value)
-    }
-
-    /// True if `value` is present.
-    pub fn contains(&self, value: &T) -> bool {
-        self.inner.contains(value)
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True when the set holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Iterates elements in ascending order.
-    pub fn iter(&self) -> btree_set::Iter<'_, T> {
-        self.inner.iter()
-    }
-
-    /// Keeps only the elements for which `f` returns true.
-    pub fn retain(&mut self, f: impl FnMut(&T) -> bool) {
-        self.inner.retain(f);
-    }
-
-    /// Removes every element.
-    pub fn clear(&mut self) {
-        self.inner.clear();
-    }
-
-    /// The underlying `BTreeSet`, for APIs not delegated here.
-    pub fn as_btree(&self) -> &BTreeSet<T> {
-        &self.inner
-    }
-}
-
-impl<'a, T: Ord> IntoIterator for &'a DetSet<T> {
-    type Item = &'a T;
-    type IntoIter = btree_set::Iter<'a, T>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.inner.iter()
-    }
-}
-
-impl<T: Ord> IntoIterator for DetSet<T> {
-    type Item = T;
-    type IntoIter = btree_set::IntoIter<T>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.inner.into_iter()
-    }
-}
-
-impl<T: Ord> FromIterator<T> for DetSet<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        DetSet {
-            inner: BTreeSet::from_iter(iter),
-        }
-    }
-}
+/// A deterministic set: `BTreeSet` under the name lint rule D1 points to.
+pub type DetSet<T> = BTreeSet<T>;
 
 /// A deterministic set of small indices (node ids) backed by a fixed
 /// array of `u64` words.
@@ -429,44 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn map_entry_api_round_trips() {
-        let mut m: DetMap<u32, Vec<u32>> = DetMap::new();
-        m.entry(7).or_default().push(1);
-        m.entry(7).or_default().push(2);
-        assert_eq!(m.get(&7), Some(&vec![1, 2]));
-    }
-
-    #[test]
-    fn map_retain_and_collect() {
-        let mut m: DetMap<u32, u32> = (0..10u32).map(|k| (k, k)).collect();
-        m.retain(|k, _| k % 2 == 0);
-        assert_eq!(m.len(), 5);
-        let pairs: Vec<(u32, u32)> = m.into_iter().collect();
-        assert_eq!(pairs, vec![(0, 0), (2, 2), (4, 4), (6, 6), (8, 8)]);
-    }
-
-    #[test]
-    fn set_iterates_in_order() {
-        let mut s = DetSet::new();
-        assert!(s.insert(4u64));
-        assert!(s.insert(2));
-        assert!(!s.insert(4), "duplicate insert reports absence");
-        assert!(s.contains(&2));
-        assert!(s.remove(&2));
-        assert!(!s.remove(&2));
-        s.insert(1);
-        s.insert(3);
-        assert_eq!(s.iter().copied().collect::<Vec<_>>(), vec![1, 3, 4]);
-    }
-
-    #[test]
-    fn set_retain_and_from_iter() {
-        let mut s: DetSet<u32> = (0..10u32).collect();
-        s.retain(|x| x % 3 == 0);
-        assert_eq!(s.into_iter().collect::<Vec<_>>(), vec![0, 3, 6, 9]);
-    }
-
-    #[test]
     fn node_mask_matches_det_set_semantics() {
         let mut mask = NodeMask::new();
         let mut set: DetSet<usize> = DetSet::new();
@@ -521,16 +267,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn node_mask_insert_past_capacity_panics() {
         NodeMask::new().insert(NodeMask::CAPACITY);
-    }
-
-    #[test]
-    fn clear_empties_both() {
-        let mut m: DetMap<u8, u8> = [(1, 1)].into_iter().collect();
-        let mut s: DetSet<u8> = [1].into_iter().collect();
-        assert!(!m.is_empty() && !s.is_empty());
-        m.clear();
-        s.clear();
-        assert!(m.is_empty() && s.is_empty());
-        assert!(m.as_btree().is_empty() && s.as_btree().is_empty());
     }
 }

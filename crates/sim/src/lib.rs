@@ -11,23 +11,16 @@
 //! * [`event::EventQueue`] — a stable (FIFO within a cycle) time-ordered
 //!   event queue,
 //! * [`det::DetMap`] / [`det::DetSet`] — order-deterministic associative
-//!   containers (the sanctioned replacement for `HashMap`/`HashSet` in
-//!   simulation code, enforced by `fsoi-lint` rule D1),
+//!   containers (the names simulation code uses for `BTreeMap`/`BTreeSet`
+//!   in place of `HashMap`/`HashSet`, enforced by `fsoi-lint` rule D1),
 //! * [`stats`] — counters, streaming summaries and histograms used by
 //!   all measurement code,
 //! * [`metrics::Registry`] — named, labelled metrics with deterministic
 //!   JSONL/table export, the single code path behind reported numbers,
-//! * [`par`] — the work-stealing sweep executor: the only sanctioned home
-//!   for threads in simulation code (`fsoi-lint` rule D3), with results
-//!   merged by a deterministic reduction keyed on cell index so thread
-//!   count is never observable in output,
-//! * [`sync`] — the concurrency shim the executor is written against:
-//!   forwards to `std::sync`/`std::thread` in normal builds and to the
-//!   model checker inside a model execution,
-//! * [`model`] (feature `model`) — a dependency-free loom-style
-//!   bounded-schedule model checker that DFS-explores interleavings of
-//!   code written against [`sync`], detecting deadlock, lost wakeups,
-//!   leaked guards, and panics, with replayable traces,
+//! * [`par`] — the lock-free sweep executor (one atomic cell cursor): the
+//!   only sanctioned home for threads in simulation code (`fsoi-lint`
+//!   rule D3), with results merged by a deterministic reduction keyed on
+//!   cell index so thread count is never observable in output,
 //! * [`profile`] — the deterministic harness-observability plane:
 //!   hierarchical span counters keyed by sim-domain quantities, with
 //!   byte-identical exports across thread counts,
@@ -57,14 +50,11 @@
 pub mod det;
 pub mod event;
 pub mod metrics;
-#[cfg(feature = "model")]
-pub mod model;
 pub mod par;
 pub mod profile;
 pub mod queue;
 pub mod rng;
 pub mod stats;
-pub mod sync;
 pub mod telemetry;
 pub mod trace;
 

@@ -17,28 +17,30 @@
 //!   and `sweep(n, 8, f)` return equal vectors for any pure `f`, and the
 //!   serial path (`threads <= 1`) does not spawn at all.
 //!
-//! Scheduling is work-stealing over chunked deques: the cell range is cut
-//! into contiguous chunks dealt round-robin onto per-worker deques; a
-//! worker pops its own deque from the front and, when empty, steals a
-//! chunk from the *back* of another worker's deque. Chunks keep the
-//! common case (cells with similar cost) cache-friendly and low-contention
-//! while stealing absorbs skewed per-cell cost (a 64-node cell costs ~4×
-//! a 16-node cell).
+//! Scheduling is self-scheduling over one shared atomic cursor: every
+//! worker loops `next.fetch_add(1)` and runs the index it got until the
+//! cursor passes the end — greedy list scheduling in index order, so a
+//! slow cell (a 64-node cell costs ~4× a 16-node cell) occupies one worker
+//! while the others take everything else. The whole correctness argument
+//! is three lines:
 //!
-//! All concurrency here goes through [`crate::sync`] — `std::sync` in
-//! normal builds (byte-identical behaviour), virtual threads under the
-//! bounded-schedule model checker ([`crate::model`], feature `model`),
-//! which exhaustively explores the drain/steal/termination protocol's
-//! interleavings at small shapes. This module and the shim are the
-//! **only** places in simulation library code where threads and locks
-//! are allowed (`fsoi-lint` rule D3); everything above — `fsoi_cmp::batch`,
-//! the `fsoi-bench` runner — expresses sweeps as pure per-cell closures.
+//! * **exactly once** — `fetch_add` returns each index to exactly one
+//!   caller;
+//! * **deterministic** — results land in slots keyed on that index, and
+//!   `join` gives the happens-before between a worker's writes and the
+//!   caller's reads;
+//! * **deadlock-free** — there is no lock, queue or park; the only
+//!   blocking call is `join`.
 //!
-//! Workers emit executor telemetry (chunk pops, steals, queue-depth
-//! samples, busy/idle durations) into [`crate::telemetry`] — the
-//! wall-clock observability plane. Emission is disabled by default and
-//! never touches sweep results, so it cannot perturb the byte-identity
-//! guarantee above.
+//! This module is the **only** place in simulation library code where
+//! threads are allowed (`fsoi-lint` rule D3, which also rejects every
+//! lock primitive); everything above — `fsoi_cmp::batch`, the
+//! `fsoi-bench` runner — expresses sweeps as pure per-cell closures.
+//!
+//! Workers emit executor telemetry (cells run, busy time) into
+//! [`crate::telemetry`] — the wall-clock observability plane. Emission is
+//! disabled by default and never touches sweep results, so it cannot
+//! perturb the byte-identity guarantee above.
 //!
 //! ```
 //! use fsoi_sim::par;
@@ -48,22 +50,8 @@
 //! ```
 
 use crate::rng::SplitMix64;
-use crate::sync::{self, Mutex, MutexGuard};
 use crate::telemetry;
-use std::collections::VecDeque;
-use std::ops::Range;
-use std::sync::PoisonError;
-
-/// Chunks dealt per worker. Sweep cells are coarse (milliseconds each)
-/// and heavily skewed — a 64-node cell costs ~4–8× a 16-node cell — so
-/// steal granularity, not per-chunk overhead, bounds the tail: with the
-/// old value of 4 an 80-cell/8-thread sweep dealt 2-cell chunks, and one
-/// unlucky chunk holding two 80 ms cells pinned the critical path at
-/// 160 ms. At 16 the same sweep deals single-cell chunks (the deque lock
-/// costs ~1 µs per pop, noise against ms-scale cells) while huge sweeps
-/// of cheap cells still amortize the lock over `cells / (threads * 16)`
-/// indices per acquisition.
-const CHUNKS_PER_WORKER: usize = 16;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The number of worker threads a sweep should use by default: the
 /// documented `FSOI_THREADS` knob when set, else the machine's available
@@ -115,24 +103,6 @@ pub fn derive_seed(base: u64, cell: u64) -> u64 {
     sm.next_u64()
 }
 
-/// Locks ignoring poison, via [`PoisonError::into_inner`].
-///
-/// Poison recovery is deliberate, not a shortcut. A worker can only
-/// panic *inside a cell closure*, and at that moment it holds no queue
-/// guard (guards are scoped to the pop/steal statements and dropped
-/// before `f` runs — see the worker loop), so a poisoned queue mutex
-/// still protects a structurally-valid `VecDeque` of plain index
-/// ranges. Recovering the guard lets the surviving workers keep
-/// draining; the panic itself is never swallowed — it is re-raised on
-/// the caller's thread at join time, and the poisoned cell's slot is
-/// simply never merged. A panicking worker therefore cannot wedge the
-/// sweep (the other workers drain and exit) and cannot corrupt the
-/// merged output (slots are keyed on cell index, and the sweep panics
-/// before returning any partial vector).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Runs `f` once per cell index in `0..cells` on up to `threads` worker
 /// threads and returns the results **indexed by cell** — a deterministic
 /// reduction independent of scheduling, completion order and thread
@@ -154,66 +124,23 @@ where
         return (0..cells).map(f).collect();
     }
 
-    // Deal contiguous chunks round-robin onto per-worker deques.
-    let chunk = (cells / (threads * CHUNKS_PER_WORKER)).max(1);
-    let queues: Vec<Mutex<VecDeque<Range<usize>>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    let mut start = 0usize;
-    let mut worker = 0usize;
-    while start < cells {
-        let end = (start + chunk).min(cells);
-        lock(&queues[worker % threads]).push_back(start..end);
-        start = end;
-        worker += 1;
-    }
-
-    let mut slots: Vec<Option<R>> = (0..cells).map(|_| None).collect();
-    let queues = &queues;
-    let f = &f;
-    let per_worker: Vec<Vec<(usize, R)>> = sync::scope(|s| {
+    // Relaxed suffices: the cursor publishes no data — each result
+    // reaches the caller through its worker's `join`.
+    let next = AtomicUsize::new(0);
+    let (next, f) = (&next, &f);
+    let per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|me| {
                 s.spawn(move || {
                     let mut out: Vec<(usize, R)> = Vec::new();
                     loop {
-                        // Own work first (front), then steal from the
-                        // back of the next non-empty victim. No new work
-                        // is ever produced, so "every deque empty" is a
-                        // sound exit condition.
-                        //
-                        // The own-queue guard MUST be dropped before
-                        // stealing. Written as one chained statement
-                        // (`own.pop_front().or_else(|| steal)`), the
-                        // guard is a statement temporary held through
-                        // the closure: once every queue drains, each
-                        // worker holds its own empty queue's lock while
-                        // requesting a neighbour's — an n-worker cycle
-                        // that deadlocks the sweep.
-                        let idle = telemetry::worker_idle(me);
-                        let own = {
-                            let mut q = lock(&queues[me]);
-                            telemetry::worker_queue_depth(me, q.len() as u64);
-                            q.pop_front()
-                        };
-                        if own.is_some() {
-                            telemetry::worker_chunk(me);
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= cells {
+                            break;
                         }
-                        let job = own.or_else(|| {
-                            (1..threads).find_map(|v| {
-                                let got = lock(&queues[(me + v) % threads]).pop_back();
-                                if got.is_some() {
-                                    telemetry::worker_steal(me);
-                                }
-                                got
-                            })
-                        });
-                        drop(idle);
-                        let Some(range) = job else { break };
                         let _busy = telemetry::worker_busy(me);
-                        telemetry::worker_cells(me, range.len() as u64);
-                        for i in range {
-                            out.push((i, f(i)));
-                        }
+                        telemetry::worker_cells(me, 1);
+                        out.push((i, f(i)));
                     }
                     out
                 })
@@ -228,6 +155,7 @@ where
             .collect()
     });
 
+    let mut slots: Vec<Option<R>> = (0..cells).map(|_| None).collect();
     for (i, r) in per_worker.into_iter().flatten() {
         debug_assert!(slots[i].is_none(), "cell {i} executed twice");
         slots[i] = Some(r);
@@ -235,34 +163,9 @@ where
     slots
         .into_iter()
         .enumerate()
-        // lint: allow(P1) every index 0..cells was dealt into exactly one chunk and executed
+        // lint: allow(P1) the cursor handed every index 0..cells to exactly one worker
         .map(|(i, slot)| slot.unwrap_or_else(|| panic!("cell {i} never executed")))
         .collect()
-}
-
-/// [`sweep`] with the default [`thread_count`].
-pub fn sweep_auto<R, F>(cells: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    sweep(cells, thread_count(), f)
-}
-
-/// Model-checking entry point: runs the *real* [`sweep`] code path at an
-/// exact small shape (`chunks` single-index chunks dealt over `workers`
-/// deques — shapes this small always deal one cell per chunk) and
-/// asserts the deterministic-reduction contract. Called from the model
-/// test suite under [`crate::model::check`], where every interleaving of
-/// the drain/steal/termination protocol is explored.
-#[cfg(feature = "model")]
-pub fn model_sweep_protocol(workers: usize, chunks: usize) {
-    debug_assert!(
-        chunks <= workers * CHUNKS_PER_WORKER,
-        "shape would coalesce cells into multi-index chunks"
-    );
-    let out = sweep(chunks, workers, |i| i);
-    assert_eq!(out, (0..chunks).collect::<Vec<_>>());
 }
 
 #[cfg(test)]
@@ -302,11 +205,9 @@ mod tests {
 
     #[test]
     fn drained_queues_never_deadlock() {
-        // Regression: the own-queue guard used to be held across the
-        // steal attempt (statement-temporary lifetime), so workers
-        // draining simultaneously formed a lock cycle and the sweep hung.
-        // Many tiny sweeps with cheap cells maximize simultaneous-drain
-        // windows; with the bug this test hangs rather than fails.
+        // Many tiny sweeps with cheap cells maximize the windows in
+        // which every worker runs off the end of the cursor at once; a
+        // termination bug shows as a hang rather than a failure.
         for round in 0..200 {
             let n = 1 + (round % 17);
             let got = sweep(n, 8, |i| i);
@@ -327,13 +228,10 @@ mod tests {
 
     #[test]
     fn panicking_cell_neither_wedges_nor_corrupts() {
-        // Poison-recovery regression for `lock()`: a panicking worker
-        // poisons whichever queue mutex it touches next-to-last, but
-        // `PoisonError::into_inner` lets surviving workers keep
-        // draining. The sweep must (a) terminate — not deadlock on a
-        // poisoned queue, (b) re-raise the cell's panic rather than
-        // return partial output, and (c) leave subsequent sweeps
-        // unaffected.
+        // A panicking worker holds nothing the others need, so they
+        // keep draining the cursor. The sweep must (a) terminate,
+        // (b) re-raise the cell's panic rather than return partial
+        // output, and (c) leave subsequent sweeps unaffected.
         for round in 0..20 {
             let result = std::panic::catch_unwind(|| {
                 sweep(32, 4, |i| {
@@ -379,8 +277,29 @@ mod tests {
     }
 
     #[test]
-    fn sweep_auto_matches_serial() {
-        let reference: Vec<usize> = (0..50).map(|i| i ^ 0x2a).collect();
-        assert_eq!(sweep_auto(50, |i| i ^ 0x2a), reference);
+    fn a_slow_cell_does_not_strand_the_rest() {
+        // Cell 0 finishes only after every other cell has run. A static
+        // split (cells dealt to workers up front, nothing rebalanced)
+        // would leave cell 0's share waiting behind it and time out.
+        let n = 64;
+        let others_done = AtomicUsize::new(0);
+        let got = sweep(n, 2, |i| {
+            if i == 0 {
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+                while others_done.load(Ordering::SeqCst) < n - 1 {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "cells stranded behind the slow one: {} of {} ran",
+                        others_done.load(Ordering::SeqCst),
+                        n - 1
+                    );
+                    std::thread::yield_now();
+                }
+            } else {
+                others_done.fetch_add(1, Ordering::SeqCst);
+            }
+            i
+        });
+        assert_eq!(got, (0..n).collect::<Vec<_>>());
     }
 }

@@ -9,7 +9,7 @@
 //! of the cell inputs, so a [`Profile`] is byte-identical across thread
 //! counts, cache states and hosts, and its exports may sit inside
 //! byte-identity gates. Wall-clock and scheduling observations
-//! (steal counts, idle time, phase durations) are *not* allowed here —
+//! (worker busy time, phase durations) are *not* allowed here —
 //! they live in [`crate::telemetry`], the explicitly nondeterministic
 //! plane.
 //!
@@ -59,14 +59,13 @@ impl Profile {
             !path.is_empty() && !path.contains([' ', ':', '\n', '"', '{', '}']),
             "span path {path:?} contains reserved characters"
         );
-        let cur = self.counts.get(&path.to_string()).copied().unwrap_or(0);
-        self.counts
-            .insert(path.to_string(), cur.saturating_add(delta));
+        let count = self.counts.entry(path.to_string()).or_insert(0);
+        *count = count.saturating_add(delta);
     }
 
     /// Reads a span count (0 when absent).
     pub fn get(&self, path: &str) -> u64 {
-        self.counts.get(&path.to_string()).copied().unwrap_or(0)
+        self.counts.get(path).copied().unwrap_or(0)
     }
 
     /// Adds every span of `other` into `self` (saturating per span).

@@ -3,8 +3,8 @@
 //!
 //! [`crate::profile`] counts what the *simulation* did (deterministic,
 //! byte-identical across thread counts); this module observes what the
-//! *host* did while running it: per-worker steal/chunk counts, queue
-//! depths, busy/idle durations, per-phase wall time, and cell-cache
+//! *host* did while running it: per-worker cell counts and busy
+//! durations, per-phase wall time, and cell-cache
 //! hit/miss/tamper/corrupt outcomes. None of these numbers are
 //! reproducible — they depend on scheduling, load and cache state — so
 //! they are excluded from every byte-identity gate and are reported in
@@ -35,13 +35,8 @@ pub const MAX_WORKERS: usize = 64;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-static CHUNKS: [AtomicU64; MAX_WORKERS] = [const { AtomicU64::new(0) }; MAX_WORKERS];
-static STEALS: [AtomicU64; MAX_WORKERS] = [const { AtomicU64::new(0) }; MAX_WORKERS];
 static CELLS: [AtomicU64; MAX_WORKERS] = [const { AtomicU64::new(0) }; MAX_WORKERS];
 static BUSY_NS: [AtomicU64; MAX_WORKERS] = [const { AtomicU64::new(0) }; MAX_WORKERS];
-static IDLE_NS: [AtomicU64; MAX_WORKERS] = [const { AtomicU64::new(0) }; MAX_WORKERS];
-static DEPTH_SUM: [AtomicU64; MAX_WORKERS] = [const { AtomicU64::new(0) }; MAX_WORKERS];
-static DEPTH_SAMPLES: [AtomicU64; MAX_WORKERS] = [const { AtomicU64::new(0) }; MAX_WORKERS];
 
 static PHASE_NS: [AtomicU64; Phase::COUNT] = [const { AtomicU64::new(0) }; Phase::COUNT];
 
@@ -126,15 +121,7 @@ pub fn enable_from_env() {
 
 /// Zeroes every counter and duration (collection stays on/off as-is).
 pub fn reset() {
-    for arr in [
-        &CHUNKS,
-        &STEALS,
-        &CELLS,
-        &BUSY_NS,
-        &IDLE_NS,
-        &DEPTH_SUM,
-        &DEPTH_SAMPLES,
-    ] {
+    for arr in [&CELLS, &BUSY_NS] {
         for a in arr.iter() {
             a.store(0, Ordering::Relaxed);
         }
@@ -152,34 +139,10 @@ fn slot(worker: usize) -> usize {
     worker.min(MAX_WORKERS - 1)
 }
 
-/// Records a chunk popped from the worker's own deque.
-pub fn worker_chunk(worker: usize) {
-    if enabled() {
-        CHUNKS[slot(worker)].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Records a chunk stolen from another worker's deque.
-pub fn worker_steal(worker: usize) {
-    if enabled() {
-        STEALS[slot(worker)].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Records `n` cells executed by the worker.
 pub fn worker_cells(worker: usize, n: u64) {
     if enabled() {
         CELLS[slot(worker)].fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Samples the worker's own queue depth (taken under the deque lock the
-/// worker already holds, so sampling adds no extra contention).
-pub fn worker_queue_depth(worker: usize, depth: u64) {
-    if enabled() {
-        let s = slot(worker);
-        DEPTH_SUM[s].fetch_add(depth, Ordering::Relaxed);
-        DEPTH_SAMPLES[s].fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -206,69 +169,39 @@ pub fn cache_corrupt() {
     CACHE_CORRUPT.fetch_add(1, Ordering::Relaxed);
 }
 
-enum Target {
-    Phase(Phase),
-    WorkerBusy(usize),
-    WorkerIdle(usize),
-}
-
 /// A drop guard adding elapsed wall time into a bucket. When telemetry
 /// is disabled the guard is inert and **no clock is read** — the cost
 /// is one relaxed atomic load.
 #[derive(Debug)]
 pub struct WallSpan {
     // (bucket, start); None when telemetry was off at creation.
-    armed: Option<(usize, Instant)>,
-    kind: u8,
+    armed: Option<(&'static AtomicU64, Instant)>,
 }
 
 impl WallSpan {
-    fn new(target: Target) -> WallSpan {
-        if !enabled() {
-            return WallSpan {
-                armed: None,
-                kind: 0,
-            };
-        }
-        let (idx, kind) = match target {
-            Target::Phase(p) => (p as usize, 0u8),
-            Target::WorkerBusy(w) => (slot(w), 1),
-            Target::WorkerIdle(w) => (slot(w), 2),
-        };
+    fn new(bucket: &'static AtomicU64) -> WallSpan {
         WallSpan {
-            armed: Some((idx, Instant::now())),
-            kind,
+            armed: enabled().then(|| (bucket, Instant::now())),
         }
     }
 }
 
 impl Drop for WallSpan {
     fn drop(&mut self) {
-        if let Some((idx, at)) = self.armed.take() {
-            let ns = at.elapsed().as_nanos() as u64;
-            let bucket = match self.kind {
-                0 => &PHASE_NS[idx],
-                1 => &BUSY_NS[idx],
-                _ => &IDLE_NS[idx],
-            };
-            bucket.fetch_add(ns, Ordering::Relaxed);
+        if let Some((bucket, at)) = self.armed.take() {
+            bucket.fetch_add(at.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     }
 }
 
 /// Times a lifecycle phase until the returned guard drops.
 pub fn span(phase: Phase) -> WallSpan {
-    WallSpan::new(Target::Phase(phase))
+    WallSpan::new(&PHASE_NS[phase as usize])
 }
 
 /// Times a worker's busy period (executing cells) until the guard drops.
 pub fn worker_busy(worker: usize) -> WallSpan {
-    WallSpan::new(Target::WorkerBusy(worker))
-}
-
-/// Times a worker's idle period (looking for work) until the guard drops.
-pub fn worker_idle(worker: usize) -> WallSpan {
-    WallSpan::new(Target::WorkerIdle(worker))
+    WallSpan::new(&BUSY_NS[slot(worker)])
 }
 
 /// One worker's executor counters, copied out of the atomics.
@@ -276,20 +209,10 @@ pub fn worker_idle(worker: usize) -> WallSpan {
 pub struct WorkerStats {
     /// Worker index (clamped to [`MAX_WORKERS`] − 1).
     pub worker: usize,
-    /// Chunks popped from the worker's own deque.
-    pub chunks: u64,
-    /// Chunks stolen from other workers' deques.
-    pub steals: u64,
     /// Cells executed.
     pub cells: u64,
     /// Nanoseconds spent executing cells.
     pub busy_ns: u64,
-    /// Nanoseconds spent acquiring work.
-    pub idle_ns: u64,
-    /// Sum of sampled own-queue depths.
-    pub queue_depth_sum: u64,
-    /// Number of queue-depth samples.
-    pub queue_depth_samples: u64,
 }
 
 /// Cell-cache outcome counters.
@@ -333,13 +256,8 @@ pub fn snapshot() -> Snapshot {
     for w in 0..MAX_WORKERS {
         let ws = WorkerStats {
             worker: w,
-            chunks: CHUNKS[w].load(Ordering::Relaxed),
-            steals: STEALS[w].load(Ordering::Relaxed),
             cells: CELLS[w].load(Ordering::Relaxed),
             busy_ns: BUSY_NS[w].load(Ordering::Relaxed),
-            idle_ns: IDLE_NS[w].load(Ordering::Relaxed),
-            queue_depth_sum: DEPTH_SUM[w].load(Ordering::Relaxed),
-            queue_depth_samples: DEPTH_SAMPLES[w].load(Ordering::Relaxed),
         };
         let active = WorkerStats {
             worker: w,
@@ -361,16 +279,6 @@ pub fn snapshot() -> Snapshot {
 }
 
 impl Snapshot {
-    /// Total chunks popped across all workers.
-    pub fn total_chunks(&self) -> u64 {
-        self.workers.iter().map(|w| w.chunks).sum()
-    }
-
-    /// Total steals across all workers.
-    pub fn total_steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum()
-    }
-
     /// Renders the snapshot as a JSON object; every line after the
     /// first is prefixed with `prefix` so callers can embed it at any
     /// indentation inside a larger document.
@@ -385,17 +293,8 @@ impl Snapshot {
             }
             let _ = write!(
                 out,
-                "\n{prefix}    {{\"worker\": {}, \"chunks\": {}, \"steals\": {}, \"cells\": {}, \
-                 \"busy_ns\": {}, \"idle_ns\": {}, \"queue_depth_sum\": {}, \
-                 \"queue_depth_samples\": {}}}",
-                w.worker,
-                w.chunks,
-                w.steals,
-                w.cells,
-                w.busy_ns,
-                w.idle_ns,
-                w.queue_depth_sum,
-                w.queue_depth_samples
+                "\n{prefix}    {{\"worker\": {}, \"cells\": {}, \"busy_ns\": {}}}",
+                w.worker, w.cells, w.busy_ns
             );
         }
         if self.workers.is_empty() {
@@ -427,27 +326,14 @@ impl Snapshot {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "telemetry (wall-clock plane — nondeterministic)");
-        let _ = writeln!(
-            out,
-            "{:>6}  {:>7}  {:>7}  {:>6}  {:>10}  {:>10}  {:>9}",
-            "worker", "chunks", "steals", "cells", "busy_ms", "idle_ms", "avg_depth"
-        );
+        let _ = writeln!(out, "{:>6}  {:>6}  {:>10}", "worker", "cells", "busy_ms");
         for w in &self.workers {
-            let avg_depth = if w.queue_depth_samples > 0 {
-                w.queue_depth_sum as f64 / w.queue_depth_samples as f64
-            } else {
-                0.0
-            };
             let _ = writeln!(
                 out,
-                "{:>6}  {:>7}  {:>7}  {:>6}  {:>10.3}  {:>10.3}  {:>9.2}",
+                "{:>6}  {:>6}  {:>10.3}",
                 w.worker,
-                w.chunks,
-                w.steals,
                 w.cells,
-                w.busy_ns as f64 / 1e6,
-                w.idle_ns as f64 / 1e6,
-                avg_depth
+                w.busy_ns as f64 / 1e6
             );
         }
         if self.workers.is_empty() {
@@ -482,52 +368,42 @@ mod tests {
         assert!(!enabled(), "collection starts off");
 
         // Disabled: worker counters are no-ops, cache counters are not.
-        worker_chunk(0);
-        worker_steal(0);
+        worker_cells(0, 1);
         let before = cache_stats();
         cache_hit();
         cache_tamper();
         let after = cache_stats();
         assert_eq!(after.hits, before.hits + 1, "cache counters are always on");
         assert_eq!(after.tamper, before.tamper + 1);
-        assert_eq!(snapshot().total_chunks(), 0, "disabled counters stay zero");
+        assert!(snapshot().workers.is_empty(), "disabled counters stay zero");
 
         set_enabled(true);
-        worker_chunk(0);
-        worker_chunk(0);
-        worker_steal(1);
         worker_cells(0, 3);
-        worker_queue_depth(0, 4);
-        worker_chunk(MAX_WORKERS + 5); // clamps into the last slot
+        worker_cells(MAX_WORKERS + 5, 1); // clamps into the last slot
         {
             let _b = span(Phase::Build);
             let _w = worker_busy(0);
-            let _i = worker_idle(1);
         }
         set_enabled(false);
 
         let snap = snapshot();
-        // ">=" because other tests may sweep while collection was on.
-        assert!(snap.total_chunks() >= 3);
-        assert!(snap.total_steals() >= 1);
         let w0 = snap
             .workers
             .iter()
             .find(|w| w.worker == 0)
             .expect("worker 0");
-        assert!(w0.chunks >= 2);
+        // ">=" because other tests may sweep while collection was on.
         assert!(w0.cells >= 3);
-        assert!(w0.queue_depth_sum >= 4);
-        assert!(w0.queue_depth_samples >= 1);
         let last = snap
             .workers
             .iter()
             .find(|w| w.worker == MAX_WORKERS - 1)
             .expect("clamped slot");
-        assert!(last.chunks >= 1, "out-of-range worker clamps, not drops");
+        assert!(last.cells >= 1, "out-of-range worker clamps, not drops");
 
         let json = snap.to_json("  ");
         assert!(json.contains("\"workers\": ["), "{json}");
+        assert!(json.contains("{\"worker\": 0, \"cells\": "), "{json}");
         assert!(json.contains("\"phase_ns\": {\"build\":"), "{json}");
         assert!(json.contains("\"cache\": {\"hits\":"), "{json}");
         let table = snap.to_table();
@@ -536,10 +412,10 @@ mod tests {
         assert!(table.contains('#'), "phase bars render: {table}");
 
         // Disabled again: spans read no clock and add nothing.
-        let idle_before = snapshot().workers.iter().map(|w| w.idle_ns).sum::<u64>();
-        drop(worker_idle(0));
-        let idle_after = snapshot().workers.iter().map(|w| w.idle_ns).sum::<u64>();
-        assert_eq!(idle_before, idle_after);
+        let busy_before = snapshot().workers.iter().map(|w| w.busy_ns).sum::<u64>();
+        drop(worker_busy(0));
+        let busy_after = snapshot().workers.iter().map(|w| w.busy_ns).sum::<u64>();
+        assert_eq!(busy_before, busy_after);
 
         reset();
         assert_eq!(cache_stats(), CacheStats::default(), "reset zeroes cache");
@@ -559,7 +435,7 @@ mod tests {
     #[test]
     fn empty_snapshot_renders() {
         let snap = Snapshot::default();
-        assert_eq!(snap.total_chunks(), 0);
+        assert!(snap.workers.is_empty());
         assert!(snap.to_json("").contains("\"workers\": []"));
         assert!(snap.to_table().contains("no executor activity"));
     }

@@ -6,7 +6,7 @@
 #   scripts/ci.sh                 # all tiers in order: quick lint full bench
 #   scripts/ci.sh --tier quick    # fmt check + build + test
 #   scripts/ci.sh --tier lint     # fsoi-lint check + clippy
-#   scripts/ci.sh --tier full     # scripts/verify.sh (incl. model check + trace build)
+#   scripts/ci.sh --tier full     # scripts/verify.sh (incl. lint + trace build)
 #   scripts/ci.sh --tier bench    # `experiments profile` run manifest, then the
 #                                 # layered benchmark's smoke run
 #   scripts/ci.sh --tier scale    # beyond-the-paper grids: 64-node four-network
@@ -51,11 +51,6 @@ tier_lint() {
     # [workspace.lints] (deny unused_must_use, clippy disallowed_types)
     # applies to every target.
     cargo clippy --offline --workspace --all-targets -- -D warnings
-    # The model-feature build is a distinct cfg surface (virtual-thread
-    # shim paths); lint and test it here so a warning or schedule-space
-    # regression fails the same tier that owns static analysis.
-    cargo clippy --offline -p fsoi-sim --all-targets --features model -- -D warnings
-    cargo test -q --offline -p fsoi-sim --features model
 }
 
 tier_full() {
@@ -97,11 +92,11 @@ tier_scale() {
 tier_tsan() {
     banner tsan
     # ThreadSanitizer needs nightly (-Zsanitizer) plus the matching
-    # rust-src component. It is an *optional* tier: the model checker is
-    # the required concurrency gate; TSan adds OS-level data-race
-    # coverage on real interleavings when a nightly toolchain is around.
-    # CI runs it continue-on-error; locally we skip with a notice rather
-    # than fail machines without nightly.
+    # rust-src component. It is an *optional* tier: the data-race check
+    # for the sweep executor's atomic cell cursor and index-keyed result
+    # hand-off (crates/sim/src/par.rs) on real interleavings, when a
+    # nightly toolchain is around. CI runs it continue-on-error; locally
+    # we skip with a notice rather than fail machines without nightly.
     if ! rustup toolchain list 2>/dev/null | grep -q nightly; then
         echo "tsan: no nightly toolchain installed; skipping (optional tier)"
         return 0
