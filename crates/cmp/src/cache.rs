@@ -33,8 +33,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Format tag for the preimage/wire layout; bump on any change to the
 /// `Debug` shape of the key types or the wire format so stale entries
 /// miss instead of misparsing. v2: `RunReport` gained a trailing
-/// `profile` wire line.
-const FORMAT: &str = "fsoi-cell/v2";
+/// `profile` wire line. v3: the profile gained the `coh/dir/*` spans, which
+/// a v2 entry lacks.
+const FORMAT: &str = "fsoi-cell/v3";
 
 /// Distinguishes concurrent writers' temp files within one process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);

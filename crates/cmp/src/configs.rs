@@ -12,6 +12,7 @@ use fsoi_net::network::FsoiNetwork;
 use fsoi_ring::config::RingConfig;
 use fsoi_ring::crossbar::{CrossbarConfig, CrossbarNetwork};
 use fsoi_ring::network::RingNetwork;
+use fsoi_sim::det::NodeMask;
 
 /// Which interconnect drives the system.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,6 +75,74 @@ impl NetworkKind {
     }
 }
 
+/// A rejected [`SystemConfig`], carrying the offending value(s).
+///
+/// The fields are public, so a literal can hold anything; these are the
+/// values that used to surface as an assert or a `% 0` deep inside
+/// construction (or mid-run) instead of at the door.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SystemConfigError {
+    /// `nodes` is zero or more than [`NodeMask::CAPACITY`] (sharer masks).
+    Nodes {
+        /// The requested node count.
+        nodes: usize,
+    },
+    /// `line_bytes` is not a power of two.
+    LineBytes {
+        /// The requested line size.
+        line_bytes: u64,
+    },
+    /// The L1 does not divide into a power-of-two number of `l1_ways`-way
+    /// sets.
+    L1Geometry {
+        /// The requested L1 capacity in lines.
+        l1_lines: usize,
+        /// The requested associativity.
+        l1_ways: usize,
+    },
+    /// `l2_lines` is outside `4..=`[`SystemConfig::MAX_L2_LINES`].
+    L2Lines {
+        /// The requested slice capacity in lines.
+        l2_lines: usize,
+    },
+    /// `mem_gb_per_s` is not a positive finite number.
+    MemBandwidth {
+        /// The requested bandwidth.
+        mem_gb_per_s: f64,
+    },
+}
+
+impl std::fmt::Display for SystemConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            SystemConfigError::Nodes { nodes } => write!(
+                f,
+                "{nodes} nodes: must be 1..={} (the NodeMask capacity)",
+                NodeMask::CAPACITY
+            ),
+            SystemConfigError::LineBytes { line_bytes } => {
+                write!(f, "line size {line_bytes} B is not a power of two")
+            }
+            SystemConfigError::L1Geometry { l1_lines, l1_ways } => write!(
+                f,
+                "an L1 of {l1_lines} lines does not split into a power-of-two number of \
+                 {l1_ways}-way sets"
+            ),
+            SystemConfigError::L2Lines { l2_lines } => write!(
+                f,
+                "{l2_lines} L2 lines per slice: must be 4..={}",
+                SystemConfig::MAX_L2_LINES
+            ),
+            SystemConfigError::MemBandwidth { mem_gb_per_s } => write!(
+                f,
+                "memory bandwidth {mem_gb_per_s} GB/s is not a positive finite number"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SystemConfigError {}
+
 /// Full system configuration (Table 3 defaults).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
@@ -107,6 +176,42 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
+    /// Most lines per L2 slice (512 MB of 32 B lines): each directory
+    /// reserves its entry slab for the full capacity up front.
+    pub const MAX_L2_LINES: usize = 1 << 24;
+
+    /// Checks the limits construction relies on.
+    /// [`CmpSystem::new`](crate::system::CmpSystem::new) panics on a
+    /// configuration that fails this.
+    pub fn validate(&self) -> Result<(), SystemConfigError> {
+        if !(1..=NodeMask::CAPACITY).contains(&self.nodes) {
+            return Err(SystemConfigError::Nodes { nodes: self.nodes });
+        }
+        if !self.line_bytes.is_power_of_two() {
+            return Err(SystemConfigError::LineBytes {
+                line_bytes: self.line_bytes,
+            });
+        }
+        let (lines, ways) = (self.l1_lines, self.l1_ways);
+        if ways == 0 || lines % ways != 0 || !(lines / ways).is_power_of_two() {
+            return Err(SystemConfigError::L1Geometry {
+                l1_lines: lines,
+                l1_ways: ways,
+            });
+        }
+        if !(4..=Self::MAX_L2_LINES).contains(&self.l2_lines) {
+            return Err(SystemConfigError::L2Lines {
+                l2_lines: self.l2_lines,
+            });
+        }
+        if !(self.mem_gb_per_s.is_finite() && self.mem_gb_per_s > 0.0) {
+            return Err(SystemConfigError::MemBandwidth {
+                mem_gb_per_s: self.mem_gb_per_s,
+            });
+        }
+        Ok(())
+    }
+
     /// The paper's 16-node configuration over the given network.
     pub fn paper_16(network: NetworkKind) -> Self {
         SystemConfig {
@@ -229,6 +334,86 @@ mod tests {
             let net = cfg.build_network();
             assert_eq!(net.name(), name);
         }
+    }
+
+    #[test]
+    fn paper_configurations_validate() {
+        assert_eq!(
+            SystemConfig::paper_16(NetworkKind::fsoi(16)).validate(),
+            Ok(())
+        );
+        for n in [64, 256] {
+            assert_eq!(
+                SystemConfig::paper_n(n, NetworkKind::ring(n)).validate(),
+                Ok(())
+            );
+        }
+    }
+
+    fn rejected(tweak: impl Fn(&mut SystemConfig)) -> SystemConfigError {
+        let mut c = SystemConfig::paper_16(NetworkKind::L0);
+        tweak(&mut c);
+        c.validate().unwrap_err()
+    }
+
+    #[test]
+    fn validate_rejects_node_counts_outside_the_sharer_mask() {
+        assert_eq!(
+            rejected(|c| c.nodes = 0),
+            SystemConfigError::Nodes { nodes: 0 }
+        );
+        let err = rejected(|c| c.nodes = NodeMask::CAPACITY + 1);
+        assert_eq!(err, SystemConfigError::Nodes { nodes: 257 });
+        assert!(err.to_string().contains("256"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_line_sizes_that_are_not_powers_of_two() {
+        for bad in [0, 48] {
+            let err = rejected(|c| c.line_bytes = bad);
+            assert_eq!(err, SystemConfigError::LineBytes { line_bytes: bad });
+        }
+    }
+
+    #[test]
+    fn validate_rejects_impossible_l1_geometry() {
+        // No ways; fewer lines than ways; a ragged last set; 3 sets.
+        for (lines, ways) in [(256, 0), (0, 2), (255, 2), (6, 2)] {
+            let err = rejected(|c| (c.l1_lines, c.l1_ways) = (lines, ways));
+            assert_eq!(
+                err,
+                SystemConfigError::L1Geometry {
+                    l1_lines: lines,
+                    l1_ways: ways
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn validate_rejects_l2_slices_outside_the_slab_bounds() {
+        let mut ok = SystemConfig::paper_16(NetworkKind::L0);
+        for fine in [4, SystemConfig::MAX_L2_LINES] {
+            ok.l2_lines = fine;
+            assert_eq!(ok.validate(), Ok(()));
+        }
+        for bad in [0, 3, SystemConfig::MAX_L2_LINES + 1] {
+            let err = rejected(|c| c.l2_lines = bad);
+            assert_eq!(err, SystemConfigError::L2Lines { l2_lines: bad });
+        }
+    }
+
+    #[test]
+    fn validate_rejects_unusable_memory_bandwidth() {
+        for bad in [0.0, -8.8, f64::INFINITY] {
+            let err = rejected(|c| c.mem_gb_per_s = bad);
+            assert_eq!(err, SystemConfigError::MemBandwidth { mem_gb_per_s: bad });
+        }
+        let nan = rejected(|c| c.mem_gb_per_s = f64::NAN);
+        assert!(
+            matches!(nan, SystemConfigError::MemBandwidth { .. }),
+            "{nan}"
+        );
     }
 
     #[test]

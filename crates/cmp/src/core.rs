@@ -130,13 +130,8 @@ impl Core {
     }
 
     /// Accounts one cycle of activity.
-    pub fn account_cycle(&mut self, now: Cycle) {
-        match self.state {
-            CoreState::Done => {}
-            CoreState::Ready if self.next_at > now => self.stats.active_cycles += 1,
-            CoreState::Ready => self.stats.active_cycles += 1,
-            _ => self.stats.stalled_cycles += 1,
-        }
+    pub fn account_cycle(&mut self) {
+        self.account_cycles(1);
     }
 
     /// Accounts `n` cycles at once. Only valid when the caller knows the
@@ -188,14 +183,14 @@ mod tests {
     #[test]
     fn accounting_splits_active_and_stalled() {
         let mut c = core();
-        c.account_cycle(Cycle(0)); // Ready → active
+        c.account_cycle(); // Ready → active
         c.state = CoreState::WaitRead {
             line: LineAddr(0),
             issued_at: Cycle(0),
         };
-        c.account_cycle(Cycle(1));
+        c.account_cycle();
         c.state = CoreState::Done;
-        c.account_cycle(Cycle(2));
+        c.account_cycle();
         assert_eq!(c.stats.active_cycles, 1);
         assert_eq!(c.stats.stalled_cycles, 1);
     }

@@ -24,7 +24,7 @@ use crate::interconnect::{Interconnect, NetPacket};
 use crate::memory::MemorySystem;
 use crate::metrics::{DataPacketKind, RunReport};
 use crate::workload::{AppProfile, CoreWorkload, Op};
-use fsoi_coherence::directory::Directory;
+use fsoi_coherence::directory::{DirStats, Directory};
 use fsoi_coherence::l1::L1Controller;
 use fsoi_coherence::protocol::{CoherenceMsg, LineAddr, OutMsg};
 use fsoi_coherence::sync::{Barrier, BooleanSubscriptionHub, SpinLock};
@@ -97,6 +97,9 @@ pub struct CmpSystem {
     order_busy: DetSet<(usize, usize, LineAddr)>,
     /// Packets that bounced off a full injection queue.
     inject_backlog: VecDeque<(usize, NetPacket)>,
+    /// Reused reaction buffer for `Directory::handle_into` (empty between
+    /// messages).
+    dir_out: Vec<OutMsg>,
     // --- statistics ---
     reply_latency: Histogram,
     packets_sent: [u64; 2],
@@ -118,7 +121,13 @@ pub struct CmpSystem {
 
 impl CmpSystem {
     /// Builds the system for one application.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`SystemConfig::validate`].
     pub fn new(cfg: SystemConfig, app: AppProfile) -> Self {
+        // lint: allow(P1) a rejected configuration is the caller's bug; fail before building anything
+        cfg.validate().expect("invalid SystemConfig");
         let mut app = app;
         let n = cfg.nodes;
         // Weak scaling: larger machines run proportionally larger shared
@@ -178,6 +187,7 @@ impl CmpSystem {
             order_wait: DetMap::new(),
             order_busy: DetSet::new(),
             inject_backlog: VecDeque::new(),
+            dir_out: Vec::new(),
             reply_latency: Histogram::new(10, 20),
             packets_sent: [0, 0],
             data_by_kind: [0; 3],
@@ -245,6 +255,7 @@ impl CmpSystem {
             order_wait: DetMap::new(),
             order_busy: DetSet::new(),
             inject_backlog: VecDeque::new(),
+            dir_out: Vec::new(),
             reply_latency: Histogram::new(10, 20),
             packets_sent: [0, 0],
             data_by_kind: [0; 3],
@@ -376,7 +387,7 @@ impl CmpSystem {
             let _cores = telemetry::span(Phase::SimCores);
             self.step_cores();
             for c in &mut self.cores {
-                c.account_cycle(self.now);
+                c.account_cycle();
             }
         }
         self.now += 1;
@@ -506,13 +517,16 @@ impl CmpSystem {
         if self.inject_backlog.is_empty() {
             return;
         }
-        let mut still = VecDeque::new();
-        while let Some((from, pkt)) = self.inject_backlog.pop_front() {
+        // One pass over the queue as it stands: bounced packets rotate to
+        // the back in order.
+        for _ in 0..self.inject_backlog.len() {
+            let Some((from, pkt)) = self.inject_backlog.pop_front() else {
+                break;
+            };
             if let Err(p) = self.net.inject(pkt) {
-                still.push_back((from, p));
+                self.inject_backlog.push_back((from, p));
             }
         }
-        self.inject_backlog = still;
     }
 
     fn drain_network(&mut self) {
@@ -619,18 +633,21 @@ impl CmpSystem {
                 if matches!(msg, CoherenceMsg::MemAck { .. }) {
                     self.net.clear_expected(to, from);
                 }
-                match self.dirs[to].handle(from, msg) {
-                    Ok(outs) => {
-                        for out in outs {
+                let mut outs = std::mem::take(&mut self.dir_out);
+                match self.dirs[to].handle_into(from, msg, &mut outs) {
+                    Ok(()) => {
+                        for out in outs.drain(..) {
                             self.route_from_dir(to, out);
                         }
                     }
                     Err(e) => {
+                        outs.clear(); // a partial reaction
                         self.protocol_errors += 1;
                         self.first_protocol_error
                             .get_or_insert_with(|| e.to_string());
                     }
                 }
+                self.dir_out = outs;
             }
             // L1-bound.
             _ => self.deliver_to_l1(from, to, msg),
@@ -644,7 +661,6 @@ impl CmpSystem {
     fn deliver_to_l1(&mut self, from: usize, to: usize, msg: CoherenceMsg) {
         let is_inv = matches!(msg, CoherenceMsg::Inv { .. });
         let is_data = matches!(msg, CoherenceMsg::Data { .. });
-        let line = msg.line();
         if is_data {
             self.net.clear_expected(to, from);
         }
@@ -674,11 +690,9 @@ impl CmpSystem {
                 // the per-line ordering (it must not overtake an earlier
                 // writeback about the same line).
                 self.route(to, out, 0, true);
-            } else if matches!(out.msg, CoherenceMsg::Req { .. })
-                && reaction.completed.is_none()
-                && self.is_nack_resend(&out)
-            {
-                // NACK retry: randomized delay to avoid livelock.
+            } else if matches!(out.msg, CoherenceMsg::Req { .. }) && reaction.completed.is_none() {
+                // NACK retry (reactions carrying a Req are only produced by
+                // Retry handling): randomized delay to avoid livelock.
                 let delay = NACK_RETRY_BASE + self.rng.next_below(16);
                 self.pending.push(
                     self.now + delay,
@@ -695,12 +709,6 @@ impl CmpSystem {
         if let Some(done_line) = reaction.completed {
             self.on_fill_complete(to, done_line);
         }
-        let _ = line;
-    }
-
-    fn is_nack_resend(&self, out: &OutMsg) -> bool {
-        // Reactions carrying a Req are only produced by Retry handling.
-        matches!(out.msg, CoherenceMsg::Req { .. })
     }
 
     fn home_of(&self, line: LineAddr) -> usize {
@@ -1026,6 +1034,13 @@ impl CmpSystem {
         profile.add("sim/events", self.events_processed);
         profile.add("sim/ff/jumps", self.ff_jumps);
         profile.add("sim/ff/cycles_skipped", self.ff_cycles_skipped);
+        let dir_sum = |f: fn(&DirStats) -> u64| self.dirs.iter().map(|d| f(d.stats())).sum();
+        profile.add("coh/dir/requests", dir_sum(|s| s.requests));
+        profile.add("coh/dir/evictions", dir_sum(|s| s.evictions));
+        profile.add("coh/dir/nacks", dir_sum(|s| s.nacks));
+        profile.add("coh/dir/deferred", dir_sum(|s| s.deferred));
+        profile.add("coh/dir/mem_reads", dir_sum(|s| s.mem_reads));
+        profile.add("coh/dir/mem_writes", dir_sum(|s| s.mem_writes));
         RunReport {
             app: self.app.name.to_string(),
             network: self.net.name().to_string(),
@@ -1124,17 +1139,22 @@ mod tests {
 
     #[test]
     fn eviction_pressure_exports_are_byte_identical_across_same_seed_runs() {
-        // Shrinks the L2 slices so the directory's eviction-victim scan —
-        // an iteration over the entry map, the path that used to read a
-        // HashMap in hasher order — runs hot, then compares the full
-        // export byte stream across two same-seed runs. Guards the
-        // DetMap/DetSet migration (lint rule D1) end to end.
+        // Shrinks the L2 slices so the directory's eviction-victim choice
+        // (once a scan of a HashMap in hasher order, now a walk of the
+        // slab's LRU list, cross-checked against the scan in debug builds)
+        // runs hot, then compares the full export byte stream across two
+        // same-seed runs. Guards lint rule D1 end to end.
         let snapshot = || {
             let (mut cfg, app) = small_cfg(NetworkKind::fsoi(16));
             cfg.l2_lines = 8;
             let mut sys = CmpSystem::new(cfg, app);
             let report = sys.run(4_000_000);
             let evictions: u64 = sys.dirs.iter().map(|d| d.stats().evictions).sum();
+            assert_eq!(
+                report.profile.get("coh/dir/evictions"),
+                evictions,
+                "the profile span is the sum over slices"
+            );
             let reg = report.registry();
             (evictions, reg.to_jsonl(), reg.to_table())
         };
@@ -1150,6 +1170,29 @@ mod tests {
             table_a, table_b,
             "same-seed table exports must be byte-identical"
         );
+    }
+
+    #[test]
+    fn evictions_at_256_nodes_are_cross_checked() {
+        // Four-word sharer masks, capacity evictions and (in a debug
+        // build) the directory's list-vs-scan victim cross-check, together:
+        // `scripts/ci.sh --tier scale` runs this one by name, unoptimized.
+        let snapshot = || {
+            let mut cfg = SystemConfig::paper_n(256, NetworkKind::ring(256));
+            cfg.l2_lines = 8;
+            let mut app = AppProfile::by_name("mp").unwrap();
+            app.ops_per_core = 40;
+            let report = CmpSystem::new(cfg, app).run(4_000_000);
+            let reg = report.registry();
+            (
+                report.profile.get("coh/dir/evictions"),
+                reg.to_jsonl(),
+                reg.to_table(),
+            )
+        };
+        let a = snapshot();
+        assert!(a.0 > 0, "the tiny L2 must force evictions");
+        assert_eq!(a, snapshot(), "same-seed exports must be byte-identical");
     }
 
     /// Drives a system to completion with `tick()` only — the reference

@@ -13,11 +13,18 @@
 //! meantime is reinterpreted as `Req(Ex)` (the table's "(Req(Ex))" note).
 //! When the deferred queue is full the directory NACKs with `Retry`,
 //! which probabilistically avoids fetch deadlock (§4.3.1, footnote 3).
+//!
+//! Entries live in a slab ([`Slab`]): a `Vec` of slots reserved once for
+//! the slice's capacity, a free list, and an intrusive doubly-linked LRU
+//! list through the occupied slots. An ordered index maps a line to its
+//! slot; a handled message looks the line up there once and every handler
+//! then works on the slot number.
 
 use crate::protocol::{CoherenceMsg, DirState, Grant, LineAddr, OutMsg, ProtocolError, ReqType};
 use fsoi_sim::det::{DetMap, NodeMask, NodeMaskIter};
 use fsoi_sim::trace::{self, TraceEvent};
 use fsoi_sim::Cycle;
+use std::collections::btree_map::Entry;
 use std::collections::VecDeque;
 
 /// Directory statistics.
@@ -71,10 +78,6 @@ impl DirEntry {
         }
     }
 
-    fn sharer_list(&self) -> Vec<usize> {
-        self.sharer_iter().collect()
-    }
-
     /// Number of sharers, straight off the bit mask (no allocation).
     fn sharer_count(&self) -> usize {
         self.sharers.len()
@@ -97,6 +100,114 @@ impl DirEntry {
     fn remove_sharer(&mut self, node: usize) {
         self.sharers.remove(node);
     }
+
+    /// May capacity eviction pick this entry?
+    fn evictable(&self) -> bool {
+        self.state.is_stable() && self.deferred.is_empty()
+    }
+}
+
+/// Null link / "no slot".
+const NIL: u32 = u32::MAX;
+
+#[derive(Debug, Clone)]
+struct Slot {
+    line: LineAddr,
+    entry: DirEntry,
+    prev: u32,
+    next: u32,
+}
+
+/// Entry storage: slots threaded into an LRU list (`head` = oldest), free
+/// slots chained through `next` from `free`. Every `lru` stamp is a fresh
+/// directory tick and a stamped slot goes to the tail, so stamps are
+/// unique and list order *is* ascending-`lru` order: the first evictable
+/// slot from the head is the `min_by_key(lru)` of the evictable set.
+#[derive(Debug, Clone)]
+struct Slab {
+    slots: Vec<Slot>,
+    head: u32,
+    tail: u32,
+    free: u32,
+}
+
+impl Slab {
+    /// Stores `entry` for `line` as the most recently used slot.
+    fn alloc(&mut self, line: LineAddr, entry: DirEntry) -> u32 {
+        let slot = Slot {
+            line,
+            entry,
+            prev: NIL,
+            next: NIL,
+        };
+        let s = match self.free {
+            NIL => {
+                self.slots.push(slot);
+                (self.slots.len() - 1) as u32
+            }
+            s => {
+                self.free = std::mem::replace(&mut self.slots[s as usize], slot).next;
+                s
+            }
+        };
+        self.push_tail(s);
+        s
+    }
+
+    /// Frees slot `s`. A free slot reads as `DI`, so `handle_into` may ask
+    /// a slot that capacity eviction (which never allocates) just freed.
+    fn release(&mut self, s: u32) {
+        self.unlink(s);
+        let slot = &mut self.slots[s as usize];
+        slot.entry = DirEntry::new(DirState::DI, 0);
+        slot.next = self.free;
+        self.free = s;
+    }
+
+    /// After a fresh `lru` stamp on slot `s`: restores list order.
+    fn move_to_tail(&mut self, s: u32) {
+        if self.tail != s {
+            self.unlink(s);
+            self.push_tail(s);
+        }
+    }
+
+    fn unlink(&mut self, s: u32) {
+        let (prev, next) = (self.slots[s as usize].prev, self.slots[s as usize].next);
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    fn push_tail(&mut self, s: u32) {
+        let t = self.tail;
+        debug_assert!(
+            t == NIL || self.slots[t as usize].entry.lru < self.slots[s as usize].entry.lru,
+            "lru stamps must be fresh ticks"
+        );
+        self.slots[s as usize].prev = t;
+        self.slots[s as usize].next = NIL;
+        match t {
+            NIL => self.head = s,
+            t => self.slots[t as usize].next = s,
+        }
+        self.tail = s;
+    }
+
+    /// The least recently used evictable slot, `NIL` when everything is
+    /// in flight.
+    fn victim(&self) -> u32 {
+        let mut s = self.head;
+        while s != NIL && !self.slots[s as usize].entry.evictable() {
+            s = self.slots[s as usize].next;
+        }
+        s
+    }
 }
 
 /// One node's directory + L2 slice controller.
@@ -106,9 +217,10 @@ pub struct Directory {
     mem_node: usize,
     capacity_lines: usize,
     deferred_limit: usize,
-    // Deterministic map: eviction-victim scans iterate these entries, so
-    // iteration order must not depend on hasher state (lint rule D1).
-    entries: DetMap<LineAddr, DirEntry>,
+    // Line → slot. Ordered (lint rule D1), though nothing iterates it
+    // outside the debug cross-check.
+    index: DetMap<LineAddr, u32>,
+    slab: Slab,
     tick: u64,
     stats: DirStats,
 }
@@ -123,7 +235,16 @@ impl Directory {
             mem_node,
             capacity_lines,
             deferred_limit: 16,
-            entries: DetMap::new(),
+            index: DetMap::new(),
+            // Reserved once (pages never touched cost no memory), one past
+            // capacity for the insert that triggers an eviction: a slab
+            // left to grow by doubling peaked 12 % higher in resident size.
+            slab: Slab {
+                slots: Vec::with_capacity(capacity_lines + 1),
+                head: NIL,
+                tail: NIL,
+                free: NIL,
+            },
             tick: 0,
             stats: DirStats::default(),
         }
@@ -139,34 +260,37 @@ impl Directory {
         &self.stats
     }
 
+    fn get(&self, line: LineAddr) -> Option<&DirEntry> {
+        let s = *self.index.get(&line)?;
+        Some(&self.slab.slots[s as usize].entry)
+    }
+
     /// The directory state of a line (`DI` when untracked).
     pub fn state_of(&self, line: LineAddr) -> DirState {
-        self.entries.get(&line).map_or(DirState::DI, |e| e.state)
+        self.get(line).map_or(DirState::DI, |e| e.state)
     }
 
     /// The current sharers of a line.
     pub fn sharers_of(&self, line: LineAddr) -> Vec<usize> {
-        self.entries
-            .get(&line)
-            .map_or(Vec::new(), |e| e.sharer_list())
+        self.get(line)
+            .map_or(Vec::new(), |e| e.sharer_iter().collect())
     }
 
     /// Number of sharers of a line, without materializing the list.
     pub fn sharer_count_of(&self, line: LineAddr) -> usize {
-        self.entries.get(&line).map_or(0, |e| e.sharer_count())
+        self.get(line).map_or(0, |e| e.sharer_count())
     }
 
     /// The owner of a line in `DM`, if any.
     pub fn owner_of(&self, line: LineAddr) -> Option<usize> {
-        self.entries
-            .get(&line)
+        self.get(line)
             .filter(|e| e.state == DirState::DM)
             .map(|e| e.owner)
     }
 
     /// Number of tracked lines (resident + transient).
     pub fn tracked(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Functionally pre-loads a line as resident-valid (`DV`), as if it
@@ -175,12 +299,17 @@ impl Directory {
     /// windows, e.g. "between a fixed number of barrier instances").
     /// No-op if the line is already tracked or the slice is full.
     pub fn preload(&mut self, line: LineAddr) -> bool {
-        if self.entries.contains_key(&line) || self.entries.len() >= self.capacity_lines {
+        if self.index.len() >= self.capacity_lines {
             return false;
         }
+        let Entry::Vacant(vacant) = self.index.entry(line) else {
+            return false;
+        };
         self.tick += 1;
-        self.entries
-            .insert(line, DirEntry::new(DirState::DV, self.tick));
+        vacant.insert(
+            self.slab
+                .alloc(line, DirEntry::new(DirState::DV, self.tick)),
+        );
         true
     }
 
@@ -191,27 +320,46 @@ impl Directory {
     ///
     /// Returns [`ProtocolError`] for combinations Table 2 marks "error".
     pub fn handle(&mut self, from: usize, msg: CoherenceMsg) -> Result<Vec<OutMsg>, ProtocolError> {
-        let line = msg.line();
-        let before = self.state_of(line);
         let mut out = Vec::new();
+        self.handle_into(from, msg, &mut out).map(|()| out)
+    }
+
+    /// [`handle`](Self::handle), appending the reactions to a buffer the
+    /// caller reuses across messages.
+    ///
+    /// # Errors
+    ///
+    /// As [`handle`](Self::handle); `out` may then hold a partial reaction
+    /// the caller must discard.
+    pub fn handle_into(
+        &mut self,
+        from: usize,
+        msg: CoherenceMsg,
+        out: &mut Vec<OutMsg>,
+    ) -> Result<(), ProtocolError> {
+        let line = msg.line();
+        // The one index lookup of the message: the handlers below take the
+        // line's slot (`NIL` = untracked) and hand back where it ended up.
+        let mut slot = self.index.get(&line).copied().unwrap_or(NIL);
+        let before = self.state_at(slot);
         match msg {
-            CoherenceMsg::Req { kind, .. } => self.handle_request(from, kind, line, &mut out)?,
-            CoherenceMsg::WriteBack { .. } => self.handle_writeback(from, line, &mut out)?,
-            CoherenceMsg::InvAck { .. } => self.handle_inv_ack(from, line, &mut out)?,
-            CoherenceMsg::DwgAck { with_data, .. } => {
-                self.handle_dwg_ack(from, line, with_data, &mut out)?
+            CoherenceMsg::Req { kind, .. } => {
+                slot = self.handle_request(from, kind, line, slot, out)
             }
-            CoherenceMsg::MemAck { .. } => self.handle_mem_ack(line, &mut out)?,
+            CoherenceMsg::WriteBack { .. } => self.handle_writeback(from, line, slot)?,
+            CoherenceMsg::InvAck { .. } => slot = self.handle_inv_ack(line, slot, out)?,
+            CoherenceMsg::DwgAck { .. } => self.handle_dwg_ack(line, slot, out)?,
+            CoherenceMsg::MemAck { .. } => self.handle_mem_ack(line, slot, out)?,
             other => {
-                return Err(self.error(line, &format!("{other:?}")));
+                return Err(self.error(line, slot, &format!("{other:?}")));
             }
         }
-        self.drain_deferred(line, &mut out)?;
-        self.enforce_capacity(&mut out)?;
+        slot = self.drain_deferred(line, slot, out);
+        self.enforce_capacity(out);
         // One trace record per net state change of the handled line. The
         // directory is clock-agnostic, so records are stamped with the
         // slice's monotone event counter rather than a global cycle.
-        let after = self.state_of(line);
+        let after = self.state_at(slot);
         if after != before {
             trace::emit_with(Cycle(self.tick), || TraceEvent::Dir {
                 node: self.node as u64,
@@ -220,46 +368,54 @@ impl Directory {
                 to: format!("{after:?}"),
             });
         }
-        Ok(out)
+        Ok(())
     }
 
-    fn error(&self, line: LineAddr, event: &str) -> ProtocolError {
+    fn error(&self, line: LineAddr, slot: u32, event: &str) -> ProtocolError {
         ProtocolError {
             controller: "directory",
-            state: format!("{:?}", self.state_of(line)),
+            state: format!("{:?}", self.state_at(slot)),
             event: event.to_string(),
             line,
         }
     }
 
-    /// The entry for a line the protocol dispatch already proved tracked:
-    /// every caller matched on `state_of(line)` (or inserted the entry
-    /// itself) before asking for mutable access, so absence here is a
-    /// protocol bug, not a recoverable condition.
-    fn tracked_mut(&mut self, line: LineAddr) -> &mut DirEntry {
-        // lint: allow(P1) state_of(line) returned a tracked state on every path here
-        self.entries.get_mut(&line).expect("tracked")
+    /// The state held in `slot` (`DI` for `NIL` and for a freed slot).
+    fn state_at(&self, slot: u32) -> DirState {
+        self.slab
+            .slots
+            .get(slot as usize)
+            .map_or(DirState::DI, |s| s.entry.state)
     }
 
-    fn touch(&mut self, line: LineAddr) {
+    /// The entry in a slot the protocol dispatch already proved occupied:
+    /// every caller matched on a tracked `state_at(slot)` (or filled the
+    /// slot itself) first, so `NIL` here is a protocol bug and panics.
+    fn entry(&mut self, slot: u32) -> &mut DirEntry {
+        &mut self.slab.slots[slot as usize].entry
+    }
+
+    fn touch(&mut self, slot: u32) {
         self.tick += 1;
-        let t = self.tick;
-        if let Some(e) = self.entries.get_mut(&line) {
-            e.lru = t;
+        if slot != NIL {
+            self.entry(slot).lru = self.tick;
+            self.slab.move_to_tail(slot);
         }
     }
 
+    /// Handles (or replays) a request; returns the line's slot, which the
+    /// `DI` arm fills when the line was untracked.
     fn handle_request(
         &mut self,
         from: usize,
         mut kind: ReqType,
         line: LineAddr,
+        mut slot: u32,
         out: &mut Vec<OutMsg>,
-    ) -> Result<(), ProtocolError> {
+    ) -> u32 {
         self.stats.requests += 1;
-        self.touch(line);
-        let state = self.state_of(line);
-        match state {
+        self.touch(slot);
+        match self.state_at(slot) {
             DirState::DI => {
                 // Fetch from memory; Upg is reinterpreted (the requester
                 // cannot really hold a copy of an unresident line).
@@ -275,7 +431,13 @@ impl Directory {
                 self.tick += 1;
                 let mut e = DirEntry::new(next, self.tick);
                 e.requester = from;
-                self.entries.insert(line, e);
+                if slot == NIL {
+                    slot = self.slab.alloc(line, e);
+                    self.index.insert(line, slot);
+                } else {
+                    *self.entry(slot) = e; // over a DI placeholder mid-replay
+                    self.slab.move_to_tail(slot);
+                }
                 self.stats.mem_reads += 1;
                 out.push(OutMsg {
                     to: self.mem_node,
@@ -287,7 +449,7 @@ impl Directory {
                     kind = ReqType::Ex;
                     self.stats.reinterpreted += 1;
                 }
-                let e = self.tracked_mut(line);
+                let e = self.entry(slot);
                 e.state = DirState::DM;
                 e.owner = from;
                 let grant = if kind == ReqType::Sh {
@@ -302,15 +464,14 @@ impl Directory {
                 });
             }
             DirState::DS => {
-                if kind == ReqType::Upg && !self.entries[&line].is_sharer(from) {
+                if kind == ReqType::Upg && !self.entry(slot).is_sharer(from) {
                     // The requester's copy died in a race: full exclusive.
                     kind = ReqType::Ex;
                     self.stats.reinterpreted += 1;
                 }
                 match kind {
                     ReqType::Sh => {
-                        let e = self.tracked_mut(line);
-                        e.add_sharer(from);
+                        self.entry(slot).add_sharer(from);
                         self.stats.data_replies += 1;
                         out.push(OutMsg {
                             to: from,
@@ -322,7 +483,7 @@ impl Directory {
                     }
                     ReqType::Ex | ReqType::Upg => {
                         let upgrade = kind == ReqType::Upg;
-                        let e = self.tracked_mut(line);
+                        let e = self.entry(slot);
                         e.remove_sharer(from);
                         let victims = e.sharer_iter();
                         e.acks_pending = e.sharer_count() as u32;
@@ -335,7 +496,7 @@ impl Directory {
                                 msg: CoherenceMsg::Inv { line },
                             });
                         }
-                        let e = self.tracked_mut(line);
+                        let e = self.entry(slot);
                         if e.acks_pending == 0 {
                             e.state = DirState::DM;
                             e.owner = from;
@@ -366,7 +527,8 @@ impl Directory {
                 }
             }
             DirState::DM => {
-                let owner = self.entries[&line].owner;
+                let e = self.entry(slot);
+                let owner = e.owner;
                 if from == owner {
                     // The owner silently dropped a clean E copy and missed
                     // again: regrant directly.
@@ -380,9 +542,8 @@ impl Directory {
                         to: from,
                         msg: CoherenceMsg::Data { grant, line },
                     });
-                    return Ok(());
+                    return slot;
                 }
-                let e = self.tracked_mut(line);
                 e.requester = from;
                 match kind {
                     ReqType::Sh => {
@@ -409,7 +570,7 @@ impl Directory {
             // Transient: stall (`z`) or NACK when the queue is full.
             _ => {
                 let limit = self.deferred_limit;
-                let e = self.tracked_mut(line);
+                let e = self.entry(slot);
                 if e.deferred.len() >= limit {
                     self.stats.nacks += 1;
                     out.push(OutMsg {
@@ -422,64 +583,63 @@ impl Directory {
                 }
             }
         }
-        Ok(())
+        slot
     }
 
     fn handle_writeback(
         &mut self,
         from: usize,
         line: LineAddr,
-        _out: &mut [OutMsg],
+        slot: u32,
     ) -> Result<(), ProtocolError> {
-        let state = self.state_of(line);
-        match state {
+        match self.state_at(slot) {
             DirState::DM => {
                 // Owner eviction: "save/DV".
-                let e = self.tracked_mut(line);
+                let e = self.entry(slot);
                 if e.owner != from {
-                    return Err(self.error(line, "WriteBack(non-owner)"));
+                    return Err(self.error(line, slot, "WriteBack(non-owner)"));
                 }
                 e.state = DirState::DV;
                 e.owner = usize::MAX;
             }
             DirState::DMDSD => {
                 // Crossed with our Dwg: "save/DM.DSᴬ".
-                self.tracked_mut(line).state = DirState::DMDSA;
+                self.entry(slot).state = DirState::DMDSA;
             }
             DirState::DMDMD => {
                 // Crossed with our Inv: "save/DM.DMᴬ".
-                self.tracked_mut(line).state = DirState::DMDMA;
+                self.entry(slot).state = DirState::DMDMA;
             }
             DirState::DMDID => {
                 // Crossed with our eviction Inv: "save/DS.DIᴬ" — still owe
                 // one ack (the ex-owner answers the Inv from I).
-                let e = self.tracked_mut(line);
+                let e = self.entry(slot);
                 e.state = DirState::DSDIA;
                 e.acks_pending = 1;
             }
-            _ => return Err(self.error(line, "WriteBack")),
+            _ => return Err(self.error(line, slot, "WriteBack")),
         }
         Ok(())
     }
 
+    /// Returns the line's slot: an ack that completes an eviction frees it.
     fn handle_inv_ack(
         &mut self,
-        _from: usize,
         line: LineAddr,
+        slot: u32,
         out: &mut Vec<OutMsg>,
-    ) -> Result<(), ProtocolError> {
-        let state = self.state_of(line);
-        match state {
+    ) -> Result<u32, ProtocolError> {
+        match self.state_at(slot) {
             DirState::DSDIA => {
-                let e = self.tracked_mut(line);
+                let e = self.entry(slot);
                 e.acks_pending -= 1;
                 if e.acks_pending == 0 {
                     // "evict/DI": push the L2 copy back to memory.
-                    self.remove_with_memory_writeback(line, out);
+                    return Ok(self.remove_with_memory_writeback(line, slot, out));
                 }
             }
             DirState::DSDMDA => {
-                let e = self.tracked_mut(line);
+                let e = self.entry(slot);
                 e.acks_pending -= 1;
                 if e.acks_pending == 0 {
                     e.state = DirState::DM;
@@ -496,7 +656,7 @@ impl Directory {
                 }
             }
             DirState::DSDMA => {
-                let e = self.tracked_mut(line);
+                let e = self.entry(slot);
                 e.acks_pending -= 1;
                 if e.acks_pending == 0 {
                     e.state = DirState::DM;
@@ -511,11 +671,11 @@ impl Directory {
             }
             DirState::DMDID => {
                 // "save & evict/DI".
-                self.remove_with_memory_writeback(line, out);
+                return Ok(self.remove_with_memory_writeback(line, slot, out));
             }
             DirState::DMDMD | DirState::DMDMA => {
                 // "save & fwd/DM" (DMDMD) or "Data(M)/DM" (DMDMA).
-                let e = self.tracked_mut(line);
+                let e = self.entry(slot);
                 e.state = DirState::DM;
                 e.owner = e.requester;
                 let to = e.requester;
@@ -528,24 +688,22 @@ impl Directory {
                     },
                 });
             }
-            _ => return Err(self.error(line, "InvAck")),
+            _ => return Err(self.error(line, slot, "InvAck")),
         }
-        Ok(())
+        Ok(slot)
     }
 
     fn handle_dwg_ack(
         &mut self,
-        _from: usize,
         line: LineAddr,
-        _with_data: bool,
+        slot: u32,
         out: &mut Vec<OutMsg>,
     ) -> Result<(), ProtocolError> {
-        let state = self.state_of(line);
-        match state {
+        match self.state_at(slot) {
             DirState::DMDSD => {
                 // "save & fwd": the owner keeps a shared copy; the
                 // requester joins as a sharer.
-                let e = self.tracked_mut(line);
+                let e = self.entry(slot);
                 e.state = DirState::DS;
                 let owner = e.owner;
                 let req = e.requester;
@@ -564,7 +722,7 @@ impl Directory {
             }
             DirState::DMDSA => {
                 // Owner evicted mid-downgrade: requester is the only copy.
-                let e = self.tracked_mut(line);
+                let e = self.entry(slot);
                 e.state = DirState::DM;
                 e.owner = e.requester;
                 let to = e.requester;
@@ -577,7 +735,7 @@ impl Directory {
                     },
                 });
             }
-            _ => return Err(self.error(line, "DwgAck")),
+            _ => return Err(self.error(line, slot, "DwgAck")),
         }
         Ok(())
     }
@@ -585,13 +743,14 @@ impl Directory {
     fn handle_mem_ack(
         &mut self,
         line: LineAddr,
+        slot: u32,
         out: &mut Vec<OutMsg>,
     ) -> Result<(), ProtocolError> {
-        let state = self.state_of(line);
+        let state = self.state_at(slot);
         match state {
             DirState::DIDSD | DirState::DIDMD => {
                 // "repl & fwd/DM".
-                let e = self.tracked_mut(line);
+                let e = self.entry(slot);
                 e.state = DirState::DM;
                 e.owner = e.requester;
                 let grant = if state == DirState::DIDSD {
@@ -606,113 +765,97 @@ impl Directory {
                     msg: CoherenceMsg::Data { grant, line },
                 });
             }
-            _ => return Err(self.error(line, "MemAck")),
+            _ => return Err(self.error(line, slot, "MemAck")),
         }
         Ok(())
     }
 
-    /// Removes a line, writing the L2 copy back to memory, and leaves any
-    /// deferred requests attached for [`drain_deferred`](Self::handle) to
-    /// replay against the now-DI line.
-    fn remove_with_memory_writeback(&mut self, line: LineAddr, out: &mut Vec<OutMsg>) {
+    /// Drops the line in `slot`, writing the L2 copy back to memory.
+    /// Deferred requests stay behind on a `DI` placeholder in the same
+    /// slot for [`drain_deferred`](Self::handle_into) to replay against
+    /// the now-DI line. Returns the line's slot afterwards.
+    fn remove_with_memory_writeback(
+        &mut self,
+        line: LineAddr,
+        slot: u32,
+        out: &mut Vec<OutMsg>,
+    ) -> u32 {
         self.stats.mem_writes += 1;
         out.push(OutMsg {
             to: self.mem_node,
             msg: CoherenceMsg::MemReq { line, write: true },
         });
-        let deferred = self
-            .entries
-            .remove(&line)
-            .map(|e| e.deferred)
-            .unwrap_or_default();
-        if !deferred.is_empty() {
-            // Stash the queue on a fresh DI placeholder so the replay loop
-            // finds it. (The placeholder is dropped if the replay empties
-            // it without re-tracking the line.)
-            self.tick += 1;
-            let mut e = DirEntry::new(DirState::DI, self.tick);
-            e.deferred = deferred;
-            self.entries.insert(line, e);
+        let deferred = std::mem::take(&mut self.entry(slot).deferred);
+        if deferred.is_empty() {
+            self.index.remove(&line);
+            self.slab.release(slot);
+            return NIL;
         }
+        self.tick += 1;
+        let mut e = DirEntry::new(DirState::DI, self.tick);
+        e.deferred = deferred;
+        *self.entry(slot) = e;
+        self.slab.move_to_tail(slot);
+        slot
     }
 
-    /// Replays deferred requests while the line is stable (or DI).
-    fn drain_deferred(
-        &mut self,
-        line: LineAddr,
-        out: &mut Vec<OutMsg>,
-    ) -> Result<(), ProtocolError> {
+    /// Replays deferred requests while the line is stable (or DI);
+    /// returns the line's slot afterwards.
+    fn drain_deferred(&mut self, line: LineAddr, mut slot: u32, out: &mut Vec<OutMsg>) -> u32 {
         for _ in 0..64 {
-            let state = self.state_of(line);
-            if !state.is_stable() {
-                return Ok(());
+            if slot == NIL {
+                break;
             }
-            let next = match self.entries.get_mut(&line) {
-                Some(e) => e.deferred.pop_front(),
-                None => None,
-            };
-            // Drop an empty DI placeholder left by an eviction.
-            if let Some(e) = self.entries.get(&line) {
-                if e.state == DirState::DI && e.deferred.is_empty() && next.is_none() {
-                    self.entries.remove(&line);
+            let e = self.entry(slot);
+            if !e.state.is_stable() {
+                break;
+            }
+            let Some((from, kind)) = e.deferred.pop_front() else {
+                if e.state == DirState::DI {
+                    // An emptied placeholder: the line is untracked again.
+                    self.index.remove(&line);
+                    self.slab.release(slot);
+                    slot = NIL;
                 }
-            }
-            let Some((from, kind)) = next else {
-                return Ok(());
+                break;
             };
             // Re-dispatch; a deferred Upg against a line the requester no
-            // longer shares is reinterpreted inside `handle_request`.
-            let stash = match self.entries.get_mut(&line) {
-                Some(e) if e.state == DirState::DI => {
-                    // Temporarily pull the placeholder so DI handling can
-                    // insert a fresh transient entry; re-attach leftovers.
-                    let rest = std::mem::take(&mut e.deferred);
-                    self.entries.remove(&line);
-                    rest
-                }
-                _ => VecDeque::new(),
+            // longer shares is reinterpreted inside `handle_request`. DI
+            // handling overwrites the placeholder with a fresh transient
+            // entry, so carry the rest of its queue over.
+            let rest = if e.state == DirState::DI {
+                std::mem::take(&mut e.deferred)
+            } else {
+                VecDeque::new()
             };
-            self.handle_request(from, kind, line, out)?;
-            if !stash.is_empty() {
-                if let Some(e) = self.entries.get_mut(&line) {
-                    for item in stash {
-                        e.deferred.push_back(item);
-                    }
-                } else {
-                    self.tick += 1;
-                    let mut e = DirEntry::new(DirState::DI, self.tick);
-                    e.deferred = stash;
-                    self.entries.insert(line, e);
-                }
-            }
+            slot = self.handle_request(from, kind, line, slot, out);
+            self.entry(slot).deferred.extend(rest);
         }
-        Ok(())
+        slot
     }
 
     /// Evicts LRU stable lines while over capacity ("Repl" events).
-    fn enforce_capacity(&mut self, out: &mut Vec<OutMsg>) -> Result<(), ProtocolError> {
-        while self.entries.len() > self.capacity_lines {
-            let victim = self
-                .entries
-                .iter()
-                .filter(|(_, e)| e.state.is_stable() && e.deferred.is_empty())
-                .min_by_key(|(_, e)| e.lru)
-                .map(|(l, _)| *l);
-            let Some(line) = victim else {
-                return Ok(()); // everything is in flight; allow overflow
-            };
+    fn enforce_capacity(&mut self, out: &mut Vec<OutMsg>) {
+        while self.index.len() > self.capacity_lines {
+            let slot = self.slab.victim();
+            #[cfg(debug_assertions)]
+            self.check_victim(slot);
+            if slot == NIL {
+                return; // everything is in flight; allow overflow
+            }
             self.stats.evictions += 1;
-            match self.state_of(line) {
+            let line = self.slab.slots[slot as usize].line;
+            let e = self.entry(slot);
+            match e.state {
                 DirState::DV | DirState::DI => {
-                    self.remove_with_memory_writeback(line, out);
+                    self.remove_with_memory_writeback(line, slot, out);
                 }
                 DirState::DS => {
-                    let e = self.tracked_mut(line);
                     let victims = e.sharer_iter();
                     e.acks_pending = e.sharer_count() as u32;
                     e.sharers.clear();
                     if e.acks_pending == 0 {
-                        self.remove_with_memory_writeback(line, out);
+                        self.remove_with_memory_writeback(line, slot, out);
                     } else {
                         e.state = DirState::DSDIA;
                         for v in victims {
@@ -725,7 +868,6 @@ impl Directory {
                     }
                 }
                 DirState::DM => {
-                    let e = self.tracked_mut(line);
                     e.state = DirState::DMDID;
                     let owner = e.owner;
                     self.stats.invalidations += 1;
@@ -737,7 +879,39 @@ impl Directory {
                 _ => unreachable!("victims are stable"),
             }
         }
-        Ok(())
+    }
+
+    /// The reference the LRU list is checked against: the list covers
+    /// exactly the indexed slots in strictly ascending `lru` order, and
+    /// its victim is the full scan's `min_by_key(lru)` over the evictable
+    /// entries.
+    #[cfg(any(debug_assertions, test))]
+    fn check_victim(&self, victim: u32) {
+        let slots = &self.slab.slots;
+        let (mut s, mut prev, mut listed) = (self.slab.head, NIL, 0);
+        while s != NIL {
+            let slot = &slots[s as usize];
+            assert_eq!(
+                self.index.get(&slot.line),
+                Some(&s),
+                "listed slot is indexed"
+            );
+            assert_eq!(slot.prev, prev, "back link");
+            assert!(prev == NIL || slots[prev as usize].entry.lru < slot.entry.lru);
+            (prev, s, listed) = (s, slot.next, listed + 1);
+        }
+        assert_eq!(self.slab.tail, prev);
+        assert_eq!(listed, self.index.len(), "every indexed slot is listed");
+        let scanned = self
+            .index
+            .values()
+            .filter(|&&s| slots[s as usize].entry.evictable())
+            .min_by_key(|&&s| slots[s as usize].entry.lru);
+        assert_eq!(
+            scanned.copied().unwrap_or(NIL),
+            victim,
+            "list victim == scan victim"
+        );
     }
 }
 
@@ -1291,5 +1465,91 @@ mod tests {
             .iter()
             .any(|m| matches!(m.msg, CoherenceMsg::MemReq { write: false, .. })));
         assert_eq!(d.state_of(victim), DirState::DIDSD);
+    }
+
+    // ----- the slab and its LRU list ------------------------------------
+
+    fn nth(i: u64) -> LineAddr {
+        LineAddr(0x1000 + i * 32)
+    }
+
+    /// Lines in LRU-list order, head (oldest) first, after checking the
+    /// list against the index and the full-scan victim.
+    fn lru_order(d: &Directory) -> Vec<LineAddr> {
+        d.check_victim(d.slab.victim());
+        let mut order = Vec::new();
+        let mut s = d.slab.head;
+        while s != NIL {
+            order.push(d.slab.slots[s as usize].line);
+            s = d.slab.slots[s as usize].next;
+        }
+        order
+    }
+
+    #[test]
+    fn freed_slots_are_reused() {
+        let mut d = Directory::new(0, 99, 4);
+        for i in 0..40 {
+            to_dv(&mut d, nth(i)); // each fifth DV line evicts the oldest
+            lru_order(&d);
+        }
+        assert_eq!(d.tracked(), 4);
+        assert_eq!(d.stats().evictions, 36);
+        assert_eq!(d.slab.slots.len(), 5, "capacity + the insert that evicts");
+        assert_eq!(d.slab.slots.capacity(), 5, "reserved once, never regrown");
+    }
+
+    #[test]
+    fn touch_moves_any_list_position_to_the_tail() {
+        let mut d = dir();
+        for i in 0..4 {
+            assert!(d.preload(nth(i)));
+        }
+        assert!(!d.preload(nth(2)), "already tracked");
+        assert_eq!(lru_order(&d), [nth(0), nth(1), nth(2), nth(3)]);
+        let touch = |d: &mut Directory, i| {
+            d.handle(1, req(ReqType::Sh, nth(i))).unwrap(); // DV -> DM
+            d.handle(1, CoherenceMsg::WriteBack { line: nth(i) })
+                .unwrap();
+        };
+        touch(&mut d, 3); // the tail stays put
+        assert_eq!(lru_order(&d), [nth(0), nth(1), nth(2), nth(3)]);
+        touch(&mut d, 0); // the head
+        assert_eq!(lru_order(&d), [nth(1), nth(2), nth(3), nth(0)]);
+        touch(&mut d, 3); // the middle
+        assert_eq!(lru_order(&d), [nth(1), nth(2), nth(0), nth(3)]);
+    }
+
+    #[test]
+    fn victim_walk_skips_lines_in_flight_and_lines_with_deferred_requests() {
+        let mut d = dir();
+        d.handle(1, req(ReqType::Sh, nth(0))).unwrap(); // DIDSD: transient
+        for i in 1..4 {
+            assert!(d.preload(nth(i)));
+        }
+        let slot_of = |d: &Directory, i| d.index[&nth(i)];
+        let s1 = slot_of(&d, 1);
+        d.entry(s1).deferred.push_back((2, ReqType::Sh));
+        assert_eq!(lru_order(&d), [nth(0), nth(1), nth(2), nth(3)]);
+        assert_eq!(d.slab.victim(), slot_of(&d, 2));
+        d.entry(s1).deferred.clear();
+        assert_eq!(d.slab.victim(), s1);
+        lru_order(&d);
+    }
+
+    #[test]
+    fn everything_in_flight_overflows_instead_of_evicting() {
+        let mut d = Directory::new(0, 99, 4);
+        for i in 0..6 {
+            d.handle(1, req(ReqType::Ex, nth(i))).unwrap(); // all DIDMD
+        }
+        assert_eq!(d.slab.victim(), NIL);
+        assert_eq!((d.tracked(), d.stats().evictions), (6, 0));
+        // The first fill makes one line evictable; it goes at once (DM:
+        // an Inv to its owner), the rest still overflow.
+        d.handle(99, CoherenceMsg::MemAck { line: nth(0) }).unwrap();
+        assert_eq!(d.state_of(nth(0)), DirState::DMDID);
+        assert_eq!((d.tracked(), d.stats().evictions), (6, 1));
+        lru_order(&d);
     }
 }

@@ -1082,142 +1082,169 @@ fn l1_never_errors_under_legal_stimuli() {
     );
 }
 
+/// A directory slice of `capacity` lines serving perfectly-behaved L1s
+/// (nodes 1..=3: immediate acks, Table 2-conformant replies) over `lines`.
+/// `ops` are `(node, action, line)` picks, applied `batch` at a time (at
+/// most one per node) before the wire drains, so with `batch > 1` requests
+/// meet lines another node's request or an eviction left transient. Panics
+/// unless the directory never takes an error transition and always
+/// quiesces in base states that agree with the L1s' actual states, within
+/// its capacity.
+fn drive_legal_stream(ops: &[(u8, u8, u8)], lines: &[LineAddr], capacity: usize, batch: usize) {
+    let mut d = Directory::new(0, MEM, capacity);
+    // states[node][line-index]; nodes 1..=3 are the fake L1s.
+    let mut states = vec![[L1State::I; 4]; lines.len()];
+    let mut wire: std::collections::VecDeque<(usize, CoherenceMsg)> =
+        std::collections::VecDeque::new();
+    for chunk in ops.chunks(batch) {
+        let mut acted = [false; 4];
+        for &(n, kind, li) in chunk {
+            let node = 1 + (n as usize % 3);
+            if std::mem::replace(&mut acted[node], true) {
+                continue;
+            }
+            let li = li as usize % lines.len();
+            let line = lines[li];
+            match (states[li][node], kind) {
+                (L1State::I, 0) => wire.push_back((
+                    node,
+                    CoherenceMsg::Req {
+                        kind: ReqType::Sh,
+                        line,
+                    },
+                )),
+                (L1State::I, 1) => wire.push_back((
+                    node,
+                    CoherenceMsg::Req {
+                        kind: ReqType::Ex,
+                        line,
+                    },
+                )),
+                (L1State::S, 1) => wire.push_back((
+                    node,
+                    CoherenceMsg::Req {
+                        kind: ReqType::Upg,
+                        line,
+                    },
+                )),
+                (L1State::S, 2) | (L1State::E, 2) => states[li][node] = L1State::I,
+                (L1State::E, 1) => states[li][node] = L1State::M,
+                (L1State::M, 2) => {
+                    states[li][node] = L1State::I;
+                    wire.push_back((node, CoherenceMsg::WriteBack { line }));
+                }
+                _ => {} // hits and no-ops
+            }
+        }
+        while let Some((from, msg)) = wire.pop_front() {
+            let outs = d
+                .handle(from, msg)
+                .unwrap_or_else(|e| panic!("directory error: {e}"));
+            for o in outs {
+                let line = o.msg.line();
+                let Some(li) = lines.iter().position(|&l| l == line) else {
+                    continue;
+                };
+                if o.to == MEM {
+                    if let CoherenceMsg::MemReq { write: false, .. } = o.msg {
+                        wire.push_back((MEM, CoherenceMsg::MemAck { line }));
+                    }
+                    continue;
+                }
+                let st = &mut states[li][o.to];
+                match o.msg {
+                    CoherenceMsg::Inv { .. } => {
+                        let dirty = *st == L1State::M;
+                        *st = L1State::I;
+                        wire.push_back((
+                            o.to,
+                            CoherenceMsg::InvAck {
+                                line,
+                                with_data: dirty,
+                            },
+                        ));
+                    }
+                    CoherenceMsg::Dwg { .. } => {
+                        let dirty = *st == L1State::M;
+                        if matches!(*st, L1State::E | L1State::M) {
+                            *st = L1State::S;
+                        }
+                        wire.push_back((
+                            o.to,
+                            CoherenceMsg::DwgAck {
+                                line,
+                                with_data: dirty,
+                            },
+                        ));
+                    }
+                    CoherenceMsg::Data { grant, .. } => {
+                        *st = match grant {
+                            Grant::Shared => L1State::S,
+                            Grant::Exclusive => L1State::E,
+                            Grant::Modified => L1State::M,
+                        };
+                    }
+                    CoherenceMsg::ExcAck { .. } => *st = L1State::M,
+                    CoherenceMsg::Retry { .. } => {} // request dropped
+                    _ => {}
+                }
+            }
+        }
+        assert!(
+            d.tracked() <= capacity,
+            "{} lines tracked with nothing in flight",
+            d.tracked()
+        );
+        for (li, &line) in lines.iter().enumerate() {
+            let ds = d.state_of(line);
+            assert!(
+                matches!(
+                    ds,
+                    DirState::DI | DirState::DV | DirState::DM | DirState::DS
+                ),
+                "{line}: directory not quiescent: {ds:?}"
+            );
+            for (node, l1) in states[li].iter().enumerate().skip(1) {
+                match l1 {
+                    L1State::E | L1State::M => {
+                        assert_eq!(ds, DirState::DM, "{line}: writable outside DM");
+                        assert_eq!(d.owner_of(line), Some(node));
+                    }
+                    L1State::S => {
+                        assert_eq!(ds, DirState::DS, "{line}: S outside DS");
+                        assert!(d.sharers_of(line).contains(&node));
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+}
+
 /// Doc-adjacent property: a directory slice serving perfectly-behaved L1s
-/// (immediate acks, Table 2-conformant replies) never takes an error
-/// transition and always quiesces in a base state that agrees with the
-/// L1s' actual states.
+/// never takes an error transition and always quiesces in a base state
+/// that agrees with the L1s' actual states.
 #[test]
 fn directory_never_errors_under_legal_streams() {
     checker!().check(
         "directory_never_errors_under_legal_streams",
         vec_of((0u8..3, 0u8..4, 0u8..2), 1..60),
-        |ops| {
-            let lines = [LineAddr(0x400), LineAddr(0x800)];
-            let mut d = Directory::new(0, MEM, 1024);
-            // states[node][line-index]; nodes 1..=3 are the fake L1s.
-            let mut states = [[L1State::I; 2]; 4];
-            let mut wire: std::collections::VecDeque<(usize, CoherenceMsg)> =
-                std::collections::VecDeque::new();
-            for &(n, kind, li) in ops {
-                let node = 1 + (n as usize % 3);
-                let li = li as usize % 2;
-                let line = lines[li];
-                match (states[node][li], kind) {
-                    (L1State::I, 0) => wire.push_back((
-                        node,
-                        CoherenceMsg::Req {
-                            kind: ReqType::Sh,
-                            line,
-                        },
-                    )),
-                    (L1State::I, 1) => wire.push_back((
-                        node,
-                        CoherenceMsg::Req {
-                            kind: ReqType::Ex,
-                            line,
-                        },
-                    )),
-                    (L1State::S, 1) => wire.push_back((
-                        node,
-                        CoherenceMsg::Req {
-                            kind: ReqType::Upg,
-                            line,
-                        },
-                    )),
-                    (L1State::S, 2) | (L1State::E, 2) => states[node][li] = L1State::I,
-                    (L1State::E, 1) => states[node][li] = L1State::M,
-                    (L1State::M, 2) => {
-                        states[node][li] = L1State::I;
-                        wire.push_back((node, CoherenceMsg::WriteBack { line }));
-                    }
-                    _ => {} // hits and no-ops
-                }
-                while let Some((from, msg)) = wire.pop_front() {
-                    let outs = d
-                        .handle(from, msg)
-                        .unwrap_or_else(|e| panic!("directory error: {e}"));
-                    for o in outs {
-                        let li = lines.iter().position(|&l| {
-                            matches!(&o.msg,
-                                CoherenceMsg::Inv { line }
-                                | CoherenceMsg::Dwg { line }
-                                | CoherenceMsg::Data { line, .. }
-                                | CoherenceMsg::ExcAck { line }
-                                | CoherenceMsg::MemReq { line, .. }
-                                | CoherenceMsg::Retry { line } if *line == l)
-                        });
-                        let Some(li) = li else { continue };
-                        let line = lines[li];
-                        if o.to == MEM {
-                            if let CoherenceMsg::MemReq { write: false, .. } = o.msg {
-                                wire.push_back((MEM, CoherenceMsg::MemAck { line }));
-                            }
-                            continue;
-                        }
-                        let st = &mut states[o.to][li];
-                        match o.msg {
-                            CoherenceMsg::Inv { .. } => {
-                                let dirty = *st == L1State::M;
-                                *st = L1State::I;
-                                wire.push_back((
-                                    o.to,
-                                    CoherenceMsg::InvAck {
-                                        line,
-                                        with_data: dirty,
-                                    },
-                                ));
-                            }
-                            CoherenceMsg::Dwg { .. } => {
-                                let dirty = *st == L1State::M;
-                                if matches!(*st, L1State::E | L1State::M) {
-                                    *st = L1State::S;
-                                }
-                                wire.push_back((
-                                    o.to,
-                                    CoherenceMsg::DwgAck {
-                                        line,
-                                        with_data: dirty,
-                                    },
-                                ));
-                            }
-                            CoherenceMsg::Data { grant, .. } => {
-                                *st = match grant {
-                                    Grant::Shared => L1State::S,
-                                    Grant::Exclusive => L1State::E,
-                                    Grant::Modified => L1State::M,
-                                };
-                            }
-                            CoherenceMsg::ExcAck { .. } => *st = L1State::M,
-                            CoherenceMsg::Retry { .. } => {} // request dropped
-                            _ => {}
-                        }
-                    }
-                }
-                for (li, &line) in lines.iter().enumerate() {
-                    let ds = d.state_of(line);
-                    assert!(
-                        matches!(
-                            ds,
-                            DirState::DI | DirState::DV | DirState::DM | DirState::DS
-                        ),
-                        "{line}: directory not quiescent: {ds:?}"
-                    );
-                    #[allow(clippy::needless_range_loop)] // node also indexes the directory
-                    for node in 1..=3usize {
-                        match states[node][li] {
-                            L1State::E | L1State::M => {
-                                assert_eq!(ds, DirState::DM, "{line}: writable outside DM");
-                                assert_eq!(d.owner_of(line), Some(node));
-                            }
-                            L1State::S => {
-                                assert_eq!(ds, DirState::DS, "{line}: S outside DS");
-                                assert!(d.sharers_of(line).contains(&node));
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-        },
+        |ops| drive_legal_stream(ops, &[LineAddr(0x400), LineAddr(0x800)], 1024, 1),
+    );
+}
+
+/// The same streams squeezed through a four-line slice, three ops at a
+/// time over twelve lines: capacity evictions of shared and owned lines,
+/// requests deferred behind them, DI placeholders and their replays (a
+/// placeholder in about one case of five, hence the larger case count). In a
+/// debug build every eviction also checks the directory's LRU list against
+/// the full-scan victim choice it replaced.
+#[test]
+fn directory_never_errors_under_eviction_pressure() {
+    let lines: Vec<LineAddr> = (0..12).map(|i| LineAddr(0x400 * (i + 1))).collect();
+    checker!().cases(256).check(
+        "directory_never_errors_under_eviction_pressure",
+        vec_of((0u8..3, 0u8..4, 0u8..12), 1..120),
+        |ops| drive_legal_stream(ops, &lines, 4, 3),
     );
 }

@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
-# Local mirror of .github/workflows/ci.yml: the same four tiers, in the
+# Local mirror of .github/workflows/ci.yml: the same tiers, in the
 # same order, with the same commands — green here means green in CI.
 #
 # Usage:
 #   scripts/ci.sh                 # all tiers in order: quick lint full bench
+#                                 # scale (tsan runs only when named)
 #   scripts/ci.sh --tier quick    # fmt check + build + test
 #   scripts/ci.sh --tier lint     # fsoi-lint check + clippy
 #   scripts/ci.sh --tier full     # scripts/verify.sh (incl. lint + trace build)
@@ -11,7 +12,9 @@
 #                                 # layered benchmark's smoke run
 #   scripts/ci.sh --tier scale    # beyond-the-paper grids: 64-node four-network
 #                                 # smoke grid + a single 256-node cell, with
-#                                 # shape-class and byte-identity assertions
+#                                 # shape-class and byte-identity assertions,
+#                                 # then one unoptimized 256-node test with the
+#                                 # directory's eviction cross-check live
 #   scripts/ci.sh --tier tsan     # ThreadSanitizer pass over fsoi-sim (needs nightly;
 #                                 # optional — skipped with a notice when unavailable)
 set -eu
@@ -21,7 +24,7 @@ TIER=all
 while [ $# -gt 0 ]; do
     case "$1" in
         --tier) TIER=$2; shift 2 ;;
-        *) echo "ci.sh: unknown argument $1 (usage: ci.sh [--tier quick|lint|full|bench|scale|all])" >&2; exit 2 ;;
+        *) echo "ci.sh: unknown argument $1 (usage: ci.sh [--tier quick|lint|full|bench|scale|tsan|all])" >&2; exit 2 ;;
     esac
 done
 
@@ -87,6 +90,11 @@ tier_scale() {
     cargo run -q --release --offline -p fsoi-bench --bin experiments -- \
         grid --nodes 256 --ops 50 --apps mp --out target/GRID_256.txt
     echo "scale: grid summaries written to target/GRID_64.txt and target/GRID_256.txt"
+    # The grids above are release builds, where the directory's debug
+    # cross-check (LRU-list victim == full-scan victim, list invariant) is
+    # compiled out. One debug-build test by name puts four-word sharer
+    # masks, capacity evictions and that cross-check together.
+    cargo test -q --offline -p fsoi-cmp evictions_at_256_nodes_are_cross_checked
 }
 
 tier_tsan() {
