@@ -171,7 +171,6 @@ pub trait Interconnect: std::fmt::Debug + Send + Sync {
 pub struct FsoiAdapter {
     net: FsoiNetwork,
     power: FsoiPowerModel,
-    delivered_bits: u64,
 }
 
 impl FsoiAdapter {
@@ -180,7 +179,6 @@ impl FsoiAdapter {
         FsoiAdapter {
             net,
             power: FsoiPowerModel::paper_default(),
-            delivered_bits: 0,
         }
     }
 
@@ -192,11 +190,6 @@ impl FsoiAdapter {
     /// Mutable access to the wrapped network.
     pub fn network_mut(&mut self) -> &mut FsoiNetwork {
         &mut self.net
-    }
-
-    /// Total payload bits delivered so far.
-    pub fn delivered_bits(&self) -> u64 {
-        self.delivered_bits
     }
 }
 
@@ -220,22 +213,16 @@ impl Interconnect for FsoiAdapter {
         self.net
             .drain_delivered()
             .into_iter()
-            .map(|d| {
-                self.delivered_bits += match d.packet.class {
-                    PacketClass::Meta => 72,
-                    PacketClass::Data => 360,
-                };
-                NetDelivery {
-                    packet: NetPacket {
-                        src: d.packet.src.0,
-                        dst: d.packet.dst.0,
-                        class: d.packet.class,
-                        tag: d.packet.tag,
-                        scheduling_delay: d.packet.scheduling_delay,
-                    },
-                    latency: d.breakdown.total(),
-                    retries: d.packet.retries,
-                }
+            .map(|d| NetDelivery {
+                packet: NetPacket {
+                    src: d.packet.src.0,
+                    dst: d.packet.dst.0,
+                    class: d.packet.class,
+                    tag: d.packet.tag,
+                    scheduling_delay: d.packet.scheduling_delay,
+                },
+                latency: d.breakdown.total(),
+                retries: d.packet.retries,
             })
             .collect()
     }

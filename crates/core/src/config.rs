@@ -2,14 +2,16 @@
 
 use crate::backoff::BackoffPolicy;
 use crate::lane::Lanes;
+use crate::packet::PacketClass;
 use fsoi_sim::det::NodeMask;
 
 /// A rejected network configuration, carrying the offending value.
 ///
-/// Node-count limits are enforced here, at construction time, instead of
-/// surfacing later as `NodeMask` capacity asserts deep inside a running
-/// simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Every field of [`FsoiConfig`] is public, so a literal can hold anything;
+/// these are the values that would otherwise surface as an assert, a
+/// division by zero or a network that never drains deep inside a running
+/// simulation instead of at construction time.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
     /// Fewer than two nodes — there is nobody to talk to.
     TooFewNodes {
@@ -22,6 +24,31 @@ pub enum ConfigError {
         nodes: usize,
         /// The hard capacity ([`NodeMask::CAPACITY`]).
         capacity: usize,
+    },
+    /// A lane with no VCSELs cannot serialize anything.
+    ZeroVcsels {
+        /// The offending lane.
+        lane: PacketClass,
+    },
+    /// A lane whose packets have no bits has a zero-cycle slot: no cycle is
+    /// ever a slot boundary and queued packets never leave.
+    ZeroPacketBits {
+        /// The offending lane.
+        lane: PacketClass,
+    },
+    /// A lane nobody can receive on.
+    ZeroReceivers {
+        /// The offending lane.
+        lane: PacketClass,
+    },
+    /// `lanes.bits_per_cycle_per_vcsel` is zero.
+    ZeroBitRate,
+    /// `outgoing_queue_capacity` is zero: every injection would be refused.
+    ZeroQueueCapacity,
+    /// `bit_error_rate` is not a probability in `0.0..=0.1`.
+    BitErrorRate {
+        /// The requested rate.
+        ber: f64,
     },
 }
 
@@ -36,6 +63,16 @@ impl std::fmt::Display for ConfigError {
                 "{nodes} nodes exceed the NodeMask capacity of {capacity} \
                  (sharer/subscription tracking uses dense per-node bitmasks)"
             ),
+            ConfigError::ZeroVcsels { lane } => write!(f, "the {lane:?} lane has no VCSELs"),
+            ConfigError::ZeroPacketBits { lane } => {
+                write!(f, "the {lane:?} lane carries zero-bit packets")
+            }
+            ConfigError::ZeroReceivers { lane } => write!(f, "the {lane:?} lane has no receivers"),
+            ConfigError::ZeroBitRate => write!(f, "VCSELs carry zero bits per cycle"),
+            ConfigError::ZeroQueueCapacity => write!(f, "outgoing queues hold zero packets"),
+            ConfigError::BitErrorRate { ber } => {
+                write!(f, "bit error rate {ber} is not a probability in 0.0..=0.1")
+            }
         }
     }
 }
@@ -113,16 +150,7 @@ impl FsoiConfig {
     /// capacity, and a violation would otherwise only surface as an
     /// assert deep inside a running simulation).
     pub fn try_nodes(n: usize) -> Result<Self, ConfigError> {
-        if n < 2 {
-            return Err(ConfigError::TooFewNodes { nodes: n });
-        }
-        if n > NodeMask::CAPACITY {
-            return Err(ConfigError::TooManyNodes {
-                nodes: n,
-                capacity: NodeMask::CAPACITY,
-            });
-        }
-        Ok(FsoiConfig {
+        let cfg = FsoiConfig {
             nodes: n,
             lanes: Lanes::paper_default(),
             array: if n > 16 {
@@ -136,7 +164,48 @@ impl FsoiConfig {
             hints: true,
             request_spacing: true,
             bit_error_rate: 1e-10,
-        })
+        };
+        cfg.validate().map(|()| cfg)
+    }
+
+    /// Checks the limits the network relies on.
+    /// [`FsoiNetwork::new`](crate::network::FsoiNetwork::new) panics on a
+    /// configuration that fails this.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.nodes < 2 {
+            return Err(ConfigError::TooFewNodes { nodes: self.nodes });
+        }
+        if self.nodes > NodeMask::CAPACITY {
+            return Err(ConfigError::TooManyNodes {
+                nodes: self.nodes,
+                capacity: NodeMask::CAPACITY,
+            });
+        }
+        for lane in PacketClass::ALL {
+            let spec = self.lanes.spec(lane);
+            if spec.vcsels == 0 {
+                return Err(ConfigError::ZeroVcsels { lane });
+            }
+            if spec.packet_bits == 0 {
+                return Err(ConfigError::ZeroPacketBits { lane });
+            }
+            if spec.receivers == 0 {
+                return Err(ConfigError::ZeroReceivers { lane });
+            }
+        }
+        if self.lanes.bits_per_cycle_per_vcsel == 0 {
+            return Err(ConfigError::ZeroBitRate);
+        }
+        if self.outgoing_queue_capacity == 0 {
+            return Err(ConfigError::ZeroQueueCapacity);
+        }
+        // A NaN fails the range test too.
+        if !(0.0..=0.1).contains(&self.bit_error_rate) {
+            return Err(ConfigError::BitErrorRate {
+                ber: self.bit_error_rate,
+            });
+        }
+        Ok(())
     }
 
     /// Builder-style: replaces the lane configuration.
@@ -200,7 +269,6 @@ impl FsoiConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::PacketClass;
 
     #[test]
     fn sixteen_nodes_use_dedicated_lanes() {
@@ -271,6 +339,96 @@ mod tests {
         // the old u128 representation rejected.
         assert!(FsoiConfig::try_nodes(200).is_ok());
         assert!(FsoiConfig::try_nodes(256).is_ok());
+    }
+
+    /// The paper's 16-node configuration with one field overwritten, as a
+    /// struct literal or a field assignment can; returns what `validate`
+    /// says about it.
+    fn rejected(tweak: impl Fn(&mut FsoiConfig)) -> ConfigError {
+        let mut c = FsoiConfig::nodes(16);
+        tweak(&mut c);
+        c.validate().expect_err("the tweak must be rejected")
+    }
+
+    #[test]
+    fn paper_configurations_validate_clean() {
+        for n in [16, 64, 256] {
+            assert_eq!(FsoiConfig::nodes(n).validate(), Ok(()));
+        }
+        for lanes in [Lanes::paper_default(), Lanes::fig11_base()] {
+            assert_eq!(FsoiConfig::nodes(16).with_lanes(lanes).validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_node_count_edited_after_construction() {
+        assert_eq!(
+            rejected(|c| c.nodes = 1),
+            ConfigError::TooFewNodes { nodes: 1 }
+        );
+        assert_eq!(
+            rejected(|c| c.nodes = 257),
+            ConfigError::TooManyNodes {
+                nodes: 257,
+                capacity: 256
+            }
+        );
+    }
+
+    #[test]
+    fn validate_rejects_zero_vcsels() {
+        let lane = PacketClass::Meta;
+        assert_eq!(
+            rejected(|c| c.lanes.meta.vcsels = 0),
+            ConfigError::ZeroVcsels { lane }
+        );
+    }
+
+    #[test]
+    fn validate_rejects_zero_packet_bits() {
+        // A zero-cycle slot: no cycle is a boundary, nothing ever leaves.
+        let lane = PacketClass::Data;
+        assert_eq!(
+            rejected(|c| c.lanes.data.packet_bits = 0),
+            ConfigError::ZeroPacketBits { lane }
+        );
+    }
+
+    #[test]
+    fn validate_rejects_zero_receivers() {
+        let lane = PacketClass::Data;
+        assert_eq!(
+            rejected(|c| c.lanes.data.receivers = 0),
+            ConfigError::ZeroReceivers { lane }
+        );
+    }
+
+    #[test]
+    fn validate_rejects_zero_bit_rate() {
+        assert_eq!(
+            rejected(|c| c.lanes.bits_per_cycle_per_vcsel = 0),
+            ConfigError::ZeroBitRate
+        );
+    }
+
+    #[test]
+    fn validate_rejects_zero_queue_capacity() {
+        assert_eq!(
+            rejected(|c| c.outgoing_queue_capacity = 0),
+            ConfigError::ZeroQueueCapacity
+        );
+    }
+
+    #[test]
+    fn validate_rejects_bit_error_rates_that_are_not_probabilities() {
+        for bad in [-1e-9, 0.5, f64::INFINITY] {
+            assert_eq!(
+                rejected(|c| c.bit_error_rate = bad),
+                ConfigError::BitErrorRate { ber: bad }
+            );
+        }
+        let nan = rejected(|c| c.bit_error_rate = f64::NAN);
+        assert!(matches!(nan, ConfigError::BitErrorRate { .. }), "{nan}");
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //!   selects a winner and notifies it over this channel (§5.2).
 
 use crate::topology::NodeId;
-use fsoi_sim::event::EventQueue;
 use fsoi_sim::trace::{self, TraceEvent};
 use fsoi_sim::Cycle;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// What a confirmation beam can carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,17 +66,17 @@ pub struct Confirmation {
     pub kind: ConfirmationKind,
 }
 
-/// The chip-wide confirmation channel: schedules beams and enforces the
-/// no-collision invariant.
+/// The chip-wide confirmation channel: schedules beams and accounts for
+/// their traffic.
+///
+/// A confirmation's content (receipt, hint) is applied by the network at
+/// resolution time with the correct delay, and its send is traced; all the
+/// channel has to remember of a beam in flight is the cycle it lands, which
+/// the fast-forward scheduler treats as an event.
 #[derive(Debug)]
 pub struct ConfirmationChannel {
     delay: u64,
-    in_flight: EventQueue<Confirmation>,
-    /// Booked arrival (cycle, dst, from) pairs, to assert the invariant
-    /// that no two *receipt* confirmations from the same node arrive at the
-    /// same destination cycle. (Distinct sources may confirm to the same
-    /// node in a cycle — they are distinct beams caught by the dedicated
-    /// confirmation receiver, which by design listens per-sender.)
+    arrivals: BinaryHeap<Reverse<Cycle>>,
     sent: u64,
 }
 
@@ -85,7 +85,7 @@ impl ConfirmationChannel {
     pub fn new(delay: u64) -> Self {
         ConfirmationChannel {
             delay,
-            in_flight: EventQueue::new(),
+            arrivals: BinaryHeap::new(),
             sent: 0,
         }
     }
@@ -103,45 +103,39 @@ impl ConfirmationChannel {
     /// Schedules a confirmation for a packet received at `received_at`; it
     /// arrives `delay` cycles later.
     pub fn send(&mut self, received_at: Cycle, confirmation: Confirmation) {
-        self.in_flight.push(received_at + self.delay, confirmation);
-        self.sent += 1;
-        trace::emit_with(received_at, || TraceEvent::Confirm {
-            src: confirmation.from.0 as u64,
-            dst: confirmation.to.0 as u64,
-            kind: confirmation.kind.name().to_string(),
-        });
+        self.launch(received_at, received_at + self.delay, confirmation);
     }
 
     /// Schedules a confirmation with an explicit arrival time (used by the
     /// winner-hint path, which must land before the next data slot).
     pub fn send_at(&mut self, arrive_at: Cycle, confirmation: Confirmation) {
-        self.in_flight.push(arrive_at, confirmation);
+        self.launch(arrive_at, arrive_at, confirmation);
+    }
+
+    fn launch(&mut self, traced_at: Cycle, arrive_at: Cycle, confirmation: Confirmation) {
+        self.arrivals.push(Reverse(arrive_at));
         self.sent += 1;
-        trace::emit_with(arrive_at, || TraceEvent::Confirm {
+        trace::emit_with(traced_at, || TraceEvent::Confirm {
             src: confirmation.from.0 as u64,
             dst: confirmation.to.0 as u64,
             kind: confirmation.kind.name().to_string(),
         });
     }
 
-    /// Pops every confirmation due at or before `now`.
-    pub fn drain_due(&mut self, now: Cycle) -> Vec<(Cycle, Confirmation)> {
-        let mut out = Vec::new();
-        while let Some(item) = self.in_flight.pop_due(now) {
-            out.push(item);
+    /// Lands every confirmation due at or before `now`; returns how many.
+    pub fn drain_due(&mut self, now: Cycle) -> usize {
+        let mut landed = 0;
+        while self.arrivals.peek().is_some_and(|due| due.0 <= now) {
+            self.arrivals.pop();
+            landed += 1;
         }
-        out
-    }
-
-    /// Number of confirmations still in flight.
-    pub fn pending(&self) -> usize {
-        self.in_flight.len()
+        landed
     }
 
     /// Arrival cycle of the earliest in-flight confirmation, if any (the
     /// fast-forward scheduler must not skip past a drain).
     pub fn next_due(&self) -> Option<Cycle> {
-        self.in_flight.peek_time()
+        self.arrivals.peek().map(|due| due.0)
     }
 }
 
@@ -204,23 +198,22 @@ impl MiniCycleRegistry {
 mod tests {
     use super::*;
 
+    fn receipt(packet_id: u64) -> Confirmation {
+        Confirmation {
+            from: NodeId(1),
+            to: NodeId(0),
+            kind: ConfirmationKind::Receipt { packet_id },
+        }
+    }
+
     #[test]
     fn confirmation_arrives_after_fixed_delay() {
         let mut ch = ConfirmationChannel::new(2);
-        let c = Confirmation {
-            from: NodeId(1),
-            to: NodeId(0),
-            kind: ConfirmationKind::Receipt { packet_id: 7 },
-        };
-        ch.send(Cycle(10), c);
+        ch.send(Cycle(10), receipt(7));
         assert_eq!(ch.next_due(), Some(Cycle(12)));
-        assert!(ch.drain_due(Cycle(11)).is_empty());
-        let due = ch.drain_due(Cycle(12));
-        assert_eq!(due.len(), 1);
-        assert_eq!(due[0].0, Cycle(12));
-        assert_eq!(due[0].1, c);
+        assert_eq!(ch.drain_due(Cycle(11)), 0);
+        assert_eq!(ch.drain_due(Cycle(12)), 1);
         assert_eq!(ch.sent(), 1);
-        assert_eq!(ch.pending(), 0);
         assert_eq!(ch.next_due(), None);
     }
 
@@ -228,40 +221,30 @@ mod tests {
     fn drain_due_returns_everything_due() {
         let mut ch = ConfirmationChannel::new(2);
         for i in 0..5u64 {
-            ch.send(
-                Cycle(i),
-                Confirmation {
-                    from: NodeId(1),
-                    to: NodeId(0),
-                    kind: ConfirmationKind::Receipt { packet_id: i },
-                },
-            );
+            ch.send(Cycle(i), receipt(i));
         }
-        assert_eq!(ch.pending(), 5);
-        let due = ch.drain_due(Cycle(4));
-        assert_eq!(due.len(), 3); // arrivals at 2, 3, 4
-        assert_eq!(ch.pending(), 2);
+        assert_eq!(ch.drain_due(Cycle(4)), 3); // arrivals at 2, 3, 4
+        assert_eq!(ch.next_due(), Some(Cycle(5)));
+        assert_eq!(ch.drain_due(Cycle(100)), 2);
     }
 
     #[test]
     fn winner_hint_uses_explicit_time() {
         let mut ch = ConfirmationChannel::new(2);
-        ch.send_at(
-            Cycle(9),
-            Confirmation {
-                from: NodeId(2),
-                to: NodeId(5),
-                kind: ConfirmationKind::WinnerHint {
-                    slot_start: Cycle(10),
-                },
+        ch.send(Cycle(8), receipt(0)); // lands at 10
+        let hint = Confirmation {
+            from: NodeId(2),
+            to: NodeId(5),
+            kind: ConfirmationKind::WinnerHint {
+                slot_start: Cycle(10),
             },
-        );
-        let due = ch.drain_due(Cycle(9));
-        assert_eq!(due.len(), 1);
-        match due[0].1.kind {
-            ConfirmationKind::WinnerHint { slot_start } => assert_eq!(slot_start, Cycle(10)),
-            other => panic!("unexpected kind {other:?}"),
-        }
+        };
+        assert_eq!(hint.kind.name(), "hint");
+        ch.send_at(Cycle(9), hint);
+        assert_eq!(ch.next_due(), Some(Cycle(9)), "earlier than the receipt");
+        assert_eq!(ch.drain_due(Cycle(9)), 1);
+        assert_eq!(ch.next_due(), Some(Cycle(10)));
+        assert_eq!(ch.sent(), 2);
     }
 
     #[test]

@@ -9,6 +9,16 @@
 //! optimizations: receiver-coordinated retransmission hints and
 //! request-spacing slot reservations.
 //!
+//! A node with nothing queued does nothing, and the engine charges it
+//! nothing: per lane, a [`NodeMask`] tracks the *senders* — nodes with a
+//! non-empty outgoing queue or a pending retry — and slot boundaries,
+//! [`FsoiNetwork::next_event_at`] and [`FsoiNetwork::is_idle`] visit only
+//! those. A bit is set when a packet is queued (`inject`) or re-queued
+//! after a collision or bit error, and cleared by the pop that empties
+//! both; debug builds recompute the masks from the queues after every
+//! step. DESIGN.md ("FSOI hot path") argues why this is the full
+//! node × lane scan with the no-op nodes left out.
+//!
 //! # Example
 //!
 //! ```
@@ -33,7 +43,7 @@ use crate::phase_array::PhaseArraySteering;
 use crate::spacing::ReplySlotReservations;
 use crate::topology::{receiver_index, NodeId};
 use fsoi_sim::det::NodeMask;
-use fsoi_sim::event::EventQueue;
+use fsoi_sim::event::{EventQueue, MonotoneQueue};
 use fsoi_sim::metrics::Registry;
 use fsoi_sim::queue::BoundedQueue;
 use fsoi_sim::rng::Xoshiro256StarStar;
@@ -206,10 +216,10 @@ struct SlotGroup {
 
 /// Dense per-lane active-slot state, indexed `dst * receivers + rx`.
 ///
-/// The replacement for the old `DetMap<GroupKey, Vec<Packet>>`: group
-/// lookup on the tx and resolve paths becomes one array index plus a
-/// linear scan of the (at most two — current slot and a not-yet-resolved
-/// previous slot under phase-array setup) groups live in that cell.
+/// Group lookup on the tx and resolve paths is one array index plus a
+/// linear scan of the groups live in that cell (at most two under the
+/// default one-cycle phase-array setup: the current slot and a
+/// not-yet-resolved previous one).
 /// Determinism is structural: cells are only ever addressed point-wise by
 /// a concrete key — nothing iterates the table — so no iteration order
 /// exists to diverge.
@@ -258,6 +268,52 @@ impl SlotTable {
     }
 }
 
+/// Pending slot resolutions: one FIFO per lane, merged on pop.
+///
+/// A lane's resolution cycle — slot end plus the phase-array setup — never
+/// decreases from one push to the next (the [`MonotoneQueue`] contract), so
+/// each FIFO is already sorted by `(at, seq)`, and popping the smaller of
+/// the two heads is exactly the pop order of one time-ordered,
+/// FIFO-tie-broken heap over both lanes.
+#[derive(Debug, Default)]
+struct Resolutions {
+    lanes: [MonotoneQueue<(u64, GroupKey)>; 2],
+    next_seq: u64,
+}
+
+impl Resolutions {
+    fn push(&mut self, at: Cycle, key: GroupKey) {
+        self.lanes[key.lane].push(at, (self.next_seq, key));
+        self.next_seq += 1;
+    }
+
+    /// `(at, seq)` of a lane's head; an empty lane sorts after everything.
+    fn head(&self, lane: usize) -> (Cycle, u64) {
+        self.lanes[lane]
+            .peek()
+            .map_or((Cycle(u64::MAX), u64::MAX), |&(at, (seq, _))| (at, seq))
+    }
+
+    fn peek_time(&self) -> Option<Cycle> {
+        let at = self.head(0).0.min(self.head(1).0);
+        (at != Cycle(u64::MAX)).then_some(at)
+    }
+
+    fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, GroupKey)> {
+        let lane = usize::from(self.head(1) < self.head(0));
+        let (at, (_, key)) = self.lanes[lane].pop_due(now)?;
+        Some((at, key))
+    }
+
+    fn len(&self) -> usize {
+        self.lanes[0].len() + self.lanes[1].len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 /// The free-space optical interconnect simulator.
 #[derive(Debug)]
 pub struct FsoiNetwork {
@@ -265,6 +321,9 @@ pub struct FsoiNetwork {
     now: Cycle,
     rng: Xoshiro256StarStar,
     nodes: Vec<NodeState>,
+    // Per lane, the nodes with a non-empty `out` queue or a pending retry:
+    // the only nodes a slot boundary, `next_event_at` or `is_idle` visits.
+    senders: [NodeMask; 2],
     // Slot groups feed collision resolution and the delivered-packet
     // order, which feed every export; the dense table is deterministic by
     // construction (point-wise addressing only, lint rule D1).
@@ -272,23 +331,25 @@ pub struct FsoiNetwork {
     // Free-list of packet buffers for slot groups: steady-state slot
     // turnover recycles instead of allocating.
     pool: Vec<Vec<Packet>>,
-    resolutions: EventQueue<GroupKey>,
+    resolutions: Resolutions,
     confirmations: ConfirmationChannel,
     delivered: Vec<Delivered>,
     stats: NetStats,
     next_id: u64,
     slot_len: [u64; 2],
     ser_cycles: [u64; 2],
+    receivers: [usize; 2],
 }
 
 impl FsoiNetwork {
     /// Creates a network from a configuration and RNG seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`FsoiConfig::validate`].
     pub fn new(cfg: FsoiConfig, seed: u64) -> Self {
-        assert!(
-            cfg.nodes <= NodeMask::CAPACITY,
-            "expected-data masks hold at most {} nodes",
-            NodeMask::CAPACITY
-        );
+        // lint: allow(P1) a rejected configuration is a caller bug; untrusted values go through validate() first
+        cfg.validate().expect("invalid FsoiConfig");
         let qcap = cfg.outgoing_queue_capacity;
         let nodes = (0..cfg.nodes)
             .map(|_| NodeState {
@@ -300,9 +361,10 @@ impl FsoiNetwork {
                 expected_data: NodeMask::new(),
             })
             .collect();
+        let receivers = [cfg.lanes.meta.receivers, cfg.lanes.data.receivers];
         let slots = [
-            SlotTable::new(cfg.nodes, cfg.lanes.spec(PacketClass::Meta).receivers),
-            SlotTable::new(cfg.nodes, cfg.lanes.spec(PacketClass::Data).receivers),
+            SlotTable::new(cfg.nodes, receivers[0]),
+            SlotTable::new(cfg.nodes, receivers[1]),
         ];
         let slot_len = [
             cfg.lanes.slot_cycles(PacketClass::Meta),
@@ -323,15 +385,17 @@ impl FsoiNetwork {
             now: Cycle::ZERO,
             rng: Xoshiro256StarStar::new(seed),
             nodes,
+            senders: [NodeMask::new(); 2],
             slots,
             pool: Vec::new(),
-            resolutions: EventQueue::new(),
+            resolutions: Resolutions::default(),
             confirmations: ConfirmationChannel::new(confirmation_delay),
             delivered: Vec::new(),
             stats: NetStats::default(),
             next_id: 0,
             slot_len,
             ser_cycles,
+            receivers,
         }
     }
 
@@ -392,6 +456,7 @@ impl FsoiNetwork {
         let lane = packet.class.lane();
         match self.nodes[packet.src.0].out[lane].push(packet) {
             Ok(()) => {
+                self.senders[lane].insert(packet.src.0);
                 self.next_id += 1;
                 self.stats.injected[lane] += 1;
                 trace::emit_with(self.now, || TraceEvent::Inject {
@@ -445,11 +510,27 @@ impl FsoiNetwork {
 
     /// True when no packet is queued, in flight, or awaiting retry.
     pub fn is_idle(&self) -> bool {
-        self.slots.iter().all(|t| t.live == 0)
-            && self.resolutions.is_empty()
-            && self.nodes.iter().all(|n| {
-                n.out.iter().all(|q| q.is_empty()) && n.retries.iter().all(|r| r.is_empty())
-            })
+        self.check_senders();
+        self.resolutions.is_empty() && self.senders.iter().all(NodeMask::is_empty)
+    }
+
+    /// Debug builds: recomputes both sender masks from the queues they
+    /// summarize (the full node × lane scan the masks replaced).
+    fn check_senders(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        for (lane, tracked) in self.senders.iter().enumerate() {
+            let scanned: NodeMask = (0..self.nodes.len())
+                .filter(|&n| {
+                    let node = &self.nodes[n];
+                    !node.out[lane].is_empty() || !node.retries[lane].is_empty()
+                })
+                .collect();
+            assert_eq!(*tracked, scanned, "senders[{lane}]");
+        }
+        let groups: usize = self.slots.iter().map(|t| t.live).sum();
+        assert_eq!(groups, self.resolutions.len(), "one event per slot group");
     }
 
     /// Advances the simulation by one cycle.
@@ -466,7 +547,8 @@ impl FsoiNetwork {
         // Confirmations are drained for bookkeeping; their information
         // content (receipt, hints) has already been applied at resolution
         // time with the correct delays.
-        let _ = self.confirmations.drain_due(self.now);
+        self.confirmations.drain_due(self.now);
+        self.check_senders();
     }
 
     /// Runs `cycles` ticks, fast-forwarding over provably empty cycles.
@@ -489,26 +571,32 @@ impl FsoiNetwork {
         if let Some(t) = self.confirmations.next_due() {
             next = next.min(t.as_u64());
         }
-        for lane in 0..2 {
-            let slot = self.slot_len[lane];
-            for node in &self.nodes {
-                // Earliest cycle this node could pop a packet on this
-                // lane: queued work is ready immediately, a retry matures
-                // at its scheduled cycle. The transmission then waits for
-                // the transmitter to go quiet and the next slot boundary —
-                // exactly the eligibility test in `start_transmissions`.
-                let mut ready = u64::MAX;
-                if !node.out[lane].is_empty() {
-                    ready = now;
-                }
-                if let Some(r) = node.retries[lane].peek_time() {
-                    ready = ready.min(r.as_u64().max(now));
-                }
-                if ready == u64::MAX {
-                    continue;
-                }
-                let eligible = Cycle(ready.max(node.tx_busy_until[lane].as_u64()));
-                next = next.min(eligible.round_up_to_slot(slot).as_u64());
+        for (lane, senders) in self.senders.iter().enumerate() {
+            // Earliest cycle any sender could pop a packet on this lane:
+            // queued work is ready immediately, a retry matures at its
+            // scheduled cycle. The transmission then waits for the
+            // transmitter to go quiet and the next slot boundary — exactly
+            // the eligibility test in `start_transmissions`. Rounding up
+            // to a boundary is monotone, so it is applied once, to the
+            // lane's minimum.
+            let mut eligible = u64::MAX;
+            for n in senders {
+                let node = &self.nodes[n];
+                let ready = if node.out[lane].is_empty() {
+                    node.retries[lane]
+                        .peek_time()
+                        .map_or(u64::MAX, Cycle::as_u64)
+                } else {
+                    now
+                };
+                eligible = eligible.min(ready.max(now).max(node.tx_busy_until[lane].as_u64()));
+            }
+            if eligible != u64::MAX {
+                next = next.min(
+                    Cycle(eligible)
+                        .round_up_to_slot(self.slot_len[lane])
+                        .as_u64(),
+                );
             }
         }
         (next != u64::MAX).then_some(Cycle(next))
@@ -536,98 +624,90 @@ impl FsoiNetwork {
         }
     }
 
+    /// At a slot boundary of a lane, every sender of that lane whose
+    /// transmitter is quiet starts its oldest eligible packet.
     fn start_transmissions(&mut self) {
-        // Hoisted slot-boundary flags: off-boundary cycles (the common
-        // case when the lanes' slots are long) return before touching any
-        // node state. The node-major × lane order of the loop below is
-        // load-bearing — it fixes the insertion order of same-cycle
-        // resolution events, which fixes the resolver's RNG draw order —
-        // so the flags gate each lane in place rather than restructuring.
-        let boundary = [
-            self.now.is_slot_boundary(self.slot_len[0]),
-            self.now.is_slot_boundary(self.slot_len[1]),
-        ];
-        if !boundary[0] && !boundary[1] {
-            return;
-        }
-        for node_idx in 0..self.nodes.len() {
-            for (lane, &at_boundary) in boundary.iter().enumerate() {
-                if !at_boundary {
-                    continue;
-                }
-                let slot = self.slot_len[lane];
-                if self.nodes[node_idx].tx_busy_until[lane] > self.now {
-                    continue;
-                }
-                // Retries take priority over fresh packets: the collided
-                // packet is older and the coherence layer may be waiting on
-                // its point-to-point ordering.
-                let packet = {
-                    let node = &mut self.nodes[node_idx];
-                    node.retries[lane]
-                        .pop_due(self.now)
-                        .map(|(_, p)| p)
-                        .or_else(|| node.out[lane].pop())
-                };
-                let Some(mut packet) = packet else { continue };
-
-                let setup = match self.cfg.array {
-                    TransmitterArray::Dedicated => 0,
-                    TransmitterArray::PhaseArray { setup_cycles } => {
-                        self.nodes[node_idx].steering[lane].aim(packet.dst, setup_cycles)
-                    }
-                };
-                let ser = self.ser_cycles[lane];
-                let finish = self.now + ser + setup;
-                self.nodes[node_idx].tx_busy_until[lane] = finish;
-                if packet.first_tx_at.is_none() {
-                    packet.first_tx_at = Some(self.now);
-                }
-                self.stats.transmissions[lane] += 1;
-
-                let rx = receiver_index(
-                    packet.src,
-                    packet.dst,
-                    self.cfg.nodes,
-                    self.cfg
-                        .lanes
-                        .spec(if lane == 0 {
-                            PacketClass::Meta
-                        } else {
-                            PacketClass::Data
-                        })
-                        .receivers,
-                );
-                let key = GroupKey {
-                    dst: packet.dst,
-                    lane,
-                    rx,
-                    slot_id: self.now.as_u64() / slot,
-                };
-                trace::emit_with(self.now, || TraceEvent::TxStart {
-                    packet: packet.id,
-                    src: packet.src.0 as u64,
-                    dst: packet.dst.0 as u64,
-                    lane: lane as u64,
-                    attempt: u64::from(packet.retries),
-                    slot: key.slot_id,
-                });
-                // All packets of a slot resolve at the same deterministic
-                // cycle: slot end plus the worst-case phase-array setup.
-                // One resolution event per slot group — the packet that
-                // opens the group schedules it, later colliders just join.
-                let resolve_at = Cycle((key.slot_id + 1) * slot + self.cfg.phase_array_setup());
-                if self.slots[lane].push(&key, packet, &mut self.pool) {
-                    self.resolutions.push(resolve_at, key);
+        // The senders of each lane that is at a slot boundary this cycle.
+        let due = [0, 1].map(|lane| {
+            if self.now.is_slot_boundary(self.slot_len[lane]) {
+                self.senders[lane]
+            } else {
+                NodeMask::new()
+            }
+        });
+        // Ascending nodes, lane 0 before lane 1 inside each node: the
+        // order is load-bearing — it fixes the insertion order of
+        // same-cycle resolution events, which fixes the resolver's RNG
+        // draw order. Nodes outside the masks have nothing to pop, so
+        // leaving them out changes no order.
+        for node_idx in &due[0].union(&due[1]) {
+            for (lane, due) in due.iter().enumerate() {
+                if due.contains(node_idx) {
+                    self.start_transmission(node_idx, lane);
                 }
             }
+        }
+    }
+
+    fn start_transmission(&mut self, node_idx: usize, lane: usize) {
+        let node = &mut self.nodes[node_idx];
+        if node.tx_busy_until[lane] > self.now {
+            return;
+        }
+        // Retries take priority over fresh packets: the collided packet is
+        // older and the coherence layer may be waiting on its
+        // point-to-point ordering.
+        let popped = node.retries[lane]
+            .pop_due(self.now)
+            .map(|(_, p)| p)
+            .or_else(|| node.out[lane].pop());
+        let Some(mut packet) = popped else { return };
+        if node.out[lane].is_empty() && node.retries[lane].is_empty() {
+            self.senders[lane].remove(node_idx);
+        }
+
+        let setup = match self.cfg.array {
+            TransmitterArray::Dedicated => 0,
+            TransmitterArray::PhaseArray { setup_cycles } => {
+                node.steering[lane].aim(packet.dst, setup_cycles)
+            }
+        };
+        let slot = self.slot_len[lane];
+        node.tx_busy_until[lane] = self.now + self.ser_cycles[lane] + setup;
+        if packet.first_tx_at.is_none() {
+            packet.first_tx_at = Some(self.now);
+        }
+        self.stats.transmissions[lane] += 1;
+
+        let key = GroupKey {
+            dst: packet.dst,
+            lane,
+            rx: receiver_index(packet.src, packet.dst, self.cfg.nodes, self.receivers[lane]),
+            slot_id: self.now.as_u64() / slot,
+        };
+        trace::emit_with(self.now, || TraceEvent::TxStart {
+            packet: packet.id,
+            src: packet.src.0 as u64,
+            dst: packet.dst.0 as u64,
+            lane: lane as u64,
+            attempt: u64::from(packet.retries),
+            slot: key.slot_id,
+        });
+        // All packets of a slot resolve at the same deterministic cycle:
+        // slot end plus the worst-case phase-array setup. One resolution
+        // event per slot group — the packet that opens the group schedules
+        // it, later colliders just join.
+        let resolve_at = Cycle((key.slot_id + 1) * slot + self.cfg.phase_array_setup());
+        if self.slots[lane].push(&key, packet, &mut self.pool) {
+            self.resolutions.push(resolve_at, key);
         }
     }
 
     fn resolve_slots(&mut self) {
         while let Some((resolve_at, key)) = self.resolutions.pop_due(self.now) {
             let Some(mut group) = self.slots[key.lane].take(&key) else {
-                continue; // defensive: every event has exactly one group
+                debug_assert!(false, "every resolution event has exactly one group");
+                continue;
             };
             if group.len() == 1 {
                 // A clean slot can still be hit by a raw bit error; the
@@ -732,7 +812,7 @@ impl FsoiNetwork {
             delay_slots: draw.delay_slots,
             ready: ready.as_u64(),
         });
-        self.nodes[packet.src.0].retries[lane].push(ready, packet);
+        self.push_retry(lane, ready, packet);
     }
 
     fn collide(&mut self, key: GroupKey, group: &[Packet], at: Cycle) {
@@ -792,8 +872,13 @@ impl FsoiNetwork {
                 });
                 ready
             };
-            self.nodes[packet.src.0].retries[lane].push(ready, packet);
+            self.push_retry(lane, ready, packet);
         }
+    }
+
+    fn push_retry(&mut self, lane: usize, ready: Cycle, packet: Packet) {
+        self.nodes[packet.src.0].retries[lane].push(ready, packet);
+        self.senders[lane].insert(packet.src.0);
     }
 
     /// Picks a retransmission winner for a data-lane collision: decode the
@@ -806,31 +891,30 @@ impl FsoiNetwork {
         group: &[Packet],
         next_slot: Cycle,
     ) -> Option<NodeId> {
-        let senders: Vec<NodeId> = group.iter().map(|p| p.src).collect();
-        let header = HeaderCode::superpose_all(&senders, self.cfg.nodes);
-        let superset = header.possible_senders(self.cfg.nodes);
+        let nodes = self.cfg.nodes;
+        let header = group
+            .iter()
+            .map(|p| HeaderCode::encode(p.src, nodes))
+            .reduce(HeaderCode::superpose)?;
+        let superset = header.possible_senders(nodes);
         let expected = &self.nodes[dst.0].expected_data;
-        let candidates: Vec<NodeId> = if expected.is_empty() {
-            superset.clone()
+        let filtered: Vec<NodeId> = superset
+            .iter()
+            .copied()
+            .filter(|s| expected.contains(s.0))
+            .collect();
+        let candidates = if filtered.is_empty() {
+            &superset
         } else {
-            let filtered: Vec<NodeId> = superset
-                .iter()
-                .copied()
-                .filter(|s| expected.contains(s.0))
-                .collect();
-            if filtered.is_empty() {
-                superset.clone()
-            } else {
-                filtered
-            }
+            &filtered
         };
-        let winner = *self.rng.choose(&candidates)?;
+        let winner = *self.rng.choose(candidates)?;
         self.stats.hints_issued += 1;
         trace::emit_with(next_slot, || TraceEvent::Hint {
             dst: dst.0 as u64,
             winner: winner.0 as u64,
         });
-        if senders.contains(&winner) {
+        if group.iter().any(|p| p.src == winner) {
             self.stats.hints_correct += 1;
         } else {
             self.stats.hints_wrong += 1;
@@ -1216,6 +1300,16 @@ mod tests {
     fn self_injection_panics() {
         let mut net = net16(19);
         let _ = net.inject(Packet::new(NodeId(3), NodeId(3), PacketClass::Meta, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "ZeroPacketBits")]
+    fn invalid_config_is_rejected_at_construction_not_mid_run() {
+        // A zero-bit packet would give a zero-cycle slot: no boundary ever,
+        // injected packets stuck in a network that is never idle.
+        let mut cfg = FsoiConfig::nodes(16);
+        cfg.lanes.meta.packet_bits = 0;
+        let _ = FsoiNetwork::new(cfg, 0);
     }
 
     #[test]

@@ -125,6 +125,13 @@ impl NodeMask {
         self.words.iter().all(|&w| w == 0)
     }
 
+    /// The indices present in `self`, `other`, or both.
+    pub fn union(&self, other: &NodeMask) -> NodeMask {
+        NodeMask {
+            words: std::array::from_fn(|w| self.words[w] | other.words[w]),
+        }
+    }
+
     /// Removes every index.
     pub fn clear(&mut self) {
         self.words = [0; Self::WORDS];
@@ -253,6 +260,17 @@ mod tests {
         assert!(mask.remove(255) && !mask.contains(255));
         assert!(mask.contains(192), "neighbors survive a boundary remove");
         assert_eq!(mask.iter().last(), Some(192));
+    }
+
+    #[test]
+    fn node_mask_union_is_word_wise_or() {
+        let a: NodeMask = [1usize, 64, 200].into_iter().collect();
+        let b: NodeMask = [1usize, 63, 255].into_iter().collect();
+        assert_eq!(
+            a.union(&b).iter().collect::<Vec<_>>(),
+            vec![1, 63, 64, 200, 255]
+        );
+        assert_eq!(a.union(&NodeMask::new()), a);
     }
 
     #[test]

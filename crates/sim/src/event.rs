@@ -172,9 +172,14 @@ impl<T> MonotoneQueue<T> {
         }
     }
 
+    /// The earliest pending event, if any, without removing it.
+    pub fn peek(&self) -> Option<&(Cycle, T)> {
+        self.fifo.front()
+    }
+
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Cycle> {
-        self.fifo.front().map(|(t, _)| *t)
+        self.peek().map(|(t, _)| *t)
     }
 
     /// Number of pending events.
@@ -282,6 +287,7 @@ mod tests {
         q.push(Cycle(5), "a");
         q.push(Cycle(10), "b");
         assert_eq!(q.peek_time(), Some(Cycle(5)));
+        assert_eq!(q.peek(), Some(&(Cycle(5), "a")));
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop_due(Cycle(4)), None);
         assert_eq!(q.pop_due(Cycle(5)), Some((Cycle(5), "a")));

@@ -13,8 +13,10 @@
 #   scripts/ci.sh --tier scale    # beyond-the-paper grids: 64-node four-network
 #                                 # smoke grid + a single 256-node cell, with
 #                                 # shape-class and byte-identity assertions,
-#                                 # then one unoptimized 256-node test with the
-#                                 # directory's eviction cross-check live
+#                                 # then two unoptimized tests: a 256-node cell with
+#                                 # the directory's eviction cross-check live, and
+#                                 # the FSOI kernel against its full-scan reference
+#                                 # with the sender-mask cross-check live
 #   scripts/ci.sh --tier tsan     # ThreadSanitizer pass over fsoi-sim (needs nightly;
 #                                 # optional — skipped with a notice when unavailable)
 set -eu
@@ -95,6 +97,11 @@ tier_scale() {
     # compiled out. One debug-build test by name puts four-word sharer
     # masks, capacity evictions and that cross-check together.
     cargo test -q --offline -p fsoi-cmp evictions_at_256_nodes_are_cross_checked
+    # Likewise for the FSOI kernel: the sender-mask cross-check (masks ==
+    # full node x lane scan, after every step) only exists in debug builds.
+    # A thousand random shapes up to 256 nodes put four-word masks, the
+    # phase-array path and that cross-check together, against ScanFsoi.
+    FSOI_CHECK_CASES=1000 cargo test -q --offline -p fsoi-net event_driven_equals_full_scan
 }
 
 tier_tsan() {
