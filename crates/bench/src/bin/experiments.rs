@@ -37,8 +37,8 @@
 //! byte-identity gates; `--ops` overrides ops-per-core for quick runs.
 
 use fsoi_bench::runner::{
-    network_by_name, run_app, run_cells, run_cells_threads, run_cells_threads_profiled,
-    suite_cells, sweep_apps, CellSpec, SweepOptions, MAX_CYCLES,
+    network_by_name, run_cells, run_cells_threads, run_cells_threads_profiled, suite_cells,
+    sweep_apps, CellSpec, SweepOptions, MAX_CYCLES,
 };
 use fsoi_cmp::configs::NetworkKind;
 use fsoi_cmp::workload::AppProfile;
@@ -50,43 +50,36 @@ use fsoi_optics::link::OpticalLink;
 use fsoi_sim::stats::geometric_mean;
 
 fn main() {
+    #[expect(clippy::disallowed_methods, reason = "D2: the CLI's own argv")]
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     let scale = if full { 2 } else { 1 };
-    // `profile` and `grid` parse their own flags; everything else takes
-    // `--full` only.
-    if !matches!(cmd, "profile" | "grid") {
-        if let Some(bad) = args.iter().skip(1).find(|a| *a != "--full") {
-            usage_error(
-                cmd,
-                &format!("unexpected argument {bad:?} (only --full is accepted)"),
-            );
-        }
-    }
-    match cmd {
-        "table1" => table1(),
-        "fig3" => fig3(),
-        "fig4" => fig4(full),
-        "fig5" => fig5(scale),
-        "fig6" => fig6(scale),
-        "fig7" => fig7(scale),
-        "fig8" => fig8(scale),
-        "fig9" => fig9(scale),
-        "fig10" => fig10(scale),
-        "fig11" => fig11(scale),
-        "table4" => table4(scale),
-        "bm" => bm(),
-        "opts" => opts(scale),
-        "corona" => corona(scale),
-        "l1" => l1_sensitivity(scale),
-        "ber" => ber_relaxation(scale),
-        "receivers" => receivers(scale),
-        "seeds" => seed_stability(scale),
-        "snapshot" => snapshot(scale),
-        "profile" => profile(&args[1..]),
-        "grid" => grid(&args[1..]),
-        "all" => {
+    // Resolve the command first, so a typo is reported as such whatever
+    // follows it; then check the arguments; then run.
+    let run: Box<dyn Fn() + '_> = match cmd {
+        "table1" => Box::new(table1),
+        "fig3" => Box::new(fig3),
+        "fig4" => Box::new(move || fig4(full)),
+        "fig5" => Box::new(move || fig5(scale)),
+        "fig6" => Box::new(move || fig6(scale)),
+        "fig7" => Box::new(move || fig7(scale)),
+        "fig8" => Box::new(move || fig8(scale)),
+        "fig9" => Box::new(move || fig9(scale)),
+        "fig10" => Box::new(move || fig10(scale)),
+        "fig11" => Box::new(move || fig11(scale)),
+        "table4" => Box::new(move || table4(scale)),
+        "bm" => Box::new(bm),
+        "opts" => Box::new(move || opts(scale)),
+        "corona" => Box::new(move || corona(scale)),
+        "l1" => Box::new(move || l1_sensitivity(scale)),
+        "ber" => Box::new(move || ber_relaxation(scale)),
+        "receivers" => Box::new(move || receivers(scale)),
+        "seeds" => Box::new(move || seed_stability(scale)),
+        "snapshot" => Box::new(move || snapshot(scale)),
+        "profile" => Box::new(|| profile(&args[1..])),
+        "grid" => Box::new(|| grid(&args[1..])),
+        "all" => Box::new(move || {
             table1();
             fig3();
             fig4(full);
@@ -105,13 +98,24 @@ fn main() {
             ber_relaxation(scale);
             receivers(scale);
             seed_stability(scale);
-        }
-        "diag" => diag(),
+        }),
+        "diag" => Box::new(diag),
         other => {
             eprintln!("unknown experiment: {other}");
             std::process::exit(2);
         }
+    };
+    // `profile` and `grid` parse their own flags; everything else takes
+    // `--full` only.
+    if !matches!(cmd, "profile" | "grid") {
+        if let Some(bad) = args.iter().skip(1).find(|a| *a != "--full") {
+            usage_error(
+                cmd,
+                &format!("unexpected argument {bad:?} (only --full is accepted)"),
+            );
+        }
     }
+    run();
 }
 
 /// Prints `{cmd}: {msg}` and exits 2: the one path for rejected input.
@@ -144,12 +148,11 @@ fn diag() {
         "  {:<6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>8} {:>8}",
         "app", "miss%", "fsoi cyc", "mesh cyc", "replyF", "replyM", "speedup", "p(meta)", "collD%"
     );
-    for app in AppProfile::suite() {
-        let f = run_app(app, NetworkKind::fsoi(16), opts);
-        let m = run_app(app, NetworkKind::mesh(16), opts);
+    for r in sweep_apps(&["fsoi", "mesh"], opts) {
+        let (f, m) = (&r.reports[0], &r.reports[1]);
         println!(
             "  {:<6} {:>6.1}% {:>8} {:>8} {:>9.1} {:>9.1} {:>8.2} {:>7.2}% {:>7.1}%",
-            app.name,
+            r.app,
             100.0 * f.l1_miss_rate,
             f.cycles,
             m.cycles,
@@ -586,22 +589,31 @@ fn fig11(scale: u64) {
         "bandwidth", "FSOI perf", "mesh perf"
     );
     let fracs = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5];
-    let mut fsoi_base = 0.0;
-    let mut mesh_base = 0.0;
-    for (i, &f) in fracs.iter().enumerate() {
+    // Fraction-major cell list: per fraction, every app on FSOI, then
+    // every app on the mesh.
+    let mut cells = Vec::new();
+    for &f in &fracs {
         // FSOI: scale the lane widths from the Fig-11 base configuration.
         let lanes = fsoi_net::lane::Lanes::fig11_base().scaled_bandwidth(f);
         let cfg = fsoi_net::config::FsoiConfig::nodes(16).with_lanes(lanes);
-        let fsoi_cycles: f64 = apps
-            .iter()
-            .map(|a| run_app(*a, NetworkKind::Fsoi(cfg.clone()), opts).cycles as f64)
-            .sum();
         // Mesh: links narrowed to the same fraction — packets serialize
         // into proportionally more flits.
-        let mesh_cycles: f64 = apps
-            .iter()
-            .map(|a| run_mesh_scaled(*a, f, opts) as f64)
-            .sum();
+        let mesh = fsoi_mesh::config::MeshConfig::nodes(opts.nodes);
+        for network in [NetworkKind::Fsoi(cfg), NetworkKind::MeshScaled(mesh, f)] {
+            cells.extend(apps.iter().map(|&app| CellSpec {
+                app,
+                network: network.clone(),
+                opts,
+            }));
+        }
+    }
+    let reports = run_cells(&cells);
+    let mut fsoi_base = 0.0;
+    let mut mesh_base = 0.0;
+    for (i, (&f, row)) in fracs.iter().zip(reports.chunks(2 * apps.len())).enumerate() {
+        let (fsoi_leg, mesh_leg) = row.split_at(apps.len());
+        let fsoi_cycles: f64 = fsoi_leg.iter().map(|r| r.cycles as f64).sum();
+        let mesh_cycles: f64 = mesh_leg.iter().map(|r| r.cycles as f64).sum();
         if i == 0 {
             fsoi_base = fsoi_cycles;
             mesh_base = mesh_cycles;
@@ -614,23 +626,6 @@ fn fig11(scale: u64) {
         );
     }
     println!("  (paper: both degrade; FSOI is the less sensitive of the two)");
-}
-
-/// Runs an app on a mesh whose links are narrowed to `fraction` of the
-/// baseline width (packets serialize into proportionally more flits).
-fn run_mesh_scaled(app: AppProfile, fraction: f64, opts: SweepOptions) -> u64 {
-    use fsoi_cmp::configs::{NetworkKind, SystemConfig};
-    use fsoi_cmp::system::CmpSystem;
-    let mut app = app;
-    app.ops_per_core = opts.ops_per_core;
-    let mesh = fsoi_mesh::config::MeshConfig::nodes(opts.nodes);
-    let cfg = SystemConfig::paper_16(NetworkKind::MeshScaled(mesh, fraction))
-        .with_mem_bandwidth(opts.mem_gb_per_s)
-        .with_optimizations(opts.optimizations)
-        .with_seed(opts.seed);
-    CmpSystem::new(cfg, app)
-        .run(fsoi_bench::runner::MAX_CYCLES)
-        .cycles
 }
 
 // ---------------------------------------------------------------- Table 4
@@ -702,11 +697,28 @@ fn opts(scale: u64) {
     o.ops_per_core *= scale;
     // Hints: resolution delay and accuracy on a contended app.
     let app = AppProfile::by_name("mp").unwrap();
-    let with = run_app(app, NetworkKind::fsoi(16), o);
-    let no_hints = {
-        let cfg = fsoi_net::config::FsoiConfig::nodes(16).with_hints(false);
-        run_app(app, NetworkKind::Fsoi(cfg), o)
+    let no_hints = fsoi_net::config::FsoiConfig::nodes(16).with_hints(false);
+    let mut cells = vec![
+        CellSpec::new(app, "fsoi", o),
+        CellSpec {
+            app,
+            network: NetworkKind::Fsoi(no_hints),
+            opts: o,
+        },
+    ];
+    // Subscriptions: each sync-heavy app with the §5.1 optimizations on,
+    // then off.
+    let off = SweepOptions {
+        optimizations: false,
+        ..o
     };
+    for name in ["ba", "ro", "ray", "ws", "fmm", "ilink", "tsp"] {
+        let a = AppProfile::by_name(name).unwrap();
+        cells.push(CellSpec::new(a, "fsoi", o));
+        cells.push(CellSpec::new(a, "fsoi", off));
+    }
+    let reports = run_cells(&cells);
+    let (with, no_hints) = (&reports[0], &reports[1]);
     println!(
         "  hint accuracy          = {:.1}%   (paper: 94%)",
         100.0 * with.hint_accuracy
@@ -719,21 +731,10 @@ fn opts(scale: u64) {
         "  data resolution delay  = {:.1} cycles with hints vs {:.1} without (paper: 29 vs 41)",
         with.data_resolution_delay, no_hints.data_resolution_delay
     );
-    // Subscriptions: speedup on sync-heavy apps.
-    let sync_apps = ["ba", "ro", "ray", "ws", "fmm", "ilink", "tsp"];
     let mut speeds = Vec::new();
     let mut saved = 0u64;
-    for name in sync_apps {
-        let a = AppProfile::by_name(name).unwrap();
-        let on = run_app(a, NetworkKind::fsoi(16), o);
-        let off = run_app(
-            a,
-            NetworkKind::fsoi(16),
-            SweepOptions {
-                optimizations: false,
-                ..o
-            },
-        );
+    for pair in reports[2..].chunks(2) {
+        let (on, off) = (&pair[0], &pair[1]);
         speeds.push(off.cycles as f64 / on.cycles as f64);
         saved += on.subscription_packets_saved;
     }
@@ -799,19 +800,27 @@ fn l1_sensitivity(scale: u64) {
     header("§7.1: impact of L1 cache size (8 KB scaled vs 32 KB realistic)");
     let mut o = SweepOptions::quick_16();
     o.ops_per_core *= scale;
-    for (label, lines) in [("8 KB (paper default)", 256usize), ("32 KB", 1024)] {
+    let sizes = [("8 KB (paper default)", 256usize), ("32 KB", 1024)];
+    // `l1_lines` is not a sweep option, so this one lowers its own batch
+    // cells: size-major, then app, mesh before FSOI.
+    let mut cells = Vec::new();
+    for (_, lines) in sizes {
+        for app in AppProfile::suite() {
+            for name in ["mesh", "fsoi"] {
+                let mut cell = CellSpec::new(app, name, o).to_batch_cell();
+                cell.config.l1_lines = lines;
+                cells.push(cell);
+            }
+        }
+    }
+    let reports =
+        fsoi_cmp::batch::run_batch_forked(&cells, fsoi_sim::par::thread_count(), MAX_CYCLES);
+    let napps = AppProfile::suite().len();
+    for ((label, _), rows) in sizes.iter().zip(reports.chunks(2 * napps)) {
         let mut speeds = Vec::new();
         let mut miss = 0.0;
-        for app in AppProfile::suite() {
-            let run = |kind| {
-                let mut a = app;
-                a.ops_per_core = o.ops_per_core;
-                let mut cfg = fsoi_cmp::configs::SystemConfig::paper_16(kind).with_seed(o.seed);
-                cfg.l1_lines = lines;
-                fsoi_cmp::system::CmpSystem::new(cfg, a).run(fsoi_bench::runner::MAX_CYCLES)
-            };
-            let mesh = run(NetworkKind::mesh(16));
-            let fsoi = run(NetworkKind::fsoi(16));
+        for pair in rows.chunks(2) {
+            let (mesh, fsoi) = (&pair[0], &pair[1]);
             speeds.push(mesh.cycles as f64 / fsoi.cycles as f64);
             miss += fsoi.l1_miss_rate;
         }
@@ -842,21 +851,24 @@ fn ber_relaxation(scale: u64) {
         "  {:>9} {:>12} {:>14}",
         "BER", "cycles (sum)", "error drops"
     );
-    let mut base = 0.0;
-    for &ber in &[1e-10f64, 1e-6, 1e-5, 1e-4] {
-        let mut cycles = 0u64;
-        let mut drops = 0u64;
+    let bers = [1e-10f64, 1e-6, 1e-5, 1e-4];
+    // BER-major cell list: every (BER, app) pair is an independent cell.
+    let mut cells = Vec::new();
+    for &ber in &bers {
+        let cfg = fsoi_net::config::FsoiConfig::nodes(16).with_bit_error_rate(ber);
         for name in apps {
-            let mut app = AppProfile::by_name(name).unwrap();
-            app.ops_per_core = o.ops_per_core;
-            let cfg = fsoi_net::config::FsoiConfig::nodes(16).with_bit_error_rate(ber);
-            let sys_cfg =
-                fsoi_cmp::configs::SystemConfig::paper_16(NetworkKind::Fsoi(cfg)).with_seed(o.seed);
-            let mut sys = fsoi_cmp::system::CmpSystem::new(sys_cfg, app);
-            let r = sys.run(fsoi_bench::runner::MAX_CYCLES);
-            cycles += r.cycles;
-            drops += r.bit_error_drops;
+            cells.push(CellSpec {
+                app: AppProfile::by_name(name).unwrap(),
+                network: NetworkKind::Fsoi(cfg.clone()),
+                opts: o,
+            });
         }
+    }
+    let reports = run_cells(&cells);
+    let mut base = 0.0;
+    for (&ber, row) in bers.iter().zip(reports.chunks(apps.len())) {
+        let cycles: u64 = row.iter().map(|r| r.cycles).sum();
+        let drops: u64 = row.iter().map(|r| r.bit_error_drops).sum();
         if base == 0.0 {
             base = cycles as f64;
         }
@@ -1273,7 +1285,10 @@ fn profile(args: &[String]) {
 
 /// Renders the `fsoi-run-manifest/v2` JSON document (hand-rolled, no
 /// JSON dependency; one key per line, stable field order).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per manifest section"
+)]
 fn render_manifest(
     opts: &SweepOptions,
     networks: &[&str],

@@ -11,4 +11,4 @@
 
 pub mod runner;
 
-pub use runner::{run_app, sweep_apps, AppResult, CellSpec, SweepOptions};
+pub use runner::{sweep_apps, AppResult, CellSpec, SweepOptions};

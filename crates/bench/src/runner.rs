@@ -183,13 +183,6 @@ pub fn run_cells(cells: &[CellSpec]) -> Vec<RunReport> {
     run_cells_threads(cells, par::thread_count())
 }
 
-/// Runs one application on one network (a single serial cell).
-pub fn run_app(app: AppProfile, network: NetworkKind, opts: SweepOptions) -> RunReport {
-    let mut app = app;
-    app.ops_per_core = opts.ops_per_core;
-    BatchCell::new(cell_config(network, opts), app).run(MAX_CYCLES)
-}
-
 /// The full application suite × the named networks as a flat cell list,
 /// ordered app-major (all of app 0's networks, then app 1's, …).
 pub fn suite_cells(networks: &[&str], opts: SweepOptions) -> Vec<CellSpec> {

@@ -105,6 +105,7 @@ fn unknown_commands_exit_2_and_manifest_reports_host_cpus() {
     for (args, complaint) in [
         (&["bench"][..], "unknown experiment: bench"),
         (&["no-such-cmd"], "unknown experiment: no-such-cmd"),
+        (&["fgi6", "--bogus-flag"], "unknown experiment: fgi6"),
         (&["fig6", "--bogus-flag"], "fig6: unexpected argument"),
         (&["grid", "--networks", "foo"], "grid: unknown network"),
         (

@@ -241,7 +241,10 @@ impl<A: Gen, B: Gen, C: Gen> Gen for (A, B, C) {
 impl<A: Gen, B: Gen, C: Gen, D: Gen> Gen for (A, B, C, D) {
     type Value = (A::Value, B::Value, C::Value, D::Value);
 
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "the nested-pair closure argument mirrors how the four trees are zipped"
+    )]
     fn tree(&self, rng: &mut Xoshiro256StarStar) -> Tree<Self::Value> {
         let ab = pair(self.0.tree(rng), self.1.tree(rng));
         let cd = pair(self.2.tree(rng), self.3.tree(rng));

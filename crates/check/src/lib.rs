@@ -33,6 +33,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // rule P1
 
 pub mod gen;
 pub mod runner;

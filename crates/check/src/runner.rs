@@ -226,6 +226,10 @@ impl Checker {
         G: Gen,
         P: Fn(&G::Value),
     {
+        #[expect(
+            clippy::panic,
+            reason = "P1: property failure is reported by panicking, matching cargo test"
+        )]
         if let Err(f) = self.check_result(name, &gen, &prop) {
             let trace = if f.trace.is_empty() {
                 String::new()
@@ -237,7 +241,6 @@ impl Checker {
                     events.join("\n    "),
                 )
             };
-            // lint: allow(P1) property failure is reported by panicking, matching cargo test
             panic!(
                 "[fsoi-check] property '{name}' failed\n  \
                  case seed: {seed:#018x}  (replay: FSOI_CHECK_REPLAY={seed:#x} cargo test {name})\n  \
@@ -411,13 +414,19 @@ fn parse_u64(s: &str) -> Option<u64> {
 }
 
 fn env_u64(var: &str) -> Option<u64> {
-    // lint: allow(D2) callers pass only the documented FSOI_CHECK_* knob names
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D2: callers pass only the documented FSOI_CHECK_* knob names"
+    )]
     let s = std::env::var(var).ok()?;
     match parse_u64(s.trim()) {
         Some(v) => Some(v),
         // A set-but-unparseable override must not be silently ignored:
         // the caller thinks they are replaying/seeding something specific.
-        // lint: allow(P1) aborting beats silently running the wrong cases
+        #[expect(
+            clippy::panic,
+            reason = "P1: aborting beats silently running the wrong cases"
+        )]
         None => panic!("{var}={s:?} is not a u64 (use 0x-prefixed hex or decimal)"),
     }
 }

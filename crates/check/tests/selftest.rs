@@ -91,6 +91,7 @@ fn distinct_test_names_get_distinct_streams() {
 
 #[test]
 fn regression_file_round_trip() {
+    #[expect(clippy::disallowed_methods, reason = "D2: a test's scratch file")]
     let path = std::env::temp_dir().join(format!(
         "fsoi_check_roundtrip_{}.regressions",
         std::process::id()
@@ -136,6 +137,7 @@ fn regression_file_round_trip() {
 
 #[test]
 fn recording_failures_is_idempotent() {
+    #[expect(clippy::disallowed_methods, reason = "D2: a test's scratch file")]
     let path = std::env::temp_dir().join(format!(
         "fsoi_check_idem_{}.regressions",
         std::process::id()
@@ -163,6 +165,7 @@ fn failure_carries_flight_recorder_tail() {
     if !trace::compiled() {
         return; // release without the `trace` feature: nothing to record
     }
+    #[expect(clippy::disallowed_methods, reason = "D2: a test's scratch file")]
     let path = std::env::temp_dir().join(format!(
         "fsoi_check_trace_{}.regressions",
         std::process::id()
@@ -171,6 +174,7 @@ fn failure_carries_flight_recorder_tail() {
 
     // The property leaves a trace event behind before failing, like an
     // instrumented network tick would.
+    #[expect(clippy::disallowed_methods, reason = "T1: a test's one eager event")]
     let failing = |&x: &u64| {
         trace::emit(
             fsoi_sim::Cycle(x),

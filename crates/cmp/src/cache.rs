@@ -50,6 +50,7 @@ impl CellCache {
     /// The cache configured by the `FSOI_CACHE` knob: the value is the
     /// cache directory. Unset or empty means "no cache".
     pub fn from_env() -> Option<CellCache> {
+        #[expect(clippy::disallowed_methods, reason = "D2: FSOI_CACHE knob")]
         match std::env::var("FSOI_CACHE") {
             Ok(dir) if !dir.trim().is_empty() => Some(CellCache::at(dir)),
             _ => None,
@@ -180,6 +181,7 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     fn tmp_dir(tag: &str) -> PathBuf {
+        #[expect(clippy::disallowed_methods, reason = "D2: a test's scratch directory")]
         let dir =
             std::env::temp_dir().join(format!("fsoi-cache-test-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -260,6 +262,7 @@ mod tests {
         // Only inspects the (unset-by-default) knob; the env-mutating
         // positive path lives in the dedicated `cell_cache` integration
         // test binary to avoid races with other tests.
+        #[expect(clippy::disallowed_methods, reason = "D2: skips if FSOI_CACHE is set")]
         if std::env::var("FSOI_CACHE").is_err() {
             assert!(CellCache::from_env().is_none());
         }

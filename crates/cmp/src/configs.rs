@@ -110,6 +110,26 @@ pub enum SystemConfigError {
         /// The requested bandwidth.
         mem_gb_per_s: f64,
     },
+    /// The network configuration is sized for a different node count.
+    NetworkNodes {
+        /// The system's node count.
+        nodes: usize,
+        /// The node count the network configuration carries.
+        network_nodes: usize,
+    },
+    /// A grid network (mesh, narrowed mesh, `L0`/`Lr1`/`Lr2`) on a node
+    /// count that is not a perfect square of at least 4.
+    NotSquare {
+        /// The requested node count.
+        nodes: usize,
+    },
+    /// A narrowed mesh whose width fraction is outside `0.02..=1.0` (the
+    /// mesh carries at most 255 flits per packet, and a data packet
+    /// starts at 5).
+    MeshWidthFraction {
+        /// The requested fraction.
+        fraction: f64,
+    },
 }
 
 impl std::fmt::Display for SystemConfigError {
@@ -137,6 +157,20 @@ impl std::fmt::Display for SystemConfigError {
                 f,
                 "memory bandwidth {mem_gb_per_s} GB/s is not a positive finite number"
             ),
+            SystemConfigError::NetworkNodes {
+                nodes,
+                network_nodes,
+            } => write!(
+                f,
+                "a {network_nodes}-node network cannot drive a {nodes}-node system"
+            ),
+            SystemConfigError::NotSquare { nodes } => write!(
+                f,
+                "{nodes} nodes: a grid network needs a perfect square of at least 4"
+            ),
+            SystemConfigError::MeshWidthFraction { fraction } => {
+                write!(f, "mesh width fraction {fraction} is outside 0.02..=1.0")
+            }
         }
     }
 }
@@ -208,6 +242,32 @@ impl SystemConfig {
             return Err(SystemConfigError::MemBandwidth {
                 mem_gb_per_s: self.mem_gb_per_s,
             });
+        }
+        let network_nodes = match &self.network {
+            NetworkKind::Fsoi(cfg) => cfg.nodes,
+            NetworkKind::Mesh(cfg) | NetworkKind::MeshScaled(cfg, _) => cfg.node_count(),
+            NetworkKind::Ring(cfg) => cfg.nodes,
+            NetworkKind::Crossbar(cfg) => cfg.nodes,
+            NetworkKind::L0 | NetworkKind::Lr1 | NetworkKind::Lr2 => self.nodes,
+        };
+        if network_nodes != self.nodes {
+            return Err(SystemConfigError::NetworkNodes {
+                nodes: self.nodes,
+                network_nodes,
+            });
+        }
+        let on_a_grid = !matches!(
+            self.network,
+            NetworkKind::Fsoi(_) | NetworkKind::Ring(_) | NetworkKind::Crossbar(_)
+        );
+        let side = (self.nodes as f64).sqrt().round() as usize;
+        if on_a_grid && (side < 2 || side * side != self.nodes) {
+            return Err(SystemConfigError::NotSquare { nodes: self.nodes });
+        }
+        if let NetworkKind::MeshScaled(_, fraction) = self.network {
+            if !(0.02..=1.0).contains(&fraction) {
+                return Err(SystemConfigError::MeshWidthFraction { fraction });
+            }
         }
         Ok(())
     }
@@ -338,15 +398,19 @@ mod tests {
 
     #[test]
     fn paper_configurations_validate() {
-        assert_eq!(
-            SystemConfig::paper_16(NetworkKind::fsoi(16)).validate(),
-            Ok(())
-        );
-        for n in [64, 256] {
-            assert_eq!(
-                SystemConfig::paper_n(n, NetworkKind::ring(n)).validate(),
-                Ok(())
-            );
+        // paper_16 and paper_64 are paper_n at those sizes.
+        for n in [16, 64, 256] {
+            for kind in [
+                NetworkKind::fsoi(n),
+                NetworkKind::mesh(n),
+                NetworkKind::ring(n),
+                NetworkKind::crossbar(n),
+                NetworkKind::L0,
+                NetworkKind::Lr1,
+                NetworkKind::Lr2,
+            ] {
+                assert_eq!(SystemConfig::paper_n(n, kind).validate(), Ok(()));
+            }
         }
     }
 
@@ -414,6 +478,49 @@ mod tests {
             matches!(nan, SystemConfigError::MemBandwidth { .. }),
             "{nan}"
         );
+    }
+
+    #[test]
+    fn validate_rejects_a_network_sized_for_another_node_count() {
+        // Each used to validate clean, then panic mid-run (FSOI, mesh) or
+        // charge 64 channels of static ring power to a 16-node chip.
+        for (nodes, kind, network_nodes) in [
+            (64, NetworkKind::fsoi(16), 16),
+            (64, NetworkKind::mesh(16), 16),
+            (16, NetworkKind::ring(64), 64),
+        ] {
+            let err = SystemConfig::paper_n(nodes, kind).validate().unwrap_err();
+            let want = SystemConfigError::NetworkNodes {
+                nodes,
+                network_nodes,
+            };
+            assert_eq!(err, want);
+            assert!(err.to_string().contains("cannot drive"), "{err}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_grid_networks_off_a_perfect_square() {
+        for bad in [2, 12] {
+            let err = rejected(|c| c.nodes = bad);
+            assert_eq!(err, SystemConfigError::NotSquare { nodes: bad });
+            assert!(err.to_string().contains("perfect square"), "{err}");
+        }
+        let fsoi = SystemConfig::paper_n(12, NetworkKind::fsoi(12));
+        assert_eq!(fsoi.validate(), Ok(()), "FSOI has no grid");
+    }
+
+    #[test]
+    fn validate_rejects_mesh_width_fractions_outside_the_flit_budget() {
+        for bad in [0.001, 1.5, f64::NAN] {
+            let err = rejected(|c| c.network = NetworkKind::MeshScaled(MeshConfig::nodes(16), bad));
+            assert!(
+                matches!(err, SystemConfigError::MeshWidthFraction { .. }),
+                "{err}"
+            );
+        }
+        let ok = NetworkKind::MeshScaled(MeshConfig::nodes(16), 0.5);
+        assert_eq!(SystemConfig::paper_16(ok).validate(), Ok(()));
     }
 
     #[test]

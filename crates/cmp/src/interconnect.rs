@@ -181,16 +181,6 @@ impl FsoiAdapter {
             power: FsoiPowerModel::paper_default(),
         }
     }
-
-    /// The wrapped network (for stats inspection).
-    pub fn network(&self) -> &FsoiNetwork {
-        &self.net
-    }
-
-    /// Mutable access to the wrapped network.
-    pub fn network_mut(&mut self) -> &mut FsoiNetwork {
-        &mut self.net
-    }
 }
 
 impl Interconnect for FsoiAdapter {
@@ -337,9 +327,6 @@ impl Interconnect for FsoiAdapter {
 pub struct MeshAdapter {
     net: MeshNetwork,
     power: MeshPowerModel,
-    /// Mean queuing share estimated from injection occupancy (the mesh
-    /// does not attribute internally; we report everything as network).
-    injected: u64,
     /// Link-width scale: packets serialize into `ceil(flits / scale)`
     /// flits, modelling narrowed links for the Figure 11 sweep.
     width_fraction: f64,
@@ -351,7 +338,6 @@ impl MeshAdapter {
         MeshAdapter {
             net,
             power: MeshPowerModel::paper_default(),
-            injected: 0,
             width_fraction: 1.0,
         }
     }
@@ -369,16 +355,6 @@ impl MeshAdapter {
         self.width_fraction = fraction;
         self
     }
-
-    /// The wrapped network.
-    pub fn network(&self) -> &MeshNetwork {
-        &self.net
-    }
-
-    /// Packets offered to the mesh so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
 }
 
 impl Interconnect for MeshAdapter {
@@ -388,7 +364,6 @@ impl Interconnect for MeshAdapter {
             PacketClass::Data => MeshPacket::data(packet.src, packet.dst, packet.tag),
         };
         p.flits = ((p.flits as f64) / self.width_fraction).ceil() as usize;
-        self.injected += 1;
         self.net.inject(p).map(|_| ()).map_err(|_| packet)
     }
 
@@ -645,11 +620,6 @@ impl RingAdapter {
     pub fn new(net: RingNetwork) -> Self {
         RingAdapter { net }
     }
-
-    /// The wrapped network.
-    pub fn network(&self) -> &RingNetwork {
-        &self.net
-    }
 }
 
 impl Interconnect for RingAdapter {
@@ -724,11 +694,6 @@ impl CrossbarAdapter {
     /// Wraps a matrix crossbar.
     pub fn new(net: CrossbarNetwork) -> Self {
         CrossbarAdapter { net }
-    }
-
-    /// The wrapped network.
-    pub fn network(&self) -> &CrossbarNetwork {
-        &self.net
     }
 }
 

@@ -126,7 +126,10 @@ impl CmpSystem {
     ///
     /// Panics if `cfg` fails [`SystemConfig::validate`].
     pub fn new(cfg: SystemConfig, app: AppProfile) -> Self {
-        // lint: allow(P1) a rejected configuration is the caller's bug; fail before building anything
+        #[expect(
+            clippy::expect_used,
+            reason = "P1: a rejected configuration is the caller's bug; fail before building anything"
+        )]
         cfg.validate().expect("invalid SystemConfig");
         let mut app = app;
         let n = cfg.nodes;
@@ -532,9 +535,12 @@ impl CmpSystem {
     fn drain_network(&mut self) {
         for d in self.net.drain() {
             let tag = d.packet.tag;
+            #[expect(
+                clippy::expect_used,
+                reason = "P1: tags are allocated from free_tags, so a delivered tag maps to a live message"
+            )]
             let (from, msg) = self.msgs[tag as usize]
                 .take()
-                // lint: allow(P1) tags are allocated from free_tags, so a delivered tag maps to a live message
                 .expect("delivered tag must be live");
             self.free_tags.push(tag);
             // Figure 10 accounting.

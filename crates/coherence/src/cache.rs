@@ -142,13 +142,20 @@ impl<T: Clone> CacheArray<T> {
             return AllocOutcome::Inserted;
         }
         // Evict LRU.
+        #[expect(
+            clippy::expect_used,
+            reason = "P1: ways-per-set is asserted >= 1 at construction"
+        )]
         let victim_way = self.entries[set]
             .iter()
             .enumerate()
             .min_by_key(|(_, e)| e.as_ref().map(|(_, _, lru)| *lru))
             .map(|(i, _)| i)
-            .expect("set is non-empty"); // lint: allow(P1) ways-per-set is asserted >= 1 at construction
-                                         // lint: allow(P1) the all-ways-full check above guarantees the victim way is occupied
+            .expect("set is non-empty");
+        #[expect(
+            clippy::expect_used,
+            reason = "P1: the all-ways-full check above guarantees the victim way is occupied"
+        )]
         let (vt, vp, _) = self.entries[set][victim_way].take().expect("full set");
         self.entries[set][victim_way] = Some((tag, payload, tick));
         AllocOutcome::Evicted {
@@ -200,7 +207,10 @@ impl<T: Clone> CacheArray<T> {
         let Some(way) = victim_way else {
             return Err(payload);
         };
-        // lint: allow(P1) victim_way is only Some for occupied ways by construction
+        #[expect(
+            clippy::expect_used,
+            reason = "P1: victim_way is only Some for occupied ways by construction"
+        )]
         let (vt, vp, _) = self.entries[set][way].take().expect("full set");
         self.entries[set][way] = Some((tag, payload, tick));
         Ok(AllocOutcome::Evicted {

@@ -198,9 +198,12 @@ impl L1Controller {
                 self.stats.write_hits += 1;
                 Access::hit()
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "P1: the E-state match arm proves the line is resident"
+            )]
             L1State::E => {
                 // Silent E→M upgrade ("do write/M").
-                // lint: allow(P1) the E-state match arm proves the line is resident
                 *self.array.lookup(line).expect("E line is resident") = L1State::M;
                 self.stats.write_hits += 1;
                 Access::hit()
@@ -343,14 +346,14 @@ impl L1Controller {
                 s => return err(s, "Data"),
             },
             CoherenceMsg::ExcAck { .. } => match state {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "P1: the S.MA match arm proves the line is resident"
+                )]
                 L1State::SMA => {
                     // "do write/M".
                     self.mshrs.remove(&line);
-                    *self
-                        .array
-                        .lookup(line)
-                        // lint: allow(P1) the S.MA match arm proves the line is resident
-                        .expect("S.MA line remains resident") = L1State::M;
+                    *self.array.lookup(line).expect("S.MA line remains resident") = L1State::M;
                     reaction.completed = Some(line);
                 }
                 s => return err(s, "ExcAck"),
@@ -389,8 +392,11 @@ impl L1Controller {
                 let with_data = state == L1State::M;
                 match state {
                     L1State::I | L1State::ISD | L1State::IMD => {}
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "P1: the E/M match arm proves the line is resident"
+                    )]
                     L1State::E | L1State::M => {
-                        // lint: allow(P1) the E/M match arm proves the line is resident
                         *self.array.lookup(line).expect("resident") = L1State::S;
                     }
                     s @ (L1State::S | L1State::SMA) => return err(s, "Dwg"),

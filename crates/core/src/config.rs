@@ -138,7 +138,10 @@ impl FsoiConfig {
     pub fn nodes(n: usize) -> Self {
         match Self::try_nodes(n) {
             Ok(cfg) => cfg,
-            // lint: allow(P1) infallible-constructor convenience; callers with untrusted n use try_nodes
+            #[expect(
+                clippy::panic,
+                reason = "P1: infallible-constructor convenience; callers with untrusted n use try_nodes"
+            )]
             Err(e) => panic!("{e}"),
         }
     }

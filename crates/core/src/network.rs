@@ -156,9 +156,10 @@ impl NetStats {
     /// Exports every counter and summary into `reg` under `net.*` names,
     /// labelled by lane — the single code path report tables build on.
     pub fn export(&self, reg: &mut Registry) {
-        // `lane` indexes a dozen parallel counter arrays, not just
-        // LANE_NAMES; an iterator rewrite would obscure that symmetry.
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "`lane` indexes a dozen parallel counter arrays, not just LANE_NAMES"
+        )]
         for lane in 0..2 {
             let labels: [(&str, &str); 1] = [("lane", LANE_NAMES[lane])];
             reg.inc("net.injected", &labels, self.injected[lane]);
@@ -348,7 +349,10 @@ impl FsoiNetwork {
     ///
     /// Panics if `cfg` fails [`FsoiConfig::validate`].
     pub fn new(cfg: FsoiConfig, seed: u64) -> Self {
-        // lint: allow(P1) a rejected configuration is a caller bug; untrusted values go through validate() first
+        #[expect(
+            clippy::expect_used,
+            reason = "P1: a rejected configuration is a caller bug; untrusted values go through validate() first"
+        )]
         cfg.validate().expect("invalid FsoiConfig");
         let qcap = cfg.outgoing_queue_capacity;
         let nodes = (0..cfg.nodes)
@@ -734,9 +738,12 @@ impl FsoiNetwork {
     fn deliver(&mut self, packet: Packet, at: Cycle) {
         let lane = packet.class.lane();
         self.stats.delivered[lane] += 1;
+        #[expect(
+            clippy::expect_used,
+            reason = "P1: deliver() is only reached via transmit, which stamps first_tx_at"
+        )]
         let first_tx = packet
             .first_tx_at
-            // lint: allow(P1) deliver() is only reached via transmit, which stamps first_tx_at
             .expect("delivered packets were transmitted");
         // The final transmission started one serialization period (plus
         // any phase-array setup, folded into `at`) before resolution.

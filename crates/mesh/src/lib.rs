@@ -35,6 +35,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // rule P1
 #![warn(missing_debug_implementations)]
 
 pub mod config;

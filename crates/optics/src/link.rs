@@ -120,7 +120,10 @@ impl OpticalLink {
     }
 
     /// Creates a link from explicit components.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per physical component of the link"
+    )]
     pub fn new(
         vcsel: Vcsel,
         photodetector: Photodetector,
@@ -147,11 +150,14 @@ impl OpticalLink {
     /// The collimated beam launched by the transmitter micro-lens (waist
     /// radius = half the lens aperture).
     pub fn beam(&self) -> GaussianBeam {
+        #[expect(
+            clippy::expect_used,
+            reason = "P1: inputs were validated by this link's own constructor"
+        )]
         GaussianBeam::new(
             Length::from_meters(self.tx_aperture.as_meters() / 2.0),
             self.wavelength,
         )
-        // lint: allow(P1) inputs were validated by this link's own constructor
         .expect("apertures and wavelengths are validated on construction")
     }
 

@@ -97,9 +97,11 @@ impl OpticalPath {
     /// micro-mirrors reflect 98 %; the double GaAs substrate pass absorbs
     /// 0.1 dB total.
     pub fn paper_diagonal() -> Self {
-        let mut p = OpticalPath::new(Length::from_micrometers(95.0))
-            // lint: allow(P1) the paper's 95 um aperture is a positive constant
-            .expect("aperture is positive");
+        #[expect(
+            clippy::expect_used,
+            reason = "P1: the paper's 95 um aperture is a positive constant"
+        )]
+        let mut p = OpticalPath::new(Length::from_micrometers(95.0)).expect("aperture is positive");
         for element in [
             PathElement::SubstrateAbsorption(Loss::from_db(0.05)),
             PathElement::LensSurface {
@@ -113,7 +115,10 @@ impl OpticalPath {
             },
             PathElement::SubstrateAbsorption(Loss::from_db(0.05)),
         ] {
-            // lint: allow(P1) every element above is a fixed in-range paper constant
+            #[expect(
+                clippy::expect_used,
+                reason = "P1: every element above is a fixed in-range paper constant"
+            )]
             p.push(element).expect("paper path element is valid");
         }
         p

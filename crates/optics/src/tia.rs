@@ -68,9 +68,11 @@ impl Tia {
     /// noise density (19.5 pA/√Hz) is chosen so the full link budget closes
     /// at Table 1's BER of 10⁻¹⁰.
     pub fn paper_default() -> Self {
-        Tia::new(Frequency::from_ghz(36.0), 15_000.0, 19.5e-12)
-            // lint: allow(P1) fixed paper constants satisfy the constructor's range checks
-            .expect("paper defaults are valid")
+        #[expect(
+            clippy::expect_used,
+            reason = "P1: fixed paper constants satisfy the constructor's range checks"
+        )]
+        Tia::new(Frequency::from_ghz(36.0), 15_000.0, 19.5e-12).expect("paper defaults are valid")
     }
 
     /// Small-signal bandwidth.

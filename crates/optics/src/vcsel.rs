@@ -164,9 +164,12 @@ impl Vcsel {
     /// assert!((v.electrical_power().to_milliwatts() - 0.96).abs() < 1e-6);
     /// ```
     pub fn paper_default() -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "P1: the builder's defaults are the paper's validated constants"
+        )]
         VcselBuilder::new()
             .build()
-            // lint: allow(P1) the builder's defaults are the paper's validated constants
             .expect("paper defaults are valid")
     }
 

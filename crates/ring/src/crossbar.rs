@@ -198,7 +198,10 @@ impl CrossbarNetwork {
                     break;
                 }
                 let port = &mut self.ports[d];
-                // lint: allow(P1) the is_empty check above guarantees a queued packet
+                #[expect(
+                    clippy::expect_used,
+                    reason = "P1: the is_empty check above guarantees a queued packet"
+                )]
                 let packet = port.queue.pop().expect("non-empty");
                 let start = self.now.max(port.busy_until) + self.cfg.arbitration_cycles;
                 let ser = if packet.is_data {

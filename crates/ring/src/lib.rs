@@ -30,6 +30,7 @@
 //! token, but a power column that explodes with node count.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // rule P1
 #![warn(missing_debug_implementations)]
 
 pub mod config;

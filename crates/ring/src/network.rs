@@ -184,7 +184,10 @@ impl RingNetwork {
                     break;
                 }
                 let ch = &mut self.channels[d];
-                // lint: allow(P1) the is_empty check above guarantees a queued packet
+                #[expect(
+                    clippy::expect_used,
+                    reason = "P1: the is_empty check above guarantees a queued packet"
+                )]
                 let packet = ch.queue.pop().expect("non-empty");
                 // Token acquisition: if the token was just released by a
                 // contending writer, passing it on is cheap; a cold token

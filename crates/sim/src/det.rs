@@ -17,8 +17,9 @@
 //!   table is noise, and the paper's exports are regenerated from these
 //!   structures, so order stability wins.
 //!
-//! The `fsoi-lint` rule **D1** rejects raw `HashMap`/`HashSet` in
-//! simulation library code and points offenders here.
+//! Rule **D1** (`clippy::disallowed_types`, listed in `clippy.toml`) rejects
+//! raw `HashMap`/`HashSet` anywhere in the workspace and points offenders
+//! here.
 //!
 //! ```
 //! use fsoi_sim::det::{DetMap, DetSet};
@@ -204,6 +205,21 @@ impl ExactSizeIterator for NodeMaskIter {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // D1 and D3's types have no sanctioned site in the tree, so nothing
+    // else would notice their clippy.toml entries being dropped: these
+    // two `#[expect]`s go unfulfilled, and the gate red, if one is.
+    #[test]
+    #[expect(clippy::disallowed_types, reason = "control: D1 fires on HashMap")]
+    fn lint_d1_fires_on_a_default_hasher_map() {
+        assert!(std::collections::HashMap::<u8, u8>::new().is_empty());
+    }
+
+    #[test]
+    #[expect(clippy::disallowed_types, reason = "control: D3 fires on Mutex")]
+    fn lint_d3_fires_on_a_lock() {
+        assert_eq!(std::sync::Mutex::new(0u8).into_inner().ok(), Some(0));
+    }
 
     #[test]
     fn map_iterates_in_key_order() {

@@ -12,13 +12,13 @@
 //!   event queue,
 //! * [`det::DetMap`] / [`det::DetSet`] — order-deterministic associative
 //!   containers (the names simulation code uses for `BTreeMap`/`BTreeSet`
-//!   in place of `HashMap`/`HashSet`, enforced by `fsoi-lint` rule D1),
+//!   in place of `HashMap`/`HashSet`, enforced by lint rule D1),
 //! * [`stats`] — counters, streaming summaries and histograms used by
 //!   all measurement code,
 //! * [`metrics::Registry`] — named, labelled metrics with deterministic
 //!   JSONL/table export, the single code path behind reported numbers,
 //! * [`par`] — the lock-free sweep executor (one atomic cell cursor): the
-//!   only sanctioned home for threads in simulation code (`fsoi-lint`
+//!   only sanctioned home for threads in simulation code (lint
 //!   rule D3), with results merged by a deterministic reduction keyed on
 //!   cell index so thread count is never observable in output,
 //! * [`profile`] — the deterministic harness-observability plane:
@@ -26,7 +26,7 @@
 //!   byte-identical exports across thread counts,
 //! * [`telemetry`] — the wall-clock harness-observability plane: executor
 //!   and cache telemetry, explicitly nondeterministic and the only
-//!   sanctioned home for wall-clock reads (`fsoi-lint` rule D2),
+//!   sanctioned home for wall-clock reads (lint rule D2),
 //! * [`trace`] — cycle-stamped structured event tracing with a bounded
 //!   flight recorder that dumps JSON lines when an invariant fails,
 //! * [`queue::BoundedQueue`] — a bounded FIFO with occupancy accounting,
@@ -45,6 +45,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // rule P1
 #![warn(missing_debug_implementations)]
 
 pub mod det;

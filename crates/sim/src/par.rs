@@ -32,10 +32,11 @@
 //! * **deadlock-free** — there is no lock, queue or park; the only
 //!   blocking call is `join`.
 //!
-//! This module is the **only** place in simulation library code where
-//! threads are allowed (`fsoi-lint` rule D3, which also rejects every
-//! lock primitive); everything above — `fsoi_cmp::batch`, the
-//! `fsoi-bench` runner — expresses sweeps as pure per-cell closures.
+//! This module is the **only** place in the workspace where threads are
+//! allowed (rule D3 — `clippy.toml` lists the thread and lock primitives,
+//! and the one `#[expect]` is in [`sweep`]); everything above —
+//! `fsoi_cmp::batch`, the `fsoi-bench` runner — expresses sweeps as pure
+//! per-cell closures.
 //!
 //! Workers emit executor telemetry (cells run, busy time) into
 //! [`crate::telemetry`] — the wall-clock observability plane. Emission is
@@ -66,10 +67,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// a positive integer — aborting beats silently running a different
 /// configuration than the one the caller asked for.
 pub fn thread_count() -> usize {
+    #[expect(clippy::disallowed_methods, reason = "D2: FSOI_THREADS knob")]
     if let Ok(v) = std::env::var("FSOI_THREADS") {
         match parse_threads(&v) {
             Some(n) => return n,
-            // lint: allow(P1) a set-but-garbage override must not be silently ignored
+            #[expect(
+                clippy::panic,
+                reason = "P1: a set-but-garbage override must not be silently ignored"
+            )]
             None => panic!("FSOI_THREADS={v:?} is not a positive integer"),
         }
     }
@@ -128,6 +133,10 @@ where
     // reaches the caller through its worker's `join`.
     let next = AtomicUsize::new(0);
     let (next, f) = (&next, &f);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D3: the sweep executor is the sanctioned home for threads; its reduction is keyed on cell index"
+    )]
     let per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|me| {
@@ -160,10 +169,13 @@ where
         debug_assert!(slots[i].is_none(), "cell {i} executed twice");
         slots[i] = Some(r);
     }
+    #[expect(
+        clippy::panic,
+        reason = "P1: the cursor handed every index 0..cells to exactly one worker"
+    )]
     slots
         .into_iter()
         .enumerate()
-        // lint: allow(P1) the cursor handed every index 0..cells to exactly one worker
         .map(|(i, slot)| slot.unwrap_or_else(|| panic!("cell {i} never executed")))
         .collect()
 }
@@ -277,6 +289,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "D2: a test's hang guard")]
     fn a_slow_cell_does_not_strand_the_rest() {
         // Cell 0 finishes only after every other cell has run. A static
         // split (cells dealt to workers up front, nothing rebalanced)

@@ -11,10 +11,10 @@
 //! a clearly separated `telemetry` section of the run manifest.
 //!
 //! This module is the **only** simulation-library code allowed to read
-//! the wall clock (`fsoi-lint` rule D2 exempts exactly this file, the
-//! way D3 exempts `par.rs` for threads). Everything else emits through
-//! the functions here, which are no-ops — no clock read, one relaxed
-//! atomic load — until [`set_enabled`] turns collection on (the
+//! the wall clock (rule D2: each `Instant` below carries its own
+//! `#[expect]`, the way `par.rs` does for threads). Everything else emits
+//! through the functions here, which are no-ops — no clock read, one
+//! relaxed atomic load — until [`set_enabled`] turns collection on (the
 //! documented `FSOI_TELEMETRY` knob via [`enable_from_env`], or the
 //! `experiments profile` subcommand programmatically). Cache outcome
 //! counters are the exception: they are plain relaxed counters with no
@@ -27,6 +27,7 @@
 //! [`snapshot`] copies them into a plain [`Snapshot`] for rendering.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+#[expect(clippy::disallowed_types, reason = "D2: the wall-clock plane")]
 use std::time::Instant;
 
 /// Workers tracked individually; higher worker ids clamp into the last
@@ -111,6 +112,7 @@ pub fn set_enabled(on: bool) {
 /// to anything but `0` or empty. Telemetry never changes simulation
 /// output, so this read cannot leak into any exported number.
 pub fn enable_from_env() {
+    #[expect(clippy::disallowed_methods, reason = "D2: FSOI_TELEMETRY knob")]
     if let Ok(v) = std::env::var("FSOI_TELEMETRY") {
         let v = v.trim();
         if !v.is_empty() && v != "0" {
@@ -173,12 +175,14 @@ pub fn cache_corrupt() {
 /// is disabled the guard is inert and **no clock is read** — the cost
 /// is one relaxed atomic load.
 #[derive(Debug)]
+#[expect(clippy::disallowed_types, reason = "D2: a span's start stamp")]
 pub struct WallSpan {
     // (bucket, start); None when telemetry was off at creation.
     armed: Option<(&'static AtomicU64, Instant)>,
 }
 
 impl WallSpan {
+    #[expect(clippy::disallowed_types, reason = "D2: the one clock read")]
     fn new(bucket: &'static AtomicU64) -> WallSpan {
         WallSpan {
             armed: enabled().then(|| (bucket, Instant::now())),

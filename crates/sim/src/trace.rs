@@ -620,6 +620,7 @@ impl FlightRecorder {
     /// Creates a recorder sized by `FSOI_TRACE_BUF` (default
     /// [`DEFAULT_CAPACITY`]).
     pub fn from_env() -> Self {
+        #[expect(clippy::disallowed_methods, reason = "D2: FSOI_TRACE_BUF knob")]
         let cap = std::env::var("FSOI_TRACE_BUF")
             .ok()
             .and_then(|s| s.trim().parse::<usize>().ok())
@@ -700,6 +701,7 @@ pub const fn compiled() -> bool {
 }
 
 fn default_enabled() -> bool {
+    #[expect(clippy::disallowed_methods, reason = "D2: FSOI_TRACE knob")]
     match std::env::var("FSOI_TRACE") {
         Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
         Err(_) => true,
@@ -807,6 +809,7 @@ pub fn set_panic_dump_suppressed(suppressed: bool) {
 
 /// Where a panic-time dump for the current thread would be written.
 pub fn panic_dump_path() -> std::path::PathBuf {
+    #[expect(clippy::disallowed_methods, reason = "D2: FSOI_TRACE_DUMP knob")]
     if let Ok(p) = std::env::var("FSOI_TRACE_DUMP") {
         if !p.trim().is_empty() {
             return std::path::PathBuf::from(p);
@@ -819,7 +822,10 @@ pub fn panic_dump_path() -> std::path::PathBuf {
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect();
-    // lint: allow(D2) only names the crash-dump file; never feeds simulation state
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D2: only names the crash-dump file; never feeds simulation state"
+    )]
     std::env::temp_dir().join(format!("fsoi-flight-{}-{}.jsonl", std::process::id(), name))
 }
 
@@ -1059,6 +1065,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "T1: eager form under test")]
     fn capture_scopes_recording() {
         let (records, value) = capture(|| {
             emit(Cycle(5), TraceEvent::Hint { dst: 1, winner: 2 });
@@ -1081,6 +1088,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "T1: eager form under test")]
     fn capture_restores_disabled_state() {
         set_enabled(false);
         let _ = capture(|| ());
@@ -1092,6 +1100,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "T1: eager form under test")]
     fn tail_returns_last_n() {
         clear();
         set_enabled(true);

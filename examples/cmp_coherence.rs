@@ -14,6 +14,7 @@ use fsoi::cmp::system::CmpSystem;
 use fsoi::cmp::workload::AppProfile;
 
 fn main() {
+    #[expect(clippy::disallowed_methods, reason = "D2: the example's own argv")]
     let name = std::env::args().nth(1).unwrap_or_else(|| "mp".to_string());
     let app = AppProfile::by_name(&name).unwrap_or_else(|| {
         eprintln!("unknown app {name}; pick one of:");

@@ -121,6 +121,7 @@ struct LaneStats {
 }
 
 fn main() {
+    #[expect(clippy::disallowed_methods, reason = "D2: the example's own argv")]
     let Some(path) = std::env::args().nth(1) else {
         eprintln!("usage: trace_replay <dump.jsonl>");
         eprintln!("(flight-recorder dumps are announced by the panic message;");

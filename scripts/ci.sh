@@ -6,7 +6,7 @@
 #   scripts/ci.sh                 # all tiers in order: quick lint full bench
 #                                 # scale (tsan runs only when named)
 #   scripts/ci.sh --tier quick    # fmt check + build + test
-#   scripts/ci.sh --tier lint     # fsoi-lint check + clippy
+#   scripts/ci.sh --tier lint     # clippy -D warnings: the determinism rules + stock lints
 #   scripts/ci.sh --tier full     # scripts/verify.sh (incl. lint + trace build)
 #   scripts/ci.sh --tier bench    # `experiments profile` run manifest, then the
 #                                 # layered benchmark's smoke run
@@ -52,9 +52,9 @@ tier_quick() {
 
 tier_lint() {
     banner lint
-    cargo run -q --release --offline -p fsoi-lint -- check
-    # [workspace.lints] (deny unused_must_use, clippy disallowed_types)
-    # applies to every target.
+    # The one lint gate: rules D1/D2/D3/T1/P1/A1/A2 (clippy.toml,
+    # [workspace.lints], DESIGN.md "Determinism policy") plus clippy's
+    # defaults, on every target.
     cargo clippy --offline --workspace --all-targets -- -D warnings
 }
 
