@@ -2,16 +2,19 @@
 //!
 //! ```text
 //! cargo run --release -p fsoi-bench --bin experiments -- <cmd> [--full]
-//!
-//! cmd: table1 | fig3 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | fig10 |
-//!      fig11 | table4 | bm | opts | corona | l1 | ber | receivers |
-//!      seeds | snapshot | profile | grid | diag | all
 //! ```
 //!
-//! `--full` uses larger workloads (closer statistics, slower). `diag`
-//! prints per-app calibration diagnostics (not a paper figure, not in `all`).
-//! Anything else on the command line — an unknown command, a stray
-//! argument, a bad flag value — prints `<cmd>: …` and exits 2.
+//! `<cmd>` is a row of [`COMMANDS`] or `all` (the default), which runs the
+//! rows marked for it, in table order. `--full` uses larger workloads
+//! (closer statistics, slower). Anything else on the command line — an
+//! unknown command (answered with the command list), a stray argument, a
+//! bad flag value — prints `<cmd>: …` and exits 2.
+//!
+//! To add an experiment: list the variant [`SystemConfig`]s it compares,
+//! pick the applications, run them as one [`Sweep`], print from
+//! `at(variant, app)`, and add a row to [`COMMANDS`].
+//!
+//! `diag` prints per-app calibration diagnostics (not a paper figure).
 //!
 //! `snapshot` dumps the metric registry (table + JSONL) for the Figure 6
 //! 16-node runs — the single code path behind every exported number. Two
@@ -36,78 +39,83 @@
 //! deterministic-plane bytes (profile + merged registry JSONL) for
 //! byte-identity gates; `--ops` overrides ops-per-core for quick runs.
 
-use fsoi_bench::runner::{
-    network_by_name, run_cells, run_cells_threads, run_cells_threads_profiled, suite_cells,
-    sweep_apps, CellSpec, SweepOptions, MAX_CYCLES,
-};
-use fsoi_cmp::configs::NetworkKind;
+use fsoi_bench::runner::{quick_ops, Sweep, MAX_CYCLES};
+use fsoi_cmp::configs::{NetworkKind, SystemConfig};
 use fsoi_cmp::workload::AppProfile;
+use fsoi_mesh::config::MeshConfig;
 use fsoi_net::analysis::backoff as ab;
 use fsoi_net::analysis::bandwidth::BandwidthAllocationModel;
 use fsoi_net::analysis::collision as ac;
 use fsoi_net::backoff::BackoffPolicy;
+use fsoi_net::config::FsoiConfig;
+use fsoi_net::lane::Lanes;
 use fsoi_optics::link::OpticalLink;
 use fsoi_sim::stats::geometric_mean;
+
+/// How a subcommand takes the command line.
+#[derive(Clone, Copy)]
+enum Run {
+    /// It has no arguments.
+    Fixed(fn()),
+    /// It scales its workload with `--full` (1, or 2 when given).
+    Scaled(fn(u64)),
+    /// It parses its own flags.
+    Flags(fn(&[String])),
+}
+
+/// Every subcommand: its name, whether `all` runs it, its entry point.
+const COMMANDS: &[(&str, bool, Run)] = &[
+    ("table1", true, Run::Fixed(table1)),
+    ("fig3", true, Run::Fixed(fig3)),
+    ("fig4", true, Run::Scaled(fig4)),
+    ("fig5", true, Run::Scaled(fig5)),
+    ("fig6", true, Run::Scaled(fig6)),
+    ("fig7", true, Run::Scaled(fig7)),
+    ("fig8", true, Run::Scaled(fig8)),
+    ("fig9", true, Run::Scaled(fig9)),
+    ("fig10", true, Run::Scaled(fig10)),
+    ("fig11", true, Run::Scaled(fig11)),
+    ("table4", true, Run::Scaled(table4)),
+    ("bm", true, Run::Fixed(bm)),
+    ("opts", true, Run::Scaled(opts)),
+    ("corona", true, Run::Scaled(corona)),
+    ("l1", true, Run::Scaled(l1_sensitivity)),
+    ("ber", true, Run::Scaled(ber_relaxation)),
+    ("receivers", true, Run::Scaled(receivers)),
+    ("seeds", true, Run::Scaled(seed_stability)),
+    ("snapshot", false, Run::Scaled(snapshot)),
+    ("profile", false, Run::Flags(profile)),
+    ("grid", false, Run::Flags(grid)),
+    ("diag", false, Run::Fixed(diag)),
+];
 
 fn main() {
     #[expect(clippy::disallowed_methods, reason = "D2: the CLI's own argv")]
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
+    let scale = if args.iter().any(|a| a == "--full") {
+        2
+    } else {
+        1
+    };
     let cmd = args.first().map(String::as_str).unwrap_or("all");
-    let scale = if full { 2 } else { 1 };
     // Resolve the command first, so a typo is reported as such whatever
     // follows it; then check the arguments; then run.
-    let run: Box<dyn Fn() + '_> = match cmd {
-        "table1" => Box::new(table1),
-        "fig3" => Box::new(fig3),
-        "fig4" => Box::new(move || fig4(full)),
-        "fig5" => Box::new(move || fig5(scale)),
-        "fig6" => Box::new(move || fig6(scale)),
-        "fig7" => Box::new(move || fig7(scale)),
-        "fig8" => Box::new(move || fig8(scale)),
-        "fig9" => Box::new(move || fig9(scale)),
-        "fig10" => Box::new(move || fig10(scale)),
-        "fig11" => Box::new(move || fig11(scale)),
-        "table4" => Box::new(move || table4(scale)),
-        "bm" => Box::new(bm),
-        "opts" => Box::new(move || opts(scale)),
-        "corona" => Box::new(move || corona(scale)),
-        "l1" => Box::new(move || l1_sensitivity(scale)),
-        "ber" => Box::new(move || ber_relaxation(scale)),
-        "receivers" => Box::new(move || receivers(scale)),
-        "seeds" => Box::new(move || seed_stability(scale)),
-        "snapshot" => Box::new(move || snapshot(scale)),
-        "profile" => Box::new(|| profile(&args[1..])),
-        "grid" => Box::new(|| grid(&args[1..])),
-        "all" => Box::new(move || {
-            table1();
-            fig3();
-            fig4(full);
-            fig5(scale);
-            fig6(scale);
-            fig7(scale);
-            fig8(scale);
-            fig9(scale);
-            fig10(scale);
-            fig11(scale);
-            table4(scale);
-            bm();
-            opts(scale);
-            corona(scale);
-            l1_sensitivity(scale);
-            ber_relaxation(scale);
-            receivers(scale);
-            seed_stability(scale);
-        }),
-        "diag" => Box::new(diag),
-        other => {
-            eprintln!("unknown experiment: {other}");
-            std::process::exit(2);
-        }
-    };
-    // `profile` and `grid` parse their own flags; everything else takes
-    // `--full` only.
-    if !matches!(cmd, "profile" | "grid") {
+    let runs: Vec<Run> = COMMANDS
+        .iter()
+        .filter(|(name, in_all, _)| if cmd == "all" { *in_all } else { *name == cmd })
+        .map(|&(_, _, run)| run)
+        .collect();
+    if runs.is_empty() {
+        eprintln!("unknown experiment: {cmd}");
+        let names: Vec<&str> = COMMANDS.iter().map(|(name, ..)| *name).collect();
+        eprintln!(
+            "usage: experiments <cmd> [--full]; cmd: {} | all",
+            names.join(" | ")
+        );
+        std::process::exit(2);
+    }
+    // A command that parses its own flags aside, only `--full` is taken.
+    if !runs.iter().any(|run| matches!(run, Run::Flags(_))) {
         if let Some(bad) = args.iter().skip(1).find(|a| *a != "--full") {
             usage_error(
                 cmd,
@@ -115,7 +123,32 @@ fn main() {
             );
         }
     }
-    run();
+    for run in runs {
+        match run {
+            Run::Fixed(f) => f(),
+            Run::Scaled(f) => f(scale),
+            Run::Flags(f) => f(&args[1..]),
+        }
+    }
+}
+
+/// [`Sweep::run`] on the default thread count (the `FSOI_THREADS` knob,
+/// else the available parallelism).
+fn sweep(variants: &[SystemConfig], apps: &[AppProfile], ops: u64) -> Sweep {
+    Sweep::run(variants, apps, ops, fsoi_sim::par::thread_count())
+}
+
+/// The paper's 16-node system over an FSOI configuration.
+fn fsoi_16(cfg: FsoiConfig) -> SystemConfig {
+    SystemConfig::paper_16(NetworkKind::Fsoi(cfg))
+}
+
+/// The named suite applications.
+fn apps_named(names: &[&str]) -> Vec<AppProfile> {
+    names
+        .iter()
+        .map(|n| AppProfile::by_name(n).unwrap())
+        .collect()
 }
 
 /// Prints `{cmd}: {msg}` and exits 2: the one path for rejected input.
@@ -143,16 +176,18 @@ fn take_parsed<T: std::str::FromStr>(cmd: &str, args: &[String], i: &mut usize) 
 /// Calibration diagnostics (not a paper figure).
 fn diag() {
     header("diag: per-app miss rates and latency makeup");
-    let opts = SweepOptions::quick_16();
     println!(
         "  {:<6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>8} {:>8}",
         "app", "miss%", "fsoi cyc", "mesh cyc", "replyF", "replyM", "speedup", "p(meta)", "collD%"
     );
-    for r in sweep_apps(&["fsoi", "mesh"], opts) {
-        let (f, m) = (&r.reports[0], &r.reports[1]);
+    let suite = AppProfile::suite();
+    let variants = [NetworkKind::fsoi(16), NetworkKind::mesh(16)].map(SystemConfig::paper_16);
+    let s = sweep(&variants, &suite, quick_ops(16));
+    for (a, app) in suite.iter().enumerate() {
+        let (f, m) = (s.at(0, a), s.at(1, a));
         println!(
             "  {:<6} {:>6.1}% {:>8} {:>8} {:>9.1} {:>9.1} {:>8.2} {:>7.2}% {:>7.1}%",
-            r.app,
+            app.name,
             100.0 * f.l1_miss_rate,
             f.cycles,
             m.cycles,
@@ -228,9 +263,9 @@ fn fig3() {
 
 // ---------------------------------------------------------------- Figure 4
 
-fn fig4(full: bool) {
+fn fig4(scale: u64) {
     header("Figure 4: collision resolution delay vs (W, B) — meta packets");
-    let trials = if full { 60_000 } else { 15_000 };
+    let trials = if scale > 1 { 60_000 } else { 15_000 };
     let ws = [1.0, 1.5, 2.0, 2.7, 3.5, 5.0];
     let bs = [1.05, 1.1, 1.3, 1.5, 2.0];
     for &g in &[0.01, 0.10] {
@@ -287,11 +322,10 @@ fn fig5_at(nodes: usize, scale: u64) {
     header(&format!(
         "Figure 5: distribution of read-miss reply latency ({nodes}-node FSOI)"
     ));
-    let mut opts = SweepOptions::for_nodes(nodes);
-    opts.ops_per_core *= scale;
-    let results = sweep_apps(&["fsoi"], opts);
+    let fsoi = SystemConfig::paper_n(nodes, NetworkKind::fsoi(nodes));
+    let s = sweep(&[fsoi], &AppProfile::suite(), quick_ops(nodes) * scale);
     let geometry = {
-        let h = &results[0].reports[0].reply_latency;
+        let h = &s.at(0, 0).reply_latency;
         (h.num_bins(), h.bin_width())
     };
     let (num_bins, bin_width) = geometry;
@@ -299,8 +333,8 @@ fn fig5_at(nodes: usize, scale: u64) {
     let mut total = 0u64;
     let mut bins = vec![0u64; num_bins];
     let mut overflow = 0u64;
-    for r in &results {
-        let h = &r.reports[0].reply_latency;
+    for r in s.variant(0) {
+        let h = &r.reply_latency;
         assert_eq!(
             (h.num_bins(), h.bin_width()),
             geometry,
@@ -338,10 +372,18 @@ fn fig5_at(nodes: usize, scale: u64) {
 // ------------------------------------------------------------- Figures 6/7
 
 fn perf_figure(nodes: usize, scale: u64) {
-    let mut opts = SweepOptions::for_nodes(nodes);
-    opts.ops_per_core *= scale;
-    let nets = ["mesh", "fsoi", "L0", "Lr1", "Lr2"];
-    let results = sweep_apps(&nets, opts);
+    // The mesh baseline first, then the four networks of panel (b).
+    let variants = [
+        NetworkKind::mesh(nodes),
+        NetworkKind::fsoi(nodes),
+        NetworkKind::L0,
+        NetworkKind::Lr1,
+        NetworkKind::Lr2,
+    ]
+    .map(|kind| SystemConfig::paper_n(nodes, kind));
+    let (mesh, fsoi) = (0, 1);
+    let suite = AppProfile::suite();
+    let s = sweep(&variants, &suite, quick_ops(nodes) * scale);
 
     println!("  (a) mean packet latency, cycles");
     println!(
@@ -350,14 +392,14 @@ fn perf_figure(nodes: usize, scale: u64) {
     );
     let mut fsoi_lat = Vec::new();
     let mut mesh_lat = Vec::new();
-    for r in &results {
-        let f = &r.reports[1].attribution;
-        let m = &r.reports[0].attribution;
+    for (a, app) in suite.iter().enumerate() {
+        let f = &s.at(fsoi, a).attribution;
+        let m = &s.at(mesh, a).attribution;
         fsoi_lat.push(f.total());
         mesh_lat.push(m.total());
         println!(
             "  {:<6} {:>7.1} {:>7.1} {:>7.1} {:>7.1} {:>9.1} {:>7.1}",
-            r.app,
+            app.name,
             f.queuing,
             f.scheduling,
             f.network,
@@ -386,13 +428,13 @@ fn perf_figure(nodes: usize, scale: u64) {
         "app", "FSOI", "L0", "Lr1", "Lr2"
     );
     let mut speedups = vec![Vec::new(); 4];
-    for r in &results {
-        let base = r.reports[0].cycles;
-        print!("  {:<6}", r.app);
-        for (k, idx) in [1usize, 2, 3, 4].iter().enumerate() {
-            let s = r.reports[*idx].speedup_vs(base);
-            speedups[k].push(s);
-            print!(" {s:>7.2}");
+    for (a, app) in suite.iter().enumerate() {
+        let base = s.at(mesh, a).cycles;
+        print!("  {:<6}", app.name);
+        for (col, variant) in speedups.iter_mut().zip(fsoi..) {
+            let speedup = s.at(variant, a).speedup_vs(base);
+            col.push(speedup);
+            print!(" {speedup:>7.2}");
         }
         println!();
     }
@@ -422,24 +464,24 @@ fn fig7(scale: u64) {
 
 fn fig8(scale: u64) {
     header("Figure 8: energy relative to the mesh baseline (16 nodes)");
-    let mut opts = SweepOptions::quick_16();
-    opts.ops_per_core *= scale;
-    let results = sweep_apps(&["mesh", "fsoi"], opts);
+    let suite = AppProfile::suite();
+    let variants = [NetworkKind::mesh(16), NetworkKind::fsoi(16)].map(SystemConfig::paper_16);
+    let s = sweep(&variants, &suite, quick_ops(16) * scale);
     println!(
         "  {:<6} {:>9} {:>9} {:>9} {:>9}   {:>9}",
         "app", "net", "core", "leak", "total", "net ratio"
     );
     let mut totals = Vec::new();
     let mut net_ratios = Vec::new();
-    for r in &results {
-        let mesh_e = &r.reports[0].energy;
-        let fsoi_e = &r.reports[1].energy;
+    for (a, app) in suite.iter().enumerate() {
+        let mesh_e = &s.at(0, a).energy;
+        let fsoi_e = &s.at(1, a).energy;
         let rel = |x: f64| 100.0 * x / mesh_e.total_j();
         totals.push(fsoi_e.total_j() / mesh_e.total_j());
         net_ratios.push(mesh_e.network_j / fsoi_e.network_j.max(1e-12));
         println!(
             "  {:<6} {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}%   {:>8.1}x",
-            r.app,
+            app.name,
             rel(fsoi_e.network_j),
             rel(fsoi_e.core_j),
             rel(fsoi_e.leakage_j),
@@ -460,8 +502,6 @@ fn fig8(scale: u64) {
 
 fn fig9(scale: u64) {
     header("Figure 9: meta-lane collisions with/without confirmation-as-ack");
-    let mut opts = SweepOptions::quick_16();
-    opts.ops_per_core *= scale;
     println!(
         "  {:<6} {:>10} {:>10} | {:>10} {:>10}   (optimized | baseline)",
         "app", "p(tx)", "coll", "p(tx)", "coll"
@@ -470,22 +510,12 @@ fn fig9(scale: u64) {
     let mut meta_without = 0.0;
     let mut pk_with = 0u64;
     let mut pk_without = 0u64;
-    let baseline = SweepOptions {
-        optimizations: false,
-        ..opts
-    };
-    let cells: Vec<CellSpec> = AppProfile::suite()
-        .into_iter()
-        .flat_map(|app| {
-            [
-                CellSpec::new(app, "fsoi", opts),
-                CellSpec::new(app, "fsoi", baseline),
-            ]
-        })
-        .collect();
-    let reports = run_cells(&cells);
-    for (app, pair) in AppProfile::suite().into_iter().zip(reports.chunks(2)) {
-        let (with, without) = (&pair[0], &pair[1]);
+    let suite = AppProfile::suite();
+    let optimized = SystemConfig::paper_16(NetworkKind::fsoi(16));
+    let baseline = optimized.clone().with_optimizations(false);
+    let s = sweep(&[optimized, baseline], &suite, quick_ops(16) * scale);
+    for (a, app) in suite.iter().enumerate() {
+        let (with, without) = (s.at(0, a), s.at(1, a));
         meta_with += with.meta_collision_rate;
         meta_without += without.meta_collision_rate;
         pk_with += with.packets_sent[0] + with.packets_sent[1];
@@ -499,7 +529,7 @@ fn fig9(scale: u64) {
             100.0 * without.meta_collision_rate,
         );
     }
-    let n = AppProfile::suite().len() as f64;
+    let n = suite.len() as f64;
     println!(
         "  avg meta collision rate: {:.2}% optimized vs {:.2}% baseline ({:.1}% fewer collisions; paper: −31.5%)",
         100.0 * meta_with / n,
@@ -516,8 +546,6 @@ fn fig9(scale: u64) {
 
 fn fig10(scale: u64) {
     header("Figure 10: data-lane collision breakdown, with/without §5.2 optimizations");
-    let mut opts = SweepOptions::quick_16();
-    opts.ops_per_core *= scale;
     println!(
         "  {:<6} | {:>8} {:>8} {:>8} {:>8} {:>7} | {:>7}",
         "app", "memory", "reply", "wback", "retrans", "rate+", "rate-"
@@ -525,25 +553,14 @@ fn fig10(scale: u64) {
     let mut with_rates = Vec::new();
     let mut without_rates = Vec::new();
     // Disable hints + spacing (network-level §5.2 knobs).
-    let stripped = fsoi_net::config::FsoiConfig::nodes(16)
+    let stripped = FsoiConfig::nodes(16)
         .with_hints(false)
         .with_request_spacing(false);
-    let cells: Vec<CellSpec> = AppProfile::suite()
-        .into_iter()
-        .flat_map(|app| {
-            [
-                CellSpec::new(app, "fsoi", opts),
-                CellSpec {
-                    app,
-                    network: NetworkKind::Fsoi(stripped.clone()),
-                    opts,
-                },
-            ]
-        })
-        .collect();
-    let reports = run_cells(&cells);
-    for (app, pair) in AppProfile::suite().into_iter().zip(reports.chunks(2)) {
-        let (with, without) = (&pair[0], &pair[1]);
+    let suite = AppProfile::suite();
+    let variants = [fsoi_16(FsoiConfig::nodes(16)), fsoi_16(stripped)];
+    let s = sweep(&variants, &suite, quick_ops(16) * scale);
+    for (a, app) in suite.iter().enumerate() {
+        let (with, without) = (s.at(0, a), s.at(1, a));
         let total: u64 = with.collided_by_kind.iter().take(3).sum();
         let pct = |x: u64| {
             if total == 0 {
@@ -577,43 +594,29 @@ fn fig10(scale: u64) {
 
 fn fig11(scale: u64) {
     header("Figure 11: performance vs relative bandwidth (100% → 50%)");
-    let mut opts = SweepOptions::quick_16();
-    opts.ops_per_core *= scale;
     // Subset of apps for the sweep (the paper plots the average).
-    let apps: Vec<AppProfile> = ["oc", "rx", "em", "mp", "fft", "ray"]
-        .iter()
-        .map(|n| AppProfile::by_name(n).unwrap())
-        .collect();
+    let apps = apps_named(&["oc", "rx", "em", "mp", "fft", "ray"]);
     println!(
         "  {:>10} {:>12} {:>12}",
         "bandwidth", "FSOI perf", "mesh perf"
     );
     let fracs = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5];
-    // Fraction-major cell list: per fraction, every app on FSOI, then
-    // every app on the mesh.
-    let mut cells = Vec::new();
-    for &f in &fracs {
-        // FSOI: scale the lane widths from the Fig-11 base configuration.
-        let lanes = fsoi_net::lane::Lanes::fig11_base().scaled_bandwidth(f);
-        let cfg = fsoi_net::config::FsoiConfig::nodes(16).with_lanes(lanes);
-        // Mesh: links narrowed to the same fraction — packets serialize
-        // into proportionally more flits.
-        let mesh = fsoi_mesh::config::MeshConfig::nodes(opts.nodes);
-        for network in [NetworkKind::Fsoi(cfg), NetworkKind::MeshScaled(mesh, f)] {
-            cells.extend(apps.iter().map(|&app| CellSpec {
-                app,
-                network: network.clone(),
-                opts,
-            }));
-        }
-    }
-    let reports = run_cells(&cells);
+    let ops = quick_ops(16) * scale;
+    // One variant per fraction on each network. FSOI: scale the lane
+    // widths from the Fig-11 base configuration.
+    let fsoi = fracs.map(|f| {
+        fsoi_16(FsoiConfig::nodes(16).with_lanes(Lanes::fig11_base().scaled_bandwidth(f)))
+    });
+    // Mesh: links narrowed to the same fraction — packets serialize into
+    // proportionally more flits.
+    let mesh =
+        fracs.map(|f| SystemConfig::paper_16(NetworkKind::MeshScaled(MeshConfig::nodes(16), f)));
+    let (fsoi, mesh) = (sweep(&fsoi, &apps, ops), sweep(&mesh, &apps, ops));
     let mut fsoi_base = 0.0;
     let mut mesh_base = 0.0;
-    for (i, (&f, row)) in fracs.iter().zip(reports.chunks(2 * apps.len())).enumerate() {
-        let (fsoi_leg, mesh_leg) = row.split_at(apps.len());
-        let fsoi_cycles: f64 = fsoi_leg.iter().map(|r| r.cycles as f64).sum();
-        let mesh_cycles: f64 = mesh_leg.iter().map(|r| r.cycles as f64).sum();
+    for (i, &f) in fracs.iter().enumerate() {
+        let fsoi_cycles: f64 = fsoi.variant(i).map(|r| r.cycles as f64).sum();
+        let mesh_cycles: f64 = mesh.variant(i).map(|r| r.cycles as f64).sum();
         if i == 0 {
             fsoi_base = fsoi_cycles;
             mesh_base = mesh_cycles;
@@ -633,40 +636,36 @@ fn fig11(scale: u64) {
 fn table4(scale: u64) {
     header("Table 4: impact of off-chip memory bandwidth (8.8 vs 52.8 GB/s)");
     for nodes in [16usize, 64] {
-        let mut opts = SweepOptions::for_nodes(nodes);
-        opts.ops_per_core *= scale;
         println!("  {nodes}-core system");
         println!(
             "  {:<24} {:>10} {:>10}",
             "speedup over mesh", "8.8 GB/s", "52.8 GB/s"
         );
-        // One flat cell list per node count: bw-major, then network, then
-        // app — the mesh baseline is simulated once per bandwidth point.
-        let nets = ["mesh", "fsoi", "L0", "Lr1", "Lr2"];
-        let napps = AppProfile::suite().len();
-        let mut cells = Vec::new();
-        for bw in [8.8, 52.8] {
-            let mut o = opts;
-            o.mem_gb_per_s = bw;
-            for net in nets {
-                for app in AppProfile::suite() {
-                    cells.push(CellSpec::new(app, net, o));
-                }
-            }
-        }
-        let reports = run_cells(&cells);
-        let cycles = |bw_i: usize, net_i: usize, app_i: usize| {
-            reports[bw_i * nets.len() * napps + net_i * napps + app_i].cycles
-        };
+        // One sweep per bandwidth point, the mesh baseline first in each.
+        let nets = [
+            NetworkKind::mesh(nodes),
+            NetworkKind::fsoi(nodes),
+            NetworkKind::L0,
+            NetworkKind::Lr1,
+            NetworkKind::Lr2,
+        ];
+        let suite = AppProfile::suite();
+        let by_bw = [8.8, 52.8].map(|bw| {
+            let variants = nets
+                .clone()
+                .map(|kind| SystemConfig::paper_n(nodes, kind).with_mem_bandwidth(bw));
+            sweep(&variants, &suite, quick_ops(nodes) * scale)
+        });
         for (net_i, net) in nets.iter().enumerate().skip(1) {
-            let mut cols = Vec::new();
-            for bw_i in 0..2 {
-                let speeds: Vec<f64> = (0..napps)
-                    .map(|a| cycles(bw_i, 0, a) as f64 / cycles(bw_i, net_i, a) as f64)
+            let cols = by_bw.each_ref().map(|s| {
+                let speeds: Vec<f64> = s
+                    .variant(0)
+                    .zip(s.variant(net_i))
+                    .map(|(mesh, r)| mesh.cycles as f64 / r.cycles as f64)
                     .collect();
-                cols.push(geometric_mean(&speeds).unwrap_or(0.0));
-            }
-            println!("  {:<24} {:>10.2} {:>10.2}", net, cols[0], cols[1]);
+                geometric_mean(&speeds).unwrap_or(0.0)
+            });
+            println!("  {:<24} {:>10.2} {:>10.2}", net.name(), cols[0], cols[1]);
         }
     }
     println!("  (paper 16-core FSOI: 1.32 / 1.36; 64-core FSOI: 1.61 / 1.75)");
@@ -693,32 +692,12 @@ fn bm() {
 
 fn opts(scale: u64) {
     header("§7.3: optimization effectiveness summary");
-    let mut o = SweepOptions::quick_16();
-    o.ops_per_core *= scale;
+    let ops = quick_ops(16) * scale;
+    let fsoi = fsoi_16(FsoiConfig::nodes(16));
     // Hints: resolution delay and accuracy on a contended app.
-    let app = AppProfile::by_name("mp").unwrap();
-    let no_hints = fsoi_net::config::FsoiConfig::nodes(16).with_hints(false);
-    let mut cells = vec![
-        CellSpec::new(app, "fsoi", o),
-        CellSpec {
-            app,
-            network: NetworkKind::Fsoi(no_hints),
-            opts: o,
-        },
-    ];
-    // Subscriptions: each sync-heavy app with the §5.1 optimizations on,
-    // then off.
-    let off = SweepOptions {
-        optimizations: false,
-        ..o
-    };
-    for name in ["ba", "ro", "ray", "ws", "fmm", "ilink", "tsp"] {
-        let a = AppProfile::by_name(name).unwrap();
-        cells.push(CellSpec::new(a, "fsoi", o));
-        cells.push(CellSpec::new(a, "fsoi", off));
-    }
-    let reports = run_cells(&cells);
-    let (with, no_hints) = (&reports[0], &reports[1]);
+    let no_hints = fsoi_16(FsoiConfig::nodes(16).with_hints(false));
+    let hints = sweep(&[fsoi.clone(), no_hints], &apps_named(&["mp"]), ops);
+    let (with, no_hints) = (hints.at(0, 0), hints.at(1, 0));
     println!(
         "  hint accuracy          = {:.1}%   (paper: 94%)",
         100.0 * with.hint_accuracy
@@ -731,10 +710,14 @@ fn opts(scale: u64) {
         "  data resolution delay  = {:.1} cycles with hints vs {:.1} without (paper: 29 vs 41)",
         with.data_resolution_delay, no_hints.data_resolution_delay
     );
+    // Subscriptions: each sync-heavy app with the §5.1 optimizations on,
+    // then off.
+    let sync_apps = apps_named(&["ba", "ro", "ray", "ws", "fmm", "ilink", "tsp"]);
+    let off = fsoi.clone().with_optimizations(false);
+    let sync = sweep(&[fsoi, off], &sync_apps, ops);
     let mut speeds = Vec::new();
     let mut saved = 0u64;
-    for pair in reports[2..].chunks(2) {
-        let (on, off) = (&pair[0], &pair[1]);
+    for (on, off) in sync.variant(0).zip(sync.variant(1)) {
         speeds.push(off.cycles as f64 / on.cycles as f64);
         saved += on.subscription_packets_saved;
     }
@@ -750,29 +733,16 @@ fn opts(scale: u64) {
 /// design in a 64-way system."
 fn corona(scale: u64) {
     header("§7.1: FSOI vs a corona-style WDM token-ring crossbar (64 nodes)");
-    let mut opts = SweepOptions::quick_64();
-    opts.ops_per_core *= scale;
     let mut speeds = Vec::new();
     println!(
         "  {:<6} {:>10} {:>10} {:>8} {:>10} {:>10}",
         "app", "fsoi cyc", "ring cyc", "ratio", "fsoi lat", "ring lat"
     );
-    let cells: Vec<CellSpec> = AppProfile::suite()
-        .into_iter()
-        .flat_map(|app| {
-            [
-                CellSpec::new(app, "fsoi", opts),
-                CellSpec {
-                    app,
-                    network: NetworkKind::ring(64),
-                    opts,
-                },
-            ]
-        })
-        .collect();
-    let reports = run_cells(&cells);
-    for (app, pair) in AppProfile::suite().into_iter().zip(reports.chunks(2)) {
-        let (f, r) = (&pair[0], &pair[1]);
+    let suite = AppProfile::suite();
+    let variants = [NetworkKind::fsoi(64), NetworkKind::ring(64)].map(SystemConfig::paper_64);
+    let s = sweep(&variants, &suite, quick_ops(64) * scale);
+    for (a, app) in suite.iter().enumerate() {
+        let (f, r) = (s.at(0, a), s.at(1, a));
         let ratio = r.cycles as f64 / f.cycles as f64;
         speeds.push(ratio);
         println!(
@@ -798,36 +768,25 @@ fn corona(scale: u64) {
 /// without changing any qualitative conclusion.
 fn l1_sensitivity(scale: u64) {
     header("§7.1: impact of L1 cache size (8 KB scaled vs 32 KB realistic)");
-    let mut o = SweepOptions::quick_16();
-    o.ops_per_core *= scale;
     let sizes = [("8 KB (paper default)", 256usize), ("32 KB", 1024)];
-    // `l1_lines` is not a sweep option, so this one lowers its own batch
-    // cells: size-major, then app, mesh before FSOI.
-    let mut cells = Vec::new();
-    for (_, lines) in sizes {
-        for app in AppProfile::suite() {
-            for name in ["mesh", "fsoi"] {
-                let mut cell = CellSpec::new(app, name, o).to_batch_cell();
-                cell.config.l1_lines = lines;
-                cells.push(cell);
-            }
-        }
-    }
-    let reports =
-        fsoi_cmp::batch::run_batch_forked(&cells, fsoi_sim::par::thread_count(), MAX_CYCLES);
-    let napps = AppProfile::suite().len();
-    for ((label, _), rows) in sizes.iter().zip(reports.chunks(2 * napps)) {
+    let suite = AppProfile::suite();
+    // One sweep per size: mesh, then FSOI.
+    for (label, l1_lines) in sizes {
+        let variants = [NetworkKind::mesh(16), NetworkKind::fsoi(16)].map(|kind| SystemConfig {
+            l1_lines,
+            ..SystemConfig::paper_16(kind)
+        });
+        let s = sweep(&variants, &suite, quick_ops(16) * scale);
         let mut speeds = Vec::new();
         let mut miss = 0.0;
-        for pair in rows.chunks(2) {
-            let (mesh, fsoi) = (&pair[0], &pair[1]);
+        for (mesh, fsoi) in s.variant(0).zip(s.variant(1)) {
             speeds.push(mesh.cycles as f64 / fsoi.cycles as f64);
             miss += fsoi.l1_miss_rate;
         }
         println!(
             "  {label:<22}: FSOI speedup gmean {:.2}, avg miss rate {:.1}%",
             geometric_mean(&speeds).unwrap_or(0.0),
-            100.0 * miss / 16.0
+            100.0 * miss / suite.len() as f64
         );
     }
     println!("  (paper: 1.36 → 1.27; average miss 4.8% → 3.0%)");
@@ -844,31 +803,19 @@ fn l1_sensitivity(scale: u64) {
 /// 1e-5) without any tangible impact on performance."
 fn ber_relaxation(scale: u64) {
     header("§4.3.1: relaxing the link BER (errors ride the collision machinery)");
-    let mut o = SweepOptions::quick_16();
-    o.ops_per_core *= scale;
-    let apps = ["ba", "oc", "mp", "fft"];
+    let apps = apps_named(&["ba", "oc", "mp", "fft"]);
     println!(
         "  {:>9} {:>12} {:>14}",
         "BER", "cycles (sum)", "error drops"
     );
     let bers = [1e-10f64, 1e-6, 1e-5, 1e-4];
-    // BER-major cell list: every (BER, app) pair is an independent cell.
-    let mut cells = Vec::new();
-    for &ber in &bers {
-        let cfg = fsoi_net::config::FsoiConfig::nodes(16).with_bit_error_rate(ber);
-        for name in apps {
-            cells.push(CellSpec {
-                app: AppProfile::by_name(name).unwrap(),
-                network: NetworkKind::Fsoi(cfg.clone()),
-                opts: o,
-            });
-        }
-    }
-    let reports = run_cells(&cells);
+    // One variant per BER.
+    let variants = bers.map(|ber| fsoi_16(FsoiConfig::nodes(16).with_bit_error_rate(ber)));
+    let s = sweep(&variants, &apps, quick_ops(16) * scale);
     let mut base = 0.0;
-    for (&ber, row) in bers.iter().zip(reports.chunks(apps.len())) {
-        let cycles: u64 = row.iter().map(|r| r.cycles).sum();
-        let drops: u64 = row.iter().map(|r| r.bit_error_drops).sum();
+    for (i, &ber) in bers.iter().enumerate() {
+        let cycles: u64 = s.variant(i).map(|r| r.cycles).sum();
+        let drops: u64 = s.variant(i).map(|r| r.bit_error_drops).sum();
         if base == 0.0 {
             base = cycles as f64;
         }
@@ -887,34 +834,24 @@ fn ber_relaxation(scale: u64) {
 /// diminishing returns." Full-system ablation over R = 1..4.
 fn receivers(scale: u64) {
     header("§4.3.1: receivers per lane — full-system ablation (R = 1..4)");
-    let mut o = SweepOptions::quick_16();
-    o.ops_per_core *= scale;
-    let apps = ["mp", "rx", "oc", "ro"];
+    let apps = apps_named(&["mp", "rx", "oc", "ro"]);
     println!(
         "  {:>3} {:>12} {:>12} {:>12}",
         "R", "cycles (sum)", "meta coll%", "data coll%"
     );
-    // R-major cell list: every (R, app) pair is an independent cell.
-    let mut cells = Vec::new();
-    for r in 1..=4usize {
-        let mut lanes = fsoi_net::lane::Lanes::paper_default();
+    // One variant per receiver count.
+    let variants = [1usize, 2, 3, 4].map(|r| {
+        let mut lanes = Lanes::paper_default();
         lanes.meta.receivers = r;
         lanes.data.receivers = r;
-        let cfg = fsoi_net::config::FsoiConfig::nodes(16).with_lanes(lanes);
-        for name in apps {
-            cells.push(CellSpec {
-                app: AppProfile::by_name(name).unwrap(),
-                network: NetworkKind::Fsoi(cfg.clone()),
-                opts: o,
-            });
-        }
-    }
-    let reports = run_cells(&cells);
+        fsoi_16(FsoiConfig::nodes(16).with_lanes(lanes))
+    });
+    let s = sweep(&variants, &apps, quick_ops(16) * scale);
     let mut prev_cycles = 0u64;
-    for (ri, row) in reports.chunks(apps.len()).enumerate() {
+    for ri in 0..variants.len() {
         let r = ri + 1;
         let (mut cyc, mut mc, mut dc) = (0u64, 0.0, 0.0);
-        for rep in row {
+        for rep in s.variant(ri) {
             cyc += rep.cycles;
             mc += rep.meta_collision_rate;
             dc += rep.data_collision_rate;
@@ -946,15 +883,9 @@ fn receivers(scale: u64) {
 /// EXPERIMENTS.md figures and these snapshots can never disagree.
 fn snapshot(scale: u64) {
     header("snapshot: metric registry for the Figure 6 16-node runs");
-    let mut opts = SweepOptions::quick_16();
-    opts.ops_per_core *= scale;
-    let results = sweep_apps(&["mesh", "fsoi"], opts);
-    let mut reg = fsoi_sim::metrics::Registry::new();
-    for r in &results {
-        for report in &r.reports {
-            report.export(&mut reg);
-        }
-    }
+    let variants = [NetworkKind::mesh(16), NetworkKind::fsoi(16)].map(SystemConfig::paper_16);
+    let s = sweep(&variants, &AppProfile::suite(), quick_ops(16) * scale);
+    let reg = fsoi_cmp::batch::merge_reports(s.reports());
     print!("{}", reg.to_table());
     println!("\n--- JSONL ---");
     print!("{}", reg.to_jsonl());
@@ -1009,21 +940,26 @@ fn grid(args: &[String]) {
             &format!("--nodes must be in 2..={max_nodes}, got {nodes}"),
         );
     }
-    let networks: Vec<String> = networks_arg.split(',').map(|s| s.trim().into()).collect();
-    // The mesh and the ideal networks laid out on it are square grids.
-    let on_mesh = |n: &String| matches!(n.as_str(), "mesh" | "L0" | "Lr1" | "Lr2");
-    if networks.iter().any(on_mesh) && nodes.isqrt().pow(2) != nodes {
-        usage_error(
-            "grid",
-            &format!("mesh, L0, Lr1 and Lr2 need a perfect-square --nodes, got {nodes}"),
-        );
-    }
-    if let Some(bad) = networks
+    let networks: Vec<&str> = networks_arg.split(',').map(str::trim).collect();
+    let square = nodes.isqrt().pow(2) == nodes;
+    let variants: Vec<SystemConfig> = networks
         .iter()
-        .find(|n| network_by_name(n, nodes).is_none())
-    {
-        usage_error("grid", &format!("unknown network {bad:?}"));
-    }
+        .map(|name| {
+            let kind_at = |n| {
+                NetworkKind::by_name(name, n)
+                    .unwrap_or_else(|| usage_error("grid", &format!("unknown network {name:?}")))
+            };
+            // Asked at the paper's size, which every network takes: a mesh
+            // cannot even be configured off a perfect square.
+            if !square && kind_at(16).is_grid() {
+                usage_error(
+                    "grid",
+                    &format!("mesh, L0, Lr1 and Lr2 need a perfect-square --nodes, got {nodes}"),
+                );
+            }
+            SystemConfig::paper_n(nodes, kind_at(nodes))
+        })
+        .collect();
     let apps: Vec<AppProfile> = apps_arg
         .split(',')
         .map(|n| {
@@ -1034,10 +970,8 @@ fn grid(args: &[String]) {
     header(&format!(
         "grid: {nodes}-node design-space grid over {networks_arg}"
     ));
-    let mut opts = SweepOptions::for_nodes(nodes);
-    if let Some(ops) = ops_override {
-        opts.ops_per_core = ops;
-    }
+    let ops = ops_override.unwrap_or_else(|| quick_ops(nodes));
+    let seed = variants[0].seed;
     if nodes > 16 {
         match NetworkKind::fsoi(nodes) {
             NetworkKind::Fsoi(cfg) => assert!(
@@ -1050,43 +984,29 @@ fn grid(args: &[String]) {
             _ => unreachable!("NetworkKind::fsoi builds an FSOI config"),
         }
     }
-    let cells: Vec<CellSpec> = apps
-        .iter()
-        .flat_map(|app| {
-            networks
-                .iter()
-                .map(|net| CellSpec::new(*app, net, opts))
-                .collect::<Vec<_>>()
-        })
-        .collect();
+    let n_cells = apps.len() * networks.len();
     let thread_counts = [1usize, 2, 8];
     println!(
-        "  {} apps x {} networks = {} cells (ops/core {}, seed {}); worker counts {thread_counts:?}",
+        "  {} apps x {} networks = {n_cells} cells (ops/core {ops}, seed {seed}); worker counts {thread_counts:?}",
         apps.len(),
         networks.len(),
-        cells.len(),
-        opts.ops_per_core,
-        opts.seed
     );
 
-    let mut exports: Vec<Vec<String>> = Vec::new();
-    let mut reports_by_threads = Vec::new();
-    for &t in &thread_counts {
-        let reports = run_cells_threads(&cells, t);
-        exports.push(reports.iter().map(cell_export).collect());
-        reports_by_threads.push(reports);
-    }
-    let byte_identical = exports[1..].iter().all(|e| *e == exports[0]);
-    let reports = &reports_by_threads[0];
+    let sweeps = thread_counts.map(|t| Sweep::run(&variants, &apps, ops, t));
+    let exports = sweeps
+        .each_ref()
+        .map(|s| s.reports().iter().map(cell_export).collect::<Vec<String>>());
+    let byte_identical = exports.iter().all(|e| *e == exports[0]);
+    let s = &sweeps[0];
 
     println!(
         "  {:<6} {:<9} {:>10} {:>9} {:>11} {:>11} {:>9}",
         "app", "network", "cycles", "lat cyc", "net uJ", "total uJ", "packets"
     );
     let mut lines = Vec::new();
-    for (ci, (cell, r)) in cells.iter().zip(reports).enumerate() {
+    for (ci, (cell, r)) in s.cells().iter().zip(s.reports()).enumerate() {
         let app = cell.app.name;
-        let net = cell.network.name();
+        let net = cell.config.network.name();
         let packets: u64 = r.packets_sent.iter().sum();
         let lat = r.mean_packet_latency();
         // Shape-class pins: a healthy cell completes inside the cycle
@@ -1127,22 +1047,19 @@ fn grid(args: &[String]) {
     // by orders of magnitude (the crossover sits between 64 and 256
     // ports: ~17 dB of worst-case loss at 64 is still affordable, ~65 dB
     // at 256 is not).
-    if networks.iter().any(|n| n == "crossbar") && networks.iter().any(|n| n == "ring") {
-        let cell = |app_i: usize, name: &str| {
-            let net_i = networks.iter().position(|n| n == name).unwrap();
-            &reports[app_i * networks.len() + net_i]
-        };
+    let variant_of = |name: &str| networks.iter().position(|n| *n == name);
+    if let (Some(crossbar), Some(ring)) = (variant_of("crossbar"), variant_of("ring")) {
         for (app_i, app) in apps.iter().enumerate() {
             assert!(
-                cell(app_i, "crossbar").mean_packet_latency()
-                    < cell(app_i, "ring").mean_packet_latency(),
+                s.at(crossbar, app_i).mean_packet_latency()
+                    < s.at(ring, app_i).mean_packet_latency(),
                 "tokenless crossbar should beat Corona's latency on {} at {nodes} nodes",
                 app.name
             );
             if nodes >= 256 {
                 assert!(
-                    cell(app_i, "crossbar").energy.network_j
-                        > 100.0 * cell(app_i, "ring").energy.network_j,
+                    s.at(crossbar, app_i).energy.network_j
+                        > 100.0 * s.at(ring, app_i).energy.network_j,
                     "worst-case-loss crossbar should out-spend Corona 100x on {} at {nodes} nodes",
                     app.name
                 );
@@ -1153,17 +1070,14 @@ fn grid(args: &[String]) {
             println!("  ok shape: crossbar network energy exceeds 100x Corona's on every app");
         }
     }
-    println!(
-        "  ok shape: all {} cells completed with positive latency, energy and traffic",
-        cells.len()
-    );
+    println!("  ok shape: all {n_cells} cells completed with positive latency, energy and traffic");
     println!("  byte-identical across workers {thread_counts:?}: {byte_identical}");
 
     if let Some(path) = &out_path {
         let mut summary = String::from("fsoi-grid/v1\n");
         summary.push_str(&format!("nodes {nodes}\n"));
-        summary.push_str(&format!("ops_per_core {}\n", opts.ops_per_core));
-        summary.push_str(&format!("seed {}\n", opts.seed));
+        summary.push_str(&format!("ops_per_core {ops}\n"));
+        summary.push_str(&format!("seed {seed}\n"));
         summary.push_str(&format!("networks {}\n", networks.join(",")));
         summary.push_str(&format!(
             "apps {}\n",
@@ -1217,34 +1131,35 @@ fn profile(args: &[String]) {
     }
     fsoi_sim::telemetry::reset();
     fsoi_sim::telemetry::set_enabled(true);
-    let mut opts = SweepOptions::quick_16();
-    if let Some(ops) = ops_override {
-        opts.ops_per_core = ops;
-    }
-    let networks = ["mesh", "fsoi", "L0", "Lr1", "Lr2"];
-    let cells = suite_cells(&networks, opts);
+    let ops = ops_override.unwrap_or_else(|| quick_ops(16));
+    let variants = [
+        NetworkKind::mesh(16),
+        NetworkKind::fsoi(16),
+        NetworkKind::L0,
+        NetworkKind::Lr1,
+        NetworkKind::Lr2,
+    ]
+    .map(SystemConfig::paper_16);
+    let suite = AppProfile::suite();
     let threads = fsoi_sim::par::thread_count();
     println!(
-        "  sweep: {} cells (ops/core {}, seed {}), {} worker threads",
-        cells.len(),
-        opts.ops_per_core,
-        opts.seed,
-        threads
+        "  sweep: {} cells (ops/core {ops}, seed {}), {threads} worker threads",
+        suite.len() * variants.len(),
+        variants[0].seed,
     );
+    let s = Sweep::run(&variants, &suite, ops, threads);
+    let profile = s.profile();
+    let registry = fsoi_cmp::batch::merge_reports(s.reports());
+    let snap = fsoi_sim::telemetry::snapshot();
+    fsoi_sim::telemetry::set_enabled(false);
 
     // The content-addressed identity of the run: the same preimage
     // inputs the cell cache keys on, hashed over every cell in order.
     let mut key_bytes = String::new();
-    for cell in &cells {
-        let bc = cell.to_batch_cell();
-        key_bytes.push_str(&format!("{:?}|{:?}|{MAX_CYCLES}\n", bc.config, bc.app));
+    for cell in s.cells() {
+        key_bytes.push_str(&format!("{:?}|{:?}|{MAX_CYCLES}\n", cell.config, cell.app));
     }
     let config_hash = fsoi_cmp::cache::fnv1a64(key_bytes.as_bytes());
-
-    let (reports, profile) = run_cells_threads_profiled(&cells, threads);
-    let registry = fsoi_cmp::batch::merge_reports(&reports);
-    let snap = fsoi_sim::telemetry::snapshot();
-    fsoi_sim::telemetry::set_enabled(false);
 
     // Deterministic-plane bytes: the span profile plus the merged
     // registry, both in sorted JSONL. `scripts/verify.sh` byte-compares
@@ -1260,11 +1175,11 @@ fn profile(args: &[String]) {
     }
 
     let manifest = render_manifest(
-        &opts,
-        &networks,
-        cells.len(),
+        &variants,
+        ops,
+        s.cells().len(),
         config_hash,
-        &profile,
+        profile,
         registry.len(),
         det_hash,
         threads,
@@ -1290,8 +1205,8 @@ fn profile(args: &[String]) {
     reason = "one argument per manifest section"
 )]
 fn render_manifest(
-    opts: &SweepOptions,
-    networks: &[&str],
+    variants: &[SystemConfig],
+    ops_per_core: u64,
     cells: usize,
     config_hash: u64,
     profile: &fsoi_sim::profile::Profile,
@@ -1306,12 +1221,16 @@ fn render_manifest(
     out.push_str("  \"schema\": \"fsoi-run-manifest/v2\",\n");
     out.push_str("  \"config\": {\n");
     let _ = writeln!(out, "    \"cells\": {cells},");
+    let networks: Vec<&str> = variants.iter().map(|v| v.network.name()).collect();
+    // What the variants share (they differ in the network alone).
+    let common = &variants[0];
+    let optimizations = common.opt_confirmation_acks && common.opt_subscriptions;
     let _ = writeln!(out, "    \"networks\": \"{}\",", networks.join(","));
-    let _ = writeln!(out, "    \"nodes\": {},", opts.nodes);
-    let _ = writeln!(out, "    \"ops_per_core\": {},", opts.ops_per_core);
-    let _ = writeln!(out, "    \"mem_gb_per_s\": {:?},", opts.mem_gb_per_s);
-    let _ = writeln!(out, "    \"optimizations\": {},", opts.optimizations);
-    let _ = writeln!(out, "    \"seed\": {},", opts.seed);
+    let _ = writeln!(out, "    \"nodes\": {},", common.nodes);
+    let _ = writeln!(out, "    \"ops_per_core\": {ops_per_core},");
+    let _ = writeln!(out, "    \"mem_gb_per_s\": {:?},", common.mem_gb_per_s);
+    let _ = writeln!(out, "    \"optimizations\": {optimizations},");
+    let _ = writeln!(out, "    \"seed\": {},", common.seed);
     let _ = writeln!(out, "    \"max_cycles\": {MAX_CYCLES},");
     let _ = writeln!(out, "    \"config_hash\": \"{config_hash:016x}\"");
     out.push_str("  },\n");
@@ -1355,27 +1274,24 @@ fn host_cpus() -> usize {
 /// artifacts.
 fn seed_stability(scale: u64) {
     header("seed stability: Figure 6 FSOI speedup geomean across seeds");
-    let mut o = SweepOptions::quick_16();
-    o.ops_per_core *= scale;
     let seeds = [2010u64, 7, 42, 1234, 99999];
-    // Seed-major cell list, [mesh, fsoi] interleaved per app.
-    let mut cells = Vec::new();
-    for seed in seeds {
-        let mut os = o;
-        os.seed = seed;
-        for app in AppProfile::suite() {
-            cells.push(CellSpec::new(app, "mesh", os));
-            cells.push(CellSpec::new(app, "fsoi", os));
-        }
-    }
-    let reports = run_cells(&cells);
-    let napps = AppProfile::suite().len();
+    // One sweep, so each (network, app) pair forks its seed variants from
+    // one template: per seed, the mesh then FSOI.
+    let variants: Vec<SystemConfig> = seeds
+        .iter()
+        .flat_map(|&seed| {
+            [NetworkKind::mesh(16), NetworkKind::fsoi(16)]
+                .map(|kind| SystemConfig::paper_16(kind).with_seed(seed))
+        })
+        .collect();
+    let s = sweep(&variants, &AppProfile::suite(), quick_ops(16) * scale);
     let mut gmeans = Vec::new();
     for (si, seed) in seeds.iter().enumerate() {
-        let row = &reports[si * 2 * napps..(si + 1) * 2 * napps];
-        let speeds: Vec<f64> = row
-            .chunks(2)
-            .map(|pair| pair[0].cycles as f64 / pair[1].cycles as f64)
+        let (mesh, fsoi) = (2 * si, 2 * si + 1);
+        let speeds: Vec<f64> = s
+            .variant(mesh)
+            .zip(s.variant(fsoi))
+            .map(|(m, f)| m.cycles as f64 / f.cycles as f64)
             .collect();
         let g = geometric_mean(&speeds).unwrap_or(0.0);
         println!("  seed {seed:>6}: gmean {g:.3}");

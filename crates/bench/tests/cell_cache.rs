@@ -1,12 +1,13 @@
 //! End-to-end contract of the `FSOI_CACHE` cell cache through the
-//! public batch entry points. (This binary owns the `FSOI_CACHE` env
+//! public batch entry point. (This binary owns the `FSOI_CACHE` env
 //! var: nothing else in it — and no other test binary — reads or writes
 //! the knob, so the serial `set_var`/`remove_var` dance here cannot race
 //! another test.)
 
-use fsoi_bench::runner::{CellSpec, SweepOptions, MAX_CYCLES};
+use fsoi_bench::runner::MAX_CYCLES;
 use fsoi_cmp::batch::{merge_reports, run_batch, BatchCell};
 use fsoi_cmp::cache::CellCache;
+use fsoi_cmp::configs::{NetworkKind, SystemConfig};
 use fsoi_cmp::workload::AppProfile;
 use fsoi_sim::telemetry;
 use std::path::PathBuf;
@@ -18,18 +19,20 @@ fn cache_dir(name: &str) -> PathBuf {
 }
 
 fn tiny_cells(seed: u64) -> Vec<BatchCell> {
-    let opts = SweepOptions {
-        ops_per_core: 30,
-        seed,
-        ..SweepOptions::quick_16()
-    };
     ["mp", "fft"]
         .iter()
         .flat_map(|a| {
-            let app = AppProfile::by_name(a).expect("suite app");
-            ["fsoi", "mesh"].map(|n| CellSpec::new(app, n, opts).to_batch_cell())
+            let mut app = AppProfile::by_name(a).expect("suite app");
+            app.ops_per_core = 30;
+            [NetworkKind::fsoi(16), NetworkKind::mesh(16)]
+                .map(|kind| BatchCell::new(SystemConfig::paper_16(kind).with_seed(seed), app))
         })
         .collect()
+}
+
+/// The merged export of one batch run.
+fn export(cells: &[BatchCell], threads: usize) -> String {
+    merge_reports(&run_batch(cells, threads, MAX_CYCLES).0).to_jsonl()
 }
 
 /// The one test: a single `#[test]` keeps every use of the env var on
@@ -38,7 +41,7 @@ fn tiny_cells(seed: u64) -> Vec<BatchCell> {
 fn fsoi_cache_knob_end_to_end() {
     let cells = tiny_cells(2010);
     std::env::remove_var("FSOI_CACHE");
-    let cold = merge_reports(&run_batch(&cells, 1, MAX_CYCLES)).to_jsonl();
+    let cold = export(&cells, 1);
     assert!(!cold.is_empty(), "the cold export carries metrics");
 
     // Enabled knob: the first batch fills the cache, the second batch is
@@ -48,7 +51,7 @@ fn fsoi_cache_knob_end_to_end() {
     let t0 = telemetry::cache_stats();
     let dir = cache_dir("cell_cache_smoke");
     std::env::set_var("FSOI_CACHE", &dir);
-    let fill = merge_reports(&run_batch(&cells, 2, MAX_CYCLES)).to_jsonl();
+    let fill = export(&cells, 2);
     assert_eq!(fill, cold, "cache fill must not change the export");
     let entries = || {
         std::fs::read_dir(&dir)
@@ -61,7 +64,7 @@ fn fsoi_cache_knob_end_to_end() {
         t0.misses + cells.len() as u64,
         "the fill run counts one miss per cell"
     );
-    let hits = merge_reports(&run_batch(&cells, 2, MAX_CYCLES)).to_jsonl();
+    let hits = export(&cells, 2);
     assert_eq!(hits, cold, "cache hits must reproduce the cold bytes");
     assert_eq!(entries(), cells.len(), "a hit run writes nothing new");
     assert_eq!(
@@ -94,7 +97,7 @@ fn fsoi_cache_knob_end_to_end() {
     };
     let tampered = format!("{}\n{}", preimage_line(&path_of(a)), payload(&path_of(b)));
     std::fs::write(path_of(a), tampered).expect("tamper cache entry");
-    let swapped = merge_reports(&run_batch(&cells, 1, MAX_CYCLES)).to_jsonl();
+    let swapped = export(&cells, 1);
     assert_ne!(
         swapped, cold,
         "a tampered cache entry must be visible — otherwise hits were not read from disk"
@@ -105,7 +108,7 @@ fn fsoi_cache_knob_end_to_end() {
     // rejection lands in the tamper counter (preimage mismatch).
     let before_tamper = telemetry::cache_stats();
     std::fs::write(path_of(a), "not a cache entry\n").expect("corrupt cache entry");
-    let healed = merge_reports(&run_batch(&cells, 1, MAX_CYCLES)).to_jsonl();
+    let healed = export(&cells, 1);
     assert_eq!(healed, cold, "corrupt entries must fall back to cold runs");
     assert_eq!(
         telemetry::cache_stats().tamper,
@@ -119,7 +122,7 @@ fn fsoi_cache_knob_end_to_end() {
     let before_corrupt = telemetry::cache_stats();
     let garbled = format!("{}\nnot wire format\n", preimage_line(&path_of(a)));
     std::fs::write(path_of(a), garbled).expect("garble cache payload");
-    let reheal = merge_reports(&run_batch(&cells, 1, MAX_CYCLES)).to_jsonl();
+    let reheal = export(&cells, 1);
     assert_eq!(reheal, cold, "garbled payloads must fall back to cold runs");
     let after_corrupt = telemetry::cache_stats();
     assert_eq!(
@@ -132,13 +135,45 @@ fn fsoi_cache_knob_end_to_end() {
         "an intact preimage must not count as tampering"
     );
 
+    // Rot one digit of `cycles` in place: the preimage is intact and the
+    // wire text still parses, so only the payload's sum line can tell —
+    // the entry must read as corrupt, not be served as a hit.
+    let before_rot = telemetry::cache_stats();
+    let intact = std::fs::read_to_string(path_of(a)).expect("cache entry readable");
+    let digit_at = intact
+        .find("\ncycles ")
+        .expect("the wire text has a cycles line")
+        + "\ncycles ".len();
+    let mut rotted = intact.clone().into_bytes();
+    rotted[digit_at] = if rotted[digit_at] == b'9' {
+        b'8'
+    } else {
+        rotted[digit_at] + 1
+    };
+    std::fs::write(path_of(a), rotted).expect("rot cache entry");
+    let unrotted = export(&cells, 1);
+    assert_eq!(
+        unrotted, cold,
+        "a rotted digit must fall back to a cold run"
+    );
+    assert_eq!(
+        telemetry::cache_stats().corrupt,
+        before_rot.corrupt + 1,
+        "a sum mismatch must increment the corruption counter"
+    );
+    assert_eq!(
+        std::fs::read_to_string(path_of(a)).expect("cache entry readable"),
+        intact,
+        "the cold run must heal the entry"
+    );
+
     // An empty knob value disables the cache entirely.
     std::env::set_var("FSOI_CACHE", "");
     assert!(
         CellCache::from_env().is_none(),
         "an empty knob must disable the cache"
     );
-    let off = merge_reports(&run_batch(&cells, 1, MAX_CYCLES)).to_jsonl();
+    let off = export(&cells, 1);
     assert_eq!(off, cold);
 
     std::env::remove_var("FSOI_CACHE");

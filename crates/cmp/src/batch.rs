@@ -1,12 +1,12 @@
-//! Batch entry points: run many (config, app) cells through the
+//! The batch entry point: run many (config, app) cells through the
 //! deterministic parallel executor and merge their reports.
 //!
 //! A sweep *cell* is one fully-specified simulation: a [`SystemConfig`]
 //! (which carries the network kind and the run seed) plus an
-//! [`AppProfile`]. Cells share nothing — each [`run_batch`] closure call
-//! constructs its own [`CmpSystem`], whose RNG streams derive from the
-//! cell's own `cfg.seed` and whose statistics live in per-run state —
-//! so they can execute on any number of threads.
+//! [`AppProfile`]. Cells share nothing — each runs in its own
+//! [`CmpSystem`], whose RNG streams derive from the cell's own `cfg.seed`
+//! and whose statistics live in per-run state — so they can execute on
+//! any number of threads.
 //!
 //! Determinism is preserved end-to-end:
 //!
@@ -46,15 +46,8 @@ impl BatchCell {
         BatchCell { config, app }
     }
 
-    /// Runs this cell to completion in an isolated simulator, consulting
-    /// the content-addressed cell cache first when the `FSOI_CACHE` knob
-    /// enables one. A hit is byte-identical to the cold run it replaces
-    /// (see [`CellCache`]).
-    pub fn run(&self, max_cycles: u64) -> RunReport {
-        run_via_cache(self, max_cycles, || self.run_cold(max_cycles))
-    }
-
-    /// Runs this cell unconditionally — fresh system, no cache.
+    /// Runs this cell unconditionally — fresh system, no cache: the cold
+    /// reference [`run_batch`] and the cell cache are pinned against.
     pub fn run_cold(&self, max_cycles: u64) -> RunReport {
         let mut sys = {
             let _build = telemetry::span(Phase::Build);
@@ -65,45 +58,30 @@ impl BatchCell {
     }
 }
 
-/// Routes one cell run through the env-configured cache when enabled.
-fn run_via_cache(cell: &BatchCell, max_cycles: u64, cold: impl FnOnce() -> RunReport) -> RunReport {
-    match CellCache::from_env() {
-        Some(cache) => cache.run_or(&cell.config, &cell.app, max_cycles, cold),
-        None => cold(),
-    }
-}
-
 /// Runs every cell on up to `threads` worker threads and returns the
-/// reports in cell order — byte-for-byte the same vector a serial loop
-/// would produce, for any `threads` (see [`fsoi_sim::par::sweep`]).
-pub fn run_batch(cells: &[BatchCell], threads: usize, max_cycles: u64) -> Vec<RunReport> {
-    par::sweep(cells.len(), threads, |i| cells[i].run(max_cycles))
-}
-
-/// Like [`run_batch`], but amortizes seed-independent construction work:
-/// cells that differ **only by seed** share one unrun template
-/// [`CmpSystem`] — the preloaded distributed-L2 directories, L1 arrays
-/// and memory map are built once — which is then
-/// [forked](CmpSystem::fork) per cell inside the sweep. Groups with a
-/// single member skip the template and run cold, so sweeps with no seed
-/// variants pay only the (cheap) grouping pass.
+/// reports in cell order — byte-for-byte the same vector a serial loop of
+/// [`BatchCell::run_cold`] would produce, for any `threads` (see
+/// [`fsoi_sim::par::sweep`]; pinned by `crates/bench/tests/par_merge.rs`).
 ///
-/// Output is byte-identical to [`run_batch`] for any thread count:
-/// forking an unrun template reproduces cold construction exactly (see
-/// [`CmpSystem::fork`]; pinned by `crates/bench/tests/par_merge.rs`).
-/// The `FSOI_CACHE` cell cache, when enabled, is consulted before
-/// forking just as [`BatchCell::run`] does before constructing.
-pub fn run_batch_forked(cells: &[BatchCell], threads: usize, max_cycles: u64) -> Vec<RunReport> {
-    run_batch_forked_profiled(cells, threads, max_cycles).0
-}
-
-/// [`run_batch_forked`] plus the harness-side deterministic profile:
-/// how the batch was decomposed (cells total, forked vs cold, group and
-/// template counts). The decomposition is a pure function of the cell
-/// list — never of thread count or cache state — so the returned
-/// [`Profile`] is byte-identical across `threads` and belongs in the
-/// deterministic observability plane.
-pub fn run_batch_forked_profiled(
+/// Two things keep a cell from paying for what another already did:
+///
+/// * cells that differ **only by seed** share one unrun template
+///   [`CmpSystem`] — the preloaded distributed-L2 directories, L1 arrays
+///   and memory map are built once — which is then
+///   [forked](CmpSystem::fork) per cell inside the sweep (forking an unrun
+///   template reproduces cold construction exactly). Groups with a single
+///   member skip the template and build cold, so sweeps with no seed
+///   variants pay only the (cheap) grouping pass;
+/// * the content-addressed cell cache, when the `FSOI_CACHE` knob enables
+///   one, is consulted before forking or constructing; a hit is
+///   byte-identical to the run it replaces (see [`CellCache`]).
+///
+/// The returned [`Profile`] is the harness side of the deterministic
+/// observability plane: how the batch was decomposed (cells total, forked
+/// vs cold, group and template counts). It is a pure function of the cell
+/// list — never of thread count or cache state — so it is byte-identical
+/// across `threads`.
+pub fn run_batch(
     cells: &[BatchCell],
     threads: usize,
     max_cycles: u64,
@@ -139,20 +117,23 @@ pub fn run_batch_forked_profiled(
     harness.add("batch/cells_cold", cells.len() as u64 - forked);
     harness.add("batch/groups", groups.len() as u64);
     harness.add("batch/templates", templates.len() as u64);
-    let templates = &templates;
-    let template_of = &template_of;
-    let reports = par::sweep(cells.len(), threads, move |i| {
+    let cache = CellCache::from_env();
+    let reports = par::sweep(cells.len(), threads, |i| {
         let cell = &cells[i];
-        match template_of[i] {
-            Some(t) => run_via_cache(cell, max_cycles, || {
+        let run = || match template_of[i] {
+            Some(t) => {
                 let mut sys = {
                     let _build = telemetry::span(Phase::Build);
                     templates[t].fork(cell.config.seed)
                 };
                 let _sim = telemetry::span(Phase::Sim);
                 sys.run(max_cycles)
-            }),
-            None => cell.run(max_cycles),
+            }
+            None => cell.run_cold(max_cycles),
+        };
+        match &cache {
+            Some(cache) => cache.run_or(&cell.config, &cell.app, max_cycles, run),
+            None => run(),
         }
     });
     (reports, harness)
@@ -186,13 +167,32 @@ mod tests {
         cells
     }
 
+    fn cold_bytes(cells: &[BatchCell]) -> String {
+        let cold: Vec<RunReport> = cells.iter().map(|c| c.run_cold(1_000_000)).collect();
+        merge_reports(&cold).to_jsonl()
+    }
+
+    /// Three seed variants of the same (config, app) share a template
+    /// (forked path) plus one odd cell that stays a singleton (cold path).
+    fn forkable_cells() -> Vec<BatchCell> {
+        let mut cells = Vec::new();
+        let mut app = AppProfile::by_name("mp").expect("suite app");
+        app.ops_per_core = 40;
+        for seed in [11, 12, 13] {
+            let cfg = SystemConfig::paper_16(NetworkKind::fsoi(16)).with_seed(seed);
+            cells.push(BatchCell::new(cfg, app));
+        }
+        cells.extend(tiny_cells().into_iter().take(1));
+        cells
+    }
+
     #[test]
     fn parallel_batch_matches_serial_fold() {
         let cells = tiny_cells();
-        let serial = run_batch(&cells, 1, 1_000_000);
+        let serial = run_batch(&cells, 1, 1_000_000).0;
         let serial_bytes = merge_reports(&serial).to_jsonl();
         for threads in [2, 8] {
-            let par_reports = run_batch(&cells, threads, 1_000_000);
+            let par_reports = run_batch(&cells, threads, 1_000_000).0;
             assert_eq!(
                 merge_reports(&par_reports).to_jsonl(),
                 serial_bytes,
@@ -203,24 +203,13 @@ mod tests {
 
     #[test]
     fn forked_batch_matches_cold_batch_bytes() {
-        // Three seed variants of the same (config, app) share a template
-        // (forked path) plus one odd cell that stays a singleton (cold
-        // path inside run_batch_forked).
-        let mut cells = Vec::new();
-        let mut app = AppProfile::by_name("mp").expect("suite app");
-        app.ops_per_core = 40;
-        for seed in [11, 12, 13] {
-            let cfg = SystemConfig::paper_16(NetworkKind::fsoi(16)).with_seed(seed);
-            cells.push(BatchCell::new(cfg, app));
-        }
-        cells.extend(tiny_cells().into_iter().take(1));
-        let cold = run_batch(&cells, 1, 1_000_000);
-        let cold_bytes = merge_reports(&cold).to_jsonl();
+        let cells = forkable_cells();
+        let cold = cold_bytes(&cells);
         for threads in [1, 2, 8] {
-            let forked = run_batch_forked(&cells, threads, 1_000_000);
+            let forked = run_batch(&cells, threads, 1_000_000).0;
             assert_eq!(
                 merge_reports(&forked).to_jsonl(),
-                cold_bytes,
+                cold,
                 "threads = {threads}"
             );
         }
@@ -246,18 +235,9 @@ mod tests {
     }
 
     #[test]
-    fn profiled_batch_reports_the_decomposition() {
-        // Same shape as `forked_batch_matches_cold_batch_bytes`: three
-        // seed variants share one template, one singleton stays cold.
-        let mut cells = Vec::new();
-        let mut app = AppProfile::by_name("mp").expect("suite app");
-        app.ops_per_core = 40;
-        for seed in [11, 12, 13] {
-            let cfg = SystemConfig::paper_16(NetworkKind::fsoi(16)).with_seed(seed);
-            cells.push(BatchCell::new(cfg, app));
-        }
-        cells.extend(tiny_cells().into_iter().take(1));
-        let (reports, harness) = run_batch_forked_profiled(&cells, 2, 1_000_000);
+    fn batch_reports_the_decomposition() {
+        let cells = forkable_cells();
+        let (reports, harness) = run_batch(&cells, 2, 1_000_000);
         assert_eq!(reports.len(), 4);
         assert_eq!(harness.get("batch/cells"), 4);
         assert_eq!(harness.get("batch/cells_forked"), 3);
@@ -265,7 +245,7 @@ mod tests {
         assert_eq!(harness.get("batch/groups"), 2);
         assert_eq!(harness.get("batch/templates"), 1);
         // The decomposition never depends on thread count.
-        let (_, serial) = run_batch_forked_profiled(&cells, 1, 1_000_000);
+        let (_, serial) = run_batch(&cells, 1, 1_000_000);
         assert_eq!(serial, harness);
         // Per-cell sim profiles ride inside the reports.
         assert!(reports[0].profile.get("sim/cycles") > 0);
@@ -274,7 +254,7 @@ mod tests {
 
     #[test]
     fn empty_batch_merges_to_empty_registry() {
-        let reports = run_batch(&[], 8, 1_000);
+        let (reports, _) = run_batch(&[], 8, 1_000);
         assert!(reports.is_empty());
         assert_eq!(merge_reports(&reports).to_jsonl(), "");
     }

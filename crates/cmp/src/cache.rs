@@ -14,7 +14,8 @@
 //! rendering of the config and app (every field, including the seed)
 //! plus `max_cycles` forms a *preimage* string, and its FNV-1a hash
 //! names the cache file. The preimage is stored in the file and verified
-//! on every load, so a hash collision or a stale/corrupt file degrades
+//! on every load, and the report's wire text is followed by its own
+//! FNV-1a sum, so a hash collision, a stale file or a rotted byte degrades
 //! to a miss — the cache can go slow, never wrong.
 //!
 //! Enabled via the documented `FSOI_CACHE` knob (the cache directory);
@@ -34,8 +35,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// `Debug` shape of the key types or the wire format so stale entries
 /// miss instead of misparsing. v2: `RunReport` gained a trailing
 /// `profile` wire line. v3: the profile gained the `coh/dir/*` spans, which
-/// a v2 entry lacks.
-const FORMAT: &str = "fsoi-cell/v3";
+/// a v2 entry lacks. v4: the payload ends with a `sum` line over the wire
+/// text.
+const FORMAT: &str = "fsoi-cell/v4";
 
 /// Distinguishes concurrent writers' temp files within one process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -131,19 +133,30 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The line that closes a stored payload: the FNV-1a sum of the wire text
+/// before it. A wire text that still parses after a digit rotted would
+/// otherwise be served as a hit.
+fn sum_line(wire: &str) -> String {
+    format!("sum {:016x}\n", fnv1a64(wire.as_bytes()))
+}
+
 /// Loads and verifies one entry; any damage or mismatch is a miss.
 /// Rejections are counted in the cache-telemetry plane: a preimage
 /// mismatch (tampered, stale-format or hash-collided entry) bumps the
-/// tamper counter, a wire-parse failure (truncated or corrupted payload)
-/// bumps the corruption counter.
+/// tamper counter; a payload whose sum does not match or whose wire text
+/// does not parse (truncated or corrupted) bumps the corruption counter.
 fn load(path: &Path, preimage: &str) -> Option<RunReport> {
     let text = fs::read_to_string(path).ok()?;
-    let (stored_preimage, wire) = text.split_once('\n')?;
+    let (stored_preimage, payload) = text.split_once('\n')?;
     if stored_preimage != preimage {
         telemetry::cache_tamper();
         return None; // hash collision or stale format — never trust it
     }
-    let report = RunReport::from_wire(wire);
+    let report = payload
+        .rfind("\nsum ")
+        .map(|at| payload.split_at(at + 1))
+        .filter(|(wire, sum)| *sum == sum_line(wire))
+        .and_then(|(wire, _)| RunReport::from_wire(wire));
     if report.is_none() {
         telemetry::cache_corrupt();
     }
@@ -162,8 +175,9 @@ fn store(path: &Path, preimage: &str, report: &RunReport) {
         std::process::id(),
         TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
     ));
-    let payload = format!("{preimage}\n{}", report.to_wire());
-    if fs::write(&tmp, payload).is_err() {
+    let wire = report.to_wire();
+    let entry = format!("{preimage}\n{wire}{}", sum_line(&wire));
+    if fs::write(&tmp, entry).is_err() {
         let _ = fs::remove_file(&tmp);
         return;
     }

@@ -1,17 +1,15 @@
 //! System configurations: the paper's 16- and 64-node CMPs over each
 //! interconnect variant.
 
-use crate::interconnect::{
-    CrossbarAdapter, FsoiAdapter, IdealAdapter, Interconnect, MeshAdapter, RingAdapter,
-};
+use crate::interconnect::{ChannelAdapter, FsoiAdapter, IdealAdapter, Interconnect, MeshAdapter};
 use fsoi_mesh::config::MeshConfig;
 use fsoi_mesh::ideal::IdealKind;
 use fsoi_mesh::network::MeshNetwork;
 use fsoi_net::config::FsoiConfig;
 use fsoi_net::network::FsoiNetwork;
 use fsoi_ring::config::RingConfig;
-use fsoi_ring::crossbar::{CrossbarConfig, CrossbarNetwork};
-use fsoi_ring::network::RingNetwork;
+use fsoi_ring::crossbar::CrossbarConfig;
+use fsoi_ring::network::ChannelNetwork;
 use fsoi_sim::det::NodeMask;
 
 /// Which interconnect drives the system.
@@ -58,6 +56,49 @@ impl NetworkKind {
     /// Default worst-case-loss matrix crossbar for `n` nodes.
     pub fn crossbar(n: usize) -> Self {
         NetworkKind::Crossbar(CrossbarConfig::nodes(n))
+    }
+
+    /// The default network a [`name`](Self::name) denotes at `nodes`
+    /// nodes; `None` for a name that is not one (`"mesh-scaled"` has no
+    /// default).
+    ///
+    /// # Panics
+    ///
+    /// Panics where the named constructor does: a node count the network
+    /// cannot be configured for (a mesh off a perfect square).
+    pub fn by_name(name: &str, nodes: usize) -> Option<Self> {
+        Some(match name {
+            "fsoi" => NetworkKind::fsoi(nodes),
+            "mesh" => NetworkKind::mesh(nodes),
+            "ring" => NetworkKind::ring(nodes),
+            "crossbar" => NetworkKind::crossbar(nodes),
+            "L0" => NetworkKind::L0,
+            "Lr1" => NetworkKind::Lr1,
+            "Lr2" => NetworkKind::Lr2,
+            _ => return None,
+        })
+    }
+
+    /// Whether the network is laid out on a square grid (the mesh and the
+    /// ideal networks modelled on it), so the node count must be a
+    /// perfect square.
+    pub fn is_grid(&self) -> bool {
+        !matches!(
+            self,
+            NetworkKind::Fsoi(_) | NetworkKind::Ring(_) | NetworkKind::Crossbar(_)
+        )
+    }
+
+    /// The node count the network's own configuration is sized for;
+    /// `None` for the ideal networks, which carry none.
+    pub fn nodes(&self) -> Option<usize> {
+        match self {
+            NetworkKind::Fsoi(cfg) => Some(cfg.nodes),
+            NetworkKind::Mesh(cfg) | NetworkKind::MeshScaled(cfg, _) => Some(cfg.node_count()),
+            NetworkKind::Ring(cfg) => Some(cfg.nodes),
+            NetworkKind::Crossbar(cfg) => Some(cfg.nodes),
+            NetworkKind::L0 | NetworkKind::Lr1 | NetworkKind::Lr2 => None,
+        }
     }
 
     /// Short display name.
@@ -243,25 +284,15 @@ impl SystemConfig {
                 mem_gb_per_s: self.mem_gb_per_s,
             });
         }
-        let network_nodes = match &self.network {
-            NetworkKind::Fsoi(cfg) => cfg.nodes,
-            NetworkKind::Mesh(cfg) | NetworkKind::MeshScaled(cfg, _) => cfg.node_count(),
-            NetworkKind::Ring(cfg) => cfg.nodes,
-            NetworkKind::Crossbar(cfg) => cfg.nodes,
-            NetworkKind::L0 | NetworkKind::Lr1 | NetworkKind::Lr2 => self.nodes,
-        };
+        let network_nodes = self.network.nodes().unwrap_or(self.nodes);
         if network_nodes != self.nodes {
             return Err(SystemConfigError::NetworkNodes {
                 nodes: self.nodes,
                 network_nodes,
             });
         }
-        let on_a_grid = !matches!(
-            self.network,
-            NetworkKind::Fsoi(_) | NetworkKind::Ring(_) | NetworkKind::Crossbar(_)
-        );
         let side = (self.nodes as f64).sqrt().round() as usize;
-        if on_a_grid && (side < 2 || side * side != self.nodes) {
+        if self.network.is_grid() && (side < 2 || side * side != self.nodes) {
             return Err(SystemConfigError::NotSquare { nodes: self.nodes });
         }
         if let NetworkKind::MeshScaled(_, fraction) = self.network {
@@ -340,10 +371,8 @@ impl SystemConfig {
             NetworkKind::MeshScaled(cfg, f) => {
                 Box::new(MeshAdapter::new(MeshNetwork::new(*cfg)).with_width_fraction(*f))
             }
-            NetworkKind::Ring(cfg) => Box::new(RingAdapter::new(RingNetwork::new(*cfg))),
-            NetworkKind::Crossbar(cfg) => {
-                Box::new(CrossbarAdapter::new(CrossbarNetwork::new(*cfg)))
-            }
+            NetworkKind::Ring(cfg) => Box::new(ChannelAdapter::new(ChannelNetwork::new(*cfg))),
+            NetworkKind::Crossbar(cfg) => Box::new(ChannelAdapter::new(ChannelNetwork::new(*cfg))),
             NetworkKind::L0 => Box::new(IdealAdapter::new(IdealKind::L0, width)),
             NetworkKind::Lr1 => Box::new(IdealAdapter::new(IdealKind::Lr1, width)),
             NetworkKind::Lr2 => Box::new(IdealAdapter::new(IdealKind::Lr2, width)),
@@ -390,10 +419,12 @@ mod tests {
             NetworkKind::Lr2,
         ] {
             let name = kind.name();
+            assert_eq!(NetworkKind::by_name(name, 16), Some(kind.clone()));
             let cfg = SystemConfig::paper_16(kind);
             let net = cfg.build_network();
             assert_eq!(net.name(), name);
         }
+        assert_eq!(NetworkKind::by_name("mesh-scaled", 16), None);
     }
 
     #[test]

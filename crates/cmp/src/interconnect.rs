@@ -1,21 +1,21 @@
 //! The interconnect abstraction the CMP system drives, with adapters for
-//! the FSOI network, the electrical mesh, and the idealized L0/Lr1/Lr2
-//! configurations.
+//! the FSOI network, the electrical mesh, the idealized L0/Lr1/Lr2
+//! configurations, and the destination-channel crossbars (Corona ring,
+//! matrix crossbar).
 //!
 //! Coherence messages are carried opaquely: the system registers each
 //! in-flight message in a table and sends only its index as the packet
 //! `tag`; deliveries hand the tag back.
 
 use fsoi_mesh::ideal::{IdealKind, IdealNetwork};
-use fsoi_mesh::network::MeshNetwork;
+use fsoi_mesh::network::{MeshDelivered, MeshNetwork};
 use fsoi_mesh::packet::MeshPacket;
 use fsoi_mesh::power::MeshPowerModel;
 use fsoi_net::network::FsoiNetwork;
 use fsoi_net::packet::{Packet, PacketClass};
 use fsoi_net::power::FsoiPowerModel;
 use fsoi_net::topology::NodeId;
-use fsoi_ring::crossbar::CrossbarNetwork;
-use fsoi_ring::network::{RingNetwork, RingPacket};
+use fsoi_ring::network::{Arbitration, ChannelNetwork, RingPacket};
 use fsoi_sim::Cycle;
 
 /// A packet as the CMP system sees it.
@@ -322,6 +322,36 @@ impl Interconnect for FsoiAdapter {
     }
 }
 
+/// A system packet as the mesh crate's networks (mesh, ideal) take it.
+fn mesh_packet(packet: &NetPacket) -> MeshPacket {
+    match packet.class {
+        PacketClass::Meta => MeshPacket::meta(packet.src, packet.dst, packet.tag),
+        PacketClass::Data => MeshPacket::data(packet.src, packet.dst, packet.tag),
+    }
+}
+
+/// The mesh crate's deliveries as the system sees them.
+fn mesh_deliveries(delivered: Vec<MeshDelivered>) -> Vec<NetDelivery> {
+    delivered
+        .into_iter()
+        .map(|d| NetDelivery {
+            packet: NetPacket {
+                src: d.packet.src,
+                dst: d.packet.dst,
+                class: if d.packet.is_meta() {
+                    PacketClass::Meta
+                } else {
+                    PacketClass::Data
+                },
+                tag: d.packet.tag,
+                scheduling_delay: 0,
+            },
+            latency: d.latency(),
+            retries: 0,
+        })
+        .collect()
+}
+
 /// Mesh adapter.
 #[derive(Debug)]
 pub struct MeshAdapter {
@@ -359,10 +389,7 @@ impl MeshAdapter {
 
 impl Interconnect for MeshAdapter {
     fn inject(&mut self, packet: NetPacket) -> Result<(), NetPacket> {
-        let mut p = match packet.class {
-            PacketClass::Meta => MeshPacket::meta(packet.src, packet.dst, packet.tag),
-            PacketClass::Data => MeshPacket::data(packet.src, packet.dst, packet.tag),
-        };
+        let mut p = mesh_packet(&packet);
         p.flits = ((p.flits as f64) / self.width_fraction).ceil() as usize;
         self.net.inject(p).map(|_| ()).map_err(|_| packet)
     }
@@ -372,25 +399,7 @@ impl Interconnect for MeshAdapter {
     }
 
     fn drain(&mut self) -> Vec<NetDelivery> {
-        self.net
-            .drain_delivered()
-            .into_iter()
-            .map(|d| NetDelivery {
-                packet: NetPacket {
-                    src: d.packet.src,
-                    dst: d.packet.dst,
-                    class: if d.packet.is_meta() {
-                        PacketClass::Meta
-                    } else {
-                        PacketClass::Data
-                    },
-                    tag: d.packet.tag,
-                    scheduling_delay: 0,
-                },
-                latency: d.latency(),
-                retries: 0,
-            })
-            .collect()
+        mesh_deliveries(self.net.drain_delivered())
     }
 
     fn now(&self) -> Cycle {
@@ -448,11 +457,7 @@ impl IdealAdapter {
 
 impl Interconnect for IdealAdapter {
     fn inject(&mut self, packet: NetPacket) -> Result<(), NetPacket> {
-        let p = match packet.class {
-            PacketClass::Meta => MeshPacket::meta(packet.src, packet.dst, packet.tag),
-            PacketClass::Data => MeshPacket::data(packet.src, packet.dst, packet.tag),
-        };
-        self.net.inject(p);
+        self.net.inject(mesh_packet(&packet));
         Ok(())
     }
 
@@ -461,25 +466,7 @@ impl Interconnect for IdealAdapter {
     }
 
     fn drain(&mut self) -> Vec<NetDelivery> {
-        self.net
-            .drain_delivered()
-            .into_iter()
-            .map(|d| NetDelivery {
-                packet: NetPacket {
-                    src: d.packet.src,
-                    dst: d.packet.dst,
-                    class: if d.packet.is_meta() {
-                        PacketClass::Meta
-                    } else {
-                        PacketClass::Data
-                    },
-                    tag: d.packet.tag,
-                    scheduling_delay: 0,
-                },
-                latency: d.latency(),
-                retries: 0,
-            })
-            .collect()
+        mesh_deliveries(self.net.drain_delivered())
     }
 
     fn now(&self) -> Cycle {
@@ -510,11 +497,95 @@ impl Interconnect for IdealAdapter {
     }
 }
 
+/// Adapter for the destination-channel crossbars: the Corona-style token
+/// ring (the paper's §7.1 nanophotonic comparison point) and the
+/// worst-case-loss matrix crossbar (the PAPERS.md comparative study's
+/// baseline for the design-space grids), by the engine's arbitration row.
+#[derive(Debug)]
+pub struct ChannelAdapter {
+    net: ChannelNetwork,
+}
+
+impl ChannelAdapter {
+    /// Wraps a crossbar.
+    pub fn new(net: ChannelNetwork) -> Self {
+        ChannelAdapter { net }
+    }
+}
+
+impl Interconnect for ChannelAdapter {
+    fn inject(&mut self, packet: NetPacket) -> Result<(), NetPacket> {
+        let p = match packet.class {
+            PacketClass::Meta => RingPacket::meta(packet.src, packet.dst, packet.tag),
+            PacketClass::Data => RingPacket::data(packet.src, packet.dst, packet.tag),
+        };
+        self.net.inject(p).map(|_| ()).map_err(|_| packet)
+    }
+
+    fn tick(&mut self) {
+        self.net.tick();
+    }
+
+    fn drain(&mut self) -> Vec<NetDelivery> {
+        self.net
+            .drain_delivered()
+            .into_iter()
+            .map(|d| NetDelivery {
+                packet: NetPacket {
+                    src: d.packet.src,
+                    dst: d.packet.dst,
+                    class: if d.packet.is_data {
+                        PacketClass::Data
+                    } else {
+                        PacketClass::Meta
+                    },
+                    tag: d.packet.tag,
+                    scheduling_delay: 0,
+                },
+                latency: d.latency(),
+                retries: 0,
+            })
+            .collect()
+    }
+
+    fn now(&self) -> Cycle {
+        self.net.now()
+    }
+
+    fn is_idle(&self) -> bool {
+        self.net.is_idle()
+    }
+
+    fn attribution(&self) -> LatencyAttribution {
+        LatencyAttribution {
+            queuing: self.net.stats().wait.mean(),
+            network: self.net.stats().latency.mean() - self.net.stats().wait.mean(),
+            ..Default::default()
+        }
+    }
+
+    fn energy_j(&mut self, cycles: u64) -> f64 {
+        // Dominated by always-on static power: ring tuning + modulators
+        // on Corona, the worst-case-loss-sized per-port lasers (CW sources
+        // behind modulators) plus receivers on the matrix.
+        self.net.static_power_w() * cycles as f64 / 3.3e9
+    }
+
+    fn name(&self) -> &'static str {
+        match self.net.config().arbitration {
+            Arbitration::Token { .. } => "ring",
+            Arbitration::Port { .. } => "crossbar",
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use fsoi_mesh::config::MeshConfig;
     use fsoi_net::config::FsoiConfig;
+    use fsoi_ring::config::RingConfig;
+    use fsoi_ring::crossbar::CrossbarConfig;
 
     fn deliver_one(net: &mut dyn Interconnect, p: NetPacket) -> NetDelivery {
         net.inject(p).unwrap();
@@ -606,168 +677,14 @@ mod tests {
             "mesh"
         );
     }
-}
 
-/// Corona-style ring-crossbar adapter (the paper's §7.1 nanophotonic
-/// comparison point).
-#[derive(Debug)]
-pub struct RingAdapter {
-    net: RingNetwork,
-}
-
-impl RingAdapter {
-    /// Wraps a ring crossbar.
-    pub fn new(net: RingNetwork) -> Self {
-        RingAdapter { net }
+    fn crossbar(nodes: usize) -> ChannelAdapter {
+        ChannelAdapter::new(ChannelNetwork::new(CrossbarConfig::nodes(nodes)))
     }
-}
-
-impl Interconnect for RingAdapter {
-    fn inject(&mut self, packet: NetPacket) -> Result<(), NetPacket> {
-        let p = match packet.class {
-            PacketClass::Meta => RingPacket::meta(packet.src, packet.dst, packet.tag),
-            PacketClass::Data => RingPacket::data(packet.src, packet.dst, packet.tag),
-        };
-        self.net.inject(p).map(|_| ()).map_err(|_| packet)
-    }
-
-    fn tick(&mut self) {
-        self.net.tick();
-    }
-
-    fn drain(&mut self) -> Vec<NetDelivery> {
-        self.net
-            .drain_delivered()
-            .into_iter()
-            .map(|d| NetDelivery {
-                packet: NetPacket {
-                    src: d.packet.src,
-                    dst: d.packet.dst,
-                    class: if d.packet.is_data {
-                        PacketClass::Data
-                    } else {
-                        PacketClass::Meta
-                    },
-                    tag: d.packet.tag,
-                    scheduling_delay: 0,
-                },
-                latency: d.latency(),
-                retries: 0,
-            })
-            .collect()
-    }
-
-    fn now(&self) -> Cycle {
-        self.net.now()
-    }
-
-    fn is_idle(&self) -> bool {
-        self.net.is_idle()
-    }
-
-    fn attribution(&self) -> LatencyAttribution {
-        LatencyAttribution {
-            queuing: self.net.stats().token_wait.mean(),
-            network: self.net.stats().latency.mean() - self.net.stats().token_wait.mean(),
-            ..Default::default()
-        }
-    }
-
-    fn energy_j(&mut self, cycles: u64) -> f64 {
-        // Dominated by the always-on ring tuning + modulator static power.
-        self.net.static_power_w() * cycles as f64 / 3.3e9
-    }
-
-    fn name(&self) -> &'static str {
-        "ring"
-    }
-}
-
-/// Worst-case-loss matrix-crossbar adapter (the PAPERS.md comparative
-/// study's baseline for the design-space grids).
-#[derive(Debug)]
-pub struct CrossbarAdapter {
-    net: CrossbarNetwork,
-}
-
-impl CrossbarAdapter {
-    /// Wraps a matrix crossbar.
-    pub fn new(net: CrossbarNetwork) -> Self {
-        CrossbarAdapter { net }
-    }
-}
-
-impl Interconnect for CrossbarAdapter {
-    fn inject(&mut self, packet: NetPacket) -> Result<(), NetPacket> {
-        let p = match packet.class {
-            PacketClass::Meta => RingPacket::meta(packet.src, packet.dst, packet.tag),
-            PacketClass::Data => RingPacket::data(packet.src, packet.dst, packet.tag),
-        };
-        self.net.inject(p).map(|_| ()).map_err(|_| packet)
-    }
-
-    fn tick(&mut self) {
-        self.net.tick();
-    }
-
-    fn drain(&mut self) -> Vec<NetDelivery> {
-        self.net
-            .drain_delivered()
-            .into_iter()
-            .map(|d| NetDelivery {
-                packet: NetPacket {
-                    src: d.packet.src,
-                    dst: d.packet.dst,
-                    class: if d.packet.is_data {
-                        PacketClass::Data
-                    } else {
-                        PacketClass::Meta
-                    },
-                    tag: d.packet.tag,
-                    scheduling_delay: 0,
-                },
-                latency: d.latency(),
-                retries: 0,
-            })
-            .collect()
-    }
-
-    fn now(&self) -> Cycle {
-        self.net.now()
-    }
-
-    fn is_idle(&self) -> bool {
-        self.net.is_idle()
-    }
-
-    fn attribution(&self) -> LatencyAttribution {
-        LatencyAttribution {
-            queuing: self.net.stats().port_wait.mean(),
-            network: self.net.stats().latency.mean() - self.net.stats().port_wait.mean(),
-            ..Default::default()
-        }
-    }
-
-    fn energy_j(&mut self, cycles: u64) -> f64 {
-        // Dominated by the worst-case-loss-sized per-port lasers (always
-        // on: CW sources behind modulators) plus the receivers.
-        self.net.static_power_w() * cycles as f64 / 3.3e9
-    }
-
-    fn name(&self) -> &'static str {
-        "crossbar"
-    }
-}
-
-#[cfg(test)]
-mod ring_tests {
-    use super::*;
-    use fsoi_ring::config::RingConfig;
-    use fsoi_ring::crossbar::CrossbarConfig;
 
     #[test]
     fn ring_adapter_delivers() {
-        let mut net = RingAdapter::new(RingNetwork::new(RingConfig::nodes(64)));
+        let mut net = ChannelAdapter::new(ChannelNetwork::new(RingConfig::nodes(64)));
         net.inject(NetPacket::new(0, 40, PacketClass::Data, 5))
             .unwrap();
         for _ in 0..50 {
@@ -783,7 +700,7 @@ mod ring_tests {
 
     #[test]
     fn crossbar_adapter_delivers() {
-        let mut net = CrossbarAdapter::new(CrossbarNetwork::new(CrossbarConfig::nodes(64)));
+        let mut net = crossbar(64);
         net.inject(NetPacket::new(0, 40, PacketClass::Data, 5))
             .unwrap();
         for _ in 0..50 {
@@ -799,7 +716,7 @@ mod ring_tests {
 
     #[test]
     fn crossbar_scales_to_256_nodes() {
-        let mut net = CrossbarAdapter::new(CrossbarNetwork::new(CrossbarConfig::nodes(256)));
+        let mut net = crossbar(256);
         net.inject(NetPacket::new(3, 255, PacketClass::Meta, 9))
             .unwrap();
         for _ in 0..50 {
@@ -810,7 +727,7 @@ mod ring_tests {
         assert_eq!(out[0].packet.dst, 255);
         // 256-port lasers are sized for ~48 dB more worst-case loss than
         // 64-port ones; the energy model must reflect that.
-        let mut small = CrossbarAdapter::new(CrossbarNetwork::new(CrossbarConfig::nodes(64)));
+        let mut small = crossbar(64);
         assert!(net.energy_j(1000) > small.energy_j(1000) * 100.0);
     }
 }

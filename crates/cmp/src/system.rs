@@ -139,7 +139,6 @@ impl CmpSystem {
         if n > 16 {
             app.shared_cold_lines *= (n / 16) as u64;
         }
-        let net = cfg.build_network();
         let mem = if n == 16 {
             MemorySystem::paper_16(cfg.mem_gb_per_s)
         } else if n == 64 {
@@ -147,9 +146,6 @@ impl CmpSystem {
         } else {
             MemorySystem::new(n, (n / 4).max(1), cfg.mem_gb_per_s, cfg.mem_latency, 3.3e9)
         };
-        let cores = (0..n)
-            .map(|i| Core::new(i, CoreWorkload::new(app, i, cfg.line_bytes, cfg.seed)))
-            .collect();
         let l1s = (0..n)
             .map(|i| {
                 let mut l1 = L1Controller::new(i, cfg.l1_lines, cfg.l1_ways, cfg.line_bytes);
@@ -173,10 +169,29 @@ impl CmpSystem {
                 dirs[home].preload(line);
             }
         }
+        CmpSystem::assemble(cfg, app, l1s, dirs, mem)
+    }
+
+    /// A system at cycle 0 around the seed-independent parts — the one
+    /// place the rest of the state is initialised, so a
+    /// [`fork`](Self::fork) cannot start from a different state than a
+    /// cold build. Everything seed-dependent (the network, the per-core
+    /// workload RNG streams, the system RNG) is built here from
+    /// `cfg.seed`; `app` is already weak-scaled.
+    fn assemble(
+        cfg: SystemConfig,
+        app: AppProfile,
+        l1s: Vec<L1Controller>,
+        dirs: Vec<Directory>,
+        mem: MemorySystem,
+    ) -> Self {
+        let n = cfg.nodes;
         CmpSystem {
             app,
             now: Cycle::ZERO,
-            cores,
+            cores: (0..n)
+                .map(|i| Core::new(i, CoreWorkload::new(app, i, cfg.line_bytes, cfg.seed)))
+                .collect(),
             l1s,
             dirs,
             mem,
@@ -202,7 +217,7 @@ impl CmpSystem {
             ff_jumps: 0,
             ff_cycles_skipped: 0,
             events_processed: 0,
-            net,
+            net: cfg.build_network(),
             cfg,
         }
     }
@@ -213,12 +228,12 @@ impl CmpSystem {
     ///
     /// The expensive seed-independent construction work — the preloaded
     /// distributed-L2 directories, the L1 arrays, the memory system — is
-    /// deep-cloned from the template; everything seed-dependent (the
-    /// network, the per-core workload RNG streams, the system RNG) is
-    /// rebuilt from `seed`. Construction is deterministic and none of the
-    /// cloned state reads `cfg.seed`, so a fork is byte-identical to a
-    /// cold construction with the same seed — an invariant pinned by the
-    /// `par_merge` byte-identity properties in `fsoi-bench`.
+    /// deep-cloned from the template; everything else is initialised by the
+    /// same function a cold build ends in, from `seed`. Construction is
+    /// deterministic and none of the cloned state reads `cfg.seed`, so a
+    /// fork is byte-identical to a cold construction with the same seed —
+    /// an invariant pinned by the `par_merge` byte-identity properties in
+    /// `fsoi-bench`.
     ///
     /// Note `self.app` already carries the weak-scaling adjustment from
     /// [`CmpSystem::new`], so the fork must not (and does not) rescale
@@ -234,45 +249,13 @@ impl CmpSystem {
             self.now == Cycle::ZERO && self.pending.is_empty(),
             "fork requires an unrun template (state after cycle 0 is seed-dependent)"
         );
-        let cfg = self.cfg.clone().with_seed(seed);
-        let n = cfg.nodes;
-        let cores = (0..n)
-            .map(|i| Core::new(i, CoreWorkload::new(self.app, i, cfg.line_bytes, seed)))
-            .collect();
-        CmpSystem {
-            app: self.app,
-            now: Cycle::ZERO,
-            cores,
-            l1s: self.l1s.clone(),
-            dirs: self.dirs.clone(),
-            mem: self.mem.clone(),
-            locks: (0..self.app.locks.max(1))
-                .map(|_| SpinLock::new())
-                .collect(),
-            barrier: Barrier::new(n),
-            hub: BooleanSubscriptionHub::new(),
-            rng: Xoshiro256StarStar::new(seed ^ SYSTEM_SEED_SALT),
-            pending: EventQueue::new(),
-            msgs: Vec::new(),
-            free_tags: Vec::new(),
-            order_wait: DetMap::new(),
-            order_busy: DetSet::new(),
-            inject_backlog: VecDeque::new(),
-            dir_out: Vec::new(),
-            reply_latency: Histogram::new(10, 20),
-            packets_sent: [0, 0],
-            data_by_kind: [0; 3],
-            collided_by_kind: [0; 4],
-            acks_elided: 0,
-            protocol_errors: 0,
-            first_protocol_error: None,
-            ticks: 0,
-            ff_jumps: 0,
-            ff_cycles_skipped: 0,
-            events_processed: 0,
-            net: cfg.build_network(),
-            cfg,
-        }
+        CmpSystem::assemble(
+            self.cfg.clone().with_seed(seed),
+            self.app,
+            self.l1s.clone(),
+            self.dirs.clone(),
+            self.mem.clone(),
+        )
     }
 
     /// Current cycle.

@@ -1,6 +1,9 @@
 //! Ring crossbar configuration.
 
-/// Configuration of a [`RingNetwork`](crate::network::RingNetwork).
+use crate::network::{Arbitration, ChannelConfig};
+
+/// Configuration of the Corona-style token ring; supplies the engine's
+/// [`Arbitration::Token`] row.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RingConfig {
     /// Number of nodes (= number of home channels).
@@ -54,6 +57,23 @@ impl RingConfig {
     /// Mean token-acquisition wait for an idle channel: half a loop.
     pub fn idle_token_wait(&self) -> u64 {
         self.ring_circulation_cycles / 2
+    }
+}
+
+impl From<RingConfig> for ChannelConfig {
+    fn from(cfg: RingConfig) -> Self {
+        ChannelConfig {
+            nodes: cfg.nodes,
+            meta_serialization: cfg.meta_serialization,
+            data_serialization: cfg.data_serialization,
+            injection_queue: cfg.injection_queue,
+            channel_static_w: cfg.channel_static_w,
+            arbitration: Arbitration::Token {
+                circulation_cycles: cfg.ring_circulation_cycles,
+                pass_cycles: cfg.token_pass_cycles,
+                idle_wait_cycles: cfg.idle_token_wait(),
+            },
+        }
     }
 }
 

@@ -28,6 +28,11 @@
 //! per-port laser power is sized from the worst-case insertion loss at
 //! its radix (the PAPERS.md comparative study) — dedicated paths and no
 //! token, but a power column that explodes with node count.
+//!
+//! Both are one engine, [`ChannelNetwork`] — a FIFO writer queue per
+//! destination, served serially — configured by an arbitration row
+//! ([`network::Arbitration`]) built from a [`RingConfig`] or a
+//! [`CrossbarConfig`].
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // rule P1
@@ -38,5 +43,5 @@ pub mod crossbar;
 pub mod network;
 
 pub use config::RingConfig;
-pub use crossbar::{CrossbarConfig, CrossbarNetwork};
-pub use network::RingNetwork;
+pub use crossbar::CrossbarConfig;
+pub use network::ChannelNetwork;

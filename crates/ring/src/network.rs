@@ -1,19 +1,24 @@
-//! The MWSR token-ring crossbar engine.
+//! The destination-channel crossbar engine.
+//!
+//! The Corona-style token ring and the worst-case-loss matrix crossbar are
+//! the same machine — every destination owns one channel, writers queue
+//! for it FIFO, and it carries one packet at a time (no collisions, no
+//! concurrent receivers) — and differ only in how a channel is won and how
+//! long the light then flies: the [`Arbitration`] row.
 
-use crate::config::RingConfig;
 use fsoi_sim::event::EventQueue;
 use fsoi_sim::queue::BoundedQueue;
 use fsoi_sim::stats::Summary;
 use fsoi_sim::Cycle;
 
-/// A packet on the ring crossbar.
+/// A packet on a crossbar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingPacket {
     /// Unique id assigned at injection.
     pub id: u64,
     /// Source node.
     pub src: usize,
-    /// Destination node (owner of the home channel used).
+    /// Destination node (owner of the channel used).
     pub dst: usize,
     /// True for 360-bit data packets, false for 72-bit meta.
     pub is_data: bool,
@@ -65,23 +70,87 @@ impl RingDelivered {
     }
 }
 
-/// Per-destination home channel: one token, one writer at a time.
+/// How a destination channel is won and how long the light then flies —
+/// the one thing the two crossbars differ in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arbitration {
+    /// Corona: a writer acquires the channel's circulating optical token.
+    /// A token released less than a circulation ago is hot and passes
+    /// writer-to-writer in `pass_cycles`; a cold one must come around in
+    /// `idle_wait_cycles`. The reader sits somewhere on the loop: flight
+    /// is half a circulation on average. The wait statistic is the
+    /// acquisition.
+    Token {
+        /// Cycles for light (and the token) to circulate the full loop.
+        circulation_cycles: u64,
+        /// Cycles to pass a hot token between contending writers.
+        pass_cycles: u64,
+        /// Mean wait for the token of an idle channel.
+        idle_wait_cycles: u64,
+    },
+    /// Matrix crossbar: dedicated passive paths, so only the (electrical)
+    /// output-port arbiter stands before a launch and flight is the
+    /// worst-case matrix path. The wait statistic is launch − enqueue.
+    Port {
+        /// Cycles of output-port arbitration before a packet launches.
+        arbitration_cycles: u64,
+        /// Flight time over the worst-case matrix path, cycles.
+        traversal_cycles: u64,
+    },
+}
+
+impl Arbitration {
+    /// Cycles from the end of serialization to delivery.
+    fn flight_cycles(self) -> u64 {
+        match self {
+            Arbitration::Token {
+                circulation_cycles, ..
+            } => circulation_cycles / 2,
+            Arbitration::Port {
+                traversal_cycles, ..
+            } => traversal_cycles,
+        }
+    }
+}
+
+/// Configuration of a [`ChannelNetwork`]: the shape both crossbars share
+/// plus an [`Arbitration`] row. Built from a
+/// [`RingConfig`](crate::config::RingConfig) or a
+/// [`CrossbarConfig`](crate::crossbar::CrossbarConfig).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChannelConfig {
+    /// Number of nodes (= number of destination channels).
+    pub nodes: usize,
+    /// Serialization cycles of a 72-bit meta packet.
+    pub meta_serialization: u64,
+    /// Serialization cycles of a 360-bit data packet.
+    pub data_serialization: u64,
+    /// Per-channel writer queue capacity, packets.
+    pub injection_queue: usize,
+    /// Static power per channel, watts.
+    pub channel_static_w: f64,
+    /// How a channel is won, and the flight time.
+    pub arbitration: Arbitration,
+}
+
+/// Per-destination channel: one writer at a time.
 #[derive(Debug)]
 struct Channel {
-    /// The channel is granted to writers serially; this is when the token
-    /// frees up next.
-    token_free_at: Cycle,
-    /// Whether the previous grant ended recently (a hot token passes
-    /// writer-to-writer cheaply; a cold one must circulate).
+    /// The channel is granted to writers serially; this is when it frees
+    /// up next.
+    free_at: Cycle,
+    /// When the previous grant ended (`None` before the first): a
+    /// recently released token is hot.
     last_release: Option<Cycle>,
-    /// Waiting writers, FIFO (the token visits writers in ring order; FIFO
-    /// is a fair-service approximation).
+    /// Waiting writers, FIFO (the token visits writers in ring order, the
+    /// port arbiter grants in request order; FIFO is the fair-service
+    /// approximation of both).
     queue: BoundedQueue<RingPacket>,
 }
 
-/// Statistics of a ring run.
+/// Statistics of a run.
 #[derive(Debug, Default)]
-pub struct RingStats {
+pub struct ChannelStats {
     /// Packets accepted.
     pub injected: u64,
     /// Packets rejected (queue full).
@@ -90,29 +159,31 @@ pub struct RingStats {
     pub delivered: u64,
     /// End-to-end latency.
     pub latency: Summary,
-    /// Token acquisition wait.
-    pub token_wait: Summary,
+    /// Arbitration wait, as the [`Arbitration`] row defines it.
+    pub wait: Summary,
 }
 
-/// The Corona-style crossbar.
+/// The destination-channel crossbar engine: a FIFO writer queue per
+/// destination, served serially.
 #[derive(Debug)]
-pub struct RingNetwork {
-    cfg: RingConfig,
+pub struct ChannelNetwork {
+    cfg: ChannelConfig,
     now: Cycle,
     channels: Vec<Channel>,
     deliveries: EventQueue<RingPacket>,
     delivered: Vec<RingDelivered>,
-    stats: RingStats,
+    stats: ChannelStats,
     next_id: u64,
 }
 
-impl RingNetwork {
+impl ChannelNetwork {
     /// Creates the crossbar.
-    pub fn new(cfg: RingConfig) -> Self {
-        RingNetwork {
+    pub fn new(cfg: impl Into<ChannelConfig>) -> Self {
+        let cfg = cfg.into();
+        ChannelNetwork {
             channels: (0..cfg.nodes)
                 .map(|_| Channel {
-                    token_free_at: Cycle::ZERO,
+                    free_at: Cycle::ZERO,
                     last_release: None,
                     queue: BoundedQueue::new(cfg.injection_queue),
                 })
@@ -120,14 +191,14 @@ impl RingNetwork {
             now: Cycle::ZERO,
             deliveries: EventQueue::new(),
             delivered: Vec::new(),
-            stats: RingStats::default(),
+            stats: ChannelStats::default(),
             next_id: 0,
             cfg,
         }
     }
 
     /// The configuration.
-    pub fn config(&self) -> &RingConfig {
+    pub fn config(&self) -> &ChannelConfig {
         &self.cfg
     }
 
@@ -137,17 +208,18 @@ impl RingNetwork {
     }
 
     /// Statistics so far.
-    pub fn stats(&self) -> &RingStats {
+    pub fn stats(&self) -> &ChannelStats {
         &self.stats
     }
 
-    /// Static optical power of the whole crossbar (ring tuning +
-    /// modulators), watts.
+    /// Static optical power of the whole crossbar (Corona: ring tuning +
+    /// modulators; matrix: every port's worst-case-sized laser plus
+    /// receiver), watts.
     pub fn static_power_w(&self) -> f64 {
         self.cfg.channel_static_w * self.cfg.nodes as f64
     }
 
-    /// Injects a packet onto its destination's home channel.
+    /// Injects a packet onto its destination's channel.
     ///
     /// # Errors
     ///
@@ -176,44 +248,43 @@ impl RingNetwork {
 
     /// Advances one cycle.
     pub fn tick(&mut self) {
-        // Grant tokens: each channel serves its queue serially.
-        for d in 0..self.channels.len() {
-            loop {
-                let ch = &self.channels[d];
-                if ch.queue.is_empty() || ch.token_free_at > self.now {
-                    break;
-                }
-                let ch = &mut self.channels[d];
-                #[expect(
-                    clippy::expect_used,
-                    reason = "P1: the is_empty check above guarantees a queued packet"
-                )]
-                let packet = ch.queue.pop().expect("non-empty");
-                // Token acquisition: if the token was just released by a
-                // contending writer, passing it on is cheap; a cold token
-                // must circulate half the loop on average.
-                let acquisition = match ch.last_release {
-                    Some(rel)
-                        if self.now.saturating_sub(rel) < self.cfg.ring_circulation_cycles =>
-                    {
-                        self.cfg.token_pass_cycles
+        // Each channel serves its queue serially; channels never block
+        // each other.
+        let flight = self.cfg.arbitration.flight_cycles();
+        for ch in &mut self.channels {
+            // The emptiness test goes first: it is what an idle channel —
+            // most of them, most cycles — pays per tick.
+            while !ch.queue.is_empty() && ch.free_at <= self.now {
+                let Some(packet) = ch.queue.pop() else { break };
+                let (start, wait) = match self.cfg.arbitration {
+                    Arbitration::Token {
+                        circulation_cycles,
+                        pass_cycles,
+                        idle_wait_cycles,
+                    } => {
+                        let hot = ch
+                            .last_release
+                            .is_some_and(|rel| self.now.saturating_sub(rel) < circulation_cycles);
+                        let acquisition = if hot { pass_cycles } else { idle_wait_cycles };
+                        (self.now + acquisition, acquisition)
                     }
-                    _ => self.cfg.idle_token_wait(),
+                    Arbitration::Port {
+                        arbitration_cycles, ..
+                    } => {
+                        let start = self.now + arbitration_cycles;
+                        (start, start.saturating_sub(packet.enqueued_at))
+                    }
                 };
-                let start = self.now.max(ch.token_free_at) + acquisition;
-                let ser = if packet.is_data {
-                    self.cfg.data_serialization
-                } else {
-                    self.cfg.meta_serialization
-                };
-                self.stats.token_wait.record(acquisition as f64);
-                let done = start + ser;
-                ch.token_free_at = done;
+                self.stats.wait.record(wait as f64);
+                let done = start
+                    + if packet.is_data {
+                        self.cfg.data_serialization
+                    } else {
+                        self.cfg.meta_serialization
+                    };
+                ch.free_at = done;
                 ch.last_release = Some(done);
-                // Flight: the reader sits somewhere on the loop; half a
-                // circulation on average.
-                let arrive = done + self.cfg.ring_circulation_cycles / 2;
-                self.deliveries.push(arrive, packet);
+                self.deliveries.push(done + flight, packet);
             }
         }
         self.now += 1;
@@ -246,8 +317,10 @@ impl RingNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RingConfig;
+    use crate::crossbar::CrossbarConfig;
 
-    fn run_until_idle(net: &mut RingNetwork, max: u64) -> Vec<RingDelivered> {
+    fn run_until_idle(net: &mut ChannelNetwork, max: u64) -> Vec<RingDelivered> {
         let mut out = Vec::new();
         for _ in 0..max {
             net.tick();
@@ -261,7 +334,7 @@ mod tests {
 
     #[test]
     fn single_meta_packet_timing() {
-        let mut net = RingNetwork::new(RingConfig::nodes(64));
+        let mut net = ChannelNetwork::new(RingConfig::nodes(64));
         net.inject(RingPacket::meta(3, 40, 7)).unwrap();
         let out = run_until_idle(&mut net, 100);
         assert_eq!(out.len(), 1);
@@ -272,7 +345,7 @@ mod tests {
 
     #[test]
     fn data_packet_adds_serialization() {
-        let mut net = RingNetwork::new(RingConfig::nodes(64));
+        let mut net = ChannelNetwork::new(RingConfig::nodes(64));
         net.inject(RingPacket::data(3, 40, 0)).unwrap();
         let out = run_until_idle(&mut net, 100);
         assert_eq!(out[0].latency(), 11); // 4 + 3 + 4
@@ -282,7 +355,7 @@ mod tests {
     fn same_destination_serializes() {
         // Two writers to one home channel: the second waits for the
         // token, no collisions ever.
-        let mut net = RingNetwork::new(RingConfig::nodes(64));
+        let mut net = ChannelNetwork::new(RingConfig::nodes(64));
         net.inject(RingPacket::data(1, 40, 0)).unwrap();
         net.inject(RingPacket::data(2, 40, 1)).unwrap();
         let out = run_until_idle(&mut net, 200);
@@ -295,7 +368,7 @@ mod tests {
 
     #[test]
     fn different_destinations_run_concurrently() {
-        let mut net = RingNetwork::new(RingConfig::nodes(64));
+        let mut net = ChannelNetwork::new(RingConfig::nodes(64));
         for src in 0..8usize {
             net.inject(RingPacket::meta(src, src + 8, src as u64))
                 .unwrap();
@@ -308,7 +381,7 @@ mod tests {
 
     #[test]
     fn all_to_one_drains_without_loss() {
-        let mut net = RingNetwork::new(RingConfig::nodes(16));
+        let mut net = ChannelNetwork::new(RingConfig::nodes(16));
         let mut injected = 0;
         for src in 1..16usize {
             if net.inject(RingPacket::data(src, 0, src as u64)).is_ok() {
@@ -317,26 +390,31 @@ mod tests {
         }
         let out = run_until_idle(&mut net, 2_000);
         assert_eq!(out.len(), injected);
-        assert!(net.stats().token_wait.mean() > 0.0);
+        assert!(net.stats().wait.mean() > 0.0);
     }
 
     #[test]
     fn queue_overflow_rejects() {
-        let mut net = RingNetwork::new(RingConfig::nodes(16));
-        let mut ok = 0;
-        for i in 0..40u64 {
-            if net.inject(RingPacket::data(1, 0, i)).is_ok() {
-                ok += 1;
+        for cfg in [
+            ChannelConfig::from(RingConfig::nodes(16)),
+            CrossbarConfig::nodes(16).into(),
+        ] {
+            let mut net = ChannelNetwork::new(cfg);
+            let mut ok = 0;
+            for i in 0..40u64 {
+                if net.inject(RingPacket::data(1, 0, i)).is_ok() {
+                    ok += 1;
+                }
             }
+            assert_eq!(ok, 16);
+            assert_eq!(net.stats().rejected, 24);
         }
-        assert_eq!(ok, 16);
-        assert_eq!(net.stats().rejected, 24);
     }
 
     #[test]
     fn static_power_scales_with_channels() {
-        let small = RingNetwork::new(RingConfig::nodes(16));
-        let big = RingNetwork::new(RingConfig::nodes(64));
+        let small = ChannelNetwork::new(RingConfig::nodes(16));
+        let big = ChannelNetwork::new(RingConfig::nodes(64));
         assert!(big.static_power_w() > small.static_power_w());
         assert!((big.static_power_w() - 0.26 * 64.0).abs() < 1e-9);
     }
@@ -344,7 +422,79 @@ mod tests {
     #[test]
     #[should_panic(expected = "no self-injection")]
     fn self_injection_panics() {
-        let mut net = RingNetwork::new(RingConfig::nodes(16));
+        let mut net = ChannelNetwork::new(RingConfig::nodes(16));
         let _ = net.inject(RingPacket::meta(3, 3, 0));
+    }
+
+    #[test]
+    fn crossbar_single_meta_packet_timing() {
+        let mut net = ChannelNetwork::new(CrossbarConfig::nodes(64));
+        net.inject(RingPacket::meta(3, 40, 7)).unwrap();
+        let out = run_until_idle(&mut net, 100);
+        assert_eq!(out.len(), 1);
+        // Arbitration 1 + serialization 1 + traversal 2 = 4.
+        assert_eq!(out[0].latency(), 4);
+        assert_eq!(out[0].packet.tag, 7);
+    }
+
+    #[test]
+    fn no_token_beats_corona_on_idle_latency() {
+        let (xbar_cfg, ring_cfg) = (CrossbarConfig::nodes(64), RingConfig::nodes(64));
+        assert!(xbar_cfg.matches_ring_serialization(&ring_cfg));
+        let mut xbar = ChannelNetwork::new(xbar_cfg);
+        let mut ring = ChannelNetwork::new(ring_cfg);
+        xbar.inject(RingPacket::data(3, 40, 0)).unwrap();
+        ring.inject(RingPacket::data(3, 40, 0)).unwrap();
+        let x = run_until_idle(&mut xbar, 100);
+        let r = run_until_idle(&mut ring, 100);
+        assert!(
+            x[0].latency() < r[0].latency(),
+            "dedicated paths skip the token: {} vs {}",
+            x[0].latency(),
+            r[0].latency()
+        );
+    }
+
+    #[test]
+    fn crossbar_same_destination_serializes() {
+        let mut net = ChannelNetwork::new(CrossbarConfig::nodes(64));
+        net.inject(RingPacket::data(1, 40, 0)).unwrap();
+        net.inject(RingPacket::data(2, 40, 1)).unwrap();
+        let out = run_until_idle(&mut net, 200);
+        assert_eq!(out.len(), 2);
+        let mut times: Vec<u64> = out.iter().map(|d| d.delivered_at.as_u64()).collect();
+        times.sort_unstable();
+        assert!(times[1] >= times[0] + 3, "{times:?}");
+        assert!(net.stats().wait.mean() > 0.0);
+    }
+
+    #[test]
+    fn crossbar_different_destinations_run_concurrently() {
+        let mut net = ChannelNetwork::new(CrossbarConfig::nodes(256));
+        for src in 0..8usize {
+            net.inject(RingPacket::meta(src, src + 128, src as u64))
+                .unwrap();
+        }
+        let out = run_until_idle(&mut net, 100);
+        assert_eq!(out.len(), 8);
+        assert!(out.iter().all(|d| d.latency() == 4));
+    }
+
+    #[test]
+    fn crossbar_static_power_explodes_with_radix() {
+        // The worst-case-loss sizing is the whole point: per-PORT power
+        // (not just total) must climb steeply from 64 to 256 ports.
+        let c64 = CrossbarConfig::nodes(64);
+        let c256 = CrossbarConfig::nodes(256);
+        assert!(c64.port_static_w > 0.0);
+        assert!(
+            c256.port_static_w > c64.port_static_w * 100.0,
+            "64: {} W, 256: {} W",
+            c64.port_static_w,
+            c256.port_static_w
+        );
+        let n64 = ChannelNetwork::new(c64);
+        let n256 = ChannelNetwork::new(c256);
+        assert!(n256.static_power_w() > n64.static_power_w() * 400.0);
     }
 }

@@ -1,6 +1,6 @@
 //! A deterministic registry of named, labelled metrics.
 //!
-//! The workspace's measurement code grew ad-hoc `Counter`, [`Summary`] and
+//! The workspace's measurement code grew ad-hoc counter, [`Summary`] and
 //! [`Histogram`] fields scattered across structs; every report then
 //! hand-formatted its own numbers. The [`Registry`] unifies them behind
 //! `name{label=value}` keys with two deterministic export paths — JSONL

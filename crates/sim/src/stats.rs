@@ -1,4 +1,4 @@
-//! Measurement primitives: counters, streaming summaries and histograms.
+//! Measurement primitives: streaming summaries and histograms.
 //!
 //! These are the building blocks behind every number reported in
 //! `EXPERIMENTS.md`: packet-latency breakdowns (Fig 6/7), collision-rate
@@ -7,70 +7,6 @@
 //! table export, wrap these primitives in [`crate::metrics::Registry`] —
 //! report-building code should migrate there rather than accrete more
 //! bespoke counter fields.
-
-use std::fmt;
-
-/// A saturating event counter.
-///
-/// Every mutator saturates at `u64::MAX` instead of wrapping: a counter
-/// that hits the ceiling stays pinned there (and is obviously bogus)
-/// rather than silently restarting near zero mid-experiment. The
-/// pathological-burst arithmetic of Figure 4 reaches ~8.2 × 10¹⁰ retries,
-/// so overflow is a real concern, not hygiene.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one, saturating at `u64::MAX`.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 = self.0.saturating_add(1);
-    }
-
-    /// Adds `n`, saturating at `u64::MAX`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
-
-    /// This counter as a fraction of `denom`.
-    ///
-    /// Returns 0.0 — never `NaN` or `±inf` — when `denom` is zero, so a
-    /// rate computed over an empty interval reads as "no events" instead
-    /// of poisoning downstream means. The result can exceed 1.0 when the
-    /// counter genuinely exceeds `denom`; no clamping is applied. A
-    /// saturated counter (see type docs) yields a correspondingly
-    /// saturated, still-finite ratio.
-    pub fn ratio_of(self, denom: u64) -> f64 {
-        if denom == 0 {
-            0.0
-        } else {
-            self.0 as f64 / denom as f64
-        }
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// Streaming mean/variance/min/max over `f64` observations (Welford).
 ///
@@ -383,33 +319,6 @@ mod tests {
         assert_eq!(back.overflow(), h.overflow());
         assert_eq!(back.summary(), h.summary());
         assert_eq!(back.percentile(0.5), h.percentile(0.5));
-    }
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.to_string(), "5");
-        assert!((c.ratio_of(10) - 0.5).abs() < 1e-12);
-        assert_eq!(c.ratio_of(0), 0.0);
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn counter_saturates_instead_of_wrapping() {
-        let mut c = Counter::new();
-        c.add(u64::MAX - 1);
-        c.inc();
-        assert_eq!(c.get(), u64::MAX);
-        c.inc();
-        c.add(17);
-        assert_eq!(c.get(), u64::MAX, "mutators must pin at the ceiling");
-        // The ratio of a saturated counter is still finite.
-        assert!(c.ratio_of(2).is_finite());
-        assert_eq!(c.ratio_of(0), 0.0);
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //! `#[expect]`, the way `par.rs` does for threads). Everything else emits
 //! through the functions here, which are no-ops — no clock read, one
 //! relaxed atomic load — until [`set_enabled`] turns collection on (the
-//! documented `FSOI_TELEMETRY` knob via [`enable_from_env`], or the
-//! `experiments profile` subcommand programmatically). Cache outcome
+//! `experiments profile` subcommand does). Cache outcome
 //! counters are the exception: they are plain relaxed counters with no
 //! clock involvement and stay on unconditionally so corruption events
 //! are never silently dropped.
@@ -106,19 +105,6 @@ pub fn enabled() -> bool {
 /// Turns telemetry collection on or off (process-wide).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Enables telemetry when the documented `FSOI_TELEMETRY` knob is set
-/// to anything but `0` or empty. Telemetry never changes simulation
-/// output, so this read cannot leak into any exported number.
-pub fn enable_from_env() {
-    #[expect(clippy::disallowed_methods, reason = "D2: FSOI_TELEMETRY knob")]
-    if let Ok(v) = std::env::var("FSOI_TELEMETRY") {
-        let v = v.trim();
-        if !v.is_empty() && v != "0" {
-            set_enabled(true);
-        }
-    }
 }
 
 /// Zeroes every counter and duration (collection stays on/off as-is).

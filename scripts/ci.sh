@@ -7,7 +7,8 @@
 #                                 # scale (tsan runs only when named)
 #   scripts/ci.sh --tier quick    # fmt check + build + test
 #   scripts/ci.sh --tier lint     # clippy -D warnings: the determinism rules + stock lints
-#   scripts/ci.sh --tier full     # scripts/verify.sh (incl. lint + trace build)
+#   scripts/ci.sh --tier full     # scripts/verify.sh (incl. lint, the `experiments all`
+#                                 # golden diff + trace build)
 #   scripts/ci.sh --tier bench    # `experiments profile` run manifest, then the
 #                                 # layered benchmark's smoke run
 #   scripts/ci.sh --tier scale    # beyond-the-paper grids: 64-node four-network

@@ -47,6 +47,23 @@ profile_det_identity() {
 }
 gate "profile determinism (threads 1 vs 2)" profile_det_identity
 
+# Printed output (ROADMAP: "printed output of every subcommand
+# byte-identical"): `experiments all` — every table and figure, 356 lines —
+# against the committed golden. A refactor must leave it alone; a change
+# that means to move a number regenerates it and shows the diff in review.
+golden_experiments_all() {
+    golden=tests/golden/experiments_all.txt
+    out=target/VERIFY_experiments_all.txt
+    mkdir -p target
+    cargo run -q --release --offline -p fsoi-bench --bin experiments -- all > "$out"
+    diff -u "$golden" "$out" || {
+        echo "experiments all differs from $golden; if the change is meant, regenerate it:" >&2
+        echo "  cargo run -q --release --offline -p fsoi-bench --bin experiments -- all > $golden" >&2
+        return 1
+    }
+}
+gate "experiments all == golden" golden_experiments_all
+
 # The structured-trace event API must also build compiled-in on release
 # (debug builds always carry it; plain release compiles it out).
 gate "build --features trace" cargo build --release --offline --workspace --features trace
