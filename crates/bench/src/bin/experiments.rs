@@ -1191,7 +1191,7 @@ fn profile(args: &[String]) {
     }
     println!("  wrote {out_path}\n");
     println!("deterministic span profile:");
-    for line in profile.to_tree().lines() {
+    for line in profile.to_table().lines() {
         println!("  {line}");
     }
     println!();
@@ -1209,7 +1209,7 @@ fn render_manifest(
     ops_per_core: u64,
     cells: usize,
     config_hash: u64,
-    profile: &fsoi_sim::profile::Profile,
+    profile: &fsoi_sim::metrics::Registry,
     registry_metrics: usize,
     det_hash: u64,
     threads: usize,
@@ -1245,9 +1245,9 @@ fn render_manifest(
     out.push_str("  \"deterministic\": {\n");
     out.push_str("    \"spans\": {\n");
     let n_spans = profile.len();
-    for (i, (path, count)) in profile.iter().enumerate() {
+    for (i, (path, _)) in profile.iter().enumerate() {
         let comma = if i + 1 == n_spans { "" } else { "," };
-        let _ = writeln!(out, "      \"{path}\": {count}{comma}");
+        let _ = writeln!(out, "      \"{path}\": {}{comma}", profile.get(path));
     }
     out.push_str("    },\n");
     let _ = writeln!(out, "    \"registry_metrics\": {registry_metrics},");

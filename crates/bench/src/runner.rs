@@ -14,7 +14,7 @@ use fsoi_cmp::batch::{self, BatchCell};
 use fsoi_cmp::configs::SystemConfig;
 use fsoi_cmp::metrics::RunReport;
 use fsoi_cmp::workload::AppProfile;
-use fsoi_sim::profile::Profile;
+use fsoi_sim::metrics::Registry;
 
 /// Safety bound on run length.
 pub const MAX_CYCLES: u64 = 50_000_000;
@@ -38,7 +38,7 @@ pub struct Sweep {
     variants: usize,
     cells: Vec<BatchCell>,
     reports: Vec<RunReport>,
-    profile: Profile,
+    profile: Registry,
 }
 
 impl Sweep {
@@ -99,7 +99,7 @@ impl Sweep {
     /// [`RunReport`] `profile` spans — byte-identical for any thread
     /// count, and the deterministic-plane payload behind
     /// `experiments profile`.
-    pub fn profile(&self) -> &Profile {
+    pub fn profile(&self) -> &Registry {
         &self.profile
     }
 }

@@ -140,10 +140,10 @@ fn fsoi_cache_knob_end_to_end() {
     // the entry must read as corrupt, not be served as a hit.
     let before_rot = telemetry::cache_stats();
     let intact = std::fs::read_to_string(path_of(a)).expect("cache entry readable");
-    let digit_at = intact
-        .find("\ncycles ")
-        .expect("the wire text has a cycles line")
-        + "\ncycles ".len();
+    let line_at = intact
+        .find("\ncounter cmp.cycles{")
+        .expect("the wire text has a cycles line");
+    let digit_at = line_at + intact[line_at..].find("} ").expect("labels end") + "} ".len();
     let mut rotted = intact.clone().into_bytes();
     rotted[digit_at] = if rotted[digit_at] == b'9' {
         b'8'

@@ -2,7 +2,8 @@
 //! the run manifest's deterministic-plane section (and the raw `--det`
 //! export) must be byte-identical for `FSOI_THREADS` ∈ {1, 2, 8} on the
 //! standard 80-cell sweep, while the telemetry section accounts for
-//! every cell exactly once across the workers of a multi-thread run.
+//! every cell exactly once across the workers of every run, the serial
+//! one included.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -70,7 +71,7 @@ fn deterministic_plane_is_byte_identical_across_thread_counts() {
 
     // Raw deterministic-plane export: profile + merged registry JSONL.
     assert!(!d1.is_empty(), "deterministic export must not be empty");
-    assert!(d1.contains("\"span\":\"sim/cycles\""), "{d1}");
+    assert!(d1.contains("{\"metric\":\"sim/cycles\","), "{d1}");
     assert_eq!(d1, d2, "threads=2 deterministic export diverged");
     assert_eq!(d1, d8, "threads=8 deterministic export diverged");
 
@@ -88,7 +89,7 @@ fn deterministic_plane_is_byte_identical_across_thread_counts() {
     );
 
     // Telemetry plane: the workers' cell counts account for the sweep.
-    for (threads, m) in [("2", &m2), ("8", &m8)] {
+    for (threads, m) in [("1", &m1), ("2", &m2), ("8", &m8)] {
         let telemetry = &m[m.find("\"telemetry\": {").expect("telemetry section")..];
         assert_eq!(
             sum_counts(telemetry, "\"cells\": "),

@@ -28,7 +28,6 @@ use crate::workload::AppProfile;
 use fsoi_sim::det::DetMap;
 use fsoi_sim::metrics::Registry;
 use fsoi_sim::par;
-use fsoi_sim::profile::Profile;
 use fsoi_sim::telemetry::{self, Phase};
 
 /// One sweep cell: a complete system configuration plus a workload.
@@ -76,16 +75,16 @@ impl BatchCell {
 ///   one, is consulted before forking or constructing; a hit is
 ///   byte-identical to the run it replaces (see [`CellCache`]).
 ///
-/// The returned [`Profile`] is the harness side of the deterministic
-/// observability plane: how the batch was decomposed (cells total, forked
-/// vs cold, group and template counts). It is a pure function of the cell
-/// list — never of thread count or cache state — so it is byte-identical
-/// across `threads`.
+/// The returned [`Registry`] is the harness side of the deterministic
+/// observability plane: how the batch was decomposed (`batch/cells`,
+/// forked vs cold, group and template counts). It is a pure function of
+/// the cell list — never of thread count or cache state — so it is
+/// byte-identical across `threads`.
 pub fn run_batch(
     cells: &[BatchCell],
     threads: usize,
     max_cycles: u64,
-) -> (Vec<RunReport>, Profile) {
+) -> (Vec<RunReport>, Registry) {
     // Group by everything except the seed. The `Debug` rendering covers
     // every field of the config (including the nested network config)
     // and the app, so equal keys imply fork-compatible cells.
@@ -111,12 +110,12 @@ pub fn run_batch(
         }
     }
     let forked = template_of.iter().filter(|t| t.is_some()).count() as u64;
-    let mut harness = Profile::new();
-    harness.add("batch/cells", cells.len() as u64);
-    harness.add("batch/cells_forked", forked);
-    harness.add("batch/cells_cold", cells.len() as u64 - forked);
-    harness.add("batch/groups", groups.len() as u64);
-    harness.add("batch/templates", templates.len() as u64);
+    let mut harness = Registry::new();
+    harness.inc("batch/cells", &[], cells.len() as u64);
+    harness.inc("batch/cells_forked", &[], forked);
+    harness.inc("batch/cells_cold", &[], cells.len() as u64 - forked);
+    harness.inc("batch/groups", &[], groups.len() as u64);
+    harness.inc("batch/templates", &[], templates.len() as u64);
     let cache = CellCache::from_env();
     let reports = par::sweep(cells.len(), threads, |i| {
         let cell = &cells[i];
@@ -246,7 +245,7 @@ mod tests {
         assert_eq!(harness.get("batch/templates"), 1);
         // The decomposition never depends on thread count.
         let (_, serial) = run_batch(&cells, 1, 1_000_000);
-        assert_eq!(serial, harness);
+        assert_eq!(serial.to_wire(), harness.to_wire());
         // Per-cell sim profiles ride inside the reports.
         assert!(reports[0].profile.get("sim/cycles") > 0);
         assert!(reports[0].profile.get("sim/ticks") > 0);

@@ -36,8 +36,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// miss instead of misparsing. v2: `RunReport` gained a trailing
 /// `profile` wire line. v3: the profile gained the `coh/dir/*` spans, which
 /// a v2 entry lacks. v4: the payload ends with a `sum` line over the wire
-/// text.
-const FORMAT: &str = "fsoi-cell/v4";
+/// text. v5: the wire text is two `Registry::to_wire` blocks under an
+/// `app`/`network` header.
+const FORMAT: &str = "fsoi-cell/v5";
 
 /// Distinguishes concurrent writers' temp files within one process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -261,6 +262,56 @@ mod tests {
         });
         assert_eq!(again.to_wire(), cold.to_wire());
         let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    /// Lines `Registry::from_wire` must refuse, arriving under a valid
+    /// preimage and a valid `sum` (appended to the profile registry, which
+    /// has no fixed shape to catch them): each is a miss counted as
+    /// corruption, never a panic and never a hit — debug and release alike.
+    #[test]
+    fn malformed_registry_lines_are_corrupt_misses() {
+        let dir = tmp_dir("malformed");
+        fs::create_dir_all(&dir).expect("scratch dir");
+        let cell = tiny_cell(5);
+        let report = cell.run_cold(1_000_000);
+        let wire = report.to_wire();
+        let preimage = preimage(&cell.config, &cell.app, 1_000_000);
+        let path = dir.join("entry.cell");
+        // The entry with one more profile line, announced in the count and
+        // covered by the sum, so that only the line itself can be wrong.
+        let (spans, announced) = (report.profile.len(), report.profile.len() + 1);
+        let patched = wire.replacen(
+            &format!("profile {spans}\n"),
+            &format!("profile {announced}\n"),
+            1,
+        );
+        assert_ne!(patched, wire);
+        let load_with = |line: &str| {
+            let wire = format!("{patched}{line}\n");
+            let entry = format!("{preimage}\n{wire}{}", sum_line(&wire));
+            fs::write(&path, entry).expect("write entry");
+            load(&path, &preimage)
+        };
+        assert!(
+            load_with("counter extra/span 1").is_some(),
+            "control: a well-formed extra span is a hit"
+        );
+        let s5 = "0 0000000000000000 0000000000000000 7ff0000000000000 fff0000000000000";
+        for bad in [
+            "counter a{b:1 1",
+            "counter a\tb 1",
+            "counter a 1 2",
+            "counter a",
+            "counter sim/ticks 1",
+            &format!("histogram h 0 0 {s5} 1"),
+            &format!("histogram h 10 0 {s5}"),
+            &format!("summary s {s5} 0"),
+        ] {
+            let before = telemetry::cache_stats().corrupt;
+            assert!(load_with(bad).is_none(), "{bad:?} served as a hit");
+            assert!(telemetry::cache_stats().corrupt > before, "{bad:?}");
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

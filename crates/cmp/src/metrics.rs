@@ -2,9 +2,8 @@
 
 use crate::energy::ChipEnergy;
 use crate::interconnect::LatencyAttribution;
-use fsoi_sim::metrics::Registry;
-use fsoi_sim::profile::Profile;
-use fsoi_sim::stats::{Histogram, Summary};
+use fsoi_sim::metrics::{Metric, Registry};
+use fsoi_sim::stats::Histogram;
 
 /// Traffic classes used in Figure 10's data-lane collision breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,13 +43,6 @@ impl DataPacketKind {
             DataPacketKind::WriteBack => "writeback",
         }
     }
-
-    /// All kinds in dense-index order.
-    pub const ALL: [DataPacketKind; 3] = [
-        DataPacketKind::Memory,
-        DataPacketKind::Reply,
-        DataPacketKind::WriteBack,
-    ];
 }
 
 /// The complete result of one application × network run.
@@ -101,15 +93,28 @@ pub struct RunReport {
     pub hint_wrong_rate: f64,
     /// Packets dropped by raw bit errors and recovered by retransmission.
     pub bit_error_drops: u64,
-    /// Deterministic harness-profile spans for this cell (cycles, ticks,
-    /// events, fast-forward jumps). Deliberately *not* part of
-    /// [`RunReport::export`]: the profile describes how the harness drove
-    /// the simulation, not what the simulation measured, and reference
-    /// drives (e.g. tick-by-tick replays in tests) legitimately differ
-    /// here while producing identical metrics. `experiments profile`
-    /// exports it through [`Profile::export`] instead.
-    pub profile: Profile,
+    /// Deterministic harness spans for this cell: `sim/*` (cycles, ticks,
+    /// events, fast-forward jumps) and `coh/dir/*` counters. Deliberately
+    /// *not* part of [`RunReport::export`]: they describe how the harness
+    /// drove the simulation, not what the simulation measured, and
+    /// reference drives (e.g. tick-by-tick replays in tests) legitimately
+    /// differ here while producing identical metrics. A sweep merges them
+    /// across its cells ([`Registry::merge`]).
+    pub profile: Registry,
 }
+
+/// One report field as the field ↔ metric mapping hands it out.
+enum Slot<'a> {
+    Count(&'a mut u64),
+    Value(&'a mut f64),
+    Hist(&'a mut Histogram),
+    /// A gauge computed from other fields: exported, never read back.
+    Derived(f64),
+}
+
+/// One row of the mapping: metric name, the label a row carries beyond
+/// `app` and `network`, and the field.
+type Row<'a> = (&'static str, Option<(&'static str, &'static str)>, Slot<'a>);
 
 impl RunReport {
     /// Speedup of this run relative to a baseline's cycle count.
@@ -122,6 +127,88 @@ impl RunReport {
         self.attribution.total()
     }
 
+    /// An all-zero report for `app` on `network` — what
+    /// [`RunReport::from_wire`] fills in.
+    fn blank(app: &str, network: &str, profile: Registry) -> RunReport {
+        RunReport {
+            app: app.to_string(),
+            network: network.to_string(),
+            cycles: 0,
+            attribution: LatencyAttribution::default(),
+            reply_latency: Histogram::new(1, 1),
+            meta_tx_probability: 0.0,
+            data_tx_probability: 0.0,
+            meta_collision_rate: 0.0,
+            data_collision_rate: 0.0,
+            packets_sent: [0; 2],
+            data_by_kind: [0; 3],
+            collided_by_kind: [0; 4],
+            acks_elided: 0,
+            subscription_packets_saved: 0,
+            l1_miss_rate: 0.0,
+            active_cycles: 0,
+            stalled_cycles: 0,
+            energy: ChipEnergy::default(),
+            data_resolution_delay: 0.0,
+            hint_accuracy: 0.0,
+            hint_wrong_rate: 0.0,
+            bit_error_drops: 0,
+            profile,
+        }
+    }
+
+    /// The field ↔ metric mapping, written once: [`RunReport::export`]
+    /// reads every row, [`RunReport::from_wire`] writes every row, and the
+    /// wire form is the export. A new measured quantity is a field plus a
+    /// row here.
+    fn rows(&mut self) -> Vec<Row<'_>> {
+        use Slot::{Count, Derived, Hist, Value};
+        let lane = |l| Some(("lane", l));
+        let kind = |k: DataPacketKind| Some(("kind", k.metric_label()));
+        let (latency_total, energy_total) = (self.attribution.total(), self.energy.total_j());
+        let (latency, energy) = (&mut self.attribution, &mut self.energy);
+        let [sent_meta, sent_data] = &mut self.packets_sent;
+        let [delivered_mem, delivered_reply, delivered_wb] = &mut self.data_by_kind;
+        let [collided_mem, collided_reply, collided_wb, recollided] = &mut self.collided_by_kind;
+        #[rustfmt::skip] // a table: one row per metric
+        let rows = vec![
+            ("cmp.cycles", None, Count(&mut self.cycles)),
+            ("cmp.latency.queuing", None, Value(&mut latency.queuing)),
+            ("cmp.latency.scheduling", None, Value(&mut latency.scheduling)),
+            ("cmp.latency.network", None, Value(&mut latency.network)),
+            ("cmp.latency.resolution", None, Value(&mut latency.collision_resolution)),
+            ("cmp.latency.total", None, Derived(latency_total)),
+            ("cmp.reply_latency", None, Hist(&mut self.reply_latency)),
+            ("cmp.tx_probability", lane("meta"), Value(&mut self.meta_tx_probability)),
+            ("cmp.tx_probability", lane("data"), Value(&mut self.data_tx_probability)),
+            ("cmp.collision_rate", lane("meta"), Value(&mut self.meta_collision_rate)),
+            ("cmp.collision_rate", lane("data"), Value(&mut self.data_collision_rate)),
+            ("cmp.packets_sent", lane("meta"), Count(sent_meta)),
+            ("cmp.packets_sent", lane("data"), Count(sent_data)),
+            ("cmp.data_delivered", kind(DataPacketKind::Memory), Count(delivered_mem)),
+            ("cmp.data_delivered", kind(DataPacketKind::Reply), Count(delivered_reply)),
+            ("cmp.data_delivered", kind(DataPacketKind::WriteBack), Count(delivered_wb)),
+            ("cmp.data_collided", kind(DataPacketKind::Memory), Count(collided_mem)),
+            ("cmp.data_collided", kind(DataPacketKind::Reply), Count(collided_reply)),
+            ("cmp.data_collided", kind(DataPacketKind::WriteBack), Count(collided_wb)),
+            ("cmp.data_recollided", None, Count(recollided)),
+            ("cmp.acks_elided", None, Count(&mut self.acks_elided)),
+            ("cmp.subscription_packets_saved", None, Count(&mut self.subscription_packets_saved)),
+            ("cmp.l1_miss_rate", None, Value(&mut self.l1_miss_rate)),
+            ("cmp.active_cycles", None, Count(&mut self.active_cycles)),
+            ("cmp.stalled_cycles", None, Count(&mut self.stalled_cycles)),
+            ("cmp.energy.network_j", None, Value(&mut energy.network_j)),
+            ("cmp.energy.core_j", None, Value(&mut energy.core_j)),
+            ("cmp.energy.leakage_j", None, Value(&mut energy.leakage_j)),
+            ("cmp.energy.total_j", None, Derived(energy_total)),
+            ("cmp.data_resolution_delay", None, Value(&mut self.data_resolution_delay)),
+            ("cmp.hint_accuracy", None, Value(&mut self.hint_accuracy)),
+            ("cmp.hint_wrong_rate", None, Value(&mut self.hint_wrong_rate)),
+            ("cmp.bit_error_drops", None, Count(&mut self.bit_error_drops)),
+        ];
+        rows
+    }
+
     /// Exports every figure/table input as named metrics into `reg`.
     ///
     /// This is the single code path behind snapshot output: the harness
@@ -130,90 +217,18 @@ impl RunReport {
     /// snapshots. Every metric carries `app` and `network` labels, so
     /// reports from several runs can merge into one registry.
     pub fn export(&self, reg: &mut Registry) {
-        let app = self.app.as_str();
-        let net = self.network.as_str();
-        let run: [(&str, &str); 2] = [("app", app), ("network", net)];
-        let lane = |l: &'static str| -> [(&str, &str); 3] {
-            [("app", app), ("network", net), ("lane", l)]
-        };
-
-        reg.inc("cmp.cycles", &run, self.cycles);
-        reg.gauge("cmp.latency.queuing", &run, self.attribution.queuing);
-        reg.gauge("cmp.latency.scheduling", &run, self.attribution.scheduling);
-        reg.gauge("cmp.latency.network", &run, self.attribution.network);
-        reg.gauge(
-            "cmp.latency.resolution",
-            &run,
-            self.attribution.collision_resolution,
-        );
-        reg.gauge("cmp.latency.total", &run, self.attribution.total());
-        reg.histogram("cmp.reply_latency", &run, self.reply_latency.clone());
-
-        reg.gauge(
-            "cmp.tx_probability",
-            &lane("meta"),
-            self.meta_tx_probability,
-        );
-        reg.gauge(
-            "cmp.tx_probability",
-            &lane("data"),
-            self.data_tx_probability,
-        );
-        reg.gauge(
-            "cmp.collision_rate",
-            &lane("meta"),
-            self.meta_collision_rate,
-        );
-        reg.gauge(
-            "cmp.collision_rate",
-            &lane("data"),
-            self.data_collision_rate,
-        );
-        reg.inc("cmp.packets_sent", &lane("meta"), self.packets_sent[0]);
-        reg.inc("cmp.packets_sent", &lane("data"), self.packets_sent[1]);
-
-        for kind in DataPacketKind::ALL {
-            let labels: [(&str, &str); 3] = [
-                ("app", app),
-                ("network", net),
-                ("kind", kind.metric_label()),
-            ];
-            reg.inc(
-                "cmp.data_delivered",
-                &labels,
-                self.data_by_kind[kind.index()],
-            );
-            reg.inc(
-                "cmp.data_collided",
-                &labels,
-                self.collided_by_kind[kind.index()],
-            );
+        // The mapping hands out `&mut` (so that `from_wire` can fill the
+        // same rows); reading it takes a scratch copy, once per cell.
+        let mut scratch = self.clone();
+        let run = [("app", &*self.app), ("network", &*self.network)];
+        for (name, extra, slot) in scratch.rows() {
+            let labels: Vec<_> = run.into_iter().chain(extra).collect();
+            match slot {
+                Slot::Count(c) => reg.inc(name, &labels, *c),
+                Slot::Value(&mut v) | Slot::Derived(v) => reg.gauge(name, &labels, v),
+                Slot::Hist(h) => reg.histogram(name, &labels, h.clone()),
+            }
         }
-        reg.inc("cmp.data_recollided", &run, self.collided_by_kind[3]);
-
-        reg.inc("cmp.acks_elided", &run, self.acks_elided);
-        reg.inc(
-            "cmp.subscription_packets_saved",
-            &run,
-            self.subscription_packets_saved,
-        );
-        reg.gauge("cmp.l1_miss_rate", &run, self.l1_miss_rate);
-        reg.inc("cmp.active_cycles", &run, self.active_cycles);
-        reg.inc("cmp.stalled_cycles", &run, self.stalled_cycles);
-
-        reg.gauge("cmp.energy.network_j", &run, self.energy.network_j);
-        reg.gauge("cmp.energy.core_j", &run, self.energy.core_j);
-        reg.gauge("cmp.energy.leakage_j", &run, self.energy.leakage_j);
-        reg.gauge("cmp.energy.total_j", &run, self.energy.total_j());
-
-        reg.gauge(
-            "cmp.data_resolution_delay",
-            &run,
-            self.data_resolution_delay,
-        );
-        reg.gauge("cmp.hint_accuracy", &run, self.hint_accuracy);
-        reg.gauge("cmp.hint_wrong_rate", &run, self.hint_wrong_rate);
-        reg.inc("cmp.bit_error_drops", &run, self.bit_error_drops);
     }
 
     /// A fresh registry holding only this report's metrics (see
@@ -224,241 +239,57 @@ impl RunReport {
         reg
     }
 
-    /// Serializes the report into the cell cache's line-oriented wire
-    /// format: one `key value…` line per field, in declaration order,
-    /// with every `f64` written as its exact 16-hex-digit bit pattern.
+    /// Serializes the report for the cell cache: an `app` and a `network`
+    /// line, the export registry, a `profile <entries>` line, the profile
+    /// registry — both in [`Registry::to_wire`]'s bit-exact line codec.
     /// [`RunReport::from_wire`] reproduces the report bit-for-bit, so a
     /// cache hit exports byte-identical metrics to the run it replaced.
     pub fn to_wire(&self) -> String {
-        let h = f64_to_hex;
-        let mut lines: Vec<String> = Vec::new();
-        lines.push(format!("app {}", self.app));
-        lines.push(format!("network {}", self.network));
-        lines.push(format!("cycles {}", self.cycles));
-        lines.push(format!(
-            "attribution {} {} {} {}",
-            h(self.attribution.queuing),
-            h(self.attribution.scheduling),
-            h(self.attribution.network),
-            h(self.attribution.collision_resolution)
-        ));
-        let rl = &self.reply_latency;
-        let bins: Vec<String> = (0..rl.num_bins()).map(|i| rl.bin(i).to_string()).collect();
-        lines.push(format!(
-            "reply_latency {} {} {}",
-            rl.bin_width(),
-            rl.overflow(),
-            bins.join(" ")
-        ));
-        let (count, mean, m2, min, max) = rl.summary().raw();
-        lines.push(format!(
-            "reply_summary {count} {} {} {} {}",
-            h(mean),
-            h(m2),
-            h(min),
-            h(max)
-        ));
-        lines.push(format!(
-            "meta_tx_probability {}",
-            h(self.meta_tx_probability)
-        ));
-        lines.push(format!(
-            "data_tx_probability {}",
-            h(self.data_tx_probability)
-        ));
-        lines.push(format!(
-            "meta_collision_rate {}",
-            h(self.meta_collision_rate)
-        ));
-        lines.push(format!(
-            "data_collision_rate {}",
-            h(self.data_collision_rate)
-        ));
-        lines.push(format!(
-            "packets_sent {} {}",
-            self.packets_sent[0], self.packets_sent[1]
-        ));
-        lines.push(format!(
-            "data_by_kind {} {} {}",
-            self.data_by_kind[0], self.data_by_kind[1], self.data_by_kind[2]
-        ));
-        lines.push(format!(
-            "collided_by_kind {} {} {} {}",
-            self.collided_by_kind[0],
-            self.collided_by_kind[1],
-            self.collided_by_kind[2],
-            self.collided_by_kind[3]
-        ));
-        lines.push(format!("acks_elided {}", self.acks_elided));
-        lines.push(format!(
-            "subscription_packets_saved {}",
-            self.subscription_packets_saved
-        ));
-        lines.push(format!("l1_miss_rate {}", h(self.l1_miss_rate)));
-        lines.push(format!("active_cycles {}", self.active_cycles));
-        lines.push(format!("stalled_cycles {}", self.stalled_cycles));
-        lines.push(format!(
-            "energy {} {} {}",
-            h(self.energy.network_j),
-            h(self.energy.core_j),
-            h(self.energy.leakage_j)
-        ));
-        lines.push(format!(
-            "data_resolution_delay {}",
-            h(self.data_resolution_delay)
-        ));
-        lines.push(format!("hint_accuracy {}", h(self.hint_accuracy)));
-        lines.push(format!("hint_wrong_rate {}", h(self.hint_wrong_rate)));
-        lines.push(format!("bit_error_drops {}", self.bit_error_drops));
-        lines.push(format!("profile {}", self.profile.to_wire_fragment()));
-        let mut out = lines.join("\n");
-        out.push('\n');
-        out
+        format!(
+            "app {}\nnetwork {}\n{}profile {}\n{}",
+            self.app,
+            self.network,
+            self.registry().to_wire(),
+            self.profile.len(),
+            self.profile.to_wire()
+        )
     }
 
     /// Parses the wire format written by [`RunReport::to_wire`]. Returns
-    /// `None` on any structural mismatch — missing/extra/misordered lines
-    /// or malformed numbers — so cache readers treat damage as a miss
-    /// rather than ever returning wrong bytes.
+    /// `None` on any structural mismatch — a damaged header, a registry
+    /// that does not decode, an export metric missing, of the wrong kind
+    /// or beyond the mapping, a profile of the wrong length or holding
+    /// anything but span counters — so cache readers treat damage as a
+    /// miss rather than ever returning wrong bytes.
     pub fn from_wire(text: &str) -> Option<RunReport> {
-        let mut w = WireLines(text.lines());
-        let app = w.kv("app")?.to_string();
-        let network = w.kv("network")?.to_string();
-        let cycles: u64 = w.kv("cycles")?.parse().ok()?;
-        let attr = parse_hex_f64s(w.kv("attribution")?)?;
-        let [queuing, scheduling, network_lat, collision_resolution] = attr[..] else {
-            return None;
-        };
-        let hist = parse_u64s(w.kv("reply_latency")?)?;
-        let (&bin_width, rest) = hist.split_first()?;
-        let (&overflow, bins) = rest.split_first()?;
-        if bin_width == 0 || bins.is_empty() {
+        let (app, rest) = text.strip_prefix("app ")?.split_once('\n')?;
+        let (network, rest) = rest.strip_prefix("network ")?.split_once('\n')?;
+        let (export, rest) = rest.split_once("\nprofile ")?;
+        let (spans, profile) = rest.split_once('\n')?;
+        let (export, profile) = (Registry::from_wire(export)?, Registry::from_wire(profile)?);
+        if spans.parse() != Ok(profile.len())
+            || !profile.iter().all(|(_, m)| matches!(m, Metric::Counter(_)))
+        {
             return None;
         }
-        let mut sum = w.kv("reply_summary")?.split(' ');
-        let count: u64 = sum.next()?.parse().ok()?;
-        let mean = f64_from_hex(sum.next()?)?;
-        let m2 = f64_from_hex(sum.next()?)?;
-        let min = f64_from_hex(sum.next()?)?;
-        let max = f64_from_hex(sum.next()?)?;
-        if sum.next().is_some() {
+        let mut report = RunReport::blank(app, network, profile);
+        let rows = report.rows();
+        if export.len() != rows.len() {
             return None;
         }
-        let reply_latency = Histogram::from_raw(
-            bin_width,
-            bins.to_vec(),
-            overflow,
-            Summary::from_raw(count, mean, m2, min, max),
-        );
-        let meta_tx_probability = f64_from_hex(w.kv("meta_tx_probability")?)?;
-        let data_tx_probability = f64_from_hex(w.kv("data_tx_probability")?)?;
-        let meta_collision_rate = f64_from_hex(w.kv("meta_collision_rate")?)?;
-        let data_collision_rate = f64_from_hex(w.kv("data_collision_rate")?)?;
-        let sent = parse_u64s(w.kv("packets_sent")?)?;
-        let [sent_meta, sent_data] = sent[..] else {
-            return None;
-        };
-        let by_kind = parse_u64s(w.kv("data_by_kind")?)?;
-        let [k0, k1, k2] = by_kind[..] else {
-            return None;
-        };
-        let collided = parse_u64s(w.kv("collided_by_kind")?)?;
-        let [c0, c1, c2, c3] = collided[..] else {
-            return None;
-        };
-        let acks_elided: u64 = w.kv("acks_elided")?.parse().ok()?;
-        let subscription_packets_saved: u64 = w.kv("subscription_packets_saved")?.parse().ok()?;
-        let l1_miss_rate = f64_from_hex(w.kv("l1_miss_rate")?)?;
-        let active_cycles: u64 = w.kv("active_cycles")?.parse().ok()?;
-        let stalled_cycles: u64 = w.kv("stalled_cycles")?.parse().ok()?;
-        let energy = parse_hex_f64s(w.kv("energy")?)?;
-        let [network_j, core_j, leakage_j] = energy[..] else {
-            return None;
-        };
-        let data_resolution_delay = f64_from_hex(w.kv("data_resolution_delay")?)?;
-        let hint_accuracy = f64_from_hex(w.kv("hint_accuracy")?)?;
-        let hint_wrong_rate = f64_from_hex(w.kv("hint_wrong_rate")?)?;
-        let bit_error_drops: u64 = w.kv("bit_error_drops")?.parse().ok()?;
-        let profile = Profile::from_wire_fragment(w.kv("profile")?)?;
-        w.end()?;
-        Some(RunReport {
-            app,
-            network,
-            cycles,
-            attribution: LatencyAttribution {
-                queuing,
-                scheduling,
-                network: network_lat,
-                collision_resolution,
-            },
-            reply_latency,
-            meta_tx_probability,
-            data_tx_probability,
-            meta_collision_rate,
-            data_collision_rate,
-            packets_sent: [sent_meta, sent_data],
-            data_by_kind: [k0, k1, k2],
-            collided_by_kind: [c0, c1, c2, c3],
-            acks_elided,
-            subscription_packets_saved,
-            l1_miss_rate,
-            active_cycles,
-            stalled_cycles,
-            energy: ChipEnergy {
-                network_j,
-                core_j,
-                leakage_j,
-            },
-            data_resolution_delay,
-            hint_accuracy,
-            hint_wrong_rate,
-            bit_error_drops,
-            profile,
-        })
-    }
-}
-
-/// Cursor over wire-format lines: each line must start with the expected
-/// key followed by one space.
-struct WireLines<'a>(std::str::Lines<'a>);
-
-impl<'a> WireLines<'a> {
-    /// Consumes the next line, returning the value part iff the line's
-    /// key matches.
-    fn kv(&mut self, key: &str) -> Option<&'a str> {
-        self.0.next()?.strip_prefix(key)?.strip_prefix(' ')
-    }
-
-    /// Succeeds iff no lines remain.
-    fn end(mut self) -> Option<()> {
-        match self.0.next() {
-            None => Some(()),
-            Some(_) => None,
+        let run = [("app", app), ("network", network)];
+        for (name, extra, slot) in rows {
+            let labels: Vec<_> = run.into_iter().chain(extra).collect();
+            match (slot, export.metric(name, &labels)?) {
+                (Slot::Count(f), Metric::Counter(v)) => *f = *v,
+                (Slot::Value(f), Metric::Gauge(v)) => *f = *v,
+                (Slot::Hist(f), Metric::Histogram(v)) => *f = v.clone(),
+                (Slot::Derived(_), Metric::Gauge(_)) => {}
+                _ => return None,
+            }
         }
+        Some(report)
     }
-}
-
-/// An `f64` as its exact bit pattern, 16 hex digits.
-fn f64_to_hex(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
-/// Inverse of [`f64_to_hex`]; `None` on malformed input.
-fn f64_from_hex(s: &str) -> Option<f64> {
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
-
-/// Space-separated decimal `u64`s.
-fn parse_u64s(s: &str) -> Option<Vec<u64>> {
-    s.split(' ').map(|t| t.parse().ok()).collect()
-}
-
-/// Space-separated hex-bit `f64`s.
-fn parse_hex_f64s(s: &str) -> Option<Vec<f64>> {
-    s.split(' ').map(f64_from_hex).collect()
 }
 
 #[cfg(test)]
@@ -476,37 +307,17 @@ mod tests {
     #[test]
     fn speedup_math() {
         let r = RunReport {
-            app: "x".into(),
-            network: "fsoi".into(),
             cycles: 500,
-            attribution: LatencyAttribution::default(),
-            reply_latency: Histogram::new(10, 20),
-            meta_tx_probability: 0.0,
-            data_tx_probability: 0.0,
-            meta_collision_rate: 0.0,
-            data_collision_rate: 0.0,
-            packets_sent: [0, 0],
-            data_by_kind: [0; 3],
-            collided_by_kind: [0; 4],
-            acks_elided: 0,
-            subscription_packets_saved: 0,
-            l1_miss_rate: 0.0,
-            active_cycles: 0,
-            stalled_cycles: 0,
-            energy: ChipEnergy::default(),
-            data_resolution_delay: 0.0,
-            hint_accuracy: 0.0,
-            hint_wrong_rate: 0.0,
-            bit_error_drops: 0,
-            profile: Profile::new(),
+            ..RunReport::blank("x", "fsoi", Registry::new())
         };
         assert!((r.speedup_vs(1000) - 2.0).abs() < 1e-12);
     }
 
     fn sample_report() -> RunReport {
+        let mut profile = Registry::new();
+        profile.inc("sim/cycles", &[], 500);
+        profile.inc("sim/ff/jumps", &[], 3);
         RunReport {
-            app: "tsp".into(),
-            network: "fsoi".into(),
             cycles: 500,
             attribution: LatencyAttribution {
                 queuing: 1.0,
@@ -536,12 +347,7 @@ mod tests {
             hint_accuracy: 0.9,
             hint_wrong_rate: 0.1,
             bit_error_drops: 2,
-            profile: {
-                let mut p = Profile::new();
-                p.add("sim/cycles", 500);
-                p.add("sim/ff/jumps", 3);
-                p
-            },
+            ..RunReport::blank("tsp", "fsoi", profile)
         }
     }
 
@@ -590,17 +396,33 @@ mod tests {
     #[test]
     fn malformed_wire_is_rejected_not_misparsed() {
         let wire = sample_report().to_wire();
+        assert!(wire.starts_with("app tsp\nnetwork fsoi\ncounter cmp.acks_elided{"));
+        assert!(wire.ends_with("profile 2\ncounter sim/cycles 500\ncounter sim/ff/jumps 3\n"));
         assert!(RunReport::from_wire("").is_none());
         assert!(RunReport::from_wire("garbage\n").is_none());
-        // Truncation, an extra trailing line, a reordered field, and a
-        // corrupted number must all fail closed (cache treats as a miss).
+        // Truncation, an extra line in either registry, a renamed metric, a
+        // corrupted number, a damaged header and a header that disagrees
+        // with the labels must all fail closed (cache treats as a miss).
         let truncated: String = wire.lines().take(5).collect::<Vec<_>>().join("\n");
         assert!(RunReport::from_wire(&truncated).is_none());
+        let extra = wire.replacen("profile 2\n", "counter extra 1\nprofile 2\n", 1);
+        assert!(RunReport::from_wire(&extra).is_none());
         assert!(RunReport::from_wire(&format!("{wire}extra 1\n")).is_none());
-        let reordered = wire.replacen("cycles", "cycle_count", 1);
-        assert!(RunReport::from_wire(&reordered).is_none());
-        let corrupt = wire.replacen("cycles 500", "cycles 5oo", 1);
+        let renamed = wire.replacen("cmp.cycles", "cmp.cycle_count", 1);
+        assert!(RunReport::from_wire(&renamed).is_none());
+        let corrupt = wire.replacen("network=fsoi} 500", "network=fsoi} 5oo", 1);
+        assert_ne!(corrupt, wire);
         assert!(RunReport::from_wire(&corrupt).is_none());
+        assert!(RunReport::from_wire(&wire.replacen("app tsp", "app  tsp", 1)).is_none());
+        assert!(RunReport::from_wire(&wire.replacen("app tsp", "app fft", 1)).is_none());
+        assert!(RunReport::from_wire(&wire.replacen("profile 2\n", "", 1)).is_none());
+        assert!(RunReport::from_wire(&wire.replacen("profile 2\n", "profile 3\n", 1)).is_none());
+        let gauge_span = wire.replacen(
+            "counter sim/ff/jumps 3",
+            "gauge sim/ff/jumps 0000000000000003",
+            1,
+        );
+        assert!(RunReport::from_wire(&gauge_span).is_none());
     }
 
     #[test]

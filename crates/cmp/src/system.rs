@@ -31,7 +31,7 @@ use fsoi_coherence::sync::{Barrier, BooleanSubscriptionHub, SpinLock};
 use fsoi_net::packet::PacketClass;
 use fsoi_sim::det::{DetMap, DetSet};
 use fsoi_sim::event::EventQueue;
-use fsoi_sim::profile::Profile;
+use fsoi_sim::metrics::Registry;
 use fsoi_sim::rng::Xoshiro256StarStar;
 use fsoi_sim::stats::Histogram;
 use fsoi_sim::telemetry::{self, Phase};
@@ -108,9 +108,9 @@ pub struct CmpSystem {
     acks_elided: u64,
     protocol_errors: u64,
     first_protocol_error: Option<String>,
-    // Deterministic harness-profile counters (see `fsoi_sim::profile`):
-    // pure functions of the cell inputs and the `run()` drive, assembled
-    // into `RunReport::profile` by `report()`. Deliberately *not* part of
+    // Deterministic harness span counters: pure functions of the cell
+    // inputs and the `run()` drive, assembled into the `sim/*` entries of
+    // `RunReport::profile` by `report()`. Deliberately *not* part of
     // `RunReport::export()` — a tick-only drive (the fast-forward
     // reference tests) legitimately differs from `run()` here.
     ticks: u64,
@@ -1017,19 +1017,23 @@ impl CmpSystem {
             "protocol errors observed; first: {:?}",
             self.first_protocol_error
         );
-        let mut profile = Profile::new();
-        profile.add("sim/cycles", cycles);
-        profile.add("sim/ticks", self.ticks);
-        profile.add("sim/events", self.events_processed);
-        profile.add("sim/ff/jumps", self.ff_jumps);
-        profile.add("sim/ff/cycles_skipped", self.ff_cycles_skipped);
         let dir_sum = |f: fn(&DirStats) -> u64| self.dirs.iter().map(|d| f(d.stats())).sum();
-        profile.add("coh/dir/requests", dir_sum(|s| s.requests));
-        profile.add("coh/dir/evictions", dir_sum(|s| s.evictions));
-        profile.add("coh/dir/nacks", dir_sum(|s| s.nacks));
-        profile.add("coh/dir/deferred", dir_sum(|s| s.deferred));
-        profile.add("coh/dir/mem_reads", dir_sum(|s| s.mem_reads));
-        profile.add("coh/dir/mem_writes", dir_sum(|s| s.mem_writes));
+        let mut profile = Registry::new();
+        for (span, count) in [
+            ("sim/cycles", cycles),
+            ("sim/ticks", self.ticks),
+            ("sim/events", self.events_processed),
+            ("sim/ff/jumps", self.ff_jumps),
+            ("sim/ff/cycles_skipped", self.ff_cycles_skipped),
+            ("coh/dir/requests", dir_sum(|s| s.requests)),
+            ("coh/dir/evictions", dir_sum(|s| s.evictions)),
+            ("coh/dir/nacks", dir_sum(|s| s.nacks)),
+            ("coh/dir/deferred", dir_sum(|s| s.deferred)),
+            ("coh/dir/mem_reads", dir_sum(|s| s.mem_reads)),
+            ("coh/dir/mem_writes", dir_sum(|s| s.mem_writes)),
+        ] {
+            profile.inc(span, &[], count);
+        }
         RunReport {
             app: self.app.name.to_string(),
             network: self.net.name().to_string(),

@@ -13,20 +13,20 @@
 //! * [`det::DetMap`] / [`det::DetSet`] — order-deterministic associative
 //!   containers (the names simulation code uses for `BTreeMap`/`BTreeSet`
 //!   in place of `HashMap`/`HashSet`, enforced by lint rule D1),
-//! * [`stats`] — counters, streaming summaries and histograms used by
-//!   all measurement code,
-//! * [`metrics::Registry`] — named, labelled metrics with deterministic
-//!   JSONL/table export, the single code path behind reported numbers,
+//! * [`stats`] — streaming summaries and histograms, the value types
+//!   behind all measurement code,
+//! * [`metrics::Registry`] — the deterministic observability plane's one
+//!   store and one codec: named, labelled counters, gauges, summaries and
+//!   histograms (report metrics and harness spans alike) with JSONL, table
+//!   and bit-exact wire renderings, byte-identical across thread counts,
 //! * [`par`] — the lock-free sweep executor (one atomic cell cursor): the
 //!   only sanctioned home for threads in simulation code (lint
 //!   rule D3), with results merged by a deterministic reduction keyed on
 //!   cell index so thread count is never observable in output,
-//! * [`profile`] — the deterministic harness-observability plane:
-//!   hierarchical span counters keyed by sim-domain quantities, with
-//!   byte-identical exports across thread counts,
-//! * [`telemetry`] — the wall-clock harness-observability plane: executor
-//!   and cache telemetry, explicitly nondeterministic and the only
-//!   sanctioned home for wall-clock reads (lint rule D2),
+//! * [`telemetry`] — the wall-clock observability plane: executor and
+//!   cache telemetry, explicitly nondeterministic, a type of its own so it
+//!   can never be merged into a registry, and the only sanctioned home for
+//!   wall-clock reads (lint rule D2),
 //! * [`trace`] — cycle-stamped structured event tracing with a bounded
 //!   flight recorder that dumps JSON lines when an invariant fails,
 //! * [`queue::BoundedQueue`] — a bounded FIFO with occupancy accounting,
@@ -52,7 +52,6 @@ pub mod det;
 pub mod event;
 pub mod metrics;
 pub mod par;
-pub mod profile;
 pub mod queue;
 pub mod rng;
 pub mod stats;

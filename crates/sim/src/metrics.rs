@@ -1,19 +1,23 @@
-//! A deterministic registry of named, labelled metrics.
+//! A deterministic registry of named, labelled metrics: the one store and
+//! the one codec of the deterministic observability plane.
 //!
-//! The workspace's measurement code grew ad-hoc counter, [`Summary`] and
-//! [`Histogram`] fields scattered across structs; every report then
-//! hand-formatted its own numbers. The [`Registry`] unifies them behind
-//! `name{label=value}` keys with two deterministic export paths — JSONL
-//! ([`Registry::to_jsonl`]) and an aligned human-readable table
-//! ([`Registry::to_table`]) — so `EXPERIMENTS.md` numbers regenerate from
-//! one code path and same-seed runs snapshot byte-identically.
+//! Everything the simulation counts — a report's figure inputs
+//! (`cmp.cycles{app=…,network=…}`), a cell's harness spans (`sim/ticks`,
+//! `coh/dir/evictions`), a batch's decomposition (`batch/cells_forked`) —
+//! lives in a [`Registry`] under a `name{label=value}` key, is folded with
+//! [`Registry::merge`], and leaves through one of three deterministic
+//! renderings: JSONL ([`Registry::to_jsonl`]), an aligned table
+//! ([`Registry::to_table`]) and the bit-exact line codec the cell cache
+//! stores ([`Registry::to_wire`] / [`Registry::from_wire`]). Wall-clock
+//! observations never enter a registry; they live in [`crate::telemetry`].
 //!
 //! Determinism guarantees:
 //!
 //! * entries iterate in lexicographic key order (BTreeMap),
 //! * label order inside a key is sorted at insertion,
 //! * floats format via Rust's shortest-round-trip `{:?}` (no locale, no
-//!   platform drift); non-finite values export as JSON `null`.
+//!   platform drift); non-finite values export as JSON `null`; the wire
+//!   codec carries every `f64` as its exact bit pattern.
 //!
 //! ```
 //! use fsoi_sim::metrics::Registry;
@@ -21,7 +25,10 @@
 //! reg.inc("net.delivered", &[("lane", "meta")], 3);
 //! reg.observe("net.latency", &[("lane", "meta")], 17.0);
 //! assert_eq!(reg.counter("net.delivered", &[("lane", "meta")]), 3);
+//! assert_eq!(reg.get("net.delivered{lane=meta}"), 3);
 //! assert!(reg.to_jsonl().lines().count() == 2);
+//! let back = Registry::from_wire(&reg.to_wire()).unwrap();
+//! assert_eq!(back.to_jsonl(), reg.to_jsonl());
 //! ```
 
 use std::collections::BTreeMap;
@@ -80,11 +87,24 @@ impl Registry {
         Self::default()
     }
 
+    /// Characters no name, label or value may hold: the key syntax's own,
+    /// the JSONL export's quote and the wire codec's separators.
+    const RESERVED: [char; 6] = ['{', '}', '"', '\n', ' ', '\t'];
+
+    fn well_formed(name: &str, labels: &[(&str, &str)]) -> bool {
+        !name.is_empty()
+            && !name.contains(Self::RESERVED)
+            && labels.iter().all(|(k, v)| {
+                !k.contains(Self::RESERVED)
+                    && !k.contains(['=', ','])
+                    && !v.contains(Self::RESERVED)
+                    && !v.contains(',')
+            })
+    }
+
+    /// The canonical key. Lookups build it unchecked (a malformed key finds
+    /// nothing); the mutators go through `checked_key`.
     fn key(name: &str, labels: &[(&str, &str)]) -> String {
-        debug_assert!(
-            !name.contains(['{', '}', '"', '\n']),
-            "metric name {name:?} contains reserved characters"
-        );
         if labels.is_empty() {
             return name.to_string();
         }
@@ -94,11 +114,6 @@ impl Registry {
         s.push_str(name);
         s.push('{');
         for (i, (k, v)) in sorted.iter().enumerate() {
-            debug_assert!(
-                !k.contains(['{', '}', '=', ',', '"', '\n'])
-                    && !v.contains(['{', '}', ',', '"', '\n']),
-                "label {k}={v} contains reserved characters"
-            );
             if i > 0 {
                 s.push(',');
             }
@@ -108,6 +123,21 @@ impl Registry {
         }
         s.push('}');
         s
+    }
+
+    fn checked_key(name: &str, labels: &[(&str, &str)]) -> String {
+        debug_assert!(
+            Self::well_formed(name, labels),
+            "metric {name:?} {labels:?} is empty or contains reserved characters"
+        );
+        Self::key(name, labels)
+    }
+
+    /// The entry under the key, created as `fresh` when absent.
+    fn entry(&mut self, name: &str, labels: &[(&str, &str)], fresh: Metric) -> &mut Metric {
+        self.entries
+            .entry(Self::checked_key(name, labels))
+            .or_insert(fresh)
     }
 
     /// Splits a canonical key back into `(name, [(label, value)])`.
@@ -131,11 +161,7 @@ impl Registry {
     ///
     /// Panics in debug builds if the key already holds a non-counter.
     pub fn inc(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        match self
-            .entries
-            .entry(Self::key(name, labels))
-            .or_insert(Metric::Counter(0))
-        {
+        match self.entry(name, labels, Metric::Counter(0)) {
             Metric::Counter(c) => *c = c.saturating_add(delta),
             other => debug_assert!(false, "{name} is a {}, not a counter", other.type_name()),
         }
@@ -144,16 +170,12 @@ impl Registry {
     /// Sets the gauge to `value` (overwriting).
     pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
         self.entries
-            .insert(Self::key(name, labels), Metric::Gauge(value));
+            .insert(Self::checked_key(name, labels), Metric::Gauge(value));
     }
 
     /// Records one observation into the summary, creating it when absent.
     pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], x: f64) {
-        match self
-            .entries
-            .entry(Self::key(name, labels))
-            .or_insert(Metric::Summary(Summary::new()))
-        {
+        match self.entry(name, labels, Metric::Summary(Summary::new())) {
             Metric::Summary(s) => s.record(x),
             other => debug_assert!(false, "{name} is a {}, not a summary", other.type_name()),
         }
@@ -161,11 +183,7 @@ impl Registry {
 
     /// Merges a pre-built summary into the entry (parallel Welford).
     pub fn merge_summary(&mut self, name: &str, labels: &[(&str, &str)], other: &Summary) {
-        match self
-            .entries
-            .entry(Self::key(name, labels))
-            .or_insert(Metric::Summary(Summary::new()))
-        {
+        match self.entry(name, labels, Metric::Summary(Summary::new())) {
             Metric::Summary(s) => s.merge(other),
             wrong => debug_assert!(false, "{name} is a {}, not a summary", wrong.type_name()),
         }
@@ -174,15 +192,12 @@ impl Registry {
     /// Stores a histogram snapshot under the key (overwriting).
     pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)], h: Histogram) {
         self.entries
-            .insert(Self::key(name, labels), Metric::Histogram(h));
+            .insert(Self::checked_key(name, labels), Metric::Histogram(h));
     }
 
     /// Reads a counter's value (0 when absent or of another type).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        match self.entries.get(&Self::key(name, labels)) {
-            Some(Metric::Counter(c)) => *c,
-            _ => 0,
-        }
+        self.get(&Self::key(name, labels))
     }
 
     /// Reads a gauge's value (`None` when absent or of another type).
@@ -194,8 +209,32 @@ impl Registry {
     }
 
     /// Looks up any metric by name and labels.
-    pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Metric> {
+    pub fn metric(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Metric> {
         self.entries.get(&Self::key(name, labels))
+    }
+
+    /// Reads a counter by its canonical key — `sim/ticks`, `m{a=1,b=2}` —
+    /// (0 when absent or of another type).
+    pub fn get(&self, key: &str) -> u64 {
+        match self.entries.get(key) {
+            Some(Metric::Counter(c)) => *c,
+            _ => 0,
+        }
+    }
+
+    /// Folds every entry of `other` into `self` through the mutators:
+    /// counters add (saturating), summaries merge, gauges and histograms
+    /// overwrite.
+    pub fn merge(&mut self, other: &Registry) {
+        for (key, metric) in &other.entries {
+            let (name, labels) = Self::split_key(key);
+            match metric {
+                Metric::Counter(c) => self.inc(name, &labels, *c),
+                Metric::Gauge(v) => self.gauge(name, &labels, *v),
+                Metric::Summary(s) => self.merge_summary(name, &labels, s),
+                Metric::Histogram(h) => self.histogram(name, &labels, h.clone()),
+            }
+        }
     }
 
     /// Number of entries.
@@ -321,6 +360,105 @@ impl Registry {
         }
         out
     }
+
+    /// Encodes every entry as one `kind key value…` line, sorted by key:
+    /// the bit-exact codec of the deterministic plane (the cell cache's
+    /// payload). Integers are decimal, every `f64` is its 16-hex-digit bit
+    /// pattern, a summary is `count mean m2 min max` (the empty state's ±∞
+    /// sentinels included) and a histogram is `bin_width overflow`, its
+    /// summary, then its bins. [`Registry::from_wire`] reproduces the
+    /// registry bit for bit.
+    pub fn to_wire(&self) -> String {
+        let mut out = String::with_capacity(self.entries.len() * 64);
+        for (key, metric) in &self.entries {
+            let _ = write!(out, "{} {key}", metric.type_name());
+            match metric {
+                Metric::Counter(c) => {
+                    let _ = write!(out, " {c}");
+                }
+                Metric::Gauge(v) => push_f64_bits(&mut out, *v),
+                Metric::Summary(s) => push_summary(&mut out, s),
+                Metric::Histogram(h) => {
+                    let _ = write!(out, " {} {}", h.bin_width(), h.overflow());
+                    push_summary(&mut out, &h.summary());
+                    for (_, c) in h.iter() {
+                        let _ = write!(out, " {c}");
+                    }
+                }
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Decodes [`Registry::to_wire`] text. `None` on anything else — an
+    /// unknown kind, a key that is not in canonical form or holds a
+    /// reserved character, a malformed number, a short or long token list,
+    /// a histogram with no bins or a zero bin width, a key seen twice — so
+    /// a reader of stored text fails closed instead of trusting damage.
+    pub fn from_wire(text: &str) -> Option<Registry> {
+        let mut reg = Registry::new();
+        for line in text.lines() {
+            let mut tokens = line.split(' ');
+            let (kind, key) = (tokens.next()?, tokens.next()?);
+            let (name, labels) = Self::split_key(key);
+            if !Self::well_formed(name, &labels) || Self::key(name, &labels) != key {
+                return None;
+            }
+            let metric = match kind {
+                "counter" => Metric::Counter(tokens.next()?.parse().ok()?),
+                "gauge" => Metric::Gauge(f64_from_bits(tokens.next()?)?),
+                "summary" => Metric::Summary(read_summary(&mut tokens)?),
+                "histogram" => {
+                    let bin_width: u64 = tokens.next()?.parse().ok()?;
+                    let overflow: u64 = tokens.next()?.parse().ok()?;
+                    let summary = read_summary(&mut tokens)?;
+                    let bins: Vec<u64> = tokens
+                        .by_ref()
+                        .map(|t| t.parse().ok())
+                        .collect::<Option<_>>()?;
+                    if bin_width == 0 || bins.is_empty() {
+                        return None;
+                    }
+                    Metric::Histogram(Histogram::from_raw(bin_width, bins, overflow, summary))
+                }
+                _ => return None,
+            };
+            if tokens.next().is_some() || reg.entries.insert(key.to_string(), metric).is_some() {
+                return None;
+            }
+        }
+        Some(reg)
+    }
+}
+
+/// Appends ` <bits>`: an `f64` as its exact bit pattern, 16 hex digits.
+fn push_f64_bits(out: &mut String, x: f64) {
+    let _ = write!(out, " {:016x}", x.to_bits());
+}
+
+/// Inverse of [`push_f64_bits`]; `None` unless `s` is 16 hex digits.
+fn f64_from_bits(s: &str) -> Option<f64> {
+    if s.len() != 16 {
+        return None;
+    }
+    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
+}
+
+/// Appends a summary's exact state, ` count mean m2 min max`.
+fn push_summary(out: &mut String, s: &Summary) {
+    let (count, mean, m2, min, max) = s.raw();
+    let _ = write!(out, " {count}");
+    for x in [mean, m2, min, max] {
+        push_f64_bits(out, x);
+    }
+}
+
+/// Inverse of [`push_summary`] over the next five tokens.
+fn read_summary<'a>(tokens: &mut impl Iterator<Item = &'a str>) -> Option<Summary> {
+    let count = tokens.next()?.parse().ok()?;
+    let mut f = || f64_from_bits(tokens.next()?);
+    Some(Summary::from_raw(count, f()?, f()?, f()?, f()?))
 }
 
 #[cfg(test)]
@@ -366,13 +504,110 @@ mod tests {
         let mut pre = Summary::new();
         pre.record(5.0);
         r.merge_summary("s", &[], &pre);
-        match r.get("s", &[]).unwrap() {
+        match r.metric("s", &[]).unwrap() {
             Metric::Summary(s) => {
                 assert_eq!(s.count(), 3);
                 assert!((s.mean() - 3.0).abs() < 1e-12);
             }
             other => panic!("expected summary, got {}", other.type_name()),
         }
+    }
+
+    #[test]
+    fn merge_replays_every_kind() {
+        let mut a = Registry::new();
+        a.inc("x", &[], 1);
+        a.inc("y/z", &[("k", "v")], 2);
+        a.gauge("g", &[], 1.0);
+        a.observe("s", &[], 1.0);
+        let mut b = Registry::new();
+        b.inc("y/z", &[("k", "v")], 3);
+        b.inc("w", &[], 4);
+        b.gauge("g", &[], 2.0);
+        b.observe("s", &[], 3.0);
+        b.histogram("h", &[], Histogram::new(10, 2));
+        a.merge(&b);
+        assert_eq!(a.get("x"), 1);
+        assert_eq!(a.get("y/z{k=v}"), 5, "counters add");
+        assert_eq!(a.get("w"), 4);
+        assert_eq!(a.get("g"), 0, "get reads counters only");
+        assert_eq!(a.gauge_value("g", &[]), Some(2.0), "gauges overwrite");
+        assert!(matches!(a.metric("s", &[]), Some(Metric::Summary(s)) if s.count() == 2));
+        assert!(matches!(a.metric("h", &[]), Some(Metric::Histogram(_))));
+    }
+
+    /// One entry of every kind, including the values a decimal rendering
+    /// would lose.
+    fn sample() -> Registry {
+        let mut r = Registry::new();
+        r.inc("sim/ticks", &[], u64::MAX);
+        r.gauge("g", &[("app", "tsp"), ("lane", "meta")], 0.1 + 0.2);
+        r.gauge("g.nan", &[], f64::NAN);
+        r.gauge("g.negzero", &[], -0.0);
+        r.merge_summary("s.empty", &[], &Summary::new());
+        r.observe("s", &[], 1.5);
+        let mut h = Histogram::new(10, 3);
+        for v in [3, 17, 1_000] {
+            h.record(v);
+        }
+        r.histogram("h", &[("k", "v")], h);
+        r
+    }
+
+    #[test]
+    fn wire_round_trips_bit_exact() {
+        let r = sample();
+        let wire = r.to_wire();
+        assert!(wire.contains("counter sim/ticks 18446744073709551615\n"));
+        assert!(wire.contains("gauge g{app=tsp,lane=meta} 3fd3333333333334\n"));
+        assert!(
+            wire.contains("summary s.empty 0 0000000000000000 0000000000000000 7ff0000000000000 fff0000000000000\n"),
+            "the empty summary keeps its sentinels: {wire}"
+        );
+        let back = Registry::from_wire(&wire).expect("round trip parses");
+        assert_eq!(back.to_wire(), wire);
+        assert_eq!(back.to_jsonl(), r.to_jsonl());
+        assert_eq!(back.to_table(), r.to_table());
+        assert!(Registry::from_wire("").is_some_and(|r| r.is_empty()));
+    }
+
+    #[test]
+    fn malformed_wire_is_rejected() {
+        let s5 = "0 0000000000000000 0000000000000000 7ff0000000000000 fff0000000000000";
+        for bad in [
+            "garbage",
+            "counter",
+            "counter a",
+            "counter a x",
+            "counter a 1 2",
+            "counter a{b:1 1",
+            "counter a{b=1 1",
+            "counter a{} 1",
+            "counter a{c=1,b=2} 1",
+            "counter a\tb 1",
+            "counter  1",
+            "counter a\"b 1",
+            "timer a 1",
+            "gauge a 1.5",
+            "gauge a 3fd333333333333",
+            "gauge a 3fd3333333333334 0",
+            "summary a 0 0000000000000000",
+            &format!("summary a {s5} 0"),
+            &format!("histogram a 0 0 {s5} 1"),
+            &format!("histogram a 10 0 {s5}"),
+            &format!("histogram a 10 0 {s5} 1 x"),
+            "counter a 1\ncounter a 2",
+        ] {
+            assert!(Registry::from_wire(bad).is_none(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn lookups_never_assert_on_a_malformed_key() {
+        let r = sample();
+        assert_eq!(r.counter("a b", &[("k", "v,w")]), 0);
+        assert_eq!(r.get("a{b:1"), 0);
+        assert!(r.metric("a{b", &[]).is_none());
     }
 
     #[test]

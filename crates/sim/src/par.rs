@@ -112,7 +112,7 @@ pub fn derive_seed(base: u64, cell: u64) -> u64 {
 /// threads and returns the results **indexed by cell** — a deterministic
 /// reduction independent of scheduling, completion order and thread
 /// count. `threads <= 1` (or fewer than two cells) runs serially on the
-/// caller's thread without spawning.
+/// caller's thread without spawning, accounted as worker 0.
 ///
 /// # Panics
 ///
@@ -124,15 +124,22 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    // One cell on worker `me`, accounted in the telemetry plane: worker
+    // `cells` sum to the sweep for every thread count, the serial one too.
+    let run = |me: usize, i: usize| {
+        let _busy = telemetry::worker_busy(me);
+        telemetry::worker_cells(me, 1);
+        f(i)
+    };
     let threads = threads.max(1).min(cells.max(1));
     if threads <= 1 || cells <= 1 {
-        return (0..cells).map(f).collect();
+        return (0..cells).map(|i| run(0, i)).collect();
     }
 
     // Relaxed suffices: the cursor publishes no data — each result
     // reaches the caller through its worker's `join`.
     let next = AtomicUsize::new(0);
-    let (next, f) = (&next, &f);
+    let (next, run) = (&next, &run);
     #[expect(
         clippy::disallowed_methods,
         reason = "D3: the sweep executor is the sanctioned home for threads; its reduction is keyed on cell index"
@@ -147,9 +154,7 @@ where
                         if i >= cells {
                             break;
                         }
-                        let _busy = telemetry::worker_busy(me);
-                        telemetry::worker_cells(me, 1);
-                        out.push((i, f(i)));
+                        out.push((i, run(me, i)));
                     }
                     out
                 })

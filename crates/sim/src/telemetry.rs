@@ -1,10 +1,10 @@
 //! Wall-clock harness telemetry — the explicitly **nondeterministic**
 //! plane of the harness observability subsystem.
 //!
-//! [`crate::profile`] counts what the *simulation* did (deterministic,
-//! byte-identical across thread counts); this module observes what the
-//! *host* did while running it: per-worker cell counts and busy
-//! durations, per-phase wall time, and cell-cache
+//! A [`crate::metrics::Registry`] holds what the *simulation* did
+//! (deterministic, byte-identical across thread counts); this module
+//! observes what the *host* did while running it: per-worker cell counts
+//! and busy durations, per-phase wall time, and cell-cache
 //! hit/miss/tamper/corrupt outcomes. None of these numbers are
 //! reproducible — they depend on scheduling, load and cache state — so
 //! they are excluded from every byte-identity gate and are reported in

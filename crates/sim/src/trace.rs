@@ -8,9 +8,8 @@
 //! * [`TraceEvent`] / [`TraceRecord`] — one cycle-stamped record per
 //!   lifecycle step, keyed by packet id where one exists, serializable to
 //!   (and parseable from) single-line JSON,
-//! * [`TraceSink`] — anything that accepts records,
 //! * [`FlightRecorder`] — a bounded ring buffer keeping the last `N`
-//!   records; the default sink,
+//!   records,
 //! * a **thread-local recorder** written through [`emit`] / [`emit_with`],
 //!   dumped as JSON lines whenever a panic (failed invariant, debug
 //!   assertion, or `fsoi-check` property) unwinds through
@@ -23,8 +22,8 @@
 //! --release`) every [`emit_with`] site reduces to `if false`, so the
 //! closure — and the event construction inside it — is compiled out
 //! entirely. When compiled in, recording is one thread-local flag check
-//! plus a ring-buffer slot write; DESIGN.md "Observability" gives the
-//! `experiments profile` command that measures it.
+//! plus a ring-buffer slot write; DESIGN.md "Tracing and the flight
+//! recorder" gives the `experiments profile` command that measures it.
 //!
 //! # Runtime knobs
 //!
@@ -48,14 +47,113 @@ use crate::Cycle;
 /// `FSOI_TRACE_BUF`.
 pub const DEFAULT_CAPACITY: usize = 256;
 
-/// One structured trace event. Packet-lifecycle variants carry the network
-/// packet id so a dump can be re-grouped into per-packet timelines
-/// ([`timelines`]); protocol-level variants (confirmations, directory
-/// transitions) are keyed by node instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
+/// A type an event field can have: how it is written into and read back
+/// from a dump line, and whether it is a number.
+trait Field: Sized {
+    fn write(&self, out: &mut String);
+    fn read(v: &JsonValue) -> Option<Self>;
+    fn as_num(&self) -> Option<u64> {
+        None
+    }
+}
+
+impl Field for u64 {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn read(v: &JsonValue) -> Option<u64> {
+        match v {
+            JsonValue::Num(n) => Some(*n),
+            JsonValue::Str(_) => None,
+        }
+    }
+    fn as_num(&self) -> Option<u64> {
+        Some(*self)
+    }
+}
+
+impl Field for String {
+    fn write(&self, out: &mut String) {
+        push_json_str(out, self);
+    }
+    fn read(v: &JsonValue) -> Option<String> {
+        match v {
+            JsonValue::Str(s) => Some(s.clone()),
+            JsonValue::Num(_) => None,
+        }
+    }
+}
+
+/// The event schema, declared once: each variant with its wire name (the
+/// `"event"` JSON field) and its fields in dump order. The enum, its
+/// [`TraceEvent::name`], the by-name field lookup behind
+/// [`TraceEvent::packet_id`] / [`TraceEvent::lane`], the dump-line writer
+/// and the parser are all generated from this list, so a new event is one
+/// entry here plus its emit site.
+macro_rules! trace_events {
+    ($(
+        $(#[$vdoc:meta])*
+        $variant:ident = $wire:literal {
+            $( $(#[$fdoc:meta])* $field:ident: $ty:ty, )*
+        }
+    )*) => {
+        /// One structured trace event. Packet-lifecycle variants carry the
+        /// network packet id so a dump can be re-grouped into per-packet
+        /// timelines ([`timelines`]); protocol-level variants
+        /// (confirmations, directory transitions) are keyed by node instead.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum TraceEvent {
+            $( $(#[$vdoc])* $variant { $( $(#[$fdoc])* $field: $ty, )* }, )*
+        }
+
+        impl TraceEvent {
+            /// The event's wire name (the `"event"` JSON field).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( TraceEvent::$variant { .. } => $wire, )*
+                }
+            }
+
+            /// The numeric field called `key`, if this variant has one.
+            fn num(&self, key: &str) -> Option<u64> {
+                match self {
+                    $( TraceEvent::$variant { $($field,)* } => {
+                        $( if key == stringify!($field) {
+                            return $field.as_num();
+                        } )*
+                        None
+                    } )*
+                }
+            }
+
+            /// Appends `,"field":value` for every field, in schema order.
+            fn write_fields(&self, out: &mut String) {
+                match self {
+                    $( TraceEvent::$variant { $($field,)* } => {
+                        $(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            $field.write(out);
+                        )*
+                    } )*
+                }
+            }
+
+            /// Rebuilds the event called `name` from a parsed dump line.
+            fn read(name: &str, fields: &BTreeMap<String, JsonValue>) -> Option<TraceEvent> {
+                Some(match name {
+                    $( $wire => TraceEvent::$variant {
+                        $( $field: Field::read(fields.get(stringify!($field))?)?, )*
+                    }, )*
+                    _ => return None,
+                })
+            }
+        }
+    };
+}
+
+trace_events! {
     /// A packet entered a source node's output queue.
-    Inject {
+    Inject = "inject" {
         /// Network-assigned packet id.
         packet: u64,
         /// Source node.
@@ -66,18 +164,18 @@ pub enum TraceEvent {
         lane: u64,
         /// Caller-supplied correlation tag.
         tag: u64,
-    },
+    }
     /// An injection was refused (full queue / backpressure).
-    Reject {
+    Reject = "reject" {
         /// Source node.
         src: u64,
         /// Destination node.
         dst: u64,
         /// Lane index.
         lane: u64,
-    },
+    }
     /// A packet started transmitting in a slot.
-    TxStart {
+    TxStart = "tx_start" {
         /// Packet id.
         packet: u64,
         /// Source node.
@@ -90,9 +188,9 @@ pub enum TraceEvent {
         attempt: u64,
         /// Slot index on this lane (slot id, not cycle).
         slot: u64,
-    },
+    }
     /// A packet lost its slot to a collision at a shared receiver.
-    Collide {
+    Collide = "collide" {
         /// Packet id.
         packet: u64,
         /// Source node.
@@ -105,9 +203,9 @@ pub enum TraceEvent {
         rx: u64,
         /// Number of packets that superposed in the slot.
         group: u64,
-    },
+    }
     /// A packet was dropped by the BER model and scheduled to resend.
-    BitError {
+    BitError = "bit_error" {
         /// Packet id.
         packet: u64,
         /// Source node.
@@ -116,9 +214,9 @@ pub enum TraceEvent {
         dst: u64,
         /// Lane index.
         lane: u64,
-    },
+    }
     /// A retransmission delay was drawn from the back-off policy.
-    Backoff {
+    Backoff = "backoff" {
         /// Packet id.
         packet: u64,
         /// Lane index.
@@ -129,16 +227,16 @@ pub enum TraceEvent {
         delay_slots: u64,
         /// Cycle at which the packet becomes eligible again.
         ready: u64,
-    },
+    }
     /// A retransmission hint picked a collision winner (§5.2).
-    Hint {
+    Hint = "hint" {
         /// Destination whose receiver issued the hint.
         dst: u64,
         /// Source node allowed to retransmit immediately.
         winner: u64,
-    },
+    }
     /// A packet reached its destination.
-    Deliver {
+    Deliver = "deliver" {
         /// Packet id.
         packet: u64,
         /// Source node.
@@ -157,18 +255,18 @@ pub enum TraceEvent {
         resolution: u64,
         /// Total retransmissions this packet needed.
         retries: u64,
-    },
+    }
     /// A confirmation-channel message was sent.
-    Confirm {
+    Confirm = "confirm" {
         /// Sending node.
         src: u64,
         /// Receiving node.
         dst: u64,
         /// Kind: `receipt`, `hint`, or `bool`.
         kind: String,
-    },
+    }
     /// A MESI directory entry changed state.
-    Dir {
+    Dir = "dir" {
         /// Home node of the directory slice.
         node: u64,
         /// Cache-line address.
@@ -177,59 +275,25 @@ pub enum TraceEvent {
         from: String,
         /// State after the message was handled.
         to: String,
-    },
+    }
     /// A free-form annotation (checkpoints, invariant context).
-    Mark {
+    Mark = "mark" {
         /// Short label.
         label: String,
         /// Arbitrary value.
         value: u64,
-    },
+    }
 }
 
 impl TraceEvent {
-    /// The event's wire name (the `"event"` JSON field).
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::Inject { .. } => "inject",
-            TraceEvent::Reject { .. } => "reject",
-            TraceEvent::TxStart { .. } => "tx_start",
-            TraceEvent::Collide { .. } => "collide",
-            TraceEvent::BitError { .. } => "bit_error",
-            TraceEvent::Backoff { .. } => "backoff",
-            TraceEvent::Hint { .. } => "hint",
-            TraceEvent::Deliver { .. } => "deliver",
-            TraceEvent::Confirm { .. } => "confirm",
-            TraceEvent::Dir { .. } => "dir",
-            TraceEvent::Mark { .. } => "mark",
-        }
-    }
-
     /// The packet id this event belongs to, for lifecycle variants.
     pub fn packet_id(&self) -> Option<u64> {
-        match *self {
-            TraceEvent::Inject { packet, .. }
-            | TraceEvent::TxStart { packet, .. }
-            | TraceEvent::Collide { packet, .. }
-            | TraceEvent::BitError { packet, .. }
-            | TraceEvent::Backoff { packet, .. }
-            | TraceEvent::Deliver { packet, .. } => Some(packet),
-            _ => None,
-        }
+        self.num("packet")
     }
 
     /// The lane this event happened on, where one applies.
     pub fn lane(&self) -> Option<u64> {
-        match *self {
-            TraceEvent::Inject { lane, .. }
-            | TraceEvent::Reject { lane, .. }
-            | TraceEvent::TxStart { lane, .. }
-            | TraceEvent::Collide { lane, .. }
-            | TraceEvent::BitError { lane, .. }
-            | TraceEvent::Backoff { lane, .. }
-            | TraceEvent::Deliver { lane, .. } => Some(lane),
-            _ => None,
-        }
+        self.num("lane")
     }
 }
 
@@ -277,132 +341,7 @@ impl TraceRecord {
             self.cycle,
             self.event.name()
         );
-        let num = |out: &mut String, k: &str, v: u64| {
-            let _ = write!(out, ",\"{k}\":{v}");
-        };
-        match &self.event {
-            TraceEvent::Inject {
-                packet,
-                src,
-                dst,
-                lane,
-                tag,
-            } => {
-                num(out, "packet", *packet);
-                num(out, "src", *src);
-                num(out, "dst", *dst);
-                num(out, "lane", *lane);
-                num(out, "tag", *tag);
-            }
-            TraceEvent::Reject { src, dst, lane } => {
-                num(out, "src", *src);
-                num(out, "dst", *dst);
-                num(out, "lane", *lane);
-            }
-            TraceEvent::TxStart {
-                packet,
-                src,
-                dst,
-                lane,
-                attempt,
-                slot,
-            } => {
-                num(out, "packet", *packet);
-                num(out, "src", *src);
-                num(out, "dst", *dst);
-                num(out, "lane", *lane);
-                num(out, "attempt", *attempt);
-                num(out, "slot", *slot);
-            }
-            TraceEvent::Collide {
-                packet,
-                src,
-                dst,
-                lane,
-                rx,
-                group,
-            } => {
-                num(out, "packet", *packet);
-                num(out, "src", *src);
-                num(out, "dst", *dst);
-                num(out, "lane", *lane);
-                num(out, "rx", *rx);
-                num(out, "group", *group);
-            }
-            TraceEvent::BitError {
-                packet,
-                src,
-                dst,
-                lane,
-            } => {
-                num(out, "packet", *packet);
-                num(out, "src", *src);
-                num(out, "dst", *dst);
-                num(out, "lane", *lane);
-            }
-            TraceEvent::Backoff {
-                packet,
-                lane,
-                retry,
-                delay_slots,
-                ready,
-            } => {
-                num(out, "packet", *packet);
-                num(out, "lane", *lane);
-                num(out, "retry", *retry);
-                num(out, "delay_slots", *delay_slots);
-                num(out, "ready", *ready);
-            }
-            TraceEvent::Hint { dst, winner } => {
-                num(out, "dst", *dst);
-                num(out, "winner", *winner);
-            }
-            TraceEvent::Deliver {
-                packet,
-                src,
-                dst,
-                lane,
-                queuing,
-                scheduling,
-                network,
-                resolution,
-                retries,
-            } => {
-                num(out, "packet", *packet);
-                num(out, "src", *src);
-                num(out, "dst", *dst);
-                num(out, "lane", *lane);
-                num(out, "queuing", *queuing);
-                num(out, "scheduling", *scheduling);
-                num(out, "network", *network);
-                num(out, "resolution", *resolution);
-                num(out, "retries", *retries);
-            }
-            TraceEvent::Confirm { src, dst, kind } => {
-                num(out, "src", *src);
-                num(out, "dst", *dst);
-                out.push_str(",\"kind\":");
-                push_json_str(out, kind);
-            }
-            TraceEvent::Dir {
-                node,
-                line,
-                from,
-                to,
-            } => {
-                num(out, "node", *node);
-                num(out, "line", *line);
-                out.push_str(",\"from\":");
-                push_json_str(out, from);
-                out.push_str(",\"to\":");
-                push_json_str(out, to);
-            }
-            TraceEvent::Mark { label, value } => {
-                out.push_str(",\"label\":");
-                push_json_str(out, label);
-                num(out, "value", *value);
-            }
-        }
+        self.event.write_fields(out);
         out.push('}');
     }
 
@@ -413,95 +352,21 @@ impl TraceRecord {
     /// aborting a partially-written dump.
     pub fn parse_jsonl(line: &str) -> Option<TraceRecord> {
         let fields = parse_flat_object(line.trim())?;
-        let u = |k: &str| -> Option<u64> {
-            match fields.get(k)? {
-                JsonValue::Num(n) => Some(*n),
-                _ => None,
-            }
-        };
-        let s = |k: &str| -> Option<String> {
-            match fields.get(k)? {
-                JsonValue::Str(v) => Some(v.clone()),
-                _ => None,
-            }
-        };
-        let cycle = u("cycle")?;
-        let event = match s("event")?.as_str() {
-            "inject" => TraceEvent::Inject {
-                packet: u("packet")?,
-                src: u("src")?,
-                dst: u("dst")?,
-                lane: u("lane")?,
-                tag: u("tag")?,
-            },
-            "reject" => TraceEvent::Reject {
-                src: u("src")?,
-                dst: u("dst")?,
-                lane: u("lane")?,
-            },
-            "tx_start" => TraceEvent::TxStart {
-                packet: u("packet")?,
-                src: u("src")?,
-                dst: u("dst")?,
-                lane: u("lane")?,
-                attempt: u("attempt")?,
-                slot: u("slot")?,
-            },
-            "collide" => TraceEvent::Collide {
-                packet: u("packet")?,
-                src: u("src")?,
-                dst: u("dst")?,
-                lane: u("lane")?,
-                rx: u("rx")?,
-                group: u("group")?,
-            },
-            "bit_error" => TraceEvent::BitError {
-                packet: u("packet")?,
-                src: u("src")?,
-                dst: u("dst")?,
-                lane: u("lane")?,
-            },
-            "backoff" => TraceEvent::Backoff {
-                packet: u("packet")?,
-                lane: u("lane")?,
-                retry: u("retry")?,
-                delay_slots: u("delay_slots")?,
-                ready: u("ready")?,
-            },
-            "hint" => TraceEvent::Hint {
-                dst: u("dst")?,
-                winner: u("winner")?,
-            },
-            "deliver" => TraceEvent::Deliver {
-                packet: u("packet")?,
-                src: u("src")?,
-                dst: u("dst")?,
-                lane: u("lane")?,
-                queuing: u("queuing")?,
-                scheduling: u("scheduling")?,
-                network: u("network")?,
-                resolution: u("resolution")?,
-                retries: u("retries")?,
-            },
-            "confirm" => TraceEvent::Confirm {
-                src: u("src")?,
-                dst: u("dst")?,
-                kind: s("kind")?,
-            },
-            "dir" => TraceEvent::Dir {
-                node: u("node")?,
-                line: u("line")?,
-                from: s("from")?,
-                to: s("to")?,
-            },
-            "mark" => TraceEvent::Mark {
-                label: s("label")?,
-                value: u("value")?,
-            },
-            _ => return None,
-        };
+        let cycle = Field::read(fields.get("cycle")?)?;
+        let name: String = Field::read(fields.get("event")?)?;
+        let event = TraceEvent::read(&name, &fields)?;
         Some(TraceRecord { cycle, event })
     }
+}
+
+/// One JSON line per record, in order.
+fn jsonl_lines(records: &[TraceRecord]) -> String {
+    let mut s = String::with_capacity(records.len() * 96);
+    for r in records {
+        r.write_jsonl(&mut s);
+        s.push('\n');
+    }
+    s
 }
 
 enum JsonValue {
@@ -512,84 +377,53 @@ enum JsonValue {
 /// Minimal parser for the flat (non-nested) one-line JSON objects this
 /// module writes: string keys, unsigned-integer or string values.
 fn parse_flat_object(line: &str) -> Option<BTreeMap<String, JsonValue>> {
-    let body = line.strip_prefix('{')?.strip_suffix('}')?;
+    let mut rest = line.strip_prefix('{')?.strip_suffix('}')?;
     let mut out = BTreeMap::new();
-    let bytes = body.as_bytes();
-    let mut i = 0usize;
-    let parse_string = |i: &mut usize| -> Option<String> {
-        if bytes.get(*i) != Some(&b'"') {
-            return None;
-        }
-        *i += 1;
-        let mut s = String::new();
-        while let Some(&b) = bytes.get(*i) {
-            match b {
-                b'"' => {
-                    *i += 1;
-                    return Some(s);
-                }
-                b'\\' => {
-                    *i += 1;
-                    match bytes.get(*i)? {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'n' => s.push('\n'),
-                        b't' => s.push('\t'),
-                        b'u' => {
-                            let hex = body.get(*i + 1..*i + 5)?;
-                            let code = u32::from_str_radix(hex, 16).ok()?;
-                            s.push(char::from_u32(code)?);
-                            *i += 4;
-                        }
-                        _ => return None,
-                    }
-                    *i += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the whole char.
-                    let c = body[*i..].chars().next()?;
-                    s.push(c);
-                    *i += c.len_utf8();
-                }
-            }
-        }
-        None
-    };
-    while i < bytes.len() {
-        let key = parse_string(&mut i)?;
-        if bytes.get(i) != Some(&b':') {
-            return None;
-        }
-        i += 1;
-        let value = if bytes.get(i) == Some(&b'"') {
-            JsonValue::Str(parse_string(&mut i)?)
+    while !rest.is_empty() {
+        let (key, after) = take_json_str(rest)?;
+        let after = after.strip_prefix(':')?;
+        let (value, after) = if after.starts_with('"') {
+            let (s, after) = take_json_str(after)?;
+            (JsonValue::Str(s), after)
         } else {
-            let start = i;
-            while i < bytes.len() && bytes[i] != b',' {
-                i += 1;
-            }
-            JsonValue::Num(body[start..i].trim().parse().ok()?)
+            let (num, after) = after.split_at(after.find(',').unwrap_or(after.len()));
+            (JsonValue::Num(num.trim().parse().ok()?), after)
         };
         out.insert(key, value);
-        if bytes.get(i) == Some(&b',') {
-            i += 1;
-        } else if i != bytes.len() {
-            return None;
-        }
+        rest = match after.strip_prefix(',') {
+            Some(next) => next,
+            None if after.is_empty() => after,
+            None => return None,
+        };
     }
     Some(out)
 }
 
-/// Anything that accepts trace records.
-pub trait TraceSink {
-    /// Accepts one record.
-    fn record(&mut self, record: TraceRecord);
-}
-
-impl TraceSink for Vec<TraceRecord> {
-    fn record(&mut self, record: TraceRecord) {
-        self.push(record);
+/// Inverse of [`push_json_str`] off the front of `s`: the unescaped string
+/// and whatever follows its closing quote.
+fn take_json_str(s: &str) -> Option<(String, &str)> {
+    let body = s.strip_prefix('"')?;
+    let mut out = String::new();
+    let mut chars = body.char_indices();
+    while let Some((i, c)) = chars.next() {
+        match c {
+            '"' => return Some((out, &body[i + 1..])),
+            '\\' => match chars.next()?.1 {
+                '"' => out.push('"'),
+                '\\' => out.push('\\'),
+                'n' => out.push('\n'),
+                't' => out.push('\t'),
+                'u' => {
+                    let code = u32::from_str_radix(body.get(i + 2..i + 6)?, 16).ok()?;
+                    out.push(char::from_u32(code)?);
+                    chars.nth(3); // the four hex digits, one byte each
+                }
+                _ => return None,
+            },
+            c => out.push(c),
+        }
     }
+    None
 }
 
 /// A bounded ring buffer keeping the most recent trace records.
@@ -648,6 +482,17 @@ impl FlightRecorder {
         self.total
     }
 
+    /// Accepts one record, overwriting the oldest when full.
+    pub fn record(&mut self, record: TraceRecord) {
+        self.total += 1;
+        if self.buf.len() < self.cap {
+            self.buf.push(record);
+        } else {
+            self.buf[self.head] = record;
+            self.head = (self.head + 1) % self.cap;
+        }
+    }
+
     /// Drops all retained records (the capacity is kept).
     pub fn clear(&mut self) {
         self.buf.clear();
@@ -665,24 +510,7 @@ impl FlightRecorder {
 
     /// Serializes the retained records as JSON lines, oldest first.
     pub fn dump_jsonl(&self) -> String {
-        let mut s = String::with_capacity(self.buf.len() * 96);
-        for r in self.events() {
-            r.write_jsonl(&mut s);
-            s.push('\n');
-        }
-        s
-    }
-}
-
-impl TraceSink for FlightRecorder {
-    fn record(&mut self, record: TraceRecord) {
-        self.total += 1;
-        if self.buf.len() < self.cap {
-            self.buf.push(record);
-        } else {
-            self.buf[self.head] = record;
-            self.head = (self.head + 1) % self.cap;
-        }
+        jsonl_lines(&self.events())
     }
 }
 
@@ -735,14 +563,7 @@ pub fn set_enabled(enabled: bool) {
 /// Records one event into the thread's flight recorder (if recording).
 #[inline]
 pub fn emit(cycle: Cycle, event: TraceEvent) {
-    if on() {
-        RECORDER.with(|r| {
-            r.borrow_mut().record(TraceRecord {
-                cycle: cycle.as_u64(),
-                event,
-            })
-        });
-    }
+    emit_with(cycle, || event);
 }
 
 /// Records the event built by `f`, constructing it only when recording is
@@ -774,13 +595,7 @@ pub fn snapshot() -> Vec<TraceRecord> {
 /// exceeds the retained count).
 pub fn tail_jsonl(n: usize) -> String {
     let events = snapshot();
-    let skip = events.len().saturating_sub(n);
-    let mut s = String::new();
-    for r in &events[skip..] {
-        r.write_jsonl(&mut s);
-        s.push('\n');
-    }
-    s
+    jsonl_lines(&events[events.len().saturating_sub(n)..])
 }
 
 /// Runs `f` with tracing force-enabled into a fresh, large recorder and

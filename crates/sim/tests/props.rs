@@ -4,9 +4,11 @@
 use fsoi_check::{any_bool, checker, select, vec_of};
 use fsoi_sim::det::NodeMask;
 use fsoi_sim::event::EventQueue;
+use fsoi_sim::metrics::Registry;
 use fsoi_sim::queue::BoundedQueue;
 use fsoi_sim::rng::Xoshiro256StarStar;
 use fsoi_sim::stats::{Histogram, Summary};
+use fsoi_sim::trace::{TraceEvent, TraceRecord};
 use fsoi_sim::Cycle;
 
 /// Events pop in time order, FIFO within a timestamp — regardless of
@@ -202,6 +204,141 @@ fn slot_rounding_properties() {
             assert!(rounded.as_u64() >= t);
             assert!(rounded.is_slot_boundary(slot));
             assert!(rounded.as_u64() - t < slot);
+        },
+    );
+}
+
+/// A registry drawn from `seed`: up to a dozen entries over all four
+/// kinds with 0–3 labels each — counters up to `u64::MAX`, gauges over
+/// raw bit patterns (so NaN payloads, subnormals) and the named special
+/// values, summaries and histograms fed 0–3 observations (so the empty
+/// states, ±∞ sentinels included, occur).
+fn random_registry(seed: u64) -> Registry {
+    let mut rng = Xoshiro256StarStar::new(seed);
+    let mut reg = Registry::new();
+    for i in 0..rng.next_below(13) {
+        let name = format!("layer{}/m{i}.x", rng.next_below(3));
+        let values: Vec<String> = (0..rng.next_below(4))
+            .map(|_| format!("v{}", rng.next_below(5)))
+            .collect();
+        let labels: Vec<(&str, &str)> = ["app", "lane", "kind"]
+            .into_iter()
+            .zip(values.iter().map(String::as_str))
+            .collect();
+        let observations = rng.next_below(4);
+        match rng.next_below(4) {
+            0 => {
+                let c = [0, 1, u64::MAX, rng.next_u64()][rng.next_below(4) as usize];
+                reg.inc(&name, &labels, c);
+            }
+            1 => {
+                let specials = [f64::NAN, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+                let g = match rng.next_below(6) {
+                    k @ 0..=3 => specials[k as usize],
+                    _ => f64::from_bits(rng.next_u64()),
+                };
+                reg.gauge(&name, &labels, g);
+            }
+            2 => {
+                reg.merge_summary(&name, &labels, &Summary::new());
+                for _ in 0..observations {
+                    reg.observe(&name, &labels, rng.next_f64() * 1e6 - 5e5);
+                }
+            }
+            _ => {
+                let bins = 1 + rng.next_below(5) as usize;
+                let mut h = Histogram::new(1 + rng.next_below(50), bins);
+                for _ in 0..observations {
+                    h.record(rng.next_below(400));
+                }
+                reg.histogram(&name, &labels, h);
+            }
+        }
+    }
+    reg
+}
+
+/// The registry's line codec is bit-exact: decoding an encoding re-encodes
+/// to the same bytes and exports the same JSONL.
+#[test]
+fn registry_wire_round_trips_bit_exact() {
+    checker!().check(
+        "registry_wire_round_trips_bit_exact",
+        0u64..u64::MAX,
+        |&seed| {
+            let reg = random_registry(seed);
+            let wire = reg.to_wire();
+            let back = Registry::from_wire(&wire).expect("an encoding decodes");
+            assert_eq!(back.to_wire(), wire);
+            assert_eq!(back.to_jsonl(), reg.to_jsonl());
+            assert_eq!(back.len(), reg.len());
+        },
+    );
+}
+
+/// `text` after byte deletions, insertions and flips, as the UTF-8 a
+/// reader of a damaged file would see.
+fn damaged(text: &str, edits: &[(u8, usize, u8)]) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    for &(op, at, byte) in edits {
+        let at = at % (bytes.len() + 1);
+        match (op, at < bytes.len()) {
+            (0, true) => drop(bytes.remove(at)),
+            (1, true) => bytes[at] ^= byte | 1,
+            _ => bytes.insert(at, byte),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// No damage makes a decoder panic: registry wire text and trace JSONL
+/// lines with random bytes deleted, inserted or flipped decode to `None`
+/// or to a value that re-encodes and re-parses to itself.
+#[test]
+fn decoders_never_panic() {
+    let records = [
+        TraceEvent::Inject {
+            packet: 7,
+            src: 0,
+            dst: 5,
+            lane: 1,
+            tag: u64::MAX,
+        },
+        TraceEvent::Confirm {
+            src: 5,
+            dst: 0,
+            kind: "receipt".into(),
+        },
+        TraceEvent::Dir {
+            node: 2,
+            line: 64,
+            from: "DS".into(),
+            to: "DM".into(),
+        },
+        TraceEvent::Mark {
+            label: "a \"b\"\\\n\tc\u{1}é".into(),
+            value: 3,
+        },
+    ]
+    .map(|event| TraceRecord { cycle: 17, event }.to_jsonl());
+    checker!().check(
+        "decoders_never_panic",
+        (
+            0u64..u64::MAX,
+            vec_of((0u8..3, 0usize..4096, 0u8..=255), 0..6),
+        ),
+        |(seed, edits)| {
+            let text = damaged(&random_registry(*seed).to_wire(), edits);
+            if let Some(reg) = Registry::from_wire(&text) {
+                let wire = reg.to_wire();
+                let again = Registry::from_wire(&wire).expect("a re-encoding decodes");
+                assert_eq!(again.to_wire(), wire);
+            }
+            let line = damaged(&records[(*seed % 4) as usize], edits);
+            if let Some(record) = TraceRecord::parse_jsonl(&line) {
+                let line = record.to_jsonl();
+                assert_eq!(TraceRecord::parse_jsonl(&line), Some(record));
+            }
         },
     );
 }

@@ -8,7 +8,8 @@
 #   scripts/ci.sh --tier quick    # fmt check + build + test
 #   scripts/ci.sh --tier lint     # clippy -D warnings: the determinism rules + stock lints
 #   scripts/ci.sh --tier full     # scripts/verify.sh (incl. lint, the `experiments all`
-#                                 # golden diff + trace build)
+#                                 # golden diff, the `experiments snapshot` pinned
+#                                 # hash + trace build)
 #   scripts/ci.sh --tier bench    # `experiments profile` run manifest, then the
 #                                 # layered benchmark's smoke run
 #   scripts/ci.sh --tier scale    # beyond-the-paper grids: 64-node four-network

@@ -26,10 +26,10 @@ gate "test" cargo test -q --offline --workspace
 # new violation crept in or an `#[expect]` went stale.
 gate "lint (clippy)" cargo clippy --offline --workspace --all-targets -- -D warnings
 
-# Observability-plane determinism (DESIGN.md "Harness observability
-# plane"): the deterministic-plane export of `experiments profile` must
+# Observability-plane determinism (DESIGN.md "Observability: two planes,
+# one store each"): the deterministic-plane export of `experiments profile` must
 # be byte-identical across thread counts — the wall-clock telemetry
-# plane may differ, the profile/registry bytes may not. A small --ops
+# plane may differ, the registry bytes may not. A small --ops
 # keeps this a seconds-scale gate; the full-size pin lives in
 # crates/bench/tests/profile_manifest.rs.
 profile_det_identity() {
@@ -63,6 +63,21 @@ golden_experiments_all() {
     }
 }
 gate "experiments all == golden" golden_experiments_all
+
+# Export bytes: `experiments snapshot` — `Registry::to_table` + `to_jsonl`
+# over the Figure 6 sweep, 2 120 lines — against the committed hash (a
+# hash, not a second large golden: `experiments all` above is the diff a
+# reviewer reads). A refactor of the stats stack must leave it alone.
+pinned_experiments_snapshot() {
+    pinned=tests/golden/experiments_snapshot.sha256
+    cargo run -q --release --offline -p fsoi-bench --bin experiments -- snapshot \
+        | sha256sum | diff "$pinned" - || {
+        echo "experiments snapshot differs from $pinned; if the change is meant, regenerate it:" >&2
+        echo "  cargo run -q --release --offline -p fsoi-bench --bin experiments -- snapshot | sha256sum > $pinned" >&2
+        return 1
+    }
+}
+gate "experiments snapshot == pinned hash" pinned_experiments_snapshot
 
 # The structured-trace event API must also build compiled-in on release
 # (debug builds always carry it; plain release compiles it out).
