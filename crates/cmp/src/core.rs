@@ -70,11 +70,12 @@ pub enum CoreState {
 }
 
 /// Per-core statistics.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CoreStats {
-    /// Cycles spent executing (issuing ops or computing).
+    /// Cycles spent executing (issuing ops or computing), up to the
+    /// core's last change of class (see [`Core::set_state`]).
     pub active_cycles: u64,
-    /// Cycles spent blocked (misses, locks, barriers).
+    /// Cycles spent blocked (misses, locks, barriers), likewise.
     pub stalled_cycles: u64,
     /// Loads that blocked.
     pub read_misses: u64,
@@ -91,8 +92,12 @@ pub struct Core {
     pub id: usize,
     /// Its instruction stream.
     pub workload: CoreWorkload,
-    /// Current activity.
-    pub state: CoreState,
+    /// Current activity; private so every change is accounted by
+    /// [`set_state`](Core::set_state).
+    state: CoreState,
+    /// The cycle the current accounting class (active, stalled or done)
+    /// began: a `Done` core's is the cycle it retired.
+    since: Cycle,
     /// Earliest cycle the next operation may issue.
     pub next_at: Cycle,
     /// An operation that hit a structural stall and must be retried.
@@ -108,6 +113,7 @@ impl Core {
             id,
             workload,
             state: CoreState::Ready,
+            since: Cycle::ZERO,
             next_at: Cycle::ZERO,
             pending_op: None,
             stats: CoreStats::default(),
@@ -129,20 +135,64 @@ impl Core {
         self.pending_op.take().or_else(|| self.workload.next_op())
     }
 
-    /// Accounts one cycle of activity.
-    pub fn account_cycle(&mut self) {
-        self.account_cycles(1);
+    /// Current activity.
+    pub fn state(&self) -> CoreState {
+        self.state
     }
 
-    /// Accounts `n` cycles at once. Only valid when the caller knows the
-    /// state cannot change across the span (the fast-forward path skips
-    /// cycles strictly before any event that could transition a core, so
-    /// the per-cycle classification is constant).
-    pub fn account_cycles(&mut self, n: u64) {
+    /// The cycle of the core's next self-driven action — an issue
+    /// (`Ready`) or a spin probe — or `None` while only an event (a fill,
+    /// a subscription push) can move it.
+    pub fn due_at(&self) -> Option<Cycle> {
         match self.state {
-            CoreState::Done => {}
-            CoreState::Ready => self.stats.active_cycles += n,
-            _ => self.stats.stalled_cycles += n,
+            CoreState::Ready => Some(self.next_at),
+            CoreState::SpinLock { next_probe, .. } | CoreState::SpinBarrier { next_probe, .. } => {
+                Some(next_probe)
+            }
+            _ => None,
+        }
+    }
+
+    /// Moves the core to `state` during cycle `now`. The one place the
+    /// state changes, and so the one place cycles are accounted: when the
+    /// class changes, the old class is credited `now - since` and the new
+    /// one owns cycle `now` itself — what classifying every core at the
+    /// end of every cycle would add up to.
+    pub fn set_state(&mut self, state: CoreState, now: Cycle) {
+        if Class::of(state) != Class::of(self.state) {
+            self.stats = self.stats_at(now);
+            self.since = now;
+        }
+        self.state = state;
+    }
+
+    /// The statistics with the open span — `since` up to, not including,
+    /// cycle `now` — credited to the current class.
+    pub fn stats_at(&self, now: Cycle) -> CoreStats {
+        let mut stats = self.stats;
+        match Class::of(self.state) {
+            Class::Active => stats.active_cycles += now - self.since,
+            Class::Stalled => stats.stalled_cycles += now - self.since,
+            Class::Done => {}
+        }
+        stats
+    }
+}
+
+/// How a cycle spent in a state is accounted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    Active,
+    Stalled,
+    Done,
+}
+
+impl Class {
+    fn of(state: CoreState) -> Class {
+        match state {
+            CoreState::Ready => Class::Active,
+            CoreState::Done => Class::Done,
+            _ => Class::Stalled,
         }
     }
 }
@@ -164,11 +214,20 @@ mod tests {
         c.next_at = Cycle(10);
         assert!(!c.wants_to_issue(Cycle(5)));
         assert!(c.wants_to_issue(Cycle(10)));
-        c.state = CoreState::WaitRead {
+        assert_eq!(c.due_at(), Some(Cycle(10)));
+        let wait = CoreState::WaitRead {
             line: LineAddr(0),
             issued_at: Cycle(0),
         };
+        c.set_state(wait, Cycle(10));
         assert!(!c.wants_to_issue(Cycle(100)));
+        assert_eq!(c.due_at(), None, "only a fill can move it");
+        let spin = CoreState::SpinLock {
+            lock: 0,
+            next_probe: Cycle(22),
+        };
+        c.set_state(spin, Cycle(10));
+        assert_eq!(c.due_at(), Some(Cycle(22)));
     }
 
     #[test]
@@ -181,25 +240,11 @@ mod tests {
     }
 
     #[test]
-    fn accounting_splits_active_and_stalled() {
-        let mut c = core();
-        c.account_cycle(); // Ready → active
-        c.state = CoreState::WaitRead {
-            line: LineAddr(0),
-            issued_at: Cycle(0),
-        };
-        c.account_cycle();
-        c.state = CoreState::Done;
-        c.account_cycle();
-        assert_eq!(c.stats.active_cycles, 1);
-        assert_eq!(c.stats.stalled_cycles, 1);
-    }
-
-    #[test]
     fn done_detection() {
         let mut c = core();
         assert!(!c.is_done());
-        c.state = CoreState::Done;
+        c.set_state(CoreState::Done, Cycle(7));
         assert!(c.is_done());
+        assert_eq!(c.due_at(), None);
     }
 }

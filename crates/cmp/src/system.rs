@@ -1,8 +1,20 @@
 //! The chip-multiprocessor system: cores, L1s, directories, memory
-//! channels and one of the interconnects, wired together cycle by cycle.
+//! channels and one of the interconnects, wired together as an
+//! event-driven kernel: a cycle costs what its due cores, its due events
+//! and the network's own tick cost, never a walk over all cores.
 //!
-//! Two details deserve a note:
+//! Three details deserve a note:
 //!
+//! * **Wake wheel and lazy accounting.** A core acts on its own only when
+//!   it issues (`Ready`) or probes a sync word (`SpinLock`/`SpinBarrier`);
+//!   everything else waits for an event. [`WakeWheel`] files each such
+//!   core under the cycle of that action, so a tick visits exactly the
+//!   cores due in it — in ascending index, the order an all-cores scan
+//!   would reach them, which `route`, the locks and the RNG draws depend
+//!   on. Active and stalled cycles are credited when a core changes class
+//!   ([`Core::set_state`]), not counted per cycle, and `finished` reads a
+//!   live-core count. The all-cores scan survives as the test-only
+//!   reference (`run_full_scan`) the kernel is property-tested equal to.
 //! * **Per-line point-to-point ordering.** The paper relies on the
 //!   network's ability to order messages between a pair of nodes about the
 //!   same cache line: "we delay the transmission of another message about
@@ -29,14 +41,15 @@ use fsoi_coherence::l1::L1Controller;
 use fsoi_coherence::protocol::{CoherenceMsg, LineAddr, OutMsg};
 use fsoi_coherence::sync::{Barrier, BooleanSubscriptionHub, SpinLock};
 use fsoi_net::packet::PacketClass;
-use fsoi_sim::det::{DetMap, DetSet};
+use fsoi_sim::det::NodeMask;
 use fsoi_sim::event::EventQueue;
 use fsoi_sim::metrics::Registry;
 use fsoi_sim::rng::Xoshiro256StarStar;
 use fsoi_sim::stats::Histogram;
 use fsoi_sim::telemetry::{self, Phase};
 use fsoi_sim::Cycle;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// How often a spinning core re-probes a sync word, cycles.
 const SPIN_PROBE_PERIOD: u64 = 12;
@@ -67,10 +80,119 @@ enum Pending {
     ReleaseOrder { key: (usize, usize, LineAddr) },
 }
 
-/// Per-line ordering queue: pending messages with their scheduling delay
-/// and a confirmation-channel (direct) marker. Deterministic (BTree-backed)
-/// so no hasher state can ever leak into drain order or exports.
-type OrderQueue = DetMap<(usize, usize, LineAddr), VecDeque<(OutMsg, u64, bool)>>;
+/// One busy per-line ordering slot of a sender (§4.4): a message to `dst`
+/// about `line` is unconfirmed, and `waiting` holds the followers with
+/// their scheduling delay and confirmation-channel (direct) marker. A
+/// sender keeps its busy slots in a plain list — a handful at a time —
+/// that is only ever searched by `(dst, line)`, so its order can reach no
+/// result.
+#[derive(Debug)]
+struct OrderSlot {
+    dst: usize,
+    line: LineAddr,
+    waiting: VecDeque<(OutMsg, u64, bool)>,
+}
+
+/// Cycles the wake wheel's buckets span; later wakes wait in a heap.
+const WHEEL_SPAN: u64 = 64;
+
+/// The cores with a self-driven action ahead, filed by its cycle.
+///
+/// Invariant, between any two steps of a tick: core `i` is filed iff
+/// `cores[i].due_at()` is `Some(due)`, under exactly `max(due, floor)`,
+/// where `floor` is the earliest cycle that can still visit it — `now`
+/// while events run, `now + 1` once the cores step (one visit per core per
+/// cycle, as the scan had). A cycle inside `now .. now + WHEEL_SPAN` is
+/// bucket `cycle % WHEEL_SPAN`; anything later sits in `far` until
+/// [`refill`](WakeWheel::refill) brings it in.
+#[derive(Debug)]
+struct WakeWheel {
+    buckets: [NodeMask; WHEEL_SPAN as usize],
+    /// Bit `b` set ⇔ `buckets[b]` is non-empty.
+    occupied: u64,
+    /// Wakes at or past the horizon, earliest first. An entry counts only
+    /// while `filed` still names its cycle.
+    far: BinaryHeap<Reverse<(Cycle, usize)>>,
+    /// The cycle each core is filed under.
+    filed: Vec<Option<Cycle>>,
+}
+
+impl WakeWheel {
+    fn new(cores: usize) -> Self {
+        WakeWheel {
+            buckets: [NodeMask::new(); WHEEL_SPAN as usize],
+            occupied: 0,
+            far: BinaryHeap::new(),
+            filed: vec![None; cores],
+        }
+    }
+
+    fn bucket_of(at: Cycle) -> usize {
+        (at.as_u64() % WHEEL_SPAN) as usize
+    }
+
+    fn add_to_bucket(&mut self, core: usize, at: Cycle) {
+        let b = Self::bucket_of(at);
+        self.buckets[b].insert(core);
+        self.occupied |= 1 << b;
+    }
+
+    /// Files `core` under `at` (nowhere for `None`) in place of its
+    /// current entry. `now` places the horizon.
+    fn file(&mut self, core: usize, at: Option<Cycle>, now: Cycle) {
+        let old = std::mem::replace(&mut self.filed[core], at);
+        if old == at {
+            return;
+        }
+        if let Some(old) = old {
+            // A far entry just goes stale: `filed` no longer names it.
+            let b = Self::bucket_of(old);
+            if self.buckets[b].remove(core) && self.buckets[b].is_empty() {
+                self.occupied &= !(1 << b);
+            }
+        }
+        match at {
+            Some(at) if at.as_u64() < now.as_u64() + WHEEL_SPAN => self.add_to_bucket(core, at),
+            Some(at) => self.far.push(Reverse((at, core))),
+            None => {}
+        }
+    }
+
+    /// The cores filed under `now`.
+    fn due(&self, now: Cycle) -> NodeMask {
+        self.buckets[Self::bucket_of(now)]
+    }
+
+    /// Moves the far wakes that `now`'s horizon has reached into their
+    /// buckets; called whenever `now` advances.
+    fn refill(&mut self, now: Cycle) {
+        while let Some(&Reverse((at, core))) = self.far.peek() {
+            if at.as_u64() >= now.as_u64() + WHEEL_SPAN {
+                break;
+            }
+            self.far.pop();
+            if self.filed[core] == Some(at) {
+                self.add_to_bucket(core, at);
+            }
+        }
+    }
+
+    /// The earliest filed cycle: the first non-empty bucket from `now`
+    /// on, else the head of the far heap.
+    fn next_due(&mut self, now: Cycle) -> Option<Cycle> {
+        if self.occupied != 0 {
+            let from_now = self.occupied.rotate_right(Self::bucket_of(now) as u32);
+            return Some(now + u64::from(from_now.trailing_zeros()));
+        }
+        while let Some(&Reverse((at, core))) = self.far.peek() {
+            if self.filed[core] == Some(at) {
+                return Some(at);
+            }
+            self.far.pop();
+        }
+        None
+    }
+}
 
 /// The simulated CMP.
 #[derive(Debug)]
@@ -91,10 +213,11 @@ pub struct CmpSystem {
     /// In-flight message payloads, indexed by packet tag.
     msgs: Vec<Option<(usize, CoherenceMsg)>>,
     free_tags: Vec<u64>,
-    /// Per-(src, dst, line) ordering: messages waiting for the slot.
-    /// The `bool` marks confirmation-channel (direct) deliveries.
-    order_wait: OrderQueue,
-    order_busy: DetSet<(usize, usize, LineAddr)>,
+    /// Per-line point-to-point ordering: each sender's busy slots.
+    order: Vec<Vec<OrderSlot>>,
+    wheel: WakeWheel,
+    /// Cores not yet `Done`.
+    live: usize,
     /// Packets that bounced off a full injection queue.
     inject_backlog: VecDeque<(usize, NetPacket)>,
     /// Reused reaction buffer for `Directory::handle_into` (empty between
@@ -124,13 +247,17 @@ impl CmpSystem {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails [`SystemConfig::validate`].
+    /// Panics if `cfg` fails [`SystemConfig::validate`] or `app` fails
+    /// [`AppProfile::validate`].
     pub fn new(cfg: SystemConfig, app: AppProfile) -> Self {
         #[expect(
             clippy::expect_used,
-            reason = "P1: a rejected configuration is the caller's bug; fail before building anything"
+            reason = "P1: a rejected configuration or profile is the caller's bug; fail before building anything"
         )]
-        cfg.validate().expect("invalid SystemConfig");
+        {
+            cfg.validate().expect("invalid SystemConfig");
+            app.validate().expect("invalid AppProfile");
+        }
         let mut app = app;
         let n = cfg.nodes;
         // Weak scaling: larger machines run proportionally larger shared
@@ -186,7 +313,7 @@ impl CmpSystem {
         mem: MemorySystem,
     ) -> Self {
         let n = cfg.nodes;
-        CmpSystem {
+        let mut sys = CmpSystem {
             app,
             now: Cycle::ZERO,
             cores: (0..n)
@@ -202,8 +329,9 @@ impl CmpSystem {
             pending: EventQueue::new(),
             msgs: Vec::new(),
             free_tags: Vec::new(),
-            order_wait: DetMap::new(),
-            order_busy: DetSet::new(),
+            order: (0..n).map(|_| Vec::new()).collect(),
+            wheel: WakeWheel::new(n),
+            live: n,
             inject_backlog: VecDeque::new(),
             dir_out: Vec::new(),
             reply_latency: Histogram::new(10, 20),
@@ -219,7 +347,11 @@ impl CmpSystem {
             events_processed: 0,
             net: cfg.build_network(),
             cfg,
+        };
+        for i in 0..n {
+            sys.repark(i, Cycle::ZERO);
         }
+        sys
     }
 
     /// Forks an unrun template into a fresh system equivalent to
@@ -290,42 +422,36 @@ impl CmpSystem {
     }
 
     /// Jumps `now` to the next cycle at which anything can happen — the
-    /// earliest pending event, core issue or spin-probe time, or network
-    /// event — bulk-accounting the skipped span. A no-op when work is due
-    /// this cycle, the injection backlog is non-empty (it retries every
-    /// cycle), or the network cannot bound its next event.
+    /// earliest pending event, filed core wake (issue or spin probe), or
+    /// network event. A no-op when work is due this cycle or the next,
+    /// the injection backlog is non-empty (it retries every cycle), or the
+    /// network cannot bound its next event.
     ///
     /// Byte-identical to ticking through the span: no pending event, core
-    /// transition, or network event lies strictly inside it, so every
-    /// skipped `tick` would have been pure bookkeeping — constant-state
-    /// core accounting, which `account_cycles` reproduces exactly.
+    /// wake, or network event lies strictly inside it, and with cycles
+    /// accounted at class changes a skipped `tick` would have done nothing
+    /// but count itself.
     fn fast_forward(&mut self, max: u64) {
         if !self.inject_backlog.is_empty() {
             return; // the backlog retries every cycle
         }
-        // Cheap bounds first — core deadlines and the pending-event
-        // queue. In busy phases something is almost always due within a
-        // cycle, and bailing here keeps the network scan (the expensive
-        // bound) off the per-tick path.
-        let mut next = Cycle(u64::MAX);
-        if let Some(t) = self.pending.peek_time() {
-            next = next.min(t);
+        // The O(1) bounds first — the pending-event head, then the wheel.
+        // In busy phases something is almost always due within a cycle,
+        // and bailing here keeps the network scan (the expensive bound)
+        // off the per-tick path.
+        let soon = self.now + 1; // due by then: a skip could not save a tick
+        let events = self.pending.peek_time().unwrap_or(Cycle(u64::MAX));
+        if events <= soon {
+            return;
         }
-        for c in &self.cores {
-            match c.state {
-                CoreState::Ready => next = next.min(c.next_at),
-                CoreState::SpinLock { next_probe, .. }
-                | CoreState::SpinBarrier { next_probe, .. } => next = next.min(next_probe),
-                _ => {}
-            }
+        let cores = self.wheel.next_due(self.now).unwrap_or(Cycle(u64::MAX));
+        if cores <= soon {
+            return;
         }
-        if next.as_u64() <= self.now.as_u64() + 1 {
-            return; // due now or next cycle: a skip could not save a tick
-        }
-        match self.net.next_event_at() {
-            Some(t) => next = next.min(t),
+        let next = match self.net.next_event_at() {
+            Some(t) => t.min(events).min(cores),
             None => return, // busy network without an event bound: tick it
-        }
+        };
         if next == Cycle(u64::MAX) {
             return; // nothing schedulable anywhere (drained, or wedged —
                     // the run loop's overrun assert still fires at `max`)
@@ -336,18 +462,15 @@ impl CmpSystem {
         if next <= self.now {
             return;
         }
-        let skipped = next.as_u64() - self.now.as_u64();
         self.ff_jumps += 1;
-        self.ff_cycles_skipped += skipped;
+        self.ff_cycles_skipped += next - self.now;
         self.net.advance_to(next);
-        for c in &mut self.cores {
-            c.account_cycles(skipped);
-        }
         self.now = next;
+        self.wheel.refill(self.now);
     }
 
     fn finished(&self) -> bool {
-        self.cores.iter().all(|c| c.is_done())
+        self.live == 0
             && self.pending.is_empty()
             && self.inject_backlog.is_empty()
             && self.net.is_idle()
@@ -371,12 +494,49 @@ impl CmpSystem {
         }
         {
             let _cores = telemetry::span(Phase::SimCores);
-            self.step_cores();
-            for c in &mut self.cores {
-                c.account_cycle();
+            // Ascending index: the all-cores scan minus its no-op visits.
+            for i in self.wheel.due(self.now).iter() {
+                self.step_core(i);
             }
         }
         self.now += 1;
+        self.wheel.refill(self.now);
+        self.check_kernel();
+    }
+
+    /// Debug builds: recomputes what the kernel keeps incrementally from
+    /// the state it summarizes — the all-cores walks it replaced.
+    fn check_kernel(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let wheel = &self.wheel;
+        let (mut buckets, mut occupied) = ([NodeMask::new(); WHEEL_SPAN as usize], 0u64);
+        let (mut far, mut live) = (NodeMask::new(), 0);
+        for (i, core) in self.cores.iter().enumerate() {
+            live += usize::from(!core.is_done());
+            let at = core.due_at().map(|due| due.max(self.now));
+            assert_eq!(wheel.filed[i], at, "core {i} is filed under its wake");
+            match at {
+                Some(at) if at.as_u64() < self.now.as_u64() + WHEEL_SPAN => {
+                    buckets[WakeWheel::bucket_of(at)].insert(i);
+                    occupied |= 1 << WakeWheel::bucket_of(at);
+                }
+                Some(_) => {
+                    far.insert(i);
+                }
+                None => {}
+            }
+        }
+        assert_eq!(wheel.buckets, buckets, "buckets at {}", self.now);
+        assert_eq!(wheel.occupied, occupied, "occupancy at {}", self.now);
+        let in_heap = wheel.far.iter().map(|&Reverse(entry)| entry);
+        let in_heap: NodeMask = in_heap
+            .filter(|&(at, i)| wheel.filed[i] == Some(at))
+            .map(|(_, i)| i)
+            .collect();
+        assert_eq!(in_heap, far, "far heap at {}", self.now);
+        assert_eq!(self.live, live, "live-core count");
     }
 
     // ----- message plumbing -------------------------------------------
@@ -454,16 +614,36 @@ impl CmpSystem {
             );
             return;
         }
-        let key = (from, out.to, out.msg.line());
-        if self.order_busy.contains(&key) {
-            self.order_wait
-                .entry(key)
-                .or_default()
-                .push_back((out, scheduling_delay, direct));
+        let (dst, line) = (out.to, out.msg.line());
+        let slots = &mut self.order[from];
+        if let Some(busy) = slots.iter_mut().find(|s| s.dst == dst && s.line == line) {
+            busy.waiting.push_back((out, scheduling_delay, direct));
             return;
         }
-        self.order_busy.insert(key);
+        slots.push(OrderSlot {
+            dst,
+            line,
+            waiting: VecDeque::new(),
+        });
         self.transmit(from, out, scheduling_delay, direct);
+    }
+
+    /// The sender saw the confirmation of its message to `dst` about
+    /// `line`: the oldest follower goes out under the same slot, or the
+    /// slot frees.
+    fn release_order(&mut self, (from, dst, line): (usize, usize, LineAddr)) {
+        let slots = &mut self.order[from];
+        let holds = |s: &OrderSlot| s.dst == dst && s.line == line;
+        debug_assert_eq!(slots.iter().filter(|s| holds(s)).count(), 1, "one slot");
+        let Some(at) = slots.iter().position(holds) else {
+            return; // every release answers one transmission, which holds the slot
+        };
+        match slots[at].waiting.pop_front() {
+            Some((out, sd, direct)) => self.transmit(from, out, sd, direct),
+            None => {
+                slots.swap_remove(at);
+            }
+        }
     }
 
     fn transmit(&mut self, from: usize, out: OutMsg, scheduling_delay: u64, direct: bool) {
@@ -576,18 +756,7 @@ impl CmpSystem {
                     out,
                     scheduling_delay,
                 } => self.route(from, out, scheduling_delay, false),
-                Pending::ReleaseOrder { key } => {
-                    if let Some(queue) = self.order_wait.get_mut(&key) {
-                        if let Some((out, sd, direct)) = queue.pop_front() {
-                            if queue.is_empty() {
-                                self.order_wait.remove(&key);
-                            }
-                            self.transmit(key.0, out, sd, direct);
-                            continue; // slot stays busy for the follower
-                        }
-                    }
-                    self.order_busy.remove(&key);
-                }
+                Pending::ReleaseOrder { key } => self.release_order(key),
             }
         }
     }
@@ -706,19 +875,59 @@ impl CmpSystem {
 
     // ----- core driving ------------------------------------------------
 
-    fn step_cores(&mut self) {
-        for i in 0..self.cores.len() {
-            // Spin probes fire independently of Ready state.
-            self.maybe_probe(i);
-            if !self.cores[i].wants_to_issue(self.now) {
-                continue;
-            }
-            let Some(op) = self.cores[i].take_op() else {
-                self.cores[i].state = CoreState::Done;
-                continue;
-            };
-            self.execute(i, op);
+    /// Core `i`'s turn in the current cycle: a due spin probe, else a due
+    /// issue; nothing for a core with no action due.
+    fn step_core(&mut self, i: usize) {
+        if self.cores[i].due_at().is_none_or(|due| due > self.now) {
+            return;
         }
+        self.maybe_probe(i);
+        if self.cores[i].wants_to_issue(self.now) {
+            match self.cores[i].take_op() {
+                Some(op) => self.execute(i, op),
+                None => self.retire(i),
+            }
+        }
+        // This was the core's one visit of the cycle.
+        self.repark(i, self.now + 1);
+    }
+
+    /// Core `i`'s stream is exhausted. One that ends inside a critical
+    /// section would keep its lock for good and wedge the next core to
+    /// want it, so the lock frees here, with no store simulated. A run
+    /// that used to drain is untouched: nobody in it asked for such a
+    /// lock again, or it would not have drained.
+    fn retire(&mut self, i: usize) {
+        self.set_state(i, CoreState::Done);
+        self.live -= 1;
+        if let Some(lock) = self.cores[i].workload.held_lock() {
+            self.locks[lock].release(i);
+            self.push_update(self.lock_line(lock), i);
+        }
+    }
+
+    /// §5.1 subscriptions: pushes `writer`'s update of a sync word to its
+    /// subscribers over the confirmation channel.
+    fn push_update(&mut self, line: LineAddr, writer: usize) {
+        if self.cfg.opt_subscriptions && self.net.supports_confirmation_acks() {
+            for target in self.hub.push_update(line, writer) {
+                self.pending.push(
+                    self.now + CONFIRMATION_DELAY,
+                    Pending::Wake { core: target },
+                );
+            }
+        }
+    }
+
+    fn set_state(&mut self, i: usize, state: CoreState) {
+        self.cores[i].set_state(state, self.now);
+    }
+
+    /// Refiles core `i` after anything that may have moved its wake.
+    /// `floor` is the earliest cycle that can still visit it.
+    fn repark(&mut self, i: usize, floor: Cycle) {
+        let at = self.cores[i].due_at().map(|due| due.max(floor));
+        self.wheel.file(i, at, self.now);
     }
 
     fn execute(&mut self, i: usize, op: Op) {
@@ -769,10 +978,8 @@ impl CmpSystem {
                 self.cores[i].next_at = self.now + self.cfg.l1_latency;
             }
             ReadIssue::Miss => {
-                self.cores[i].state = CoreState::WaitRead {
-                    line,
-                    issued_at: self.now,
-                };
+                let issued_at = self.now;
+                self.set_state(i, CoreState::WaitRead { line, issued_at });
             }
             ReadIssue::Stalled => {
                 self.cores[i].pending_op = Some(Op::Read(line));
@@ -806,7 +1013,7 @@ impl CmpSystem {
         match self.issue_read(i, line) {
             ReadIssue::Hit => self.try_take_lock(i, lock),
             ReadIssue::Miss => {
-                self.cores[i].state = CoreState::LockRead { lock, line };
+                self.set_state(i, CoreState::LockRead { lock, line });
             }
             ReadIssue::Stalled => {
                 self.cores[i].pending_op = Some(Op::LockAcquire(lock));
@@ -825,16 +1032,14 @@ impl CmpSystem {
             for out in acc.out {
                 self.route(i, out, 0, false);
             }
-            self.cores[i].state = CoreState::Ready;
+            self.set_state(i, CoreState::Ready);
             self.cores[i].next_at = self.now + 1;
         } else if self.cfg.opt_subscriptions && self.net.supports_confirmation_acks() {
             self.hub.subscribe(line, i);
-            self.cores[i].state = CoreState::WaitLockWake { lock };
+            self.set_state(i, CoreState::WaitLockWake { lock });
         } else {
-            self.cores[i].state = CoreState::SpinLock {
-                lock,
-                next_probe: self.now + SPIN_PROBE_PERIOD,
-            };
+            let next_probe = self.now + SPIN_PROBE_PERIOD;
+            self.set_state(i, CoreState::SpinLock { lock, next_probe });
         }
     }
 
@@ -845,14 +1050,7 @@ impl CmpSystem {
         for out in acc.out {
             self.route(i, out, 0, false);
         }
-        if self.cfg.opt_subscriptions && self.net.supports_confirmation_acks() {
-            for target in self.hub.push_update(line, i) {
-                self.pending.push(
-                    self.now + CONFIRMATION_DELAY,
-                    Pending::Wake { core: target },
-                );
-            }
-        }
+        self.push_update(line, i);
         self.cores[i].next_at = self.now + 1;
     }
 
@@ -874,43 +1072,35 @@ impl CmpSystem {
             for out in acc.out {
                 self.route(i, out, 0, false);
             }
-            if self.cfg.opt_subscriptions && self.net.supports_confirmation_acks() {
-                for target in self.hub.push_update(sense_line, i) {
-                    self.pending.push(
-                        self.now + CONFIRMATION_DELAY,
-                        Pending::Wake { core: target },
-                    );
-                }
-            }
-            self.cores[i].state = CoreState::Ready;
+            self.push_update(sense_line, i);
+            self.set_state(i, CoreState::Ready);
             self.cores[i].next_at = self.now + 1;
         } else if self.cfg.opt_subscriptions && self.net.supports_confirmation_acks() {
             self.hub.subscribe(sense_line, i);
-            self.cores[i].state = CoreState::WaitBarrierWake { episode };
+            self.set_state(i, CoreState::WaitBarrierWake { episode });
         } else {
-            self.cores[i].state = CoreState::SpinBarrier {
+            let spin = CoreState::SpinBarrier {
                 episode,
                 next_probe: self.now + SPIN_PROBE_PERIOD,
             };
+            self.set_state(i, spin);
         }
     }
 
     // ----- spin probes and wakes ------------------------------------------
 
     fn maybe_probe(&mut self, i: usize) {
-        match self.cores[i].state {
+        match self.cores[i].state() {
             CoreState::SpinLock { lock, next_probe } if next_probe <= self.now => {
                 let line = self.lock_line(lock);
                 match self.issue_read(i, line) {
                     ReadIssue::Hit => self.try_take_lock(i, lock),
                     ReadIssue::Miss => {
-                        self.cores[i].state = CoreState::SpinLockRead { lock };
+                        self.set_state(i, CoreState::SpinLockRead { lock });
                     }
                     ReadIssue::Stalled => {
-                        self.cores[i].state = CoreState::SpinLock {
-                            lock,
-                            next_probe: self.now + 1,
-                        };
+                        let next_probe = self.now + 1;
+                        self.set_state(i, CoreState::SpinLock { lock, next_probe });
                     }
                 }
             }
@@ -922,13 +1112,14 @@ impl CmpSystem {
                 match self.issue_read(i, line) {
                     ReadIssue::Hit => self.check_barrier_release(i, episode),
                     ReadIssue::Miss => {
-                        self.cores[i].state = CoreState::SpinBarrierRead { episode };
+                        self.set_state(i, CoreState::SpinBarrierRead { episode });
                     }
                     ReadIssue::Stalled => {
-                        self.cores[i].state = CoreState::SpinBarrier {
+                        let spin = CoreState::SpinBarrier {
                             episode,
                             next_probe: self.now + 1,
                         };
+                        self.set_state(i, spin);
                     }
                 }
             }
@@ -939,38 +1130,40 @@ impl CmpSystem {
     fn check_barrier_release(&mut self, i: usize, episode: u64) {
         if self.barrier.episodes() > episode {
             self.cores[i].stats.barriers_passed += 1;
-            self.cores[i].state = CoreState::Ready;
+            self.set_state(i, CoreState::Ready);
             self.cores[i].next_at = self.now + 1;
         } else {
-            self.cores[i].state = CoreState::SpinBarrier {
+            let spin = CoreState::SpinBarrier {
                 episode,
                 next_probe: self.now + SPIN_PROBE_PERIOD,
             };
+            self.set_state(i, spin);
         }
     }
 
     fn wake_core(&mut self, i: usize) {
-        match self.cores[i].state {
+        match self.cores[i].state() {
             CoreState::WaitLockWake { lock } => self.try_take_lock(i, lock),
             CoreState::WaitBarrierWake { episode } => {
                 let line = AppProfile::barrier_sense_line(self.cfg.line_bytes);
                 if self.barrier.episodes() > episode {
                     self.hub.unsubscribe(line, i);
                     self.cores[i].stats.barriers_passed += 1;
-                    self.cores[i].state = CoreState::Ready;
+                    self.set_state(i, CoreState::Ready);
                     self.cores[i].next_at = self.now + 1;
                 }
             }
             _ => {} // stale wake: ignore
         }
+        self.repark(i, self.now);
     }
 
     /// A fill completed at node `i`: unblock whatever waited on it.
     fn on_fill_complete(&mut self, i: usize, line: LineAddr) {
-        match self.cores[i].state {
+        match self.cores[i].state() {
             CoreState::WaitRead { line: l, issued_at } if l == line => {
                 self.reply_latency.record(self.now - issued_at);
-                self.cores[i].state = CoreState::Ready;
+                self.set_state(i, CoreState::Ready);
                 self.cores[i].next_at = self.now + 1;
             }
             CoreState::LockRead { lock, line: l } if l == line => {
@@ -986,15 +1179,21 @@ impl CmpSystem {
             }
             _ => {} // posted-write fill or stale: nothing blocks on it
         }
+        self.repark(i, self.now);
     }
 
     // ----- reporting ------------------------------------------------------
 
-    /// Builds the report for a finished (or interrupted) run.
+    /// Builds the report for a finished (or interrupted) run. Nothing the
+    /// run depends on changes: it goes on as if no report had been taken.
     pub fn report(&mut self) -> RunReport {
         let cycles = self.now.as_u64();
-        let active: u64 = self.cores.iter().map(|c| c.stats.active_cycles).sum();
-        let stalled: u64 = self.cores.iter().map(|c| c.stats.stalled_cycles).sum();
+        // Each core's closed spans plus its open one, left open.
+        let (mut active, mut stalled) = (0, 0);
+        for stats in self.cores.iter().map(|c| c.stats_at(self.now)) {
+            active += stats.active_cycles;
+            stalled += stats.stalled_cycles;
+        }
         let network_j = self.net.energy_j(cycles);
         let power = ChipPowerModel::paper_default();
         let energy: ChipEnergy = power.energy(self.cfg.nodes, cycles, active, stalled, network_j);
@@ -1039,7 +1238,7 @@ impl CmpSystem {
             network: self.net.name().to_string(),
             cycles,
             attribution: self.net.attribution(),
-            reply_latency: std::mem::replace(&mut self.reply_latency, Histogram::new(10, 20)),
+            reply_latency: self.reply_latency.clone(),
             meta_tx_probability: self.net.tx_probability(0),
             data_tx_probability: self.net.tx_probability(1),
             meta_collision_rate: self.net.collision_rate(0),
@@ -1201,10 +1400,14 @@ mod tests {
     /// `run()` against the ticked reference on one workload: same clock,
     /// byte-identical exports.
     fn assert_fast_forward_exact(kind: NetworkKind, max: u64, tune: impl Fn(&mut AppProfile)) {
+        assert_fast_forward_exact_on(SystemConfig::paper_16(kind), max, tune);
+    }
+
+    fn assert_fast_forward_exact_on(cfg: SystemConfig, max: u64, tune: impl Fn(&mut AppProfile)) {
         let build = || {
-            let (cfg, mut app) = small_cfg(kind.clone());
+            let (_, mut app) = small_cfg(cfg.network.clone());
             tune(&mut app);
-            CmpSystem::new(cfg, app)
+            CmpSystem::new(cfg.clone(), app)
         };
         let mut sys = build();
         let fast = sys.run(max);
@@ -1247,6 +1450,286 @@ mod tests {
             app.mean_gap = 400.0;
             app.ops_per_core = 60;
         });
+    }
+
+    #[test]
+    fn fast_forward_is_byte_identical_on_networks_without_an_event_bound() {
+        // Ring, crossbar and Lr2 answer "unknown while busy", so the skip
+        // path alternates with ticking; gaps of 30 keep the core wakes
+        // inside the wheel's buckets, gaps of 400 mostly in its far heap.
+        for kind in [
+            NetworkKind::ring(16),
+            NetworkKind::crossbar(16),
+            NetworkKind::Lr2,
+        ] {
+            for gap in [30.0, 400.0] {
+                assert_fast_forward_exact(kind.clone(), 2_000_000, |app| {
+                    app.mean_gap = gap;
+                    app.ops_per_core = 60;
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn fast_forward_is_byte_identical_with_spin_probes_on_the_wheel() {
+        // Two locks, sixteen contenders and no subscriptions: the waiters
+        // sit in `SpinLock`, whose probes are wheel entries like issues.
+        let cfg = SystemConfig::paper_16(NetworkKind::fsoi(16)).with_optimizations(false);
+        assert_fast_forward_exact_on(cfg, 4_000_000, |app| {
+            app.lock_interval = 30;
+            app.ops_per_core = 400;
+        });
+    }
+
+    /// The kernel's slow reference — the per-cycle loop it replaced.
+    /// Every tick visits all cores `0..n` through the same `step_core`,
+    /// classifies each core from the state it then observes, and tests
+    /// completion by scanning the cores: it consults none of the wheel,
+    /// `Core::since` or the live count (the shared transitions still
+    /// write them). Returns the drained system with every core's cycle
+    /// counts replaced by the per-cycle tally; all cores are `Done` by
+    /// then, so no open span is left to add to it.
+    fn run_full_scan(mut sys: CmpSystem, max: u64) -> CmpSystem {
+        let n = sys.cores.len();
+        let mut tally = vec![(0u64, 0u64); n];
+        while !(sys.cores.iter().all(|c| c.is_done())
+            && sys.pending.is_empty()
+            && sys.inject_backlog.is_empty()
+            && sys.net.is_idle())
+        {
+            assert!(sys.now.as_u64() < max, "reference run did not drain");
+            sys.net.tick();
+            sys.drain_network();
+            sys.process_pending();
+            sys.retry_backlog();
+            for i in 0..n {
+                sys.step_core(i);
+            }
+            for (core, (active, stalled)) in sys.cores.iter().zip(&mut tally) {
+                match core.state() {
+                    CoreState::Done => {}
+                    CoreState::Ready => *active += 1,
+                    _ => *stalled += 1,
+                }
+            }
+            sys.now += 1;
+        }
+        for (core, (active, stalled)) in sys.cores.iter_mut().zip(tally) {
+            core.stats.active_cycles = active;
+            core.stats.stalled_cycles = stalled;
+        }
+        sys
+    }
+
+    /// One drawn input of `wake_driven_equals_full_scan`.
+    #[derive(Debug, Clone)]
+    struct KernelCase {
+        network: &'static str,
+        nodes: usize,
+        app: &'static str,
+        mean_gap: f64,
+        lock_interval: u64,
+        barrier_interval: u64,
+        optimizations: bool,
+        small_l2: bool,
+        zero_l1_latency: bool,
+        ops_per_core: u64,
+        seed: u64,
+    }
+
+    impl KernelCase {
+        fn build(&self) -> CmpSystem {
+            let kind = NetworkKind::by_name(self.network, self.nodes).unwrap();
+            let mut cfg = SystemConfig::paper_n(self.nodes, kind)
+                .with_optimizations(self.optimizations)
+                .with_seed(self.seed);
+            if self.small_l2 {
+                cfg.l2_lines = 8;
+            }
+            if self.zero_l1_latency {
+                // A hit then leaves `next_at == now`: only the cores-phase
+                // floor keeps that from being a second visit in one cycle.
+                cfg.l1_latency = 0;
+            }
+            let mut app = AppProfile::by_name(self.app).unwrap();
+            app.mean_gap = self.mean_gap;
+            app.lock_interval = self.lock_interval;
+            if self.lock_interval > 0 {
+                app.locks = app.locks.max(2);
+            }
+            app.barrier_interval = self.barrier_interval;
+            // Half the span at 64 nodes and a quarter at 256, where an
+            // unoptimized case costs what dozens of 16-node ones do.
+            let span = self.ops_per_core - 40;
+            app.ops_per_core = 40
+                + match self.nodes {
+                    16 => span,
+                    64 => span / 2,
+                    _ => span / 4,
+                };
+            CmpSystem::new(cfg, app)
+        }
+    }
+
+    #[test]
+    fn wake_driven_equals_full_scan() {
+        use fsoi_check::{any_bool, select, Checker, Gen};
+        const NETWORKS: [&str; 7] = ["fsoi", "mesh", "ring", "crossbar", "L0", "Lr1", "Lr2"];
+        // 256 nodes in 1 case of 64: one or none at the default case
+        // count, ~5 under `scripts/ci.sh --tier scale`'s 300.
+        let mut nodes = vec![16; 48];
+        nodes.extend([64; 15]);
+        nodes.push(256);
+        let apps: Vec<&'static str> = AppProfile::suite().iter().map(|p| p.name).collect();
+        let gen = (
+            (
+                select(&NETWORKS),
+                select(&nodes),
+                select(&apps),
+                select(&[2.5, 0.0, 1.0, 30.0, 100.0, 400.0]),
+            ),
+            (
+                select(&[0u64, 10, 30]),
+                select(&[0u64, 50]),
+                any_bool(),
+                any_bool(),
+            ),
+            (
+                select(&[false, false, false, true]),
+                40u64..301,
+                0u64..u64::MAX,
+            ),
+        )
+            .gen_map(
+                |&((network, nodes, app, mean_gap), (lock, barrier, opt, l2), (l1, ops, seed))| {
+                    KernelCase {
+                        network,
+                        nodes,
+                        app,
+                        mean_gap,
+                        lock_interval: lock,
+                        barrier_interval: barrier,
+                        optimizations: opt,
+                        small_l2: l2,
+                        zero_l1_latency: l1,
+                        ops_per_core: ops,
+                        seed,
+                    }
+                },
+            );
+        Checker::new().check("wake_driven_equals_full_scan", gen, |case| {
+            let scan = run_full_scan(case.build(), 10_000_000);
+            let mut wake = case.build();
+            // One cycle of slack: a run that outlives the reference's
+            // clock fails here instead of idling on to a far deadline.
+            let report = wake.run(scan.now.as_u64() + 1);
+            assert_eq!(wake.now, scan.now, "final cycle");
+            for (i, (w, s)) in wake.cores.iter().zip(&scan.cores).enumerate() {
+                assert_eq!(w.stats, s.stats, "core {i}");
+            }
+            let (w, s) = (&wake.reply_latency, &scan.reply_latency);
+            assert_eq!(format!("{w:?}"), format!("{s:?}"), "reply latencies");
+            let mut scan = scan;
+            assert_eq!(
+                report.registry().to_jsonl(),
+                scan.report().registry().to_jsonl(),
+                "exports"
+            );
+        });
+    }
+
+    #[test]
+    fn report_mid_run_does_not_perturb_the_run() {
+        // `report()` once swapped the reply-latency histogram out of the
+        // system, so a run reported on midway lost its earlier samples.
+        for (kind, seed) in [
+            (NetworkKind::L0, 1u64),
+            (NetworkKind::fsoi(16), 2),
+            (NetworkKind::mesh(16), 3),
+        ] {
+            let build = || {
+                let (cfg, mut app) = small_cfg(kind.clone());
+                app.ops_per_core = 200;
+                CmpSystem::new(cfg.with_seed(seed), app)
+            };
+            let whole = build().run(2_000_000);
+            let stop = 1 + Xoshiro256StarStar::new(seed).next_below(whole.cycles - 1);
+            let mut sys = build();
+            while sys.now().as_u64() < stop {
+                sys.tick();
+            }
+            let first = sys.report();
+            let again = sys.report();
+            assert_eq!(first.to_wire(), again.to_wire(), "back-to-back reports");
+            assert!(
+                first.active_cycles + first.stalled_cycles > 0,
+                "open spans count"
+            );
+            let resumed = sys.run(2_000_000);
+            assert_eq!(
+                resumed.registry().to_jsonl(),
+                whole.registry().to_jsonl(),
+                "a report at tick {stop} must leave no trace"
+            );
+            assert_eq!(resumed.reply_latency.count(), whole.reply_latency.count());
+        }
+    }
+
+    #[test]
+    fn every_core_cycle_is_classified_once() {
+        // Conservation: a core is active or stalled in every cycle before
+        // the one it retires in, and in none after.
+        let kinds = [
+            NetworkKind::fsoi(16),
+            NetworkKind::mesh(16),
+            NetworkKind::ring(16),
+            NetworkKind::crossbar(16),
+            NetworkKind::L0,
+            NetworkKind::Lr1,
+            NetworkKind::Lr2,
+        ];
+        for kind in kinds {
+            for subscriptions in [true, false] {
+                let mut cfg = SystemConfig::paper_16(kind.clone());
+                cfg.opt_subscriptions = subscriptions;
+                let mut app = AppProfile::by_name("fmm").unwrap(); // locks and barriers
+                app.lock_interval = 30;
+                app.barrier_interval = 70;
+                app.ops_per_core = 150;
+                let mut sys = CmpSystem::new(cfg, app);
+                let mut retired_at = vec![None; 16];
+                while !sys.finished() {
+                    assert!(sys.now().as_u64() < 2_000_000, "did not drain");
+                    let cycle = sys.now().as_u64();
+                    sys.tick();
+                    for (core, at) in sys.cores.iter().zip(&mut retired_at) {
+                        if core.is_done() && at.is_none() {
+                            *at = Some(cycle);
+                        }
+                    }
+                }
+                let what = format!("{} subscriptions {subscriptions}", sys.net.name());
+                let mut total = 0;
+                for (core, at) in sys.cores.iter().zip(&retired_at) {
+                    let at = at.unwrap();
+                    let classified = core.stats.active_cycles + core.stats.stalled_cycles;
+                    assert_eq!(classified, at, "{what}: core {}", core.id);
+                    assert!(
+                        core.stats.stalled_cycles > 0,
+                        "{what}: core {} waited",
+                        core.id
+                    );
+                    total += at;
+                }
+                let report = sys.report();
+                assert_eq!(
+                    report.active_cycles + report.stalled_cycles,
+                    total,
+                    "{what}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1301,6 +1784,26 @@ mod tests {
             } else {
                 assert_eq!(r.subscription_packets_saved, 0);
             }
+        }
+    }
+
+    #[test]
+    fn a_stream_ending_inside_a_critical_section_frees_its_lock() {
+        // With a lock every 10 operations some of the 16 streams run out
+        // between an acquire and its release; the retired holder used to
+        // keep the lock, and the run never drained (seed 0, either way).
+        for subs in [false, true] {
+            let cfg = SystemConfig::paper_16(NetworkKind::fsoi(16))
+                .with_optimizations(subs)
+                .with_seed(0);
+            let mut app = AppProfile::by_name("ba").unwrap();
+            app.lock_interval = 10;
+            app.ops_per_core = 51;
+            let mut sys = CmpSystem::new(cfg, app);
+            sys.run(1_000_000);
+            let unfinished = sys.cores.iter().filter(|c| !c.workload.is_done());
+            assert!(unfinished.count() > 0, "a stream ended inside a section");
+            assert!(sys.locks.iter().all(|l| l.holder().is_none()), "{subs}");
         }
     }
 

@@ -70,7 +70,110 @@ pub struct AppProfile {
     pub ops_per_core: u64,
 }
 
+/// Why an [`AppProfile`] was rejected by [`AppProfile::validate`].
+///
+/// The fields are public, so a literal can hold anything; these are the
+/// values that used to surface as an assert or a `% 0` in the middle of a
+/// run (or, for an oversized fraction, not at all) instead of at the door.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum AppProfileError {
+    /// `mean_gap` is negative or not finite.
+    MeanGap {
+        /// The requested mean gap.
+        mean_gap: f64,
+    },
+    /// A probability field is outside `[0, 1]` (or NaN).
+    Fraction {
+        /// The field's name.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
+    /// `stream_fraction + shared_hot_fraction + cold_fraction` exceeds 1:
+    /// the three pools and the private-hot remainder partition an access.
+    PoolFractions {
+        /// The sum of the three.
+        sum: f64,
+    },
+    /// A pool has no lines although accesses can be drawn from it.
+    EmptyPool {
+        /// The size field that is zero.
+        field: &'static str,
+    },
+}
+
+impl std::fmt::Display for AppProfileError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            AppProfileError::MeanGap { mean_gap } => {
+                write!(f, "mean gap {mean_gap} is not a finite number >= 0")
+            }
+            AppProfileError::Fraction { field, value } => {
+                write!(f, "{field} {value} is outside 0..=1")
+            }
+            AppProfileError::PoolFractions { sum } => write!(
+                f,
+                "stream + shared-hot + cold fractions sum to {sum}: must leave 0..=1 for private-hot"
+            ),
+            AppProfileError::EmptyPool { field } => {
+                write!(f, "{field} is 0 but accesses draw from that pool")
+            }
+        }
+    }
+}
+
+impl std::error::Error for AppProfileError {}
+
 impl AppProfile {
+    /// Checks the values the reference stream relies on.
+    /// [`CmpSystem::new`](crate::system::CmpSystem::new) panics on a
+    /// profile that fails this.
+    pub fn validate(&self) -> Result<(), AppProfileError> {
+        if !(self.mean_gap.is_finite() && self.mean_gap >= 0.0) {
+            return Err(AppProfileError::MeanGap {
+                mean_gap: self.mean_gap,
+            });
+        }
+        for (field, value) in [
+            ("read_fraction", self.read_fraction),
+            ("stream_fraction", self.stream_fraction),
+            ("shared_hot_fraction", self.shared_hot_fraction),
+            ("cold_fraction", self.cold_fraction),
+        ] {
+            if !(0.0..=1.0).contains(&value) {
+                return Err(AppProfileError::Fraction { field, value });
+            }
+        }
+        let sum = self.stream_fraction + self.shared_hot_fraction + self.cold_fraction;
+        if sum > 1.0 {
+            return Err(AppProfileError::PoolFractions { sum });
+        }
+        // Critical sections draw from the shared-hot lines too.
+        let critical_sections = self.locks > 0 && self.lock_interval > 0;
+        for (field, lines, drawn_from) in [
+            (
+                "stream_lines",
+                self.stream_lines,
+                self.stream_fraction > 0.0,
+            ),
+            (
+                "shared_hot_lines",
+                self.shared_hot_lines,
+                self.shared_hot_fraction > 0.0 || critical_sections,
+            ),
+            (
+                "shared_cold_lines",
+                self.shared_cold_lines,
+                self.cold_fraction > 0.0,
+            ),
+        ] {
+            if lines == 0 && drawn_from {
+                return Err(AppProfileError::EmptyPool { field });
+            }
+        }
+        Ok(())
+    }
+
     /// The sixteen applications of the paper's Figures 6–10, in plot
     /// order: ba ch fmm fft lu oc ro rx ray ws em ilink ja mp sh tsp.
     pub fn suite() -> Vec<AppProfile> {
@@ -295,6 +398,11 @@ impl CoreWorkload {
         self.issued
     }
 
+    /// The lock whose critical section the stream is inside, if any.
+    pub fn held_lock(&self) -> Option<usize> {
+        self.held_lock
+    }
+
     /// True once the stream is exhausted.
     pub fn is_done(&self) -> bool {
         self.issued >= self.profile.ops_per_core && self.held_lock.is_none()
@@ -429,6 +537,136 @@ mod tests {
                 assert!(p.locks > 0, "{} locks without variables", p.name);
             }
         }
+    }
+
+    #[test]
+    fn suite_profiles_validate_at_every_weak_scaling() {
+        for p in AppProfile::suite() {
+            for nodes in [16u64, 64, 256] {
+                // `CmpSystem::new`'s weak scaling of the cold footprint.
+                let mut scaled = p;
+                scaled.shared_cold_lines *= nodes / 16;
+                assert_eq!(scaled.validate(), Ok(()), "{} at {nodes} nodes", p.name);
+            }
+        }
+    }
+
+    fn rejected(tweak: impl Fn(&mut AppProfile)) -> AppProfileError {
+        let mut p = AppProfile::by_name("tsp").unwrap();
+        tweak(&mut p);
+        let err = p.validate().unwrap_err();
+        assert!(!err.to_string().is_empty());
+        err
+    }
+
+    #[test]
+    fn validate_rejects_a_negative_mean_gap() {
+        // Used to die in `Xoshiro256StarStar::geometric` at the first gap.
+        let err = rejected(|p| p.mean_gap = -2.0);
+        assert_eq!(err, AppProfileError::MeanGap { mean_gap: -2.0 });
+        assert!(err.to_string().contains("-2"));
+        let mut back_to_back = AppProfile::by_name("tsp").unwrap();
+        back_to_back.mean_gap = 0.0;
+        assert_eq!(back_to_back.validate(), Ok(()), "0 is the boundary");
+    }
+
+    #[test]
+    fn validate_rejects_a_non_finite_mean_gap() {
+        for gap in [f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                rejected(|p| p.mean_gap = gap),
+                AppProfileError::MeanGap { .. }
+            ));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_fractions_outside_the_unit_interval() {
+        // `stream_fraction = 7.0` used to be silently accepted.
+        let err = rejected(|p| p.stream_fraction = 7.0);
+        let field = "stream_fraction";
+        assert_eq!(err, AppProfileError::Fraction { field, value: 7.0 });
+        assert!(err.to_string().contains("stream_fraction 7"));
+        for (field, set) in [
+            (
+                "read_fraction",
+                (|p, v| p.read_fraction = v) as fn(&mut AppProfile, f64),
+            ),
+            ("stream_fraction", |p, v| p.stream_fraction = v),
+            ("shared_hot_fraction", |p, v| p.shared_hot_fraction = v),
+            ("cold_fraction", |p, v| p.cold_fraction = v),
+        ] {
+            for bad in [-0.1, 1.5, f64::NAN] {
+                match rejected(|p| set(p, bad)) {
+                    AppProfileError::Fraction { field: f, .. } => assert_eq!(f, field),
+                    other => panic!("{field} = {bad}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_pool_fractions_that_sum_past_one() {
+        let err = rejected(|p| {
+            p.stream_fraction = 0.5;
+            p.shared_hot_fraction = 0.4;
+            p.cold_fraction = 0.3;
+        });
+        assert!(matches!(err, AppProfileError::PoolFractions { sum } if sum > 1.0));
+        assert!(err.to_string().contains("private-hot"));
+        let mut full = AppProfile::by_name("tsp").unwrap();
+        (
+            full.stream_fraction,
+            full.shared_hot_fraction,
+            full.cold_fraction,
+        ) = (0.5, 0.25, 0.25);
+        assert_eq!(
+            full.validate(),
+            Ok(()),
+            "exactly 1 leaves private-hot empty"
+        );
+    }
+
+    #[test]
+    fn validate_rejects_an_empty_stream_pool_that_is_drawn_from() {
+        // Used to be a remainder by zero in `pick_address`.
+        let field = "stream_lines";
+        let err = rejected(|p| p.stream_lines = 0);
+        assert_eq!(err, AppProfileError::EmptyPool { field });
+        assert!(err.to_string().contains(field));
+        let mut unused = AppProfile::by_name("tsp").unwrap();
+        (unused.stream_lines, unused.stream_fraction) = (0, 0.0);
+        assert_eq!(unused.validate(), Ok(()), "nothing draws from it");
+    }
+
+    #[test]
+    fn validate_rejects_an_empty_shared_hot_pool_that_is_drawn_from() {
+        // Used to die in `Xoshiro256StarStar::next_below(0)`.
+        let field = "shared_hot_lines";
+        assert_eq!(
+            rejected(|p| p.shared_hot_lines = 0),
+            AppProfileError::EmptyPool { field }
+        );
+        // Critical sections draw from it even at fraction 0 …
+        let via_locks = rejected(|p| (p.shared_hot_lines, p.shared_hot_fraction) = (0, 0.0));
+        assert_eq!(via_locks, AppProfileError::EmptyPool { field });
+        // … so only a lock-free profile may leave it empty.
+        let mut unused = AppProfile::by_name("tsp").unwrap();
+        (unused.shared_hot_lines, unused.shared_hot_fraction) = (0, 0.0);
+        unused.lock_interval = 0;
+        assert_eq!(unused.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_an_empty_cold_pool_that_is_drawn_from() {
+        let field = "shared_cold_lines";
+        assert_eq!(
+            rejected(|p| p.shared_cold_lines = 0),
+            AppProfileError::EmptyPool { field }
+        );
+        let mut unused = AppProfile::by_name("tsp").unwrap();
+        (unused.shared_cold_lines, unused.cold_fraction) = (0, 0.0);
+        assert_eq!(unused.validate(), Ok(()));
     }
 
     #[test]

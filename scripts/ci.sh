@@ -15,10 +15,12 @@
 #   scripts/ci.sh --tier scale    # beyond-the-paper grids: 64-node four-network
 #                                 # smoke grid + a single 256-node cell, with
 #                                 # shape-class and byte-identity assertions,
-#                                 # then two unoptimized tests: a 256-node cell with
-#                                 # the directory's eviction cross-check live, and
-#                                 # the FSOI kernel against its full-scan reference
-#                                 # with the sender-mask cross-check live
+#                                 # then three unoptimized tests: a 256-node cell with
+#                                 # the directory's eviction cross-check live, the
+#                                 # FSOI kernel against its full-scan reference with
+#                                 # the sender-mask cross-check live, and the CMP
+#                                 # kernel against its full-scan reference with the
+#                                 # wake-wheel cross-check live
 #   scripts/ci.sh --tier tsan     # ThreadSanitizer pass over fsoi-sim (needs nightly;
 #                                 # optional — skipped with a notice when unavailable)
 set -eu
@@ -104,6 +106,11 @@ tier_scale() {
     # A thousand random shapes up to 256 nodes put four-word masks, the
     # phase-array path and that cross-check together, against ScanFsoi.
     FSOI_CHECK_CASES=1000 cargo test -q --offline -p fsoi-net event_driven_equals_full_scan
+    # And for the CMP kernel: the per-tick rebuild of the wake wheel from
+    # the cores (`check_kernel`) is debug-only too. Three hundred random
+    # cells — all seven networks, a handful at 256 nodes — hold `run()` to
+    # the all-cores full-scan drive.
+    FSOI_CHECK_CASES=300 cargo test -q --offline -p fsoi-cmp wake_driven_equals_full_scan
 }
 
 tier_tsan() {
