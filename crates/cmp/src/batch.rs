@@ -65,10 +65,11 @@ impl BatchCell {
 /// Two things keep a cell from paying for what another already did:
 ///
 /// * cells that differ **only by seed** share one unrun template
-///   [`CmpSystem`] — the preloaded distributed-L2 directories, L1 arrays
+///   [`CmpSystem`] — the warmed distributed-L2 directories, L1 arrays
 ///   and memory map are built once — which is then
 ///   [forked](CmpSystem::fork) per cell inside the sweep (forking an unrun
-///   template reproduces cold construction exactly). Groups with a single
+///   template reproduces cold construction exactly; since the bulk L2
+///   warm-up it costs about what a cold build does). Groups with a single
 ///   member skip the template and build cold, so sweeps with no seed
 ///   variants pay only the (cheap) grouping pass;
 /// * the content-addressed cell cache, when the `FSOI_CACHE` knob enables

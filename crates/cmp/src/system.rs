@@ -243,29 +243,29 @@ pub struct CmpSystem {
 }
 
 impl CmpSystem {
-    /// Builds the system for one application.
+    /// Builds the system for one application, weak-scaled to the node
+    /// count (the cold shared footprint grows by `nodes / 16` past 16
+    /// nodes), with every L2 slice warmed from the profile's address map
+    /// ([`Directory::warmed`]): the paper measures steady-state windows
+    /// (e.g. "between a fixed number of barrier instances"), so the shared
+    /// data is L2-resident when timing starts.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` fails [`SystemConfig::validate`] or `app` fails
-    /// [`AppProfile::validate`].
+    /// [`AppProfile::validate`] for `cfg`'s node count and line size.
     pub fn new(cfg: SystemConfig, app: AppProfile) -> Self {
         #[expect(
             clippy::expect_used,
             reason = "P1: a rejected configuration or profile is the caller's bug; fail before building anything"
         )]
-        {
+        let app = {
             cfg.validate().expect("invalid SystemConfig");
-            app.validate().expect("invalid AppProfile");
-        }
-        let mut app = app;
-        let n = cfg.nodes;
-        // Weak scaling: larger machines run proportionally larger shared
-        // problems (keeping per-core work fixed), so the cold footprint
-        // grows with the node count beyond the 16-node baseline.
-        if n > 16 {
-            app.shared_cold_lines *= (n / 16) as u64;
-        }
+            app.validate(cfg.nodes, cfg.line_bytes)
+                .and_then(|()| app.weak_scaled(cfg.nodes))
+                .expect("invalid AppProfile")
+        };
+        let (n, line_bytes) = (cfg.nodes, cfg.line_bytes);
         let mem = if n == 16 {
             MemorySystem::paper_16(cfg.mem_gb_per_s)
         } else if n == 64 {
@@ -280,22 +280,18 @@ impl CmpSystem {
                 l1
             })
             .collect();
-        let mut dirs: Vec<Directory> = (0..n)
-            .map(|i| {
-                let mem_node = mem.controller_node(i);
-                Directory::new(i, mem_node, cfg.l2_lines)
-            })
-            .collect();
-        // Warm the distributed L2: the paper measures steady-state windows
-        // (e.g. "between a fixed number of barrier instances"), so the
-        // shared data is L2-resident when timing starts.
-        {
+        let dirs = {
             let _warm = telemetry::span(Phase::Warmup);
-            for line in app.all_region_lines(n, cfg.line_bytes) {
-                let home = ((line.0 / cfg.line_bytes) % n as u64) as usize;
-                dirs[home].preload(line);
-            }
-        }
+            // Each slice takes its share of every region, in map order —
+            // the order a line-by-line walk of the map would reach it.
+            let runs = app.region_runs(n, line_bytes);
+            (0..n)
+                .map(|i| {
+                    let homed = runs.iter().map(|run| run.homed_at(i, line_bytes, n));
+                    Directory::warmed(i, mem.controller_node(i), cfg.l2_lines, homed)
+                })
+                .collect()
+        };
         CmpSystem::assemble(cfg, app, l1s, dirs, mem)
     }
 
@@ -358,14 +354,15 @@ impl CmpSystem {
     /// `CmpSystem::new(cfg.with_seed(seed), app)` for the pre-scaling
     /// `app` the template was built from.
     ///
-    /// The expensive seed-independent construction work — the preloaded
-    /// distributed-L2 directories, the L1 arrays, the memory system — is
-    /// deep-cloned from the template; everything else is initialised by the
-    /// same function a cold build ends in, from `seed`. Construction is
-    /// deterministic and none of the cloned state reads `cfg.seed`, so a
-    /// fork is byte-identical to a cold construction with the same seed —
-    /// an invariant pinned by the `par_merge` byte-identity properties in
-    /// `fsoi-bench`.
+    /// The seed-independent construction work — the warmed distributed-L2
+    /// directories, the L1 arrays, the memory system — is deep-cloned from
+    /// the template; everything else is initialised by the same function a
+    /// cold build ends in, from `seed`. Construction is deterministic and
+    /// none of the cloned state reads `cfg.seed`, so a fork is
+    /// byte-identical to a cold construction with the same seed — an
+    /// invariant pinned by the `par_merge` byte-identity properties in
+    /// `fsoi-bench`. Since [`new`](Self::new) warms the L2 in bulk, the
+    /// deep clone costs about what a cold build does (ROADMAP item 5).
     ///
     /// Note `self.app` already carries the weak-scaling adjustment from
     /// [`CmpSystem::new`], so the fork must not (and does not) rescale
@@ -870,7 +867,7 @@ impl CmpSystem {
     }
 
     fn home_of(&self, line: LineAddr) -> usize {
-        ((line.0 / self.cfg.line_bytes) % self.cfg.nodes as u64) as usize
+        line.home(self.cfg.line_bytes, self.cfg.nodes)
     }
 
     // ----- core driving ------------------------------------------------

@@ -23,14 +23,19 @@
 //! confirmations are all exercised for real — only the instruction stream
 //! generating the misses is synthetic (DESIGN.md, substitution 1).
 
-use fsoi_coherence::protocol::LineAddr;
+use fsoi_coherence::protocol::{LineAddr, LineRun};
 use fsoi_sim::rng::Xoshiro256StarStar;
 
 /// Base of the globally shared region (per-core private regions sit at
-/// `core_id << 32`).
+/// `core_id << 32`, each in a window of `PRIVATE_WINDOW` bytes).
 const SHARED_BASE: u64 = 1 << 48;
+/// Bytes of address space each core's private regions must fit in.
+const PRIVATE_WINDOW: u64 = 1 << 32;
 /// Base of the synchronization variables (locks, barrier words).
 const SYNC_BASE: u64 = 1 << 52;
+/// Line index of the barrier counter past `SYNC_BASE` (the sense word is
+/// the next line); the locks take the lines below it.
+const BARRIER_WORD: u64 = 1 << 20;
 /// Words per cache line for the streaming walks (32 B / 4 B).
 const WORDS_PER_LINE: u64 = 8;
 /// Private-hot working-set size in lines (fits the 256-line L1).
@@ -100,6 +105,25 @@ pub enum AppProfileError {
         /// The size field that is zero.
         field: &'static str,
     },
+    /// More than 2²⁰ locks: lock 2²⁰ would be the barrier counter word.
+    TooManyLocks {
+        /// The requested lock count.
+        locks: usize,
+    },
+    /// A core's private-hot and stream regions run past its 2³²-byte
+    /// window into the next core's.
+    PrivateWindow {
+        /// The requested stream region size.
+        stream_lines: u64,
+        /// The line size it was laid out with.
+        line_bytes: u64,
+    },
+    /// The shared-hot and shared-cold pools, weak-scaled to `nodes`, reach
+    /// the synchronization words (or their size overflows).
+    SharedPools {
+        /// The node count the cold pool was scaled to.
+        nodes: usize,
+    },
 }
 
 impl std::fmt::Display for AppProfileError {
@@ -118,6 +142,22 @@ impl std::fmt::Display for AppProfileError {
             AppProfileError::EmptyPool { field } => {
                 write!(f, "{field} is 0 but accesses draw from that pool")
             }
+            AppProfileError::TooManyLocks { locks } => write!(
+                f,
+                "{locks} locks: at most {BARRIER_WORD}, or a lock is the barrier word"
+            ),
+            AppProfileError::PrivateWindow {
+                stream_lines,
+                line_bytes,
+            } => write!(
+                f,
+                "{stream_lines} stream lines of {line_bytes} B overrun a core's \
+                 {PRIVATE_WINDOW}-byte private window"
+            ),
+            AppProfileError::SharedPools { nodes } => write!(
+                f,
+                "the shared pools, weak-scaled to {nodes} nodes, reach the synchronization words"
+            ),
         }
     }
 }
@@ -125,10 +165,12 @@ impl std::fmt::Display for AppProfileError {
 impl std::error::Error for AppProfileError {}
 
 impl AppProfile {
-    /// Checks the values the reference stream relies on.
-    /// [`CmpSystem::new`](crate::system::CmpSystem::new) panics on a
-    /// profile that fails this.
-    pub fn validate(&self) -> Result<(), AppProfileError> {
+    /// Checks the values the reference stream relies on, on a `nodes`-core
+    /// machine with `line_bytes`-byte lines — the address map included:
+    /// weak-scaled to `nodes`, its regions must be disjoint (the bulk L2
+    /// warm-up relies on it). [`CmpSystem::new`](crate::system::CmpSystem::new)
+    /// panics on a profile that fails this.
+    pub fn validate(&self, nodes: usize, line_bytes: u64) -> Result<(), AppProfileError> {
         if !(self.mean_gap.is_finite() && self.mean_gap >= 0.0) {
             return Err(AppProfileError::MeanGap {
                 mean_gap: self.mean_gap,
@@ -171,7 +213,42 @@ impl AppProfile {
                 return Err(AppProfileError::EmptyPool { field });
             }
         }
+        if self.locks as u64 > BARRIER_WORD {
+            return Err(AppProfileError::TooManyLocks { locks: self.locks });
+        }
+        // A region's end, in bytes past its base.
+        let span = |lines: &[u64]| {
+            let lines = lines.iter().try_fold(0u64, |sum, &l| sum.checked_add(l));
+            lines.and_then(|l| l.checked_mul(line_bytes))
+        };
+        // The hot region alone is 104 lines, so this also bounds the line
+        // size far below where the sync words would pass 2⁶⁴.
+        if span(&[PRIVATE_HOT_LINES + 8, self.stream_lines]).is_none_or(|s| s > PRIVATE_WINDOW) {
+            return Err(AppProfileError::PrivateWindow {
+                stream_lines: self.stream_lines,
+                line_bytes,
+            });
+        }
+        let scaled = self.weak_scaled(nodes)?;
+        let shared = span(&[scaled.shared_hot_lines, 8, scaled.shared_cold_lines]);
+        if shared.is_none_or(|s| s > SYNC_BASE - SHARED_BASE) {
+            return Err(AppProfileError::SharedPools { nodes });
+        }
         Ok(())
+    }
+
+    /// The profile a `nodes`-core machine runs. Weak scaling: larger
+    /// machines run proportionally larger shared problems (per-core work
+    /// fixed), so the cold footprint grows with the node count beyond the
+    /// 16-node baseline.
+    pub(crate) fn weak_scaled(mut self, nodes: usize) -> Result<AppProfile, AppProfileError> {
+        if nodes > 16 {
+            self.shared_cold_lines = self
+                .shared_cold_lines
+                .checked_mul((nodes / 16) as u64)
+                .ok_or(AppProfileError::SharedPools { nodes })?;
+        }
+        Ok(self)
     }
 
     /// The sixteen applications of the paper's Figures 6–10, in plot
@@ -290,10 +367,35 @@ impl AppProfile {
         self.stream_fraction / WORDS_PER_LINE as f64 + self.cold_fraction
     }
 
-    /// Every line the application can touch, for cache warmup: sync words
-    /// and shared pools first (they matter most under L2 capacity), then
-    /// per-core private pools.
-    pub fn all_region_lines(&self, nodes: usize, line_bytes: u64) -> Vec<LineAddr> {
+    /// The application's address map, for cache warm-up: every line it can
+    /// touch as ordered runs of consecutive lines — the locks, the two
+    /// barrier words and the shared-hot and shared-cold pools first (they
+    /// matter most under L2 capacity), then per core its private-hot and
+    /// stream regions. [`validate`](Self::validate) proves them disjoint.
+    pub(crate) fn region_runs(&self, nodes: usize, line_bytes: u64) -> Vec<LineRun> {
+        let run = |first, count| LineRun::contiguous(LineAddr(first), count, line_bytes);
+        let mut runs = vec![
+            run(Self::lock_line(0, line_bytes).0, self.locks as u64),
+            run(Self::barrier_line(line_bytes).0, 2), // counter, sense
+            run(SHARED_BASE, self.shared_hot_lines),
+            run(self.cold_base(line_bytes), self.shared_cold_lines),
+        ];
+        for core in 0..nodes {
+            runs.push(run(private_base(core), PRIVATE_HOT_LINES));
+            runs.push(run(stream_base(core, line_bytes), self.stream_lines));
+        }
+        runs
+    }
+
+    /// Base of the shared-cold pool (eight lines past the shared-hot one).
+    fn cold_base(&self, line_bytes: u64) -> u64 {
+        SHARED_BASE + (self.shared_hot_lines + 8) * line_bytes
+    }
+
+    /// Every line of `region_runs`, one by one: the slow reference the
+    /// run split is tested against.
+    #[cfg(test)]
+    fn all_region_lines(&self, nodes: usize, line_bytes: u64) -> Vec<LineAddr> {
         let mut lines = Vec::new();
         for i in 0..self.locks {
             lines.push(Self::lock_line(i, line_bytes));
@@ -327,13 +429,23 @@ impl AppProfile {
 
     /// The barrier counter line.
     pub fn barrier_line(line_bytes: u64) -> LineAddr {
-        LineAddr(SYNC_BASE + (1 << 20) * line_bytes)
+        LineAddr(SYNC_BASE + BARRIER_WORD * line_bytes)
     }
 
     /// The barrier sense (release flag) line spinners watch.
     pub fn barrier_sense_line(line_bytes: u64) -> LineAddr {
-        LineAddr(SYNC_BASE + ((1 << 20) + 1) * line_bytes)
+        LineAddr(SYNC_BASE + (BARRIER_WORD + 1) * line_bytes)
     }
+}
+
+/// Base of core `core`'s private window (its private-hot pool).
+fn private_base(core: usize) -> u64 {
+    core as u64 * PRIVATE_WINDOW
+}
+
+/// Base of core `core`'s stream region (eight lines past private-hot).
+fn stream_base(core: usize, line_bytes: u64) -> u64 {
+    private_base(core) + (PRIVATE_HOT_LINES + 8) * line_bytes
 }
 
 /// One step of a core's instruction stream.
@@ -408,10 +520,6 @@ impl CoreWorkload {
         self.issued >= self.profile.ops_per_core && self.held_lock.is_none()
     }
 
-    fn private_base(&self) -> u64 {
-        (self.core as u64) << 32
-    }
-
     fn pick_address(&mut self) -> LineAddr {
         let p = self.profile;
         let u = self.rng.next_f64();
@@ -421,16 +529,16 @@ impl CoreWorkload {
             // Word-granularity sequential walk: one miss per line of reuse.
             self.stream_word += 1;
             line_idx = (self.stream_word / WORDS_PER_LINE) % p.stream_lines;
-            base = self.private_base() + (PRIVATE_HOT_LINES + 8) * self.line_bytes;
+            base = stream_base(self.core, self.line_bytes);
         } else if u < p.stream_fraction + p.shared_hot_fraction {
             line_idx = self.rng.next_below(p.shared_hot_lines);
             base = SHARED_BASE;
         } else if u < p.stream_fraction + p.shared_hot_fraction + p.cold_fraction {
             line_idx = self.rng.next_below(p.shared_cold_lines);
-            base = SHARED_BASE + (p.shared_hot_lines + 8) * self.line_bytes;
+            base = p.cold_base(self.line_bytes);
         } else {
             line_idx = self.rng.next_below(PRIVATE_HOT_LINES);
-            base = self.private_base();
+            base = private_base(self.core);
         }
         LineAddr(base + line_idx * self.line_bytes)
     }
@@ -542,19 +650,133 @@ mod tests {
     #[test]
     fn suite_profiles_validate_at_every_weak_scaling() {
         for p in AppProfile::suite() {
-            for nodes in [16u64, 64, 256] {
-                // `CmpSystem::new`'s weak scaling of the cold footprint.
-                let mut scaled = p;
-                scaled.shared_cold_lines *= nodes / 16;
-                assert_eq!(scaled.validate(), Ok(()), "{} at {nodes} nodes", p.name);
+            for nodes in [1, 16, 64, 256] {
+                assert_eq!(p.validate(nodes, 32), Ok(()), "{} at {nodes} nodes", p.name);
+                let scaled = p.weak_scaled(nodes).unwrap();
+                let factor = (nodes as u64 / 16).max(1);
+                assert_eq!(scaled.shared_cold_lines, p.shared_cold_lines * factor);
             }
         }
+    }
+
+    #[test]
+    fn validate_rejects_a_lock_on_the_barrier_word() {
+        // Lock 2^20 used to be the barrier counter word.
+        let locks = BARRIER_WORD as usize + 1;
+        let err = rejected(|p| p.locks = locks);
+        assert_eq!(err, AppProfileError::TooManyLocks { locks });
+        let mut most = AppProfile::by_name("tsp").unwrap();
+        most.locks = BARRIER_WORD as usize;
+        assert_eq!(most.validate(16, 32), Ok(()), "locks 0..2^20 fit below it");
+        let last = AppProfile::lock_line(most.locks - 1, 32);
+        assert!(last < AppProfile::barrier_line(32));
+    }
+
+    #[test]
+    fn validate_rejects_a_stream_past_the_private_window() {
+        // 104 private-hot lines + the stream fill a 2^32-byte window
+        // exactly; one line more ran into the next core's private-hot pool.
+        let fits = PRIVATE_WINDOW / 32 - (PRIVATE_HOT_LINES + 8);
+        let mut edge = AppProfile::by_name("tsp").unwrap();
+        edge.stream_lines = fits;
+        assert_eq!(edge.validate(16, 32), Ok(()));
+        let err = rejected(|p| p.stream_lines = fits + 1);
+        let (stream_lines, line_bytes) = (fits + 1, 32);
+        assert_eq!(
+            err,
+            AppProfileError::PrivateWindow {
+                stream_lines,
+                line_bytes
+            }
+        );
+        assert!(err.to_string().contains("private window"));
+        // The same stream in wider lines, and a line size that overflows.
+        let wide = AppProfileError::PrivateWindow {
+            stream_lines: fits,
+            line_bytes: 64,
+        };
+        assert_eq!(edge.validate(16, 64), Err(wide));
+        assert!(edge.validate(16, 1 << 63).is_err());
+    }
+
+    #[test]
+    fn validate_rejects_shared_pools_that_reach_the_sync_words() {
+        // Shared-hot + 8 + cold lines fill SYNC_BASE - SHARED_BASE exactly.
+        let mut edge = AppProfile::by_name("tsp").unwrap();
+        let room = (SYNC_BASE - SHARED_BASE) / 32;
+        edge.shared_cold_lines = room - edge.shared_hot_lines - 8;
+        assert_eq!(edge.validate(16, 32), Ok(()));
+        edge.shared_cold_lines += 1;
+        assert_eq!(
+            edge.validate(16, 32),
+            Err(AppProfileError::SharedPools { nodes: 16 })
+        );
+        // Weak scaling is what pushes a 16-node-sized pool over.
+        let mut grows = AppProfile::by_name("tsp").unwrap();
+        grows.shared_cold_lines = room / 2;
+        assert_eq!(grows.validate(16, 32), Ok(()));
+        let err = AppProfileError::SharedPools { nodes: 64 };
+        assert_eq!(grows.validate(64, 32), Err(err));
+        assert!(err.to_string().contains("64 nodes"));
+        // And the scaling itself overflows instead of wrapping.
+        grows.shared_cold_lines = u64::MAX / 2;
+        assert_eq!(grows.weak_scaled(64), Err(err));
+        assert_eq!(grows.validate(64, 32), Err(err));
+        assert_eq!(
+            grows.weak_scaled(16).map(|p| p.shared_cold_lines),
+            Ok(u64::MAX / 2)
+        );
+    }
+
+    #[test]
+    fn region_runs_split_by_home_equals_filtered_lines() {
+        use fsoi_check::{select, Checker};
+        use fsoi_coherence::directory::Directory;
+        use fsoi_coherence::protocol::DirState;
+        // (nodes, locks, shared-hot), (shared-cold, stream, line size), L2.
+        let gen = (
+            (1usize..257, 0usize..40, 1u64..600),
+            (1u64..3000, 1u64..1500, select(&[16u64, 32, 64])),
+            select(&[4usize, 37, 2048]),
+        );
+        let check = "region_runs_split_by_home_equals_filtered_lines";
+        Checker::new().check(check, gen, |&((n, locks, hot), (cold, stream, lb), l2)| {
+            let mut app = AppProfile::by_name("mp").unwrap();
+            app.locks = locks;
+            app.shared_hot_lines = hot;
+            app.shared_cold_lines = cold;
+            app.stream_lines = stream;
+            assert_eq!(app.validate(n, lb), Ok(()));
+            let app = app.weak_scaled(n).unwrap();
+            // The reference: every line, dealt to its home in call order.
+            let mut homed = vec![Vec::new(); n];
+            for line in app.all_region_lines(n, lb) {
+                homed[line.home(lb, n)].push(line);
+            }
+            let runs = app.region_runs(n, lb);
+            for (home, expect) in homed.iter().enumerate() {
+                let split = runs.iter().map(|r| r.homed_at(home, lb, n));
+                let lines: Vec<LineAddr> = split.clone().flat_map(|r| r.lines()).collect();
+                assert_eq!(&lines, expect, "home {home} of {n}");
+                // The warm image built from them (`check_victim` ends it
+                // in a debug build) keeps the first `l2_lines`.
+                let dir = Directory::warmed(home, 0, l2, split);
+                let kept = expect.len().min(l2);
+                assert_eq!(dir.tracked(), kept, "home {home} of {n}");
+                assert!(expect[..kept]
+                    .iter()
+                    .all(|&l| dir.state_of(l) == DirState::DV));
+                assert!(expect[kept..]
+                    .iter()
+                    .all(|&l| dir.state_of(l) == DirState::DI));
+            }
+        });
     }
 
     fn rejected(tweak: impl Fn(&mut AppProfile)) -> AppProfileError {
         let mut p = AppProfile::by_name("tsp").unwrap();
         tweak(&mut p);
-        let err = p.validate().unwrap_err();
+        let err = p.validate(16, 32).unwrap_err();
         assert!(!err.to_string().is_empty());
         err
     }
@@ -567,7 +789,7 @@ mod tests {
         assert!(err.to_string().contains("-2"));
         let mut back_to_back = AppProfile::by_name("tsp").unwrap();
         back_to_back.mean_gap = 0.0;
-        assert_eq!(back_to_back.validate(), Ok(()), "0 is the boundary");
+        assert_eq!(back_to_back.validate(16, 32), Ok(()), "0 is the boundary");
     }
 
     #[test]
@@ -621,7 +843,7 @@ mod tests {
             full.cold_fraction,
         ) = (0.5, 0.25, 0.25);
         assert_eq!(
-            full.validate(),
+            full.validate(16, 32),
             Ok(()),
             "exactly 1 leaves private-hot empty"
         );
@@ -636,7 +858,7 @@ mod tests {
         assert!(err.to_string().contains(field));
         let mut unused = AppProfile::by_name("tsp").unwrap();
         (unused.stream_lines, unused.stream_fraction) = (0, 0.0);
-        assert_eq!(unused.validate(), Ok(()), "nothing draws from it");
+        assert_eq!(unused.validate(16, 32), Ok(()), "nothing draws from it");
     }
 
     #[test]
@@ -654,7 +876,7 @@ mod tests {
         let mut unused = AppProfile::by_name("tsp").unwrap();
         (unused.shared_hot_lines, unused.shared_hot_fraction) = (0, 0.0);
         unused.lock_interval = 0;
-        assert_eq!(unused.validate(), Ok(()));
+        assert_eq!(unused.validate(16, 32), Ok(()));
     }
 
     #[test]
@@ -666,7 +888,7 @@ mod tests {
         );
         let mut unused = AppProfile::by_name("tsp").unwrap();
         (unused.shared_cold_lines, unused.cold_fraction) = (0, 0.0);
-        assert_eq!(unused.validate(), Ok(()));
+        assert_eq!(unused.validate(16, 32), Ok(()));
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //! slot; a handled message looks the line up there once and every handler
 //! then works on the slot number.
 
-use crate::protocol::{CoherenceMsg, DirState, Grant, LineAddr, OutMsg, ProtocolError, ReqType};
+use crate::protocol::{
+    CoherenceMsg, DirState, Grant, LineAddr, LineRun, OutMsg, ProtocolError, ReqType,
+};
 use fsoi_sim::det::{DetMap, NodeMask, NodeMaskIter};
 use fsoi_sim::trace::{self, TraceEvent};
 use fsoi_sim::Cycle;
-use std::collections::btree_map::Entry;
 use std::collections::VecDeque;
 
 /// Directory statistics.
@@ -293,16 +294,82 @@ impl Directory {
         self.index.len()
     }
 
-    /// Functionally pre-loads a line as resident-valid (`DV`), as if it
-    /// had been fetched and written back before the measured window. Used
-    /// to warm the L2 before timing (the paper measures steady-state
-    /// windows, e.g. "between a fixed number of barrier instances").
+    /// The slice at `node` with its L2 warmed: the lines of `runs`, in
+    /// order, resident-valid (`DV`) up to `capacity_lines`, as if each had
+    /// been fetched and written back before the measured window (the paper
+    /// measures steady-state windows, e.g. "between a fixed number of
+    /// barrier instances").
+    ///
+    /// Built in bulk — one slab `extend`, one index build from the runs
+    /// sorted by base — and equal to [`new`](Self::new) followed by a
+    /// per-line `preload` of every line (the test-only reference): the
+    /// `i`-th line kept takes slot `i`, list position `i` and LRU stamp
+    /// `i + 1`, and the slice's tick ends at the number kept.
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new), and if two runs overlap or a run repeats a
+    /// line (zero stride): the bulk index needs disjoint ascending runs.
+    pub fn warmed(
+        node: usize,
+        mem_node: usize,
+        capacity_lines: usize,
+        runs: impl IntoIterator<Item = LineRun>,
+    ) -> Self {
+        let mut dir = Directory::new(node, mem_node, capacity_lines);
+        // Each run's kept prefix, with the slot of its first line.
+        let mut kept: Vec<(LineRun, u32)> = Vec::new();
+        let mut k = 0;
+        for run in runs {
+            if k == capacity_lines {
+                break;
+            }
+            let count = run.count.min((capacity_lines - k) as u64);
+            if count > 0 {
+                assert!(count == 1 || run.stride > 0, "warm-up run repeats a line");
+                kept.push((LineRun { count, ..run }, k as u32));
+                k += count as usize;
+            }
+        }
+        let lines = kept.iter().flat_map(|&(run, _)| run.lines());
+        dir.slab
+            .slots
+            .extend(lines.enumerate().map(|(i, line)| Slot {
+                line,
+                entry: DirEntry::new(DirState::DV, i as u64 + 1),
+                prev: if i == 0 { NIL } else { i as u32 - 1 },
+                next: if i + 1 == k { NIL } else { i as u32 + 1 },
+            }));
+        if k > 0 {
+            (dir.slab.head, dir.slab.tail) = (0, k as u32 - 1);
+        }
+        dir.tick = k as u64;
+        kept.sort_unstable_by_key(|&(run, _)| run.first);
+        for pair in kept.windows(2) {
+            assert!(
+                pair[0].0.last() < Some(pair[1].0.first),
+                "warm-up runs overlap"
+            );
+        }
+        // Ascending already: the map's bulk build finds one sorted run.
+        dir.index = kept
+            .iter()
+            .flat_map(|&(run, slot)| run.lines().zip(slot..))
+            .collect();
+        #[cfg(debug_assertions)]
+        dir.check_victim(dir.slab.victim());
+        dir
+    }
+
+    /// Functionally pre-loads a line as resident-valid (`DV`): the
+    /// per-line slow reference [`warmed`](Self::warmed) is tested equal to.
     /// No-op if the line is already tracked or the slice is full.
-    pub fn preload(&mut self, line: LineAddr) -> bool {
+    #[cfg(test)]
+    fn preload(&mut self, line: LineAddr) -> bool {
         if self.index.len() >= self.capacity_lines {
             return false;
         }
-        let Entry::Vacant(vacant) = self.index.entry(line) else {
+        let std::collections::btree_map::Entry::Vacant(vacant) = self.index.entry(line) else {
             return false;
         };
         self.tick += 1;
@@ -1551,5 +1618,113 @@ mod tests {
         assert_eq!(d.state_of(nth(0)), DirState::DMDID);
         assert_eq!((d.tracked(), d.stats().evictions), (6, 1));
         lru_order(&d);
+    }
+
+    // ----- the bulk warm-up and its per-line reference ------------------
+
+    /// `count` consecutive lines from `nth(i)`.
+    fn run_at(i: u64, count: u64) -> LineRun {
+        LineRun::contiguous(nth(i), count, 32)
+    }
+
+    /// The reference `warmed` replaced: `new`, then one `preload` per line.
+    fn per_line_warm(capacity_lines: usize, runs: &[LineRun]) -> Directory {
+        let mut d = Directory::new(0, 99, capacity_lines);
+        for line in runs.iter().flat_map(|r| r.lines()) {
+            d.preload(line);
+        }
+        d
+    }
+
+    /// What a warm-up sets.
+    #[derive(Debug, PartialEq)]
+    struct WarmImage {
+        index: Vec<(LineAddr, u32)>,
+        /// Each slot's line, state, stamp and links, in slab order.
+        slots: Vec<(LineAddr, DirState, u64, u32, u32)>,
+        /// The list's head and tail, and the free list's head.
+        ends: [u32; 3],
+        tick: u64,
+    }
+
+    fn warm_image(d: &Directory) -> WarmImage {
+        let slots = d.slab.slots.iter();
+        WarmImage {
+            index: d.index.iter().map(|(&line, &s)| (line, s)).collect(),
+            slots: slots
+                .map(|s| (s.line, s.entry.state, s.entry.lru, s.prev, s.next))
+                .collect(),
+            ends: [d.slab.head, d.slab.tail, d.slab.free],
+            tick: d.tick,
+        }
+    }
+
+    #[test]
+    fn warmed_keeps_call_order_and_stops_at_capacity() {
+        let d = Directory::warmed(0, 99, 5, [run_at(10, 3), run_at(0, 4), run_at(20, 2)]);
+        assert_eq!(lru_order(&d), [nth(10), nth(11), nth(12), nth(0), nth(1)]);
+        assert_eq!((d.tracked(), d.tick), (5, 5));
+        assert_eq!(d.state_of(nth(0)), DirState::DV);
+        assert_eq!(d.state_of(nth(2)), DirState::DI, "cut mid-run");
+        assert_eq!(d.state_of(nth(20)), DirState::DI, "never reached");
+        let empty = Directory::warmed(0, 99, 4, [run_at(0, 0)]);
+        assert_eq!(
+            format!("{empty:?}"),
+            format!("{:?}", Directory::new(0, 99, 4))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "warm-up runs overlap")]
+    fn warmed_rejects_overlapping_runs() {
+        Directory::warmed(0, 99, 64, [run_at(3, 4), run_at(0, 4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "repeats a line")]
+    fn warmed_rejects_a_zero_stride() {
+        let run = LineRun {
+            stride: 0,
+            ..run_at(0, 2)
+        };
+        Directory::warmed(0, 99, 64, [run]);
+    }
+
+    #[test]
+    fn warmed_equals_per_line_preload() {
+        use fsoi_check::{select, vec_of, Checker};
+        // Per run: the gap before it and its stride (in lines), its length
+        // (a quarter of the runs empty) and its place in the call order.
+        let run = (0u64..6, 1u64..5, 0u64..500, 0u64..1000);
+        let gen = (select(&[4usize, 5, 13, 64, 2048]), vec_of(run, 0..12));
+        Checker::new().check("warmed_equals_per_line_preload", gen, |(cap, shapes)| {
+            // Laid out disjoint and ascending, called in key order.
+            let mut next = 0u64;
+            let mut keyed: Vec<(u64, LineRun)> = shapes
+                .iter()
+                .map(|&(gap, stride, len, key)| {
+                    let count = len.saturating_sub(125);
+                    let first = nth(next + gap);
+                    next += gap + stride * count;
+                    (
+                        key,
+                        LineRun {
+                            first,
+                            stride: stride * 32,
+                            count,
+                        },
+                    )
+                })
+                .collect();
+            keyed.sort_by_key(|&(key, _)| key);
+            let runs: Vec<LineRun> = keyed.into_iter().map(|(_, run)| run).collect();
+            let bulk = Directory::warmed(0, 99, *cap, runs.iter().copied());
+            let slow = per_line_warm(*cap, &runs);
+            assert_eq!(warm_image(&bulk), warm_image(&slow));
+            let reserved = (bulk.slab.slots.capacity(), slow.slab.slots.capacity());
+            assert_eq!(reserved.0, reserved.1, "the slab is reserved once");
+            assert_eq!(format!("{bulk:?}"), format!("{slow:?}"));
+            lru_order(&bulk);
+        });
     }
 }

@@ -140,7 +140,7 @@ impl L1Controller {
 
     /// The home directory slice of a line (address-interleaved).
     pub fn home_of(&self, line: LineAddr) -> usize {
-        ((line.0 / self.array.line_bytes()) % self.home_nodes as u64) as usize
+        line.home(self.array.line_bytes(), self.home_nodes)
     }
 
     /// The current state of a line (I when untracked).

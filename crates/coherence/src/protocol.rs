@@ -21,6 +21,69 @@ impl LineAddr {
         );
         LineAddr(addr & !(line_bytes - 1))
     }
+
+    /// The directory slice that homes this line: `line_bytes`-byte lines
+    /// interleave over the `nodes` slices by line number. The one
+    /// address-to-home map of the system.
+    pub fn home(self, line_bytes: u64, nodes: usize) -> usize {
+        ((self.0 / line_bytes) % nodes as u64) as usize
+    }
+}
+
+/// `count` lines from `first`, `stride` bytes apart, ascending: how an
+/// address map describes a region without listing its lines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineRun {
+    /// The lowest line (meaningless when `count` is 0).
+    pub first: LineAddr,
+    /// Bytes from one line of the run to the next.
+    pub stride: u64,
+    /// Number of lines.
+    pub count: u64,
+}
+
+impl LineRun {
+    /// `count` consecutive `line_bytes`-byte lines from `first`.
+    pub fn contiguous(first: LineAddr, count: u64, line_bytes: u64) -> Self {
+        LineRun {
+            first,
+            stride: line_bytes,
+            count,
+        }
+    }
+
+    /// The lines, ascending.
+    pub fn lines(self) -> impl Iterator<Item = LineAddr> {
+        (0..self.count).map(move |i| LineAddr(self.first.0 + i * self.stride))
+    }
+
+    /// The highest line, `None` for an empty run.
+    pub fn last(self) -> Option<LineAddr> {
+        let i = self.count.checked_sub(1)?;
+        Some(LineAddr(self.first.0 + i * self.stride))
+    }
+
+    /// The lines of this contiguous run that slice `home` of `nodes` homes
+    /// ([`LineAddr::home`]), in run order: every `nodes`-th line, from the
+    /// first one homed there.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the run is contiguous (`stride == line_bytes`).
+    pub fn homed_at(self, home: usize, line_bytes: u64, nodes: usize) -> LineRun {
+        assert_eq!(
+            self.stride, line_bytes,
+            "only a contiguous run splits by home"
+        );
+        let n = nodes as u64;
+        // Consecutive lines have consecutive homes, mod `nodes`.
+        let skip = (home as u64 + n - self.first.home(line_bytes, nodes) as u64) % n;
+        LineRun {
+            first: LineAddr(self.first.0 + skip * line_bytes),
+            stride: n * line_bytes,
+            count: self.count.saturating_sub(skip).div_ceil(n),
+        }
+    }
 }
 
 /// L1 cache-controller states (Table 2, upper half). Transient states are
@@ -286,6 +349,22 @@ mod tests {
         assert_eq!(LineAddr::of(0x1220, 32), LineAddr(0x1220));
         assert_eq!(LineAddr::of(0x1f, 32), LineAddr(0));
         assert!(LineAddr(0x40).to_string().contains("0x40"));
+    }
+
+    #[test]
+    fn a_run_splits_by_home_in_run_order() {
+        // Lines 3..=12 over 4 homes: home h takes the lines ≡ h (mod 4).
+        let run = LineRun::contiguous(LineAddr(3 * 32), 10, 32);
+        let split = |h| run.homed_at(h, 32, 4).lines().map(|l| l.0 / 32);
+        assert_eq!(split(3).collect::<Vec<_>>(), [3, 7, 11]);
+        assert_eq!(split(0).collect::<Vec<_>>(), [4, 8, 12]);
+        assert_eq!(split(1).collect::<Vec<_>>(), [5, 9]);
+        assert_eq!(split(2).collect::<Vec<_>>(), [6, 10]);
+        assert_eq!(run.homed_at(2, 32, 4).last(), Some(LineAddr(10 * 32)));
+        // A run shorter than the interleave leaves some homes empty.
+        let short = LineRun::contiguous(LineAddr(0), 2, 32);
+        assert_eq!(short.homed_at(5, 32, 7).count, 0);
+        assert_eq!(short.homed_at(5, 32, 7).last(), None);
     }
 
     #[test]

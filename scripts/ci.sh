@@ -15,12 +15,15 @@
 #   scripts/ci.sh --tier scale    # beyond-the-paper grids: 64-node four-network
 #                                 # smoke grid + a single 256-node cell, with
 #                                 # shape-class and byte-identity assertions,
-#                                 # then three unoptimized tests: a 256-node cell with
+#                                 # then five unoptimized tests: a 256-node cell with
 #                                 # the directory's eviction cross-check live, the
 #                                 # FSOI kernel against its full-scan reference with
-#                                 # the sender-mask cross-check live, and the CMP
+#                                 # the sender-mask cross-check live, the CMP
 #                                 # kernel against its full-scan reference with the
-#                                 # wake-wheel cross-check live
+#                                 # wake-wheel cross-check live, and the bulk L2
+#                                 # warm-up against its per-line reference (slab
+#                                 # image, then the per-home split up to 256 nodes)
+#                                 # with the LRU-list cross-check live
 #   scripts/ci.sh --tier tsan     # ThreadSanitizer pass over fsoi-sim (needs nightly;
 #                                 # optional — skipped with a notice when unavailable)
 set -eu
@@ -111,6 +114,13 @@ tier_scale() {
     # cells — all seven networks, a handful at 256 nodes — hold `run()` to
     # the all-cores full-scan drive.
     FSOI_CHECK_CASES=300 cargo test -q --offline -p fsoi-cmp wake_driven_equals_full_scan
+    # And for the L2 warm image: a debug build ends every bulk-built slice
+    # with the LRU-list cross-check (`check_victim`). Three hundred shapes
+    # hold `Directory::warmed` to the per-line preload, and three hundred
+    # profiles at 1..=256 nodes hold the per-home run split to the
+    # home-filtered line list, building every slice on the way.
+    FSOI_CHECK_CASES=300 cargo test -q --offline -p fsoi-coherence warmed_equals_per_line_preload
+    FSOI_CHECK_CASES=300 cargo test -q --offline -p fsoi-cmp region_runs_split_by_home_equals_filtered_lines
 }
 
 tier_tsan() {

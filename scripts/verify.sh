@@ -26,6 +26,29 @@ gate "test" cargo test -q --offline --workspace
 # new violation crept in or an `#[expect]` went stale.
 gate "lint (clippy)" cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Lint *levels*: an `#[expect]` proves a clippy.toml entry exists, not that
+# its lint is switched on, so deleting a level would pass the gate above in
+# silence. Count them: rule P1's `#![warn(…)]` in each of the eight
+# simulation/harness libraries, and the four [workspace.lints.clippy] denies
+# (D1/D2/D3/T1 via the disallowed lists, A1 twice).
+lint_levels() {
+    p1='^#!\[warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)\] // rule P1$'
+    for lib in check cmp coherence core mesh optics ring sim; do
+        found=$(grep -c "$p1" "crates/$lib/src/lib.rs" || true)
+        [ "$found" = 1 ] || {
+            echo "crates/$lib/src/lib.rs: rule P1's #![warn(clippy::unwrap_used, …)] line is missing" >&2
+            return 1
+        }
+    done
+    denies=$(sed -n '/^\[workspace\.lints\.clippy\]$/,/^\[/p' Cargo.toml \
+        | grep -c -E '^(disallowed_types|disallowed_methods|allow_attributes|allow_attributes_without_reason) = "deny"$' || true)
+    [ "$denies" = 4 ] || {
+        echo "Cargo.toml [workspace.lints.clippy]: $denies of the 4 deny lines left" >&2
+        return 1
+    }
+}
+gate "lint levels (P1 warns, workspace denies)" lint_levels
+
 # Observability-plane determinism (DESIGN.md "Observability: two planes,
 # one store each"): the deterministic-plane export of `experiments profile` must
 # be byte-identical across thread counts — the wall-clock telemetry
