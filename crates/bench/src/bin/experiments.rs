@@ -1275,8 +1275,7 @@ fn host_cpus() -> usize {
 fn seed_stability(scale: u64) {
     header("seed stability: Figure 6 FSOI speedup geomean across seeds");
     let seeds = [2010u64, 7, 42, 1234, 99999];
-    // One sweep, so each (network, app) pair forks its seed variants from
-    // one template: per seed, the mesh then FSOI.
+    // One sweep of every seed's cells: per seed, the mesh then FSOI.
     let variants: Vec<SystemConfig> = seeds
         .iter()
         .flat_map(|&seed| {

@@ -6,9 +6,9 @@
 //! say), picks its applications and an operation count, and reads reports
 //! back by `(variant, app)`. The cells run through
 //! [`fsoi_cmp::batch::run_batch`] on the deterministic parallel executor
-//! (`fsoi_sim::par`), so every experiment gets template forking, the cell
-//! cache and telemetry spans, and its output is byte-identical to a
-//! serial run regardless of `FSOI_THREADS`.
+//! (`fsoi_sim::par`), so every experiment gets the cell cache and
+//! telemetry spans, and its output is byte-identical to a serial run
+//! regardless of `FSOI_THREADS`.
 
 use fsoi_cmp::batch::{self, BatchCell};
 use fsoi_cmp::configs::SystemConfig;
@@ -58,7 +58,8 @@ impl Sweep {
                     .map(move |config| BatchCell::new(config.clone(), app))
             })
             .collect();
-        let (reports, mut profile) = batch::run_batch(&cells, threads, MAX_CYCLES);
+        let reports = batch::run_batch(&cells, threads, MAX_CYCLES);
+        let mut profile = Registry::new();
         for r in &reports {
             profile.merge(&r.profile);
         }
@@ -94,11 +95,10 @@ impl Sweep {
         &self.reports
     }
 
-    /// The sweep's merged deterministic profile: the batch-decomposition
-    /// counters of [`batch::run_batch`] plus every cell's own
-    /// [`RunReport`] `profile` spans — byte-identical for any thread
-    /// count, and the deterministic-plane payload behind
-    /// `experiments profile`.
+    /// The sweep's merged deterministic profile: every cell's own
+    /// [`RunReport`] `profile` spans (`sim/*`, `coh/dir/*`) —
+    /// byte-identical for any thread count, and the deterministic-plane
+    /// payload behind `experiments profile`.
     pub fn profile(&self) -> &Registry {
         &self.profile
     }

@@ -32,7 +32,7 @@ fn tiny_cells(seed: u64) -> Vec<BatchCell> {
 
 /// The merged export of one batch run.
 fn export(cells: &[BatchCell], threads: usize) -> String {
-    merge_reports(&run_batch(cells, threads, MAX_CYCLES).0).to_jsonl()
+    merge_reports(&run_batch(cells, threads, MAX_CYCLES)).to_jsonl()
 }
 
 /// The one test: a single `#[test]` keeps every use of the env var on

@@ -36,7 +36,7 @@ fn cells_for(app_names: &[&str], variants: &[SystemConfig], ops: u64) -> Vec<Bat
 }
 
 fn batch_bytes(cells: &[BatchCell], threads: usize) -> String {
-    merge_reports(&run_batch(cells, threads, MAX_CYCLES).0).to_jsonl()
+    merge_reports(&run_batch(cells, threads, MAX_CYCLES)).to_jsonl()
 }
 
 /// The cold serial reference: each cell built and run on its own.
@@ -66,9 +66,9 @@ fn merged_parallel_export_matches_serial_fold() {
                 .map(|n| variant(n, 16, 3_000 + *seed))
                 .collect();
             let cells = cells_for(app_names, &variants, TINY_OPS);
-            let serial = run_batch(&cells, 1, MAX_CYCLES).0;
+            let serial = run_batch(&cells, 1, MAX_CYCLES);
             let expected = merge_reports(&serial).to_jsonl();
-            let parallel = run_batch(&cells, *threads, MAX_CYCLES).0;
+            let parallel = run_batch(&cells, *threads, MAX_CYCLES);
             let cycles = |rs: &[RunReport]| -> Vec<u64> { rs.iter().map(|r| r.cycles).collect() };
             assert_eq!(
                 cycles(&parallel),
@@ -87,7 +87,7 @@ fn merged_parallel_export_matches_serial_fold() {
 }
 
 /// `Sweep` indexing: for random shapes — no variants, no apps, seed
-/// variants of one network (so forked templates occur) — `at(v, a)` is
+/// variants of one network — `at(v, a)` is
 /// the report of exactly that (variant, app) cell: it exports the bytes
 /// of the cell's own cold run, at any thread count.
 #[test]
@@ -175,14 +175,12 @@ fn assert_cached_path_matches(cells: &[BatchCell], cold: &str, dir_name: &str) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The two fast paths pinned against the cold path: a template-forked
-/// batch and a cache-hit batch both export the exact bytes of a cold
-/// serial run, for thread counts 1, 2 and 8.
+/// A batch of seed variants and a cache-hit batch of the same cells both
+/// export the exact bytes of a cold serial run, for thread counts 1, 2
+/// and 8.
 #[test]
-fn forked_and_cached_paths_match_the_cold_bytes() {
-    // Seed variants of the same (config, app) cells form forkable
-    // groups; one odd cell stays a singleton (cold path inside
-    // `run_batch`).
+fn seed_variant_batch_and_cache_match_the_cold_bytes() {
+    // Three seeds of the same (config, app) cells, plus one odd cell.
     let mut cells: Vec<BatchCell> = Vec::new();
     for seed in [2010, 2011, 2012] {
         let variants = [variant("fsoi", 16, seed), variant("mesh", 16, seed)];
@@ -196,7 +194,7 @@ fn forked_and_cached_paths_match_the_cold_bytes() {
         assert_eq!(
             batch_bytes(&cells, threads),
             cold,
-            "forked path, threads = {threads}"
+            "batch path, threads = {threads}"
         );
     }
     assert_cached_path_matches(&cells, &cold, "par_merge_cache");
@@ -204,12 +202,12 @@ fn forked_and_cached_paths_match_the_cold_bytes() {
 
 /// The multi-word-mask acceptance pin: a 256-node sweep — every sharer
 /// mask, slot table and occupancy bitmask exercising all four `NodeMask`
-/// words — through the forked and cached fast paths still exports the
-/// cold serial bytes at thread counts 1, 2 and 8.
+/// words — through the batch and the cache still exports the cold serial
+/// bytes at thread counts 1, 2 and 8.
 #[test]
-fn forked_and_cached_256_node_sweep_matches_the_cold_bytes() {
-    // Two seed variants form a forkable group per (config, app) pair;
-    // fsoi and crossbar cover the two newly-scaled network families.
+fn seed_variant_256_node_batch_and_cache_match_the_cold_bytes() {
+    // Two seed variants per (config, app) pair; fsoi and crossbar cover
+    // the two newly-scaled network families.
     let mut cells: Vec<BatchCell> = Vec::new();
     for seed in [2010, 2011] {
         let variants = [variant("fsoi", 256, seed), variant("crossbar", 256, seed)];
@@ -222,7 +220,7 @@ fn forked_and_cached_256_node_sweep_matches_the_cold_bytes() {
         assert_eq!(
             batch_bytes(&cells, threads),
             cold,
-            "forked path, threads = {threads}"
+            "batch path, threads = {threads}"
         );
     }
     assert_cached_path_matches(&cells, &cold, "par_merge_cache_256");
@@ -269,7 +267,7 @@ fn panicking_cell_propagates_and_the_next_sweep_is_exact() {
 /// else in this binary reads it.)
 #[test]
 fn fsoi_threads_knob_is_not_observable_in_output() {
-    // Two seeds of the same cells so the forked path has real groups.
+    // Two seeds of the same cells.
     let variants = [variant("fsoi", 16, 77), variant("fsoi", 16, 78)];
     let cells = cells_for(&["mp", "rx"], &variants, TINY_OPS);
     let expected = batch_bytes(&cells, 1);
@@ -287,7 +285,7 @@ fn fsoi_threads_knob_is_not_observable_in_output() {
         assert_eq!(
             batch_bytes(&cells, par::thread_count()),
             expected,
-            "forked path, FSOI_THREADS={knob}"
+            "batch path, FSOI_THREADS={knob}"
         );
     }
     std::env::remove_var("FSOI_THREADS");

@@ -80,12 +80,7 @@ impl LatencyAttribution {
 }
 
 /// The driving interface every network variant implements.
-///
-/// `Send + Sync` is a supertrait so that an unrun [`crate::system::CmpSystem`]
-/// template (which owns a `Box<dyn Interconnect>`) can be shared by
-/// reference across sweep worker threads and forked per cell; every
-/// adapter is plain owned data, so the bounds are free.
-pub trait Interconnect: std::fmt::Debug + Send + Sync {
+pub trait Interconnect: std::fmt::Debug {
     /// Injects a packet; `Err` hands it back on queue overflow.
     fn inject(&mut self, packet: NetPacket) -> Result<(), NetPacket>;
     /// Advances one cycle.

@@ -10,7 +10,7 @@ use fsoi_sim::Cycle;
 
 /// One memory channel: a fixed access latency plus a bandwidth-limited
 /// service pipe.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MemoryChannel {
     /// The network node this controller attaches to.
     pub node: usize,
@@ -59,7 +59,7 @@ impl MemoryChannel {
 }
 
 /// The full memory system: interleaved channels mapped over nodes.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MemorySystem {
     channels: Vec<MemoryChannel>,
     nodes: usize,
@@ -85,17 +85,6 @@ impl MemorySystem {
                 .collect(),
             nodes,
         }
-    }
-
-    /// The paper's 16-node default: 4 channels, 8.8 GB/s total,
-    /// 200-cycle latency at 3.3 GHz.
-    pub fn paper_16(total_gb_per_s: f64) -> Self {
-        MemorySystem::new(16, 4, total_gb_per_s, 200, 3.3e9)
-    }
-
-    /// The paper's 64-node default: 8 channels.
-    pub fn paper_64(total_gb_per_s: f64) -> Self {
-        MemorySystem::new(64, 8, total_gb_per_s, 200, 3.3e9)
     }
 
     /// The channel index serving a directory slice (address region).
@@ -168,9 +157,15 @@ mod tests {
         assert!(done_fast < done_slow);
     }
 
+    /// Table 3's 16-node system: 4 channels, 8.8 GB/s total, 200-cycle
+    /// latency at 3.3 GHz.
+    fn paper_16() -> MemorySystem {
+        MemorySystem::new(16, 4, 8.8, 200, 3.3e9)
+    }
+
     #[test]
     fn interleaving_covers_all_channels() {
-        let m = MemorySystem::paper_16(8.8);
+        let m = paper_16();
         assert_eq!(m.channel_count(), 4);
         let mut seen = [false; 4];
         for dir in 0..16 {
@@ -186,14 +181,14 @@ mod tests {
 
     #[test]
     fn paper_64_has_8_channels() {
-        let m = MemorySystem::paper_64(8.8);
+        let m = MemorySystem::new(64, 8, 8.8, 200, 3.3e9);
         assert_eq!(m.channel_count(), 8);
         assert!(m.controller_node(63) < 64);
     }
 
     #[test]
     fn system_request_and_counters() {
-        let mut m = MemorySystem::paper_16(8.8);
+        let mut m = paper_16();
         let done = m.request(5, Cycle(10), 32);
         assert!(done > Cycle(210));
         assert_eq!(m.served(), 1);

@@ -198,6 +198,7 @@ impl WakeWheel {
 #[derive(Debug)]
 pub struct CmpSystem {
     cfg: SystemConfig,
+    /// The caller's profile, before weak scaling.
     app: AppProfile,
     now: Cycle,
     net: Box<dyn Interconnect>,
@@ -232,7 +233,7 @@ pub struct CmpSystem {
     protocol_errors: u64,
     first_protocol_error: Option<String>,
     // Deterministic harness span counters: pure functions of the cell
-    // inputs and the `run()` drive, assembled into the `sim/*` entries of
+    // inputs and the `run()` drive, gathered into the `sim/*` entries of
     // `RunReport::profile` by `report()`. Deliberately *not* part of
     // `RunReport::export()` — a tick-only drive (the fast-forward
     // reference tests) legitimately differs from `run()` here.
@@ -259,23 +260,18 @@ impl CmpSystem {
             clippy::expect_used,
             reason = "P1: a rejected configuration or profile is the caller's bug; fail before building anything"
         )]
-        let app = {
+        let scaled = {
             cfg.validate().expect("invalid SystemConfig");
             app.validate(cfg.nodes, cfg.line_bytes)
                 .and_then(|()| app.weak_scaled(cfg.nodes))
                 .expect("invalid AppProfile")
         };
         let (n, line_bytes) = (cfg.nodes, cfg.line_bytes);
-        let mem = if n == 16 {
-            MemorySystem::paper_16(cfg.mem_gb_per_s)
-        } else if n == 64 {
-            MemorySystem::paper_64(cfg.mem_gb_per_s)
-        } else {
-            MemorySystem::new(n, (n / 4).max(1), cfg.mem_gb_per_s, cfg.mem_latency, 3.3e9)
-        };
+        let channels = if n == 64 { 8 } else { (n / 4).max(1) };
+        let mem = MemorySystem::new(n, channels, cfg.mem_gb_per_s, cfg.mem_latency, 3.3e9);
         let l1s = (0..n)
             .map(|i| {
-                let mut l1 = L1Controller::new(i, cfg.l1_lines, cfg.l1_ways, cfg.line_bytes);
+                let mut l1 = L1Controller::new(i, cfg.l1_lines, cfg.l1_ways, line_bytes);
                 l1.set_home_nodes(n);
                 l1
             })
@@ -284,7 +280,7 @@ impl CmpSystem {
             let _warm = telemetry::span(Phase::Warmup);
             // Each slice takes its share of every region, in map order —
             // the order a line-by-line walk of the map would reach it.
-            let runs = app.region_runs(n, line_bytes);
+            let runs = scaled.region_runs(n, line_bytes);
             (0..n)
                 .map(|i| {
                     let homed = runs.iter().map(|run| run.homed_at(i, line_bytes, n));
@@ -292,28 +288,11 @@ impl CmpSystem {
                 })
                 .collect()
         };
-        CmpSystem::assemble(cfg, app, l1s, dirs, mem)
-    }
-
-    /// A system at cycle 0 around the seed-independent parts — the one
-    /// place the rest of the state is initialised, so a
-    /// [`fork`](Self::fork) cannot start from a different state than a
-    /// cold build. Everything seed-dependent (the network, the per-core
-    /// workload RNG streams, the system RNG) is built here from
-    /// `cfg.seed`; `app` is already weak-scaled.
-    fn assemble(
-        cfg: SystemConfig,
-        app: AppProfile,
-        l1s: Vec<L1Controller>,
-        dirs: Vec<Directory>,
-        mem: MemorySystem,
-    ) -> Self {
-        let n = cfg.nodes;
         let mut sys = CmpSystem {
             app,
             now: Cycle::ZERO,
             cores: (0..n)
-                .map(|i| Core::new(i, CoreWorkload::new(app, i, cfg.line_bytes, cfg.seed)))
+                .map(|i| Core::new(i, CoreWorkload::new(scaled, i, line_bytes, cfg.seed)))
                 .collect(),
             l1s,
             dirs,
@@ -350,41 +329,10 @@ impl CmpSystem {
         sys
     }
 
-    /// Forks an unrun template into a fresh system equivalent to
-    /// `CmpSystem::new(cfg.with_seed(seed), app)` for the pre-scaling
-    /// `app` the template was built from.
-    ///
-    /// The seed-independent construction work — the warmed distributed-L2
-    /// directories, the L1 arrays, the memory system — is deep-cloned from
-    /// the template; everything else is initialised by the same function a
-    /// cold build ends in, from `seed`. Construction is deterministic and
-    /// none of the cloned state reads `cfg.seed`, so a fork is
-    /// byte-identical to a cold construction with the same seed — an
-    /// invariant pinned by the `par_merge` byte-identity properties in
-    /// `fsoi-bench`. Since [`new`](Self::new) warms the L2 in bulk, the
-    /// deep clone costs about what a cold build does (ROADMAP item 5).
-    ///
-    /// Note `self.app` already carries the weak-scaling adjustment from
-    /// [`CmpSystem::new`], so the fork must not (and does not) rescale
-    /// `shared_cold_lines` again.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the template has already been run: mid-run warm state
-    /// is seed-dependent, so only a freshly-constructed system may seed
-    /// other sweep cells.
+    /// The same cell at another seed:
+    /// `CmpSystem::new(cfg.with_seed(seed), app)`.
     pub fn fork(&self, seed: u64) -> CmpSystem {
-        assert!(
-            self.now == Cycle::ZERO && self.pending.is_empty(),
-            "fork requires an unrun template (state after cycle 0 is seed-dependent)"
-        );
-        CmpSystem::assemble(
-            self.cfg.clone().with_seed(seed),
-            self.app,
-            self.l1s.clone(),
-            self.dirs.clone(),
-            self.mem.clone(),
-        )
+        CmpSystem::new(self.cfg.clone().with_seed(seed), self.app)
     }
 
     /// Current cycle.
@@ -1857,6 +1805,22 @@ mod tests {
         let slow = run(8.8);
         let fast = run(52.8);
         assert!(fast <= slow, "more bandwidth cannot hurt: {fast} vs {slow}");
+    }
+
+    #[test]
+    fn memory_latency_is_read_at_every_node_count() {
+        for nodes in [16, 64] {
+            let run = |latency| {
+                let kind = NetworkKind::by_name("fsoi", nodes).unwrap();
+                let mut cfg = SystemConfig::paper_n(nodes, kind);
+                cfg.mem_latency = latency;
+                let mut app = AppProfile::by_name("em").unwrap();
+                app.ops_per_core = 100;
+                CmpSystem::new(cfg, app).run(3_000_000).cycles
+            };
+            let (near, far) = (run(200), run(400));
+            assert!(far > near, "{nodes} nodes: {far} vs {near} cycles");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::protocol::LineAddr;
 
 /// A set-associative array mapping lines to payloads of type `T`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CacheArray<T> {
     sets: usize,
     ways: usize,

@@ -29,7 +29,7 @@ use fsoi_sim::Cycle;
 use std::collections::VecDeque;
 
 /// Directory statistics.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct DirStats {
     /// Requests processed (including replays).
     pub requests: u64,
@@ -55,7 +55,7 @@ pub struct DirStats {
     pub evictions: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct DirEntry {
     state: DirState,
     owner: usize,
@@ -111,7 +111,7 @@ impl DirEntry {
 /// Null link / "no slot".
 const NIL: u32 = u32::MAX;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Slot {
     line: LineAddr,
     entry: DirEntry,
@@ -124,7 +124,7 @@ struct Slot {
 /// directory tick and a stamped slot goes to the tail, so stamps are
 /// unique and list order *is* ascending-`lru` order: the first evictable
 /// slot from the head is the `min_by_key(lru)` of the evictable set.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Slab {
     slots: Vec<Slot>,
     head: u32,
@@ -212,7 +212,7 @@ impl Slab {
 }
 
 /// One node's directory + L2 slice controller.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Directory {
     node: usize,
     mem_node: usize,

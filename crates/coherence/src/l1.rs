@@ -66,7 +66,7 @@ struct Mshr {
 }
 
 /// L1 statistics.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct L1Stats {
     /// Read hits.
     pub read_hits: u64,
@@ -89,7 +89,7 @@ pub struct L1Stats {
 }
 
 /// The L1 cache controller of one node.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct L1Controller {
     node: usize,
     array: CacheArray<L1State>,

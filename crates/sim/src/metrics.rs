@@ -3,8 +3,7 @@
 //!
 //! Everything the simulation counts — a report's figure inputs
 //! (`cmp.cycles{app=…,network=…}`), a cell's harness spans (`sim/ticks`,
-//! `coh/dir/evictions`), a batch's decomposition (`batch/cells_forked`) —
-//! lives in a [`Registry`] under a `name{label=value}` key, is folded with
+//! `coh/dir/evictions`) — lives in a [`Registry`] under a `name{label=value}` key, is folded with
 //! [`Registry::merge`], and leaves through one of three deterministic
 //! renderings: JSONL ([`Registry::to_jsonl`]), an aligned table
 //! ([`Registry::to_table`]) and the bit-exact line codec the cell cache

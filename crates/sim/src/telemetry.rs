@@ -53,7 +53,7 @@ static CACHE_CORRUPT: AtomicU64 = AtomicU64::new(0);
 /// interconnect/coherence/memory split of the tick).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Cell or template construction (config + app → system).
+    /// Cell construction (config + app → system).
     Build,
     /// Seed-independent pre-timing warmup (distributed-L2 preload).
     Warmup,

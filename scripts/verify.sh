@@ -105,3 +105,10 @@ gate "experiments snapshot == pinned hash" pinned_experiments_snapshot
 # The structured-trace event API must also build compiled-in on release
 # (debug builds always carry it; plain release compiles it out).
 gate "build --features trace" cargo build --release --offline --workspace --features trace
+
+# The benchmark (BENCHMARK.json) is a package of its own that the workspace
+# build never compiles, yet it calls `CmpSystem::new`/`fork`, the
+# `Interconnect` adapters, `CellCache` and `RunReport` fields directly: an
+# API change that breaks it must fail here, not only in `ci.sh --tier bench`.
+gate "build benchmark package" env CARGO_TARGET_DIR=benchmark/target \
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml
