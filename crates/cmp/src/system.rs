@@ -42,7 +42,7 @@ use fsoi_coherence::protocol::{CoherenceMsg, LineAddr, OutMsg};
 use fsoi_coherence::sync::{Barrier, BooleanSubscriptionHub, SpinLock};
 use fsoi_net::packet::PacketClass;
 use fsoi_sim::det::NodeMask;
-use fsoi_sim::event::EventQueue;
+use fsoi_sim::event::CalendarQueue;
 use fsoi_sim::metrics::Registry;
 use fsoi_sim::rng::Xoshiro256StarStar;
 use fsoi_sim::stats::Histogram;
@@ -210,7 +210,9 @@ pub struct CmpSystem {
     barrier: Barrier,
     hub: BooleanSubscriptionHub,
     rng: Xoshiro256StarStar,
-    pending: EventQueue<Pending>,
+    /// Due events: most land within a few dozen cycles (processing
+    /// latencies, confirmations, request spacing), memory replies later.
+    pending: CalendarQueue<Pending>,
     /// In-flight message payloads, indexed by packet tag.
     msgs: Vec<Option<(usize, CoherenceMsg)>>,
     free_tags: Vec<u64>,
@@ -301,7 +303,7 @@ impl CmpSystem {
             barrier: Barrier::new(n),
             hub: BooleanSubscriptionHub::new(),
             rng: Xoshiro256StarStar::new(cfg.seed ^ SYSTEM_SEED_SALT),
-            pending: EventQueue::new(),
+            pending: CalendarQueue::new(),
             msgs: Vec::new(),
             free_tags: Vec::new(),
             order: (0..n).map(|_| Vec::new()).collect(),
@@ -363,6 +365,7 @@ impl CmpSystem {
             self.tick();
             self.fast_forward(max);
         }
+        self.check_drained();
         self.report()
     }
 
@@ -482,6 +485,24 @@ impl CmpSystem {
             .collect();
         assert_eq!(in_heap, far, "far heap at {}", self.now);
         assert_eq!(self.live, live, "live-core count");
+    }
+
+    /// Debug builds: what a drained run must have given back — every
+    /// packet tag and every §4.4 ordering slot. (The injection backlog and
+    /// the event queue need no check: `finished()` requires both empty.)
+    fn check_drained(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        assert!(
+            self.free_tags.len() == self.msgs.len() && self.msgs.iter().all(Option::is_none),
+            "every packet tag is back on free_tags: {} free of {}",
+            self.free_tags.len(),
+            self.msgs.len()
+        );
+        for (from, slots) in self.order.iter().enumerate() {
+            assert!(slots.is_empty(), "node {from} still holds ordering slots");
+        }
     }
 
     // ----- message plumbing -------------------------------------------

@@ -24,7 +24,7 @@
 //! generating the misses is synthetic (DESIGN.md, substitution 1).
 
 use fsoi_coherence::protocol::{LineAddr, LineRun};
-use fsoi_sim::rng::Xoshiro256StarStar;
+use fsoi_sim::rng::{Geometric, Xoshiro256StarStar};
 
 /// Base of the globally shared region (per-core private regions sit at
 /// `core_id << 32`, each in a window of `PRIVATE_WINDOW` bytes).
@@ -472,6 +472,8 @@ pub struct CoreWorkload {
     core: usize,
     line_bytes: u64,
     rng: Xoshiro256StarStar,
+    /// The compute-gap distribution, `p = 1 / (mean_gap + 1)`.
+    gap: Geometric,
     issued: u64,
     stream_word: u64,
     since_lock: u64,
@@ -484,12 +486,18 @@ pub struct CoreWorkload {
 
 impl CoreWorkload {
     /// Creates core `core`'s stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `profile.mean_gap` is negative or not finite (see
+    /// [`AppProfile::validate`]).
     pub fn new(profile: AppProfile, core: usize, line_bytes: u64, seed: u64) -> Self {
         CoreWorkload {
             profile,
             core,
             line_bytes,
             rng: Xoshiro256StarStar::new(seed ^ (core as u64).wrapping_mul(0x9E37_79B9)),
+            gap: Geometric::new(1.0 / (profile.mean_gap + 1.0)),
             issued: 0,
             stream_word: 0,
             since_lock: 0,
@@ -554,7 +562,7 @@ impl CoreWorkload {
         // Alternate compute gaps with memory operations.
         if self.pending_gap {
             self.pending_gap = false;
-            let gap = self.rng.geometric(1.0 / (p.mean_gap + 1.0));
+            let gap = self.gap.sample(&mut self.rng);
             if gap > 0 {
                 return Some(Op::Compute(gap));
             }
@@ -1020,6 +1028,36 @@ mod tests {
             (new_line_rate - 1.0 / WORDS_PER_LINE as f64).abs() < 0.05,
             "new-line rate = {new_line_rate}"
         );
+    }
+
+    /// The gap draw as it was written before `Geometric`: both logarithms
+    /// per draw, and no draw at all for `p = 1`.
+    fn per_draw_gap(rng: &mut Xoshiro256StarStar, p: f64) -> u64 {
+        if p >= 1.0 {
+            return 0;
+        }
+        let u = rng.next_f64().max(f64::MIN_POSITIVE);
+        (u.ln() / (1.0 - p).ln()).floor() as u64
+    }
+
+    #[test]
+    fn gap_stream_equals_per_draw_reference() {
+        // Every suite profile, plus `mean_gap` 0 (p = 1, back-to-back).
+        let mut profiles = AppProfile::suite().to_vec();
+        let mut back_to_back = profiles[0];
+        back_to_back.mean_gap = 0.0;
+        profiles.push(back_to_back);
+        for p in profiles {
+            let w = CoreWorkload::new(p, 1, 32, 2010);
+            let (name, prob) = (p.name, 1.0 / (p.mean_gap + 1.0));
+            let mut fast = w.rng.clone();
+            let mut slow = w.rng.clone();
+            for i in 0..10_000 {
+                let want = per_draw_gap(&mut slow, prob);
+                assert_eq!(w.gap.sample(&mut fast), want, "{name}: draw {i}");
+            }
+            assert_eq!(fast, slow, "{name}: same generator state");
+        }
     }
 
     #[test]

@@ -1,23 +1,39 @@
 //! Set-associative cache arrays with LRU replacement.
 //!
-//! Used for both the private L1s (Table 3: 8 KB, 2-way, 32 B lines, dual
-//! tags) and the shared-L2 slices (64 KB per node). The array tracks tags
-//! and a client-supplied per-line payload (the coherence state); actual
-//! data values are not simulated.
+//! Used for the private L1s (Table 3: 8 KB, 2-way, 32 B lines, dual
+//! tags). The array tracks tags and a client-supplied per-line payload
+//! (the coherence state); actual data values are not simulated.
+//!
+//! One flat `sets × ways` slot vector holds every way: set `s` is slots
+//! `s·ways .. (s + 1)·ways`. Line and set counts are powers of two, so a
+//! line's set and tag are a shift and a mask of its address, never a
+//! division. Each resident way carries the tick of its last touch; the
+//! victim is the *first* way holding the least value, with a free way
+//! counting as tick 0 — so a fill takes the lowest free way, and a full
+//! set gives up its least recently used evictable line.
 
 use crate::protocol::LineAddr;
+use std::ops::Range;
+
+/// One resident line.
+#[derive(Debug)]
+struct Way<T> {
+    tag: u64,
+    /// Tick of the last insert or lookup hit (ticks start at 1).
+    lru: u64,
+    payload: T,
+}
 
 /// A set-associative array mapping lines to payloads of type `T`.
 #[derive(Debug)]
 pub struct CacheArray<T> {
-    sets: usize,
     ways: usize,
-    line_bytes: u64,
-    /// `entries[set][way]`: (tag, payload, lru tick).
-    entries: Vec<Vec<Option<(u64, T, u64)>>>,
+    line_shift: u32,
+    set_shift: u32,
+    set_mask: u64,
+    /// `slots[set * ways + way]`.
+    slots: Vec<Option<Way<T>>>,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 /// Result of an allocation.
@@ -34,7 +50,7 @@ pub enum AllocOutcome<T> {
     },
 }
 
-impl<T: Clone> CacheArray<T> {
+impl<T> CacheArray<T> {
     /// Creates an array of `capacity_bytes` with `ways` associativity and
     /// `line_bytes` lines.
     ///
@@ -50,72 +66,57 @@ impl<T: Clone> CacheArray<T> {
             lines >= ways as u64 && lines.is_multiple_of(ways as u64),
             "capacity must hold a whole number of sets"
         );
-        let sets = (lines / ways as u64) as usize;
+        let sets = lines / ways as u64;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         CacheArray {
-            sets,
             ways,
-            line_bytes,
-            entries: vec![vec![None; ways]; sets],
+            line_shift: line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: sets - 1,
+            slots: std::iter::repeat_with(|| None)
+                .take(lines as usize)
+                .collect(),
             tick: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
-    fn index(&self, line: LineAddr) -> (usize, u64) {
-        let block = line.0 / self.line_bytes;
-        ((block as usize) % self.sets, block / self.sets as u64)
+    /// `line`'s set and tag.
+    fn locate(&self, line: LineAddr) -> (u64, u64) {
+        let block = line.0 >> self.line_shift;
+        (block & self.set_mask, block >> self.set_shift)
     }
 
-    fn line_of(&self, set: usize, tag: u64) -> LineAddr {
-        LineAddr((tag * self.sets as u64 + set as u64) * self.line_bytes)
+    /// The slots of set `set`.
+    fn set(&self, set: u64) -> Range<usize> {
+        let first = set as usize * self.ways;
+        first..first + self.ways
+    }
+
+    fn line_of(&self, set: u64, tag: u64) -> LineAddr {
+        LineAddr(((tag << self.set_shift) | set) << self.line_shift)
     }
 
     /// Looks up a line, refreshing its LRU position on hit.
     pub fn lookup(&mut self, line: LineAddr) -> Option<&mut T> {
-        let (set, tag) = self.index(line);
-        self.tick += 1;
-        let tick = self.tick;
-        let hit = self.entries[set]
+        let (set, tag) = self.locate(line);
+        let slots = self.set(set);
+        let way = self.slots[slots]
             .iter_mut()
             .flatten()
-            .find(|(t, _, _)| *t == tag);
-        match hit {
-            Some(entry) => {
-                entry.2 = tick;
-                self.hits += 1;
-                Some(&mut entry.1)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+            .find(|w| w.tag == tag)?;
+        self.tick += 1;
+        way.lru = self.tick;
+        Some(&mut way.payload)
     }
 
-    /// Looks up without touching LRU or hit counters.
+    /// Looks up without touching LRU.
     pub fn peek(&self, line: LineAddr) -> Option<&T> {
-        let (set, tag) = self.index(line);
-        self.entries[set]
+        let (set, tag) = self.locate(line);
+        self.slots[self.set(set)]
             .iter()
             .flatten()
-            .find(|(t, _, _)| *t == tag)
-            .map(|(_, p, _)| p)
-    }
-
-    /// The LRU victim of `line`'s set if the set is full, without
-    /// modifying anything. `None` when a free way exists.
-    pub fn victim_for(&self, line: LineAddr) -> Option<(LineAddr, &T)> {
-        let (set, _) = self.index(line);
-        if self.entries[set].iter().any(|e| e.is_none()) {
-            return None;
-        }
-        self.entries[set]
-            .iter()
-            .flatten()
-            .min_by_key(|(_, _, lru)| *lru)
-            .map(|(tag, p, _)| (self.line_of(set, *tag), p))
+            .find(|w| w.tag == tag)
+            .map(|w| &w.payload)
     }
 
     /// Inserts `line` with `payload`, evicting the LRU way if needed.
@@ -125,47 +126,18 @@ impl<T: Clone> CacheArray<T> {
     /// Panics if the line is already present (use [`lookup`] first).
     ///
     /// [`lookup`]: CacheArray::lookup
+    #[expect(
+        clippy::expect_used,
+        reason = "P1: with every way evictable and ways >= 1 (asserted at construction) a victim always exists"
+    )]
     pub fn insert(&mut self, line: LineAddr, payload: T) -> AllocOutcome<T> {
-        let (set, tag) = self.index(line);
-        assert!(
-            !self.entries[set]
-                .iter()
-                .flatten()
-                .any(|(t, _, _)| *t == tag),
-            "line already present: {line}"
-        );
-        self.tick += 1;
-        let tick = self.tick;
-        // Free way?
-        if let Some(slot) = self.entries[set].iter_mut().find(|e| e.is_none()) {
-            *slot = Some((tag, payload, tick));
-            return AllocOutcome::Inserted;
-        }
-        // Evict LRU.
-        #[expect(
-            clippy::expect_used,
-            reason = "P1: ways-per-set is asserted >= 1 at construction"
-        )]
-        let victim_way = self.entries[set]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.as_ref().map(|(_, _, lru)| *lru))
-            .map(|(i, _)| i)
-            .expect("set is non-empty");
-        #[expect(
-            clippy::expect_used,
-            reason = "P1: the all-ways-full check above guarantees the victim way is occupied"
-        )]
-        let (vt, vp, _) = self.entries[set][victim_way].take().expect("full set");
-        self.entries[set][victim_way] = Some((tag, payload, tick));
-        AllocOutcome::Evicted {
-            line: self.line_of(set, vt),
-            payload: vp,
-        }
+        self.insert_evicting_where(line, payload, |_, _| true)
+            .ok()
+            .expect("an unfiltered insert always finds a way")
     }
 
     /// Like [`insert`](Self::insert), but only victims satisfying
-    /// `evictable` may be replaced.
+    /// `evictable` may be replaced; a free way is always taken first.
     ///
     /// # Errors
     ///
@@ -181,70 +153,54 @@ impl<T: Clone> CacheArray<T> {
         payload: T,
         mut evictable: impl FnMut(LineAddr, &T) -> bool,
     ) -> Result<AllocOutcome<T>, T> {
-        let (set, tag) = self.index(line);
-        assert!(
-            !self.entries[set]
-                .iter()
-                .flatten()
-                .any(|(t, _, _)| *t == tag),
-            "line already present: {line}"
-        );
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(slot) = self.entries[set].iter_mut().find(|e| e.is_none()) {
-            *slot = Some((tag, payload, tick));
-            return Ok(AllocOutcome::Inserted);
+        let (set, tag) = self.locate(line);
+        let mut victim: Option<(u64, usize)> = None;
+        for i in self.set(set) {
+            let age = match &self.slots[i] {
+                None => 0,
+                Some(w) => {
+                    assert!(w.tag != tag, "line already present: {line}");
+                    if !evictable(self.line_of(set, w.tag), &w.payload) {
+                        continue;
+                    }
+                    w.lru
+                }
+            };
+            if victim.is_none_or(|(oldest, _)| age < oldest) {
+                victim = Some((age, i));
+            }
         }
-        let victim_way = self.entries[set]
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| {
-                e.as_ref()
-                    .is_some_and(|(t, p, _)| evictable(self.line_of(set, *t), p))
-            })
-            .min_by_key(|(_, e)| e.as_ref().map(|(_, _, lru)| *lru))
-            .map(|(i, _)| i);
-        let Some(way) = victim_way else {
+        let Some((_, i)) = victim else {
             return Err(payload);
         };
-        #[expect(
-            clippy::expect_used,
-            reason = "P1: victim_way is only Some for occupied ways by construction"
-        )]
-        let (vt, vp, _) = self.entries[set][way].take().expect("full set");
-        self.entries[set][way] = Some((tag, payload, tick));
-        Ok(AllocOutcome::Evicted {
-            line: self.line_of(set, vt),
-            payload: vp,
+        self.tick += 1;
+        let way = Way {
+            tag,
+            lru: self.tick,
+            payload,
+        };
+        Ok(match self.slots[i].replace(way) {
+            None => AllocOutcome::Inserted,
+            Some(old) => AllocOutcome::Evicted {
+                line: self.line_of(set, old.tag),
+                payload: old.payload,
+            },
         })
     }
 
     /// Removes a line, returning its payload.
     pub fn remove(&mut self, line: LineAddr) -> Option<T> {
-        let (set, tag) = self.index(line);
-        for e in &mut self.entries[set] {
-            if matches!(e, Some((t, _, _)) if *t == tag) {
-                return e.take().map(|(_, p, _)| p);
-            }
-        }
-        None
-    }
-
-    /// Iterates all resident lines.
-    pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .flat_map(move |(set, ways)| {
-                ways.iter()
-                    .flatten()
-                    .map(move |(tag, p, _)| (self.line_of(set, *tag), p))
-            })
+        let (set, tag) = self.locate(line);
+        let slots = self.set(set);
+        let slot = self.slots[slots]
+            .iter_mut()
+            .find(|s| s.as_ref().is_some_and(|w| w.tag == tag))?;
+        slot.take().map(|w| w.payload)
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.entries.iter().flatten().flatten().count()
+        self.slots.iter().flatten().count()
     }
 
     /// True when nothing is cached.
@@ -252,34 +208,14 @@ impl<T: Clone> CacheArray<T> {
         self.len() == 0
     }
 
-    /// Lookup hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookup misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Hit ratio, 0.0 when never accessed.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Line size in bytes.
     pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
+        1 << self.line_shift
     }
 
     /// Total capacity in lines.
     pub fn capacity_lines(&self) -> usize {
-        self.sets * self.ways
+        self.slots.len()
     }
 }
 
@@ -310,7 +246,6 @@ mod tests {
         // Lines 0x0, 0x80, 0x100 all map to set 0 (stride = 4 sets × 32 B).
         c.insert(LineAddr(0x0), 1);
         c.insert(LineAddr(0x80), 2);
-        assert!(c.victim_for(LineAddr(0x100)).is_some());
         let out = c.insert(LineAddr(0x100), 3);
         match out {
             AllocOutcome::Evicted { line, payload } => {
@@ -336,34 +271,32 @@ mod tests {
     }
 
     #[test]
-    fn victim_none_when_free_way() {
-        let mut c = tiny();
-        c.insert(LineAddr(0x0), 1);
-        assert!(c.victim_for(LineAddr(0x80)).is_none());
+    fn fills_take_the_lowest_free_way() {
+        // Free ways tie at age 0: the first minimum is the lowest one, so
+        // a set fills way 0 first and refills the way a remove freed.
+        let mut c: CacheArray<u32> = CacheArray::new(4 * 32, 4, 32); // 1 set
+        let resident = |c: &CacheArray<u32>| -> Vec<Option<u32>> {
+            c.slots
+                .iter()
+                .map(|s| s.as_ref().map(|w| w.payload))
+                .collect()
+        };
+        c.insert(LineAddr(0x00), 10);
+        c.insert(LineAddr(0x20), 11);
+        assert_eq!(resident(&c), [Some(10), Some(11), None, None]);
+        c.remove(LineAddr(0x00));
+        c.insert(LineAddr(0x40), 12);
+        assert_eq!(resident(&c), [Some(12), Some(11), None, None]);
     }
 
     #[test]
-    fn hit_miss_statistics() {
-        let mut c = tiny();
-        c.insert(LineAddr(0x0), 1);
-        c.lookup(LineAddr(0x0));
-        c.lookup(LineAddr(0x20));
-        c.lookup(LineAddr(0x0));
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 1);
-        assert!((c.hit_ratio() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn iter_and_capacity() {
-        let mut c = tiny();
-        c.insert(LineAddr(0x0), 1);
-        c.insert(LineAddr(0x20), 2);
-        let mut lines: Vec<u64> = c.iter().map(|(l, _)| l.0).collect();
-        lines.sort_unstable();
-        assert_eq!(lines, vec![0x0, 0x20]);
+    fn shape_and_capacity() {
+        let c = tiny();
         assert_eq!(c.capacity_lines(), 8);
         assert_eq!(c.line_bytes(), 32);
+        // Line 0x1a0 = block 13: set 13 & 3 = 1, tag 13 >> 2 = 3.
+        assert_eq!(c.locate(LineAddr(0x1a0)), (1, 3));
+        assert_eq!(c.line_of(1, 3), LineAddr(0x1a0));
     }
 
     #[test]
@@ -381,12 +314,6 @@ mod tests {
         let mut c = tiny();
         c.insert(LineAddr(0x0), 1);
         c.insert(LineAddr(0x0), 2);
-    }
-
-    #[test]
-    fn empty_hit_ratio_is_zero() {
-        let c = tiny();
-        assert_eq!(c.hit_ratio(), 0.0);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use crate::cache::{AllocOutcome, CacheArray};
 use crate::protocol::{CoherenceMsg, Grant, L1State, LineAddr, OutMsg, ProtocolError, ReqType};
-use fsoi_sim::det::DetMap;
 
 /// What happened on a processor access.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,7 +92,9 @@ pub struct L1Stats {
 pub struct L1Controller {
     node: usize,
     array: CacheArray<L1State>,
-    mshrs: DetMap<LineAddr, Mshr>,
+    /// Open MSHRs, at most `max_mshrs` of them: searched by line, never
+    /// iterated, so their order reaches no result.
+    mshrs: Vec<(LineAddr, Mshr)>,
     max_mshrs: usize,
     home_nodes: usize,
     stats: L1Stats,
@@ -109,7 +110,7 @@ impl L1Controller {
         L1Controller {
             node,
             array: CacheArray::new(capacity_lines as u64 * line_bytes, ways, line_bytes),
-            mshrs: DetMap::new(),
+            mshrs: Vec::new(),
             max_mshrs: 8,
             home_nodes: 1,
             stats: L1Stats::default(),
@@ -145,10 +146,28 @@ impl L1Controller {
 
     /// The current state of a line (I when untracked).
     pub fn state_of(&self, line: LineAddr) -> L1State {
-        if let Some(m) = self.mshrs.get(&line) {
+        if let Some(m) = self.mshr(line) {
             m.state
         } else {
             self.array.peek(line).copied().unwrap_or(L1State::I)
+        }
+    }
+
+    fn mshr(&self, line: LineAddr) -> Option<&Mshr> {
+        self.mshrs.iter().find(|(l, _)| *l == line).map(|(_, m)| m)
+    }
+
+    /// Opens `line`'s MSHR in `state`, or moves the open one there.
+    fn set_mshr(&mut self, line: LineAddr, state: L1State) {
+        match self.mshrs.iter_mut().find(|(l, _)| *l == line) {
+            Some((_, m)) => m.state = state,
+            None => self.mshrs.push((line, Mshr { state })),
+        }
+    }
+
+    fn close_mshr(&mut self, line: LineAddr) {
+        if let Some(i) = self.mshrs.iter().position(|(l, _)| *l == line) {
+            self.mshrs.swap_remove(i);
         }
     }
 
@@ -166,45 +185,33 @@ impl L1Controller {
 
     /// Processor load.
     pub fn read(&mut self, line: LineAddr) -> Access {
-        match self.state_of(line) {
-            L1State::M | L1State::E | L1State::S => {
-                self.array.lookup(line); // refresh LRU
-                self.stats.read_hits += 1;
-                Access::hit()
-            }
-            L1State::I => {
-                if self.mshrs.len() >= self.max_mshrs {
-                    return Access::stall();
-                }
-                self.stats.read_misses += 1;
-                self.mshrs.insert(
-                    line,
-                    Mshr {
-                        state: L1State::ISD,
-                    },
-                );
-                Access::miss(vec![self.send_req(ReqType::Sh, line)])
-            }
+        if self.mshr(line).is_some() {
             // Transient (Table 2's `z`): the core must wait.
-            _ => Access::stall(),
+            return Access::stall();
         }
+        // A resident line is M, E or S: a hit, which refreshes its LRU.
+        if self.array.lookup(line).is_some() {
+            self.stats.read_hits += 1;
+            return Access::hit();
+        }
+        if self.mshrs.len() >= self.max_mshrs {
+            return Access::stall();
+        }
+        self.stats.read_misses += 1;
+        self.set_mshr(line, L1State::ISD);
+        Access::miss(vec![self.send_req(ReqType::Sh, line)])
     }
 
     /// Processor store.
     pub fn write(&mut self, line: LineAddr) -> Access {
         match self.state_of(line) {
-            L1State::M => {
-                self.array.lookup(line);
-                self.stats.write_hits += 1;
-                Access::hit()
-            }
             #[expect(
                 clippy::expect_used,
-                reason = "P1: the E-state match arm proves the line is resident"
+                reason = "P1: the M/E-state match arm proves the line is resident"
             )]
-            L1State::E => {
-                // Silent E→M upgrade ("do write/M").
-                *self.array.lookup(line).expect("E line is resident") = L1State::M;
+            L1State::M | L1State::E => {
+                // A hit; E upgrades to M silently ("do write/M").
+                *self.array.lookup(line).expect("M/E line is resident") = L1State::M;
                 self.stats.write_hits += 1;
                 Access::hit()
             }
@@ -213,12 +220,7 @@ impl L1Controller {
                     return Access::stall();
                 }
                 self.stats.write_misses += 1;
-                self.mshrs.insert(
-                    line,
-                    Mshr {
-                        state: L1State::SMA,
-                    },
-                );
+                self.set_mshr(line, L1State::SMA);
                 Access::miss(vec![self.send_req(ReqType::Upg, line)])
             }
             L1State::I => {
@@ -226,12 +228,7 @@ impl L1Controller {
                     return Access::stall();
                 }
                 self.stats.write_misses += 1;
-                self.mshrs.insert(
-                    line,
-                    Mshr {
-                        state: L1State::IMD,
-                    },
-                );
+                self.set_mshr(line, L1State::IMD);
                 Access::miss(vec![self.send_req(ReqType::Ex, line)])
             }
             _ => Access::stall(),
@@ -243,7 +240,7 @@ impl L1Controller {
     /// transaction (e.g. an S.Mᴬ upgrade in flight) are pinned and cannot
     /// be evicted — the call is a no-op for them.
     pub fn evict(&mut self, line: LineAddr) -> Vec<OutMsg> {
-        if self.mshrs.contains_key(&line) {
+        if self.mshr(line).is_some() {
             return Vec::new();
         }
         match self.array.peek(line).copied() {
@@ -271,9 +268,9 @@ impl L1Controller {
     /// written straight back.
     fn install(&mut self, line: LineAddr, state: L1State, out: &mut Vec<OutMsg>) {
         let mshrs = &self.mshrs;
-        let outcome = self
-            .array
-            .insert_evicting_where(line, state, |victim, _| !mshrs.contains_key(&victim));
+        let outcome = self.array.insert_evicting_where(line, state, |victim, _| {
+            !mshrs.iter().any(|(l, _)| *l == victim)
+        });
         match outcome {
             Ok(AllocOutcome::Inserted) => {}
             Ok(AllocOutcome::Evicted {
@@ -329,7 +326,7 @@ impl L1Controller {
                         Grant::Shared => L1State::S,
                         Grant::Exclusive | Grant::Modified => L1State::E,
                     };
-                    self.mshrs.remove(&line);
+                    self.close_mshr(line);
                     let mut out = Vec::new();
                     self.install(line, new, &mut out);
                     reaction.out = out;
@@ -337,7 +334,7 @@ impl L1Controller {
                 }
                 L1State::IMD => {
                     // "save & write/M".
-                    self.mshrs.remove(&line);
+                    self.close_mshr(line);
                     let mut out = Vec::new();
                     self.install(line, L1State::M, &mut out);
                     reaction.out = out;
@@ -352,7 +349,7 @@ impl L1Controller {
                 )]
                 L1State::SMA => {
                     // "do write/M".
-                    self.mshrs.remove(&line);
+                    self.close_mshr(line);
                     *self.array.lookup(line).expect("S.MA line remains resident") = L1State::M;
                     reaction.completed = Some(line);
                 }
@@ -374,12 +371,7 @@ impl L1Controller {
                         // flight becomes a full write miss ("InvAck/I.MD").
                         self.stats.upgrade_races += 1;
                         self.array.remove(line);
-                        self.mshrs.insert(
-                            line,
-                            Mshr {
-                                state: L1State::IMD,
-                            },
-                        );
+                        self.set_mshr(line, L1State::IMD);
                     }
                 }
                 reaction.out.push(OutMsg {

@@ -1,85 +1,90 @@
 //! Property tests for the coherence substrate's data structures (on the
 //! in-repo `fsoi-check` harness).
 
-use fsoi_check::{any_bool, checker, set_of, vec_of};
+use fsoi_check::{checker, select, set_of, vec_of};
 use fsoi_coherence::cache::{AllocOutcome, CacheArray};
 use fsoi_coherence::protocol::LineAddr;
 use fsoi_coherence::sync::{Barrier, BooleanSubscriptionHub, LlScMonitor};
-use std::collections::BTreeMap;
 
-/// The cache never exceeds its capacity, lookups agree with a model map
-/// of resident lines, and every eviction returns the evictee's payload.
+/// The flat cache array against an exact-LRU model: per set, a list of
+/// resident lines from least to most recently used, found by division
+/// rather than shift and mask. Over random shapes (1–8 ways, 1–64 sets,
+/// 16/32/64 B lines) every lookup, peek, insert, filtered insert under
+/// random pins and remove agrees — including *which* line an eviction
+/// gives up and the payload it returns.
 #[test]
 fn cache_array_agrees_with_model() {
+    let shape = (1usize..9, 0u32..7, select(&[16u64, 32, 64]));
+    let op = (0u8..5, 0u64..1024, 0u8..=255);
     checker!().check(
         "cache_array_agrees_with_model",
-        vec_of((0u64..64, any_bool()), 1..400),
-        |accesses| {
-            let mut cache: CacheArray<u64> = CacheArray::new(16 * 32, 2, 32); // 16 lines
-            let mut model: BTreeMap<LineAddr, u64> = BTreeMap::new();
-            for (i, &(l, write)) in accesses.iter().enumerate() {
-                let line = LineAddr(l * 32);
-                let resident = cache.lookup(line).is_some();
-                assert_eq!(resident, model.contains_key(&line));
-                if !resident && write {
-                    match cache.insert(line, i as u64) {
-                        AllocOutcome::Inserted => {}
-                        AllocOutcome::Evicted {
-                            line: victim,
-                            payload,
-                        } => {
-                            let expect = model.remove(&victim);
-                            assert_eq!(expect, Some(payload), "evicted payload mismatch");
+        (shape, vec_of(op, 1..400)),
+        |&((ways, sets_log2, line_bytes), ref ops)| {
+            let sets = 1u64 << sets_log2;
+            let mut cache: CacheArray<u64> =
+                CacheArray::new(sets * ways as u64 * line_bytes, ways, line_bytes);
+            // model[set]: (line, payload), least recently used first.
+            let mut model: Vec<Vec<(LineAddr, u64)>> = vec![Vec::new(); sets as usize];
+            let set_of = |line: LineAddr| ((line.0 / line_bytes) % sets) as usize;
+            // Twice the capacity: sets overflow, lines come back.
+            let universe = 2 * sets * ways as u64;
+            for (i, &(kind, pick, pins)) in ops.iter().enumerate() {
+                let line = LineAddr((pick % universe) * line_bytes);
+                let set = &mut model[set_of(line)];
+                let at = set.iter().position(|&(l, _)| l == line);
+                let payload = i as u64;
+                match kind {
+                    0 => {
+                        let got = cache.lookup(line).map(|p| *p);
+                        assert_eq!(got, at.map(|k| set[k].1), "lookup {line}");
+                        if let Some(k) = at {
+                            let entry = set.remove(k);
+                            set.push(entry);
                         }
                     }
-                    model.insert(line, i as u64);
+                    1 => assert_eq!(cache.peek(line).copied(), at.map(|k| set[k].1)),
+                    2 | 3 if at.is_none() => {
+                        // A line is pinned when its bit (line index mod 8)
+                        // is set; kind 3 is the unfiltered insert.
+                        let pinned =
+                            |l: LineAddr| kind == 2 && pins >> ((l.0 / line_bytes) % 8) & 1 == 1;
+                        let want = if set.len() < ways {
+                            Some(None)
+                        } else {
+                            set.iter()
+                                .position(|&(l, _)| !pinned(l))
+                                .map(|k| Some(set[k]))
+                        };
+                        let resident = set.clone();
+                        let got = cache.insert_evicting_where(line, payload, |victim, &p| {
+                            assert!(resident.contains(&(victim, p)), "candidate {victim}");
+                            !pinned(victim)
+                        });
+                        match (got, want) {
+                            (Err(p), None) => assert_eq!(p, payload),
+                            (Ok(AllocOutcome::Inserted), Some(None)) => set.push((line, payload)),
+                            (
+                                Ok(AllocOutcome::Evicted {
+                                    line: l,
+                                    payload: p,
+                                }),
+                                Some(Some(v)),
+                            ) => {
+                                assert_eq!((l, p), v, "victim of {line}");
+                                set.retain(|&e| e != v);
+                                set.push((line, payload));
+                            }
+                            (got, want) => panic!("insert {line}: {got:?}, model {want:?}"),
+                        }
+                    }
+                    4 => {
+                        assert_eq!(cache.remove(line), at.map(|k| set.remove(k).1));
+                    }
+                    _ => {}
                 }
+                let resident: usize = model.iter().map(Vec::len).sum();
+                assert_eq!(cache.len(), resident);
                 assert!(cache.len() <= cache.capacity_lines());
-                assert_eq!(cache.len(), model.len());
-            }
-        },
-    );
-}
-
-/// Filtered insertion never evicts a protected line.
-#[test]
-fn filtered_insert_respects_pins() {
-    checker!().check(
-        "filtered_insert_respects_pins",
-        (set_of(0..8, 0..4), vec_of(0u64..8, 1..40)),
-        |(pins, inserts)| {
-            // Single set, 4 ways: heavy conflict pressure.
-            let mut cache: CacheArray<u64> = CacheArray::new(4 * 32, 4, 32);
-            let pinned: Vec<LineAddr> = pins.iter().map(|&p| LineAddr(p as u64 * 32 * 8)).collect();
-            for &ins in inserts {
-                let line = LineAddr(ins * 32 * 8 + 0x10000 * 32);
-                if cache.peek(line).is_some() {
-                    continue;
-                }
-                let _ = cache.insert_evicting_where(line, 0, |victim, _| !pinned.contains(&victim));
-            }
-            // Direct check: insert pins, then flood; pins survive.
-            let mut cache: CacheArray<u64> = CacheArray::new(4 * 32, 4, 32);
-            for (i, p) in pinned.iter().enumerate() {
-                if cache.peek(*p).is_none() && i < 4 {
-                    let _ = cache.insert_evicting_where(*p, 99, |_, _| true);
-                }
-            }
-            let resident_pins: Vec<LineAddr> = pinned
-                .iter()
-                .copied()
-                .filter(|p| cache.peek(*p).is_some())
-                .collect();
-            for k in 0..32u64 {
-                let line = LineAddr((0x500 + k) * 32); // arbitrary
-                if cache.peek(line).is_some() {
-                    continue;
-                }
-                let _ = cache
-                    .insert_evicting_where(line, k, |victim, _| !resident_pins.contains(&victim));
-            }
-            for p in &resident_pins {
-                assert!(cache.peek(*p).is_some(), "pinned {p} was evicted");
             }
         },
     );

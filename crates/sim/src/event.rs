@@ -1,4 +1,4 @@
-//! A stable, time-ordered event queue.
+//! Stable, time-ordered event queues.
 //!
 //! The simulators in this workspace are primarily cycle-driven, but several
 //! components (memory controllers, confirmation lasers, timeout machinery)
@@ -6,6 +6,11 @@
 //! service with a crucial property for reproducibility: events scheduled for
 //! the same cycle are delivered in the order they were scheduled (FIFO
 //! tie-break), so simulation results never depend on heap internals.
+//!
+//! Two specialisations keep that exact order at lower cost:
+//! [`CalendarQueue`] for a busy queue whose events are mostly due within a
+//! few dozen cycles (the CMP kernel's), and [`MonotoneQueue`] for
+//! fixed-delay pipelines whose pushes never go back in time.
 
 use crate::Cycle;
 use std::cmp::Ordering;
@@ -117,6 +122,206 @@ impl<T> EventQueue<T> {
     /// Discards all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();
+    }
+}
+
+/// Cycles the calendar's per-cycle lists span from its cursor.
+const CALENDAR_SPAN: u64 = 64;
+/// End of a calendar list, and of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One slot of the calendar's node slab: a listed event, or (with no
+/// payload) a link of the free list.
+#[derive(Debug)]
+struct Node<T> {
+    seq: u64,
+    next: u32,
+    payload: Option<T>,
+}
+
+/// [`EventQueue`]'s API and exactly its `(time, push sequence)` pop
+/// order, with O(1) work for events due soon.
+///
+/// The *cursor* is the latest time popped so far. An event due in
+/// `cursor .. cursor + 64` joins the FIFO list of its cycle (list
+/// `at % 64`; inside the window every cycle has its own list), threaded
+/// through one node slab with a free list; a one-word occupancy map finds
+/// the earliest non-empty list with a rotate and a trailing-zero count.
+/// Everything else — an event earlier than the cursor, or one at least
+/// 64 cycles out — waits in a [`BinaryHeap`]. A pop takes the smaller
+/// `(time, seq)` of the two heads and moves the cursor up to the popped
+/// time, never back, so every listed event stays inside the window: the
+/// popped event was no later than any of them.
+///
+/// ```
+/// use fsoi_sim::{Cycle, event::CalendarQueue};
+///
+/// let mut q = CalendarQueue::new();
+/// q.push(Cycle(300), "far");
+/// q.push(Cycle(1), "first");
+/// q.push(Cycle(1), "second");
+/// assert_eq!(q.pop(), Some((Cycle(1), "first")));
+/// assert_eq!(q.pop_due(Cycle(1)), Some((Cycle(1), "second")));
+/// assert_eq!(q.pop_due(Cycle(299)), None);
+/// assert_eq!(q.pop(), Some((Cycle(300), "far")));
+/// assert!(q.is_empty());
+/// ```
+#[derive(Debug)]
+pub struct CalendarQueue<T> {
+    cursor: Cycle,
+    /// `(head, tail)` node of each cycle's list; meaningful only while the
+    /// list's `occupied` bit is set.
+    lists: [(u32, u32); CALENDAR_SPAN as usize],
+    /// Bit `b` set ⇔ list `b` is non-empty.
+    occupied: u64,
+    nodes: Vec<Node<T>>,
+    /// Head of the free list through `nodes`.
+    free: u32,
+    far: BinaryHeap<Entry<T>>,
+    next_seq: u64,
+    len: usize,
+}
+
+impl<T> Default for CalendarQueue<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> CalendarQueue<T> {
+    /// Creates an empty queue.
+    pub fn new() -> Self {
+        CalendarQueue {
+            cursor: Cycle::ZERO,
+            lists: [(NIL, NIL); CALENDAR_SPAN as usize],
+            occupied: 0,
+            nodes: Vec::new(),
+            free: NIL,
+            far: BinaryHeap::new(),
+            next_seq: 0,
+            len: 0,
+        }
+    }
+
+    fn list_of(at: Cycle) -> usize {
+        (at.as_u64() % CALENDAR_SPAN) as usize
+    }
+
+    /// Schedules `payload` for cycle `at`.
+    pub fn push(&mut self, at: Cycle, payload: T) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.len += 1;
+        if at < self.cursor || at - self.cursor >= CALENDAR_SPAN {
+            self.far.push(Entry { at, seq, payload });
+            return;
+        }
+        let node = Node {
+            seq,
+            next: NIL,
+            payload: Some(payload),
+        };
+        let id = if self.free == NIL {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let id = self.free;
+            self.free = std::mem::replace(&mut self.nodes[id as usize], node).next;
+            id
+        };
+        let list = Self::list_of(at);
+        if self.occupied & (1 << list) == 0 {
+            self.occupied |= 1 << list;
+            self.lists[list] = (id, id);
+        } else {
+            let tail = std::mem::replace(&mut self.lists[list].1, id);
+            self.nodes[tail as usize].next = id;
+        }
+    }
+
+    /// The earliest listed event: its time, sequence number and list.
+    fn near_head(&self) -> Option<(Cycle, u64, usize)> {
+        if self.occupied == 0 {
+            return None;
+        }
+        let from_cursor = self
+            .occupied
+            .rotate_right(Self::list_of(self.cursor) as u32);
+        let at = self.cursor + u64::from(from_cursor.trailing_zeros());
+        let list = Self::list_of(at);
+        Some((at, self.nodes[self.lists[list].0 as usize].seq, list))
+    }
+
+    /// Removes and returns the earliest event.
+    pub fn pop(&mut self) -> Option<(Cycle, T)> {
+        let near = self.near_head();
+        let take_far = match (near, self.far.peek()) {
+            (_, None) => false,
+            (None, Some(_)) => true,
+            (Some((at, seq, _)), Some(far)) => (far.at, far.seq) < (at, seq),
+        };
+        let (at, payload) = if take_far {
+            self.far.pop().map(|e| (e.at, e.payload))?
+        } else {
+            let (at, _, list) = near?;
+            let id = self.lists[list].0;
+            let node = &mut self.nodes[id as usize];
+            let next = std::mem::replace(&mut node.next, self.free);
+            #[expect(
+                clippy::expect_used,
+                reason = "P1: a listed node holds its payload until this pop frees it"
+            )]
+            let payload = node.payload.take().expect("listed node is live");
+            self.free = id;
+            if id == self.lists[list].1 {
+                self.occupied &= !(1 << list);
+            } else {
+                self.lists[list].0 = next;
+            }
+            (at, payload)
+        };
+        self.len -= 1;
+        self.cursor = self.cursor.max(at);
+        Some((at, payload))
+    }
+
+    /// The timestamp of the earliest pending event, if any.
+    pub fn peek_time(&self) -> Option<Cycle> {
+        let near = self.near_head().map(|(at, _, _)| at);
+        let far = self.far.peek().map(|e| e.at);
+        match (near, far) {
+            (Some(near), Some(far)) => Some(near.min(far)),
+            (near, far) => near.or(far),
+        }
+    }
+
+    /// Removes and returns the earliest event only if it is due at or before
+    /// `now`.
+    pub fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, T)> {
+        if self.peek_time().is_some_and(|t| t <= now) {
+            self.pop()
+        } else {
+            None
+        }
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Discards all pending events.
+    pub fn clear(&mut self) {
+        self.occupied = 0;
+        self.nodes.clear();
+        self.free = NIL;
+        self.far.clear();
+        self.len = 0;
     }
 }
 

@@ -9,7 +9,8 @@
 //!   fully-deterministic pseudo-random number generators (no dependence on
 //!   OS entropy, so every experiment is exactly reproducible),
 //! * [`event::EventQueue`] — a stable (FIFO within a cycle) time-ordered
-//!   event queue,
+//!   event queue, and two specialisations with its exact pop order
+//!   ([`event::CalendarQueue`], [`event::MonotoneQueue`]),
 //! * [`det::DetMap`] / [`det::DetSet`] — order-deterministic associative
 //!   containers (the names simulation code uses for `BTreeMap`/`BTreeSet`
 //!   in place of `HashMap`/`HashSet`, enforced by lint rule D1),

@@ -142,23 +142,6 @@ impl Xoshiro256StarStar {
         }
     }
 
-    /// Samples a geometric distribution: the number of failures before the
-    /// first success of a Bernoulli(`p`) process (support `0, 1, 2, …`).
-    ///
-    /// Used for inter-arrival gap generation in synthetic workloads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `(0, 1]`.
-    pub fn geometric(&mut self, p: f64) -> u64 {
-        assert!(p > 0.0 && p <= 1.0, "p must be in (0, 1]");
-        if p >= 1.0 {
-            return 0;
-        }
-        let u = self.next_f64().max(f64::MIN_POSITIVE);
-        (u.ln() / (1.0 - p).ln()).floor() as u64
-    }
-
     /// Samples an exponential distribution with the given mean.
     ///
     /// # Panics
@@ -183,6 +166,51 @@ impl Xoshiro256StarStar {
     /// node its own stream without correlation.
     pub fn fork(&mut self) -> Self {
         Xoshiro256StarStar::new(self.next_u64())
+    }
+}
+
+/// A geometric distribution with its one logarithm taken up front: the
+/// number of failures before the first success of a Bernoulli(`p`)
+/// process (support `0, 1, 2, …`), drawn by inversion as
+/// `⌊ln u / ln(1 − p)⌋`.
+///
+/// Used for the compute gaps of the synthetic workloads: a stream that
+/// draws many gaps at one `p` builds this once, so each draw pays one `ln`.
+///
+/// ```
+/// use fsoi_sim::rng::{Geometric, Xoshiro256StarStar};
+/// let mut rng = Xoshiro256StarStar::new(3);
+/// assert_eq!(Geometric::new(1.0).sample(&mut rng), 0);
+/// let gap = Geometric::new(0.25);
+/// let mean = (0..1000).map(|_| gap.sample(&mut rng)).sum::<u64>() as f64 / 1000.0;
+/// assert!((mean - 3.0).abs() < 0.5);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Geometric {
+    ln_q: f64,
+}
+
+impl Geometric {
+    /// The distribution with success probability `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not in `(0, 1]`.
+    pub fn new(p: f64) -> Self {
+        assert!(p > 0.0 && p <= 1.0, "p must be in (0, 1]");
+        Geometric {
+            ln_q: (1.0 - p).ln(),
+        }
+    }
+
+    /// One draw; `p = 1` (`ln_q` = −∞) returns 0 without touching `rng`.
+    #[inline]
+    pub fn sample(&self, rng: &mut Xoshiro256StarStar) -> u64 {
+        if self.ln_q == f64::NEG_INFINITY {
+            return 0;
+        }
+        let u = rng.next_f64().max(f64::MIN_POSITIVE);
+        (u.ln() / self.ln_q).floor() as u64
     }
 }
 
@@ -273,11 +301,31 @@ mod tests {
         let mut r = Xoshiro256StarStar::new(5);
         let p = 0.25;
         let n = 50_000;
-        let total: u64 = (0..n).map(|_| r.geometric(p)).sum();
+        let gap = Geometric::new(p);
+        let total: u64 = (0..n).map(|_| gap.sample(&mut r)).sum();
         let mean = total as f64 / n as f64;
         let expect = (1.0 - p) / p; // 3.0
         assert!((mean - expect).abs() < 0.1, "mean {mean} vs {expect}");
-        assert_eq!(r.geometric(1.0), 0);
+        let before = r.clone();
+        assert_eq!(Geometric::new(1.0).sample(&mut r), 0);
+        assert_eq!(r, before, "p = 1 draws nothing");
+    }
+
+    #[test]
+    fn geometric_takes_the_per_draw_logarithm() {
+        // `ln_q` is bit for bit the `(1 − p).ln()` each draw used to take,
+        // at every `p = 1 / (mean_gap + 1)` for gaps 0 .. 1000 in eighths.
+        for g in 0..8_000 {
+            let p = 1.0 / (f64::from(g) / 8.0 + 1.0);
+            let want = (1.0 - p).ln();
+            assert_eq!(Geometric::new(p).ln_q.to_bits(), want.to_bits(), "p = {p}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "p must be in (0, 1]")]
+    fn geometric_rejects_p_zero() {
+        Geometric::new(0.0);
     }
 
     #[test]

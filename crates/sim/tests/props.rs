@@ -3,7 +3,7 @@
 
 use fsoi_check::{any_bool, checker, select, vec_of};
 use fsoi_sim::det::NodeMask;
-use fsoi_sim::event::EventQueue;
+use fsoi_sim::event::{CalendarQueue, EventQueue};
 use fsoi_sim::metrics::Registry;
 use fsoi_sim::queue::BoundedQueue;
 use fsoi_sim::rng::Xoshiro256StarStar;
@@ -32,6 +32,65 @@ fn event_queue_is_a_stable_priority_queue() {
                     }
                 }
                 prev = Some((t, id));
+            }
+        },
+    );
+}
+
+/// The calendar queue run in lockstep with its slow reference, the heap:
+/// every pop, due-pop, peek and length agrees. Times are drawn around the
+/// latest popped time (the calendar's cursor) — before it, inside its
+/// 64-cycle window, on the window's edge and far past it — and `pop_due`
+/// gets a `now` that wanders back and forth.
+#[test]
+fn calendar_queue_equals_event_queue() {
+    checker!().check(
+        "calendar_queue_equals_event_queue",
+        vec_of((0u8..20, 0u64..200), 1..400),
+        |ops| {
+            let mut fast = CalendarQueue::new();
+            let mut slow = EventQueue::new();
+            // The latest time popped so far; draws land at `cursor - 40 ..`.
+            let mut cursor = 0u64;
+            let around = |cursor: u64, offset: u64| Cycle((cursor + offset).saturating_sub(40));
+            for (i, &(kind, offset)) in ops.iter().enumerate() {
+                let popped = match kind {
+                    0..=9 => {
+                        fast.push(around(cursor, offset), i);
+                        slow.push(around(cursor, offset), i);
+                        None
+                    }
+                    10..=13 => {
+                        let (a, b) = (fast.pop(), slow.pop());
+                        assert_eq!(a, b, "pop at step {i}");
+                        a
+                    }
+                    14..=18 => {
+                        let now = around(cursor, offset);
+                        let (a, b) = (fast.pop_due(now), slow.pop_due(now));
+                        assert_eq!(a, b, "pop_due({now}) at step {i}");
+                        a
+                    }
+                    _ if offset < 20 => {
+                        fast.clear();
+                        slow.clear();
+                        None
+                    }
+                    _ => None,
+                };
+                if let Some((at, _)) = popped {
+                    cursor = cursor.max(at.as_u64());
+                }
+                assert_eq!(fast.peek_time(), slow.peek_time(), "peek at step {i}");
+                assert_eq!(fast.len(), slow.len(), "len at step {i}");
+                assert_eq!(fast.is_empty(), slow.is_empty());
+            }
+            loop {
+                let (a, b) = (fast.pop(), slow.pop());
+                assert_eq!(a, b, "drain");
+                if a.is_none() {
+                    break;
+                }
             }
         },
     );

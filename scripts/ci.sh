@@ -23,7 +23,12 @@
 #                                 # wake-wheel cross-check live, and the bulk L2
 #                                 # warm-up against its per-line reference (slab
 #                                 # image, then the per-home split up to 256 nodes)
-#                                 # with the LRU-list cross-check live
+#                                 # with the LRU-list cross-check live; then three
+#                                 # more, the per-operation path against its slow
+#                                 # references: the calendar queue against the
+#                                 # heap (5000 cases), the flat cache array against
+#                                 # exact LRU (2000 cases), the single-ln gap draw
+#                                 # against the per-draw formula (all 16 profiles)
 #   scripts/ci.sh --tier tsan     # ThreadSanitizer pass over fsoi-sim (needs nightly;
 #                                 # optional — skipped with a notice when unavailable)
 set -eu
@@ -121,6 +126,15 @@ tier_scale() {
     # home-filtered line list, building every slice on the way.
     FSOI_CHECK_CASES=300 cargo test -q --offline -p fsoi-coherence warmed_equals_per_line_preload
     FSOI_CHECK_CASES=300 cargo test -q --offline -p fsoi-cmp region_runs_split_by_home_equals_filtered_lines
+    # The per-operation path of a CMP cell: the kernel's calendar queue in
+    # lockstep with the heap it replaced (times before its cursor, inside
+    # its window, on the edge and far past; `pop_due` with a wandering
+    # `now`), the flat shift-indexed cache array against an exact-LRU model
+    # over random shapes with pinned victims, and every suite profile's
+    # gap draw bit-equal to the per-draw formula.
+    FSOI_CHECK_CASES=5000 cargo test -q --offline -p fsoi-sim calendar_queue_equals_event_queue
+    FSOI_CHECK_CASES=2000 cargo test -q --offline -p fsoi-coherence cache_array_agrees_with_model
+    cargo test -q --offline -p fsoi-cmp gap_stream_equals_per_draw_reference
 }
 
 tier_tsan() {
