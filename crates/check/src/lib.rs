@@ -9,7 +9,7 @@
 //! - **Generators** ([`gen`]): plain `Range`s over integers and `f64` are
 //!   generators; combinators cover vectors ([`vec_of`]), distinct sorted
 //!   sets ([`set_of`]), fixed slates of protocol ops ([`select`]), tuples,
-//!   and [`Gen::map`].
+//!   and [`Gen::gen_map`].
 //! - **Integrated shrinking** ([`tree`]): generated values carry lazy
 //!   shrink trees; the runner walks them greedily to a local minimum.
 //! - **Deterministic seeding + regressions** ([`runner`]): per-test seed

@@ -6,6 +6,15 @@
 //! Coherence messages are carried opaquely: the system registers each
 //! in-flight message in a table and sends only its index as the packet
 //! `tag`; deliveries hand the tag back.
+//!
+//! The trait has three groups: driving (`inject`, `tick`, `drain`, `now`,
+//! `is_idle`, `next_event_at`, `advance_to`, `name`), the FSOI hooks the
+//! §5 optimizations call (`expect_data`, `clear_expected`,
+//! `reserve_reply_slot`, `supports_confirmation_acks`; no-ops elsewhere),
+//! and one read-only [`Interconnect::report`]. Everything a run report
+//! takes from the network comes out of that one call as a [`NetReport`]:
+//! a new network quantity is a `NetReport` field plus its `RunReport`
+//! row, not a trait method.
 
 use fsoi_mesh::ideal::{IdealKind, IdealNetwork};
 use fsoi_mesh::network::{MeshDelivered, MeshNetwork};
@@ -16,6 +25,7 @@ use fsoi_net::packet::{Packet, PacketClass};
 use fsoi_net::power::FsoiPowerModel;
 use fsoi_net::topology::NodeId;
 use fsoi_ring::network::{Arbitration, ChannelNetwork, RingPacket};
+use fsoi_sim::stats::Summary;
 use fsoi_sim::Cycle;
 
 /// A packet as the CMP system sees it.
@@ -79,6 +89,31 @@ impl LatencyAttribution {
     }
 }
 
+/// What a network reports about a run so far: the network's half of a
+/// [`RunReport`](crate::metrics::RunReport). Per-lane pairs are
+/// `[meta, data]`; a quantity a network has no notion of stays 0.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct NetReport {
+    /// Mean per-packet latency attribution.
+    pub attribution: LatencyAttribution,
+    /// First-transmission probability per node per slot (Figure 9's
+    /// x-axis).
+    pub tx_probability: [f64; 2],
+    /// Fraction of transmissions that collided.
+    pub collision_rate: [f64; 2],
+    /// Mean collision-resolution delay of collided data packets, cycles.
+    pub data_resolution_delay: f64,
+    /// Fraction of issued data-lane hints whose winner was a true
+    /// collider (§5.2).
+    pub hint_accuracy: f64,
+    /// Fraction of issued hints that made a non-collider believe it won.
+    pub hint_wrong_rate: f64,
+    /// Packets dropped by raw bit errors and recovered by retransmission.
+    pub bit_error_drops: u64,
+    /// Network energy over the reported span, joules.
+    pub energy_j: f64,
+}
+
 /// The driving interface every network variant implements.
 pub trait Interconnect: std::fmt::Debug {
     /// Injects a packet; `Err` hands it back on queue overflow.
@@ -91,12 +126,11 @@ pub trait Interconnect: std::fmt::Debug {
     fn now(&self) -> Cycle;
     /// True when nothing is queued or in flight.
     fn is_idle(&self) -> bool;
-    /// Mean latency attribution so far.
-    fn attribution(&self) -> LatencyAttribution;
-    /// Network energy consumed over `cycles`, joules.
-    fn energy_j(&mut self, cycles: u64) -> f64;
     /// Short human-readable name ("fsoi", "mesh", "L0"…).
     fn name(&self) -> &'static str;
+    /// Everything the network measured so far, with energy charged over
+    /// `cycles`.
+    fn report(&self, cycles: u64) -> NetReport;
 
     /// The earliest cycle `>= now()` at which the network could do any
     /// work on its own — deliver, resolve a slot, drain a confirmation,
@@ -136,28 +170,9 @@ pub trait Interconnect: std::fmt::Debug {
     fn supports_confirmation_acks(&self) -> bool {
         false
     }
-    /// Fraction of transmissions that collided on a lane (0 = meta,
-    /// 1 = data); 0.0 for collision-free networks.
-    fn collision_rate(&self, _lane: usize) -> f64 {
-        0.0
-    }
-    /// First-transmission probability per node per slot on a lane; 0.0
-    /// where the concept does not apply.
-    fn tx_probability(&self, _lane: usize) -> f64 {
-        0.0
-    }
-    /// Data-lane hint statistics `(issued, correct, wrong)`.
-    fn hint_stats(&self) -> (u64, u64, u64) {
-        (0, 0, 0)
-    }
-    /// Mean collision-resolution delay of collided data packets, cycles.
-    fn data_resolution_delay(&self) -> f64 {
-        0.0
-    }
-    /// Packets dropped by raw bit errors and recovered by retransmission
-    /// (FSOI only).
-    fn bit_error_drops(&self) -> u64 {
-        0
+    /// [`NetReport::collision_rate`] on one lane (0 = meta, 1 = data).
+    fn collision_rate(&self, lane: usize) -> f64 {
+        self.report(self.now().as_u64()).collision_rate[lane]
     }
 }
 
@@ -220,33 +235,50 @@ impl Interconnect for FsoiAdapter {
         self.net.is_idle()
     }
 
-    fn attribution(&self) -> LatencyAttribution {
-        let s = self.net.stats();
-        let weight = |lane: usize| s.latency[lane].count() as f64;
-        let total = weight(0) + weight(1);
-        if total == 0.0 {
-            return LatencyAttribution::default();
-        }
-        let mix = |a: f64, b: f64| (a * weight(0) + b * weight(1)) / total;
-        LatencyAttribution {
-            queuing: mix(s.queuing[0].mean(), s.queuing[1].mean()),
-            scheduling: mix(s.scheduling[0].mean(), s.scheduling[1].mean()),
-            network: mix(s.network[0].mean(), s.network[1].mean()),
-            collision_resolution: mix(s.resolution[0].mean(), s.resolution[1].mean()),
-        }
-    }
-
-    fn energy_j(&mut self, cycles: u64) -> f64 {
-        let lanes = self.net.config().lanes;
-        let nodes = self.net.config().nodes;
-        let conf = self.net.confirmations_sent();
-        self.power
-            .network_energy(self.net.stats(), &lanes, nodes, cycles, conf)
-            .total_j()
-    }
-
     fn name(&self) -> &'static str {
         "fsoi"
+    }
+
+    fn report(&self, cycles: u64) -> NetReport {
+        let s = self.net.stats();
+        let cfg = self.net.config();
+        // Per-lane means, weighted by each lane's delivered packets.
+        let weight = |lane: usize| s.latency[lane].count() as f64;
+        let total = weight(0) + weight(1);
+        let mix = |m: &[Summary; 2]| (m[0].mean() * weight(0) + m[1].mean() * weight(1)) / total;
+        let attribution = if total == 0.0 {
+            LatencyAttribution::default()
+        } else {
+            LatencyAttribution {
+                queuing: mix(&s.queuing),
+                scheduling: mix(&s.scheduling),
+                network: mix(&s.network),
+                collision_resolution: mix(&s.resolution),
+            }
+        };
+        let hint_share = |n: u64| {
+            if s.hints_issued == 0 {
+                0.0
+            } else {
+                n as f64 / s.hints_issued as f64
+            }
+        };
+        let conf = self.net.confirmations_sent();
+        NetReport {
+            attribution,
+            tx_probability: [PacketClass::Meta, PacketClass::Data].map(|class| {
+                s.transmission_probability(class.lane(), cfg.nodes, self.net.slots_elapsed(class))
+            }),
+            collision_rate: [0, 1].map(|lane| s.collision_rate(lane)),
+            data_resolution_delay: s.resolution_when_collided[1].mean(),
+            hint_accuracy: hint_share(s.hints_correct),
+            hint_wrong_rate: hint_share(s.hints_wrong),
+            bit_error_drops: s.bit_error_drops[0] + s.bit_error_drops[1],
+            energy_j: self
+                .power
+                .network_energy(s, &cfg.lanes, cfg.nodes, cycles, conf)
+                .total_j(),
+        }
     }
 
     fn next_event_at(&self) -> Option<Cycle> {
@@ -278,42 +310,6 @@ impl Interconnect for FsoiAdapter {
 
     fn supports_confirmation_acks(&self) -> bool {
         true
-    }
-
-    fn collision_rate(&self, lane: usize) -> f64 {
-        self.net.stats().collision_rate(lane)
-    }
-
-    fn tx_probability(&self, lane: usize) -> f64 {
-        let class = if lane == 0 {
-            PacketClass::Meta
-        } else {
-            PacketClass::Data
-        };
-        let slots = self.net.slots_elapsed(class);
-        let nodes = self.net.config().nodes;
-        // First transmissions only: attempts minus retransmissions.
-        let s = self.net.stats();
-        let first = s.transmissions[lane].saturating_sub(s.retransmissions[lane]);
-        if slots == 0 {
-            0.0
-        } else {
-            first as f64 / (nodes as f64 * slots as f64)
-        }
-    }
-
-    fn hint_stats(&self) -> (u64, u64, u64) {
-        let s = self.net.stats();
-        (s.hints_issued, s.hints_correct, s.hints_wrong)
-    }
-
-    fn data_resolution_delay(&self) -> f64 {
-        self.net.stats().resolution_when_collided[1].mean()
-    }
-
-    fn bit_error_drops(&self) -> u64 {
-        let s = self.net.stats();
-        s.bit_error_drops[0] + s.bit_error_drops[1]
     }
 }
 
@@ -405,23 +401,21 @@ impl Interconnect for MeshAdapter {
         self.net.is_idle()
     }
 
-    fn attribution(&self) -> LatencyAttribution {
-        LatencyAttribution {
-            queuing: 0.0,
-            scheduling: 0.0,
-            network: self.net.stats().latency.mean(),
-            collision_resolution: 0.0,
-        }
-    }
-
-    fn energy_j(&mut self, cycles: u64) -> f64 {
-        self.net.harvest_power_counters();
-        let routers = self.net.config().node_count();
-        self.power.energy_j(self.net.stats(), routers, cycles)
-    }
-
     fn name(&self) -> &'static str {
         "mesh"
+    }
+
+    fn report(&self, cycles: u64) -> NetReport {
+        let stats = self.net.stats();
+        let routers = self.net.config().node_count();
+        NetReport {
+            attribution: LatencyAttribution {
+                network: stats.latency.mean(),
+                ..Default::default()
+            },
+            energy_j: self.power.energy_j(&stats, routers, cycles),
+            ..Default::default()
+        }
     }
 
     fn next_event_at(&self) -> Option<Cycle> {
@@ -437,7 +431,6 @@ impl Interconnect for MeshAdapter {
 #[derive(Debug)]
 pub struct IdealAdapter {
     net: IdealNetwork,
-    kind: IdealKind,
 }
 
 impl IdealAdapter {
@@ -445,7 +438,6 @@ impl IdealAdapter {
     pub fn new(kind: IdealKind, width: usize) -> Self {
         IdealAdapter {
             net: IdealNetwork::new(kind, width),
-            kind,
         }
     }
 }
@@ -472,22 +464,21 @@ impl Interconnect for IdealAdapter {
         self.net.is_idle()
     }
 
-    fn attribution(&self) -> LatencyAttribution {
-        LatencyAttribution {
-            network: self.net.latency().mean(),
-            ..Default::default()
-        }
-    }
-
-    fn energy_j(&mut self, _cycles: u64) -> f64 {
-        0.0 // idealized: no energy model
-    }
-
     fn name(&self) -> &'static str {
-        match self.kind {
+        match self.net.kind() {
             IdealKind::L0 => "L0",
             IdealKind::Lr1 => "Lr1",
             IdealKind::Lr2 => "Lr2",
+        }
+    }
+
+    fn report(&self, _cycles: u64) -> NetReport {
+        NetReport {
+            attribution: LatencyAttribution {
+                network: self.net.latency().mean(),
+                ..Default::default()
+            },
+            ..Default::default() // idealized: no energy model
         }
     }
 }
@@ -551,25 +542,26 @@ impl Interconnect for ChannelAdapter {
         self.net.is_idle()
     }
 
-    fn attribution(&self) -> LatencyAttribution {
-        LatencyAttribution {
-            queuing: self.net.stats().wait.mean(),
-            network: self.net.stats().latency.mean() - self.net.stats().wait.mean(),
-            ..Default::default()
-        }
-    }
-
-    fn energy_j(&mut self, cycles: u64) -> f64 {
-        // Dominated by always-on static power: ring tuning + modulators
-        // on Corona, the worst-case-loss-sized per-port lasers (CW sources
-        // behind modulators) plus receivers on the matrix.
-        self.net.static_power_w() * cycles as f64 / 3.3e9
-    }
-
     fn name(&self) -> &'static str {
         match self.net.config().arbitration {
             Arbitration::Token { .. } => "ring",
             Arbitration::Port { .. } => "crossbar",
+        }
+    }
+
+    fn report(&self, cycles: u64) -> NetReport {
+        let stats = self.net.stats();
+        NetReport {
+            attribution: LatencyAttribution {
+                queuing: stats.wait.mean(),
+                network: stats.latency.mean() - stats.wait.mean(),
+                ..Default::default()
+            },
+            // Dominated by always-on static power: ring tuning + modulators
+            // on Corona, the worst-case-loss-sized per-port lasers (CW
+            // sources behind modulators) plus receivers on the matrix.
+            energy_j: self.net.static_power_w() * cycles as f64 / 3.3e9,
+            ..Default::default()
         }
     }
 }
@@ -577,6 +569,7 @@ impl Interconnect for ChannelAdapter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::configs::{NetworkKind, SystemConfig};
     use fsoi_mesh::config::MeshConfig;
     use fsoi_net::config::FsoiConfig;
     use fsoi_ring::config::RingConfig;
@@ -626,23 +619,91 @@ mod tests {
     }
 
     #[test]
-    fn fsoi_attribution_sums_to_latency() {
-        let mut fsoi = FsoiAdapter::new(FsoiNetwork::new(FsoiConfig::nodes(16), 1));
-        let d = deliver_one(&mut fsoi, NetPacket::new(2, 11, PacketClass::Meta, 0));
-        let a = fsoi.attribution();
-        assert!((a.total() - d.latency as f64).abs() < 1e-9);
-    }
-
-    #[test]
-    fn energy_hooks_produce_values() {
-        let mut fsoi = FsoiAdapter::new(FsoiNetwork::new(FsoiConfig::nodes(16), 1));
-        deliver_one(&mut fsoi, NetPacket::new(0, 5, PacketClass::Data, 0));
-        assert!(fsoi.energy_j(100) > 0.0);
-        let mut mesh = MeshAdapter::new(MeshNetwork::new(MeshConfig::nodes(16)));
-        deliver_one(&mut mesh, NetPacket::new(0, 5, PacketClass::Data, 0));
-        assert!(mesh.energy_j(100) > 0.0);
-        let mut l0 = IdealAdapter::new(IdealKind::L0, 4);
-        assert_eq!(l0.energy_j(100), 0.0);
+    fn every_network_report_adds_up() {
+        // Two destinations, each hit by four meta senders sharing one FSOI
+        // receiver and three data senders sharing another: FSOI collides
+        // on both lanes, and the lane means differ.
+        let burst: Vec<NetPacket> = [15, 7]
+            .into_iter()
+            .flat_map(|dst| {
+                let meta = [0, 2, 4, 6].map(|src| NetPacket::new(src, dst, PacketClass::Meta, 0));
+                let data = [8, 10, 12].map(|src| NetPacket::new(src, dst, PacketClass::Data, 0));
+                meta.into_iter().chain(data)
+            })
+            .collect();
+        let kinds = [
+            NetworkKind::fsoi(16),
+            NetworkKind::mesh(16),
+            NetworkKind::MeshScaled(MeshConfig::nodes(16), 0.5),
+            NetworkKind::L0,
+            NetworkKind::Lr1,
+            NetworkKind::Lr2,
+            NetworkKind::ring(16),
+            NetworkKind::crossbar(16),
+            NetworkKind::ring(64),
+            NetworkKind::crossbar(64),
+        ];
+        for kind in kinds {
+            let nodes = kind.nodes().unwrap_or(16);
+            let mut net = SystemConfig::paper_n(nodes, kind).build_network();
+            let name = net.name();
+            for &p in &burst {
+                net.inject(p).unwrap();
+            }
+            let mut latencies = Vec::new();
+            while !net.is_idle() {
+                assert!(net.now() < Cycle(100_000), "{name} must drain");
+                net.tick();
+                latencies.extend(net.drain().iter().map(|d| d.latency));
+            }
+            assert_eq!(latencies.len(), burst.len(), "{name}");
+            let mean = latencies.iter().sum::<u64>() as f64 / latencies.len() as f64;
+            let cycles = net.now().as_u64();
+            let r = net.report(cycles);
+            let total = r.attribution.total();
+            assert!(
+                (total - mean).abs() <= 1e-9 * mean,
+                "{name}: attribution {total} vs mean latency {mean}"
+            );
+            assert_eq!(r, net.report(cycles), "{name}: a report is a read");
+            let energy = [0, cycles, 10 * cycles].map(|c| net.report(c).energy_j);
+            assert!(
+                energy[0] <= energy[1] && energy[1] <= energy[2],
+                "{name}: energy {energy:?} must not fall with cycles"
+            );
+            let ideal = matches!(name, "L0" | "Lr1" | "Lr2");
+            assert_eq!(r.energy_j > 0.0, !ideal, "{name}: energy {}", r.energy_j);
+            if name == "fsoi" {
+                assert!(
+                    r.collision_rate[0] > 0.0 && r.collision_rate[1] > 0.0,
+                    "the burst collides on both lanes: {:?}",
+                    r.collision_rate
+                );
+                // The data senders' superposed headers admit a phantom
+                // sender, so some hint goes wrong; every hint is right or
+                // wrong, so the two shares of the issued hints make 1.
+                let (right, wrong) = (r.hint_accuracy, r.hint_wrong_rate);
+                assert!(wrong > 0.0, "a phantom won a hint");
+                assert!((right + wrong - 1.0).abs() < 1e-12, "{right} + {wrong}");
+            } else {
+                let fsoi_only = (
+                    r.tx_probability,
+                    r.collision_rate,
+                    r.data_resolution_delay,
+                    r.hint_accuracy,
+                    r.hint_wrong_rate,
+                    r.bit_error_drops,
+                );
+                assert_eq!(fsoi_only, ([0.0; 2], [0.0; 2], 0.0, 0.0, 0.0, 0), "{name}");
+            }
+            for lane in 0..2 {
+                assert_eq!(
+                    net.collision_rate(lane),
+                    net.report(net.now().as_u64()).collision_rate[lane],
+                    "{name}: lane {lane}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -689,7 +750,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].packet.tag, 5);
         assert!(net.is_idle());
-        assert!(net.energy_j(1000) > 0.0);
+        assert!(net.report(1000).energy_j > 0.0);
         assert_eq!(net.name(), "ring");
     }
 
@@ -705,7 +766,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].packet.tag, 5);
         assert!(net.is_idle());
-        assert!(net.energy_j(1000) > 0.0);
+        assert!(net.report(1000).energy_j > 0.0);
         assert_eq!(net.name(), "crossbar");
     }
 
@@ -722,7 +783,7 @@ mod tests {
         assert_eq!(out[0].packet.dst, 255);
         // 256-port lasers are sized for ~48 dB more worst-case loss than
         // 64-port ones; the energy model must reflect that.
-        let mut small = crossbar(64);
-        assert!(net.energy_j(1000) > small.energy_j(1000) * 100.0);
+        let small = crossbar(64);
+        assert!(net.report(1000).energy_j > small.report(1000).energy_j * 100.0);
     }
 }

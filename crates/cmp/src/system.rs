@@ -7,7 +7,7 @@
 //!
 //! * **Wake wheel and lazy accounting.** A core acts on its own only when
 //!   it issues (`Ready`) or probes a sync word (`SpinLock`/`SpinBarrier`);
-//!   everything else waits for an event. [`WakeWheel`] files each such
+//!   everything else waits for an event. A wake wheel files each such
 //!   core under the cycle of that action, so a tick visits exactly the
 //!   cores due in it — in ascending index, the order an all-cores scan
 //!   would reach them, which `route`, the locks and the RNG draws depend
@@ -1150,9 +1150,10 @@ impl CmpSystem {
 
     // ----- reporting ------------------------------------------------------
 
-    /// Builds the report for a finished (or interrupted) run. Nothing the
-    /// run depends on changes: it goes on as if no report had been taken.
-    pub fn report(&mut self) -> RunReport {
+    /// Builds the report for a finished (or interrupted) run. It reads
+    /// the system only, so a run reported on midway goes on as if no
+    /// report had been taken.
+    pub fn report(&self) -> RunReport {
         let cycles = self.now.as_u64();
         // Each core's closed spans plus its open one, left open.
         let (mut active, mut stalled) = (0, 0);
@@ -1160,10 +1161,10 @@ impl CmpSystem {
             active += stats.active_cycles;
             stalled += stats.stalled_cycles;
         }
-        let network_j = self.net.energy_j(cycles);
+        let net = self.net.report(cycles);
         let power = ChipPowerModel::paper_default();
-        let energy: ChipEnergy = power.energy(self.cfg.nodes, cycles, active, stalled, network_j);
-        let (issued, correct, wrong) = self.net.hint_stats();
+        let energy: ChipEnergy =
+            power.energy(self.cfg.nodes, cycles, active, stalled, net.energy_j);
         let miss_rates: Vec<f64> = self
             .l1s
             .iter()
@@ -1203,12 +1204,12 @@ impl CmpSystem {
             app: self.app.name.to_string(),
             network: self.net.name().to_string(),
             cycles,
-            attribution: self.net.attribution(),
+            attribution: net.attribution,
             reply_latency: self.reply_latency.clone(),
-            meta_tx_probability: self.net.tx_probability(0),
-            data_tx_probability: self.net.tx_probability(1),
-            meta_collision_rate: self.net.collision_rate(0),
-            data_collision_rate: self.net.collision_rate(1),
+            meta_tx_probability: net.tx_probability[0],
+            data_tx_probability: net.tx_probability[1],
+            meta_collision_rate: net.collision_rate[0],
+            data_collision_rate: net.collision_rate[1],
             packets_sent: self.packets_sent,
             data_by_kind: self.data_by_kind,
             collided_by_kind: self.collided_by_kind,
@@ -1218,18 +1219,10 @@ impl CmpSystem {
             active_cycles: active,
             stalled_cycles: stalled,
             energy,
-            data_resolution_delay: self.net.data_resolution_delay(),
-            hint_accuracy: if issued == 0 {
-                0.0
-            } else {
-                correct as f64 / issued as f64
-            },
-            hint_wrong_rate: if issued == 0 {
-                0.0
-            } else {
-                wrong as f64 / issued as f64
-            },
-            bit_error_drops: self.net.bit_error_drops(),
+            data_resolution_delay: net.data_resolution_delay,
+            hint_accuracy: net.hint_accuracy,
+            hint_wrong_rate: net.hint_wrong_rate,
+            bit_error_drops: net.bit_error_drops,
             profile,
         }
     }
@@ -1596,7 +1589,6 @@ mod tests {
             }
             let (w, s) = (&wake.reply_latency, &scan.reply_latency);
             assert_eq!(format!("{w:?}"), format!("{s:?}"), "reply latencies");
-            let mut scan = scan;
             assert_eq!(
                 report.registry().to_jsonl(),
                 scan.report().registry().to_jsonl(),

@@ -14,7 +14,7 @@
 //! When the deferred queue is full the directory NACKs with `Retry`,
 //! which probabilistically avoids fetch deadlock (§4.3.1, footnote 3).
 //!
-//! Entries live in a slab ([`Slab`]): a `Vec` of slots reserved once for
+//! Entries live in a slab (`Slab`): a `Vec` of slots reserved once for
 //! the slice's capacity, a free list, and an intrusive doubly-linked LRU
 //! list through the occupied slots. An ordered index maps a line to its
 //! slot; a handled message looks the line up there once and every handler

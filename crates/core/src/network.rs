@@ -139,7 +139,8 @@ impl NetStats {
         if slots == 0 || nodes == 0 {
             return 0.0;
         }
-        self.transmissions[lane] as f64 / (nodes as f64 * slots as f64)
+        let first = self.transmissions[lane].saturating_sub(self.retransmissions[lane]);
+        first as f64 / (nodes as f64 * slots as f64)
     }
 
     /// Fraction of transmissions that collided, per lane.
@@ -1249,6 +1250,24 @@ mod tests {
         assert!(p > 0.0 && p < 1.0);
         assert_eq!(net.stats().collision_rate(0), 0.0);
         assert_eq!(net.stats().collision_rate(1), 0.0);
+    }
+
+    #[test]
+    fn transmission_probability_counts_first_transmissions_only() {
+        // Two senders sharing receiver 0 at node 5 collide in slot 0 and
+        // retry: the retries are transmissions, not first transmissions.
+        let mut net = net16(33);
+        for src in [0usize, 2] {
+            assert_eq!(receiver_index(NodeId(src), NodeId(5), 16, 2), 0);
+            net.inject(Packet::new(NodeId(src), NodeId(5), PacketClass::Meta, 0))
+                .unwrap();
+        }
+        assert_eq!(run_until_idle(&mut net, 2_000).len(), 2);
+        let s = net.stats();
+        assert!(s.transmissions[0] > 2, "the collision forced retries");
+        let slots = net.slots_elapsed(PacketClass::Meta);
+        let p = s.transmission_probability(0, 16, slots);
+        assert_eq!(p, 2.0 / (16.0 * slots as f64), "two first transmissions");
     }
 
     #[test]

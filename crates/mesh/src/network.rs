@@ -30,7 +30,7 @@ impl MeshDelivered {
 }
 
 /// Aggregate mesh statistics.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MeshStats {
     /// Packets accepted.
     pub injected: u64,
@@ -164,9 +164,16 @@ impl MeshNetwork {
         self.now
     }
 
-    /// Statistics so far.
-    pub fn stats(&self) -> &MeshStats {
-        &self.stats
+    /// Statistics so far, with the routers' power counters summed in.
+    pub fn stats(&self) -> MeshStats {
+        let mut stats = self.stats;
+        for router in &self.routers {
+            stats.buffer_writes += router.buffer_writes;
+            stats.buffer_reads += router.buffer_reads;
+            stats.crossbar_traversals += router.crossbar_traversals;
+            stats.allocations += router.allocations;
+        }
+        stats
     }
 
     /// Injects a packet.
@@ -406,22 +413,6 @@ impl MeshNetwork {
         }
         self.delivered.push(d);
     }
-
-    /// Gathers router event counters into the stats block (call after a
-    /// run; cheap and idempotent).
-    pub fn harvest_power_counters(&mut self) {
-        let (mut w, mut r, mut x, mut a) = (0, 0, 0, 0);
-        for router in &self.routers {
-            w += router.buffer_writes;
-            r += router.buffer_reads;
-            x += router.crossbar_traversals;
-            a += router.allocations;
-        }
-        self.stats.buffer_writes = w;
-        self.stats.buffer_reads = r;
-        self.stats.crossbar_traversals = x;
-        self.stats.allocations = a;
-    }
 }
 
 #[cfg(test)]
@@ -544,11 +535,10 @@ mod tests {
     }
 
     #[test]
-    fn power_counters_harvested() {
+    fn power_counters_are_current_without_a_harvest() {
         let mut net = MeshNetwork::new(MeshConfig::nodes(16));
         net.inject(MeshPacket::data(0, 15, 0)).unwrap();
         run_until_idle(&mut net, 200);
-        net.harvest_power_counters();
         let s = net.stats();
         // 5 flits × 7 routers of buffer write/read and crossbar.
         assert_eq!(s.buffer_writes, 35);

@@ -55,17 +55,12 @@ impl MeshPowerModel {
     }
 
     /// Total mesh energy over `cycles` for a run summarized by `stats`
-    /// (after [`harvest_power_counters`]) on `routers` routers.
+    /// ([`MeshNetwork::stats`]) on `routers` routers.
     ///
-    /// [`harvest_power_counters`]: crate::network::MeshNetwork::harvest_power_counters
+    /// [`MeshNetwork::stats`]: crate::network::MeshNetwork::stats
     pub fn energy_j(&self, stats: &MeshStats, routers: usize, cycles: u64) -> f64 {
-        let dynamic = stats.buffer_writes as f64 * self.buffer_write_j
-            + stats.buffer_reads as f64 * self.buffer_read_j
-            + stats.crossbar_traversals as f64 * self.crossbar_j
-            + stats.allocations as f64 * self.arbiter_j
-            + stats.link_traversals as f64 * self.link_j;
         let seconds = cycles as f64 / self.core_clock_hz;
-        dynamic + routers as f64 * self.router_leakage_w * seconds
+        self.dynamic_j(stats) + routers as f64 * self.router_leakage_w * seconds
     }
 
     /// Dynamic energy per delivered bit for a run (J/bit), useful for
@@ -74,12 +69,16 @@ impl MeshPowerModel {
         if delivered_bits <= 0.0 {
             return 0.0;
         }
-        let dynamic = stats.buffer_writes as f64 * self.buffer_write_j
+        self.dynamic_j(stats) / delivered_bits
+    }
+
+    /// Energy of the counted router and link events.
+    fn dynamic_j(&self, stats: &MeshStats) -> f64 {
+        stats.buffer_writes as f64 * self.buffer_write_j
             + stats.buffer_reads as f64 * self.buffer_read_j
             + stats.crossbar_traversals as f64 * self.crossbar_j
             + stats.allocations as f64 * self.arbiter_j
-            + stats.link_traversals as f64 * self.link_j;
-        dynamic / delivered_bits
+            + stats.link_traversals as f64 * self.link_j
     }
 }
 
@@ -98,7 +97,6 @@ mod tests {
         for _ in 0..200 {
             light.tick();
         }
-        light.harvest_power_counters();
         let mut heavy = MeshNetwork::new(MeshConfig::nodes(16));
         for s in 1..16 {
             heavy.inject(MeshPacket::data(s, 0, 0)).unwrap();
@@ -106,9 +104,8 @@ mod tests {
         for _ in 0..2_000 {
             heavy.tick();
         }
-        heavy.harvest_power_counters();
-        let e_light = model.energy_j(light.stats(), 16, 200);
-        let e_heavy = model.energy_j(heavy.stats(), 16, 200);
+        let e_light = model.energy_j(&light.stats(), 16, 200);
+        let e_heavy = model.energy_j(&heavy.stats(), 16, 200);
         assert!(e_heavy > e_light);
     }
 
@@ -123,9 +120,8 @@ mod tests {
         for _ in 0..200 {
             net.tick();
         }
-        net.harvest_power_counters();
         let bits = 360.0;
-        let e = model.energy_per_bit(net.stats(), bits);
+        let e = model.energy_per_bit(&net.stats(), bits);
         let optical_e = 0.29e-12; // TX + RX per bit from Table 1
         assert!(
             e / optical_e > 5.0,

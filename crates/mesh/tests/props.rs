@@ -231,9 +231,8 @@ trait Mesh {
     fn tick(&mut self);
     fn is_idle(&self) -> bool;
     fn now(&self) -> Cycle;
-    /// Deliveries so far as `(id, delivered_at)`, and the statistics with
-    /// the power counters harvested.
-    fn outcome(&mut self) -> (Vec<(u64, Cycle)>, &MeshStats);
+    /// Deliveries so far as `(id, delivered_at)`, and the statistics.
+    fn outcome(&mut self) -> (Vec<(u64, Cycle)>, MeshStats);
 }
 
 impl Mesh for ScanMesh {
@@ -310,8 +309,8 @@ impl Mesh for ScanMesh {
         self.now
     }
 
-    fn outcome(&mut self) -> (Vec<(u64, Cycle)>, &MeshStats) {
-        (self.delivered.clone(), &self.stats)
+    fn outcome(&mut self) -> (Vec<(u64, Cycle)>, MeshStats) {
+        (self.delivered.clone(), self.stats)
     }
 }
 
@@ -354,9 +353,8 @@ impl Mesh for Fast {
         self.net.now()
     }
 
-    fn outcome(&mut self) -> (Vec<(u64, Cycle)>, &MeshStats) {
+    fn outcome(&mut self) -> (Vec<(u64, Cycle)>, MeshStats) {
         self.collect();
-        self.net.harvest_power_counters();
         (self.delivered.clone(), self.net.stats())
     }
 }
@@ -437,7 +435,7 @@ fn play(mut net: impl Mesh, nodes: usize, script: &[Op]) -> (Vec<(u64, Cycle)>, 
     let now = net.now();
     let (delivered, stats) = net.outcome();
     assert_eq!(delivered.len(), accepted, "every accepted packet arrives");
-    (delivered, stats.clone(), now)
+    (delivered, stats, now)
 }
 
 /// The event-driven tick is the full scan: same deliveries at the same
@@ -485,7 +483,7 @@ fn fast_forward_equals_cycle_by_cycle() {
                 assert!(net.is_idle(), "injected traffic must drain");
                 let now = net.now();
                 let (delivered, stats) = net.outcome();
-                (delivered, stats.clone(), now)
+                (delivered, stats, now)
             };
             assert_eq!(drive(true), drive(false), "fast-forward must be exact");
         },

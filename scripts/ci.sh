@@ -6,7 +6,8 @@
 #   scripts/ci.sh                 # all tiers in order: quick lint full bench
 #                                 # scale (tsan runs only when named)
 #   scripts/ci.sh --tier quick    # fmt check + build + test
-#   scripts/ci.sh --tier lint     # clippy -D warnings: the determinism rules + stock lints
+#   scripts/ci.sh --tier lint     # clippy -D warnings: the determinism rules + stock lints,
+#                                 # then rustdoc -D warnings (intra-doc links)
 #   scripts/ci.sh --tier full     # scripts/verify.sh (incl. lint, the `experiments all`
 #                                 # golden diff, the `experiments snapshot` pinned
 #                                 # hash + trace build)
@@ -68,6 +69,8 @@ tier_lint() {
     # [workspace.lints], DESIGN.md "Determinism policy") plus clippy's
     # defaults, on every target.
     cargo clippy --offline --workspace --all-targets -- -D warnings
+    # Broken or private intra-doc links.
+    RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps
 }
 
 tier_full() {

@@ -49,6 +49,11 @@ lint_levels() {
 }
 gate "lint levels (P1 warns, workspace denies)" lint_levels
 
+# Every intra-doc link resolves, and none points at a private item: a
+# deleted or renamed function must take its doc links with it.
+gate "docs (rustdoc -D warnings)" env RUSTDOCFLAGS="-D warnings" \
+    cargo doc -q --offline --workspace --no-deps
+
 # Observability-plane determinism (DESIGN.md "Observability: two planes,
 # one store each"): the deterministic-plane export of `experiments profile` must
 # be byte-identical across thread counts — the wall-clock telemetry
