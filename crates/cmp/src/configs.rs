@@ -1,9 +1,9 @@
 //! System configurations: the paper's 16- and 64-node CMPs over each
 //! interconnect variant.
 
-use crate::interconnect::{ChannelAdapter, FsoiAdapter, IdealAdapter, Interconnect, MeshAdapter};
+use crate::interconnect::Interconnect;
 use fsoi_mesh::config::MeshConfig;
-use fsoi_mesh::ideal::IdealKind;
+use fsoi_mesh::ideal::{IdealKind, IdealNetwork};
 use fsoi_mesh::network::MeshNetwork;
 use fsoi_net::config::FsoiConfig;
 use fsoi_net::network::FsoiNetwork;
@@ -364,18 +364,14 @@ impl SystemConfig {
     pub fn build_network(&self) -> Box<dyn Interconnect> {
         let width = (self.nodes as f64).sqrt().round() as usize;
         match &self.network {
-            NetworkKind::Fsoi(cfg) => {
-                Box::new(FsoiAdapter::new(FsoiNetwork::new(cfg.clone(), self.seed)))
-            }
-            NetworkKind::Mesh(cfg) => Box::new(MeshAdapter::new(MeshNetwork::new(*cfg))),
-            NetworkKind::MeshScaled(cfg, f) => {
-                Box::new(MeshAdapter::new(MeshNetwork::new(*cfg)).with_width_fraction(*f))
-            }
-            NetworkKind::Ring(cfg) => Box::new(ChannelAdapter::new(ChannelNetwork::new(*cfg))),
-            NetworkKind::Crossbar(cfg) => Box::new(ChannelAdapter::new(ChannelNetwork::new(*cfg))),
-            NetworkKind::L0 => Box::new(IdealAdapter::new(IdealKind::L0, width)),
-            NetworkKind::Lr1 => Box::new(IdealAdapter::new(IdealKind::Lr1, width)),
-            NetworkKind::Lr2 => Box::new(IdealAdapter::new(IdealKind::Lr2, width)),
+            NetworkKind::Fsoi(cfg) => Box::new(FsoiNetwork::new(cfg.clone(), self.seed)),
+            NetworkKind::Mesh(cfg) => Box::new(MeshNetwork::new(*cfg)),
+            NetworkKind::MeshScaled(cfg, f) => Box::new(MeshNetwork::new(*cfg).narrowed(*f)),
+            NetworkKind::Ring(cfg) => Box::new(ChannelNetwork::new(*cfg)),
+            NetworkKind::Crossbar(cfg) => Box::new(ChannelNetwork::new(*cfg)),
+            NetworkKind::L0 => Box::new(IdealNetwork::new(IdealKind::L0, width)),
+            NetworkKind::Lr1 => Box::new(IdealNetwork::new(IdealKind::Lr1, width)),
+            NetworkKind::Lr2 => Box::new(IdealNetwork::new(IdealKind::Lr2, width)),
         }
     }
 }

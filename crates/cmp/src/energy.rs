@@ -1,9 +1,10 @@
 //! Chip-level energy accounting (§7.2, Figure 8).
 //!
-//! Beyond the interconnect (charged by the network adapters), the chip
-//! burns switching power in cores and caches and temperature-dependent
-//! leakage everywhere. We use Wattch-style aggregate rates per node,
-//! calibrated so the 16-node mesh baseline lands near the paper's 156 W
+//! Beyond the interconnect (charged by each network's
+//! `Interconnect::report`), the chip burns switching power in cores and
+//! caches and temperature-dependent leakage everywhere. We use
+//! Wattch-style aggregate rates per node, calibrated so the 16-node mesh
+//! baseline lands near the paper's 156 W
 //! average (121 W for the FSOI system): each core dissipates ~7 W active
 //! and ~3 W stalled, with ~1.7 W of leakage per node.
 

@@ -40,6 +40,7 @@ use fsoi_coherence::directory::{DirStats, Directory};
 use fsoi_coherence::l1::L1Controller;
 use fsoi_coherence::protocol::{CoherenceMsg, LineAddr, OutMsg};
 use fsoi_coherence::sync::{Barrier, BooleanSubscriptionHub, SpinLock};
+use fsoi_net::config::CONFIRMATION_DELAY;
 use fsoi_net::packet::PacketClass;
 use fsoi_sim::det::NodeMask;
 use fsoi_sim::event::CalendarQueue;
@@ -55,8 +56,6 @@ use std::collections::{BinaryHeap, VecDeque};
 const SPIN_PROBE_PERIOD: u64 = 12;
 /// Base delay before resending a NACKed request.
 const NACK_RETRY_BASE: u64 = 12;
-/// Confirmation delay used for elided acks and subscription pushes.
-const CONFIRMATION_DELAY: u64 = 2;
 
 #[derive(Debug)]
 enum Pending {

@@ -5,6 +5,13 @@ use crate::lane::Lanes;
 use crate::packet::PacketClass;
 use fsoi_sim::det::NodeMask;
 
+/// Fixed delay from clean reception to confirmation arrival at the sender
+/// (paper: cycle `n + 2`). Everything that rides the confirmation channel
+/// — the network's own confirmations and, in the CMP, elided
+/// acknowledgments, subscription pushes and §4.4 ordering releases —
+/// arrives this many cycles after its slot.
+pub const CONFIRMATION_DELAY: u64 = 2;
+
 /// A rejected network configuration, carrying the offending value.
 ///
 /// Every field of [`FsoiConfig`] is public, so a literal can hold anything;
@@ -105,9 +112,6 @@ pub struct FsoiConfig {
     pub array: TransmitterArray,
     /// Retransmission policy.
     pub backoff: BackoffPolicy,
-    /// Fixed delay from clean reception to confirmation arrival at the
-    /// sender (paper: cycle `n + 2`).
-    pub confirmation_delay: u64,
     /// Capacity of each outgoing packet queue (Table 3: 8 per lane).
     pub outgoing_queue_capacity: usize,
     /// Enable receiver-coordinated retransmission hints on the data lane
@@ -162,7 +166,6 @@ impl FsoiConfig {
                 TransmitterArray::Dedicated
             },
             backoff: BackoffPolicy::PAPER_OPTIMUM,
-            confirmation_delay: 2,
             outgoing_queue_capacity: 8,
             hints: true,
             request_spacing: true,
@@ -278,7 +281,6 @@ mod tests {
         let c = FsoiConfig::nodes(16);
         assert_eq!(c.array, TransmitterArray::Dedicated);
         assert_eq!(c.phase_array_setup(), 0);
-        assert_eq!(c.confirmation_delay, 2);
         assert_eq!(c.outgoing_queue_capacity, 8);
         assert!(c.hints && c.request_spacing);
         assert!((c.bit_error_rate - 1e-10).abs() < 1e-20);

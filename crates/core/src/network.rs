@@ -36,7 +36,7 @@
 //! assert_eq!(out[0].packet.dst, NodeId(5));
 //! ```
 
-use crate::config::{FsoiConfig, TransmitterArray};
+use crate::config::{FsoiConfig, TransmitterArray, CONFIRMATION_DELAY};
 use crate::confirmation::{Confirmation, ConfirmationChannel, ConfirmationKind};
 use crate::packet::{HeaderCode, Packet, PacketClass};
 use crate::phase_array::PhaseArraySteering;
@@ -379,7 +379,6 @@ impl FsoiNetwork {
             cfg.lanes.serialization_cycles(PacketClass::Meta),
             cfg.lanes.serialization_cycles(PacketClass::Data),
         ];
-        let confirmation_delay = cfg.confirmation_delay;
         if trace::compiled() {
             // A failed invariant anywhere downstream dumps the flight
             // recorder's JSONL tail for post-mortem replay.
@@ -394,7 +393,7 @@ impl FsoiNetwork {
             slots,
             pool: Vec::new(),
             resolutions: Resolutions::default(),
-            confirmations: ConfirmationChannel::new(confirmation_delay),
+            confirmations: ConfirmationChannel::new(CONFIRMATION_DELAY),
             delivered: Vec::new(),
             stats: NetStats::default(),
             next_id: 0,
@@ -801,7 +800,7 @@ impl FsoiNetwork {
     /// itself may be what broke).
     fn drop_and_retry(&mut self, lane: usize, mut packet: Packet, at: Cycle) {
         let slot = self.slot_len[lane];
-        let detect = at + self.cfg.confirmation_delay;
+        let detect = at + CONFIRMATION_DELAY;
         let next_boundary = detect.round_up_to_slot(slot);
         packet.retries += 1;
         self.stats.retransmissions[lane] += 1;
@@ -829,8 +828,8 @@ impl FsoiNetwork {
         self.stats.collided_packets[lane] += group.len() as u64;
         let slot = self.slot_len[lane];
         // Senders detect the collision by the *absence* of a confirmation,
-        // `confirmation_delay` cycles after the slot resolved.
-        let detect = at + self.cfg.confirmation_delay;
+        // `CONFIRMATION_DELAY` cycles after the slot resolved.
+        let detect = at + CONFIRMATION_DELAY;
         let next_boundary = detect.round_up_to_slot(slot);
 
         let winner = if lane == PacketClass::Data.lane() && self.cfg.hints {

@@ -12,29 +12,9 @@
 use crate::topology::NodeId;
 use fsoi_sim::Cycle;
 
-/// The two packet lengths of the network. (The confirmation channel is a
-/// separate single-bit mechanism, not a packet class.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum PacketClass {
-    /// 72-bit requests / acknowledgments; 2-cycle serialization.
-    Meta,
-    /// 360-bit cache-line transfers; 5-cycle serialization.
-    Data,
-}
-
-impl PacketClass {
-    /// Both classes, in lane order.
-    pub const ALL: [PacketClass; 2] = [PacketClass::Meta, PacketClass::Data];
-
-    /// A compact index (0 = meta, 1 = data) for per-lane arrays.
-    #[inline]
-    pub fn lane(self) -> usize {
-        match self {
-            PacketClass::Meta => 0,
-            PacketClass::Data => 1,
-        }
-    }
-}
+/// The two packet lengths every network in the workspace shares (on the
+/// FSOI lanes: 2-cycle meta, 5-cycle data serialization).
+pub use fsoi_sim::packet::PacketClass;
 
 /// A packet travelling the FSOI network.
 ///
@@ -177,13 +157,6 @@ impl HeaderCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn class_lane_indices() {
-        assert_eq!(PacketClass::Meta.lane(), 0);
-        assert_eq!(PacketClass::Data.lane(), 1);
-        assert_eq!(PacketClass::ALL.len(), 2);
-    }
 
     #[test]
     fn packet_construction() {

@@ -4,7 +4,7 @@
 use fsoi_check::{any_bool, checker, select, set_of, vec_of, Gen};
 use fsoi_net::analysis::collision::node_collision_probability;
 use fsoi_net::backoff::BackoffPolicy;
-use fsoi_net::config::TransmitterArray;
+use fsoi_net::config::{TransmitterArray, CONFIRMATION_DELAY};
 use fsoi_net::lane::{LaneSpec, Lanes};
 use fsoi_net::network::{Delivered, LatencyBreakdown, NetStats};
 use fsoi_net::packet::{HeaderCode, Packet, PacketClass};
@@ -391,7 +391,7 @@ impl ScanFsoi {
     /// First slot boundary after the sender notices the missing
     /// confirmation of a slot that resolved at `at`.
     fn next_boundary(&self, lane: usize, at: Cycle) -> Cycle {
-        (at + self.cfg.confirmation_delay).round_up_to_slot(self.slot_len(lane))
+        (at + CONFIRMATION_DELAY).round_up_to_slot(self.slot_len(lane))
     }
 
     /// Re-queues `packet` a back-off draw after the next boundary;
@@ -479,7 +479,7 @@ impl ScanFsoi {
             s.resolution_when_collided[lane].record(breakdown.collision_resolution as f64);
         }
         s.retries[lane].record(packet.retries as f64);
-        self.confirm(at + self.cfg.confirmation_delay);
+        self.confirm(at + CONFIRMATION_DELAY);
         self.delivered.push(Delivered {
             packet,
             delivered_at: at,

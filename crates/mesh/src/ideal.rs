@@ -8,9 +8,10 @@
 //!   router cycles along the XY path, with no contention inside the
 //!   network. Loose upper bounds for aggressively pipelined routers.
 
-use crate::packet::MeshPacket;
+use crate::packet::FLITS;
 use crate::routing::hop_distance;
 use fsoi_sim::event::EventQueue;
+use fsoi_sim::packet::{NetDelivery, NetPacket};
 use fsoi_sim::stats::Summary;
 use fsoi_sim::Cycle;
 
@@ -45,10 +46,10 @@ pub struct IdealNetwork {
     /// Per-node time the output link frees up (serialization is the only
     /// shared resource).
     link_free_at: Vec<Cycle>,
-    deliveries: EventQueue<MeshPacket>,
-    delivered: Vec<super::network::MeshDelivered>,
+    /// Packets in flight with their injection times, by arrival.
+    deliveries: EventQueue<(NetPacket, Cycle)>,
+    delivered: Vec<NetDelivery>,
     latency: Summary,
-    next_id: u64,
 }
 
 impl IdealNetwork {
@@ -64,7 +65,6 @@ impl IdealNetwork {
             deliveries: EventQueue::new(),
             delivered: Vec::new(),
             latency: Summary::new(),
-            next_id: 0,
         }
     }
 
@@ -85,35 +85,33 @@ impl IdealNetwork {
 
     /// Injects a packet; the model computes its delivery time immediately.
     /// Never rejects (queues are unbounded in the idealization).
-    pub fn inject(&mut self, mut packet: MeshPacket) -> u64 {
+    pub fn inject(&mut self, packet: NetPacket) {
         assert_ne!(packet.src, packet.dst, "no self-injection");
-        packet.id = self.next_id;
-        self.next_id += 1;
-        packet.enqueued_at = self.now;
-        let ser = packet.flits as u64;
+        let ser = FLITS[packet.class.lane()] as u64;
         let start = self.link_free_at[packet.src].max(self.now);
         let done_serializing = start + ser;
         self.link_free_at[packet.src] = done_serializing;
         let hops = hop_distance(packet.src, packet.dst, self.width) as u64;
         let arrive = done_serializing + hops * self.kind.per_hop_cycles();
-        self.deliveries.push(arrive, packet);
-        packet.id
+        self.deliveries.push(arrive, (packet, self.now));
     }
 
     /// Advances one cycle.
     pub fn tick(&mut self) {
         self.now += 1;
-        while let Some((at, packet)) = self.deliveries.pop_due(self.now) {
-            self.latency.record((at - packet.enqueued_at) as f64);
-            self.delivered.push(super::network::MeshDelivered {
+        while let Some((at, (packet, enqueued_at))) = self.deliveries.pop_due(self.now) {
+            let latency = at - enqueued_at;
+            self.latency.record(latency as f64);
+            self.delivered.push(NetDelivery {
                 packet,
-                delivered_at: at,
+                latency,
+                retries: 0,
             });
         }
     }
 
     /// Takes deliveries since the last drain.
-    pub fn drain_delivered(&mut self) -> Vec<super::network::MeshDelivered> {
+    pub fn drain_delivered(&mut self) -> Vec<NetDelivery> {
         std::mem::take(&mut self.delivered)
     }
 
@@ -126,11 +124,17 @@ impl IdealNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fsoi_sim::packet::PacketClass;
 
-    fn run_until_idle(
-        net: &mut IdealNetwork,
-        max: u64,
-    ) -> Vec<super::super::network::MeshDelivered> {
+    fn meta(src: usize, dst: usize, tag: u64) -> NetPacket {
+        NetPacket::new(src, dst, PacketClass::Meta, tag)
+    }
+
+    fn data(src: usize, dst: usize, tag: u64) -> NetPacket {
+        NetPacket::new(src, dst, PacketClass::Data, tag)
+    }
+
+    fn run_until_idle(net: &mut IdealNetwork, max: u64) -> Vec<NetDelivery> {
         let mut out = Vec::new();
         for _ in 0..max {
             net.tick();
@@ -145,23 +149,27 @@ mod tests {
     #[test]
     fn l0_is_pure_serialization() {
         let mut net = IdealNetwork::new(IdealKind::L0, 4);
-        net.inject(MeshPacket::meta(0, 15, 0));
-        net.inject(MeshPacket::data(3, 12, 0));
+        net.inject(meta(0, 15, 0));
+        net.inject(data(3, 12, 0));
         let out = run_until_idle(&mut net, 50);
+        let latency = |class| {
+            out.iter()
+                .find(|d| d.packet.class == class)
+                .unwrap()
+                .latency
+        };
         assert_eq!(out.len(), 2);
-        let meta = out.iter().find(|d| d.packet.is_meta()).unwrap();
-        let data = out.iter().find(|d| !d.packet.is_meta()).unwrap();
-        assert_eq!(meta.latency(), 1);
-        assert_eq!(data.latency(), 5);
+        assert_eq!(latency(PacketClass::Meta), 1);
+        assert_eq!(latency(PacketClass::Data), 5);
     }
 
     #[test]
     fn source_queuing_still_counts_in_l0() {
         let mut net = IdealNetwork::new(IdealKind::L0, 4);
-        net.inject(MeshPacket::data(0, 15, 0));
-        net.inject(MeshPacket::data(0, 14, 1));
+        net.inject(data(0, 15, 0));
+        net.inject(data(0, 14, 1));
         let out = run_until_idle(&mut net, 50);
-        let lats: Vec<u64> = out.iter().map(|d| d.latency()).collect();
+        let lats: Vec<u64> = out.iter().map(|d| d.latency).collect();
         assert!(lats.contains(&5) && lats.contains(&10), "{lats:?}");
     }
 
@@ -169,9 +177,9 @@ mod tests {
     fn lr_models_add_hop_latency() {
         for (kind, per_hop) in [(IdealKind::Lr1, 2u64), (IdealKind::Lr2, 3u64)] {
             let mut net = IdealNetwork::new(kind, 4);
-            net.inject(MeshPacket::meta(0, 15, 0)); // 6 hops
+            net.inject(meta(0, 15, 0)); // 6 hops
             let out = run_until_idle(&mut net, 100);
-            assert_eq!(out[0].latency(), 1 + 6 * per_hop, "{kind:?}");
+            assert_eq!(out[0].latency, 1 + 6 * per_hop, "{kind:?}");
         }
     }
 
@@ -182,7 +190,7 @@ mod tests {
         for kind in [IdealKind::L0, IdealKind::Lr1, IdealKind::Lr2] {
             let mut net = IdealNetwork::new(kind, 4);
             for src in 0..8 {
-                net.inject(MeshPacket::data(src, 15 - src, 0));
+                net.inject(data(src, 15 - src, 0));
             }
             run_until_idle(&mut net, 200);
             lat.push(net.latency().mean());

@@ -24,10 +24,10 @@
 //! ```
 //! use fsoi_mesh::config::MeshConfig;
 //! use fsoi_mesh::network::MeshNetwork;
-//! use fsoi_mesh::packet::MeshPacket;
+//! use fsoi_sim::packet::{NetPacket, PacketClass};
 //!
 //! let mut net = MeshNetwork::new(MeshConfig::nodes(16));
-//! net.inject(MeshPacket::meta(0, 15, 1)).unwrap();
+//! net.inject(NetPacket::new(0, 15, PacketClass::Meta, 1)).unwrap();
 //! while net.delivered_count() == 0 {
 //!     net.tick();
 //! }

@@ -5,29 +5,14 @@
 //! over every node, minus the nodes where it would find nothing to do.
 
 use crate::config::MeshConfig;
-use crate::packet::{Flit, MeshPacket};
+use crate::packet::{Flit, FLITS};
 use crate::router::{Departure, Router, LOCAL, NEVER};
 use fsoi_sim::det::NodeMask;
 use fsoi_sim::event::MonotoneQueue;
+use fsoi_sim::packet::{NetDelivery, NetPacket, PacketClass};
 use fsoi_sim::queue::BoundedQueue;
 use fsoi_sim::stats::Summary;
 use fsoi_sim::Cycle;
-
-/// A delivered packet with its measured latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MeshDelivered {
-    /// The packet.
-    pub packet: MeshPacket,
-    /// Cycle the tail flit was ejected.
-    pub delivered_at: Cycle,
-}
-
-impl MeshDelivered {
-    /// End-to-end latency in cycles.
-    pub fn latency(&self) -> u64 {
-        self.delivered_at - self.packet.enqueued_at
-    }
-}
 
 /// Aggregate mesh statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -40,7 +25,7 @@ pub struct MeshStats {
     pub delivered: u64,
     /// End-to-end latency.
     pub latency: Summary,
-    /// Latency of meta (1-flit) packets.
+    /// Latency of meta packets.
     pub meta_latency: Summary,
     /// Latency of data packets.
     pub data_latency: Summary,
@@ -80,14 +65,17 @@ struct LinkFlit {
 #[derive(Debug)]
 pub struct MeshNetwork {
     cfg: MeshConfig,
+    /// Flits per packet, by lane: [`FLITS`], or more on narrowed links.
+    flits: [usize; 2],
     now: Cycle,
     routers: Vec<Router>,
     /// The neighbour out of each non-local port, `[node][port]` (unused
     /// at the mesh edge: XY routing never points off it).
     neighbours: Vec<[u16; 4]>,
-    /// Every packet in the network, held once: queues and flits carry the
-    /// slot index. Slots are recycled through `free_slots`.
-    packets: Vec<MeshPacket>,
+    /// Every packet in the network with its injection time, held once:
+    /// queues and flits carry the slot index. Slots are recycled through
+    /// `free_slots`.
+    packets: Vec<(NetPacket, Cycle)>,
     free_slots: Vec<u32>,
     /// Per-node packet injection queues (slab slots).
     inject_q: Vec<BoundedQueue<u32>>,
@@ -106,9 +94,8 @@ pub struct MeshNetwork {
     links: MonotoneQueue<LinkFlit>,
     /// Scratch buffer for per-router departures, reused across cycles.
     departures: Vec<Departure>,
-    delivered: Vec<MeshDelivered>,
+    delivered: Vec<NetDelivery>,
     stats: MeshStats,
-    next_id: u64,
 }
 
 impl MeshNetwork {
@@ -133,6 +120,7 @@ impl MeshNetwork {
             .map(|(inside, at)| if inside { at as u16 } else { u16::MAX })
         };
         MeshNetwork {
+            flits: FLITS,
             routers: (0..n).map(|i| Router::new(&cfg, i)).collect(),
             neighbours: (0..n).map(neighbours).collect(),
             packets: Vec::new(),
@@ -148,10 +136,23 @@ impl MeshNetwork {
             departures: Vec::new(),
             delivered: Vec::new(),
             stats: MeshStats::default(),
-            next_id: 0,
             now: Cycle::ZERO,
             cfg,
         }
+    }
+
+    /// Narrows the links to `fraction` of their baseline width: a packet
+    /// carries `ceil(flits / fraction)` flits. Used by the Figure 11
+    /// bandwidth sensitivity sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `fraction` is in `[0.02, 1]` (the mesh carries at
+    /// most 255 flits per packet, and a data packet starts at 5).
+    pub fn narrowed(mut self, fraction: f64) -> Self {
+        assert!((0.02..=1.0).contains(&fraction));
+        self.flits = FLITS.map(|f| ((f as f64) / fraction).ceil() as usize);
+        self
     }
 
     /// The configuration.
@@ -184,34 +185,29 @@ impl MeshNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `src == dst`, either is out of range, or the packet is
-    /// not 1 to 255 flits long.
-    pub fn inject(&mut self, mut packet: MeshPacket) -> Result<u64, MeshPacket> {
+    /// Panics if `src == dst` or either is out of range.
+    pub fn inject(&mut self, packet: NetPacket) -> Result<(), NetPacket> {
         assert_ne!(packet.src, packet.dst, "no self-injection");
         assert!(packet.src < self.routers.len() && packet.dst < self.routers.len());
-        assert!((1..=255).contains(&packet.flits), "1 to 255 flits");
-        packet.id = self.next_id;
-        packet.enqueued_at = self.now;
         if self.inject_q[packet.src].is_full() {
             self.stats.rejected += 1;
             return Err(packet);
         }
         let slot = self.free_slots.pop().unwrap_or(self.packets.len() as u32);
         if slot as usize == self.packets.len() {
-            self.packets.push(packet);
+            self.packets.push((packet, self.now));
         } else {
-            self.packets[slot as usize] = packet;
+            self.packets[slot as usize] = (packet, self.now);
         }
         let queued = self.inject_q[packet.src].push(slot);
         debug_assert_eq!(queued, Ok(()));
-        self.next_id += 1;
         self.stats.injected += 1;
         self.injectors.insert(packet.src);
-        Ok(packet.id)
+        Ok(())
     }
 
     /// Takes all deliveries since the last drain.
-    pub fn drain_delivered(&mut self) -> Vec<MeshDelivered> {
+    pub fn drain_delivered(&mut self) -> Vec<NetDelivery> {
         std::mem::take(&mut self.delivered)
     }
 
@@ -319,12 +315,12 @@ impl MeshNetwork {
                 if let Some(&slot) = self.inject_q[node].front() {
                     if let Some(vc) = router.free_local_vc() {
                         self.inject_q[node].pop();
-                        let packet = &self.packets[slot as usize];
+                        let (packet, _) = &self.packets[slot as usize];
                         self.injecting[node] = Some(InjectionState {
                             slot,
                             dst: packet.dst as u16,
                             next: 0,
-                            flits: packet.flits as u8,
+                            flits: self.flits[packet.class.lane()] as u8,
                             vc: vc as u8,
                         });
                     }
@@ -398,20 +394,20 @@ impl MeshNetwork {
 
     /// Delivers the packet in `slot`, whose tail just left the network.
     fn eject(&mut self, slot: u32) {
-        let d = MeshDelivered {
-            packet: self.packets[slot as usize],
-            delivered_at: self.now,
-        };
+        let (packet, enqueued_at) = self.packets[slot as usize];
+        let latency = self.now - enqueued_at;
         self.free_slots.push(slot);
         self.stats.delivered += 1;
-        let lat = d.latency() as f64;
-        self.stats.latency.record(lat);
-        if d.packet.is_meta() {
-            self.stats.meta_latency.record(lat);
-        } else {
-            self.stats.data_latency.record(lat);
+        self.stats.latency.record(latency as f64);
+        match packet.class {
+            PacketClass::Meta => self.stats.meta_latency.record(latency as f64),
+            PacketClass::Data => self.stats.data_latency.record(latency as f64),
         }
-        self.delivered.push(d);
+        self.delivered.push(NetDelivery {
+            packet,
+            latency,
+            retries: 0,
+        });
     }
 }
 
@@ -420,7 +416,15 @@ mod tests {
     use super::*;
     use crate::routing::hop_distance;
 
-    fn run_until_idle(net: &mut MeshNetwork, max: u64) -> Vec<MeshDelivered> {
+    fn meta(src: usize, dst: usize, tag: u64) -> NetPacket {
+        NetPacket::new(src, dst, PacketClass::Meta, tag)
+    }
+
+    fn data(src: usize, dst: usize, tag: u64) -> NetPacket {
+        NetPacket::new(src, dst, PacketClass::Data, tag)
+    }
+
+    fn run_until_idle(net: &mut MeshNetwork, max: u64) -> Vec<NetDelivery> {
         let mut out = Vec::new();
         for _ in 0..max {
             net.tick();
@@ -436,15 +440,15 @@ mod tests {
     fn single_meta_packet_latency_scales_with_hops() {
         // One hop: inject, 2 routers × 4 cycles + 1 link + serialization.
         let mut net = MeshNetwork::new(MeshConfig::nodes(16));
-        net.inject(MeshPacket::meta(0, 1, 7)).unwrap();
+        net.inject(meta(0, 1, 7)).unwrap();
         let out = run_until_idle(&mut net, 100);
         assert_eq!(out.len(), 1);
-        let lat1 = out[0].latency();
+        let lat1 = out[0].latency;
         // Diagonal: 6 hops → 7 routers.
         let mut net = MeshNetwork::new(MeshConfig::nodes(16));
-        net.inject(MeshPacket::meta(0, 15, 7)).unwrap();
+        net.inject(meta(0, 15, 7)).unwrap();
         let out = run_until_idle(&mut net, 200);
-        let lat6 = out[0].latency();
+        let lat6 = out[0].latency;
         assert!(lat6 > lat1, "{lat6} > {lat1}");
         // Each extra hop costs router_cycles + link_cycles = 5.
         assert_eq!(
@@ -456,20 +460,38 @@ mod tests {
     #[test]
     fn data_packet_adds_serialization() {
         let mut net = MeshNetwork::new(MeshConfig::nodes(16));
-        net.inject(MeshPacket::meta(0, 1, 0)).unwrap();
-        let meta_lat = run_until_idle(&mut net, 100)[0].latency();
+        net.inject(meta(0, 1, 0)).unwrap();
+        let meta_lat = run_until_idle(&mut net, 100)[0].latency;
         let mut net = MeshNetwork::new(MeshConfig::nodes(16));
-        net.inject(MeshPacket::data(0, 1, 0)).unwrap();
-        let data_lat = run_until_idle(&mut net, 100)[0].latency();
+        net.inject(data(0, 1, 0)).unwrap();
+        let data_lat = run_until_idle(&mut net, 100)[0].latency;
         // Four extra body/tail flits stream at 1/cycle.
         assert_eq!(data_lat - meta_lat, 4);
+    }
+
+    #[test]
+    fn narrowed_links_carry_more_flits() {
+        // At 0.9 of the width a meta packet needs ceil(1 / 0.9) = 2 flits
+        // and a data packet ceil(5 / 0.9) = 6: one more flit each, so each
+        // arrives exactly one cycle after its full-width twin.
+        for packet in [meta(0, 15, 3), data(0, 15, 3)] {
+            let latency = |mut net: MeshNetwork| {
+                net.inject(packet).unwrap();
+                let out = run_until_idle(&mut net, 200);
+                assert_eq!(out[0].packet, packet);
+                out[0].latency
+            };
+            let full = latency(MeshNetwork::new(MeshConfig::nodes(16)));
+            let narrow = latency(MeshNetwork::new(MeshConfig::nodes(16)).narrowed(0.9));
+            assert_eq!(narrow, full + 1, "{:?}", packet.class);
+        }
     }
 
     #[test]
     fn all_to_one_delivers_everything() {
         let mut net = MeshNetwork::new(MeshConfig::nodes(16));
         for src in 1..16 {
-            net.inject(MeshPacket::data(src, 0, src as u64)).unwrap();
+            net.inject(data(src, 0, src as u64)).unwrap();
         }
         let out = run_until_idle(&mut net, 2_000);
         assert_eq!(out.len(), 15);
@@ -488,9 +510,9 @@ mod tests {
                 dst += 1;
             }
             let pkt = if rng.bernoulli(0.5) {
-                MeshPacket::meta(src, dst, 0)
+                meta(src, dst, 0)
             } else {
-                MeshPacket::data(src, dst, 0)
+                data(src, dst, 0)
             };
             if net.inject(pkt).is_ok() {
                 wanted += 1;
@@ -513,11 +535,11 @@ mod tests {
     #[test]
     fn aggressive_router_is_faster() {
         let mut slow = MeshNetwork::new(MeshConfig::nodes(16));
-        slow.inject(MeshPacket::meta(0, 15, 0)).unwrap();
-        let slow_lat = run_until_idle(&mut slow, 200)[0].latency();
+        slow.inject(meta(0, 15, 0)).unwrap();
+        let slow_lat = run_until_idle(&mut slow, 200)[0].latency;
         let mut fast = MeshNetwork::new(MeshConfig::nodes(16).with_router_cycles(1));
-        fast.inject(MeshPacket::meta(0, 15, 0)).unwrap();
-        let fast_lat = run_until_idle(&mut fast, 200)[0].latency();
+        fast.inject(meta(0, 15, 0)).unwrap();
+        let fast_lat = run_until_idle(&mut fast, 200)[0].latency;
         assert!(fast_lat < slow_lat, "{fast_lat} < {slow_lat}");
     }
 
@@ -526,7 +548,7 @@ mod tests {
         let mut net = MeshNetwork::new(MeshConfig::nodes(16));
         let mut ok = 0;
         for i in 0..40 {
-            if net.inject(MeshPacket::data(0, 15, i)).is_ok() {
+            if net.inject(data(0, 15, i)).is_ok() {
                 ok += 1;
             }
         }
@@ -537,7 +559,7 @@ mod tests {
     #[test]
     fn power_counters_are_current_without_a_harvest() {
         let mut net = MeshNetwork::new(MeshConfig::nodes(16));
-        net.inject(MeshPacket::data(0, 15, 0)).unwrap();
+        net.inject(data(0, 15, 0)).unwrap();
         run_until_idle(&mut net, 200);
         let s = net.stats();
         // 5 flits × 7 routers of buffer write/read and crossbar.
@@ -551,8 +573,8 @@ mod tests {
     #[test]
     fn stats_latency_classes() {
         let mut net = MeshNetwork::new(MeshConfig::nodes(16));
-        net.inject(MeshPacket::meta(0, 3, 0)).unwrap();
-        net.inject(MeshPacket::data(12, 15, 0)).unwrap();
+        net.inject(meta(0, 3, 0)).unwrap();
+        net.inject(data(12, 15, 0)).unwrap();
         run_until_idle(&mut net, 300);
         assert_eq!(net.stats().meta_latency.count(), 1);
         assert_eq!(net.stats().data_latency.count(), 1);
@@ -563,6 +585,6 @@ mod tests {
     #[should_panic(expected = "no self-injection")]
     fn self_injection_panics() {
         let mut net = MeshNetwork::new(MeshConfig::nodes(16));
-        let _ = net.inject(MeshPacket::meta(3, 3, 0));
+        let _ = net.inject(meta(3, 3, 0));
     }
 }

@@ -1,70 +1,13 @@
-//! Mesh packets and flits.
+//! Mesh flits.
 //!
 //! Table 3: 72-bit flits; a meta packet is a single flit, a data packet
 //! five flits (matching the optical network's 72-bit meta / 360-bit data
 //! packets bit for bit).
 
-use fsoi_sim::Cycle;
-
-/// Flits per meta packet.
-pub const META_FLITS: usize = 1;
-/// Flits per data packet.
-pub const DATA_FLITS: usize = 5;
-/// Bits per flit.
-pub const FLIT_BITS: usize = 72;
-
-/// A packet travelling the mesh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MeshPacket {
-    /// Unique id assigned at injection.
-    pub id: u64,
-    /// Source node index.
-    pub src: usize,
-    /// Destination node index.
-    pub dst: usize,
-    /// Length in flits.
-    pub flits: usize,
-    /// Opaque client tag.
-    pub tag: u64,
-    /// Injection time.
-    pub enqueued_at: Cycle,
-}
-
-impl MeshPacket {
-    /// A 1-flit meta packet.
-    pub fn meta(src: usize, dst: usize, tag: u64) -> Self {
-        MeshPacket {
-            id: 0,
-            src,
-            dst,
-            flits: META_FLITS,
-            tag,
-            enqueued_at: Cycle::ZERO,
-        }
-    }
-
-    /// A 5-flit data packet.
-    pub fn data(src: usize, dst: usize, tag: u64) -> Self {
-        MeshPacket {
-            id: 0,
-            src,
-            dst,
-            flits: DATA_FLITS,
-            tag,
-            enqueued_at: Cycle::ZERO,
-        }
-    }
-
-    /// Total bits of the packet.
-    pub fn bits(&self) -> usize {
-        self.flits * FLIT_BITS
-    }
-
-    /// True for single-flit (meta) packets.
-    pub fn is_meta(&self) -> bool {
-        self.flits == META_FLITS
-    }
-}
+/// Flits per packet, indexed by lane
+/// ([`PacketClass::lane`](fsoi_sim::packet::PacketClass::lane)): a 1-flit
+/// meta packet and a 5-flit data packet.
+pub const FLITS: [usize; 2] = [1, 5];
 
 /// Position of a flit within its packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,25 +70,13 @@ impl Flit {
 mod tests {
     use super::*;
 
-    fn flits_of(slot: u32, p: &MeshPacket) -> impl Iterator<Item = Flit> + '_ {
-        (0..p.flits as u8).map(move |seq| Flit::new(slot, p.dst as u16, seq, p.flits as u8))
-    }
-
-    #[test]
-    fn meta_and_data_sizes() {
-        let m = MeshPacket::meta(0, 1, 5);
-        assert_eq!(m.flits, 1);
-        assert_eq!(m.bits(), 72);
-        assert!(m.is_meta());
-        let d = MeshPacket::data(0, 1, 5);
-        assert_eq!(d.flits, 5);
-        assert_eq!(d.bits(), 360);
-        assert!(!d.is_meta());
+    fn flits_of(slot: u32, dst: u16, flits: usize) -> impl Iterator<Item = Flit> {
+        (0..flits as u8).map(move |seq| Flit::new(slot, dst, seq, flits as u8))
     }
 
     #[test]
     fn single_flit_is_headtail() {
-        let fs: Vec<Flit> = flits_of(0, &MeshPacket::meta(0, 1, 0)).collect();
+        let fs: Vec<Flit> = flits_of(0, 1, FLITS[0]).collect();
         assert_eq!(fs.len(), 1);
         assert_eq!(fs[0].kind, FlitKind::HeadTail);
         assert!(fs[0].kind.is_head() && fs[0].kind.is_tail());
@@ -153,7 +84,7 @@ mod tests {
 
     #[test]
     fn multi_flit_structure() {
-        let fs: Vec<Flit> = flits_of(7, &MeshPacket::data(2, 3, 0)).collect();
+        let fs: Vec<Flit> = flits_of(7, 3, FLITS[1]).collect();
         assert_eq!(fs.len(), 5);
         assert_eq!(std::mem::size_of::<Flit>(), 8);
         assert_eq!(fs[0].kind, FlitKind::Head);

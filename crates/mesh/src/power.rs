@@ -87,19 +87,23 @@ mod tests {
     use super::*;
     use crate::config::MeshConfig;
     use crate::network::MeshNetwork;
-    use crate::packet::MeshPacket;
+    use fsoi_sim::packet::{NetPacket, PacketClass};
 
     #[test]
     fn energy_scales_with_traffic() {
         let model = MeshPowerModel::paper_default();
         let mut light = MeshNetwork::new(MeshConfig::nodes(16));
-        light.inject(MeshPacket::data(0, 15, 0)).unwrap();
+        light
+            .inject(NetPacket::new(0, 15, PacketClass::Data, 0))
+            .unwrap();
         for _ in 0..200 {
             light.tick();
         }
         let mut heavy = MeshNetwork::new(MeshConfig::nodes(16));
         for s in 1..16 {
-            heavy.inject(MeshPacket::data(s, 0, 0)).unwrap();
+            heavy
+                .inject(NetPacket::new(s, 0, PacketClass::Data, 0))
+                .unwrap();
         }
         for _ in 0..2_000 {
             heavy.tick();
@@ -116,7 +120,8 @@ mod tests {
         // order of magnitude above the optical chain's ~0.3 pJ/bit.
         let model = MeshPowerModel::paper_default();
         let mut net = MeshNetwork::new(MeshConfig::nodes(16));
-        net.inject(MeshPacket::data(0, 15, 0)).unwrap();
+        net.inject(NetPacket::new(0, 15, PacketClass::Data, 0))
+            .unwrap();
         for _ in 0..200 {
             net.tick();
         }

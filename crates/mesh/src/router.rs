@@ -430,24 +430,23 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::MeshPacket;
+    use crate::packet::FLITS;
 
     fn router() -> Router {
         Router::new(&MeshConfig::nodes(16), 5) // node 5 = (1, 1)
     }
 
-    /// The flits of `packet`, carrying its tag as their slab slot.
-    fn split(packet: MeshPacket) -> Vec<Flit> {
-        let (dst, flits) = (packet.dst as u16, packet.flits as u8);
-        (0..flits)
-            .map(|seq| Flit::new(packet.tag as u32, dst, seq, flits))
+    /// The flits of a `flits`-flit packet to `dst` held in `slot`.
+    fn split(slot: u32, dst: u16, flits: usize) -> Vec<Flit> {
+        (0..flits as u8)
+            .map(|seq| Flit::new(slot, dst, seq, flits as u8))
             .collect()
     }
 
     #[test]
     fn head_waits_full_pipeline() {
         let mut r = router();
-        let flits = split(MeshPacket::meta(5, 6, 0)); // east neighbour
+        let flits = split(0, 6, FLITS[0]); // east neighbour
         r.receive_flit(Port::Local.index(), 0, flits[0], Cycle(10));
         r.allocate();
         assert!(r.switch(Cycle(13)).is_empty(), "not ready before 4 cycles");
@@ -459,7 +458,7 @@ mod tests {
     #[test]
     fn body_flits_stream_behind_head() {
         let mut r = router();
-        let flits = split(MeshPacket::data(5, 6, 0));
+        let flits = split(0, 6, FLITS[1]);
         for (i, f) in flits.iter().enumerate() {
             r.receive_flit(Port::West.index(), 1, *f, Cycle(i as u64));
         }
@@ -479,7 +478,7 @@ mod tests {
         cfg.vc_depth = 1;
         cfg.vcs = 1; // single VC so both packets contend for the same credit
         let mut r = Router::new(&cfg, 5);
-        let flits = split(MeshPacket::meta(5, 6, 0));
+        let flits = split(0, 6, FLITS[0]);
         r.receive_flit(Port::Local.index(), 0, flits[0], Cycle(0));
         r.allocate();
         // Drain the only credit of the granted out VC.
@@ -488,7 +487,7 @@ mod tests {
         let (op, ov) = (dep[0].out_port.into(), dep[0].out_vc.into());
         // Next packet to the same destination: same out port, and with
         // depth-1 buffers the credit is gone until returned.
-        let flits2 = split(MeshPacket::meta(5, 6, 1));
+        let flits2 = split(1, 6, FLITS[0]);
         r.receive_flit(Port::Local.index(), 0, flits2[0], Cycle(11));
         r.allocate();
         assert!(r.switch(Cycle(30)).is_empty(), "no credit, no traversal");
@@ -499,7 +498,7 @@ mod tests {
     #[test]
     fn ejection_needs_no_credit() {
         let mut r = router();
-        let flits = split(MeshPacket::meta(0, 5, 0)); // destined here
+        let flits = split(0, 5, FLITS[0]); // destined here
         let mut fed = 0u64;
         let mut ejected = 0;
         for t in 0..200 {
@@ -523,8 +522,8 @@ mod tests {
         let mut cfg = MeshConfig::nodes(16);
         cfg.vcs = 1; // single VC: second packet must wait for the first
         let mut r = Router::new(&cfg, 5);
-        let a = split(MeshPacket::data(5, 6, 0));
-        let b = split(MeshPacket::data(5, 6, 1));
+        let a = split(0, 6, FLITS[1]);
+        let b = split(1, 6, FLITS[1]);
         for (i, f) in a.iter().enumerate() {
             r.receive_flit(Port::West.index(), 0, *f, Cycle(i as u64));
         }
@@ -553,7 +552,7 @@ mod tests {
         let mut cfg = MeshConfig::nodes(16);
         cfg.vc_depth = 1;
         let mut r = Router::new(&cfg, 5);
-        let f = split(MeshPacket::meta(5, 6, 0))[0];
+        let f = split(0, 6, FLITS[0])[0];
         r.receive_flit(0, 0, f, Cycle(0));
         r.receive_flit(0, 0, f, Cycle(0));
     }
@@ -564,7 +563,7 @@ mod tests {
         cfg.vcs = 2;
         let mut r = Router::new(&cfg, 5);
         assert_eq!(r.free_local_vc(), Some(0));
-        let f = split(MeshPacket::data(5, 6, 0))[0];
+        let f = split(0, 6, FLITS[1])[0];
         r.receive_flit(Port::Local.index(), 0, f, Cycle(0));
         assert_eq!(r.free_local_vc(), Some(1));
     }

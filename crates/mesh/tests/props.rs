@@ -4,15 +4,16 @@
 //! [`ScanMesh`] below is the slow reference: the same router pipeline,
 //! arbitration and wiring, but every cycle it looks at every node and
 //! every one of the `5 × vcs` input buffers of every router to find what
-//! can move — no masks, no live sets, a 64-byte flit that carries its
-//! packet, a round-robin pointer per router. `MeshNetwork` must be
+//! can move — no masks, no live sets, a flit that carries its packet, a
+//! round-robin pointer per router. `MeshNetwork` must be
 //! indistinguishable from it.
 
 use fsoi_check::{checker, select, vec_of};
 use fsoi_mesh::network::MeshStats;
-use fsoi_mesh::packet::{FlitKind, MeshPacket};
+use fsoi_mesh::packet::{FlitKind, FLITS};
 use fsoi_mesh::routing::{coords, node_at, xy_route, Port};
 use fsoi_mesh::{MeshConfig, MeshNetwork};
+use fsoi_sim::packet::{NetDelivery, NetPacket, PacketClass};
 use fsoi_sim::Cycle;
 use std::collections::VecDeque;
 
@@ -20,7 +21,8 @@ const LOCAL: usize = Port::Local.index();
 
 #[derive(Clone, Copy)]
 struct ScanFlit {
-    packet: MeshPacket,
+    packet: NetPacket,
+    enqueued_at: Cycle,
     kind: FlitKind,
 }
 
@@ -46,13 +48,12 @@ struct ScanMesh {
     cfg: MeshConfig,
     now: Cycle,
     routers: Vec<ScanRouter>,
-    inject_q: Vec<VecDeque<MeshPacket>>,
+    inject_q: Vec<VecDeque<(NetPacket, Cycle)>>,
     injecting: Vec<Option<(VecDeque<ScanFlit>, usize)>>,
     /// (due, router, in port, vc, flit), in push order.
     links: VecDeque<(Cycle, usize, usize, usize, ScanFlit)>,
-    delivered: Vec<(u64, Cycle)>,
+    delivered: Vec<NetDelivery>,
     stats: MeshStats,
-    next_id: u64,
 }
 
 fn neighbour(node: usize, port: usize, width: usize) -> usize {
@@ -86,7 +87,6 @@ impl ScanMesh {
             links: VecDeque::new(),
             delivered: Vec::new(),
             stats: MeshStats::default(),
-            next_id: 0,
             now: Cycle::ZERO,
             cfg,
         }
@@ -102,16 +102,18 @@ impl ScanMesh {
     fn inject_flits(&mut self) {
         for node in 0..self.routers.len() {
             if self.injecting[node].is_none() {
-                if let Some(&pkt) = self.inject_q[node].front() {
+                if let Some(&(packet, enqueued_at)) = self.inject_q[node].front() {
                     let free = self.routers[node].inputs[LOCAL]
                         .iter()
                         .position(|ch| ch.buf.is_empty() && ch.route.is_none());
                     if let Some(vc) = free {
                         self.inject_q[node].pop_front();
-                        let flits = (0..pkt.flits)
+                        let len = FLITS[packet.class.lane()];
+                        let flits = (0..len)
                             .map(|seq| ScanFlit {
-                                packet: pkt,
-                                kind: match (seq, pkt.flits) {
+                                packet,
+                                enqueued_at,
+                                kind: match (seq, len) {
                                     (0, 1) => FlitKind::HeadTail,
                                     (0, _) => FlitKind::Head,
                                     (s, n) if s == n - 1 => FlitKind::Tail,
@@ -227,24 +229,21 @@ impl ScanMesh {
 
 /// What the properties drive and observe, on either implementation.
 trait Mesh {
-    fn inject(&mut self, packet: MeshPacket) -> bool;
+    fn inject(&mut self, packet: NetPacket) -> bool;
     fn tick(&mut self);
     fn is_idle(&self) -> bool;
     fn now(&self) -> Cycle;
-    /// Deliveries so far as `(id, delivered_at)`, and the statistics.
-    fn outcome(&mut self) -> (Vec<(u64, Cycle)>, MeshStats);
+    /// Deliveries so far, in order, and the statistics.
+    fn outcome(&mut self) -> (Vec<NetDelivery>, MeshStats);
 }
 
 impl Mesh for ScanMesh {
-    fn inject(&mut self, mut packet: MeshPacket) -> bool {
-        packet.id = self.next_id;
-        packet.enqueued_at = self.now;
+    fn inject(&mut self, packet: NetPacket) -> bool {
         if self.inject_q[packet.src].len() == self.cfg.injection_queue {
             self.stats.rejected += 1;
             return false;
         }
-        self.inject_q[packet.src].push_back(packet);
-        self.next_id += 1;
+        self.inject_q[packet.src].push_back((packet, self.now));
         self.stats.injected += 1;
         true
     }
@@ -269,14 +268,17 @@ impl Mesh for ScanMesh {
                 if out == LOCAL {
                     if flit.kind.is_tail() {
                         self.stats.delivered += 1;
-                        let lat = (self.now - flit.packet.enqueued_at) as f64;
-                        self.stats.latency.record(lat);
-                        if flit.packet.is_meta() {
-                            self.stats.meta_latency.record(lat);
-                        } else {
-                            self.stats.data_latency.record(lat);
+                        let latency = self.now - flit.enqueued_at;
+                        self.stats.latency.record(latency as f64);
+                        match flit.packet.class {
+                            PacketClass::Meta => self.stats.meta_latency.record(latency as f64),
+                            PacketClass::Data => self.stats.data_latency.record(latency as f64),
                         }
-                        self.delivered.push((flit.packet.id, self.now));
+                        self.delivered.push(NetDelivery {
+                            packet: flit.packet,
+                            latency,
+                            retries: 0,
+                        });
                     }
                     continue;
                 }
@@ -309,7 +311,7 @@ impl Mesh for ScanMesh {
         self.now
     }
 
-    fn outcome(&mut self) -> (Vec<(u64, Cycle)>, MeshStats) {
+    fn outcome(&mut self) -> (Vec<NetDelivery>, MeshStats) {
         (self.delivered.clone(), self.stats)
     }
 }
@@ -317,7 +319,7 @@ impl Mesh for ScanMesh {
 /// `MeshNetwork` with every delivery kept, so the whole stream compares.
 struct Fast {
     net: MeshNetwork,
-    delivered: Vec<(u64, Cycle)>,
+    delivered: Vec<NetDelivery>,
 }
 
 impl Fast {
@@ -329,14 +331,12 @@ impl Fast {
     }
 
     fn collect(&mut self) {
-        let out = self.net.drain_delivered();
-        self.delivered
-            .extend(out.iter().map(|d| (d.packet.id, d.delivered_at)));
+        self.delivered.extend(self.net.drain_delivered());
     }
 }
 
 impl Mesh for Fast {
-    fn inject(&mut self, packet: MeshPacket) -> bool {
+    fn inject(&mut self, packet: NetPacket) -> bool {
         self.net.inject(packet).is_ok()
     }
 
@@ -353,7 +353,7 @@ impl Mesh for Fast {
         self.net.now()
     }
 
-    fn outcome(&mut self) -> (Vec<(u64, Cycle)>, MeshStats) {
+    fn outcome(&mut self) -> (Vec<NetDelivery>, MeshStats) {
         self.collect();
         (self.delivered.clone(), self.net.stats())
     }
@@ -364,7 +364,8 @@ impl Mesh for Fast {
 /// all-to-one burst (every other node sends `dst` a data packet), 7 a
 /// queue-overflow burst (`src` offers 20 data packets at once to a
 /// 16-deep queue). A `gap` of 11 stands for 200 cycles, long enough for
-/// most of the traffic so far to drain.
+/// most of the traffic so far to drain. Every offered packet is tagged
+/// with its place in the offer order, so a delivery names its packet.
 type Op = (u64, u64, u64, u64);
 
 fn gap_cycles(gap: u64) -> u64 {
@@ -375,22 +376,27 @@ fn gap_cycles(gap: u64) -> u64 {
     }
 }
 
-fn inject_op(net: &mut impl Mesh, nodes: usize, &(_, s, d, kind): &Op) -> usize {
+fn inject_op(net: &mut impl Mesh, nodes: usize, &(_, s, d, kind): &Op, tag: &mut u64) -> usize {
     let src = s as usize % nodes;
     let dst = match d as usize % nodes {
         d if d == src => (src + 1) % nodes,
         d => d,
     };
-    let offered: Vec<MeshPacket> = match kind {
-        0..=2 => vec![MeshPacket::meta(src, dst, s)],
-        3..=5 => vec![MeshPacket::data(src, dst, s)],
+    let offered: Vec<(usize, PacketClass)> = match kind {
+        0..=2 => vec![(src, PacketClass::Meta)],
+        3..=5 => vec![(src, PacketClass::Data)],
         6 => (0..nodes)
             .filter(|&n| n != dst)
-            .map(|n| MeshPacket::data(n, dst, s))
+            .map(|n| (n, PacketClass::Data))
             .collect(),
-        _ => (0..20).map(|i| MeshPacket::data(src, dst, i)).collect(),
+        _ => vec![(src, PacketClass::Data); 20],
     };
-    offered.into_iter().filter(|&p| net.inject(p)).count()
+    let mut accepted = 0;
+    for (src, class) in offered {
+        accepted += usize::from(net.inject(NetPacket::new(src, dst, class, *tag)));
+        *tag += 1;
+    }
+    accepted
 }
 
 /// (nodes, vcs, vc_depth, (router_cycles, link_cycles))
@@ -420,13 +426,13 @@ fn config(&(nodes, vcs, vc_depth, (router_cycles, link_cycles)): &Shape) -> Mesh
 }
 
 /// Runs `script` on `net` cycle by cycle, then ticks until it drains.
-fn play(mut net: impl Mesh, nodes: usize, script: &[Op]) -> (Vec<(u64, Cycle)>, MeshStats, Cycle) {
-    let mut accepted = 0;
+fn play(mut net: impl Mesh, nodes: usize, script: &[Op]) -> (Vec<NetDelivery>, MeshStats, Cycle) {
+    let (mut accepted, mut tag) = (0, 0);
     for op in script {
         for _ in 0..gap_cycles(op.0) {
             net.tick();
         }
-        accepted += inject_op(&mut net, nodes, op);
+        accepted += inject_op(&mut net, nodes, op, &mut tag);
     }
     while !net.is_idle() {
         assert!(net.now() < Cycle(200_000), "the script must drain");
@@ -438,8 +444,8 @@ fn play(mut net: impl Mesh, nodes: usize, script: &[Op]) -> (Vec<(u64, Cycle)>, 
     (delivered, stats, now)
 }
 
-/// The event-driven tick is the full scan: same deliveries at the same
-/// cycles in the same order, same value in every statistic (so the same
+/// The event-driven tick is the full scan: same deliveries with the same
+/// latencies in the same order, same value in every statistic (so the same
 /// energy), same drain time — for any router shape and any traffic.
 #[test]
 fn event_driven_equals_full_scan() {
@@ -467,7 +473,7 @@ fn fast_forward_equals_cycle_by_cycle() {
         (shape(), script()),
         |(shape, script)| {
             let drive = |fast: bool| {
-                let mut net = Fast::new(config(shape));
+                let (mut net, mut tag) = (Fast::new(config(shape)), 0);
                 let advance = |net: &mut Fast, cycles: u64| {
                     if fast {
                         net.net.run(cycles);
@@ -477,7 +483,7 @@ fn fast_forward_equals_cycle_by_cycle() {
                 };
                 for op in script {
                     advance(&mut net, gap_cycles(op.0));
-                    inject_op(&mut net, shape.0, op);
+                    inject_op(&mut net, shape.0, op, &mut tag);
                 }
                 advance(&mut net, 30_000);
                 assert!(net.is_idle(), "injected traffic must drain");

@@ -7,68 +7,10 @@
 //! long the light then flies: the [`Arbitration`] row.
 
 use fsoi_sim::event::EventQueue;
+use fsoi_sim::packet::{NetDelivery, NetPacket, PacketClass};
 use fsoi_sim::queue::BoundedQueue;
 use fsoi_sim::stats::Summary;
 use fsoi_sim::Cycle;
-
-/// A packet on a crossbar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RingPacket {
-    /// Unique id assigned at injection.
-    pub id: u64,
-    /// Source node.
-    pub src: usize,
-    /// Destination node (owner of the channel used).
-    pub dst: usize,
-    /// True for 360-bit data packets, false for 72-bit meta.
-    pub is_data: bool,
-    /// Opaque client tag.
-    pub tag: u64,
-    /// Injection time.
-    pub enqueued_at: Cycle,
-}
-
-impl RingPacket {
-    /// A meta packet.
-    pub fn meta(src: usize, dst: usize, tag: u64) -> Self {
-        RingPacket {
-            id: 0,
-            src,
-            dst,
-            is_data: false,
-            tag,
-            enqueued_at: Cycle::ZERO,
-        }
-    }
-
-    /// A data packet.
-    pub fn data(src: usize, dst: usize, tag: u64) -> Self {
-        RingPacket {
-            id: 0,
-            src,
-            dst,
-            is_data: true,
-            tag,
-            enqueued_at: Cycle::ZERO,
-        }
-    }
-}
-
-/// A delivered packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RingDelivered {
-    /// The packet.
-    pub packet: RingPacket,
-    /// Delivery time at the destination.
-    pub delivered_at: Cycle,
-}
-
-impl RingDelivered {
-    /// End-to-end latency.
-    pub fn latency(&self) -> u64 {
-        self.delivered_at - self.packet.enqueued_at
-    }
-}
 
 /// How a destination channel is won and how long the light then flies —
 /// the one thing the two crossbars differ in.
@@ -144,8 +86,8 @@ struct Channel {
     last_release: Option<Cycle>,
     /// Waiting writers, FIFO (the token visits writers in ring order, the
     /// port arbiter grants in request order; FIFO is the fair-service
-    /// approximation of both).
-    queue: BoundedQueue<RingPacket>,
+    /// approximation of both), with their injection times.
+    queue: BoundedQueue<(NetPacket, Cycle)>,
 }
 
 /// Statistics of a run.
@@ -170,10 +112,10 @@ pub struct ChannelNetwork {
     cfg: ChannelConfig,
     now: Cycle,
     channels: Vec<Channel>,
-    deliveries: EventQueue<RingPacket>,
-    delivered: Vec<RingDelivered>,
+    /// Packets in flight with their injection times, by arrival.
+    deliveries: EventQueue<(NetPacket, Cycle)>,
+    delivered: Vec<NetDelivery>,
     stats: ChannelStats,
-    next_id: u64,
 }
 
 impl ChannelNetwork {
@@ -192,7 +134,6 @@ impl ChannelNetwork {
             deliveries: EventQueue::new(),
             delivered: Vec::new(),
             stats: ChannelStats::default(),
-            next_id: 0,
             cfg,
         }
     }
@@ -228,20 +169,17 @@ impl ChannelNetwork {
     /// # Panics
     ///
     /// Panics if `src == dst` or out of range.
-    pub fn inject(&mut self, mut packet: RingPacket) -> Result<u64, RingPacket> {
+    pub fn inject(&mut self, packet: NetPacket) -> Result<(), NetPacket> {
         assert_ne!(packet.src, packet.dst, "no self-injection");
         assert!(packet.src < self.cfg.nodes && packet.dst < self.cfg.nodes);
-        packet.id = self.next_id;
-        packet.enqueued_at = self.now;
-        match self.channels[packet.dst].queue.push(packet) {
+        match self.channels[packet.dst].queue.push((packet, self.now)) {
             Ok(()) => {
-                self.next_id += 1;
                 self.stats.injected += 1;
-                Ok(packet.id)
+                Ok(())
             }
-            Err(p) => {
+            Err(_) => {
                 self.stats.rejected += 1;
-                Err(p)
+                Err(packet)
             }
         }
     }
@@ -255,7 +193,9 @@ impl ChannelNetwork {
             // The emptiness test goes first: it is what an idle channel —
             // most of them, most cycles — pays per tick.
             while !ch.queue.is_empty() && ch.free_at <= self.now {
-                let Some(packet) = ch.queue.pop() else { break };
+                let Some((packet, enqueued_at)) = ch.queue.pop() else {
+                    break;
+                };
                 let (start, wait) = match self.cfg.arbitration {
                     Arbitration::Token {
                         circulation_cycles,
@@ -272,34 +212,35 @@ impl ChannelNetwork {
                         arbitration_cycles, ..
                     } => {
                         let start = self.now + arbitration_cycles;
-                        (start, start.saturating_sub(packet.enqueued_at))
+                        (start, start.saturating_sub(enqueued_at))
                     }
                 };
                 self.stats.wait.record(wait as f64);
                 let done = start
-                    + if packet.is_data {
-                        self.cfg.data_serialization
-                    } else {
-                        self.cfg.meta_serialization
+                    + match packet.class {
+                        PacketClass::Meta => self.cfg.meta_serialization,
+                        PacketClass::Data => self.cfg.data_serialization,
                     };
                 ch.free_at = done;
                 ch.last_release = Some(done);
-                self.deliveries.push(done + flight, packet);
+                self.deliveries.push(done + flight, (packet, enqueued_at));
             }
         }
         self.now += 1;
-        while let Some((at, packet)) = self.deliveries.pop_due(self.now) {
+        while let Some((at, (packet, enqueued_at))) = self.deliveries.pop_due(self.now) {
+            let latency = at - enqueued_at;
             self.stats.delivered += 1;
-            self.stats.latency.record((at - packet.enqueued_at) as f64);
-            self.delivered.push(RingDelivered {
+            self.stats.latency.record(latency as f64);
+            self.delivered.push(NetDelivery {
                 packet,
-                delivered_at: at,
+                latency,
+                retries: 0,
             });
         }
     }
 
     /// Takes deliveries since the last drain.
-    pub fn drain_delivered(&mut self) -> Vec<RingDelivered> {
+    pub fn drain_delivered(&mut self) -> Vec<NetDelivery> {
         std::mem::take(&mut self.delivered)
     }
 
@@ -320,7 +261,15 @@ mod tests {
     use crate::config::RingConfig;
     use crate::crossbar::CrossbarConfig;
 
-    fn run_until_idle(net: &mut ChannelNetwork, max: u64) -> Vec<RingDelivered> {
+    fn meta(src: usize, dst: usize, tag: u64) -> NetPacket {
+        NetPacket::new(src, dst, PacketClass::Meta, tag)
+    }
+
+    fn data(src: usize, dst: usize, tag: u64) -> NetPacket {
+        NetPacket::new(src, dst, PacketClass::Data, tag)
+    }
+
+    fn run_until_idle(net: &mut ChannelNetwork, max: u64) -> Vec<NetDelivery> {
         let mut out = Vec::new();
         for _ in 0..max {
             net.tick();
@@ -335,20 +284,20 @@ mod tests {
     #[test]
     fn single_meta_packet_timing() {
         let mut net = ChannelNetwork::new(RingConfig::nodes(64));
-        net.inject(RingPacket::meta(3, 40, 7)).unwrap();
+        net.inject(meta(3, 40, 7)).unwrap();
         let out = run_until_idle(&mut net, 100);
         assert_eq!(out.len(), 1);
         // Idle token wait 4 + serialization 1 + half-loop flight 4 = 9.
-        assert_eq!(out[0].latency(), 9);
+        assert_eq!(out[0].latency, 9);
         assert_eq!(out[0].packet.tag, 7);
     }
 
     #[test]
     fn data_packet_adds_serialization() {
         let mut net = ChannelNetwork::new(RingConfig::nodes(64));
-        net.inject(RingPacket::data(3, 40, 0)).unwrap();
+        net.inject(data(3, 40, 0)).unwrap();
         let out = run_until_idle(&mut net, 100);
-        assert_eq!(out[0].latency(), 11); // 4 + 3 + 4
+        assert_eq!(out[0].latency, 11); // 4 + 3 + 4
     }
 
     #[test]
@@ -356,11 +305,12 @@ mod tests {
         // Two writers to one home channel: the second waits for the
         // token, no collisions ever.
         let mut net = ChannelNetwork::new(RingConfig::nodes(64));
-        net.inject(RingPacket::data(1, 40, 0)).unwrap();
-        net.inject(RingPacket::data(2, 40, 1)).unwrap();
+        net.inject(data(1, 40, 0)).unwrap();
+        net.inject(data(2, 40, 1)).unwrap();
         let out = run_until_idle(&mut net, 200);
         assert_eq!(out.len(), 2);
-        let mut times: Vec<u64> = out.iter().map(|d| d.delivered_at.as_u64()).collect();
+        // Both were injected at cycle 0: a latency is a delivery time.
+        let mut times: Vec<u64> = out.iter().map(|d| d.latency).collect();
         times.sort_unstable();
         // Second grant pays a hot-token pass (2) + serialization.
         assert!(times[1] >= times[0] + 3, "{times:?}");
@@ -370,13 +320,12 @@ mod tests {
     fn different_destinations_run_concurrently() {
         let mut net = ChannelNetwork::new(RingConfig::nodes(64));
         for src in 0..8usize {
-            net.inject(RingPacket::meta(src, src + 8, src as u64))
-                .unwrap();
+            net.inject(meta(src, src + 8, src as u64)).unwrap();
         }
         let out = run_until_idle(&mut net, 100);
         assert_eq!(out.len(), 8);
         // All identical latencies: channels are independent.
-        assert!(out.iter().all(|d| d.latency() == 9));
+        assert!(out.iter().all(|d| d.latency == 9));
     }
 
     #[test]
@@ -384,7 +333,7 @@ mod tests {
         let mut net = ChannelNetwork::new(RingConfig::nodes(16));
         let mut injected = 0;
         for src in 1..16usize {
-            if net.inject(RingPacket::data(src, 0, src as u64)).is_ok() {
+            if net.inject(data(src, 0, src as u64)).is_ok() {
                 injected += 1;
             }
         }
@@ -402,7 +351,7 @@ mod tests {
             let mut net = ChannelNetwork::new(cfg);
             let mut ok = 0;
             for i in 0..40u64 {
-                if net.inject(RingPacket::data(1, 0, i)).is_ok() {
+                if net.inject(data(1, 0, i)).is_ok() {
                     ok += 1;
                 }
             }
@@ -423,17 +372,17 @@ mod tests {
     #[should_panic(expected = "no self-injection")]
     fn self_injection_panics() {
         let mut net = ChannelNetwork::new(RingConfig::nodes(16));
-        let _ = net.inject(RingPacket::meta(3, 3, 0));
+        let _ = net.inject(meta(3, 3, 0));
     }
 
     #[test]
     fn crossbar_single_meta_packet_timing() {
         let mut net = ChannelNetwork::new(CrossbarConfig::nodes(64));
-        net.inject(RingPacket::meta(3, 40, 7)).unwrap();
+        net.inject(meta(3, 40, 7)).unwrap();
         let out = run_until_idle(&mut net, 100);
         assert_eq!(out.len(), 1);
         // Arbitration 1 + serialization 1 + traversal 2 = 4.
-        assert_eq!(out[0].latency(), 4);
+        assert_eq!(out[0].latency, 4);
         assert_eq!(out[0].packet.tag, 7);
     }
 
@@ -443,26 +392,27 @@ mod tests {
         assert!(xbar_cfg.matches_ring_serialization(&ring_cfg));
         let mut xbar = ChannelNetwork::new(xbar_cfg);
         let mut ring = ChannelNetwork::new(ring_cfg);
-        xbar.inject(RingPacket::data(3, 40, 0)).unwrap();
-        ring.inject(RingPacket::data(3, 40, 0)).unwrap();
+        xbar.inject(data(3, 40, 0)).unwrap();
+        ring.inject(data(3, 40, 0)).unwrap();
         let x = run_until_idle(&mut xbar, 100);
         let r = run_until_idle(&mut ring, 100);
         assert!(
-            x[0].latency() < r[0].latency(),
+            x[0].latency < r[0].latency,
             "dedicated paths skip the token: {} vs {}",
-            x[0].latency(),
-            r[0].latency()
+            x[0].latency,
+            r[0].latency
         );
     }
 
     #[test]
     fn crossbar_same_destination_serializes() {
         let mut net = ChannelNetwork::new(CrossbarConfig::nodes(64));
-        net.inject(RingPacket::data(1, 40, 0)).unwrap();
-        net.inject(RingPacket::data(2, 40, 1)).unwrap();
+        net.inject(data(1, 40, 0)).unwrap();
+        net.inject(data(2, 40, 1)).unwrap();
         let out = run_until_idle(&mut net, 200);
         assert_eq!(out.len(), 2);
-        let mut times: Vec<u64> = out.iter().map(|d| d.delivered_at.as_u64()).collect();
+        // Both were injected at cycle 0: a latency is a delivery time.
+        let mut times: Vec<u64> = out.iter().map(|d| d.latency).collect();
         times.sort_unstable();
         assert!(times[1] >= times[0] + 3, "{times:?}");
         assert!(net.stats().wait.mean() > 0.0);
@@ -472,12 +422,11 @@ mod tests {
     fn crossbar_different_destinations_run_concurrently() {
         let mut net = ChannelNetwork::new(CrossbarConfig::nodes(256));
         for src in 0..8usize {
-            net.inject(RingPacket::meta(src, src + 128, src as u64))
-                .unwrap();
+            net.inject(meta(src, src + 128, src as u64)).unwrap();
         }
         let out = run_until_idle(&mut net, 100);
         assert_eq!(out.len(), 8);
-        assert!(out.iter().all(|d| d.latency() == 4));
+        assert!(out.iter().all(|d| d.latency == 4));
     }
 
     #[test]

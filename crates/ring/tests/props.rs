@@ -5,7 +5,18 @@
 use fsoi_check::{any_bool, checker, select, vec_of};
 use fsoi_ring::config::RingConfig;
 use fsoi_ring::crossbar::CrossbarConfig;
-use fsoi_ring::network::{Arbitration, ChannelConfig, ChannelNetwork, RingPacket};
+use fsoi_ring::network::{Arbitration, ChannelConfig, ChannelNetwork};
+use fsoi_sim::packet::{NetPacket, PacketClass};
+
+/// A data packet if `data`, else a meta packet.
+fn packet(src: usize, dst: usize, data: bool, tag: u64) -> NetPacket {
+    let class = if data {
+        PacketClass::Data
+    } else {
+        PacketClass::Meta
+    };
+    NetPacket::new(src, dst, class, tag)
+}
 
 /// The two arbitration rows, at 16 nodes.
 fn rows() -> [ChannelConfig; 2] {
@@ -29,12 +40,7 @@ fn ring_conserves_packets() {
             let mut accepted = 0u64;
             for &(src, off, data) in script {
                 let dst = (src + off) % 16;
-                let pkt = if data {
-                    RingPacket::data(src, dst, accepted)
-                } else {
-                    RingPacket::meta(src, dst, accepted)
-                };
-                if net.inject(pkt).is_ok() {
+                if net.inject(packet(src, dst, data, accepted)).is_ok() {
                     accepted += 1;
                 }
                 net.tick();
@@ -67,7 +73,7 @@ fn home_channels_serialize_fifo() {
             let mut net = ChannelNetwork::new(*cfg);
             let mut wanted = 0;
             for (i, &w) in writers.iter().enumerate() {
-                if net.inject(RingPacket::data(w, 0, i as u64)).is_ok() {
+                if net.inject(packet(w, 0, true, i as u64)).is_ok() {
                     wanted += 1;
                 }
             }
@@ -86,8 +92,9 @@ fn home_channels_serialize_fifo() {
             sorted.sort_unstable();
             assert_eq!(&tags, &sorted, "home channel is FIFO");
             // Deliveries are at least a serialization apart (one writer at
-            // a time holds the channel).
-            let times: Vec<u64> = out.iter().map(|d| d.delivered_at.as_u64()).collect();
+            // a time holds the channel). All were injected at cycle 0, so a
+            // latency is a delivery time.
+            let times: Vec<u64> = out.iter().map(|d| d.latency).collect();
             for w in times.windows(2) {
                 assert!(w[1] >= w[0] + 3, "data serialization is 3 cycles: {w:?}");
             }
@@ -106,12 +113,7 @@ fn latency_floor() {
         |&(cfg, src, off, data)| {
             let mut net = ChannelNetwork::new(cfg);
             let dst = (src + off) % 16;
-            let pkt = if data {
-                RingPacket::data(src, dst, 0)
-            } else {
-                RingPacket::meta(src, dst, 0)
-            };
-            net.inject(pkt).unwrap();
+            net.inject(packet(src, dst, data, 0)).unwrap();
             let mut out = Vec::new();
             for _ in 0..200 {
                 net.tick();
@@ -136,7 +138,7 @@ fn latency_floor() {
                     traversal_cycles,
                 } => arbitration_cycles + ser + traversal_cycles,
             };
-            assert_eq!(out[0].latency(), floor);
+            assert_eq!(out[0].latency, floor);
         },
     );
 }

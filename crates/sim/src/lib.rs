@@ -30,8 +30,11 @@
 //!   wall-clock reads (lint rule D2),
 //! * [`trace`] — cycle-stamped structured event tracing with a bounded
 //!   flight recorder that dumps JSON lines when an invariant fails,
-//! * [`queue::BoundedQueue`] — a bounded FIFO with occupancy accounting,
-//!   modelling finite hardware buffers.
+//! * [`queue::BoundedQueue`] — a bounded FIFO modelling finite hardware
+//!   buffers,
+//! * [`packet`] — the one packet ([`packet::NetPacket`], with its
+//!   [`packet::PacketClass`]) every network takes and the one delivery
+//!   record ([`packet::NetDelivery`]) every network hands back.
 //!
 //! # Example
 //!
@@ -52,6 +55,7 @@
 pub mod det;
 pub mod event;
 pub mod metrics;
+pub mod packet;
 pub mod par;
 pub mod queue;
 pub mod rng;

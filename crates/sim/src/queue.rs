@@ -1,14 +1,13 @@
 //! Bounded FIFO queues modelling finite hardware buffers.
 //!
 //! The paper's FSOI nodes have an "outgoing queue \[of\] 8 packets each for
-//! data and meta lanes" (Table 3), and the mesh routers have 5×12-flit
-//! buffers. [`BoundedQueue`] models such structures and records occupancy
-//! statistics so queuing delay can be attributed precisely (Figure 6's
-//! latency breakdown).
+//! data and meta lanes" (Table 3), and the mesh nodes and crossbar channels
+//! have finite injection queues. [`BoundedQueue`] models such structures:
+//! a push into a full queue hands the item back.
 
 use std::collections::VecDeque;
 
-/// A bounded FIFO with occupancy accounting.
+/// A bounded FIFO.
 ///
 /// ```
 /// use fsoi_sim::queue::BoundedQueue;
@@ -23,14 +22,6 @@ use std::collections::VecDeque;
 pub struct BoundedQueue<T> {
     items: VecDeque<T>,
     capacity: usize,
-    /// Total number of successful pushes, for utilization statistics.
-    pushes: u64,
-    /// Number of rejected pushes (overflow events).
-    overflows: u64,
-    /// Running sum of occupancy observed at each push, for mean occupancy.
-    occupancy_sum: u64,
-    /// High-water mark.
-    max_occupancy: usize,
 }
 
 impl<T> BoundedQueue<T> {
@@ -44,10 +35,6 @@ impl<T> BoundedQueue<T> {
         BoundedQueue {
             items: VecDeque::with_capacity(capacity),
             capacity,
-            pushes: 0,
-            overflows: 0,
-            occupancy_sum: 0,
-            max_occupancy: 0,
         }
     }
 
@@ -58,14 +45,10 @@ impl<T> BoundedQueue<T> {
     /// Returns `Err(item)` (handing the item back to the caller) when the
     /// queue is full; the caller decides whether to stall, drop, or NACK.
     pub fn push(&mut self, item: T) -> Result<(), T> {
-        if self.items.len() >= self.capacity {
-            self.overflows += 1;
+        if self.is_full() {
             return Err(item);
         }
         self.items.push_back(item);
-        self.pushes += 1;
-        self.occupancy_sum += self.items.len() as u64;
-        self.max_occupancy = self.max_occupancy.max(self.items.len());
         Ok(())
     }
 
@@ -77,11 +60,6 @@ impl<T> BoundedQueue<T> {
     /// Peeks at the oldest item without removing it.
     pub fn front(&self) -> Option<&T> {
         self.items.front()
-    }
-
-    /// Mutable peek at the oldest item.
-    pub fn front_mut(&mut self) -> Option<&mut T> {
-        self.items.front_mut()
     }
 
     /// Current number of queued items.
@@ -98,52 +76,6 @@ impl<T> BoundedQueue<T> {
     pub fn is_full(&self) -> bool {
         self.items.len() >= self.capacity
     }
-
-    /// Maximum number of items the queue can hold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Remaining free slots.
-    pub fn free(&self) -> usize {
-        self.capacity - self.items.len()
-    }
-
-    /// Number of successful pushes so far.
-    pub fn pushes(&self) -> u64 {
-        self.pushes
-    }
-
-    /// Number of rejected pushes so far.
-    pub fn overflows(&self) -> u64 {
-        self.overflows
-    }
-
-    /// Highest occupancy ever observed.
-    pub fn max_occupancy(&self) -> usize {
-        self.max_occupancy
-    }
-
-    /// Mean occupancy observed at push time, or 0.0 if never pushed.
-    pub fn mean_occupancy(&self) -> f64 {
-        if self.pushes == 0 {
-            0.0
-        } else {
-            self.occupancy_sum as f64 / self.pushes as f64
-        }
-    }
-
-    /// Iterates over queued items from oldest to newest.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
-    }
-
-    /// Removes and returns the first item matching `pred`, preserving the
-    /// order of the others. Used for reordering-free retransmission pulls.
-    pub fn remove_first_matching(&mut self, pred: impl FnMut(&T) -> bool) -> Option<T> {
-        let idx = self.items.iter().position(pred)?;
-        self.items.remove(idx)
-    }
 }
 
 #[cfg(test)]
@@ -156,6 +88,7 @@ mod tests {
         for i in 0..4 {
             q.push(i).unwrap();
         }
+        assert_eq!(q.front(), Some(&0));
         for i in 0..4 {
             assert_eq!(q.pop(), Some(i));
         }
@@ -163,49 +96,14 @@ mod tests {
     }
 
     #[test]
-    fn rejects_when_full_and_counts_overflow() {
+    fn rejects_when_full() {
         let mut q = BoundedQueue::new(1);
         q.push('a').unwrap();
         assert!(q.is_full());
         assert_eq!(q.push('b'), Err('b'));
-        assert_eq!(q.overflows(), 1);
-        assert_eq!(q.pushes(), 1);
+        assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.push('b').is_ok());
-    }
-
-    #[test]
-    fn occupancy_statistics() {
-        let mut q = BoundedQueue::new(8);
-        q.push(1).unwrap(); // occ 1
-        q.push(2).unwrap(); // occ 2
-        q.push(3).unwrap(); // occ 3
-        assert_eq!(q.max_occupancy(), 3);
-        assert!((q.mean_occupancy() - 2.0).abs() < 1e-12);
-        assert_eq!(q.free(), 5);
-        assert_eq!(q.capacity(), 8);
-    }
-
-    #[test]
-    fn front_and_iter() {
-        let mut q = BoundedQueue::new(3);
-        q.push(10).unwrap();
-        q.push(20).unwrap();
-        assert_eq!(q.front(), Some(&10));
-        *q.front_mut().unwrap() += 1;
-        assert_eq!(q.iter().copied().collect::<Vec<_>>(), vec![11, 20]);
-    }
-
-    #[test]
-    fn remove_first_matching_preserves_order() {
-        let mut q = BoundedQueue::new(5);
-        for i in 0..5 {
-            q.push(i).unwrap();
-        }
-        assert_eq!(q.remove_first_matching(|&x| x == 2), Some(2));
-        assert_eq!(q.remove_first_matching(|&x| x == 9), None);
-        let rest: Vec<_> = q.iter().copied().collect();
-        assert_eq!(rest, vec![0, 1, 3, 4]);
     }
 
     #[test]

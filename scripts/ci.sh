@@ -16,10 +16,13 @@
 #   scripts/ci.sh --tier scale    # beyond-the-paper grids: 64-node four-network
 #                                 # smoke grid + a single 256-node cell, with
 #                                 # shape-class and byte-identity assertions,
-#                                 # then five unoptimized tests: a 256-node cell with
+#                                 # then seven unoptimized tests: a 256-node cell with
 #                                 # the directory's eviction cross-check live, the
 #                                 # FSOI kernel against its full-scan reference with
-#                                 # the sender-mask cross-check live, the CMP
+#                                 # the sender-mask cross-check live, the mesh
+#                                 # against ScanMesh with the active-set
+#                                 # cross-check live and the crossbar engine's
+#                                 # properties (1000 cases each), the CMP
 #                                 # kernel against its full-scan reference with the
 #                                 # wake-wheel cross-check live, and the bulk L2
 #                                 # warm-up against its per-line reference (slab
@@ -117,6 +120,12 @@ tier_scale() {
     # A thousand random shapes up to 256 nodes put four-word masks, the
     # phase-array path and that cross-check together, against ScanFsoi.
     FSOI_CHECK_CASES=1000 cargo test -q --offline -p fsoi-net event_driven_equals_full_scan
+    # The two baseline networks against their slow references: ScanMesh,
+    # the all-buffers full scan, against MeshNetwork with the active-set
+    # cross-check (`check_active_sets`, debug-only) live, and the crossbar
+    # engine's properties under both arbitration rows.
+    FSOI_CHECK_CASES=1000 cargo test -q --offline -p fsoi-mesh --test props event_driven_equals_full_scan
+    FSOI_CHECK_CASES=1000 cargo test -q --offline -p fsoi-ring --test props
     # And for the CMP kernel: the per-tick rebuild of the wake wheel from
     # the cores (`check_kernel`) is debug-only too. Three hundred random
     # cells — all seven networks, a handful at 256 nodes — hold `run()` to

@@ -5,11 +5,11 @@
 
 use fsoi::mesh::config::MeshConfig;
 use fsoi::mesh::network::MeshNetwork;
-use fsoi::mesh::packet::MeshPacket;
 use fsoi::net::config::FsoiConfig;
 use fsoi::net::network::FsoiNetwork;
 use fsoi::net::packet::{Packet, PacketClass};
 use fsoi::net::topology::NodeId;
+use fsoi::sim::packet::NetPacket;
 use fsoi_check::{any_bool, checker, vec_of, Gen};
 use std::collections::BTreeMap;
 
@@ -116,12 +116,15 @@ fn mesh_conserves_packets() {
             for &(_, src, off, data) in script {
                 let src = src as usize;
                 let dst = (src + off as usize) % 16;
-                let pkt = if data {
-                    MeshPacket::data(src, dst, injected)
+                let class = if data {
+                    PacketClass::Data
                 } else {
-                    MeshPacket::meta(src, dst, injected)
+                    PacketClass::Meta
                 };
-                if net.inject(pkt).is_ok() {
+                if net
+                    .inject(NetPacket::new(src, dst, class, injected))
+                    .is_ok()
+                {
                     injected += 1;
                 }
                 net.tick();
