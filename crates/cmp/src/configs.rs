@@ -2,7 +2,7 @@
 //! interconnect variant.
 
 use crate::interconnect::Interconnect;
-use fsoi_mesh::config::MeshConfig;
+use fsoi_mesh::config::{MeshConfig, MeshConfigError};
 use fsoi_mesh::ideal::{IdealKind, IdealNetwork};
 use fsoi_mesh::network::MeshNetwork;
 use fsoi_net::config::FsoiConfig;
@@ -171,6 +171,8 @@ pub enum SystemConfigError {
         /// The requested fraction.
         fraction: f64,
     },
+    /// The mesh (plain or narrowed) fails [`MeshConfig::validate`].
+    Mesh(MeshConfigError),
 }
 
 impl std::fmt::Display for SystemConfigError {
@@ -212,6 +214,7 @@ impl std::fmt::Display for SystemConfigError {
             SystemConfigError::MeshWidthFraction { fraction } => {
                 write!(f, "mesh width fraction {fraction} is outside 0.02..=1.0")
             }
+            SystemConfigError::Mesh(err) => write!(f, "mesh: {err}"),
         }
     }
 }
@@ -294,6 +297,9 @@ impl SystemConfig {
         let side = (self.nodes as f64).sqrt().round() as usize;
         if self.network.is_grid() && (side < 2 || side * side != self.nodes) {
             return Err(SystemConfigError::NotSquare { nodes: self.nodes });
+        }
+        if let NetworkKind::Mesh(mesh) | NetworkKind::MeshScaled(mesh, _) = &self.network {
+            mesh.validate().map_err(SystemConfigError::Mesh)?;
         }
         if let NetworkKind::MeshScaled(_, fraction) = self.network {
             if !(0.02..=1.0).contains(&fraction) {
@@ -548,6 +554,26 @@ mod tests {
         }
         let ok = NetworkKind::MeshScaled(MeshConfig::nodes(16), 0.5);
         assert_eq!(SystemConfig::paper_16(ok).validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_forwards_the_mesh_check() {
+        // Each used to validate clean, then panic in `MeshNetwork::new`,
+        // panic in `BoundedQueue::new` or wedge until the overrun panic.
+        let cases: [(fn(&mut MeshConfig), _); 3] = [
+            (|m| m.vcs = 7, MeshConfigError::VcCount { vcs: 7 }),
+            (|m| m.vc_depth = 0, MeshConfigError::VcDepth),
+            (|m| m.injection_queue = 0, MeshConfigError::InjectionQueue),
+        ];
+        for (tweak, want) in cases {
+            let mut bad = MeshConfig::nodes(16);
+            tweak(&mut bad);
+            for network in [NetworkKind::Mesh(bad), NetworkKind::MeshScaled(bad, 0.5)] {
+                let err = rejected(|c| c.network = network.clone());
+                assert_eq!(err, SystemConfigError::Mesh(want));
+                assert!(err.to_string().starts_with("mesh: "), "{err}");
+            }
+        }
     }
 
     #[test]

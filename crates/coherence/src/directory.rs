@@ -14,11 +14,13 @@
 //! When the deferred queue is full the directory NACKs with `Retry`,
 //! which probabilistically avoids fetch deadlock (§4.3.1, footnote 3).
 //!
-//! Entries live in a slab (`Slab`): a `Vec` of slots reserved once for
-//! the slice's capacity, a free list, and an intrusive doubly-linked LRU
-//! list through the occupied slots. An ordered index maps a line to its
-//! slot; a handled message looks the line up there once and every handler
-//! then works on the slot number.
+//! Entries live in a slab (`Slab`): a `Vec` of 56-byte slots reserved
+//! once for the slice's capacity, a free list, and an intrusive
+//! doubly-linked LRU list through the occupied slots. An ordered index
+//! maps a line to its slot; a handled message looks the line up there once
+//! and every handler then works on the slot number. The rare deferred
+//! queues live beside the slab, keyed by slot, so a slot holds no heap
+//! pointer and a slice tears down in one free.
 
 use crate::protocol::{
     CoherenceMsg, DirState, Grant, LineAddr, LineRun, OutMsg, ProtocolError, ReqType,
@@ -55,39 +57,52 @@ pub struct DirStats {
     pub evictions: u64,
 }
 
+/// A node id as a slot stores it. Every id is below
+/// [`NodeMask::CAPACITY`] (256), so it fits a `u16` with `u16::MAX` free
+/// to mean "no node".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct NodeId(u16);
+
+impl NodeId {
+    const NONE: NodeId = NodeId(u16::MAX);
+
+    /// Narrows `node`, checked: an id that does not fit, or would read as
+    /// [`NONE`](Self::NONE), panics instead of aliasing another node.
+    fn new(node: usize) -> NodeId {
+        let id = NodeId(u16::try_from(node).unwrap_or(u16::MAX));
+        assert!(id != NodeId::NONE, "node id {node} does not fit a slot");
+        id
+    }
+
+    fn get(self) -> usize {
+        debug_assert!(self != NodeId::NONE, "no node recorded");
+        usize::from(self.0)
+    }
+}
+
+/// One line's directory state: 40 bytes, no heap pointer (the slot layout
+/// table in DESIGN.md says why each field is there).
 #[derive(Debug)]
 struct DirEntry {
-    state: DirState,
-    owner: usize,
     sharers: NodeMask,
-    acks_pending: u32,
-    requester: usize,
-    deferred: VecDeque<(usize, ReqType)>,
-    lru: u64,
+    owner: NodeId,
+    requester: NodeId,
+    acks_pending: u16,
+    state: DirState,
+    /// The line has requests in [`Directory::deferred`], keyed by its slot.
+    has_deferred: bool,
 }
 
 impl DirEntry {
-    fn new(state: DirState, lru: u64) -> Self {
+    fn new(state: DirState) -> Self {
         DirEntry {
-            state,
-            owner: usize::MAX,
             sharers: NodeMask::new(),
+            owner: NodeId::NONE,
+            requester: NodeId::NONE,
             acks_pending: 0,
-            requester: usize::MAX,
-            deferred: VecDeque::new(),
-            lru,
+            state,
+            has_deferred: false,
         }
-    }
-
-    /// Number of sharers, straight off the bit mask (no allocation).
-    fn sharer_count(&self) -> usize {
-        self.sharers.len()
-    }
-
-    /// Iterates set sharer bits in ascending node order. The iterator
-    /// copies the mask, so the entry may be mutated while it is live.
-    fn sharer_iter(&self) -> NodeMaskIter {
-        self.sharers.iter()
     }
 
     fn is_sharer(&self, node: usize) -> bool {
@@ -102,9 +117,19 @@ impl DirEntry {
         self.sharers.remove(node);
     }
 
+    /// Starts an invalidation round over the current sharers: one ack owed
+    /// per sharer, the mask cleared. Returns the sharers, ascending.
+    fn invalidate_sharers(&mut self) -> NodeMaskIter {
+        let victims = self.sharers.iter();
+        // At most `NodeMask::CAPACITY` sharers, so the count always fits.
+        self.acks_pending = u16::try_from(victims.len()).unwrap_or(u16::MAX);
+        self.sharers.clear();
+        victims
+    }
+
     /// May capacity eviction pick this entry?
     fn evictable(&self) -> bool {
-        self.state.is_stable() && self.deferred.is_empty()
+        self.state.is_stable() && !self.has_deferred
     }
 }
 
@@ -120,21 +145,28 @@ struct Slot {
 }
 
 /// Entry storage: slots threaded into an LRU list (`head` = oldest), free
-/// slots chained through `next` from `free`. Every `lru` stamp is a fresh
-/// directory tick and a stamped slot goes to the tail, so stamps are
-/// unique and list order *is* ascending-`lru` order: the first evictable
-/// slot from the head is the `min_by_key(lru)` of the evictable set.
+/// slots chained through `next` from `free`. A slot moves to the tail
+/// whenever the directory touches its line, so list order *is* LRU order:
+/// the first evictable slot from the head is the least recently used one.
+/// No stamp is stored for that; the debug builds keep one per slot (`lru`)
+/// only to check the list against the full scan it replaced.
 #[derive(Debug)]
 struct Slab {
     slots: Vec<Slot>,
+    /// Each slot's LRU stamp, a fresh directory tick per touch: the
+    /// reference [`Directory::check_victim`] and `push_tail` compare the
+    /// list order against.
+    #[cfg(any(debug_assertions, test))]
+    lru: Vec<u64>,
     head: u32,
     tail: u32,
     free: u32,
 }
 
 impl Slab {
-    /// Stores `entry` for `line` as the most recently used slot.
-    fn alloc(&mut self, line: LineAddr, entry: DirEntry) -> u32 {
+    /// Stores `entry` for `line` as the most recently used slot, stamped
+    /// `tick`.
+    fn alloc(&mut self, line: LineAddr, entry: DirEntry, tick: u64) -> u32 {
         let slot = Slot {
             line,
             entry,
@@ -151,6 +183,7 @@ impl Slab {
                 s
             }
         };
+        self.stamp(s, tick);
         self.push_tail(s);
         s
     }
@@ -160,12 +193,25 @@ impl Slab {
     fn release(&mut self, s: u32) {
         self.unlink(s);
         let slot = &mut self.slots[s as usize];
-        slot.entry = DirEntry::new(DirState::DI, 0);
+        slot.entry = DirEntry::new(DirState::DI);
         slot.next = self.free;
         self.free = s;
     }
 
-    /// After a fresh `lru` stamp on slot `s`: restores list order.
+    /// Records slot `s`'s fresh LRU stamp in the debug reference; the
+    /// list move that goes with it is the caller's, so the reference sees
+    /// a move that was skipped.
+    fn stamp(&mut self, s: u32, tick: u64) {
+        #[cfg(any(debug_assertions, test))]
+        {
+            self.lru.resize(self.slots.len(), 0);
+            self.lru[s as usize] = tick;
+        }
+        #[cfg(not(any(debug_assertions, test)))]
+        let _ = (s, tick);
+    }
+
+    /// After a fresh stamp on slot `s`: makes it the most recently used.
     fn move_to_tail(&mut self, s: u32) {
         if self.tail != s {
             self.unlink(s);
@@ -187,8 +233,9 @@ impl Slab {
 
     fn push_tail(&mut self, s: u32) {
         let t = self.tail;
+        #[cfg(any(debug_assertions, test))]
         debug_assert!(
-            t == NIL || self.slots[t as usize].entry.lru < self.slots[s as usize].entry.lru,
+            t == NIL || self.lru[t as usize] < self.lru[s as usize],
             "lru stamps must be fresh ticks"
         );
         self.slots[s as usize].prev = t;
@@ -219,9 +266,12 @@ pub struct Directory {
     capacity_lines: usize,
     deferred_limit: usize,
     // Line → slot. Ordered (lint rule D1), though nothing iterates it
-    // outside the debug cross-check.
+    // outside the debug cross-checks.
     index: DetMap<LineAddr, u32>,
     slab: Slab,
+    /// Slot → its line's stalled requests, oldest first: present exactly
+    /// for the slots whose entry has `has_deferred` set, never empty.
+    deferred: DetMap<u32, VecDeque<(usize, ReqType)>>,
     tick: u64,
     stats: DirStats,
 }
@@ -242,10 +292,13 @@ impl Directory {
             // left to grow by doubling peaked 12 % higher in resident size.
             slab: Slab {
                 slots: Vec::with_capacity(capacity_lines + 1),
+                #[cfg(any(debug_assertions, test))]
+                lru: Vec::with_capacity(capacity_lines + 1),
                 head: NIL,
                 tail: NIL,
                 free: NIL,
             },
+            deferred: DetMap::new(),
             tick: 0,
             stats: DirStats::default(),
         }
@@ -274,19 +327,19 @@ impl Directory {
     /// The current sharers of a line.
     pub fn sharers_of(&self, line: LineAddr) -> Vec<usize> {
         self.get(line)
-            .map_or(Vec::new(), |e| e.sharer_iter().collect())
+            .map_or(Vec::new(), |e| e.sharers.iter().collect())
     }
 
     /// Number of sharers of a line, without materializing the list.
     pub fn sharer_count_of(&self, line: LineAddr) -> usize {
-        self.get(line).map_or(0, |e| e.sharer_count())
+        self.get(line).map_or(0, |e| e.sharers.len())
     }
 
     /// The owner of a line in `DM`, if any.
     pub fn owner_of(&self, line: LineAddr) -> Option<usize> {
         self.get(line)
             .filter(|e| e.state == DirState::DM)
-            .map(|e| e.owner)
+            .map(|e| e.owner.get())
     }
 
     /// Number of tracked lines (resident + transient).
@@ -336,10 +389,12 @@ impl Directory {
             .slots
             .extend(lines.enumerate().map(|(i, line)| Slot {
                 line,
-                entry: DirEntry::new(DirState::DV, i as u64 + 1),
+                entry: DirEntry::new(DirState::DV),
                 prev: if i == 0 { NIL } else { i as u32 - 1 },
                 next: if i + 1 == k { NIL } else { i as u32 + 1 },
             }));
+        #[cfg(any(debug_assertions, test))]
+        dir.slab.lru.extend(1..=k as u64);
         if k > 0 {
             (dir.slab.head, dir.slab.tail) = (0, k as u32 - 1);
         }
@@ -357,7 +412,10 @@ impl Directory {
             .flat_map(|&(run, slot)| run.lines().zip(slot..))
             .collect();
         #[cfg(debug_assertions)]
-        dir.check_victim(dir.slab.victim());
+        {
+            dir.check_victim(dir.slab.victim());
+            dir.check_deferred();
+        }
         dir
     }
 
@@ -375,7 +433,7 @@ impl Directory {
         self.tick += 1;
         vacant.insert(
             self.slab
-                .alloc(line, DirEntry::new(DirState::DV, self.tick)),
+                .alloc(line, DirEntry::new(DirState::DV), self.tick),
         );
         true
     }
@@ -465,9 +523,24 @@ impl Directory {
     fn touch(&mut self, slot: u32) {
         self.tick += 1;
         if slot != NIL {
-            self.entry(slot).lru = self.tick;
+            self.slab.stamp(slot, self.tick);
             self.slab.move_to_tail(slot);
         }
+    }
+
+    /// Pops the oldest request stalled on `slot`, dropping the queue (and
+    /// the entry's `has_deferred`) once it empties.
+    fn pop_deferred(&mut self, slot: u32) -> Option<(usize, ReqType)> {
+        if !self.entry(slot).has_deferred {
+            return None;
+        }
+        let queue = self.deferred.get_mut(&slot)?;
+        let next = queue.pop_front();
+        if queue.is_empty() {
+            self.deferred.remove(&slot);
+            self.entry(slot).has_deferred = false;
+        }
+        next
     }
 
     /// Handles (or replays) a request; returns the line's slot, which the
@@ -496,13 +569,18 @@ impl Directory {
                     DirState::DIDMD
                 };
                 self.tick += 1;
-                let mut e = DirEntry::new(next, self.tick);
-                e.requester = from;
+                let mut e = DirEntry::new(next);
+                e.requester = NodeId::new(from);
                 if slot == NIL {
-                    slot = self.slab.alloc(line, e);
+                    slot = self.slab.alloc(line, e, self.tick);
                     self.index.insert(line, slot);
                 } else {
-                    *self.entry(slot) = e; // over a DI placeholder mid-replay
+                    // Over a DI placeholder mid-replay: the rest of its
+                    // queue stays with the slot.
+                    let placeholder = self.entry(slot);
+                    e.has_deferred = placeholder.has_deferred;
+                    *placeholder = e;
+                    self.slab.stamp(slot, self.tick);
                     self.slab.move_to_tail(slot);
                 }
                 self.stats.mem_reads += 1;
@@ -518,7 +596,7 @@ impl Directory {
                 }
                 let e = self.entry(slot);
                 e.state = DirState::DM;
-                e.owner = from;
+                e.owner = NodeId::new(from);
                 let grant = if kind == ReqType::Sh {
                     Grant::Exclusive
                 } else {
@@ -552,11 +630,8 @@ impl Directory {
                         let upgrade = kind == ReqType::Upg;
                         let e = self.entry(slot);
                         e.remove_sharer(from);
-                        let victims = e.sharer_iter();
-                        e.acks_pending = e.sharer_count() as u32;
-                        e.requester = from;
-                        e.sharers.clear();
-                        for v in victims {
+                        e.requester = NodeId::new(from);
+                        for v in e.invalidate_sharers() {
                             self.stats.invalidations += 1;
                             out.push(OutMsg {
                                 to: v,
@@ -566,7 +641,7 @@ impl Directory {
                         let e = self.entry(slot);
                         if e.acks_pending == 0 {
                             e.state = DirState::DM;
-                            e.owner = from;
+                            e.owner = NodeId::new(from);
                             if upgrade {
                                 self.stats.exc_acks += 1;
                                 out.push(OutMsg {
@@ -595,7 +670,7 @@ impl Directory {
             }
             DirState::DM => {
                 let e = self.entry(slot);
-                let owner = e.owner;
+                let owner = e.owner.get();
                 if from == owner {
                     // The owner silently dropped a clean E copy and missed
                     // again: regrant directly.
@@ -611,7 +686,7 @@ impl Directory {
                     });
                     return slot;
                 }
-                e.requester = from;
+                e.requester = NodeId::new(from);
                 match kind {
                     ReqType::Sh => {
                         e.state = DirState::DMDSD;
@@ -636,16 +711,19 @@ impl Directory {
             }
             // Transient: stall (`z`) or NACK when the queue is full.
             _ => {
-                let limit = self.deferred_limit;
-                let e = self.entry(slot);
-                if e.deferred.len() >= limit {
+                let queued = self.deferred.get(&slot).map_or(0, VecDeque::len);
+                if queued >= self.deferred_limit {
                     self.stats.nacks += 1;
                     out.push(OutMsg {
                         to: from,
                         msg: CoherenceMsg::Retry { line },
                     });
                 } else {
-                    e.deferred.push_back((from, kind));
+                    self.deferred
+                        .entry(slot)
+                        .or_default()
+                        .push_back((from, kind));
+                    self.entry(slot).has_deferred = true;
                     self.stats.deferred += 1;
                 }
             }
@@ -663,11 +741,11 @@ impl Directory {
             DirState::DM => {
                 // Owner eviction: "save/DV".
                 let e = self.entry(slot);
-                if e.owner != from {
+                if e.owner.get() != from {
                     return Err(self.error(line, slot, "WriteBack(non-owner)"));
                 }
                 e.state = DirState::DV;
-                e.owner = usize::MAX;
+                e.owner = NodeId::NONE;
             }
             DirState::DMDSD => {
                 // Crossed with our Dwg: "save/DM.DSᴬ".
@@ -711,7 +789,7 @@ impl Directory {
                 if e.acks_pending == 0 {
                     e.state = DirState::DM;
                     e.owner = e.requester;
-                    let to = e.requester;
+                    let to = e.requester.get();
                     self.stats.data_replies += 1;
                     out.push(OutMsg {
                         to,
@@ -728,7 +806,7 @@ impl Directory {
                 if e.acks_pending == 0 {
                     e.state = DirState::DM;
                     e.owner = e.requester;
-                    let to = e.requester;
+                    let to = e.requester.get();
                     self.stats.exc_acks += 1;
                     out.push(OutMsg {
                         to,
@@ -745,7 +823,7 @@ impl Directory {
                 let e = self.entry(slot);
                 e.state = DirState::DM;
                 e.owner = e.requester;
-                let to = e.requester;
+                let to = e.requester.get();
                 self.stats.data_replies += 1;
                 out.push(OutMsg {
                     to,
@@ -772,9 +850,9 @@ impl Directory {
                 // requester joins as a sharer.
                 let e = self.entry(slot);
                 e.state = DirState::DS;
-                let owner = e.owner;
-                let req = e.requester;
-                e.owner = usize::MAX;
+                let owner = e.owner.get();
+                let req = e.requester.get();
+                e.owner = NodeId::NONE;
                 e.sharers.clear();
                 e.add_sharer(owner);
                 e.add_sharer(req);
@@ -792,7 +870,7 @@ impl Directory {
                 let e = self.entry(slot);
                 e.state = DirState::DM;
                 e.owner = e.requester;
-                let to = e.requester;
+                let to = e.requester.get();
                 self.stats.data_replies += 1;
                 out.push(OutMsg {
                     to,
@@ -825,7 +903,7 @@ impl Directory {
                 } else {
                     Grant::Modified
                 };
-                let to = e.requester;
+                let to = e.requester.get();
                 self.stats.data_replies += 1;
                 out.push(OutMsg {
                     to,
@@ -838,9 +916,9 @@ impl Directory {
     }
 
     /// Drops the line in `slot`, writing the L2 copy back to memory.
-    /// Deferred requests stay behind on a `DI` placeholder in the same
-    /// slot for [`drain_deferred`](Self::handle_into) to replay against
-    /// the now-DI line. Returns the line's slot afterwards.
+    /// Deferred requests stay behind, keyed by the same slot, on a `DI`
+    /// placeholder for [`drain_deferred`](Self::handle_into) to replay
+    /// against the now-DI line. Returns the line's slot afterwards.
     fn remove_with_memory_writeback(
         &mut self,
         line: LineAddr,
@@ -852,16 +930,16 @@ impl Directory {
             to: self.mem_node,
             msg: CoherenceMsg::MemReq { line, write: true },
         });
-        let deferred = std::mem::take(&mut self.entry(slot).deferred);
-        if deferred.is_empty() {
+        if !self.entry(slot).has_deferred {
             self.index.remove(&line);
             self.slab.release(slot);
             return NIL;
         }
         self.tick += 1;
-        let mut e = DirEntry::new(DirState::DI, self.tick);
-        e.deferred = deferred;
-        *self.entry(slot) = e;
+        let mut placeholder = DirEntry::new(DirState::DI);
+        placeholder.has_deferred = true;
+        *self.entry(slot) = placeholder;
+        self.slab.stamp(slot, self.tick);
         self.slab.move_to_tail(slot);
         slot
     }
@@ -873,12 +951,12 @@ impl Directory {
             if slot == NIL {
                 break;
             }
-            let e = self.entry(slot);
-            if !e.state.is_stable() {
+            let state = self.entry(slot).state;
+            if !state.is_stable() {
                 break;
             }
-            let Some((from, kind)) = e.deferred.pop_front() else {
-                if e.state == DirState::DI {
+            let Some((from, kind)) = self.pop_deferred(slot) else {
+                if state == DirState::DI {
                     // An emptied placeholder: the line is untracked again.
                     self.index.remove(&line);
                     self.slab.release(slot);
@@ -889,14 +967,8 @@ impl Directory {
             // Re-dispatch; a deferred Upg against a line the requester no
             // longer shares is reinterpreted inside `handle_request`. DI
             // handling overwrites the placeholder with a fresh transient
-            // entry, so carry the rest of its queue over.
-            let rest = if e.state == DirState::DI {
-                std::mem::take(&mut e.deferred)
-            } else {
-                VecDeque::new()
-            };
+            // entry in the same slot, which keeps the rest of the queue.
             slot = self.handle_request(from, kind, line, slot, out);
-            self.entry(slot).deferred.extend(rest);
         }
         slot
     }
@@ -906,7 +978,10 @@ impl Directory {
         while self.index.len() > self.capacity_lines {
             let slot = self.slab.victim();
             #[cfg(debug_assertions)]
-            self.check_victim(slot);
+            {
+                self.check_victim(slot);
+                self.check_deferred();
+            }
             if slot == NIL {
                 return; // everything is in flight; allow overflow
             }
@@ -918,9 +993,7 @@ impl Directory {
                     self.remove_with_memory_writeback(line, slot, out);
                 }
                 DirState::DS => {
-                    let victims = e.sharer_iter();
-                    e.acks_pending = e.sharer_count() as u32;
-                    e.sharers.clear();
+                    let victims = e.invalidate_sharers();
                     if e.acks_pending == 0 {
                         self.remove_with_memory_writeback(line, slot, out);
                     } else {
@@ -936,7 +1009,7 @@ impl Directory {
                 }
                 DirState::DM => {
                     e.state = DirState::DMDID;
-                    let owner = e.owner;
+                    let owner = e.owner.get();
                     self.stats.invalidations += 1;
                     out.push(OutMsg {
                         to: owner,
@@ -954,7 +1027,7 @@ impl Directory {
     /// entries.
     #[cfg(any(debug_assertions, test))]
     fn check_victim(&self, victim: u32) {
-        let slots = &self.slab.slots;
+        let (slots, lru) = (&self.slab.slots, &self.slab.lru);
         let (mut s, mut prev, mut listed) = (self.slab.head, NIL, 0);
         while s != NIL {
             let slot = &slots[s as usize];
@@ -964,7 +1037,7 @@ impl Directory {
                 "listed slot is indexed"
             );
             assert_eq!(slot.prev, prev, "back link");
-            assert!(prev == NIL || slots[prev as usize].entry.lru < slot.entry.lru);
+            assert!(prev == NIL || lru[prev as usize] < lru[s as usize]);
             (prev, s, listed) = (s, slot.next, listed + 1);
         }
         assert_eq!(self.slab.tail, prev);
@@ -973,12 +1046,39 @@ impl Directory {
             .index
             .values()
             .filter(|&&s| slots[s as usize].entry.evictable())
-            .min_by_key(|&&s| slots[s as usize].entry.lru);
+            .min_by_key(|&&s| lru[s as usize]);
         assert_eq!(
             scanned.copied().unwrap_or(NIL),
             victim,
             "list victim == scan victim"
         );
+    }
+
+    /// The deferred side table against the slots: its keys are exactly
+    /// the slots flagged `has_deferred`, each queue is non-empty, within
+    /// `deferred_limit` and owned by an indexed slot, and no free slot owns
+    /// one.
+    #[cfg(any(debug_assertions, test))]
+    fn check_deferred(&self) {
+        let slots = &self.slab.slots;
+        let flagged = (0..slots.len() as u32).filter(|&s| slots[s as usize].entry.has_deferred);
+        assert!(
+            self.deferred.keys().copied().eq(flagged),
+            "side-table keys == slots flagged has_deferred"
+        );
+        for (&s, queue) in &self.deferred {
+            assert!((1..=self.deferred_limit).contains(&queue.len()));
+            let line = slots[s as usize].line;
+            assert_eq!(self.index.get(&line), Some(&s), "queue on an indexed slot");
+        }
+        let mut s = self.slab.free;
+        while s != NIL {
+            assert!(
+                !self.deferred.contains_key(&s),
+                "free slot {s} owns a queue"
+            );
+            s = slots[s as usize].next;
+        }
     }
 }
 
@@ -1541,9 +1641,11 @@ mod tests {
     }
 
     /// Lines in LRU-list order, head (oldest) first, after checking the
-    /// list against the index and the full-scan victim.
+    /// list against the index and the full-scan victim, and the deferred
+    /// side table against the slots.
     fn lru_order(d: &Directory) -> Vec<LineAddr> {
         d.check_victim(d.slab.victim());
+        d.check_deferred();
         let mut order = Vec::new();
         let mut s = d.slab.head;
         while s != NIL {
@@ -1596,12 +1698,125 @@ mod tests {
         }
         let slot_of = |d: &Directory, i| d.index[&nth(i)];
         let s1 = slot_of(&d, 1);
-        d.entry(s1).deferred.push_back((2, ReqType::Sh));
+        d.deferred.insert(s1, VecDeque::from([(2, ReqType::Sh)]));
+        d.entry(s1).has_deferred = true;
         assert_eq!(lru_order(&d), [nth(0), nth(1), nth(2), nth(3)]);
         assert_eq!(d.slab.victim(), slot_of(&d, 2));
-        d.entry(s1).deferred.clear();
+        assert_eq!(d.pop_deferred(s1), Some((2, ReqType::Sh)));
+        assert!(d.deferred.is_empty() && !d.entry(s1).has_deferred);
         assert_eq!(d.slab.victim(), s1);
         lru_order(&d);
+    }
+
+    #[test]
+    fn a_slot_is_56_bytes_with_no_drop_glue() {
+        // A 256-node `mp` cell tracks 518 368 warmed lines: at 112 bytes a
+        // slot the slabs were ≈ 58 MB of `scale256`'s 70.8 MB peak RSS.
+        // With no heap pointer in a slot, a slice's slab frees in one call.
+        assert!(std::mem::size_of::<Slot>() <= 56);
+        assert!(!std::mem::needs_drop::<Slot>());
+    }
+
+    #[test]
+    fn node_ids_up_to_255_round_trip_through_a_slot() {
+        // At 256 nodes the top id is 255: a `u8` id with `u8::MAX` as its
+        // "no node" would alias it.
+        let mut d = dir();
+        d.handle(255, req(ReqType::Sh, L)).unwrap();
+        let out = d.handle(99, CoherenceMsg::MemAck { line: L }).unwrap();
+        assert_eq!(out[0].to, 255);
+        assert_eq!(d.owner_of(L), Some(255));
+        d.handle(254, req(ReqType::Sh, L)).unwrap(); // DMDSD, Dwg → 255
+        let dwg_ack = CoherenceMsg::DwgAck {
+            line: L,
+            with_data: false,
+        };
+        assert_eq!(d.handle(255, dwg_ack).unwrap()[0].to, 254);
+        assert_eq!(d.sharers_of(L), [254, 255]);
+        d.handle(255, req(ReqType::Upg, L)).unwrap(); // invalidates 254
+        let inv_ack = CoherenceMsg::InvAck {
+            line: L,
+            with_data: false,
+        };
+        assert_eq!(d.handle(254, inv_ack).unwrap()[0].to, 255);
+        assert_eq!(d.owner_of(L), Some(255));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a slot")]
+    fn a_node_id_past_u16_panics_instead_of_aliasing() {
+        let _ = NodeId::new(usize::from(u16::MAX));
+    }
+
+    /// Stall-heavy property on one slice: four to eight lines of capacity
+    /// over ten lines, a deferred limit of one to four, and requests,
+    /// acks, writebacks and memory replies in random order, legal or not
+    /// (an illegal one is an error that leaves the slice untouched). The
+    /// LRU list and the deferred side table are checked after every
+    /// message.
+    #[test]
+    fn stalls_keep_the_list_and_the_side_table_consistent() {
+        use fsoi_check::{vec_of, Checker};
+        // Per step: what to send (0–3 a fresh request, 4–6 one owed reply
+        // picked by `pick`, 7 a writeback from the owner, 8 a stray ack),
+        // a node, a line, and the pick.
+        let step = (0u8..9, 0usize..6, 0u64..10, 0usize..64);
+        let gen = ((4usize..=8, 1usize..=4), vec_of(step, 1..200));
+        Checker::new().check(
+            "stalls_keep_the_list_and_the_side_table_consistent",
+            gen,
+            |((capacity, limit), steps)| {
+                let mut d = Directory::new(0, 99, *capacity);
+                d.deferred_limit = *limit;
+                // Replies the fake L1s and memory owe the slice.
+                let mut owed: Vec<(usize, CoherenceMsg)> = Vec::new();
+                for &(what, node, l, pick) in steps {
+                    let line = nth(l);
+                    let (from, msg) = match what {
+                        0..=3 => {
+                            let kind = [ReqType::Sh, ReqType::Ex, ReqType::Upg, ReqType::Sh];
+                            (node, req(kind[usize::from(what)], line))
+                        }
+                        4..=6 if !owed.is_empty() => owed.swap_remove(pick % owed.len()),
+                        7 => (
+                            d.owner_of(line).unwrap_or(node),
+                            CoherenceMsg::WriteBack { line },
+                        ),
+                        _ => {
+                            let with_data = pick % 2 == 0;
+                            let stray = [
+                                CoherenceMsg::InvAck { line, with_data },
+                                CoherenceMsg::DwgAck { line, with_data },
+                                CoherenceMsg::MemAck { line },
+                            ];
+                            (node, stray[pick % 3])
+                        }
+                    };
+                    if let Ok(out) = d.handle(from, msg) {
+                        for o in out {
+                            let line = o.msg.line();
+                            let reply = match o.msg {
+                                CoherenceMsg::MemReq { write: false, .. } => {
+                                    CoherenceMsg::MemAck { line }
+                                }
+                                CoherenceMsg::Inv { .. } => CoherenceMsg::InvAck {
+                                    line,
+                                    with_data: false,
+                                },
+                                CoherenceMsg::Dwg { .. } => CoherenceMsg::DwgAck {
+                                    line,
+                                    with_data: false,
+                                },
+                                _ => continue,
+                            };
+                            owed.push((o.to, reply));
+                        }
+                    }
+                    d.check_victim(d.slab.victim());
+                    d.check_deferred();
+                }
+            },
+        );
     }
 
     #[test]
@@ -1648,11 +1863,13 @@ mod tests {
     }
 
     fn warm_image(d: &Directory) -> WarmImage {
-        let slots = d.slab.slots.iter();
+        assert_eq!(d.slab.lru.len(), d.slab.slots.len(), "one stamp per slot");
+        assert!(d.deferred.is_empty(), "a warm slice stalls nothing");
+        let slots = d.slab.slots.iter().zip(&d.slab.lru);
         WarmImage {
             index: d.index.iter().map(|(&line, &s)| (line, s)).collect(),
             slots: slots
-                .map(|s| (s.line, s.entry.state, s.entry.lru, s.prev, s.next))
+                .map(|(s, &lru)| (s.line, s.entry.state, lru, s.prev, s.next))
                 .collect(),
             ends: [d.slab.head, d.slab.tail, d.slab.free],
             tick: d.tick,

@@ -6,8 +6,9 @@ use fsoi_sim::det::NodeMask;
 ///
 /// The limits come from the dense state of the hot path — per-router
 /// `u32` masks over the `5 × vcs` input VCs, [`NodeMask`] live sets over
-/// the routers — and are enforced at construction instead of surfacing as
-/// a shift overflow or capacity assert inside a running simulation.
+/// the routers — and from the buffers a flit must fit into, and are
+/// enforced at construction instead of surfacing as a shift overflow, a
+/// capacity assert or a wedged network inside a running simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MeshConfigError {
     /// `vcs` is zero or more than [`MeshConfig::MAX_VCS`].
@@ -20,6 +21,10 @@ pub enum MeshConfigError {
         /// The requested node count.
         nodes: usize,
     },
+    /// A zero-flit VC buffer: no flit could ever be injected.
+    VcDepth,
+    /// A zero-packet injection queue: no packet could ever be offered.
+    InjectionQueue,
 }
 
 impl std::fmt::Display for MeshConfigError {
@@ -36,6 +41,10 @@ impl std::fmt::Display for MeshConfigError {
                 "{nodes} nodes exceed the NodeMask capacity of {}",
                 NodeMask::CAPACITY
             ),
+            MeshConfigError::VcDepth => write!(f, "a VC buffer must hold at least one flit"),
+            MeshConfigError::InjectionQueue => {
+                write!(f, "an injection queue must hold at least one packet")
+            }
         }
     }
 }
@@ -122,12 +131,19 @@ impl MeshConfig {
 
     /// Checks the limits the network's dense state relies on (the fields
     /// are public, so a literal can hold anything): `vcs` in
-    /// `1..=`[`MAX_VCS`](Self::MAX_VCS) and at most [`NodeMask::CAPACITY`]
-    /// nodes. [`MeshNetwork::new`](crate::MeshNetwork::new) panics on a
-    /// configuration that fails this.
+    /// `1..=`[`MAX_VCS`](Self::MAX_VCS), at most [`NodeMask::CAPACITY`]
+    /// nodes, and room for at least one flit per VC and one packet per
+    /// injection queue. [`MeshNetwork::new`](crate::MeshNetwork::new)
+    /// panics on a configuration that fails this.
     pub fn validate(&self) -> Result<(), MeshConfigError> {
         if !(1..=Self::MAX_VCS).contains(&self.vcs) {
             return Err(MeshConfigError::VcCount { vcs: self.vcs });
+        }
+        if self.vc_depth == 0 {
+            return Err(MeshConfigError::VcDepth);
+        }
+        if self.injection_queue == 0 {
+            return Err(MeshConfigError::InjectionQueue);
         }
         if self.node_count() > NodeMask::CAPACITY {
             return Err(MeshConfigError::TooManyNodes {
@@ -193,6 +209,27 @@ mod tests {
         let err = MeshConfig::nodes(289).validate().unwrap_err();
         assert_eq!(err, MeshConfigError::TooManyNodes { nodes: 289 });
         assert!(err.to_string().contains("256"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_flit_vc_buffer() {
+        // Used to validate clean and wedge until the overrun panic.
+        let c = MeshConfig {
+            vc_depth: 0,
+            ..MeshConfig::nodes(16)
+        };
+        assert_eq!(c.validate(), Err(MeshConfigError::VcDepth));
+        assert!(c.validate().unwrap_err().to_string().contains("one flit"));
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_packet_injection_queue() {
+        // Used to validate clean and panic inside `BoundedQueue::new`.
+        let c = MeshConfig {
+            injection_queue: 0,
+            ..MeshConfig::nodes(16)
+        };
+        assert_eq!(c.validate(), Err(MeshConfigError::InjectionQueue));
     }
 
     #[test]

@@ -82,6 +82,7 @@ impl NodeMask {
     /// # Panics
     ///
     /// Panics if `index >= CAPACITY`.
+    #[inline]
     pub fn insert(&mut self, index: usize) -> bool {
         assert!(
             index < Self::CAPACITY,
@@ -99,6 +100,7 @@ impl NodeMask {
     /// # Panics
     ///
     /// Panics if `index >= CAPACITY`.
+    #[inline]
     pub fn remove(&mut self, index: usize) -> bool {
         assert!(
             index < Self::CAPACITY,
@@ -112,21 +114,25 @@ impl NodeMask {
     }
 
     /// True if `index` is present. Out-of-range indices are simply absent.
+    #[inline]
     pub fn contains(&self, index: usize) -> bool {
         index < Self::CAPACITY && self.words[index / 64] >> (index % 64) & 1 == 1
     }
 
     /// Number of set indices.
+    #[inline]
     pub fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// True when the mask holds nothing.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
 
     /// The indices present in `self`, `other`, or both.
+    #[inline]
     pub fn union(&self, other: &NodeMask) -> NodeMask {
         NodeMask {
             words: std::array::from_fn(|w| self.words[w] | other.words[w]),
@@ -139,6 +145,7 @@ impl NodeMask {
     }
 
     /// Iterates set indices in ascending order.
+    #[inline]
     pub fn iter(&self) -> NodeMaskIter {
         NodeMaskIter {
             words: self.words,
@@ -177,6 +184,7 @@ pub struct NodeMaskIter {
 
 impl Iterator for NodeMaskIter {
     type Item = usize;
+    #[inline]
     fn next(&mut self) -> Option<usize> {
         while self.word < NodeMask::WORDS {
             let bits = self.words[self.word];

@@ -209,8 +209,16 @@ impl Geometric {
         if self.ln_q == f64::NEG_INFINITY {
             return 0;
         }
-        let u = rng.next_f64().max(f64::MIN_POSITIVE);
-        (u.ln() / self.ln_q).floor() as u64
+        self.gap(rng.next_f64())
+    }
+
+    /// The draw for uniform `u ∈ [0, 1)`. `ln u` is negative and `ln_q`
+    /// negative or (when `1 − p` rounds to 1) `+0.0`, so the quotient is
+    /// positive or `−∞`: the saturating cast truncates toward zero, which
+    /// is `floor` here, without a libm call.
+    #[inline]
+    fn gap(&self, u: f64) -> u64 {
+        (u.max(f64::MIN_POSITIVE).ln() / self.ln_q) as u64
     }
 }
 
@@ -320,6 +328,33 @@ mod tests {
             let want = (1.0 - p).ln();
             assert_eq!(Geometric::new(p).ln_q.to_bits(), want.to_bits(), "p = {p}");
         }
+    }
+
+    #[test]
+    fn geometric_truncation_equals_floor() {
+        // The cast alone is bit for bit the `floor` the draw used to take.
+        let floor = |g: &Geometric, u: f64| (u.max(f64::MIN_POSITIVE).ln() / g.ln_q).floor() as u64;
+        let tiny = Geometric::new(1e-17); // 1 − p rounds to 1
+        assert_eq!(tiny.ln_q, 0.0);
+        let below_one = 1.0 - f64::EPSILON / 2.0; // the largest `next_f64`
+        let mut r = Xoshiro256StarStar::new(11);
+        for p in [1e-17, 1e-9, 0.001, 0.1, 0.25, 0.5, 0.9, 1.0 - 1e-12] {
+            let g = Geometric::new(p);
+            for u in [0.0, f64::MIN_POSITIVE, 1e-300, 0.5, below_one] {
+                assert_eq!(g.gap(u), floor(&g, u), "p = {p}, u = {u}");
+            }
+            let mut before = r.clone();
+            for _ in 0..20_000 {
+                let want = floor(&g, before.next_f64());
+                assert_eq!(g.sample(&mut r), want, "p = {p}");
+            }
+        }
+        assert_eq!(tiny.gap(0.5), 0, "a −∞ quotient casts to 0");
+        assert_eq!(
+            Geometric::new(0.5).gap(0.0),
+            1022,
+            "u = 0 draws as MIN_POSITIVE"
+        );
     }
 
     #[test]

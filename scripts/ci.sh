@@ -16,7 +16,7 @@
 #   scripts/ci.sh --tier scale    # beyond-the-paper grids: 64-node four-network
 #                                 # smoke grid + a single 256-node cell, with
 #                                 # shape-class and byte-identity assertions,
-#                                 # then seven unoptimized tests: a 256-node cell with
+#                                 # then eight unoptimized tests: a 256-node cell with
 #                                 # the directory's eviction cross-check live, the
 #                                 # FSOI kernel against its full-scan reference with
 #                                 # the sender-mask cross-check live, the mesh
@@ -27,7 +27,10 @@
 #                                 # wake-wheel cross-check live, and the bulk L2
 #                                 # warm-up against its per-line reference (slab
 #                                 # image, then the per-home split up to 256 nodes)
-#                                 # with the LRU-list cross-check live; then three
+#                                 # with the LRU-list cross-check live, and a
+#                                 # stall-heavy directory slice with the LRU-list
+#                                 # and deferred-table cross-checks after every
+#                                 # message (1000 cases); then three
 #                                 # more, the per-operation path against its slow
 #                                 # references: the calendar queue against the
 #                                 # heap (5000 cases), the flat cache array against
@@ -111,9 +114,9 @@ tier_scale() {
         grid --nodes 256 --ops 50 --apps mp --out target/GRID_256.txt
     echo "scale: grid summaries written to target/GRID_64.txt and target/GRID_256.txt"
     # The grids above are release builds, where the directory's debug
-    # cross-check (LRU-list victim == full-scan victim, list invariant) is
-    # compiled out. One debug-build test by name puts four-word sharer
-    # masks, capacity evictions and that cross-check together.
+    # cross-checks (LRU-list victim == full-scan victim, list invariant,
+    # deferred side table == flagged slots) are compiled out. One debug-build test by name puts four-word sharer
+    # masks, capacity evictions and those cross-checks together.
     cargo test -q --offline -p fsoi-cmp evictions_at_256_nodes_are_cross_checked
     # Likewise for the FSOI kernel: the sender-mask cross-check (masks ==
     # full node x lane scan, after every step) only exists in debug builds.
@@ -138,6 +141,11 @@ tier_scale() {
     # home-filtered line list, building every slice on the way.
     FSOI_CHECK_CASES=300 cargo test -q --offline -p fsoi-coherence warmed_equals_per_line_preload
     FSOI_CHECK_CASES=300 cargo test -q --offline -p fsoi-cmp region_runs_split_by_home_equals_filtered_lines
+    # The directory's deferred side table: a thousand stall-heavy streams
+    # on one small slice (deferred limit 1-4, random requests, acks,
+    # writebacks and memory replies), with the LRU-list and side-table
+    # cross-checks (`check_victim`, `check_deferred`) after every message.
+    FSOI_CHECK_CASES=1000 cargo test -q --offline -p fsoi-coherence stalls_keep_the_list_and_the_side_table_consistent
     # The per-operation path of a CMP cell: the kernel's calendar queue in
     # lockstep with the heap it replaced (times before its cursor, inside
     # its window, on the edge and far past; `pop_due` with a wandering
