@@ -54,8 +54,8 @@ mod tests {
     use super::*;
     use crate::config::FsoiConfig;
     use crate::network::FsoiNetwork;
-    use crate::packet::{Packet, PacketClass};
-    use crate::topology::NodeId;
+    use crate::packet::PacketClass;
+    use fsoi_sim::packet::{Interconnect, NetPacket};
     use fsoi_sim::rng::Xoshiro256StarStar;
 
     #[test]
@@ -113,17 +113,12 @@ mod tests {
                             if dst >= src {
                                 dst += 1;
                             }
-                            let _ = net.inject(Packet::new(
-                                NodeId(src),
-                                NodeId(dst),
-                                PacketClass::Meta,
-                                cycle,
-                            ));
+                            let _ = net.inject(NetPacket::new(src, dst, PacketClass::Meta, cycle));
                         }
                     }
                 }
                 net.tick();
-                net.drain_delivered();
+                net.drain();
             }
             let measured = net.stats().queuing[0].mean();
             let coll = net.stats().collision_rate(0);

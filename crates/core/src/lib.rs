@@ -10,7 +10,9 @@
 //! channel acknowledges receipt and doubles as a carrier for protocol
 //! optimizations.
 //!
-//! * [`network::FsoiNetwork`] — the cycle-driven simulator;
+//! * [`network::FsoiNetwork`] — the cycle-driven simulator, driven through
+//!   the workspace's one network interface,
+//!   [`Interconnect`](fsoi_sim::packet::Interconnect);
 //! * [`packet`] — packet classes and the PID/~PID collision-detecting code;
 //! * [`lane`] — lane widths, serialization latencies and slotting;
 //! * [`backoff`] — the `W = 2.7, B = 1.1` retransmission policy;
@@ -28,13 +30,13 @@
 //! ```
 //! use fsoi_net::config::FsoiConfig;
 //! use fsoi_net::network::FsoiNetwork;
-//! use fsoi_net::packet::{Packet, PacketClass};
-//! use fsoi_net::topology::NodeId;
+//! use fsoi_net::packet::PacketClass;
+//! use fsoi_sim::packet::{Interconnect, NetPacket};
 //!
 //! let mut net = FsoiNetwork::new(FsoiConfig::nodes(16), 1);
-//! net.inject(Packet::new(NodeId(0), NodeId(9), PacketClass::Data, 0)).unwrap();
+//! net.inject(NetPacket::new(0, 9, PacketClass::Data, 0)).unwrap();
 //! net.run(10);
-//! assert_eq!(net.drain_delivered().len(), 1);
+//! assert_eq!(net.drain().len(), 1);
 //! ```
 
 #![warn(missing_docs)]

@@ -9,42 +9,49 @@
 //! optimizations: receiver-coordinated retransmission hints and
 //! request-spacing slot reservations.
 //!
+//! The engine takes and returns the workspace's shared packet types
+//! ([`NetPacket`] in, [`NetDelivery`] out) through its one
+//! [`Interconnect`] impl.
+//!
 //! A node with nothing queued does nothing, and the engine charges it
 //! nothing: per lane, a [`NodeMask`] tracks the *senders* — nodes with a
 //! non-empty outgoing queue or a pending retry — and slot boundaries,
-//! [`FsoiNetwork::next_event_at`] and [`FsoiNetwork::is_idle`] visit only
-//! those. A bit is set when a packet is queued (`inject`) or re-queued
-//! after a collision or bit error, and cleared by the pop that empties
-//! both; debug builds recompute the masks from the queues after every
-//! step. DESIGN.md ("FSOI hot path") argues why this is the full
-//! node × lane scan with the no-op nodes left out.
+//! [`next_event_at`](Interconnect::next_event_at) and
+//! [`is_idle`](Interconnect::is_idle) visit only those. A bit is set when
+//! a packet is queued (`inject`) or re-queued after a collision or bit
+//! error, and cleared by the pop that empties both; debug builds recompute
+//! the masks from the queues after every step. DESIGN.md ("FSOI hot
+//! path") argues why this is the full node × lane scan with the no-op
+//! nodes left out.
 //!
 //! # Example
 //!
 //! ```
 //! use fsoi_net::config::FsoiConfig;
 //! use fsoi_net::network::FsoiNetwork;
-//! use fsoi_net::packet::{Packet, PacketClass};
-//! use fsoi_net::topology::NodeId;
+//! use fsoi_net::packet::PacketClass;
+//! use fsoi_sim::packet::{Interconnect, NetPacket};
 //!
 //! let mut net = FsoiNetwork::new(FsoiConfig::nodes(16), 42);
-//! net.inject(Packet::new(NodeId(0), NodeId(5), PacketClass::Meta, 7)).unwrap();
+//! net.inject(NetPacket::new(0, 5, PacketClass::Meta, 7)).unwrap();
 //! while net.delivered_count() == 0 {
 //!     net.tick();
 //! }
-//! let out = net.drain_delivered();
-//! assert_eq!(out[0].packet.dst, NodeId(5));
+//! let out = net.drain();
+//! assert_eq!(out[0].packet.dst, 5);
 //! ```
 
 use crate::config::{FsoiConfig, TransmitterArray, CONFIRMATION_DELAY};
 use crate::confirmation::{Confirmation, ConfirmationChannel, ConfirmationKind};
-use crate::packet::{HeaderCode, Packet, PacketClass};
+use crate::packet::{HeaderCode, PacketClass};
 use crate::phase_array::PhaseArraySteering;
+use crate::power::FsoiPowerModel;
 use crate::spacing::ReplySlotReservations;
 use crate::topology::{receiver_index, NodeId};
 use fsoi_sim::det::NodeMask;
 use fsoi_sim::event::{EventQueue, MonotoneQueue};
 use fsoi_sim::metrics::Registry;
+use fsoi_sim::packet::{Interconnect, LatencyAttribution, NetDelivery, NetPacket, NetReport};
 use fsoi_sim::queue::BoundedQueue;
 use fsoi_sim::rng::Xoshiro256StarStar;
 use fsoi_sim::stats::Summary;
@@ -76,15 +83,33 @@ impl LatencyBreakdown {
     }
 }
 
-/// A successfully delivered packet with its timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Delivered {
-    /// The packet (with final retry count).
-    pub packet: Packet,
-    /// Cycle of delivery at the destination.
-    pub delivered_at: Cycle,
-    /// Latency attribution.
-    pub breakdown: LatencyBreakdown,
+/// A packet inside the engine: the client's [`NetPacket`] plus what the
+/// engine tracks about its trip. Every outgoing queue, retry queue and
+/// slot group holds these by value, so the record stays at 72 bytes.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    packet: NetPacket,
+    /// Unique id assigned at injection (the trace's packet key).
+    id: u64,
+    /// When the client injected the packet.
+    enqueued_at: Cycle,
+    /// Cycle the first transmission attempt started; [`NOT_SENT`] before.
+    first_tx_at: Cycle,
+    /// Retransmissions so far.
+    retries: u32,
+}
+
+/// [`InFlight::first_tx_at`] of a packet that has not transmitted yet.
+const NOT_SENT: Cycle = Cycle(u64::MAX);
+
+impl InFlight {
+    fn src(&self) -> NodeId {
+        NodeId(self.packet.src)
+    }
+
+    fn dst(&self) -> NodeId {
+        NodeId(self.packet.dst)
+    }
 }
 
 /// Aggregate network statistics, indexed `[meta, data]` where per-class.
@@ -200,9 +225,9 @@ struct GroupKey {
 
 #[derive(Debug)]
 struct NodeState {
-    out: [BoundedQueue<Packet>; 2],
+    out: [BoundedQueue<InFlight>; 2],
     tx_busy_until: [Cycle; 2],
-    retries: [EventQueue<Packet>; 2],
+    retries: [EventQueue<InFlight>; 2],
     steering: [PhaseArraySteering; 2],
     reservations: ReplySlotReservations,
     expected_data: NodeMask,
@@ -213,7 +238,7 @@ struct NodeState {
 #[derive(Debug)]
 struct SlotGroup {
     slot_id: u64,
-    packets: Vec<Packet>,
+    packets: Vec<InFlight>,
 }
 
 /// Dense per-lane active-slot state, indexed `dst * receivers + rx`.
@@ -244,7 +269,7 @@ impl SlotTable {
     /// Adds `packet` to its slot group, drawing a recycled packet buffer
     /// from `pool` when the group is new. Returns true exactly when a new
     /// group was created — the caller owes one resolution event per group.
-    fn push(&mut self, key: &GroupKey, packet: Packet, pool: &mut Vec<Vec<Packet>>) -> bool {
+    fn push(&mut self, key: &GroupKey, packet: InFlight, pool: &mut Vec<Vec<InFlight>>) -> bool {
         let cell = &mut self.cells[key.dst.0 * self.receivers + key.rx];
         if let Some(group) = cell.iter_mut().find(|g| g.slot_id == key.slot_id) {
             group.packets.push(packet);
@@ -262,7 +287,7 @@ impl SlotTable {
 
     /// Removes and returns the packets of `key`'s group, if it is live.
     /// The caller returns the buffer to the pool after resolving it.
-    fn take(&mut self, key: &GroupKey) -> Option<Vec<Packet>> {
+    fn take(&mut self, key: &GroupKey) -> Option<Vec<InFlight>> {
         let cell = &mut self.cells[key.dst.0 * self.receivers + key.rx];
         let pos = cell.iter().position(|g| g.slot_id == key.slot_id)?;
         self.live -= 1;
@@ -332,10 +357,10 @@ pub struct FsoiNetwork {
     slots: [SlotTable; 2],
     // Free-list of packet buffers for slot groups: steady-state slot
     // turnover recycles instead of allocating.
-    pool: Vec<Vec<Packet>>,
+    pool: Vec<Vec<InFlight>>,
     resolutions: Resolutions,
     confirmations: ConfirmationChannel,
-    delivered: Vec<Delivered>,
+    delivered: Vec<NetDelivery>,
     stats: NetStats,
     next_id: u64,
     slot_len: [u64; 2],
@@ -408,16 +433,6 @@ impl FsoiNetwork {
         &self.cfg
     }
 
-    /// Current simulation time.
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// The data-lane slot length in cycles (used by request spacing).
-    pub fn data_slot_len(&self) -> u64 {
-        self.slot_len[PacketClass::Data.lane()]
-    }
-
     /// The meta-lane slot length in cycles.
     pub fn meta_slot_len(&self) -> u64 {
         self.slot_len[PacketClass::Meta.lane()]
@@ -438,84 +453,9 @@ impl FsoiNetwork {
         self.confirmations.sent()
     }
 
-    /// Injects a packet for transmission.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(packet)` when the source's outgoing queue for that lane
-    /// is full; the caller stalls and retries later.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst` or either id is out of range — local traffic
-    /// never enters the optical fabric.
-    pub fn inject(&mut self, mut packet: Packet) -> Result<u64, Packet> {
-        assert_ne!(packet.src, packet.dst, "no self-injection");
-        assert!(
-            packet.src.0 < self.cfg.nodes && packet.dst.0 < self.cfg.nodes,
-            "node id out of range"
-        );
-        packet.id = self.next_id;
-        packet.enqueued_at = self.now;
-        let lane = packet.class.lane();
-        match self.nodes[packet.src.0].out[lane].push(packet) {
-            Ok(()) => {
-                self.senders[lane].insert(packet.src.0);
-                self.next_id += 1;
-                self.stats.injected[lane] += 1;
-                trace::emit_with(self.now, || TraceEvent::Inject {
-                    packet: packet.id,
-                    src: packet.src.0 as u64,
-                    dst: packet.dst.0 as u64,
-                    lane: lane as u64,
-                    tag: packet.tag,
-                });
-                Ok(packet.id)
-            }
-            Err(p) => {
-                self.stats.rejected[lane] += 1;
-                trace::emit_with(self.now, || TraceEvent::Reject {
-                    src: p.src.0 as u64,
-                    dst: p.dst.0 as u64,
-                    lane: lane as u64,
-                });
-                Err(p)
-            }
-        }
-    }
-
-    /// Registers that `dst` expects a data-packet reply from `src` (drives
-    /// the §5.2 hint candidate set).
-    pub fn expect_data(&mut self, dst: NodeId, src: NodeId) {
-        self.nodes[dst.0].expected_data.insert(src.0);
-    }
-
-    /// Clears an expectation (reply received or transaction aborted).
-    pub fn clear_expected(&mut self, dst: NodeId, src: NodeId) {
-        self.nodes[dst.0].expected_data.remove(src.0);
-    }
-
-    /// Access to a node's incoming-data-slot reservation book (request
-    /// spacing). The caller reserves with
-    /// [`data_slot_len`](Self::data_slot_len) as the slot length.
-    pub fn reservations_mut(&mut self, node: NodeId) -> &mut ReplySlotReservations {
-        &mut self.nodes[node.0].reservations
-    }
-
-    /// Takes all packets delivered since the last drain.
-    pub fn drain_delivered(&mut self) -> Vec<Delivered> {
-        std::mem::take(&mut self.delivered)
-    }
-
     /// Number of undrained deliveries.
     pub fn delivered_count(&self) -> usize {
         self.delivered.len()
-    }
-
-    /// True when no packet is queued, in flight, or awaiting retry.
-    pub fn is_idle(&self) -> bool {
-        self.check_senders();
-        self.resolutions.is_empty() && self.senders.iter().all(NodeMask::is_empty)
     }
 
     /// Debug builds: recomputes both sender masks from the queues they
@@ -537,14 +477,8 @@ impl FsoiNetwork {
         assert_eq!(groups, self.resolutions.len(), "one event per slot group");
     }
 
-    /// Advances the simulation by one cycle.
-    pub fn tick(&mut self) {
-        self.step_cycle();
-        self.now += 1;
-    }
-
     /// Processes everything due at the current cycle (the body of
-    /// [`tick`](Self::tick), without the time advance).
+    /// [`tick`](Interconnect::tick), without the time advance).
     fn step_cycle(&mut self) {
         self.resolve_slots();
         self.start_transmissions();
@@ -558,74 +492,6 @@ impl FsoiNetwork {
     /// Runs `cycles` ticks, fast-forwarding over provably empty cycles.
     pub fn run(&mut self, cycles: u64) {
         self.advance_to(self.now + cycles);
-    }
-
-    /// The earliest cycle `>= now` at which the network has any work to
-    /// do: the next resolution event, the next confirmation arrival, or
-    /// the next slot boundary at which some node can start a transmission
-    /// (a queued packet, or a retry that will have matured by then).
-    /// Returns `None` when the network is completely quiet — nothing will
-    /// ever happen again without a new injection.
-    pub fn next_event_at(&self) -> Option<Cycle> {
-        let now = self.now.as_u64();
-        let mut next = u64::MAX;
-        if let Some(t) = self.resolutions.peek_time() {
-            next = next.min(t.as_u64());
-        }
-        if let Some(t) = self.confirmations.next_due() {
-            next = next.min(t.as_u64());
-        }
-        for (lane, senders) in self.senders.iter().enumerate() {
-            // Earliest cycle any sender could pop a packet on this lane:
-            // queued work is ready immediately, a retry matures at its
-            // scheduled cycle. The transmission then waits for the
-            // transmitter to go quiet and the next slot boundary — exactly
-            // the eligibility test in `start_transmissions`. Rounding up
-            // to a boundary is monotone, so it is applied once, to the
-            // lane's minimum.
-            let mut eligible = u64::MAX;
-            for n in senders {
-                let node = &self.nodes[n];
-                let ready = if node.out[lane].is_empty() {
-                    node.retries[lane]
-                        .peek_time()
-                        .map_or(u64::MAX, Cycle::as_u64)
-                } else {
-                    now
-                };
-                eligible = eligible.min(ready.max(now).max(node.tx_busy_until[lane].as_u64()));
-            }
-            if eligible != u64::MAX {
-                next = next.min(
-                    Cycle(eligible)
-                        .round_up_to_slot(self.slot_len[lane])
-                        .as_u64(),
-                );
-            }
-        }
-        (next != u64::MAX).then_some(Cycle(next))
-    }
-
-    /// Advances the simulation to `target`, jumping straight to each next
-    /// interesting cycle instead of ticking one by one.
-    ///
-    /// Byte-identical to calling [`tick`](Self::tick) `target - now`
-    /// times: a cycle below the [`next_event_at`](Self::next_event_at)
-    /// bound pops no resolution, starts no transmission, and drains no
-    /// confirmation, so it touches neither the RNG nor any queue — skipping
-    /// it skips nothing. Cycles that do have work are processed in full, in
-    /// order, at their exact times.
-    pub fn advance_to(&mut self, target: Cycle) {
-        while self.now < target {
-            match self.next_event_at() {
-                Some(at) if at < target => {
-                    self.now = self.now.max(at);
-                    self.step_cycle();
-                    self.now += 1;
-                }
-                _ => self.now = target,
-            }
-        }
     }
 
     /// At a slot boundary of a lane, every sender of that lane whose
@@ -665,7 +531,7 @@ impl FsoiNetwork {
             .pop_due(self.now)
             .map(|(_, p)| p)
             .or_else(|| node.out[lane].pop());
-        let Some(mut packet) = popped else { return };
+        let Some(mut flight) = popped else { return };
         if node.out[lane].is_empty() && node.retries[lane].is_empty() {
             self.senders[lane].remove(node_idx);
         }
@@ -673,28 +539,33 @@ impl FsoiNetwork {
         let setup = match self.cfg.array {
             TransmitterArray::Dedicated => 0,
             TransmitterArray::PhaseArray { setup_cycles } => {
-                node.steering[lane].aim(packet.dst, setup_cycles)
+                node.steering[lane].aim(flight.dst(), setup_cycles)
             }
         };
         let slot = self.slot_len[lane];
         node.tx_busy_until[lane] = self.now + self.ser_cycles[lane] + setup;
-        if packet.first_tx_at.is_none() {
-            packet.first_tx_at = Some(self.now);
+        if flight.first_tx_at == NOT_SENT {
+            flight.first_tx_at = self.now;
         }
         self.stats.transmissions[lane] += 1;
 
         let key = GroupKey {
-            dst: packet.dst,
+            dst: flight.dst(),
             lane,
-            rx: receiver_index(packet.src, packet.dst, self.cfg.nodes, self.receivers[lane]),
+            rx: receiver_index(
+                flight.src(),
+                flight.dst(),
+                self.cfg.nodes,
+                self.receivers[lane],
+            ),
             slot_id: self.now.as_u64() / slot,
         };
         trace::emit_with(self.now, || TraceEvent::TxStart {
-            packet: packet.id,
-            src: packet.src.0 as u64,
-            dst: packet.dst.0 as u64,
+            packet: flight.id,
+            src: flight.packet.src as u64,
+            dst: flight.packet.dst as u64,
             lane: lane as u64,
-            attempt: u64::from(packet.retries),
+            attempt: u64::from(flight.retries),
             slot: key.slot_id,
         });
         // All packets of a slot resolve at the same deterministic cycle:
@@ -702,7 +573,7 @@ impl FsoiNetwork {
         // event per slot group — the packet that opens the group schedules
         // it, later colliders just join.
         let resolve_at = Cycle((key.slot_id + 1) * slot + self.cfg.phase_array_setup());
-        if self.slots[lane].push(&key, packet, &mut self.pool) {
+        if self.slots[lane].push(&key, flight, &mut self.pool) {
             self.resolutions.push(resolve_at, key);
         }
     }
@@ -719,7 +590,7 @@ impl FsoiNetwork {
                 // sender retries — the same machinery as a collision
                 // (§4.3.1: "errors and collisions [are] handled by the
                 // same mechanism").
-                let bits = self.cfg.lanes.spec(group[0].class).packet_bits;
+                let bits = self.cfg.lanes.spec(group[0].packet.class).packet_bits;
                 let p_err = self.cfg.packet_error_probability(bits);
                 if p_err > 0.0 && self.rng.bernoulli(p_err) {
                     self.stats.bit_error_drops[key.lane] += 1;
@@ -735,16 +606,11 @@ impl FsoiNetwork {
         }
     }
 
-    fn deliver(&mut self, packet: Packet, at: Cycle) {
-        let lane = packet.class.lane();
+    fn deliver(&mut self, flight: InFlight, at: Cycle) {
+        let lane = flight.packet.class.lane();
         self.stats.delivered[lane] += 1;
-        #[expect(
-            clippy::expect_used,
-            reason = "P1: deliver() is only reached via transmit, which stamps first_tx_at"
-        )]
-        let first_tx = packet
-            .first_tx_at
-            .expect("delivered packets were transmitted");
+        let first_tx = flight.first_tx_at;
+        debug_assert_ne!(first_tx, NOT_SENT, "delivered packets were transmitted");
         // The final transmission started one serialization period (plus
         // any phase-array setup, folded into `at`) before resolution.
         let final_tx_start = Cycle(
@@ -752,8 +618,8 @@ impl FsoiNetwork {
                 .saturating_sub(self.ser_cycles[lane] + self.cfg.phase_array_setup()),
         );
         let breakdown = LatencyBreakdown {
-            queuing: first_tx.saturating_sub(packet.enqueued_at),
-            scheduling: packet.scheduling_delay,
+            queuing: first_tx.saturating_sub(flight.enqueued_at),
+            scheduling: flight.packet.scheduling_delay,
             network: at.saturating_sub(final_tx_start.max(first_tx)),
             collision_resolution: final_tx_start.max(first_tx).saturating_sub(first_tx),
         };
@@ -762,35 +628,35 @@ impl FsoiNetwork {
         self.stats.scheduling[lane].record(breakdown.scheduling as f64);
         self.stats.network[lane].record(breakdown.network as f64);
         self.stats.resolution[lane].record(breakdown.collision_resolution as f64);
-        if packet.retries > 0 {
+        if flight.retries > 0 {
             self.stats.resolution_when_collided[lane].record(breakdown.collision_resolution as f64);
         }
-        self.stats.retries[lane].record(packet.retries as f64);
+        self.stats.retries[lane].record(flight.retries as f64);
         trace::emit_with(at, || TraceEvent::Deliver {
-            packet: packet.id,
-            src: packet.src.0 as u64,
-            dst: packet.dst.0 as u64,
+            packet: flight.id,
+            src: flight.packet.src as u64,
+            dst: flight.packet.dst as u64,
             lane: lane as u64,
             queuing: breakdown.queuing,
             scheduling: breakdown.scheduling,
             network: breakdown.network,
             resolution: breakdown.collision_resolution,
-            retries: u64::from(packet.retries),
+            retries: u64::from(flight.retries),
         });
         self.confirmations.send(
             at,
             Confirmation {
-                from: packet.dst,
-                to: packet.src,
+                from: flight.dst(),
+                to: flight.src(),
                 kind: ConfirmationKind::Receipt {
-                    packet_id: packet.id,
+                    packet_id: flight.id,
                 },
             },
         );
-        self.delivered.push(Delivered {
-            packet,
-            delivered_at: at,
-            breakdown,
+        self.delivered.push(NetDelivery {
+            packet: flight.packet,
+            latency: breakdown.total(),
+            retries: flight.retries,
         });
     }
 
@@ -798,31 +664,31 @@ impl FsoiNetwork {
     /// the sender backs off and retries — identical recovery to a
     /// collision, without the collision bookkeeping (no hint: the header
     /// itself may be what broke).
-    fn drop_and_retry(&mut self, lane: usize, mut packet: Packet, at: Cycle) {
+    fn drop_and_retry(&mut self, lane: usize, mut flight: InFlight, at: Cycle) {
         let slot = self.slot_len[lane];
         let detect = at + CONFIRMATION_DELAY;
         let next_boundary = detect.round_up_to_slot(slot);
-        packet.retries += 1;
+        flight.retries += 1;
         self.stats.retransmissions[lane] += 1;
         trace::emit_with(at, || TraceEvent::BitError {
-            packet: packet.id,
-            src: packet.src.0 as u64,
-            dst: packet.dst.0 as u64,
+            packet: flight.id,
+            src: flight.packet.src as u64,
+            dst: flight.packet.dst as u64,
             lane: lane as u64,
         });
-        let draw = self.cfg.backoff.draw(packet.retries, &mut self.rng);
+        let draw = self.cfg.backoff.draw(flight.retries, &mut self.rng);
         let ready = next_boundary + (draw.delay_slots - 1) * slot;
         trace::emit_with(at, || TraceEvent::Backoff {
-            packet: packet.id,
+            packet: flight.id,
             lane: lane as u64,
-            retry: u64::from(packet.retries),
+            retry: u64::from(flight.retries),
             delay_slots: draw.delay_slots,
             ready: ready.as_u64(),
         });
-        self.push_retry(lane, ready, packet);
+        self.push_retry(lane, ready, flight);
     }
 
-    fn collide(&mut self, key: GroupKey, group: &[Packet], at: Cycle) {
+    fn collide(&mut self, key: GroupKey, group: &[InFlight], at: Cycle) {
         let lane = key.lane;
         self.stats.collision_events[lane] += 1;
         self.stats.collided_packets[lane] += group.len() as u64;
@@ -839,28 +705,28 @@ impl FsoiNetwork {
         };
 
         let group_size = group.len() as u64;
-        for mut packet in group.iter().copied() {
-            packet.retries += 1;
+        for mut flight in group.iter().copied() {
+            flight.retries += 1;
             self.stats.retransmissions[lane] += 1;
             trace::emit_with(at, || TraceEvent::Collide {
-                packet: packet.id,
-                src: packet.src.0 as u64,
-                dst: packet.dst.0 as u64,
+                packet: flight.id,
+                src: flight.packet.src as u64,
+                dst: flight.packet.dst as u64,
                 lane: lane as u64,
                 rx: key.rx as u64,
                 group: group_size,
             });
-            let ready = if Some(packet.src) == winner {
+            let ready = if Some(flight.src()) == winner {
                 // The winner retransmits in the very next slot.
                 next_boundary
             } else if winner.is_some() {
                 // Losers skip the winner's slot, then back off.
-                let draw = self.cfg.backoff.draw(packet.retries, &mut self.rng);
+                let draw = self.cfg.backoff.draw(flight.retries, &mut self.rng);
                 let ready = next_boundary + draw.delay_slots * slot;
                 trace::emit_with(at, || TraceEvent::Backoff {
-                    packet: packet.id,
+                    packet: flight.id,
                     lane: lane as u64,
-                    retry: u64::from(packet.retries),
+                    retry: u64::from(flight.retries),
                     delay_slots: draw.delay_slots,
                     ready: ready.as_u64(),
                 });
@@ -868,24 +734,25 @@ impl FsoiNetwork {
             } else {
                 // No hint: random slot within the back-off window after
                 // detection.
-                let draw = self.cfg.backoff.draw(packet.retries, &mut self.rng);
+                let draw = self.cfg.backoff.draw(flight.retries, &mut self.rng);
                 let ready = next_boundary + (draw.delay_slots - 1) * slot;
                 trace::emit_with(at, || TraceEvent::Backoff {
-                    packet: packet.id,
+                    packet: flight.id,
                     lane: lane as u64,
-                    retry: u64::from(packet.retries),
+                    retry: u64::from(flight.retries),
                     delay_slots: draw.delay_slots,
                     ready: ready.as_u64(),
                 });
                 ready
             };
-            self.push_retry(lane, ready, packet);
+            self.push_retry(lane, ready, flight);
         }
     }
 
-    fn push_retry(&mut self, lane: usize, ready: Cycle, packet: Packet) {
-        self.nodes[packet.src.0].retries[lane].push(ready, packet);
-        self.senders[lane].insert(packet.src.0);
+    fn push_retry(&mut self, lane: usize, ready: Cycle, flight: InFlight) {
+        let src = flight.packet.src;
+        self.nodes[src].retries[lane].push(ready, flight);
+        self.senders[lane].insert(src);
     }
 
     /// Picks a retransmission winner for a data-lane collision: decode the
@@ -895,13 +762,13 @@ impl FsoiNetwork {
     fn select_hint_winner(
         &mut self,
         dst: NodeId,
-        group: &[Packet],
+        group: &[InFlight],
         next_slot: Cycle,
     ) -> Option<NodeId> {
         let nodes = self.cfg.nodes;
         let header = group
             .iter()
-            .map(|p| HeaderCode::encode(p.src, nodes))
+            .map(|f| HeaderCode::encode(f.src(), nodes))
             .reduce(HeaderCode::superpose)?;
         let superset = header.possible_senders(nodes);
         let expected = &self.nodes[dst.0].expected_data;
@@ -921,7 +788,7 @@ impl FsoiNetwork {
             dst: dst.0 as u64,
             winner: winner.0 as u64,
         });
-        if group.iter().any(|p| p.src == winner) {
+        if group.iter().any(|f| f.src() == winner) {
             self.stats.hints_correct += 1;
         } else {
             self.stats.hints_wrong += 1;
@@ -940,6 +807,209 @@ impl FsoiNetwork {
     }
 }
 
+impl Interconnect for FsoiNetwork {
+    /// Queues a packet on its source's outgoing queue for its lane; `Err`
+    /// when that queue is full, and the caller stalls and retries later.
+    fn inject(&mut self, packet: NetPacket) -> Result<(), NetPacket> {
+        assert_ne!(packet.src, packet.dst, "no self-injection");
+        assert!(
+            packet.src < self.cfg.nodes && packet.dst < self.cfg.nodes,
+            "node id out of range"
+        );
+        let flight = InFlight {
+            packet,
+            id: self.next_id,
+            enqueued_at: self.now,
+            first_tx_at: NOT_SENT,
+            retries: 0,
+        };
+        let lane = packet.class.lane();
+        match self.nodes[packet.src].out[lane].push(flight) {
+            Ok(()) => {
+                self.senders[lane].insert(packet.src);
+                self.next_id += 1;
+                self.stats.injected[lane] += 1;
+                trace::emit_with(self.now, || TraceEvent::Inject {
+                    packet: flight.id,
+                    src: packet.src as u64,
+                    dst: packet.dst as u64,
+                    lane: lane as u64,
+                    tag: packet.tag,
+                });
+                Ok(())
+            }
+            Err(_) => {
+                self.stats.rejected[lane] += 1;
+                trace::emit_with(self.now, || TraceEvent::Reject {
+                    src: packet.src as u64,
+                    dst: packet.dst as u64,
+                    lane: lane as u64,
+                });
+                Err(packet)
+            }
+        }
+    }
+
+    fn tick(&mut self) {
+        self.step_cycle();
+        self.now += 1;
+    }
+
+    fn drain(&mut self) -> Vec<NetDelivery> {
+        std::mem::take(&mut self.delivered)
+    }
+
+    fn now(&self) -> Cycle {
+        self.now
+    }
+
+    /// True when no packet is queued, in flight, or awaiting retry.
+    fn is_idle(&self) -> bool {
+        self.check_senders();
+        self.resolutions.is_empty() && self.senders.iter().all(NodeMask::is_empty)
+    }
+
+    fn name(&self) -> &'static str {
+        "fsoi"
+    }
+
+    fn report(&self, cycles: u64) -> NetReport {
+        let s = &self.stats;
+        let cfg = &self.cfg;
+        // Per-lane means, weighted by each lane's delivered packets.
+        let weight = |lane: usize| s.latency[lane].count() as f64;
+        let total = weight(0) + weight(1);
+        let mix = |m: &[Summary; 2]| (m[0].mean() * weight(0) + m[1].mean() * weight(1)) / total;
+        let attribution = if total == 0.0 {
+            LatencyAttribution::default()
+        } else {
+            LatencyAttribution {
+                queuing: mix(&s.queuing),
+                scheduling: mix(&s.scheduling),
+                network: mix(&s.network),
+                collision_resolution: mix(&s.resolution),
+            }
+        };
+        let hint_share = |n: u64| {
+            if s.hints_issued == 0 {
+                0.0
+            } else {
+                n as f64 / s.hints_issued as f64
+            }
+        };
+        let conf = self.confirmations_sent();
+        NetReport {
+            attribution,
+            tx_probability: PacketClass::ALL.map(|class| {
+                s.transmission_probability(class.lane(), cfg.nodes, self.slots_elapsed(class))
+            }),
+            collision_rate: [0, 1].map(|lane| s.collision_rate(lane)),
+            data_resolution_delay: s.resolution_when_collided[1].mean(),
+            hint_accuracy: hint_share(s.hints_correct),
+            hint_wrong_rate: hint_share(s.hints_wrong),
+            bit_error_drops: s.bit_error_drops[0] + s.bit_error_drops[1],
+            energy_j: FsoiPowerModel::paper_default()
+                .network_energy(s, &cfg.lanes, cfg.nodes, cycles, conf)
+                .total_j(),
+        }
+    }
+
+    /// The next resolution event, the next confirmation arrival, or the
+    /// next slot boundary at which some node can start a transmission (a
+    /// queued packet, or a retry that will have matured by then); never
+    /// `None`.
+    fn next_event_at(&self) -> Option<Cycle> {
+        let now = self.now.as_u64();
+        let mut next = u64::MAX;
+        if let Some(t) = self.resolutions.peek_time() {
+            next = next.min(t.as_u64());
+        }
+        if let Some(t) = self.confirmations.next_due() {
+            next = next.min(t.as_u64());
+        }
+        for (lane, senders) in self.senders.iter().enumerate() {
+            // Earliest cycle any sender could pop a packet on this lane:
+            // queued work is ready immediately, a retry matures at its
+            // scheduled cycle. The transmission then waits for the
+            // transmitter to go quiet and the next slot boundary — exactly
+            // the eligibility test in `start_transmissions`. Rounding up
+            // to a boundary is monotone, so it is applied once, to the
+            // lane's minimum.
+            let mut eligible = u64::MAX;
+            for n in senders {
+                let node = &self.nodes[n];
+                let ready = if node.out[lane].is_empty() {
+                    node.retries[lane]
+                        .peek_time()
+                        .map_or(u64::MAX, Cycle::as_u64)
+                } else {
+                    now
+                };
+                eligible = eligible.min(ready.max(now).max(node.tx_busy_until[lane].as_u64()));
+            }
+            if eligible != u64::MAX {
+                next = next.min(
+                    Cycle(eligible)
+                        .round_up_to_slot(self.slot_len[lane])
+                        .as_u64(),
+                );
+            }
+        }
+        Some(Cycle(next))
+    }
+
+    /// Jumps straight to each next interesting cycle instead of ticking
+    /// one by one.
+    ///
+    /// Byte-identical to calling [`tick`](Interconnect::tick)
+    /// `target - now` times: a cycle below the
+    /// [`next_event_at`](Interconnect::next_event_at) bound pops no
+    /// resolution, starts no transmission, and drains no confirmation, so
+    /// it touches neither the RNG nor any queue — skipping it skips
+    /// nothing. Cycles that do have work are processed in full, in order,
+    /// at their exact times.
+    fn advance_to(&mut self, target: Cycle) {
+        while self.now < target {
+            match self.next_event_at() {
+                Some(at) if at < target => {
+                    self.now = self.now.max(at);
+                    self.step_cycle();
+                    self.now += 1;
+                }
+                _ => self.now = target,
+            }
+        }
+    }
+
+    /// Registers that `dst` expects a data-packet reply from `src` (drives
+    /// the §5.2 hint candidate set).
+    fn expect_data(&mut self, dst: usize, src: usize) {
+        self.nodes[dst].expected_data.insert(src);
+    }
+
+    /// Clears an expectation (reply received or transaction aborted).
+    fn clear_expected(&mut self, dst: usize, src: usize) {
+        self.nodes[dst].expected_data.remove(src);
+    }
+
+    /// Books `node`'s incoming data slot around `predicted_arrival` when
+    /// request spacing is on (0 otherwise).
+    fn reserve_reply_slot(&mut self, node: usize, predicted_arrival: Cycle) -> u64 {
+        if !self.cfg.request_spacing {
+            return 0;
+        }
+        let slot = self.slot_len[PacketClass::Data.lane()];
+        self.nodes[node]
+            .reservations
+            .reserve(predicted_arrival, slot)
+            .request_delay
+    }
+
+    fn supports_confirmation_acks(&self) -> bool {
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -949,11 +1019,11 @@ mod tests {
         FsoiNetwork::new(FsoiConfig::nodes(16), seed)
     }
 
-    fn run_until_idle(net: &mut FsoiNetwork, max: u64) -> Vec<Delivered> {
+    fn run_until_idle(net: &mut FsoiNetwork, max: u64) -> Vec<NetDelivery> {
         let mut out = Vec::new();
         for _ in 0..max {
             net.tick();
-            out.extend(net.drain_delivered());
+            out.extend(net.drain());
             if net.is_idle() {
                 break;
             }
@@ -964,31 +1034,32 @@ mod tests {
     #[test]
     fn single_meta_packet_delivers_in_one_slot() {
         let mut net = net16(1);
-        net.inject(Packet::new(NodeId(0), NodeId(5), PacketClass::Meta, 7))
+        net.inject(NetPacket::new(0, 5, PacketClass::Meta, 7))
             .unwrap();
         let out = run_until_idle(&mut net, 50);
         assert_eq!(out.len(), 1);
         let d = out[0];
-        assert_eq!(d.packet.dst, NodeId(5));
+        assert_eq!(d.packet.dst, 5);
         assert_eq!(d.packet.tag, 7);
-        assert_eq!(d.packet.retries, 0);
-        // Injected at cycle 0, transmits in slot [0,2), resolves at 2.
-        assert_eq!(d.delivered_at, Cycle(2));
-        assert_eq!(d.breakdown.network, 2);
-        assert_eq!(d.breakdown.queuing, 0);
-        assert_eq!(d.breakdown.collision_resolution, 0);
-        assert_eq!(d.breakdown.total(), 2);
+        assert_eq!(d.retries, 0);
+        // Injected at cycle 0, transmits in slot [0,2), resolves at 2: all
+        // of the latency is serialization + flight.
+        assert_eq!(d.latency, 2);
+        let s = net.stats();
+        assert_eq!(s.network[0].mean(), 2.0);
+        assert_eq!(s.queuing[0].mean(), 0.0);
+        assert_eq!(s.resolution[0].mean(), 0.0);
     }
 
     #[test]
     fn single_data_packet_takes_five_cycles() {
         let mut net = net16(1);
-        net.inject(Packet::new(NodeId(3), NodeId(9), PacketClass::Data, 1))
+        net.inject(NetPacket::new(3, 9, PacketClass::Data, 1))
             .unwrap();
         let out = run_until_idle(&mut net, 50);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].delivered_at, Cycle(5));
-        assert_eq!(out[0].breakdown.network, 5);
+        assert_eq!(out[0].latency, 5);
+        assert_eq!(net.stats().network[1].mean(), 5.0);
     }
 
     #[test]
@@ -996,17 +1067,12 @@ mod tests {
         let mut net = net16(2);
         // Distinct destinations: no sharing, no collisions.
         for src in 0..8 {
-            net.inject(Packet::new(
-                NodeId(src),
-                NodeId(src + 8),
-                PacketClass::Meta,
-                src as u64,
-            ))
-            .unwrap();
+            net.inject(NetPacket::new(src, src + 8, PacketClass::Meta, src as u64))
+                .unwrap();
         }
         let out = run_until_idle(&mut net, 100);
         assert_eq!(out.len(), 8);
-        assert!(out.iter().all(|d| d.packet.retries == 0));
+        assert!(out.iter().all(|d| d.retries == 0));
         assert_eq!(net.stats().collision_events[0], 0);
     }
 
@@ -1016,9 +1082,9 @@ mod tests {
         // Nodes 0 and 2 share receiver 0 at node 5 (ranks 0 and 2, mod 2).
         assert_eq!(receiver_index(NodeId(0), NodeId(5), 16, 2), 0);
         assert_eq!(receiver_index(NodeId(2), NodeId(5), 16, 2), 0);
-        net.inject(Packet::new(NodeId(0), NodeId(5), PacketClass::Meta, 1))
+        net.inject(NetPacket::new(0, 5, PacketClass::Meta, 1))
             .unwrap();
-        net.inject(Packet::new(NodeId(2), NodeId(5), PacketClass::Meta, 2))
+        net.inject(NetPacket::new(2, 5, PacketClass::Meta, 2))
             .unwrap();
         let out = run_until_idle(&mut net, 500);
         assert_eq!(out.len(), 2, "both packets eventually deliver");
@@ -1026,8 +1092,8 @@ mod tests {
         // when both back-offs draw the same slot.
         assert!(net.stats().collision_events[0] >= 1);
         assert!(net.stats().collided_packets[0] >= 2);
-        assert!(out.iter().all(|d| d.packet.retries >= 1));
-        assert!(out.iter().any(|d| d.breakdown.collision_resolution > 0));
+        assert!(out.iter().all(|d| d.retries >= 1));
+        assert!(net.stats().resolution[0].max() > Some(0.0));
     }
 
     #[test]
@@ -1038,25 +1104,25 @@ mod tests {
             receiver_index(NodeId(0), NodeId(5), 16, 2),
             receiver_index(NodeId(1), NodeId(5), 16, 2)
         );
-        net.inject(Packet::new(NodeId(0), NodeId(5), PacketClass::Meta, 1))
+        net.inject(NetPacket::new(0, 5, PacketClass::Meta, 1))
             .unwrap();
-        net.inject(Packet::new(NodeId(1), NodeId(5), PacketClass::Meta, 2))
+        net.inject(NetPacket::new(1, 5, PacketClass::Meta, 2))
             .unwrap();
         let out = run_until_idle(&mut net, 50);
         assert_eq!(out.len(), 2);
         assert_eq!(net.stats().collision_events[0], 0);
-        assert!(out.iter().all(|d| d.packet.retries == 0));
+        assert!(out.iter().all(|d| d.retries == 0));
     }
 
     #[test]
     fn different_slots_do_not_collide() {
         let mut net = net16(5);
-        net.inject(Packet::new(NodeId(0), NodeId(5), PacketClass::Meta, 1))
+        net.inject(NetPacket::new(0, 5, PacketClass::Meta, 1))
             .unwrap();
         // Let the first packet fully transmit before injecting the second.
         net.tick();
         net.tick();
-        net.inject(Packet::new(NodeId(2), NodeId(5), PacketClass::Meta, 2))
+        net.inject(NetPacket::new(2, 5, PacketClass::Meta, 2))
             .unwrap();
         let out = run_until_idle(&mut net, 50);
         assert_eq!(out.len(), 2);
@@ -1066,9 +1132,9 @@ mod tests {
     #[test]
     fn meta_and_data_lanes_are_independent() {
         let mut net = net16(6);
-        net.inject(Packet::new(NodeId(0), NodeId(5), PacketClass::Meta, 1))
+        net.inject(NetPacket::new(0, 5, PacketClass::Meta, 1))
             .unwrap();
-        net.inject(Packet::new(NodeId(2), NodeId(5), PacketClass::Data, 2))
+        net.inject(NetPacket::new(2, 5, PacketClass::Data, 2))
             .unwrap();
         let out = run_until_idle(&mut net, 50);
         assert_eq!(out.len(), 2);
@@ -1081,7 +1147,7 @@ mod tests {
         let mut accepted = 0;
         for i in 0..20 {
             if net
-                .inject(Packet::new(NodeId(0), NodeId(1), PacketClass::Meta, i))
+                .inject(NetPacket::new(0, 1, PacketClass::Meta, i))
                 .is_ok()
             {
                 accepted += 1;
@@ -1097,25 +1163,26 @@ mod tests {
     fn back_to_back_packets_pipeline_in_slots() {
         let mut net = net16(8);
         for i in 0..4 {
-            net.inject(Packet::new(NodeId(0), NodeId(1), PacketClass::Meta, i))
+            net.inject(NetPacket::new(0, 1, PacketClass::Meta, i))
                 .unwrap();
         }
         let out = run_until_idle(&mut net, 100);
         assert_eq!(out.len(), 4);
-        let mut times: Vec<u64> = out.iter().map(|d| d.delivered_at.as_u64()).collect();
+        // All four were injected at cycle 0: a latency is a delivery time.
+        let mut times: Vec<u64> = out.iter().map(|d| d.latency).collect();
         times.sort_unstable();
         assert_eq!(times, vec![2, 4, 6, 8], "one delivery per meta slot");
         // Later packets accrue queuing delay, never collision delay.
-        assert!(out.iter().all(|d| d.breakdown.collision_resolution == 0));
-        let max_queue = out.iter().map(|d| d.breakdown.queuing).max().unwrap();
-        assert_eq!(max_queue, 6);
+        let s = net.stats();
+        assert_eq!(s.resolution[0].max(), Some(0.0));
+        assert_eq!(s.queuing[0].max(), Some(6.0));
     }
 
     #[test]
     fn point_to_point_ordering_preserved_without_collisions() {
         let mut net = net16(9);
         for i in 0..5 {
-            net.inject(Packet::new(NodeId(4), NodeId(11), PacketClass::Meta, i))
+            net.inject(NetPacket::new(4, 11, PacketClass::Meta, i))
                 .unwrap();
         }
         let out = run_until_idle(&mut net, 100);
@@ -1127,20 +1194,20 @@ mod tests {
     fn phase_array_adds_setup_on_retarget() {
         let cfg = FsoiConfig::nodes(64);
         let mut net = FsoiNetwork::new(cfg, 10);
-        net.inject(Packet::new(NodeId(0), NodeId(5), PacketClass::Meta, 1))
+        net.inject(NetPacket::new(0, 5, PacketClass::Meta, 1))
             .unwrap();
         let out = run_until_idle(&mut net, 50);
         // Resolution at slot end + 1 cycle of phase-array setup.
-        assert_eq!(out[0].delivered_at, Cycle(3));
+        assert_eq!(out[0].latency, 3);
     }
 
     #[test]
     fn phase_array_no_setup_for_repeat_target() {
         let cfg = FsoiConfig::nodes(64);
         let mut net = FsoiNetwork::new(cfg, 11);
-        net.inject(Packet::new(NodeId(0), NodeId(5), PacketClass::Meta, 1))
+        net.inject(NetPacket::new(0, 5, PacketClass::Meta, 1))
             .unwrap();
-        net.inject(Packet::new(NodeId(0), NodeId(5), PacketClass::Meta, 2))
+        net.inject(NetPacket::new(0, 5, PacketClass::Meta, 2))
             .unwrap();
         let out = run_until_idle(&mut net, 50);
         assert_eq!(out.len(), 2);
@@ -1158,19 +1225,19 @@ mod tests {
         let cfg = FsoiConfig::nodes(16); // hints on by default
         let mut net = FsoiNetwork::new(cfg, 12);
         // Receiver 5 expects data from 0 and 2 (both receiver 0).
-        net.expect_data(NodeId(5), NodeId(0));
-        net.expect_data(NodeId(5), NodeId(2));
-        net.inject(Packet::new(NodeId(0), NodeId(5), PacketClass::Data, 1))
+        net.expect_data(5, 0);
+        net.expect_data(5, 2);
+        net.inject(NetPacket::new(0, 5, PacketClass::Data, 1))
             .unwrap();
-        net.inject(Packet::new(NodeId(2), NodeId(5), PacketClass::Data, 2))
+        net.inject(NetPacket::new(2, 5, PacketClass::Data, 2))
             .unwrap();
         let out = run_until_idle(&mut net, 500);
         assert_eq!(out.len(), 2);
         assert_eq!(net.stats().hints_issued, 1);
         assert_eq!(net.stats().hints_correct, 1, "both candidates are real");
         // Collision resolved at 5, detected at 7, winner's slot starts at
-        // 10, so the winner delivers at 15.
-        let first = out.iter().map(|d| d.delivered_at.as_u64()).min().unwrap();
+        // 10, so the winner delivers at 15 (both were injected at 0).
+        let first = out.iter().map(|d| d.latency).min().unwrap();
         assert_eq!(first, 15);
     }
 
@@ -1178,9 +1245,9 @@ mod tests {
     fn hints_disabled_uses_pure_backoff() {
         let cfg = FsoiConfig::nodes(16).with_hints(false);
         let mut net = FsoiNetwork::new(cfg, 13);
-        net.inject(Packet::new(NodeId(0), NodeId(5), PacketClass::Data, 1))
+        net.inject(NetPacket::new(0, 5, PacketClass::Data, 1))
             .unwrap();
-        net.inject(Packet::new(NodeId(2), NodeId(5), PacketClass::Data, 2))
+        net.inject(NetPacket::new(2, 5, PacketClass::Data, 2))
             .unwrap();
         let out = run_until_idle(&mut net, 1000);
         assert_eq!(out.len(), 2);
@@ -1190,9 +1257,9 @@ mod tests {
     #[test]
     fn expected_data_registry_updates() {
         let mut net = net16(14);
-        net.expect_data(NodeId(3), NodeId(7));
+        net.expect_data(3, 7);
         assert!(net.nodes[3].expected_data.contains(7));
-        net.clear_expected(NodeId(3), NodeId(7));
+        net.clear_expected(3, 7);
         assert!(!net.nodes[3].expected_data.contains(7));
     }
 
@@ -1200,13 +1267,8 @@ mod tests {
     fn confirmations_counted_per_delivery() {
         let mut net = net16(15);
         for src in 0..4 {
-            net.inject(Packet::new(
-                NodeId(src),
-                NodeId(15 - src),
-                PacketClass::Meta,
-                0,
-            ))
-            .unwrap();
+            net.inject(NetPacket::new(src, 15 - src, PacketClass::Meta, 0))
+                .unwrap();
         }
         run_until_idle(&mut net, 100);
         assert_eq!(net.confirmations_sent(), 4);
@@ -1218,7 +1280,7 @@ mod tests {
         // a small version of the pathological burst.
         let mut net = net16(16);
         for src in 1..16 {
-            net.inject(Packet::new(NodeId(src), NodeId(0), PacketClass::Meta, 0))
+            net.inject(NetPacket::new(src, 0, PacketClass::Meta, 0))
                 .unwrap();
         }
         let out = run_until_idle(&mut net, 20_000);
@@ -1231,7 +1293,7 @@ mod tests {
         let cfg = FsoiConfig::nodes(16).with_backoff(BackoffPolicy::BINARY);
         let mut net = FsoiNetwork::new(cfg, 17);
         for src in 1..16 {
-            net.inject(Packet::new(NodeId(src), NodeId(0), PacketClass::Meta, 0))
+            net.inject(NetPacket::new(src, 0, PacketClass::Meta, 0))
                 .unwrap();
         }
         let out = run_until_idle(&mut net, 50_000);
@@ -1241,7 +1303,7 @@ mod tests {
     #[test]
     fn stats_probability_and_collision_rate() {
         let mut net = net16(18);
-        net.inject(Packet::new(NodeId(0), NodeId(5), PacketClass::Meta, 1))
+        net.inject(NetPacket::new(0, 5, PacketClass::Meta, 1))
             .unwrap();
         run_until_idle(&mut net, 20);
         let slots = net.slots_elapsed(PacketClass::Meta);
@@ -1258,7 +1320,7 @@ mod tests {
         let mut net = net16(33);
         for src in [0usize, 2] {
             assert_eq!(receiver_index(NodeId(src), NodeId(5), 16, 2), 0);
-            net.inject(Packet::new(NodeId(src), NodeId(5), PacketClass::Meta, 0))
+            net.inject(NetPacket::new(src, 5, PacketClass::Meta, 0))
                 .unwrap();
         }
         assert_eq!(run_until_idle(&mut net, 2_000).len(), 2);
@@ -1283,7 +1345,7 @@ mod tests {
         // Even with traffic recorded, a zero-node denominator must not
         // poison the result with inf/NaN.
         let mut net = net16(31);
-        net.inject(Packet::new(NodeId(0), NodeId(5), PacketClass::Meta, 1))
+        net.inject(NetPacket::new(0, 5, PacketClass::Meta, 1))
             .unwrap();
         run_until_idle(&mut net, 20);
         let s = net.stats();
@@ -1297,7 +1359,7 @@ mod tests {
     fn stats_export_matches_fields() {
         let mut net = net16(32);
         for src in 1..8 {
-            net.inject(Packet::new(NodeId(src), NodeId(0), PacketClass::Meta, 0))
+            net.inject(NetPacket::new(src, 0, PacketClass::Meta, 0))
                 .unwrap();
         }
         run_until_idle(&mut net, 20_000);
@@ -1324,7 +1386,7 @@ mod tests {
     #[should_panic(expected = "no self-injection")]
     fn self_injection_panics() {
         let mut net = net16(19);
-        let _ = net.inject(Packet::new(NodeId(3), NodeId(3), PacketClass::Meta, 0));
+        let _ = net.inject(NetPacket::new(3, 3, PacketClass::Meta, 0));
     }
 
     #[test]
@@ -1341,7 +1403,7 @@ mod tests {
     fn is_idle_tracks_lifecycle() {
         let mut net = net16(20);
         assert!(net.is_idle());
-        net.inject(Packet::new(NodeId(0), NodeId(1), PacketClass::Meta, 0))
+        net.inject(NetPacket::new(0, 1, PacketClass::Meta, 0))
             .unwrap();
         assert!(!net.is_idle());
         run_until_idle(&mut net, 50);
@@ -1358,19 +1420,14 @@ mod tests {
         for i in 0..40u64 {
             // Disjoint pairs: no collisions possible, only bit errors.
             let src = (i % 8) as usize;
-            net.inject(Packet::new(
-                NodeId(src),
-                NodeId(src + 8),
-                PacketClass::Data,
-                i,
-            ))
-            .unwrap_or_else(|_| panic!("queue full at {i}"));
+            net.inject(NetPacket::new(src, src + 8, PacketClass::Data, i))
+                .unwrap_or_else(|_| panic!("queue full at {i}"));
             for _ in 0..10 {
                 net.tick();
             }
         }
         let out = run_until_idle(&mut net, 20_000);
-        let total = out.len() + net.drain_delivered().len();
+        let total = out.len() + net.drain().len();
         assert_eq!(net.stats().collision_events, [0, 0], "no collisions here");
         assert!(
             net.stats().bit_error_drops[1] > 0,
@@ -1386,15 +1443,10 @@ mod tests {
         let mut net = net16(22);
         for i in 0..500u64 {
             let src = (i % 8) as usize;
-            let _ = net.inject(Packet::new(
-                NodeId(src),
-                NodeId(src + 8),
-                PacketClass::Meta,
-                i,
-            ));
+            let _ = net.inject(NetPacket::new(src, src + 8, PacketClass::Meta, i));
             net.tick();
             net.tick();
-            net.drain_delivered();
+            net.drain();
         }
         run_until_idle(&mut net, 5_000);
         assert_eq!(net.stats().bit_error_drops, [0, 0]);
@@ -1407,7 +1459,7 @@ mod tests {
         let mut net = net16(40);
         for src in [0usize, 2, 4] {
             assert_eq!(receiver_index(NodeId(src), NodeId(5), 16, 2), 0);
-            net.inject(Packet::new(NodeId(src), NodeId(5), PacketClass::Meta, 0))
+            net.inject(NetPacket::new(src, 5, PacketClass::Meta, 0))
                 .unwrap();
         }
         net.tick(); // cycle 0: all three transmit into the same slot group
@@ -1426,7 +1478,7 @@ mod tests {
     fn slot_group_buffers_are_pooled() {
         let mut net = net16(41);
         for i in 0..4 {
-            net.inject(Packet::new(NodeId(0), NodeId(1), PacketClass::Meta, i))
+            net.inject(NetPacket::new(0, 1, PacketClass::Meta, i))
                 .unwrap();
         }
         run_until_idle(&mut net, 100);
@@ -1440,8 +1492,9 @@ mod tests {
     #[test]
     fn next_event_at_tracks_pending_work() {
         let mut net = net16(42);
-        assert_eq!(net.next_event_at(), None, "quiet network has no events");
-        net.inject(Packet::new(NodeId(0), NodeId(5), PacketClass::Meta, 0))
+        let quiet = Some(Cycle(u64::MAX));
+        assert_eq!(net.next_event_at(), quiet, "quiet network has no events");
+        net.inject(NetPacket::new(0, 5, PacketClass::Meta, 0))
             .unwrap();
         // Queued work at cycle 0, which is a slot boundary.
         assert_eq!(net.next_event_at(), Some(Cycle(0)));
@@ -1454,7 +1507,75 @@ mod tests {
         assert_eq!(net.delivered_count(), 1);
         assert_eq!(net.next_event_at(), Some(Cycle(4)));
         net.run(10);
-        assert_eq!(net.next_event_at(), None);
+        assert_eq!(net.next_event_at(), quiet);
+    }
+
+    /// `fsoi_storm` runs on these records: every outgoing queue, retry
+    /// queue and slot group holds `InFlight`s by value, and every drain
+    /// hands the delivered buffer of `NetDelivery`s to the caller.
+    #[test]
+    fn hot_path_records_stay_small() {
+        assert!(std::mem::size_of::<InFlight>() <= 72);
+        assert_eq!(std::mem::size_of::<NetDelivery>(), 56);
+    }
+
+    /// A delivery carries only its total latency; the trace's `Deliver`
+    /// event carries the components. Under collisions and back-off on
+    /// both lanes, with a scheduling delay on the data packets, each
+    /// packet's components sum to its latency.
+    #[test]
+    fn delivery_latency_is_the_sum_of_its_traced_components() {
+        use std::collections::BTreeMap;
+        if !trace::compiled() {
+            return; // release build without the `trace` feature: nothing recorded
+        }
+        let (records, (out, collided)) = trace::capture(|| {
+            let mut net = net16(44);
+            let mut tag = 0;
+            for dst in [15, 7] {
+                for src in [0, 2, 4] {
+                    net.inject(NetPacket::new(src, dst, PacketClass::Meta, tag))
+                        .unwrap();
+                    tag += 1;
+                }
+                for src in [8, 10, 12] {
+                    let data = NetPacket {
+                        scheduling_delay: 3,
+                        ..NetPacket::new(src, dst, PacketClass::Data, tag)
+                    };
+                    net.inject(data).unwrap();
+                    tag += 1;
+                }
+            }
+            let out = run_until_idle(&mut net, 20_000);
+            (out, net.stats().collided_packets)
+        });
+        assert!(collided[0] > 0 && collided[1] > 0, "{collided:?}");
+        assert_eq!(out.len(), 12);
+        let mut tag_of = BTreeMap::new();
+        let mut traced = BTreeMap::new();
+        for r in &records {
+            match r.event {
+                TraceEvent::Inject { packet, tag, .. } => {
+                    tag_of.insert(packet, tag);
+                }
+                TraceEvent::Deliver {
+                    packet,
+                    queuing,
+                    scheduling,
+                    network,
+                    resolution,
+                    ..
+                } => {
+                    traced.insert(tag_of[&packet], queuing + scheduling + network + resolution);
+                }
+                _ => {}
+            }
+        }
+        for d in &out {
+            let tag = d.packet.tag;
+            assert_eq!(Some(&d.latency), traced.get(&tag), "packet tagged {tag}");
+        }
     }
 
     #[test]
@@ -1464,8 +1585,8 @@ mod tests {
         let drive = |fast: bool| {
             let mut net = net16(43);
             for src in 1..16 {
-                net.expect_data(NodeId(src), NodeId(0));
-                net.inject(Packet::new(NodeId(src), NodeId(0), PacketClass::Data, 0))
+                net.expect_data(src, 0);
+                net.inject(NetPacket::new(src, 0, PacketClass::Data, 0))
                     .unwrap();
             }
             if fast {
@@ -1475,11 +1596,7 @@ mod tests {
                     net.tick();
                 }
             }
-            let delivered: Vec<(u64, usize, u64)> = net
-                .drain_delivered()
-                .iter()
-                .map(|d| (d.packet.id, d.packet.src.0, d.delivered_at.as_u64()))
-                .collect();
+            let delivered: Vec<NetDelivery> = net.drain();
             let mut reg = Registry::new();
             net.stats().export(&mut reg);
             (delivered, reg.to_jsonl(), net.now())
@@ -1492,12 +1609,12 @@ mod tests {
         let run = |seed| {
             let mut net = net16(seed);
             for src in 1..16 {
-                net.inject(Packet::new(NodeId(src), NodeId(0), PacketClass::Meta, 0))
+                net.inject(NetPacket::new(src, 0, PacketClass::Meta, 0))
                     .unwrap();
             }
             run_until_idle(&mut net, 20_000)
                 .iter()
-                .map(|d| (d.packet.src.0, d.delivered_at.as_u64()))
+                .map(|d| (d.packet.src, d.latency))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(42), run(42));

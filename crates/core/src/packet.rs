@@ -1,70 +1,20 @@
-//! Packets and the PID/~PID collision-detecting header code.
+//! Packet classes and the PID/~PID collision-detecting header code.
 //!
 //! The network defines two packet lengths (paper §4.3.2): 72-bit *meta*
 //! packets (requests, acknowledgments) and 360-bit *data* packets (cache
-//! lines). Because colliding OOK light pulses OR together, each header
-//! carries both the sender id (PID) and its bitwise complement (~PID); any
-//! collision makes at least one bit position read 1 in *both* fields,
-//! which a receiver detects immediately. The OR-ed header also yields a
-//! superset of the possible colliders, which the data-lane hint
-//! optimization (§5.2) exploits.
+//! lines). The packets themselves are the workspace-wide
+//! [`NetPacket`](fsoi_sim::packet::NetPacket). Because colliding OOK light
+//! pulses OR together, each header carries both the sender id (PID) and
+//! its bitwise complement (~PID); any collision makes at least one bit
+//! position read 1 in *both* fields, which a receiver detects immediately.
+//! The OR-ed header also yields a superset of the possible colliders,
+//! which the data-lane hint optimization (§5.2) exploits.
 
 use crate::topology::NodeId;
-use fsoi_sim::Cycle;
 
 /// The two packet lengths every network in the workspace shares (on the
 /// FSOI lanes: 2-cycle meta, 5-cycle data serialization).
 pub use fsoi_sim::packet::PacketClass;
-
-/// A packet travelling the FSOI network.
-///
-/// The payload is abstracted to a `tag` the client (e.g. the coherence
-/// layer) uses to recognize deliveries; the network itself never inspects
-/// it — there is no routing, only direct source→destination beams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Packet {
-    /// Unique id assigned at injection.
-    pub id: u64,
-    /// Transmitting node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dst: NodeId,
-    /// Meta or data.
-    pub class: PacketClass,
-    /// Opaque client tag carried with the packet.
-    pub tag: u64,
-    /// When the client injected the packet.
-    pub enqueued_at: Cycle,
-    /// Scheduling (request-spacing) delay applied before queuing, cycles.
-    pub scheduling_delay: u64,
-    /// Number of retransmissions so far.
-    pub retries: u32,
-    /// Cycle the first transmission attempt started (set by the network).
-    pub first_tx_at: Option<Cycle>,
-}
-
-impl Packet {
-    /// Creates a packet ready for injection.
-    pub fn new(src: NodeId, dst: NodeId, class: PacketClass, tag: u64) -> Self {
-        Packet {
-            id: 0,
-            src,
-            dst,
-            class,
-            tag,
-            enqueued_at: Cycle::ZERO,
-            scheduling_delay: 0,
-            retries: 0,
-            first_tx_at: None,
-        }
-    }
-
-    /// Builder-style: annotates the packet with a request-spacing delay.
-    pub fn with_scheduling_delay(mut self, cycles: u64) -> Self {
-        self.scheduling_delay = cycles;
-        self
-    }
-}
 
 /// The PID/~PID header field pair as transmitted, and — after collisions —
 /// as OR-ed at the receiver.
@@ -157,17 +107,6 @@ impl HeaderCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn packet_construction() {
-        let p = Packet::new(NodeId(1), NodeId(2), PacketClass::Data, 99).with_scheduling_delay(3);
-        assert_eq!(p.src, NodeId(1));
-        assert_eq!(p.dst, NodeId(2));
-        assert_eq!(p.tag, 99);
-        assert_eq!(p.scheduling_delay, 3);
-        assert_eq!(p.retries, 0);
-        assert!(p.first_tx_at.is_none());
-    }
 
     #[test]
     fn id_width_values() {

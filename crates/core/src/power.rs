@@ -126,8 +126,8 @@ mod tests {
     use super::*;
     use crate::config::FsoiConfig;
     use crate::network::FsoiNetwork;
-    use crate::packet::{Packet, PacketClass};
-    use crate::topology::NodeId;
+    use crate::packet::PacketClass;
+    use fsoi_sim::packet::{Interconnect, NetPacket};
 
     #[test]
     fn model_from_paper_budget() {
@@ -160,13 +160,8 @@ mod tests {
         let lanes = Lanes::paper_default();
         let mut net = FsoiNetwork::new(FsoiConfig::nodes(16), 1);
         for src in 0..8 {
-            net.inject(Packet::new(
-                NodeId(src),
-                NodeId(src + 8),
-                PacketClass::Data,
-                0,
-            ))
-            .unwrap();
+            net.inject(NetPacket::new(src, src + 8, PacketClass::Data, 0))
+                .unwrap();
         }
         net.run(20);
         let cycles = net.now().as_u64();

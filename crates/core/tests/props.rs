@@ -6,14 +6,15 @@ use fsoi_net::analysis::collision::node_collision_probability;
 use fsoi_net::backoff::BackoffPolicy;
 use fsoi_net::config::{TransmitterArray, CONFIRMATION_DELAY};
 use fsoi_net::lane::{LaneSpec, Lanes};
-use fsoi_net::network::{Delivered, LatencyBreakdown, NetStats};
-use fsoi_net::packet::{HeaderCode, Packet, PacketClass};
+use fsoi_net::network::{LatencyBreakdown, NetStats};
+use fsoi_net::packet::{HeaderCode, PacketClass};
 use fsoi_net::phase_array::PhaseArraySteering;
 use fsoi_net::spacing::ReplySlotReservations;
 use fsoi_net::topology::{receiver_index, senders_for_receiver, NodeId};
 use fsoi_net::{FsoiConfig, FsoiNetwork};
 use fsoi_sim::event::EventQueue;
 use fsoi_sim::metrics::Registry;
+use fsoi_sim::packet::{Interconnect, NetDelivery, NetPacket, NetReport};
 use fsoi_sim::rng::Xoshiro256StarStar;
 use fsoi_sim::Cycle;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -138,7 +139,9 @@ fn reservations_never_collide() {
 /// Every delivered packet's trace lifecycle is complete: exactly one
 /// `inject` and one `deliver`, every collision / bit error is paired with
 /// a retransmission (`tx_start` count = 1 + failures), and the retry
-/// count reported at delivery equals the number of traced failures.
+/// count reported at delivery equals the number of traced failures. Each
+/// packet is tagged with its place in the offer order, and its `inject`
+/// event ties the tag to the trace's packet id.
 #[test]
 fn delivered_packets_have_complete_trace_lifecycles() {
     use fsoi_sim::trace::{self, TraceEvent};
@@ -166,7 +169,7 @@ fn delivered_packets_have_complete_trace_lifecycles() {
         |&(nodes, seed, ref traffic)| {
             let (records, delivered) = trace::capture(|| {
                 let mut net = FsoiNetwork::new(FsoiConfig::nodes(nodes), seed);
-                for &(s, d, class_bit) in traffic {
+                for (tag, &(s, d, class_bit)) in traffic.iter().enumerate() {
                     let src = (s as usize) % nodes;
                     let dst = if d as usize % nodes == src {
                         (src + 1) % nodes
@@ -178,7 +181,7 @@ fn delivered_packets_have_complete_trace_lifecycles() {
                     } else {
                         PacketClass::Data
                     };
-                    let _ = net.inject(Packet::new(NodeId(src), NodeId(dst), class, s));
+                    let _ = net.inject(NetPacket::new(src, dst, class, tag as u64));
                 }
                 for _ in 0..64 {
                     if net.is_idle() {
@@ -187,13 +190,15 @@ fn delivered_packets_have_complete_trace_lifecycles() {
                     net.run(1_000);
                 }
                 assert!(net.is_idle(), "injected traffic must drain");
-                net.drain_delivered()
+                net.drain()
             });
 
             let mut lives: BTreeMap<u64, Life> = BTreeMap::new();
+            let mut id_of_tag = BTreeMap::new();
             for r in &records {
                 match &r.event {
-                    TraceEvent::Inject { packet, .. } => {
+                    TraceEvent::Inject { packet, tag, .. } => {
+                        id_of_tag.insert(*tag, *packet);
                         lives.entry(*packet).or_default().injects += 1
                     }
                     TraceEvent::Deliver { packet, .. } => {
@@ -222,7 +227,7 @@ fn delivered_packets_have_complete_trace_lifecycles() {
             );
 
             for d in &delivered {
-                let id = d.packet.id;
+                let id = id_of_tag[&d.packet.tag];
                 let l = lives
                     .get(&id)
                     .unwrap_or_else(|| panic!("packet {id} left no trace"));
@@ -234,7 +239,7 @@ fn delivered_packets_have_complete_trace_lifecycles() {
                     "packet {id}: every collision/bit error pairs with a retransmission"
                 );
                 assert_eq!(
-                    d.packet.retries, l.failures,
+                    d.retries, l.failures,
                     "packet {id}: delivered retry count matches traced failures"
                 );
                 // Hint winners retransmit without backing off, so backoffs
@@ -250,50 +255,14 @@ fn delivered_packets_have_complete_trace_lifecycles() {
 
 // ---- The full-scan reference --------------------------------------------
 
-/// What the two implementations are compared through.
-trait Fsoi {
-    fn inject(&mut self, packet: Packet) -> bool;
-    fn expect_data(&mut self, dst: NodeId, src: NodeId);
-    /// Books `node`'s incoming data slot around `arrival`; returns the
-    /// request delay (request spacing, §5.2).
-    fn reserve(&mut self, node: NodeId, arrival: Cycle) -> u64;
-    fn tick(&mut self);
-    fn next_event_at(&self) -> Option<Cycle>;
-    fn is_idle(&self) -> bool;
-    fn now(&self) -> Cycle;
-    fn take_delivered(&mut self) -> Vec<Delivered>;
+/// What the two implementations are compared through: the network
+/// interface, plus the FSOI statistics.
+trait Fsoi: Interconnect {
     fn stats(&self) -> &NetStats;
     fn confirmations_sent(&self) -> u64;
 }
 
 impl Fsoi for FsoiNetwork {
-    fn inject(&mut self, packet: Packet) -> bool {
-        FsoiNetwork::inject(self, packet).is_ok()
-    }
-    fn expect_data(&mut self, dst: NodeId, src: NodeId) {
-        FsoiNetwork::expect_data(self, dst, src);
-    }
-    fn reserve(&mut self, node: NodeId, arrival: Cycle) -> u64 {
-        let slot = self.data_slot_len();
-        self.reservations_mut(node)
-            .reserve(arrival, slot)
-            .request_delay
-    }
-    fn tick(&mut self) {
-        FsoiNetwork::tick(self);
-    }
-    fn next_event_at(&self) -> Option<Cycle> {
-        FsoiNetwork::next_event_at(self)
-    }
-    fn is_idle(&self) -> bool {
-        FsoiNetwork::is_idle(self)
-    }
-    fn now(&self) -> Cycle {
-        FsoiNetwork::now(self)
-    }
-    fn take_delivered(&mut self) -> Vec<Delivered> {
-        self.drain_delivered()
-    }
     fn stats(&self) -> &NetStats {
         FsoiNetwork::stats(self)
     }
@@ -302,13 +271,34 @@ impl Fsoi for FsoiNetwork {
     }
 }
 
+/// A packet inside the reference: the injected [`NetPacket`] and its trip
+/// so far.
+#[derive(Debug, Clone, Copy)]
+struct ScanPacket {
+    packet: NetPacket,
+    enqueued_at: Cycle,
+    retries: u32,
+    first_tx_at: Option<Cycle>,
+}
+
+impl ScanPacket {
+    fn src(&self) -> NodeId {
+        NodeId(self.packet.src)
+    }
+
+    fn dst(&self) -> NodeId {
+        NodeId(self.packet.dst)
+    }
+}
+
 /// `(lane, dst, rx, slot)`: one receiver of one node for one slot.
 type GroupKey = (usize, NodeId, usize, u64);
 
+#[derive(Debug)]
 struct ScanNode {
-    out: [VecDeque<Packet>; 2],
+    out: [VecDeque<ScanPacket>; 2],
     tx_busy_until: [Cycle; 2],
-    retries: [EventQueue<Packet>; 2],
+    retries: [EventQueue<ScanPacket>; 2],
     steering: [PhaseArraySteering; 2],
     reservations: ReplySlotReservations,
     expected_data: BTreeSet<NodeId>,
@@ -318,19 +308,19 @@ struct ScanNode {
 /// the crate's public pieces: every slot boundary and every
 /// `next_event_at` walks every node × both lanes, resolution events of
 /// both lanes share one time-ordered heap, slot groups live in an ordered
-/// map, and whole `Packet`s move through every queue.
+/// map, and whole packets move through every queue.
+#[derive(Debug)]
 struct ScanFsoi {
     cfg: FsoiConfig,
     now: Cycle,
     rng: Xoshiro256StarStar,
     nodes: Vec<ScanNode>,
-    groups: BTreeMap<GroupKey, Vec<Packet>>,
+    groups: BTreeMap<GroupKey, Vec<ScanPacket>>,
     resolutions: EventQueue<GroupKey>,
     confirmations: EventQueue<()>,
     confirmations_sent: u64,
-    delivered: Vec<Delivered>,
+    delivered: Vec<NetDelivery>,
     stats: NetStats,
-    next_id: u64,
 }
 
 impl ScanFsoi {
@@ -356,7 +346,6 @@ impl ScanFsoi {
             confirmations_sent: 0,
             delivered: Vec::new(),
             stats: NetStats::default(),
-            next_id: 0,
         }
     }
 
@@ -374,7 +363,7 @@ impl ScanFsoi {
             let group = self.groups.remove(&key).expect("one group per event");
             let lane = key.0;
             if let [packet] = group[..] {
-                let bits = self.cfg.lanes.spec(packet.class).packet_bits;
+                let bits = self.cfg.lanes.spec(packet.packet.class).packet_bits;
                 let p_err = self.cfg.packet_error_probability(bits);
                 if p_err > 0.0 && self.rng.bernoulli(p_err) {
                     self.stats.bit_error_drops[lane] += 1;
@@ -397,16 +386,22 @@ impl ScanFsoi {
     /// Re-queues `packet` a back-off draw after the next boundary;
     /// `skipped` is 1 when the draw counts from that boundary's slot and 0
     /// when a hint winner owns it.
-    fn retry_after_backoff(&mut self, lane: usize, mut packet: Packet, at: Cycle, skipped: u64) {
+    fn retry_after_backoff(
+        &mut self,
+        lane: usize,
+        mut packet: ScanPacket,
+        at: Cycle,
+        skipped: u64,
+    ) {
         packet.retries += 1;
         self.stats.retransmissions[lane] += 1;
         let draw = self.cfg.backoff.draw(packet.retries, &mut self.rng);
         let ready =
             self.next_boundary(lane, at) + (draw.delay_slots - skipped) * self.slot_len(lane);
-        self.nodes[packet.src.0].retries[lane].push(ready, packet);
+        self.nodes[packet.packet.src].retries[lane].push(ready, packet);
     }
 
-    fn collide(&mut self, (lane, dst, ..): GroupKey, group: &[Packet], at: Cycle) {
+    fn collide(&mut self, (lane, dst, ..): GroupKey, group: &[ScanPacket], at: Cycle) {
         self.stats.collision_events[lane] += 1;
         self.stats.collided_packets[lane] += group.len() as u64;
         let winner = if lane == PacketClass::Data.lane() && self.cfg.hints {
@@ -415,20 +410,25 @@ impl ScanFsoi {
             None
         };
         for &packet in group {
-            if Some(packet.src) == winner {
+            if Some(packet.src()) == winner {
                 let mut packet = packet;
                 packet.retries += 1;
                 self.stats.retransmissions[lane] += 1;
                 let ready = self.next_boundary(lane, at);
-                self.nodes[packet.src.0].retries[lane].push(ready, packet);
+                self.nodes[packet.packet.src].retries[lane].push(ready, packet);
             } else {
                 self.retry_after_backoff(lane, packet, at, u64::from(winner.is_none()));
             }
         }
     }
 
-    fn select_hint_winner(&mut self, dst: NodeId, group: &[Packet], next: Cycle) -> Option<NodeId> {
-        let senders: Vec<NodeId> = group.iter().map(|p| p.src).collect();
+    fn select_hint_winner(
+        &mut self,
+        dst: NodeId,
+        group: &[ScanPacket],
+        next: Cycle,
+    ) -> Option<NodeId> {
+        let senders: Vec<NodeId> = group.iter().map(ScanPacket::src).collect();
         let superset =
             HeaderCode::superpose_all(&senders, self.cfg.nodes).possible_senders(self.cfg.nodes);
         let expected = &self.nodes[dst.0].expected_data;
@@ -453,10 +453,10 @@ impl ScanFsoi {
         Some(winner)
     }
 
-    fn deliver(&mut self, packet: Packet, at: Cycle) {
-        let lane = packet.class.lane();
+    fn deliver(&mut self, packet: ScanPacket, at: Cycle) {
+        let lane = packet.packet.class.lane();
         let first_tx = packet.first_tx_at.expect("delivered packets were sent");
-        let ser = self.cfg.lanes.serialization_cycles(packet.class);
+        let ser = self.cfg.lanes.serialization_cycles(packet.packet.class);
         let final_tx = Cycle(
             at.as_u64()
                 .saturating_sub(ser + self.cfg.phase_array_setup()),
@@ -464,7 +464,7 @@ impl ScanFsoi {
         .max(first_tx);
         let breakdown = LatencyBreakdown {
             queuing: first_tx.saturating_sub(packet.enqueued_at),
-            scheduling: packet.scheduling_delay,
+            scheduling: packet.packet.scheduling_delay,
             network: at.saturating_sub(final_tx),
             collision_resolution: final_tx.saturating_sub(first_tx),
         };
@@ -480,10 +480,10 @@ impl ScanFsoi {
         }
         s.retries[lane].record(packet.retries as f64);
         self.confirm(at + CONFIRMATION_DELAY);
-        self.delivered.push(Delivered {
-            packet,
-            delivered_at: at,
-            breakdown,
+        self.delivered.push(NetDelivery {
+            packet: packet.packet,
+            latency: breakdown.total(),
+            retries: packet.retries,
         });
     }
 
@@ -503,17 +503,17 @@ impl ScanFsoi {
                 let setup = match self.cfg.array {
                     TransmitterArray::Dedicated => 0,
                     TransmitterArray::PhaseArray { setup_cycles } => {
-                        node.steering[lane].aim(packet.dst, setup_cycles)
+                        node.steering[lane].aim(packet.dst(), setup_cycles)
                     }
                 };
-                let ser = self.cfg.lanes.serialization_cycles(packet.class);
+                let ser = self.cfg.lanes.serialization_cycles(packet.packet.class);
                 node.tx_busy_until[lane] = self.now + ser + setup;
                 packet.first_tx_at.get_or_insert(self.now);
                 self.stats.transmissions[lane] += 1;
-                let receivers = self.cfg.lanes.spec(packet.class).receivers;
-                let rx = receiver_index(packet.src, packet.dst, self.cfg.nodes, receivers);
+                let receivers = self.cfg.lanes.spec(packet.packet.class).receivers;
+                let rx = receiver_index(packet.src(), packet.dst(), self.cfg.nodes, receivers);
                 let slot_id = self.now.as_u64() / slot;
-                let key = (lane, packet.dst, rx, slot_id);
+                let key = (lane, packet.dst(), rx, slot_id);
                 let group = self.groups.entry(key).or_default();
                 group.push(packet);
                 if group.len() == 1 {
@@ -525,29 +525,31 @@ impl ScanFsoi {
     }
 }
 
-impl Fsoi for ScanFsoi {
-    fn inject(&mut self, mut packet: Packet) -> bool {
-        packet.id = self.next_id;
-        packet.enqueued_at = self.now;
+impl Interconnect for ScanFsoi {
+    fn inject(&mut self, packet: NetPacket) -> Result<(), NetPacket> {
         let lane = packet.class.lane();
-        let out = &mut self.nodes[packet.src.0].out[lane];
+        let out = &mut self.nodes[packet.src].out[lane];
         if out.len() == self.cfg.outgoing_queue_capacity {
             self.stats.rejected[lane] += 1;
-            return false;
+            return Err(packet);
         }
-        out.push_back(packet);
-        self.next_id += 1;
+        out.push_back(ScanPacket {
+            packet,
+            enqueued_at: self.now,
+            retries: 0,
+            first_tx_at: None,
+        });
         self.stats.injected[lane] += 1;
-        true
+        Ok(())
     }
 
-    fn expect_data(&mut self, dst: NodeId, src: NodeId) {
-        self.nodes[dst.0].expected_data.insert(src);
+    fn expect_data(&mut self, dst: usize, src: usize) {
+        self.nodes[dst].expected_data.insert(NodeId(src));
     }
 
-    fn reserve(&mut self, node: NodeId, arrival: Cycle) -> u64 {
+    fn reserve_reply_slot(&mut self, node: usize, arrival: Cycle) -> u64 {
         let slot = self.slot_len(PacketClass::Data.lane());
-        self.nodes[node.0]
+        self.nodes[node]
             .reservations
             .reserve(arrival, slot)
             .request_delay
@@ -562,10 +564,9 @@ impl Fsoi for ScanFsoi {
 
     fn next_event_at(&self) -> Option<Cycle> {
         let now = self.now;
-        let mut next = self.resolutions.peek_time();
-        let mut offer = |t: Cycle| next = Some(next.map_or(t, |n| n.min(t)));
+        let mut next = self.resolutions.peek_time().unwrap_or(Cycle(u64::MAX));
         if let Some(t) = self.confirmations.peek_time() {
-            offer(t);
+            next = next.min(t);
         }
         for lane in 0..2 {
             for node in &self.nodes {
@@ -574,14 +575,14 @@ impl Fsoi for ScanFsoi {
                 let Some(ready) = queued.into_iter().chain(retry).min() else {
                     continue;
                 };
-                offer(
+                next = next.min(
                     ready
                         .max(node.tx_busy_until[lane])
                         .round_up_to_slot(self.slot_len(lane)),
                 );
             }
         }
-        next
+        Some(next)
     }
 
     fn is_idle(&self) -> bool {
@@ -595,10 +596,20 @@ impl Fsoi for ScanFsoi {
         self.now
     }
 
-    fn take_delivered(&mut self) -> Vec<Delivered> {
+    fn drain(&mut self) -> Vec<NetDelivery> {
         std::mem::take(&mut self.delivered)
     }
 
+    fn name(&self) -> &'static str {
+        "fsoi-scan"
+    }
+
+    fn report(&self, _cycles: u64) -> NetReport {
+        unimplemented!("the properties compare statistics exports, not reports")
+    }
+}
+
+impl Fsoi for ScanFsoi {
     fn stats(&self) -> &NetStats {
         &self.stats
     }
@@ -688,14 +699,17 @@ fn inject_op(net: &mut impl Fsoi, nodes: usize, &(_, s, d, kind): &Op) -> usize 
         d if d == src => (src + 1) % nodes,
         d => d,
     };
-    let packet = |src: usize, class, tag| Packet::new(NodeId(src), NodeId(dst), class, tag);
-    let offered: Vec<Packet> = match kind {
+    let packet = |src: usize, class, tag| NetPacket::new(src, dst, class, tag);
+    let offered: Vec<NetPacket> = match kind {
         0..=2 => vec![packet(src, PacketClass::Meta, s)],
         3..=4 => vec![packet(src, PacketClass::Data, s)],
         5 => {
-            net.expect_data(NodeId(dst), NodeId(src));
-            let delay = net.reserve(NodeId(dst), net.now() + 10);
-            vec![packet(src, PacketClass::Data, s).with_scheduling_delay(delay)]
+            net.expect_data(dst, src);
+            let delay = net.reserve_reply_slot(dst, net.now() + 10);
+            vec![NetPacket {
+                scheduling_delay: delay,
+                ..packet(src, PacketClass::Data, s)
+            }]
         }
         6 => (0..nodes)
             .filter(|&n| n != dst)
@@ -704,14 +718,17 @@ fn inject_op(net: &mut impl Fsoi, nodes: usize, &(_, s, d, kind): &Op) -> usize 
             .collect(),
         _ => (0..20).map(|i| packet(src, PacketClass::Meta, i)).collect(),
     };
-    offered.into_iter().filter(|&p| net.inject(p)).count()
+    offered
+        .into_iter()
+        .filter(|&p| net.inject(p).is_ok())
+        .count()
 }
 
 /// Everything observable about a finished run: the delivery stream, the
 /// statistics export, confirmation traffic, the final clock.
-type Outcome = (Vec<Delivered>, String, u64, Cycle);
+type Outcome = (Vec<NetDelivery>, String, u64, Cycle);
 
-fn outcome(net: &mut impl Fsoi, delivered: Vec<Delivered>, accepted: usize) -> Outcome {
+fn outcome(net: &mut impl Fsoi, delivered: Vec<NetDelivery>, accepted: usize) -> Outcome {
     assert!(net.is_idle(), "the script must drain");
     assert_eq!(delivered.len(), accepted, "every accepted packet arrives");
     let mut reg = Registry::new();
@@ -733,7 +750,7 @@ fn play<N: Fsoi>(mut net: N, nodes: usize, script: &[Op]) -> (Outcome, Vec<Optio
     let mut tick = |net: &mut N| {
         bounds.push(net.next_event_at());
         net.tick();
-        delivered.extend(net.take_delivered());
+        delivered.extend(net.drain());
     };
     for op in script {
         for _ in 0..gap_cycles(op.0) {
@@ -748,11 +765,11 @@ fn play<N: Fsoi>(mut net: N, nodes: usize, script: &[Op]) -> (Outcome, Vec<Optio
     (outcome(&mut net, delivered, accepted), bounds)
 }
 
-/// The event-driven step is the full scan: same deliveries (id, endpoints,
-/// retries, time, latency breakdown) in the same order, byte-identical
-/// statistics export, same confirmation traffic, same drain time, and the
-/// same next-event bound before every cycle — for any network shape and
-/// any timed traffic.
+/// The event-driven step is the full scan: same deliveries (packet,
+/// latency, retries) in the same order, byte-identical statistics export
+/// (which carries every latency component), same confirmation traffic,
+/// same drain time, and the same next-event bound before every cycle — for
+/// any network shape and any timed traffic.
 #[test]
 fn event_driven_equals_full_scan() {
     checker!().check(
@@ -797,7 +814,7 @@ fn fast_forward_equals_cycle_by_cycle() {
                     } else {
                         (0..cycles).for_each(|_| net.tick());
                     }
-                    delivered.extend(net.drain_delivered());
+                    delivered.extend(net.drain());
                 };
                 for op in script {
                     advance(&mut net, gap_cycles(op.0));

@@ -11,7 +11,7 @@
 use crate::packet::FLITS;
 use crate::routing::hop_distance;
 use fsoi_sim::event::EventQueue;
-use fsoi_sim::packet::{NetDelivery, NetPacket};
+use fsoi_sim::packet::{Interconnect, LatencyAttribution, NetDelivery, NetPacket, NetReport};
 use fsoi_sim::stats::Summary;
 use fsoi_sim::Cycle;
 
@@ -72,21 +72,18 @@ impl IdealNetwork {
     pub fn kind(&self) -> IdealKind {
         self.kind
     }
+}
 
-    /// Current time.
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Mean delivered latency.
-    pub fn latency(&self) -> &Summary {
-        &self.latency
-    }
-
-    /// Injects a packet; the model computes its delivery time immediately.
-    /// Never rejects (queues are unbounded in the idealization).
-    pub fn inject(&mut self, packet: NetPacket) {
+impl Interconnect for IdealNetwork {
+    /// Computes the packet's delivery time on the spot. Never rejects
+    /// (queues are unbounded in the idealization).
+    fn inject(&mut self, packet: NetPacket) -> Result<(), NetPacket> {
         assert_ne!(packet.src, packet.dst, "no self-injection");
+        let nodes = self.link_free_at.len();
+        assert!(
+            packet.src < nodes && packet.dst < nodes,
+            "node id out of range"
+        );
         let ser = FLITS[packet.class.lane()] as u64;
         let start = self.link_free_at[packet.src].max(self.now);
         let done_serializing = start + ser;
@@ -94,10 +91,10 @@ impl IdealNetwork {
         let hops = hop_distance(packet.src, packet.dst, self.width) as u64;
         let arrive = done_serializing + hops * self.kind.per_hop_cycles();
         self.deliveries.push(arrive, (packet, self.now));
+        Ok(())
     }
 
-    /// Advances one cycle.
-    pub fn tick(&mut self) {
+    fn tick(&mut self) {
         self.now += 1;
         while let Some((at, (packet, enqueued_at))) = self.deliveries.pop_due(self.now) {
             let latency = at - enqueued_at;
@@ -110,14 +107,34 @@ impl IdealNetwork {
         }
     }
 
-    /// Takes deliveries since the last drain.
-    pub fn drain_delivered(&mut self) -> Vec<NetDelivery> {
+    fn drain(&mut self) -> Vec<NetDelivery> {
         std::mem::take(&mut self.delivered)
     }
 
-    /// True when nothing is in flight.
-    pub fn is_idle(&self) -> bool {
+    fn now(&self) -> Cycle {
+        self.now
+    }
+
+    fn is_idle(&self) -> bool {
         self.deliveries.is_empty()
+    }
+
+    fn name(&self) -> &'static str {
+        match self.kind {
+            IdealKind::L0 => "L0",
+            IdealKind::Lr1 => "Lr1",
+            IdealKind::Lr2 => "Lr2",
+        }
+    }
+
+    fn report(&self, _cycles: u64) -> NetReport {
+        NetReport {
+            attribution: LatencyAttribution {
+                network: self.latency.mean(),
+                ..Default::default()
+            },
+            ..Default::default() // idealized: no energy model
+        }
     }
 }
 
@@ -138,7 +155,7 @@ mod tests {
         let mut out = Vec::new();
         for _ in 0..max {
             net.tick();
-            out.extend(net.drain_delivered());
+            out.extend(net.drain());
             if net.is_idle() {
                 break;
             }
@@ -149,8 +166,8 @@ mod tests {
     #[test]
     fn l0_is_pure_serialization() {
         let mut net = IdealNetwork::new(IdealKind::L0, 4);
-        net.inject(meta(0, 15, 0));
-        net.inject(data(3, 12, 0));
+        net.inject(meta(0, 15, 0)).unwrap();
+        net.inject(data(3, 12, 0)).unwrap();
         let out = run_until_idle(&mut net, 50);
         let latency = |class| {
             out.iter()
@@ -166,8 +183,8 @@ mod tests {
     #[test]
     fn source_queuing_still_counts_in_l0() {
         let mut net = IdealNetwork::new(IdealKind::L0, 4);
-        net.inject(data(0, 15, 0));
-        net.inject(data(0, 14, 1));
+        net.inject(data(0, 15, 0)).unwrap();
+        net.inject(data(0, 14, 1)).unwrap();
         let out = run_until_idle(&mut net, 50);
         let lats: Vec<u64> = out.iter().map(|d| d.latency).collect();
         assert!(lats.contains(&5) && lats.contains(&10), "{lats:?}");
@@ -177,7 +194,7 @@ mod tests {
     fn lr_models_add_hop_latency() {
         for (kind, per_hop) in [(IdealKind::Lr1, 2u64), (IdealKind::Lr2, 3u64)] {
             let mut net = IdealNetwork::new(kind, 4);
-            net.inject(meta(0, 15, 0)); // 6 hops
+            net.inject(meta(0, 15, 0)).unwrap(); // 6 hops
             let out = run_until_idle(&mut net, 100);
             assert_eq!(out[0].latency, 1 + 6 * per_hop, "{kind:?}");
         }
@@ -190,10 +207,10 @@ mod tests {
         for kind in [IdealKind::L0, IdealKind::Lr1, IdealKind::Lr2] {
             let mut net = IdealNetwork::new(kind, 4);
             for src in 0..8 {
-                net.inject(data(src, 15 - src, 0));
+                net.inject(data(src, 15 - src, 0)).unwrap();
             }
             run_until_idle(&mut net, 200);
-            lat.push(net.latency().mean());
+            lat.push(net.report(0).attribution.network);
         }
         assert!(lat[0] <= lat[1] && lat[1] <= lat[2], "{lat:?}");
     }

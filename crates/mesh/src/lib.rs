@@ -19,19 +19,23 @@
 //! * [`ideal::IdealNetwork`] — the L0/Lr1/Lr2 analytic configurations;
 //! * [`power`] — Orion-style per-event energy accounting.
 //!
+//! Both networks are driven through the workspace's one network interface,
+//! [`Interconnect`](fsoi_sim::packet::Interconnect), which each implements
+//! in its own module.
+//!
 //! # Example
 //!
 //! ```
 //! use fsoi_mesh::config::MeshConfig;
 //! use fsoi_mesh::network::MeshNetwork;
-//! use fsoi_sim::packet::{NetPacket, PacketClass};
+//! use fsoi_sim::packet::{Interconnect, NetPacket, PacketClass};
 //!
 //! let mut net = MeshNetwork::new(MeshConfig::nodes(16));
 //! net.inject(NetPacket::new(0, 15, PacketClass::Meta, 1)).unwrap();
 //! while net.delivered_count() == 0 {
 //!     net.tick();
 //! }
-//! assert_eq!(net.drain_delivered()[0].packet.dst, 15);
+//! assert_eq!(net.drain()[0].packet.dst, 15);
 //! ```
 
 #![warn(missing_docs)]

@@ -6,10 +6,13 @@
 
 use crate::config::MeshConfig;
 use crate::packet::{Flit, FLITS};
+use crate::power::MeshPowerModel;
 use crate::router::{Departure, Router, LOCAL, NEVER};
 use fsoi_sim::det::NodeMask;
 use fsoi_sim::event::MonotoneQueue;
-use fsoi_sim::packet::{NetDelivery, NetPacket, PacketClass};
+use fsoi_sim::packet::{
+    Interconnect, LatencyAttribution, NetDelivery, NetPacket, NetReport, PacketClass,
+};
 use fsoi_sim::queue::BoundedQueue;
 use fsoi_sim::stats::Summary;
 use fsoi_sim::Cycle;
@@ -160,11 +163,6 @@ impl MeshNetwork {
         &self.cfg
     }
 
-    /// Current simulation time.
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
     /// Statistics so far, with the routers' power counters summed in.
     pub fn stats(&self) -> MeshStats {
         let mut stats = self.stats;
@@ -177,53 +175,9 @@ impl MeshNetwork {
         stats
     }
 
-    /// Injects a packet.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(packet)` when the node's injection queue is full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst` or either is out of range.
-    pub fn inject(&mut self, packet: NetPacket) -> Result<(), NetPacket> {
-        assert_ne!(packet.src, packet.dst, "no self-injection");
-        assert!(packet.src < self.routers.len() && packet.dst < self.routers.len());
-        if self.inject_q[packet.src].is_full() {
-            self.stats.rejected += 1;
-            return Err(packet);
-        }
-        let slot = self.free_slots.pop().unwrap_or(self.packets.len() as u32);
-        if slot as usize == self.packets.len() {
-            self.packets.push((packet, self.now));
-        } else {
-            self.packets[slot as usize] = (packet, self.now);
-        }
-        let queued = self.inject_q[packet.src].push(slot);
-        debug_assert_eq!(queued, Ok(()));
-        self.stats.injected += 1;
-        self.injectors.insert(packet.src);
-        Ok(())
-    }
-
-    /// Takes all deliveries since the last drain.
-    pub fn drain_delivered(&mut self) -> Vec<NetDelivery> {
-        std::mem::take(&mut self.delivered)
-    }
-
     /// Number of undrained deliveries.
     pub fn delivered_count(&self) -> usize {
         self.delivered.len()
-    }
-
-    /// True when nothing is queued or in flight.
-    ///
-    /// Empty buffers everywhere suffice for the routers: a VC that still
-    /// holds a route is waiting for the rest of a packet, and those flits
-    /// are in an injector, on a link or in a buffer upstream.
-    pub fn is_idle(&self) -> bool {
-        self.check_active_sets();
-        self.links.is_empty() && self.injectors.is_empty() && self.live.is_empty()
     }
 
     /// Debug builds: recomputes both active sets, every router's masks
@@ -249,55 +203,9 @@ impl MeshNetwork {
         assert_eq!(held, self.stats.injected - self.stats.delivered, "slab");
     }
 
-    /// Advances one cycle.
-    pub fn tick(&mut self) {
-        self.land_link_flits();
-        self.inject_flits();
-        self.step_routers();
-        self.now += 1;
-    }
-
     /// Runs `cycles` ticks, jumping over cycles in which nothing can move.
     pub fn run(&mut self, cycles: u64) {
         self.advance_to(self.now + cycles);
-    }
-
-    /// The earliest cycle `>= now` at which the network has any work to
-    /// do: `now` while a packet is queued or streaming in, or some router
-    /// has a front flit through its pipeline or awaiting an output VC;
-    /// otherwise the next link arrival or pipeline exit, whichever is
-    /// first. `None` when nothing will ever happen without an injection.
-    pub fn next_event_at(&self) -> Option<Cycle> {
-        if !self.injectors.is_empty() {
-            return Some(self.now);
-        }
-        let mut next = self.links.peek_time().unwrap_or(NEVER);
-        for node in &self.live {
-            next = next.min(self.routers[node].next_event_at(self.now));
-        }
-        (next != NEVER).then_some(next)
-    }
-
-    /// Advances to `target`, ticking only the cycles at or after each
-    /// [`next_event_at`](Self::next_event_at) bound.
-    ///
-    /// Identical to calling [`tick`](Self::tick) `target - now` times: in
-    /// a cycle below the bound no flit lands, none is injected, no head
-    /// wants an output VC and no front flit is through its pipeline, so
-    /// the tick would change nothing but the shared switch-allocation
-    /// pointer, which advances by one — replayed here for the whole span.
-    pub fn advance_to(&mut self, target: Cycle) {
-        while self.now < target {
-            let next = self.next_event_at().map_or(target, |at| at.min(target));
-            if next > self.now {
-                let span = next - self.now;
-                let total = 5 * self.cfg.vcs as u64;
-                self.sa_rr = ((self.sa_rr as u64 + span % total) % total) as usize;
-                self.now = next;
-            } else {
-                self.tick();
-            }
-        }
     }
 
     fn land_link_flits(&mut self) {
@@ -411,6 +319,111 @@ impl MeshNetwork {
     }
 }
 
+impl Interconnect for MeshNetwork {
+    /// Queues a packet at its source; `Err` when the node's injection
+    /// queue is full.
+    fn inject(&mut self, packet: NetPacket) -> Result<(), NetPacket> {
+        assert_ne!(packet.src, packet.dst, "no self-injection");
+        assert!(packet.src < self.routers.len() && packet.dst < self.routers.len());
+        if self.inject_q[packet.src].is_full() {
+            self.stats.rejected += 1;
+            return Err(packet);
+        }
+        let slot = self.free_slots.pop().unwrap_or(self.packets.len() as u32);
+        if slot as usize == self.packets.len() {
+            self.packets.push((packet, self.now));
+        } else {
+            self.packets[slot as usize] = (packet, self.now);
+        }
+        let queued = self.inject_q[packet.src].push(slot);
+        debug_assert_eq!(queued, Ok(()));
+        self.stats.injected += 1;
+        self.injectors.insert(packet.src);
+        Ok(())
+    }
+
+    fn tick(&mut self) {
+        self.land_link_flits();
+        self.inject_flits();
+        self.step_routers();
+        self.now += 1;
+    }
+
+    fn drain(&mut self) -> Vec<NetDelivery> {
+        std::mem::take(&mut self.delivered)
+    }
+
+    fn now(&self) -> Cycle {
+        self.now
+    }
+
+    /// Empty buffers everywhere suffice for the routers: a VC that still
+    /// holds a route is waiting for the rest of a packet, and those flits
+    /// are in an injector, on a link or in a buffer upstream.
+    fn is_idle(&self) -> bool {
+        self.check_active_sets();
+        self.links.is_empty() && self.injectors.is_empty() && self.live.is_empty()
+    }
+
+    fn name(&self) -> &'static str {
+        "mesh"
+    }
+
+    fn report(&self, cycles: u64) -> NetReport {
+        let stats = self.stats();
+        NetReport {
+            attribution: LatencyAttribution {
+                network: stats.latency.mean(),
+                ..Default::default()
+            },
+            energy_j: MeshPowerModel::paper_default().energy_j(
+                &stats,
+                self.cfg.node_count(),
+                cycles,
+            ),
+            ..Default::default()
+        }
+    }
+
+    /// `now` while a packet is queued or streaming in, or some router has
+    /// a front flit through its pipeline or awaiting an output VC;
+    /// otherwise the next link arrival or pipeline exit, whichever is
+    /// first.
+    fn next_event_at(&self) -> Option<Cycle> {
+        if !self.injectors.is_empty() {
+            return Some(self.now);
+        }
+        let mut next = self.links.peek_time().unwrap_or(NEVER);
+        for node in &self.live {
+            next = next.min(self.routers[node].next_event_at(self.now));
+        }
+        Some(next)
+    }
+
+    /// Ticks only the cycles at or after each
+    /// [`next_event_at`](Interconnect::next_event_at) bound.
+    ///
+    /// Identical to calling [`tick`](Interconnect::tick) `target - now`
+    /// times: in a cycle below the bound no flit lands, none is injected,
+    /// no head wants an output VC and no front flit is through its
+    /// pipeline, so the tick would change nothing but the shared
+    /// switch-allocation pointer, which advances by one — replayed here
+    /// for the whole span.
+    fn advance_to(&mut self, target: Cycle) {
+        while self.now < target {
+            let next = self.next_event_at().map_or(target, |at| at.min(target));
+            if next > self.now {
+                let span = next - self.now;
+                let total = 5 * self.cfg.vcs as u64;
+                self.sa_rr = ((self.sa_rr as u64 + span % total) % total) as usize;
+                self.now = next;
+            } else {
+                self.tick();
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,7 +441,7 @@ mod tests {
         let mut out = Vec::new();
         for _ in 0..max {
             net.tick();
-            out.extend(net.drain_delivered());
+            out.extend(net.drain());
             if net.is_idle() {
                 break;
             }
@@ -519,10 +532,10 @@ mod tests {
             }
             net.tick();
         }
-        let mut out = net.drain_delivered().len();
+        let mut out = net.drain().len();
         for _ in 0..10_000 {
             net.tick();
-            out += net.drain_delivered().len();
+            out += net.drain().len();
             if net.is_idle() {
                 break;
             }

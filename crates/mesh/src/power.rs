@@ -87,7 +87,7 @@ mod tests {
     use super::*;
     use crate::config::MeshConfig;
     use crate::network::MeshNetwork;
-    use fsoi_sim::packet::{NetPacket, PacketClass};
+    use fsoi_sim::packet::{Interconnect, NetPacket, PacketClass};
 
     #[test]
     fn energy_scales_with_traffic() {

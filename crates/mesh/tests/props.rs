@@ -13,7 +13,7 @@ use fsoi_mesh::network::MeshStats;
 use fsoi_mesh::packet::{FlitKind, FLITS};
 use fsoi_mesh::routing::{coords, node_at, xy_route, Port};
 use fsoi_mesh::{MeshConfig, MeshNetwork};
-use fsoi_sim::packet::{NetDelivery, NetPacket, PacketClass};
+use fsoi_sim::packet::{Interconnect, NetDelivery, NetPacket, PacketClass};
 use fsoi_sim::Cycle;
 use std::collections::VecDeque;
 
@@ -331,7 +331,7 @@ impl Fast {
     }
 
     fn collect(&mut self) {
-        self.delivered.extend(self.net.drain_delivered());
+        self.delivered.extend(self.net.drain());
     }
 }
 

@@ -32,7 +32,8 @@
 //! Both are one engine, [`ChannelNetwork`] — a FIFO writer queue per
 //! destination, served serially — configured by an arbitration row
 //! ([`network::Arbitration`]) built from a [`RingConfig`] or a
-//! [`CrossbarConfig`].
+//! [`CrossbarConfig`], and driven through the workspace's one network
+//! interface, [`Interconnect`](fsoi_sim::packet::Interconnect).
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // rule P1

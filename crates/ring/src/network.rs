@@ -7,7 +7,9 @@
 //! long the light then flies: the [`Arbitration`] row.
 
 use fsoi_sim::event::EventQueue;
-use fsoi_sim::packet::{NetDelivery, NetPacket, PacketClass};
+use fsoi_sim::packet::{
+    Interconnect, LatencyAttribution, NetDelivery, NetPacket, NetReport, PacketClass,
+};
 use fsoi_sim::queue::BoundedQueue;
 use fsoi_sim::stats::Summary;
 use fsoi_sim::Cycle;
@@ -143,11 +145,6 @@ impl ChannelNetwork {
         &self.cfg
     }
 
-    /// Current time.
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> &ChannelStats {
         &self.stats
@@ -159,17 +156,16 @@ impl ChannelNetwork {
     pub fn static_power_w(&self) -> f64 {
         self.cfg.channel_static_w * self.cfg.nodes as f64
     }
+}
 
-    /// Injects a packet onto its destination's channel.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(packet)` when the channel's writer queue is full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst` or out of range.
-    pub fn inject(&mut self, packet: NetPacket) -> Result<(), NetPacket> {
+/// The destination-channel crossbars: the Corona-style token ring (the
+/// paper's §7.1 nanophotonic comparison point) and the worst-case-loss
+/// matrix crossbar (the PAPERS.md comparative study's baseline for the
+/// design-space grids), named by the engine's arbitration row.
+impl Interconnect for ChannelNetwork {
+    /// Queues a packet on its destination's channel; `Err` when the
+    /// channel's writer queue is full.
+    fn inject(&mut self, packet: NetPacket) -> Result<(), NetPacket> {
         assert_ne!(packet.src, packet.dst, "no self-injection");
         assert!(packet.src < self.cfg.nodes && packet.dst < self.cfg.nodes);
         match self.channels[packet.dst].queue.push((packet, self.now)) {
@@ -184,8 +180,7 @@ impl ChannelNetwork {
         }
     }
 
-    /// Advances one cycle.
-    pub fn tick(&mut self) {
+    fn tick(&mut self) {
         // Each channel serves its queue serially; channels never block
         // each other.
         let flight = self.cfg.arbitration.flight_cycles();
@@ -239,19 +234,39 @@ impl ChannelNetwork {
         }
     }
 
-    /// Takes deliveries since the last drain.
-    pub fn drain_delivered(&mut self) -> Vec<NetDelivery> {
+    fn drain(&mut self) -> Vec<NetDelivery> {
         std::mem::take(&mut self.delivered)
     }
 
-    /// Undrained deliveries.
-    pub fn delivered_count(&self) -> usize {
-        self.delivered.len()
+    fn now(&self) -> Cycle {
+        self.now
     }
 
-    /// True when nothing is queued or in flight.
-    pub fn is_idle(&self) -> bool {
+    fn is_idle(&self) -> bool {
         self.deliveries.is_empty() && self.channels.iter().all(|c| c.queue.is_empty())
+    }
+
+    fn name(&self) -> &'static str {
+        match self.cfg.arbitration {
+            Arbitration::Token { .. } => "ring",
+            Arbitration::Port { .. } => "crossbar",
+        }
+    }
+
+    fn report(&self, cycles: u64) -> NetReport {
+        let stats = &self.stats;
+        NetReport {
+            attribution: LatencyAttribution {
+                queuing: stats.wait.mean(),
+                network: stats.latency.mean() - stats.wait.mean(),
+                ..Default::default()
+            },
+            // Dominated by always-on static power: ring tuning + modulators
+            // on Corona, the worst-case-loss-sized per-port lasers (CW
+            // sources behind modulators) plus receivers on the matrix.
+            energy_j: self.static_power_w() * cycles as f64 / 3.3e9,
+            ..Default::default()
+        }
     }
 }
 
@@ -273,7 +288,7 @@ mod tests {
         let mut out = Vec::new();
         for _ in 0..max {
             net.tick();
-            out.extend(net.drain_delivered());
+            out.extend(net.drain());
             if net.is_idle() {
                 break;
             }

@@ -6,7 +6,7 @@ use fsoi_check::{any_bool, checker, select, vec_of};
 use fsoi_ring::config::RingConfig;
 use fsoi_ring::crossbar::CrossbarConfig;
 use fsoi_ring::network::{Arbitration, ChannelConfig, ChannelNetwork};
-use fsoi_sim::packet::{NetPacket, PacketClass};
+use fsoi_sim::packet::{Interconnect, NetPacket, PacketClass};
 
 /// A data packet if `data`, else a meta packet.
 fn packet(src: usize, dst: usize, data: bool, tag: u64) -> NetPacket {
@@ -45,11 +45,10 @@ fn ring_conserves_packets() {
                 }
                 net.tick();
             }
-            let mut delivered: Vec<u64> =
-                net.drain_delivered().iter().map(|d| d.packet.tag).collect();
+            let mut delivered: Vec<u64> = net.drain().iter().map(|d| d.packet.tag).collect();
             for _ in 0..50_000 {
                 net.tick();
-                delivered.extend(net.drain_delivered().iter().map(|d| d.packet.tag));
+                delivered.extend(net.drain().iter().map(|d| d.packet.tag));
                 if net.is_idle() {
                     break;
                 }
@@ -80,7 +79,7 @@ fn home_channels_serialize_fifo() {
             let mut out = Vec::new();
             for _ in 0..100_000 {
                 net.tick();
-                out.extend(net.drain_delivered());
+                out.extend(net.drain());
                 if net.is_idle() {
                     break;
                 }
@@ -117,7 +116,7 @@ fn latency_floor() {
             let mut out = Vec::new();
             for _ in 0..200 {
                 net.tick();
-                out.extend(net.drain_delivered());
+                out.extend(net.drain());
                 if !out.is_empty() {
                     break;
                 }

@@ -32,9 +32,11 @@
 //!   flight recorder that dumps JSON lines when an invariant fails,
 //! * [`queue::BoundedQueue`] — a bounded FIFO modelling finite hardware
 //!   buffers,
-//! * [`packet`] — the one packet ([`packet::NetPacket`], with its
-//!   [`packet::PacketClass`]) every network takes and the one delivery
-//!   record ([`packet::NetDelivery`]) every network hands back.
+//! * [`packet`] — the one network interface: the
+//!   [`packet::Interconnect`] trait every network implements, the one
+//!   packet ([`packet::NetPacket`], with its [`packet::PacketClass`]) every
+//!   network takes and the one delivery record ([`packet::NetDelivery`])
+//!   every network hands back.
 //!
 //! # Example
 //!

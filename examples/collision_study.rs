@@ -13,8 +13,8 @@ use fsoi::net::analysis::collision::{
 use fsoi::net::backoff::BackoffPolicy;
 use fsoi::net::config::FsoiConfig;
 use fsoi::net::network::FsoiNetwork;
-use fsoi::net::packet::{Packet, PacketClass};
-use fsoi::net::topology::NodeId;
+use fsoi::net::packet::PacketClass;
+use fsoi::sim::packet::{Interconnect, NetPacket};
 use fsoi::sim::rng::Xoshiro256StarStar;
 
 fn main() {
@@ -88,17 +88,12 @@ fn measure_full_network(p: f64, seed: u64) -> f64 {
                         dst += 1;
                     }
                     // Full queues just drop the offered packet this slot.
-                    let _ = net.inject(Packet::new(
-                        NodeId(src),
-                        NodeId(dst),
-                        PacketClass::Meta,
-                        cycle,
-                    ));
+                    let _ = net.inject(NetPacket::new(src, dst, PacketClass::Meta, cycle));
                 }
             }
         }
         net.tick();
-        net.drain_delivered();
+        net.drain();
     }
     net.stats().collision_rate(0)
 }

@@ -8,8 +8,9 @@
 
 use fsoi::net::config::FsoiConfig;
 use fsoi::net::network::FsoiNetwork;
-use fsoi::net::packet::{Packet, PacketClass};
+use fsoi::net::packet::PacketClass;
 use fsoi::net::topology::{receiver_index, NodeId};
+use fsoi::sim::packet::{Interconnect, NetPacket};
 
 fn main() {
     // The paper's default 16-node configuration: 3-VCSEL meta lanes,
@@ -19,17 +20,15 @@ fn main() {
 
     // A clean transfer: node 0 beams a data packet straight at node 9.
     // No routing, no arbitration — the beam is the wire.
-    net.inject(Packet::new(NodeId(0), NodeId(9), PacketClass::Data, 0xCAFE))
+    net.inject(NetPacket::new(0, 9, PacketClass::Data, 0xCAFE))
         .expect("queues are empty");
     while net.delivered_count() == 0 {
         net.tick();
     }
-    let d = net.drain_delivered().remove(0);
+    let d = net.drain().remove(0);
     println!(
         "clean transfer : node 0 → node 9 in {} cycles (tag {:#x}, {} retries)",
-        d.breakdown.total(),
-        d.packet.tag,
-        d.packet.retries
+        d.latency, d.packet.tag, d.retries
     );
 
     // Now force a collision: nodes 0 and 2 share receiver 0 at node 5
@@ -39,21 +38,21 @@ fn main() {
     // senders miss their confirmations and back off.
     assert_eq!(receiver_index(NodeId(0), NodeId(5), 16, 2), 0);
     assert_eq!(receiver_index(NodeId(2), NodeId(5), 16, 2), 0);
-    net.inject(Packet::new(NodeId(0), NodeId(5), PacketClass::Meta, 1))
+    net.inject(NetPacket::new(0, 5, PacketClass::Meta, 1))
         .unwrap();
-    net.inject(Packet::new(NodeId(2), NodeId(5), PacketClass::Meta, 2))
+    net.inject(NetPacket::new(2, 5, PacketClass::Meta, 2))
         .unwrap();
     let mut delivered = Vec::new();
     while delivered.len() < 2 {
         net.tick();
-        delivered.extend(net.drain_delivered());
+        delivered.extend(net.drain());
     }
     for d in &delivered {
         println!(
             "collided packet: {} → node 5, {} retries, resolved in {} cycles total",
-            d.packet.src,
-            d.packet.retries,
-            d.breakdown.total()
+            NodeId(d.packet.src),
+            d.retries,
+            d.latency
         );
     }
 

@@ -113,8 +113,10 @@ gate "build --features trace" cargo build --release --offline --workspace --feat
 
 # The benchmark (BENCHMARK.json) is a package of its own that the workspace
 # build never compiles, yet it calls `CmpSystem::new`/`fork`, the networks
-# through `Interconnect` (and `NetPacket`/`PacketClass` at their re-exported
-# paths), `CellCache` and `RunReport` fields directly: an
-# API change that breaks it must fail here, not only in `ci.sh --tier bench`.
+# through `Interconnect`, `CellCache` and `RunReport` fields directly, and it
+# imports the network interface at two re-exported paths:
+# `fsoi_cmp::interconnect::{Interconnect, NetPacket}` (defined in
+# `fsoi_sim::packet`) and `fsoi_net::packet::PacketClass`. An API change that
+# breaks it must fail here, not only in `ci.sh --tier bench`.
 gate "build benchmark package" env CARGO_TARGET_DIR=benchmark/target \
     cargo build --release --offline --manifest-path benchmark/Cargo.toml

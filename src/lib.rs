@@ -16,24 +16,29 @@
 //! * [`coherence`] — the MESI directory protocol of the paper's Table 2,
 //! * [`cmp`] — the CMP system simulator, workloads, and energy model.
 //!
+//! Every network — FSOI, mesh, L0/Lr1/Lr2, ring, crossbar — implements the
+//! one [`Interconnect`](sim::packet::Interconnect) trait: a
+//! [`NetPacket`](sim::packet::NetPacket) in, a
+//! [`NetDelivery`](sim::packet::NetDelivery) out.
+//!
 //! # Quickstart
 //!
 //! ```
 //! use fsoi::net::config::FsoiConfig;
 //! use fsoi::net::network::FsoiNetwork;
-//! use fsoi::net::packet::{Packet, PacketClass};
-//! use fsoi::net::topology::NodeId;
+//! use fsoi::net::packet::PacketClass;
+//! use fsoi::sim::packet::{Interconnect, NetPacket};
 //!
 //! // A 16-node FSOI network with the paper's default configuration.
 //! let mut net = FsoiNetwork::new(FsoiConfig::nodes(16), 42);
 //!
 //! // Beam a data packet from node 0 to node 5 and run until delivery.
-//! net.inject(Packet::new(NodeId(0), NodeId(5), PacketClass::Data, 0)).unwrap();
+//! net.inject(NetPacket::new(0, 5, PacketClass::Data, 0)).unwrap();
 //! while net.delivered_count() == 0 {
 //!     net.tick();
 //! }
-//! let out = net.drain_delivered();
-//! assert_eq!(out[0].packet.dst, NodeId(5));
+//! let out = net.drain();
+//! assert_eq!(out[0].packet.dst, 5);
 //! ```
 //!
 //! To reproduce a paper experiment end to end, run the harness in
@@ -51,3 +56,8 @@ pub use fsoi_net as net;
 pub use fsoi_optics as optics;
 pub use fsoi_ring as ring;
 pub use fsoi_sim as sim;
+
+/// Compiles and runs the README's library snippet as a doctest.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

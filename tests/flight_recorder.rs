@@ -3,9 +3,9 @@
 //! dump replays into per-packet timelines — the same parsing path the
 //! `trace_replay` example uses.
 
-use fsoi::net::packet::{Packet, PacketClass};
-use fsoi::net::topology::NodeId;
+use fsoi::net::packet::PacketClass;
 use fsoi::net::{FsoiConfig, FsoiNetwork};
+use fsoi::sim::packet::{Interconnect, NetPacket};
 use fsoi::sim::trace::{self, timelines, TraceRecord};
 
 #[test]
@@ -20,13 +20,8 @@ fn failing_assertion_dumps_a_replayable_flight_record() {
     // when the failure fires.
     let mut net = FsoiNetwork::new(FsoiConfig::nodes(8), 7);
     for i in 0..6usize {
-        net.inject(Packet::new(
-            NodeId(i),
-            NodeId((i + 1) % 8),
-            PacketClass::Meta,
-            i as u64,
-        ))
-        .expect("queues start empty");
+        net.inject(NetPacket::new(i, (i + 1) % 8, PacketClass::Meta, i as u64))
+            .expect("queues start empty");
     }
     net.run(2_000);
     assert!(
@@ -40,7 +35,7 @@ fn failing_assertion_dumps_a_replayable_flight_record() {
     // Self-injection trips the fabric's always-on assertion; the panic
     // hook installed by `FsoiNetwork::new` dumps this thread's recorder.
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = net.inject(Packet::new(NodeId(3), NodeId(3), PacketClass::Meta, 99));
+        let _ = net.inject(NetPacket::new(3, 3, PacketClass::Meta, 99));
     }))
     .expect_err("self-injection must panic");
 

@@ -7,9 +7,8 @@ use fsoi::mesh::config::MeshConfig;
 use fsoi::mesh::network::MeshNetwork;
 use fsoi::net::config::FsoiConfig;
 use fsoi::net::network::FsoiNetwork;
-use fsoi::net::packet::{Packet, PacketClass};
-use fsoi::net::topology::NodeId;
-use fsoi::sim::packet::NetPacket;
+use fsoi::net::packet::PacketClass;
+use fsoi::sim::packet::{Interconnect, NetPacket};
 use fsoi_check::{any_bool, checker, vec_of, Gen};
 use std::collections::BTreeMap;
 
@@ -19,10 +18,15 @@ fn traffic_gen(max_events: usize) -> impl Gen<Value = Vec<(u8, u8, u8, bool)>> {
     vec_of((0u8..6, 0u8..16, 1u8..16, any_bool()), 1..max_events)
 }
 
+/// Drives the script cycle by cycle and returns `(src, dst, tag, delivery
+/// cycle)` per delivery. A packet's tag is its place in the accepted
+/// order; its delivery cycle is its injection cycle plus its latency,
+/// which must be the cycle the tick that delivered it processed. Per
+/// lane, the latency summary must be the sum of its component summaries.
 fn drive_fsoi(script: &[(u8, u8, u8, bool)], seed: u64) -> Vec<(usize, usize, u64, u64)> {
     let mut net = FsoiNetwork::new(FsoiConfig::nodes(16), seed);
     let mut out = Vec::new();
-    let mut injected = 0u64;
+    let mut injected_at = Vec::new();
     let mut it = script.iter();
     let mut next = it.next();
     let mut wait = 0u64;
@@ -39,33 +43,38 @@ fn drive_fsoi(script: &[(u8, u8, u8, bool)], seed: u64) -> Vec<(usize, usize, u6
             } else {
                 PacketClass::Meta
             };
+            let tag = injected_at.len() as u64;
             if net
-                .inject(Packet::new(
-                    NodeId(src as usize),
-                    NodeId(dst),
-                    class,
-                    injected,
-                ))
+                .inject(NetPacket::new(src as usize, dst, class, tag))
                 .is_ok()
             {
-                injected += 1;
+                injected_at.push(net.now().as_u64());
             }
             next = it.next();
         }
         net.tick();
-        for d in net.drain_delivered() {
-            out.push((
-                d.packet.src.0,
-                d.packet.dst.0,
-                d.packet.tag,
-                d.delivered_at.as_u64(),
-            ));
+        for d in net.drain() {
+            let at = injected_at[d.packet.tag as usize] + d.latency;
+            assert_eq!(at + 1, net.now().as_u64(), "tag {}", d.packet.tag);
+            out.push((d.packet.src, d.packet.dst, d.packet.tag, at));
         }
         if next.is_none() && net.is_idle() {
             break;
         }
     }
     assert!(net.is_idle(), "network must drain");
+    let s = net.stats();
+    for lane in 0..2 {
+        let parts: f64 = [&s.queuing, &s.scheduling, &s.network, &s.resolution]
+            .iter()
+            .map(|component| component[lane].sum())
+            .sum();
+        let total = s.latency[lane].sum();
+        assert!(
+            (total - parts).abs() <= 1e-9 * total.max(1.0),
+            "lane {lane}: latency {total} vs components {parts}"
+        );
+    }
     out
 }
 
@@ -129,10 +138,10 @@ fn mesh_conserves_packets() {
                 }
                 net.tick();
             }
-            let mut delivered = net.drain_delivered();
+            let mut delivered = net.drain();
             for _ in 0..100_000 {
                 net.tick();
-                delivered.extend(net.drain_delivered());
+                delivered.extend(net.drain());
                 if net.is_idle() {
                     break;
                 }
@@ -160,7 +169,7 @@ fn partitioned_traffic_is_collision_free() {
                 PacketClass::Meta
             };
             for src in 0..8usize {
-                net.inject(Packet::new(NodeId(src), NodeId(src + 8), class, src as u64))
+                net.inject(NetPacket::new(src, src + 8, class, src as u64))
                     .unwrap();
             }
             for _ in 0..100 {
@@ -187,9 +196,9 @@ fn fsoi_survives_burst_storms() {
                     continue;
                 }
                 if net
-                    .inject(Packet::new(
-                        NodeId(src),
-                        NodeId(target),
+                    .inject(NetPacket::new(
+                        src,
+                        target,
                         PacketClass::Meta,
                         (wave * 100 + src) as u64,
                     ))
@@ -202,10 +211,10 @@ fn fsoi_survives_burst_storms() {
                 net.tick();
             }
         }
-        let mut delivered = net.drain_delivered().len() as u64;
+        let mut delivered = net.drain().len() as u64;
         for _ in 0..30_000 {
             net.tick();
-            delivered += net.drain_delivered().len() as u64;
+            delivered += net.drain().len() as u64;
             if net.is_idle() {
                 break;
             }
