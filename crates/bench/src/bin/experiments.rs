@@ -50,7 +50,7 @@ use fsoi_net::backoff::BackoffPolicy;
 use fsoi_net::config::FsoiConfig;
 use fsoi_net::lane::Lanes;
 use fsoi_optics::link::OpticalLink;
-use fsoi_sim::stats::geometric_mean;
+use fsoi_sim::stats::{geometric_mean, Histogram};
 
 /// How a subcommand takes the command line.
 #[derive(Clone, Copy)]
@@ -324,36 +324,27 @@ fn fig5_at(nodes: usize, scale: u64) {
     ));
     let fsoi = SystemConfig::paper_n(nodes, NetworkKind::fsoi(nodes));
     let s = sweep(&[fsoi], &AppProfile::suite(), quick_ops(nodes) * scale);
-    let geometry = {
-        let h = &s.at(0, 0).reply_latency;
-        (h.num_bins(), h.bin_width())
-    };
-    let (num_bins, bin_width) = geometry;
-    // Merge by re-binning each app's histogram.
-    let mut total = 0u64;
-    let mut bins = vec![0u64; num_bins];
-    let mut overflow = 0u64;
+    let first = &s.at(0, 0).reply_latency;
+    let (num_bins, bin_width) = (first.num_bins(), first.bin_width());
+    let mut all = Histogram::new(bin_width, num_bins);
     for r in s.variant(0) {
         let h = &r.reply_latency;
         assert_eq!(
             (h.num_bins(), h.bin_width()),
-            geometry,
+            (num_bins, bin_width),
             "every app's histogram shares one bin geometry"
         );
-        for (i, bin) in bins.iter_mut().enumerate() {
-            *bin += h.bin(i);
-        }
-        overflow += h.overflow();
-        total += h.count();
+        all.merge(h);
     }
+    let total = all.count().max(1) as f64;
     println!("  latency bin     fraction of requests");
-    for (i, &c) in bins.iter().enumerate() {
-        let frac = 100.0 * c as f64 / total.max(1) as f64;
+    for (start, c) in all.iter() {
+        let frac = 100.0 * c as f64 / total;
         if frac >= 0.05 {
             println!(
                 "  {:>4}-{:<4}      {:>5.1}%  {}",
-                i as u64 * bin_width,
-                (i as u64 + 1) * bin_width - 1,
+                start,
+                start + bin_width - 1,
                 frac,
                 "#".repeat((frac * 1.2) as usize)
             );
@@ -362,7 +353,7 @@ fn fig5_at(nodes: usize, scale: u64) {
     println!(
         "  >{:<4}          {:>5.1}%",
         num_bins as u64 * bin_width,
-        100.0 * overflow as f64 / total.max(1) as f64
+        100.0 * all.overflow() as f64 / total
     );
     if nodes == 16 {
         println!("  (paper: heavily concentrated in a few slots; peak bucket ≈ 41 %)");

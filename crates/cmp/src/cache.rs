@@ -39,8 +39,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// text. v5: the wire text is two `Registry::to_wire` blocks under an
 /// `app`/`network` header. v6: the `cmp.latency.*` and
 /// `cmp.data_resolution_delay` gauges are exact sums over the deliveries,
-/// divided once, where a v5 entry holds running (Welford) means.
-const FORMAT: &str = "fsoi-cell/v6";
+/// divided once, where a v5 entry holds running (Welford) means. v7: a
+/// histogram line carries the integer sum of its observations, where a v6
+/// line carries a Welford state.
+const FORMAT: &str = "fsoi-cell/v7";
 
 /// Distinguishes concurrent writers' temp files within one process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);

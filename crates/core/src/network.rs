@@ -50,15 +50,11 @@ use crate::spacing::ReplySlotReservations;
 use crate::topology::{receiver_index, NodeId};
 use fsoi_sim::det::NodeMask;
 use fsoi_sim::event::{EventQueue, MonotoneQueue};
-use fsoi_sim::metrics::Registry;
 use fsoi_sim::packet::{Interconnect, NetDelivery, NetPacket, NetReport};
 use fsoi_sim::queue::BoundedQueue;
 use fsoi_sim::rng::Xoshiro256StarStar;
 use fsoi_sim::trace::{self, TraceEvent};
 use fsoi_sim::Cycle;
-
-/// Label values for the two lanes, indexed like every `[meta, data]` pair.
-const LANE_NAMES: [&str; 2] = ["meta", "data"];
 
 /// A packet inside the engine: the client's [`NetPacket`] plus what the
 /// engine tracks about its trip. Every outgoing queue, retry queue and
@@ -91,7 +87,7 @@ impl InFlight {
 
 /// Aggregate network counters, indexed `[meta, data]` where per-class.
 /// Per-packet latency is on each [`NetDelivery`], not here.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Packets accepted for injection.
     pub injected: [u64; 2],
@@ -141,30 +137,6 @@ impl NetStats {
         } else {
             self.collided_packets[lane] as f64 / self.transmissions[lane] as f64
         }
-    }
-
-    /// Exports every counter into `reg` under `net.*` names,
-    /// labelled by lane — the single code path report tables build on.
-    pub fn export(&self, reg: &mut Registry) {
-        #[expect(
-            clippy::needless_range_loop,
-            reason = "`lane` indexes a dozen parallel counter arrays, not just LANE_NAMES"
-        )]
-        for lane in 0..2 {
-            let labels: [(&str, &str); 1] = [("lane", LANE_NAMES[lane])];
-            reg.inc("net.injected", &labels, self.injected[lane]);
-            reg.inc("net.rejected", &labels, self.rejected[lane]);
-            reg.inc("net.delivered", &labels, self.delivered[lane]);
-            reg.inc("net.transmissions", &labels, self.transmissions[lane]);
-            reg.inc("net.collision_events", &labels, self.collision_events[lane]);
-            reg.inc("net.collided_packets", &labels, self.collided_packets[lane]);
-            reg.inc("net.retransmissions", &labels, self.retransmissions[lane]);
-            reg.inc("net.bit_error_drops", &labels, self.bit_error_drops[lane]);
-            reg.gauge("net.collision_rate", &labels, self.collision_rate(lane));
-        }
-        reg.inc("net.hints_issued", &[], self.hints_issued);
-        reg.inc("net.hints_correct", &[], self.hints_correct);
-        reg.inc("net.hints_wrong", &[], self.hints_wrong);
     }
 }
 
@@ -1279,33 +1251,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_export_matches_fields() {
-        let mut net = net16(32);
-        for src in 1..8 {
-            net.inject(NetPacket::new(src, 0, PacketClass::Meta, 0))
-                .unwrap();
-        }
-        run_until_idle(&mut net, 20_000);
-        let mut reg = Registry::new();
-        net.stats().export(&mut reg);
-        let meta: [(&str, &str); 1] = [("lane", "meta")];
-        assert_eq!(reg.counter("net.injected", &meta), net.stats().injected[0]);
-        assert_eq!(reg.counter("net.delivered", &meta), 7);
-        assert_eq!(
-            reg.counter("net.collided_packets", &meta),
-            net.stats().collided_packets[0]
-        );
-        assert_eq!(
-            reg.gauge_value("net.collision_rate", &meta),
-            Some(net.stats().collision_rate(0))
-        );
-        // Deterministic export: same stats, same bytes.
-        let mut again = Registry::new();
-        net.stats().export(&mut again);
-        assert_eq!(reg.to_jsonl(), again.to_jsonl());
-    }
-
-    #[test]
     #[should_panic(expected = "no self-injection")]
     fn self_injection_panics() {
         let mut net = net16(19);
@@ -1516,7 +1461,7 @@ mod tests {
     #[test]
     fn fast_forward_matches_cycle_by_cycle() {
         // The same contended workload driven by tick() and by run() must
-        // land on identical deliveries, stats exports, and clock.
+        // land on identical deliveries, statistics, and clock.
         let drive = |fast: bool| {
             let mut net = net16(43);
             for src in 1..16 {
@@ -1532,9 +1477,7 @@ mod tests {
                 }
             }
             let delivered: Vec<NetDelivery> = net.drain();
-            let mut reg = Registry::new();
-            net.stats().export(&mut reg);
-            (delivered, reg.to_jsonl(), net.now())
+            (delivered, net.stats().clone(), net.now())
         };
         assert_eq!(drive(true), drive(false));
     }

@@ -13,7 +13,6 @@ use fsoi_net::spacing::ReplySlotReservations;
 use fsoi_net::topology::{receiver_index, senders_for_receiver, NodeId};
 use fsoi_net::{FsoiConfig, FsoiNetwork};
 use fsoi_sim::event::EventQueue;
-use fsoi_sim::metrics::Registry;
 use fsoi_sim::packet::{Interconnect, NetDelivery, NetPacket, NetReport};
 use fsoi_sim::rng::Xoshiro256StarStar;
 use fsoi_sim::Cycle;
@@ -594,7 +593,7 @@ impl Interconnect for ScanFsoi {
     }
 
     fn report(&self, _cycles: u64) -> NetReport {
-        unimplemented!("the properties compare statistics exports, not reports")
+        unimplemented!("the properties compare statistics, not reports")
     }
 }
 
@@ -714,17 +713,15 @@ fn inject_op(net: &mut impl Fsoi, nodes: usize, &(_, s, d, kind): &Op) -> usize 
 }
 
 /// Everything observable about a finished run: the delivery stream, the
-/// statistics export, confirmation traffic, the final clock.
-type Outcome = (Vec<NetDelivery>, String, u64, Cycle);
+/// statistics, confirmation traffic, the final clock.
+type Outcome = (Vec<NetDelivery>, NetStats, u64, Cycle);
 
 fn outcome(net: &mut impl Fsoi, delivered: Vec<NetDelivery>, accepted: usize) -> Outcome {
     assert!(net.is_idle(), "the script must drain");
     assert_eq!(delivered.len(), accepted, "every accepted packet arrives");
-    let mut reg = Registry::new();
-    net.stats().export(&mut reg);
     (
         delivered,
-        reg.to_jsonl(),
+        net.stats().clone(),
         net.confirmations_sent(),
         net.now(),
     )
@@ -756,7 +753,7 @@ fn play<N: Fsoi>(mut net: N, nodes: usize, script: &[Op]) -> (Outcome, Vec<Optio
 
 /// The event-driven step is the full scan: same deliveries (packet,
 /// latency, retries and every latency component) in the same order,
-/// byte-identical statistics export, same confirmation traffic,
+/// equal statistics, same confirmation traffic,
 /// same drain time, and the same next-event bound before every cycle — for
 /// any network shape and any timed traffic.
 #[test]
@@ -769,7 +766,7 @@ fn event_driven_equals_full_scan() {
             let (fast, fast_bounds) = play(FsoiNetwork::new(cfg.clone(), seed), nodes, script);
             let (scan, scan_bounds) = play(ScanFsoi::new(cfg, seed), nodes, script);
             assert_eq!(fast.0, scan.0, "delivery stream");
-            assert_eq!(fast.1, scan.1, "statistics export");
+            assert_eq!(fast.1, scan.1, "statistics");
             assert_eq!(fast.2, scan.2, "confirmations sent");
             assert_eq!(fast.3, scan.3, "drain time");
             assert_eq!(fast_bounds, scan_bounds, "next_event_at before every tick");
@@ -781,7 +778,7 @@ fn event_driven_equals_full_scan() {
 /// event) is indistinguishable from ticking every cycle — at 2–16 nodes
 /// and at the phase-array sizes, with injections spread over time between
 /// the jumps: same delivered packets in the same order with the same retry
-/// counts and latencies, byte-identical stats export, same final clock.
+/// counts and latencies, equal statistics, same final clock.
 #[test]
 fn fast_forward_equals_cycle_by_cycle() {
     let nodes = (0usize..17).gen_map(|&n| match n {

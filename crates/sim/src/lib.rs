@@ -14,11 +14,11 @@
 //! * [`det::DetMap`] / [`det::DetSet`] — order-deterministic associative
 //!   containers (the names simulation code uses for `BTreeMap`/`BTreeSet`
 //!   in place of `HashMap`/`HashSet`, enforced by lint rule D1),
-//! * [`stats`] — streaming summaries and histograms, the value types
-//!   behind all measurement code,
+//! * [`stats`] — the exact reply-latency histogram (integer bin counts and
+//!   sum) and the geometric mean,
 //! * [`metrics::Registry`] — the deterministic observability plane's one
-//!   store and one codec: named, labelled counters, gauges, summaries and
-//!   histograms (report metrics and harness spans alike) with JSONL, table
+//!   store and one codec: named, labelled counters, gauges and histograms
+//!   (report metrics and harness spans alike) with JSONL, table
 //!   and bit-exact wire renderings, byte-identical across thread counts,
 //! * [`par`] — the lock-free sweep executor (one atomic cell cursor): the
 //!   only sanctioned home for threads in simulation code (lint

@@ -3,7 +3,8 @@
 //!
 //! Everything the simulation counts — a report's figure inputs
 //! (`cmp.cycles{app=…,network=…}`), a cell's harness spans (`sim/ticks`,
-//! `coh/dir/evictions`) — lives in a [`Registry`] under a `name{label=value}` key, is folded with
+//! `coh/dir/evictions`) — lives in a [`Registry`] under a `name{label=value}`
+//! key as a counter, a gauge or a histogram, is folded with
 //! [`Registry::merge`], and leaves through one of three deterministic
 //! renderings: JSONL ([`Registry::to_jsonl`]), an aligned table
 //! ([`Registry::to_table`]) and the bit-exact line codec the cell cache
@@ -20,11 +21,14 @@
 //!
 //! ```
 //! use fsoi_sim::metrics::Registry;
+//! use fsoi_sim::stats::Histogram;
 //! let mut reg = Registry::new();
-//! reg.inc("net.delivered", &[("lane", "meta")], 3);
-//! reg.observe("net.latency", &[("lane", "meta")], 17.0);
-//! assert_eq!(reg.counter("net.delivered", &[("lane", "meta")]), 3);
-//! assert_eq!(reg.get("net.delivered{lane=meta}"), 3);
+//! reg.inc("cmp.ops", &[("app", "tsp")], 3);
+//! let mut latency = Histogram::new(10, 20);
+//! latency.record(17);
+//! reg.histogram("cmp.reply_latency", &[("app", "tsp")], latency);
+//! assert_eq!(reg.counter("cmp.ops", &[("app", "tsp")]), 3);
+//! assert_eq!(reg.get("cmp.ops{app=tsp}"), 3);
 //! assert!(reg.to_jsonl().lines().count() == 2);
 //! let back = Registry::from_wire(&reg.to_wire()).unwrap();
 //! assert_eq!(back.to_jsonl(), reg.to_jsonl());
@@ -33,7 +37,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::stats::{Histogram, Summary};
+use crate::stats::Histogram;
 
 /// One metric value.
 #[derive(Debug, Clone)]
@@ -42,8 +46,6 @@ pub enum Metric {
     Counter(u64),
     /// A point-in-time scalar.
     Gauge(f64),
-    /// Streaming mean/min/max/σ over observations.
-    Summary(Summary),
     /// A fixed-width-bin histogram.
     Histogram(Histogram),
 }
@@ -54,7 +56,6 @@ impl Metric {
         match self {
             Metric::Counter(_) => "counter",
             Metric::Gauge(_) => "gauge",
-            Metric::Summary(_) => "summary",
             Metric::Histogram(_) => "histogram",
         }
     }
@@ -172,22 +173,6 @@ impl Registry {
             .insert(Self::checked_key(name, labels), Metric::Gauge(value));
     }
 
-    /// Records one observation into the summary, creating it when absent.
-    pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], x: f64) {
-        match self.entry(name, labels, Metric::Summary(Summary::new())) {
-            Metric::Summary(s) => s.record(x),
-            other => debug_assert!(false, "{name} is a {}, not a summary", other.type_name()),
-        }
-    }
-
-    /// Merges a pre-built summary into the entry (parallel Welford).
-    pub fn merge_summary(&mut self, name: &str, labels: &[(&str, &str)], other: &Summary) {
-        match self.entry(name, labels, Metric::Summary(Summary::new())) {
-            Metric::Summary(s) => s.merge(other),
-            wrong => debug_assert!(false, "{name} is a {}, not a summary", wrong.type_name()),
-        }
-    }
-
     /// Stores a histogram snapshot under the key (overwriting).
     pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)], h: Histogram) {
         self.entries
@@ -222,15 +207,14 @@ impl Registry {
     }
 
     /// Folds every entry of `other` into `self` through the mutators:
-    /// counters add (saturating), summaries merge, gauges and histograms
-    /// overwrite.
+    /// counters add (saturating); gauges and histograms overwrite (nothing
+    /// holds two histograms under one key to combine).
     pub fn merge(&mut self, other: &Registry) {
         for (key, metric) in &other.entries {
             let (name, labels) = Self::split_key(key);
             match metric {
                 Metric::Counter(c) => self.inc(name, &labels, *c),
                 Metric::Gauge(v) => self.gauge(name, &labels, *v),
-                Metric::Summary(s) => self.merge_summary(name, &labels, s),
                 Metric::Histogram(h) => self.histogram(name, &labels, h.clone()),
             }
         }
@@ -274,17 +258,6 @@ impl Registry {
                 Metric::Gauge(v) => {
                     let _ = write!(out, ",\"value\":{}", fmt_f64(*v));
                 }
-                Metric::Summary(s) => {
-                    let _ = write!(
-                        out,
-                        ",\"count\":{},\"mean\":{},\"min\":{},\"max\":{},\"std_dev\":{}",
-                        s.count(),
-                        fmt_f64(s.mean()),
-                        fmt_f64(s.min().unwrap_or(0.0)),
-                        fmt_f64(s.max().unwrap_or(0.0)),
-                        fmt_f64(s.std_dev()),
-                    );
-                }
                 Metric::Histogram(h) => {
                     let _ = write!(
                         out,
@@ -318,22 +291,21 @@ impl Registry {
                 let value = match metric {
                     Metric::Counter(c) => c.to_string(),
                     Metric::Gauge(v) => fmt_f64(*v),
-                    Metric::Summary(s) => format!(
-                        "n={} mean={} min={} max={} sd={}",
-                        s.count(),
-                        fmt_f64(s.mean()),
-                        fmt_f64(s.min().unwrap_or(0.0)),
-                        fmt_f64(s.max().unwrap_or(0.0)),
-                        fmt_f64(s.std_dev()),
-                    ),
-                    Metric::Histogram(h) => format!(
-                        "n={} mean={} p50={} p99={} overflow={}",
-                        h.count(),
-                        fmt_f64(h.mean()),
-                        h.percentile(0.50),
-                        h.percentile(0.99),
-                        h.overflow(),
-                    ),
+                    Metric::Histogram(h) => {
+                        // A quantile in the overflow bin is only bounded.
+                        let pct = |q| match h.percentile(q) {
+                            Some(v) => v.to_string(),
+                            None => format!(">={}", h.num_bins() as u64 * h.bin_width()),
+                        };
+                        format!(
+                            "n={} mean={} p50={} p99={} overflow={}",
+                            h.count(),
+                            fmt_f64(h.mean()),
+                            pct(0.50),
+                            pct(0.99),
+                            h.overflow(),
+                        )
+                    }
                 };
                 (key.clone(), metric.type_name(), value)
             })
@@ -362,11 +334,9 @@ impl Registry {
 
     /// Encodes every entry as one `kind key value…` line, sorted by key:
     /// the bit-exact codec of the deterministic plane (the cell cache's
-    /// payload). Integers are decimal, every `f64` is its 16-hex-digit bit
-    /// pattern, a summary is `count mean m2 min max` (the empty state's ±∞
-    /// sentinels included) and a histogram is `bin_width overflow`, its
-    /// summary, then its bins. [`Registry::from_wire`] reproduces the
-    /// registry bit for bit.
+    /// payload). Integers are decimal, a gauge is its `f64`'s 16-hex-digit
+    /// bit pattern, and a histogram is `bin_width overflow sum` then its
+    /// bins. [`Registry::from_wire`] reproduces the registry bit for bit.
     pub fn to_wire(&self) -> String {
         let mut out = String::with_capacity(self.entries.len() * 64);
         for (key, metric) in &self.entries {
@@ -376,10 +346,8 @@ impl Registry {
                     let _ = write!(out, " {c}");
                 }
                 Metric::Gauge(v) => push_f64_bits(&mut out, *v),
-                Metric::Summary(s) => push_summary(&mut out, s),
                 Metric::Histogram(h) => {
-                    let _ = write!(out, " {} {}", h.bin_width(), h.overflow());
-                    push_summary(&mut out, &h.summary());
+                    let _ = write!(out, " {} {} {}", h.bin_width(), h.overflow(), h.sum());
                     for (_, c) in h.iter() {
                         let _ = write!(out, " {c}");
                     }
@@ -393,7 +361,7 @@ impl Registry {
     /// Decodes [`Registry::to_wire`] text. `None` on anything else — an
     /// unknown kind, a key that is not in canonical form or holds a
     /// reserved character, a malformed number, a short or long token list,
-    /// a histogram with no bins or a zero bin width, a key seen twice — so
+    /// a histogram [`Histogram::from_raw`] rejects, a key seen twice — so
     /// a reader of stored text fails closed instead of trusting damage.
     pub fn from_wire(text: &str) -> Option<Registry> {
         let mut reg = Registry::new();
@@ -407,19 +375,14 @@ impl Registry {
             let metric = match kind {
                 "counter" => Metric::Counter(tokens.next()?.parse().ok()?),
                 "gauge" => Metric::Gauge(f64_from_bits(tokens.next()?)?),
-                "summary" => Metric::Summary(read_summary(&mut tokens)?),
                 "histogram" => {
-                    let bin_width: u64 = tokens.next()?.parse().ok()?;
-                    let overflow: u64 = tokens.next()?.parse().ok()?;
-                    let summary = read_summary(&mut tokens)?;
-                    let bins: Vec<u64> = tokens
+                    let mut int = || tokens.next()?.parse::<u64>().ok();
+                    let (bin_width, overflow, sum) = (int()?, int()?, int()?);
+                    let bins = tokens
                         .by_ref()
                         .map(|t| t.parse().ok())
                         .collect::<Option<_>>()?;
-                    if bin_width == 0 || bins.is_empty() {
-                        return None;
-                    }
-                    Metric::Histogram(Histogram::from_raw(bin_width, bins, overflow, summary))
+                    Metric::Histogram(Histogram::from_raw(bin_width, bins, overflow, sum)?)
                 }
                 _ => return None,
             };
@@ -442,22 +405,6 @@ fn f64_from_bits(s: &str) -> Option<f64> {
         return None;
     }
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
-
-/// Appends a summary's exact state, ` count mean m2 min max`.
-fn push_summary(out: &mut String, s: &Summary) {
-    let (count, mean, m2, min, max) = s.raw();
-    let _ = write!(out, " {count}");
-    for x in [mean, m2, min, max] {
-        push_f64_bits(out, x);
-    }
-}
-
-/// Inverse of [`push_summary`] over the next five tokens.
-fn read_summary<'a>(tokens: &mut impl Iterator<Item = &'a str>) -> Option<Summary> {
-    let count = tokens.next()?.parse().ok()?;
-    let mut f = || f64_from_bits(tokens.next()?);
-    Some(Summary::from_raw(count, f()?, f()?, f()?, f()?))
 }
 
 #[cfg(test)]
@@ -496,34 +443,16 @@ mod tests {
     }
 
     #[test]
-    fn summaries_observe_and_merge() {
-        let mut r = Registry::new();
-        r.observe("s", &[], 1.0);
-        r.observe("s", &[], 3.0);
-        let mut pre = Summary::new();
-        pre.record(5.0);
-        r.merge_summary("s", &[], &pre);
-        match r.metric("s", &[]).unwrap() {
-            Metric::Summary(s) => {
-                assert_eq!(s.count(), 3);
-                assert!((s.mean() - 3.0).abs() < 1e-12);
-            }
-            other => panic!("expected summary, got {}", other.type_name()),
-        }
-    }
-
-    #[test]
     fn merge_replays_every_kind() {
         let mut a = Registry::new();
         a.inc("x", &[], 1);
         a.inc("y/z", &[("k", "v")], 2);
         a.gauge("g", &[], 1.0);
-        a.observe("s", &[], 1.0);
+        a.histogram("h", &[], Histogram::new(10, 3));
         let mut b = Registry::new();
         b.inc("y/z", &[("k", "v")], 3);
         b.inc("w", &[], 4);
         b.gauge("g", &[], 2.0);
-        b.observe("s", &[], 3.0);
         b.histogram("h", &[], Histogram::new(10, 2));
         a.merge(&b);
         assert_eq!(a.get("x"), 1);
@@ -531,8 +460,10 @@ mod tests {
         assert_eq!(a.get("w"), 4);
         assert_eq!(a.get("g"), 0, "get reads counters only");
         assert_eq!(a.gauge_value("g", &[]), Some(2.0), "gauges overwrite");
-        assert!(matches!(a.metric("s", &[]), Some(Metric::Summary(s)) if s.count() == 2));
-        assert!(matches!(a.metric("h", &[]), Some(Metric::Histogram(_))));
+        assert!(
+            matches!(a.metric("h", &[]), Some(Metric::Histogram(h)) if h.num_bins() == 2),
+            "histograms overwrite"
+        );
     }
 
     /// One entry of every kind, including the values a decimal rendering
@@ -543,8 +474,7 @@ mod tests {
         r.gauge("g", &[("app", "tsp"), ("lane", "meta")], 0.1 + 0.2);
         r.gauge("g.nan", &[], f64::NAN);
         r.gauge("g.negzero", &[], -0.0);
-        r.merge_summary("s.empty", &[], &Summary::new());
-        r.observe("s", &[], 1.5);
+        r.histogram("h.empty", &[], Histogram::new(1, 1));
         let mut h = Histogram::new(10, 3);
         for v in [3, 17, 1_000] {
             h.record(v);
@@ -559,9 +489,10 @@ mod tests {
         let wire = r.to_wire();
         assert!(wire.contains("counter sim/ticks 18446744073709551615\n"));
         assert!(wire.contains("gauge g{app=tsp,lane=meta} 3fd3333333333334\n"));
+        assert!(wire.contains("histogram h.empty 1 0 0 0\n"), "{wire}");
         assert!(
-            wire.contains("summary s.empty 0 0000000000000000 0000000000000000 7ff0000000000000 fff0000000000000\n"),
-            "the empty summary keeps its sentinels: {wire}"
+            wire.contains("histogram h{k=v} 10 1 1020 1 1 0\n"),
+            "{wire}"
         );
         let back = Registry::from_wire(&wire).expect("round trip parses");
         assert_eq!(back.to_wire(), wire);
@@ -572,7 +503,7 @@ mod tests {
 
     #[test]
     fn malformed_wire_is_rejected() {
-        let s5 = "0 0000000000000000 0000000000000000 7ff0000000000000 fff0000000000000";
+        let max = u64::MAX;
         for bad in [
             "garbage",
             "counter",
@@ -591,10 +522,17 @@ mod tests {
             "gauge a 3fd333333333333",
             "gauge a 3fd3333333333334 0",
             "summary a 0 0000000000000000",
-            &format!("summary a {s5} 0"),
-            &format!("histogram a 0 0 {s5} 1"),
-            &format!("histogram a 10 0 {s5}"),
-            &format!("histogram a 10 0 {s5} 1 x"),
+            "histogram a 0 0 0 1",
+            "histogram a 10 0 0",
+            "histogram a 10 0 0 1 x",
+            "histogram a 10 0",
+            "histogram a 10 0 -1 1",
+            &format!("histogram a 10 1 0 {max}"),
+            &format!("histogram a 10 0 0 {max} 1"),
+            "histogram a 10 0 5 0 0",
+            // A line of the previous format: a five-token running-mean state
+            // (one observation of 15) between the overflow count and the bins.
+            "histogram a 10 0 1 402e000000000000 0000000000000000 402e000000000000 402e000000000000 0 1",
             "counter a 1\ncounter a 2",
         ] {
             assert!(Registry::from_wire(bad).is_none(), "accepted {bad:?}");
@@ -614,7 +552,7 @@ mod tests {
         let mut r = Registry::new();
         r.inc("z.last", &[], 1);
         r.gauge("a.first", &[("k", "v")], 1.5);
-        r.observe("m.mid", &[], 2.0);
+        r.gauge("m.mid", &[], 2.0);
         let mut h = Histogram::new(10, 3);
         h.record(15);
         r.histogram("h.hist", &[], h);
@@ -645,12 +583,14 @@ mod tests {
     fn table_lists_every_entry() {
         let mut r = Registry::new();
         assert!(r.is_empty());
-        r.inc("net.delivered", &[("lane", "meta")], 7);
-        r.observe("net.latency", &[("lane", "meta")], 20.0);
+        r.inc("cmp.packets_sent", &[("lane", "meta")], 7);
+        let mut h = Histogram::new(10, 20);
+        h.record(20);
+        r.histogram("cmp.reply_latency", &[], h);
         let t = r.to_table();
-        assert!(t.contains("net.delivered{lane=meta}"));
+        assert!(t.contains("cmp.packets_sent{lane=meta}"));
         assert!(t.contains("counter"));
-        assert!(t.contains("n=1 mean=20.0"));
+        assert!(t.contains("n=1 mean=20.0 p50=29 p99=29 overflow=0"));
         assert_eq!(t.lines().count(), 4, "header + rule + two rows");
     }
 }

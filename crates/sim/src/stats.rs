@@ -1,150 +1,34 @@
-//! Measurement primitives: streaming summaries and histograms.
+//! Measurement primitives: the reply-latency histogram and the geometric
+//! mean.
 //!
-//! These are the building blocks behind reply-latency distributions
-//! (Fig 5) and the labelled metrics of the deterministic plane. (The
-//! Fig 6/7 latency breakdown is not among them: it is exact integer sums
-//! over the deliveries, folded by the CMP report.) For *labelled* metrics with a deterministic JSONL /
-//! table export, wrap these primitives in [`crate::metrics::Registry`] —
-//! report-building code should migrate there rather than accrete more
-//! bespoke counter fields.
-
-/// Streaming mean/variance/min/max over `f64` observations (Welford).
-///
-/// ```
-/// use fsoi_sim::stats::Summary;
-/// let mut s = Summary::new();
-/// for x in [1.0, 2.0, 3.0] { s.record(x); }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.count(), 3);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0.0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Sum of all observations, as the running (Welford) mean times the
-    /// count: not an exact sum, even of integer observations.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.count as f64
-    }
-
-    /// Rebuilds a summary from its exact internal state, as captured by
-    /// [`Summary::raw`] — the round-trip primitive behind byte-exact
-    /// report (de)serialization in the cell cache.
-    pub fn from_raw(count: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
-        Summary {
-            count,
-            mean,
-            m2,
-            min,
-            max,
-        }
-    }
-
-    /// The exact internal state `(count, mean, m2, min, max)`;
-    /// [`Summary::from_raw`] of this tuple reproduces the summary
-    /// bit-for-bit (including the empty-state sentinels ±∞).
-    pub fn raw(&self) -> (u64, f64, f64, f64, f64) {
-        (self.count, self.mean, self.m2, self.min, self.max)
-    }
-
-    /// Merges another summary into this one (parallel Welford combine).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+//! [`Histogram`] carries the reply-latency distribution (Fig 5) as exact
+//! integer counts and an integer sum; labelled metrics with a deterministic
+//! export live in [`crate::metrics::Registry`]. (The Fig 6/7 latency
+//! breakdown is exact integer sums over the deliveries too, folded by the
+//! CMP report.)
 
 /// A histogram over non-negative integers with fixed-width bins plus an
-/// overflow bin; also tracks a running (Welford) summary of the
-/// observations.
+/// overflow bin, and the exact sum of its observations.
 ///
 /// Used for reply-latency distributions (Figure 5 uses buckets of cycles up
 /// to a `>200` overflow bucket).
-#[derive(Debug, Clone)]
+///
+/// ```
+/// use fsoi_sim::stats::Histogram;
+/// let mut h = Histogram::new(10, 2);
+/// for v in [1, 2, 30] { h.record(v); }
+/// assert_eq!((h.count(), h.sum(), h.overflow()), (3, 33, 1));
+/// assert_eq!(h.mean(), 11.0);
+/// assert_eq!(h.percentile(0.5), Some(9));
+/// assert_eq!(h.percentile(0.99), None, "in the overflow bin");
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     bin_width: u64,
     bins: Vec<u64>,
     overflow: u64,
-    summary: Summary,
+    count: u64,
+    sum: u64,
 }
 
 impl Histogram {
@@ -161,7 +45,8 @@ impl Histogram {
             bin_width,
             bins: vec![0; num_bins],
             overflow: 0,
-            summary: Summary::new(),
+            count: 0,
+            sum: 0,
         }
     }
 
@@ -173,18 +58,48 @@ impl Histogram {
         } else {
             self.overflow += 1;
         }
-        self.summary.record(value as f64);
+        self.count += 1;
+        self.sum += value;
+    }
+
+    /// Adds every observation of `other` into `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two histograms' bin geometries (width and count)
+    /// differ.
+    pub fn merge(&mut self, other: &Histogram) {
+        assert_eq!(
+            (self.bin_width, self.bins.len()),
+            (other.bin_width, other.bins.len()),
+            "merged histograms must share one bin geometry"
+        );
+        for (bin, &c) in self.bins.iter_mut().zip(&other.bins) {
+            *bin += c;
+        }
+        self.overflow += other.overflow;
+        self.count += other.count;
+        self.sum += other.sum;
     }
 
     /// Total number of observations.
     pub fn count(&self) -> u64 {
-        self.summary.count()
+        self.count
     }
 
-    /// Mean of all observations, the running (Welford) summary's: not an
-    /// exactly rounded Σ / count.
+    /// Exact sum of all observations.
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    /// Mean of all observations, Σ / count correctly rounded (0.0 when
+    /// empty).
     pub fn mean(&self) -> f64 {
-        self.summary.mean()
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
     }
 
     /// The count in bin `idx` (bins are `[idx*w, (idx+1)*w)`).
@@ -217,46 +132,46 @@ impl Histogram {
         }
     }
 
-    /// Approximate percentile (linear in bins): smallest value `v` such that
-    /// at least `q` (in `[0,1]`) of the mass lies at or below `v`'s bin.
-    pub fn percentile(&self, q: f64) -> u64 {
+    /// Approximate percentile (linear in bins): the upper edge of the first
+    /// bin at which at least `q` (in `[0,1]`) of the mass lies at or below
+    /// it. `None` when the quantile falls in the overflow bin; `Some(0)` when
+    /// the histogram is empty.
+    pub fn percentile(&self, q: f64) -> Option<u64> {
         let n = self.count();
         if n == 0 {
-            return 0;
+            return Some(0);
         }
         let target = (q.clamp(0.0, 1.0) * n as f64).ceil() as u64;
         let mut acc = 0;
         for (i, &c) in self.bins.iter().enumerate() {
             acc += c;
             if acc >= target {
-                return (i as u64 + 1) * self.bin_width - 1;
+                return Some((i as u64 + 1) * self.bin_width - 1);
             }
         }
-        u64::MAX
+        None
     }
 
-    /// Rebuilds a histogram from its exact internal state — the
-    /// counterpart of [`Histogram::summary`] plus the bin accessors, used
-    /// for byte-exact report (de)serialization in the cell cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin_width == 0` or `bins` is empty (same contract as
-    /// [`Histogram::new`]).
-    pub fn from_raw(bin_width: u64, bins: Vec<u64>, overflow: u64, summary: Summary) -> Self {
-        assert!(bin_width > 0, "bin width must be positive");
-        assert!(!bins.is_empty(), "need at least one bin");
-        Histogram {
+    /// Rebuilds a histogram from its exact state — the bin accessors,
+    /// [`Histogram::overflow`] and [`Histogram::sum`] — for byte-exact
+    /// report (de)serialization; the count is Σbins + overflow. `None`
+    /// unless that state is one [`Histogram::new`] and
+    /// [`Histogram::record`] could build: a zero `bin_width`, no bins, a
+    /// count that overflows `u64` or a nonzero `sum` over no observations.
+    pub fn from_raw(bin_width: u64, bins: Vec<u64>, overflow: u64, sum: u64) -> Option<Self> {
+        let count = bins
+            .iter()
+            .try_fold(overflow, |acc, &c| acc.checked_add(c))?;
+        if bin_width == 0 || bins.is_empty() || (count == 0 && sum != 0) {
+            return None;
+        }
+        Some(Histogram {
             bin_width,
             bins,
             overflow,
-            summary,
-        }
-    }
-
-    /// The running (Welford) summary over all observations.
-    pub fn summary(&self) -> Summary {
-        self.summary
+            count,
+            sum,
+        })
     }
 
     /// Iterates `(bin_start, count)` pairs over the regular bins.
@@ -289,21 +204,7 @@ pub fn geometric_mean(values: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_raw_round_trip_is_bit_exact() {
-        let mut s = Summary::new();
-        for x in [0.1, -3.25, 7.5e9, 0.0] {
-            s.record(x);
-        }
-        let (count, mean, m2, min, max) = s.raw();
-        let back = Summary::from_raw(count, mean, m2, min, max);
-        assert_eq!(back, s);
-        // Empty summaries round-trip their ±∞ sentinels too.
-        let empty = Summary::new();
-        let (c, me, m2, mi, ma) = empty.raw();
-        assert_eq!(Summary::from_raw(c, me, m2, mi, ma), empty);
-    }
+    use crate::metrics::Registry;
 
     #[test]
     fn histogram_raw_round_trip_is_bit_exact() {
@@ -315,62 +216,34 @@ mod tests {
             h.bin_width(),
             (0..h.num_bins()).map(|i| h.bin(i)).collect(),
             h.overflow(),
-            h.summary(),
+            h.sum(),
         );
-        assert_eq!(back.bin_width(), h.bin_width());
-        assert_eq!(back.num_bins(), h.num_bins());
-        assert_eq!(back.overflow(), h.overflow());
-        assert_eq!(back.summary(), h.summary());
-        assert_eq!(back.percentile(0.5), h.percentile(0.5));
+        assert_eq!(back, Some(h));
+        let empty = Histogram::new(1, 1);
+        assert_eq!(Histogram::from_raw(1, vec![0], 0, 0), Some(empty));
     }
 
     #[test]
-    fn summary_mean_var() {
-        let mut s = Summary::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-        assert!((s.sum() - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_empty() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-        assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn summary_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64) * 0.37).collect();
-        let mut all = Summary::new();
-        for &x in &xs {
-            all.record(x);
-        }
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for &x in &xs[..37] {
-            a.record(x);
-        }
-        for &x in &xs[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        // Merging an empty summary is a no-op.
-        let before = a;
-        a.merge(&Summary::new());
-        assert_eq!(a, before);
+    fn from_raw_rejects_what_record_cannot_build() {
+        assert_eq!(Histogram::from_raw(0, vec![1], 0, 1), None, "zero width");
+        assert_eq!(Histogram::from_raw(10, vec![], 1, 1), None, "no bins");
+        assert_eq!(
+            Histogram::from_raw(10, vec![u64::MAX, 2], 0, 5),
+            None,
+            "Σbins overflows"
+        );
+        assert_eq!(
+            Histogram::from_raw(10, vec![u64::MAX], 2, 5),
+            None,
+            "Σbins + overflow overflows"
+        );
+        assert_eq!(
+            Histogram::from_raw(10, vec![0, 0], 0, 7),
+            None,
+            "a sum over no observations"
+        );
+        let h = Histogram::from_raw(10, vec![u64::MAX - 1], 1, 0).expect("Σ fits");
+        assert_eq!(h.count(), u64::MAX);
     }
 
     #[test]
@@ -388,9 +261,53 @@ mod tests {
         assert_eq!(h.bin(99), 0);
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.count(), 6);
+        assert_eq!(h.sum(), 1118);
         assert_eq!(h.num_bins(), 5);
         assert_eq!(h.bin_width(), 10);
         assert!((h.fraction(0) - 2.0 / 6.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn mean_is_the_correctly_rounded_quotient() {
+        assert_eq!(Histogram::new(10, 20).mean(), 0.0);
+        // The Figure 5 mesh row whose running mean drifted in the last
+        // digits: 133 152 cycles over 2 044 replies.
+        let mut h = Histogram::new(10, 20);
+        for _ in 0..2_043 {
+            h.record(65);
+        }
+        h.record(133_152 - 65 * 2_043);
+        assert_eq!((h.sum(), h.count()), (133_152, 2_044));
+        assert_eq!(h.mean(), 133_152.0 / 2_044.0);
+        assert_eq!(h.mean().to_string(), "65.14285714285714");
+    }
+
+    #[test]
+    fn merge_adds_every_bin_the_overflow_and_the_sum() {
+        let (mut a, mut b, mut whole) = (
+            Histogram::new(10, 3),
+            Histogram::new(10, 3),
+            Histogram::new(10, 3),
+        );
+        for v in [1, 12, 45, 300] {
+            a.record(v);
+            whole.record(v);
+        }
+        for v in [29, 30, 31] {
+            b.record(v);
+            whole.record(v);
+        }
+        a.merge(&b);
+        assert_eq!(a, whole);
+        assert_eq!(a.overflow(), 4);
+        a.merge(&Histogram::new(10, 3));
+        assert_eq!(a, whole, "merging an empty histogram is a no-op");
+    }
+
+    #[test]
+    #[should_panic(expected = "one bin geometry")]
+    fn merge_rejects_another_geometry() {
+        Histogram::new(10, 3).merge(&Histogram::new(10, 4));
     }
 
     #[test]
@@ -399,10 +316,10 @@ mod tests {
         for v in 0..100 {
             h.record(v);
         }
-        assert_eq!(h.percentile(0.5), 49);
-        assert_eq!(h.percentile(1.0), 99);
+        assert_eq!(h.percentile(0.5), Some(49));
+        assert_eq!(h.percentile(1.0), Some(99));
         let empty = Histogram::new(1, 4);
-        assert_eq!(empty.percentile(0.5), 0);
+        assert_eq!(empty.percentile(0.5), Some(0));
     }
 
     #[test]
@@ -426,9 +343,9 @@ mod tests {
     fn histogram_percentile_edge_cases() {
         // Empty histogram: every quantile degenerates to zero.
         let empty = Histogram::new(10, 5);
-        assert_eq!(empty.percentile(0.0), 0);
-        assert_eq!(empty.percentile(0.5), 0);
-        assert_eq!(empty.percentile(1.0), 0);
+        assert_eq!(empty.percentile(0.0), Some(0));
+        assert_eq!(empty.percentile(0.5), Some(0));
+        assert_eq!(empty.percentile(1.0), Some(0));
 
         // q = 0.0 on a non-empty histogram resolves to the first bin's
         // upper edge; q = 1.0 to the last occupied bin's.
@@ -436,51 +353,42 @@ mod tests {
         for v in [0, 12, 27, 33] {
             h.record(v);
         }
-        assert_eq!(h.percentile(0.0), 9);
-        assert_eq!(h.percentile(1.0), 39);
+        assert_eq!(h.percentile(0.0), Some(9));
+        assert_eq!(h.percentile(1.0), Some(39));
         // Out-of-range quantiles clamp rather than panic or wrap.
         assert_eq!(h.percentile(-1.0), h.percentile(0.0));
         assert_eq!(h.percentile(2.0), h.percentile(1.0));
 
-        // Every observation in the overflow bin: no bin can reach a
-        // positive target, so the sentinel reports "beyond the range"
-        // (q = 0.0 still short-circuits at the first bin's upper edge).
+        // Every observation in the overflow bin: no regular bin reaches a
+        // positive target (q = 0.0 still short-circuits at the first bin's
+        // upper edge).
         let mut over = Histogram::new(10, 2);
         for _ in 0..3 {
             over.record(1_000);
         }
-        assert_eq!(over.percentile(0.5), u64::MAX);
-        assert_eq!(over.percentile(1.0), u64::MAX);
-        assert_eq!(over.percentile(0.0), 9);
+        assert_eq!(over.percentile(0.5), None);
+        assert_eq!(over.percentile(1.0), None);
+        assert_eq!(over.percentile(0.0), Some(9));
     }
 
     #[test]
-    fn summary_merge_with_an_empty_side() {
-        let mut filled = Summary::new();
-        for v in [1.0, 2.0, 3.0] {
-            filled.record(v);
+    fn a_quantile_in_the_overflow_bin_reads_none_and_renders_as_a_bound() {
+        // 2 of 100 observations (more than 1 %) beyond the last bin.
+        let mut h = Histogram::new(10, 20);
+        for v in 0..98 {
+            h.record(v);
         }
-
-        // Empty other side: the merge is a no-op.
-        let mut a = filled;
-        a.merge(&Summary::new());
-        assert_eq!(a, filled);
-
-        // Empty self: the merge adopts the other side wholesale (in
-        // particular min/max must not keep the ±infinity sentinels).
-        let mut b = Summary::new();
-        b.merge(&filled);
-        assert_eq!(b.count(), 3);
-        assert_eq!(b.mean(), filled.mean());
-        assert_eq!(b.min(), Some(1.0));
-        assert_eq!(b.max(), Some(3.0));
-        assert_eq!(b, filled);
-
-        // Both sides empty: still empty, still no observations.
-        let mut e = Summary::new();
-        e.merge(&Summary::new());
-        assert_eq!(e.count(), 0);
-        assert_eq!(e.min(), None);
-        assert_eq!(e.max(), None);
+        h.record(200);
+        h.record(5_000);
+        assert_eq!(h.percentile(0.99), None);
+        assert_eq!(h.percentile(0.5), Some(49));
+        let mut reg = Registry::new();
+        reg.histogram("lat", &[], h);
+        let table = reg.to_table();
+        assert!(
+            table.contains("n=100 mean=99.53 p50=49 p99=>=200 overflow=2"),
+            "{table}"
+        );
+        assert!(!table.contains(&u64::MAX.to_string()), "{table}");
     }
 }

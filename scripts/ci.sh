@@ -16,26 +16,36 @@
 #   scripts/ci.sh --tier scale    # beyond-the-paper grids: 64-node four-network
 #                                 # smoke grid + a single 256-node cell, with
 #                                 # shape-class and byte-identity assertions,
-#                                 # then eight unoptimized tests: a 256-node cell with
-#                                 # the directory's eviction cross-check live, the
-#                                 # FSOI kernel against its full-scan reference with
-#                                 # the sender-mask cross-check live, the mesh
-#                                 # against ScanMesh with the active-set
-#                                 # cross-check live and the crossbar engine's
-#                                 # properties (1000 cases each), the CMP
-#                                 # kernel against its full-scan reference with the
-#                                 # wake-wheel cross-check live, and the bulk L2
-#                                 # warm-up against its per-line reference (slab
-#                                 # image, then the per-home split up to 256 nodes)
-#                                 # with the LRU-list cross-check live, and a
-#                                 # stall-heavy directory slice with the LRU-list
+#                                 # then twelve unoptimized tests, in this order:
+#                                 # evictions_at_256_nodes_are_cross_checked (a
+#                                 # 256-node cell with the directory's eviction
+#                                 # cross-check live);
+#                                 # event_driven_equals_full_scan (fsoi-net: the FSOI
+#                                 # kernel against ScanFsoi with the sender-mask
+#                                 # cross-check live, 1000 cases);
+#                                 # event_driven_equals_full_scan (fsoi-mesh: the
+#                                 # mesh against ScanMesh with the active-set
+#                                 # cross-check live, 1000 cases); the fsoi-ring
+#                                 # props (the crossbar engine, 1000 cases);
+#                                 # every_delivery_decomposes (all eight networks'
+#                                 # deliveries against the Figure 6/7 stack, 1000
+#                                 # cases); wake_driven_equals_full_scan (the CMP
+#                                 # kernel against its full-scan drive with the
+#                                 # wake-wheel cross-check live, 300 cases);
+#                                 # warmed_equals_per_line_preload and
+#                                 # region_runs_split_by_home_equals_filtered_lines
+#                                 # (the bulk L2 warm-up against its per-line
+#                                 # reference, slab image then per-home split up to
+#                                 # 256 nodes, LRU-list cross-check live, 300 cases
+#                                 # each); stalls_keep_the_list_and_the_side_table_consistent
+#                                 # (a stall-heavy directory slice with the LRU-list
 #                                 # and deferred-table cross-checks after every
-#                                 # message (1000 cases); then three
-#                                 # more, the per-operation path against its slow
-#                                 # references: the calendar queue against the
-#                                 # heap (5000 cases), the flat cache array against
-#                                 # exact LRU (2000 cases), the single-ln gap draw
-#                                 # against the per-draw formula (all 16 profiles)
+#                                 # message, 1000 cases); then the per-operation
+#                                 # path against its slow references:
+#                                 # calendar_queue_equals_event_queue (5000 cases),
+#                                 # cache_array_agrees_with_model (exact LRU, 2000
+#                                 # cases) and gap_stream_equals_per_draw_reference
+#                                 # (the single-ln gap draw, all 16 profiles)
 #   scripts/ci.sh --tier tsan     # ThreadSanitizer pass over fsoi-sim (needs nightly;
 #                                 # optional — skipped with a notice when unavailable)
 set -eu
