@@ -9,7 +9,7 @@ use fsoi_net::config::FsoiConfig;
 use fsoi_net::network::FsoiNetwork;
 use fsoi_ring::config::RingConfig;
 use fsoi_ring::crossbar::CrossbarConfig;
-use fsoi_ring::network::ChannelNetwork;
+use fsoi_ring::network::{ChannelConfig, ChannelConfigError, ChannelNetwork};
 use fsoi_sim::det::NodeMask;
 
 /// Which interconnect drives the system.
@@ -173,6 +173,8 @@ pub enum SystemConfigError {
     },
     /// The mesh (plain or narrowed) fails [`MeshConfig::validate`].
     Mesh(MeshConfigError),
+    /// The ring or the matrix crossbar fails [`ChannelConfig::validate`].
+    Channel(ChannelConfigError),
 }
 
 impl std::fmt::Display for SystemConfigError {
@@ -215,6 +217,7 @@ impl std::fmt::Display for SystemConfigError {
                 write!(f, "mesh width fraction {fraction} is outside 0.02..=1.0")
             }
             SystemConfigError::Mesh(err) => write!(f, "mesh: {err}"),
+            SystemConfigError::Channel(err) => write!(f, "channel crossbar: {err}"),
         }
     }
 }
@@ -301,6 +304,14 @@ impl SystemConfig {
         if let NetworkKind::Mesh(mesh) | NetworkKind::MeshScaled(mesh, _) = &self.network {
             mesh.validate().map_err(SystemConfigError::Mesh)?;
         }
+        let channel = match &self.network {
+            NetworkKind::Ring(cfg) => Some(ChannelConfig::from(*cfg)),
+            NetworkKind::Crossbar(cfg) => Some(ChannelConfig::from(*cfg)),
+            _ => None,
+        };
+        if let Some(channel) = channel {
+            channel.validate().map_err(SystemConfigError::Channel)?;
+        }
         if let NetworkKind::MeshScaled(_, fraction) = self.network {
             if !(0.02..=1.0).contains(&fraction) {
                 return Err(SystemConfigError::MeshWidthFraction { fraction });
@@ -385,6 +396,7 @@ impl SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fsoi_sim::packet::PacketClass;
 
     #[test]
     fn paper_16_defaults_match_table3() {
@@ -573,6 +585,34 @@ mod tests {
                 assert_eq!(err, SystemConfigError::Mesh(want));
                 assert!(err.to_string().starts_with("mesh: "), "{err}");
             }
+        }
+    }
+
+    #[test]
+    fn validate_forwards_the_channel_check() {
+        // Each used to validate clean, then panic in `BoundedQueue::new`
+        // or let one channel carry several packets in a cycle.
+        let ring = RingConfig {
+            injection_queue: 0,
+            ..RingConfig::nodes(16)
+        };
+        let crossbar = CrossbarConfig {
+            data_serialization: 0,
+            ..CrossbarConfig::nodes(16)
+        };
+        let cases = [
+            (NetworkKind::Ring(ring), ChannelConfigError::InjectionQueue),
+            (
+                NetworkKind::Crossbar(crossbar),
+                ChannelConfigError::Serialization {
+                    class: PacketClass::Data,
+                },
+            ),
+        ];
+        for (network, want) in cases {
+            let err = SystemConfig::paper_n(16, network).validate().unwrap_err();
+            assert_eq!(err, SystemConfigError::Channel(want));
+            assert!(err.to_string().starts_with("channel crossbar: "), "{err}");
         }
     }
 

@@ -5,7 +5,13 @@
 //! for it FIFO, and it carries one packet at a time (no collisions, no
 //! concurrent receivers) — and differ only in how a channel is won and how
 //! long the light then flies: the [`Arbitration`] row.
+//!
+//! A tick costs O(activity), not O(nodes): the network keeps the set of
+//! destinations with a waiting writer and visits only those channels, in
+//! ascending order — the order a walk over every channel reaches them, so
+//! deliveries due in the same cycle keep their push order.
 
+use fsoi_sim::det::NodeMask;
 use fsoi_sim::event::EventQueue;
 use fsoi_sim::packet::{Interconnect, NetDelivery, NetPacket, NetReport, PacketClass};
 use fsoi_sim::queue::BoundedQueue;
@@ -74,6 +80,75 @@ pub struct ChannelConfig {
     pub arbitration: Arbitration,
 }
 
+/// A rejected [`ChannelConfig`], carrying the offending value.
+///
+/// The limits come from the engine's dense state — a [`NodeMask`] over
+/// the destinations, a bounded writer queue per channel — and from one
+/// grant per channel at a time, and are enforced at construction instead
+/// of surfacing as a capacity assert or a channel carrying several packets
+/// in one cycle inside a running simulation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChannelConfigError {
+    /// `nodes` is outside `2..=`[`NodeMask::CAPACITY`].
+    Nodes {
+        /// The requested node count.
+        nodes: usize,
+    },
+    /// A zero-packet writer queue: no packet could ever be offered.
+    InjectionQueue,
+    /// A packet class that serializes in zero cycles: the channel would
+    /// free up in the cycle it was granted.
+    Serialization {
+        /// The class with no serialization time.
+        class: PacketClass,
+    },
+}
+
+impl std::fmt::Display for ChannelConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ChannelConfigError::Nodes { nodes } => write!(
+                f,
+                "{nodes} nodes: a crossbar needs 2..={} (the NodeMask capacity)",
+                NodeMask::CAPACITY
+            ),
+            ChannelConfigError::InjectionQueue => {
+                write!(f, "a writer queue must hold at least one packet")
+            }
+            ChannelConfigError::Serialization { class } => {
+                write!(f, "a {class:?} packet must serialize in at least one cycle")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ChannelConfigError {}
+
+impl ChannelConfig {
+    /// Checks the limits the engine relies on (the fields are public, so a
+    /// literal can hold anything): `nodes` in `2..=`[`NodeMask::CAPACITY`],
+    /// room for one packet per writer queue, and at least one cycle of
+    /// serialization per class. [`ChannelNetwork::new`] panics on a
+    /// configuration that fails this.
+    pub fn validate(&self) -> Result<(), ChannelConfigError> {
+        if !(2..=NodeMask::CAPACITY).contains(&self.nodes) {
+            return Err(ChannelConfigError::Nodes { nodes: self.nodes });
+        }
+        if self.injection_queue == 0 {
+            return Err(ChannelConfigError::InjectionQueue);
+        }
+        for (class, cycles) in [
+            (PacketClass::Meta, self.meta_serialization),
+            (PacketClass::Data, self.data_serialization),
+        ] {
+            if cycles == 0 {
+                return Err(ChannelConfigError::Serialization { class });
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Per-destination channel: one writer at a time.
 #[derive(Debug)]
 struct Channel {
@@ -90,7 +165,7 @@ struct Channel {
 }
 
 /// Statistics of a run.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Packets accepted.
     pub injected: u64,
@@ -102,11 +177,20 @@ pub struct ChannelStats {
 
 /// The destination-channel crossbar engine: a FIFO writer queue per
 /// destination, served serially.
+///
+/// `backlogged` is the active set: the destinations whose writer queue is
+/// non-empty. `inject` adds a destination, `tick` visits only these
+/// channels in ascending order and drops each one whose queue it empties,
+/// so a tick costs the channels with a waiting writer — about one at 256
+/// nodes — not every channel. Debug builds recompute the set from the
+/// queues after every tick (`check_backlogged`).
 #[derive(Debug)]
 pub struct ChannelNetwork {
     cfg: ChannelConfig,
     now: Cycle,
     channels: Vec<Channel>,
+    /// Destinations whose writer queue is non-empty.
+    backlogged: NodeMask,
     /// Packets in flight with their injection times and arbitration
     /// waits, by arrival.
     deliveries: EventQueue<(NetPacket, Cycle, u32)>,
@@ -116,8 +200,14 @@ pub struct ChannelNetwork {
 
 impl ChannelNetwork {
     /// Creates the crossbar.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`ChannelConfig::validate`].
     pub fn new(cfg: impl Into<ChannelConfig>) -> Self {
         let cfg = cfg.into();
+        let valid = cfg.validate();
+        assert!(valid.is_ok(), "{valid:?}");
         ChannelNetwork {
             channels: (0..cfg.nodes)
                 .map(|_| Channel {
@@ -127,6 +217,7 @@ impl ChannelNetwork {
                 })
                 .collect(),
             now: Cycle::ZERO,
+            backlogged: NodeMask::new(),
             deliveries: EventQueue::new(),
             delivered: Vec::new(),
             stats: ChannelStats::default(),
@@ -150,6 +241,21 @@ impl ChannelNetwork {
     pub fn static_power_w(&self) -> f64 {
         self.cfg.channel_static_w * self.cfg.nodes as f64
     }
+
+    /// Debug builds: checks that `backlogged` holds exactly the
+    /// destinations whose writer queue is non-empty.
+    fn check_backlogged(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        for (dst, ch) in self.channels.iter().enumerate() {
+            assert_eq!(
+                self.backlogged.contains(dst),
+                !ch.queue.is_empty(),
+                "backlogged at channel {dst}"
+            );
+        }
+    }
 }
 
 /// The destination-channel crossbars: the Corona-style token ring (the
@@ -165,6 +271,7 @@ impl Interconnect for ChannelNetwork {
         match self.channels[packet.dst].queue.push((packet, self.now)) {
             Ok(()) => {
                 self.stats.injected += 1;
+                self.backlogged.insert(packet.dst);
                 Ok(())
             }
             Err(_) => {
@@ -176,12 +283,13 @@ impl Interconnect for ChannelNetwork {
 
     fn tick(&mut self) {
         // Each channel serves its queue serially; channels never block
-        // each other.
+        // each other. Ascending order is load-bearing: two channels may
+        // push deliveries due in the same cycle, and their push order is
+        // their delivery order.
         let flight = self.cfg.arbitration.flight_cycles();
-        for ch in &mut self.channels {
-            // The emptiness test goes first: it is what an idle channel —
-            // most of them, most cycles — pays per tick.
-            while !ch.queue.is_empty() && ch.free_at <= self.now {
+        for dst in &self.backlogged {
+            let ch = &mut self.channels[dst];
+            while ch.free_at <= self.now {
                 let Some((packet, enqueued_at)) = ch.queue.pop() else {
                     break;
                 };
@@ -215,6 +323,9 @@ impl Interconnect for ChannelNetwork {
                 self.deliveries
                     .push(done + flight, (packet, enqueued_at, queuing));
             }
+            if ch.queue.is_empty() {
+                self.backlogged.remove(dst);
+            }
         }
         self.now += 1;
         while let Some((at, (packet, enqueued_at, queuing))) = self.deliveries.pop_due(self.now) {
@@ -227,6 +338,7 @@ impl Interconnect for ChannelNetwork {
                 resolution: 0,
             });
         }
+        self.check_backlogged();
     }
 
     fn drain(&mut self) -> Vec<NetDelivery> {
@@ -238,7 +350,7 @@ impl Interconnect for ChannelNetwork {
     }
 
     fn is_idle(&self) -> bool {
-        self.deliveries.is_empty() && self.channels.iter().all(|c| c.queue.is_empty())
+        self.deliveries.is_empty() && self.backlogged.is_empty()
     }
 
     fn name(&self) -> &'static str {
@@ -373,6 +485,55 @@ mod tests {
         let big = ChannelNetwork::new(RingConfig::nodes(64));
         assert!(big.static_power_w() > small.static_power_w());
         assert!((big.static_power_w() - 0.26 * 64.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn validate_rejects_each_limit() {
+        use ChannelConfigError::{InjectionQueue, Nodes, Serialization};
+        let rows = [
+            ChannelConfig::from(RingConfig::nodes(256)),
+            CrossbarConfig::nodes(2).into(),
+        ];
+        type Tweak = fn(&mut ChannelConfig);
+        let cases: [(Tweak, _, &str); 5] = [
+            (|c| c.nodes = 1, Nodes { nodes: 1 }, "2..=256"),
+            (|c| c.nodes = 257, Nodes { nodes: 257 }, "2..=256"),
+            (|c| c.injection_queue = 0, InjectionQueue, "one packet"),
+            (
+                |c| c.meta_serialization = 0,
+                Serialization {
+                    class: PacketClass::Meta,
+                },
+                "Meta packet",
+            ),
+            (
+                |c| c.data_serialization = 0,
+                Serialization {
+                    class: PacketClass::Data,
+                },
+                "Data packet",
+            ),
+        ];
+        for row in rows {
+            assert_eq!(row.validate(), Ok(()));
+            for (tweak, want, says) in cases {
+                let mut bad = row;
+                tweak(&mut bad);
+                let err = bad.validate().unwrap_err();
+                assert_eq!(err, want);
+                assert!(err.to_string().contains(says), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "InjectionQueue")]
+    fn new_rejects_what_validate_rejects() {
+        let cfg = RingConfig {
+            injection_queue: 0,
+            ..RingConfig::nodes(16)
+        };
+        let _ = ChannelNetwork::new(cfg);
     }
 
     #[test]

@@ -26,7 +26,10 @@
 #                                 # event_driven_equals_full_scan (fsoi-mesh: the
 #                                 # mesh against ScanMesh with the active-set
 #                                 # cross-check live, 1000 cases); the fsoi-ring
-#                                 # props (the crossbar engine, 1000 cases);
+#                                 # props (the crossbar engine, 1000 cases, among
+#                                 # them backlogged_equals_full_scan: the engine
+#                                 # against ScanChannel with the backlogged-set
+#                                 # cross-check live);
 #                                 # every_delivery_decomposes (all eight networks'
 #                                 # deliveries against the Figure 6/7 stack, 1000
 #                                 # cases); wake_driven_equals_full_scan (the CMP
@@ -136,7 +139,10 @@ tier_scale() {
     # The two baseline networks against their slow references: ScanMesh,
     # the all-buffers full scan, against MeshNetwork with the active-set
     # cross-check (`check_active_sets`, debug-only) live, and the crossbar
-    # engine's properties under both arbitration rows.
+    # engine's properties under both arbitration rows at 2-256 nodes,
+    # among them backlogged_equals_full_scan: ScanChannel, every channel
+    # tested every tick, against ChannelNetwork with the backlogged-set
+    # cross-check (`check_backlogged`, debug-only) live.
     FSOI_CHECK_CASES=1000 cargo test -q --offline -p fsoi-mesh --test props event_driven_equals_full_scan
     FSOI_CHECK_CASES=1000 cargo test -q --offline -p fsoi-ring --test props
     # Every network's deliveries against the Figure 6/7 decomposition: on
