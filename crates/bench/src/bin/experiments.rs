@@ -31,11 +31,11 @@
 //! (`fsoi-grid/v1`) for CI artifacts.
 //!
 //! `profile [--out PATH] [--det PATH] [--ops N]` runs the standard
-//! 80-cell sweep under both harness observability planes and writes the
-//! versioned run manifest (default `RUN_manifest.json`): config hash and
-//! seed, build info, the deterministic span profile (byte-identical for
-//! any `FSOI_THREADS`) and the wall-clock executor/cache telemetry
-//! (explicitly nondeterministic). `--det` additionally writes the raw
+//! 80-cell sweep and writes the versioned run manifest (default
+//! `RUN_manifest.json`): config hash and seed, build info and the
+//! deterministic span profile — byte-identical for any `FSOI_THREADS` —
+//! then a closing `host` section (thread count, host CPUs), the only
+//! part that depends on the machine. `--det` additionally writes the raw
 //! deterministic-plane bytes (profile + merged registry JSONL) for
 //! byte-identity gates; `--ops` overrides ops-per-core for quick runs.
 
@@ -1101,14 +1101,11 @@ fn grid(args: &[String]) {
 // ---------------------------------------------------------------- profile
 
 /// Runs the standard 80-cell sweep (16 apps × 5 networks at
-/// `quick_16`) under both harness observability planes and writes the
-/// versioned run manifest. The `deterministic` section — span profile,
-/// merged-registry size, content hash — is a pure function of the cell
-/// list and is byte-identical for any `FSOI_THREADS`; the `telemetry`
-/// section (worker/phase/cache counters) is wall-clock data and
-/// deliberately excluded from byte-identity gates.
+/// `quick_16`) and writes the versioned run manifest. Everything before
+/// its closing `host` section — config, build, and the `deterministic`
+/// span profile, merged-registry size and content hash — is a pure
+/// function of the cell list, byte-identical for any `FSOI_THREADS`.
 fn profile(args: &[String]) {
-    header("profile: harness observability over the standard 80-cell sweep");
     let mut out_path = String::from("RUN_manifest.json");
     let mut det_path: Option<String> = None;
     let mut ops_override: Option<u64> = None;
@@ -1123,8 +1120,10 @@ fn profile(args: &[String]) {
         }
         i += 1;
     }
-    fsoi_sim::telemetry::reset();
-    fsoi_sim::telemetry::set_enabled(true);
+    if ops_override == Some(0) {
+        usage_error("profile", "--ops must be at least 1, got 0");
+    }
+    header("profile: harness observability over the standard 80-cell sweep");
     let ops = ops_override.unwrap_or_else(|| quick_ops(16));
     let variants = [
         NetworkKind::mesh(16),
@@ -1144,8 +1143,6 @@ fn profile(args: &[String]) {
     let s = Sweep::run(&variants, &suite, ops, threads);
     let profile = s.profile();
     let registry = fsoi_cmp::batch::merge_reports(s.reports());
-    let snap = fsoi_sim::telemetry::snapshot();
-    fsoi_sim::telemetry::set_enabled(false);
 
     // The content-addressed identity of the run: the same preimage
     // inputs the cell cache keys on, hashed over every cell in order.
@@ -1177,7 +1174,6 @@ fn profile(args: &[String]) {
         registry.len(),
         det_hash,
         threads,
-        &snap,
     );
     if let Err(e) = std::fs::write(&out_path, manifest) {
         eprintln!("profile: cannot write {out_path}: {e}");
@@ -1188,12 +1184,11 @@ fn profile(args: &[String]) {
     for line in profile.to_table().lines() {
         println!("  {line}");
     }
-    println!();
-    print!("{}", snap.to_table());
 }
 
-/// Renders the `fsoi-run-manifest/v2` JSON document (hand-rolled, no
-/// JSON dependency; one key per line, stable field order).
+/// Renders the `fsoi-run-manifest/v3` JSON document (hand-rolled, no
+/// JSON dependency; one key per line, stable field order, the `host`
+/// section last).
 #[expect(
     clippy::too_many_arguments,
     reason = "one argument per manifest section"
@@ -1207,12 +1202,11 @@ fn render_manifest(
     registry_metrics: usize,
     det_hash: u64,
     threads: usize,
-    snap: &fsoi_sim::telemetry::Snapshot,
 ) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"fsoi-run-manifest/v2\",\n");
+    out.push_str("  \"schema\": \"fsoi-run-manifest/v3\",\n");
     out.push_str("  \"config\": {\n");
     let _ = writeln!(out, "    \"cells\": {cells},");
     let networks: Vec<&str> = variants.iter().map(|v| v.network.name()).collect();
@@ -1247,10 +1241,9 @@ fn render_manifest(
     let _ = writeln!(out, "    \"registry_metrics\": {registry_metrics},");
     let _ = writeln!(out, "    \"det_hash\": \"{det_hash:016x}\"");
     out.push_str("  },\n");
-    out.push_str("  \"telemetry\": {\n");
+    out.push_str("  \"host\": {\n");
     let _ = writeln!(out, "    \"threads\": {threads},");
-    let _ = writeln!(out, "    \"host_cpus\": {},", host_cpus());
-    let _ = writeln!(out, "    \"snapshot\": {}", snap.to_json("    "));
+    let _ = writeln!(out, "    \"host_cpus\": {}", host_cpus());
     out.push_str("  }\n");
     out.push_str("}\n");
     out

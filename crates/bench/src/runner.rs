@@ -6,9 +6,8 @@
 //! say), picks its applications and an operation count, and reads reports
 //! back by `(variant, app)`. The cells run through
 //! [`fsoi_cmp::batch::run_batch`] on the deterministic parallel executor
-//! (`fsoi_sim::par`), so every experiment gets the cell cache and
-//! telemetry spans, and its output is byte-identical to a serial run
-//! regardless of `FSOI_THREADS`.
+//! (`fsoi_sim::par`), so every experiment gets the cell cache, and its
+//! output is byte-identical to a serial run regardless of `FSOI_THREADS`.
 
 use fsoi_cmp::batch::{self, BatchCell};
 use fsoi_cmp::configs::SystemConfig;

@@ -6,10 +6,9 @@
 
 use fsoi_bench::runner::MAX_CYCLES;
 use fsoi_cmp::batch::{merge_reports, run_batch, BatchCell};
-use fsoi_cmp::cache::CellCache;
+use fsoi_cmp::cache::{CacheMiss, CellCache};
 use fsoi_cmp::configs::{NetworkKind, SystemConfig};
 use fsoi_cmp::workload::AppProfile;
-use fsoi_sim::telemetry;
 use std::path::PathBuf;
 
 fn cache_dir(name: &str) -> PathBuf {
@@ -45,12 +44,15 @@ fn fsoi_cache_knob_end_to_end() {
     assert!(!cold.is_empty(), "the cold export carries metrics");
 
     // Enabled knob: the first batch fills the cache, the second batch is
-    // all hits — same bytes both times, one entry file per cell. Cache
-    // outcome telemetry is always-on (no `set_enabled` needed) and must
-    // track each scenario.
-    let t0 = telemetry::cache_stats();
+    // all hits — same bytes both times, one entry file per cell. Before
+    // each run, `lookup` names the outcome every cell is about to meet.
     let dir = cache_dir("cell_cache_smoke");
+    let cache = CellCache::at(&dir);
+    let lookup = |c: &BatchCell| cache.lookup(&c.config, &c.app, MAX_CYCLES).err();
     std::env::set_var("FSOI_CACHE", &dir);
+    for c in &cells {
+        assert_eq!(lookup(c), Some(CacheMiss::Absent), "the fill run misses");
+    }
     let fill = export(&cells, 2);
     assert_eq!(fill, cold, "cache fill must not change the export");
     let entries = || {
@@ -59,25 +61,17 @@ fn fsoi_cache_knob_end_to_end() {
             .unwrap_or(0)
     };
     assert_eq!(entries(), cells.len(), "one cache entry per distinct cell");
-    assert_eq!(
-        telemetry::cache_stats().misses,
-        t0.misses + cells.len() as u64,
-        "the fill run counts one miss per cell"
-    );
+    for c in &cells {
+        assert_eq!(lookup(c), None, "the warm run hits");
+    }
     let hits = export(&cells, 2);
     assert_eq!(hits, cold, "cache hits must reproduce the cold bytes");
     assert_eq!(entries(), cells.len(), "a hit run writes nothing new");
-    assert_eq!(
-        telemetry::cache_stats().hits,
-        t0.hits + cells.len() as u64,
-        "the warm run counts one hit per cell"
-    );
 
     // Prove hits really come from disk: rewrite one entry with another
     // entry's *payload* while keeping its own preimage line, and the
     // tampered report must surface in the next run. (Swapping whole
     // files would trip the preimage check and fall back to a cold run.)
-    let cache = CellCache::at(&dir);
     let a = &cells[0];
     let b = &cells[1];
     let path_of = |c: &BatchCell| cache.entry_path_for(&c.config, &c.app, MAX_CYCLES);
@@ -97,6 +91,7 @@ fn fsoi_cache_knob_end_to_end() {
     };
     let tampered = format!("{}\n{}", preimage_line(&path_of(a)), payload(&path_of(b)));
     std::fs::write(path_of(a), tampered).expect("tamper cache entry");
+    assert_eq!(lookup(a), None, "a swapped payload still checks: a hit");
     let swapped = export(&cells, 1);
     assert_ne!(
         swapped, cold,
@@ -104,41 +99,34 @@ fn fsoi_cache_knob_end_to_end() {
     );
 
     // Corrupt the same entry into garbage: the preimage check rejects
-    // it, the cell falls back to a cold run, and the export heals. The
-    // rejection lands in the tamper counter (preimage mismatch).
-    let before_tamper = telemetry::cache_stats();
+    // it as tampering (preimage mismatch), the cell falls back to a cold
+    // run, and the export heals.
     std::fs::write(path_of(a), "not a cache entry\n").expect("corrupt cache entry");
+    assert_eq!(
+        lookup(a),
+        Some(CacheMiss::Tamper),
+        "a preimage mismatch is tampering"
+    );
     let healed = export(&cells, 1);
     assert_eq!(healed, cold, "corrupt entries must fall back to cold runs");
-    assert_eq!(
-        telemetry::cache_stats().tamper,
-        before_tamper.tamper + 1,
-        "a preimage mismatch must increment the tamper counter"
-    );
+    assert_eq!(lookup(a), None, "the cold run heals the entry");
 
     // Keep the preimage line but garble the payload: the preimage check
-    // passes, the wire parse fails, and the corruption counter — not the
-    // tamper counter — records it while the run heals the entry again.
-    let before_corrupt = telemetry::cache_stats();
+    // passes, the wire parse fails, and the miss is corruption — not
+    // tampering — while the run heals the entry again.
     let garbled = format!("{}\nnot wire format\n", preimage_line(&path_of(a)));
     std::fs::write(path_of(a), garbled).expect("garble cache payload");
+    assert_eq!(
+        lookup(a),
+        Some(CacheMiss::Corrupt),
+        "a wire-parse failure under an intact preimage is corruption"
+    );
     let reheal = export(&cells, 1);
     assert_eq!(reheal, cold, "garbled payloads must fall back to cold runs");
-    let after_corrupt = telemetry::cache_stats();
-    assert_eq!(
-        after_corrupt.corrupt,
-        before_corrupt.corrupt + 1,
-        "a wire-parse failure must increment the corruption counter"
-    );
-    assert_eq!(
-        after_corrupt.tamper, before_corrupt.tamper,
-        "an intact preimage must not count as tampering"
-    );
 
     // Rot one digit of `cycles` in place: the preimage is intact and the
     // wire text still parses, so only the payload's sum line can tell —
     // the entry must read as corrupt, not be served as a hit.
-    let before_rot = telemetry::cache_stats();
     let intact = std::fs::read_to_string(path_of(a)).expect("cache entry readable");
     let line_at = intact
         .find("\ncounter cmp.cycles{")
@@ -151,15 +139,15 @@ fn fsoi_cache_knob_end_to_end() {
         rotted[digit_at] + 1
     };
     std::fs::write(path_of(a), rotted).expect("rot cache entry");
+    assert_eq!(
+        lookup(a),
+        Some(CacheMiss::Corrupt),
+        "a sum mismatch is corruption"
+    );
     let unrotted = export(&cells, 1);
     assert_eq!(
         unrotted, cold,
         "a rotted digit must fall back to a cold run"
-    );
-    assert_eq!(
-        telemetry::cache_stats().corrupt,
-        before_rot.corrupt + 1,
-        "a sum mismatch must increment the corruption counter"
     );
     assert_eq!(
         std::fs::read_to_string(path_of(a)).expect("cache entry readable"),

@@ -1,9 +1,7 @@
 //! End-to-end pin of the `experiments profile` observability contract:
-//! the run manifest's deterministic-plane section (and the raw `--det`
+//! the run manifest up to its closing `host` section (and the raw `--det`
 //! export) must be byte-identical for `FSOI_THREADS` ∈ {1, 2, 8} on the
-//! standard 80-cell sweep, while the telemetry section accounts for
-//! every cell exactly once across the workers of every run, the serial
-//! one included.
+//! standard 80-cell sweep.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -12,9 +10,8 @@ fn tmp(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name)
 }
 
-/// Runs `experiments profile` in a fresh process (fresh telemetry
-/// counters) with a small per-core workload and returns
-/// `(manifest, deterministic export)`.
+/// Runs `experiments profile` in a fresh process with a small per-core
+/// workload and returns `(manifest, deterministic export)`.
 fn run_profile(threads: &str) -> (String, String) {
     let out = tmp(&format!("RUN_manifest_t{threads}.json"));
     let det = tmp(&format!("RUN_det_t{threads}.txt"));
@@ -39,28 +36,21 @@ fn run_profile(threads: &str) -> (String, String) {
     )
 }
 
-/// The manifest's `deterministic` section, exclusive of `telemetry`.
-fn det_section(manifest: &str) -> &str {
-    let start = manifest
-        .find("\"deterministic\": {")
-        .expect("deterministic section present");
-    let end = manifest
-        .find("\"telemetry\": {")
-        .expect("telemetry section present");
-    &manifest[start..end]
+/// The manifest up to its closing `host` section: everything that must
+/// be a pure function of the cell list.
+fn before_host(manifest: &str) -> &str {
+    let end = manifest.find("\"host\": {").expect("host section present");
+    &manifest[..end]
 }
 
-/// Sums every `<key><integer>` occurrence, e.g. all workers' cell
-/// counts for `"\"cells\": "`.
-fn sum_counts(text: &str, key: &str) -> u64 {
-    let mut total = 0u64;
-    let mut rest = text;
-    while let Some(pos) = rest.find(key) {
-        rest = &rest[pos + key.len()..];
-        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-        total += digits.parse::<u64>().unwrap_or(0);
-    }
-    total
+/// The integer after the first `key` in `text`.
+fn count_after(text: &str, key: &str) -> u64 {
+    let at = text.find(key).expect("key present") + key.len();
+    let digits: String = text[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("an integer follows the key")
 }
 
 #[test]
@@ -75,28 +65,23 @@ fn deterministic_plane_is_byte_identical_across_thread_counts() {
     assert_eq!(d1, d2, "threads=2 deterministic export diverged");
     assert_eq!(d1, d8, "threads=8 deterministic export diverged");
 
-    // Manifest: versioned schema, deterministic section thread-blind.
-    for m in [&m1, &m2, &m8] {
-        assert!(m.contains("\"schema\": \"fsoi-run-manifest/v2\""), "{m}");
+    // Manifest: versioned schema, thread-blind up to the `host` section,
+    // which closes the document and names the thread count.
+    for (threads, m) in [(1, &m1), (2, &m2), (8, &m8)] {
+        assert!(m.contains("\"schema\": \"fsoi-run-manifest/v3\""), "{m}");
         assert!(m.contains("\"config_hash\": \""), "{m}");
+        assert!(m.contains("\"deterministic\": {"), "{m}");
+        assert_eq!(count_after(m, "\"cells\": "), 80, "{m}");
+        assert_eq!(count_after(m, "\"threads\": "), threads, "{m}");
+        assert!(m.ends_with("  }\n}\n"), "host closes the manifest: {m}");
     }
-    assert_eq!(det_section(&m1), det_section(&m2));
-    assert_eq!(det_section(&m1), det_section(&m8));
+    assert_eq!(before_host(&m1), before_host(&m2));
+    assert_eq!(before_host(&m1), before_host(&m8));
     assert!(
-        !det_section(&m1).contains("thread"),
-        "deterministic section must not mention threads: {}",
-        det_section(&m1)
+        !before_host(&m1).contains("thread"),
+        "only the host section may mention threads: {}",
+        before_host(&m1)
     );
-
-    // Telemetry plane: the workers' cell counts account for the sweep.
-    for (threads, m) in [("1", &m1), ("2", &m2), ("8", &m8)] {
-        let telemetry = &m[m.find("\"telemetry\": {").expect("telemetry section")..];
-        assert_eq!(
-            sum_counts(telemetry, "\"cells\": "),
-            80,
-            "threads={threads}: worker cells must sum to the sweep: {m}"
-        );
-    }
 }
 
 #[test]
@@ -124,6 +109,10 @@ fn unknown_commands_exit_2_and_manifest_reports_host_cpus() {
         (&["grid", "--nodes"], "grid: --nodes needs a value"),
         (&["grid", "--ops", "0"], "grid: --ops must be at least 1"),
         (&["profile", "--ops", "many"], "profile: bad --ops value"),
+        (
+            &["profile", "--ops", "0"],
+            "profile: --ops must be at least 1, got 0",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
             .args(args)
@@ -135,5 +124,5 @@ fn unknown_commands_exit_2_and_manifest_reports_host_cpus() {
     }
     // A thread count the other test does not use: own temp files.
     let (manifest, _) = run_profile("3");
-    assert!(sum_counts(&manifest, "\"host_cpus\": ") > 0, "{manifest}");
+    assert!(count_after(&manifest, "\"host_cpus\": ") > 0, "{manifest}");
 }

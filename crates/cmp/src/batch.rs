@@ -27,7 +27,6 @@ use crate::system::CmpSystem;
 use crate::workload::AppProfile;
 use fsoi_sim::metrics::Registry;
 use fsoi_sim::par;
-use fsoi_sim::telemetry::{self, Phase};
 
 /// One sweep cell: a complete system configuration plus a workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,12 +46,7 @@ impl BatchCell {
     /// Runs this cell unconditionally — fresh system, no cache: the cold
     /// reference [`run_batch`] and the cell cache are pinned against.
     pub fn run_cold(&self, max_cycles: u64) -> RunReport {
-        let mut sys = {
-            let _build = telemetry::span(Phase::Build);
-            CmpSystem::new(self.config.clone(), self.app)
-        };
-        let _sim = telemetry::span(Phase::Sim);
-        sys.run(max_cycles)
+        CmpSystem::new(self.config.clone(), self.app).run(max_cycles)
     }
 }
 
@@ -80,7 +74,6 @@ pub fn run_batch(cells: &[BatchCell], threads: usize, max_cycles: u64) -> Vec<Ru
 /// Folds reports into one registry in slice order — the deterministic
 /// reduction behind merged sweep exports.
 pub fn merge_reports(reports: &[RunReport]) -> Registry {
-    let _merge = telemetry::span(Phase::Merge);
     let mut reg = Registry::new();
     for r in reports {
         r.export(&mut reg);

@@ -16,7 +16,9 @@
 //! names the cache file. The preimage is stored in the file and verified
 //! on every load, and the report's wire text is followed by its own
 //! FNV-1a sum, so a hash collision, a stale file or a rotted byte degrades
-//! to a miss — the cache can go slow, never wrong.
+//! to a miss — the cache can go slow, never wrong. [`CellCache::lookup`]
+//! names the kind of miss ([`CacheMiss`]); [`CellCache::run_or`] treats
+//! every kind alike.
 //!
 //! Enabled via the documented `FSOI_CACHE` knob (the cache directory);
 //! unset or empty disables caching entirely. All filesystem failures are
@@ -26,7 +28,6 @@
 use crate::configs::SystemConfig;
 use crate::metrics::RunReport;
 use crate::workload::AppProfile;
-use fsoi_sim::telemetry;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,6 +47,19 @@ const FORMAT: &str = "fsoi-cell/v7";
 
 /// Distinguishes concurrent writers' temp files within one process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// Why a lookup found no usable entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheMiss {
+    /// No entry file, or one that cannot be read.
+    Absent,
+    /// The entry's preimage line is not the key's: a tampered, stale-format
+    /// or hash-collided entry.
+    Tamper,
+    /// The preimage matches but the payload does not: its sum line does not
+    /// match the wire text, or the wire text does not parse.
+    Corrupt,
+}
 
 /// A directory of cached cell reports.
 #[derive(Debug, Clone)]
@@ -88,20 +102,23 @@ impl CellCache {
     ) -> RunReport {
         let preimage = preimage(cfg, app, max_cycles);
         let path = self.entry_path(&preimage);
-        if let Some(report) = load(&path, &preimage) {
-            telemetry::cache_hit();
+        if let Ok(report) = load(&path, &preimage) {
             return report;
         }
-        telemetry::cache_miss();
         let report = cold();
         store(&path, &preimage, &report);
         report
     }
 
-    /// Whether an intact entry for `(cfg, app, max_cycles)` exists.
-    pub fn contains(&self, cfg: &SystemConfig, app: &AppProfile, max_cycles: u64) -> bool {
+    /// The intact entry for `(cfg, app, max_cycles)`, or why there is none.
+    pub fn lookup(
+        &self,
+        cfg: &SystemConfig,
+        app: &AppProfile,
+        max_cycles: u64,
+    ) -> Result<RunReport, CacheMiss> {
         let preimage = preimage(cfg, app, max_cycles);
-        load(&self.entry_path(&preimage), &preimage).is_some()
+        load(&self.entry_path(&preimage), &preimage)
     }
 
     /// The on-disk path the entry for `(cfg, app, max_cycles)` uses —
@@ -145,27 +162,20 @@ fn sum_line(wire: &str) -> String {
     format!("sum {:016x}\n", fnv1a64(wire.as_bytes()))
 }
 
-/// Loads and verifies one entry; any damage or mismatch is a miss.
-/// Rejections are counted in the cache-telemetry plane: a preimage
-/// mismatch (tampered, stale-format or hash-collided entry) bumps the
-/// tamper counter; a payload whose sum does not match or whose wire text
-/// does not parse (truncated or corrupted) bumps the corruption counter.
-fn load(path: &Path, preimage: &str) -> Option<RunReport> {
-    let text = fs::read_to_string(path).ok()?;
-    let (stored_preimage, payload) = text.split_once('\n')?;
+/// Loads and verifies one entry; any damage or mismatch is a miss, named
+/// by its [`CacheMiss`] kind.
+fn load(path: &Path, preimage: &str) -> Result<RunReport, CacheMiss> {
+    let text = fs::read_to_string(path).map_err(|_| CacheMiss::Absent)?;
+    let (stored_preimage, payload) = text.split_once('\n').unwrap_or((text.as_str(), ""));
     if stored_preimage != preimage {
-        telemetry::cache_tamper();
-        return None; // hash collision or stale format — never trust it
+        return Err(CacheMiss::Tamper); // hash collision or stale format — never trust it
     }
-    let report = payload
+    payload
         .rfind("\nsum ")
         .map(|at| payload.split_at(at + 1))
         .filter(|(wire, sum)| *sum == sum_line(wire))
-        .and_then(|(wire, _)| RunReport::from_wire(wire));
-    if report.is_none() {
-        telemetry::cache_corrupt();
-    }
-    report
+        .and_then(|(wire, _)| RunReport::from_wire(wire))
+        .ok_or(CacheMiss::Corrupt)
 }
 
 /// Stores one entry atomically (write-to-temp, rename). Best-effort: any
@@ -243,8 +253,11 @@ mod tests {
         let ra = cache.run_or(&a.config, &a.app, 1_000_000, || a.run_cold(1_000_000));
         let rb = cache.run_or(&b.config, &b.app, 1_000_000, || b.run_cold(1_000_000));
         assert_ne!(ra.to_wire(), rb.to_wire(), "seed must be part of the key");
-        assert!(cache.contains(&a.config, &a.app, 1_000_000));
-        assert!(!cache.contains(&a.config, &a.app, 999_999));
+        assert!(cache.lookup(&a.config, &a.app, 1_000_000).is_ok());
+        assert_eq!(
+            cache.lookup(&a.config, &a.app, 999_999).err(),
+            Some(CacheMiss::Absent)
+        );
         let _ = fs::remove_dir_all(cache.dir());
     }
 
@@ -261,6 +274,10 @@ mod tests {
             let path = entry.expect("dir entry").path();
             fs::write(&path, "fsoi-cell/v1|bogus\n").expect("truncate entry");
         }
+        assert_eq!(
+            cache.lookup(&cell.config, &cell.app, 1_000_000).err(),
+            Some(CacheMiss::Tamper)
+        );
         let again = cache.run_or(&cell.config, &cell.app, 1_000_000, || {
             cell.run_cold(1_000_000)
         });
@@ -270,8 +287,8 @@ mod tests {
 
     /// Lines `Registry::from_wire` must refuse, arriving under a valid
     /// preimage and a valid `sum` (appended to the profile registry, which
-    /// has no fixed shape to catch them): each is a miss counted as
-    /// corruption, never a panic and never a hit — debug and release alike.
+    /// has no fixed shape to catch them): each is a [`CacheMiss::Corrupt`],
+    /// never a panic and never a hit — debug and release alike.
     #[test]
     fn malformed_registry_lines_are_corrupt_misses() {
         let dir = tmp_dir("malformed");
@@ -297,7 +314,7 @@ mod tests {
             load(&path, &preimage)
         };
         assert!(
-            load_with("counter extra/span 1").is_some(),
+            load_with("counter extra/span 1").is_ok(),
             "control: a well-formed extra span is a hit"
         );
         let s5 = "0 0000000000000000 0000000000000000 7ff0000000000000 fff0000000000000";
@@ -311,9 +328,7 @@ mod tests {
             &format!("histogram h 10 0 {s5}"),
             &format!("summary s {s5} 0"),
         ] {
-            let before = telemetry::cache_stats().corrupt;
-            assert!(load_with(bad).is_none(), "{bad:?} served as a hit");
-            assert!(telemetry::cache_stats().corrupt > before, "{bad:?}");
+            assert_eq!(load_with(bad).err(), Some(CacheMiss::Corrupt), "{bad:?}");
         }
         let _ = fs::remove_dir_all(&dir);
     }

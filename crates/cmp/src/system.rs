@@ -47,7 +47,6 @@ use fsoi_sim::event::CalendarQueue;
 use fsoi_sim::metrics::Registry;
 use fsoi_sim::rng::Xoshiro256StarStar;
 use fsoi_sim::stats::Histogram;
-use fsoi_sim::telemetry::{self, Phase};
 use fsoi_sim::Cycle;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -280,7 +279,6 @@ impl CmpSystem {
             })
             .collect();
         let dirs = {
-            let _warm = telemetry::span(Phase::Warmup);
             // Each slice takes its share of every region, in map order —
             // the order a line-by-line walk of the map would reach it.
             let runs = scaled.region_runs(n, line_bytes);
@@ -426,28 +424,17 @@ impl CmpSystem {
             && self.net.is_idle()
     }
 
-    /// One cycle. The three sections are wrapped in wall-clock telemetry
-    /// spans (interconnect vs coherence/memory events vs cores); when
-    /// telemetry is off each span costs one relaxed atomic load and reads
-    /// no clock, so the hot path stays hot.
+    /// One cycle: the interconnect, then pending coherence/memory events,
+    /// then the cores due now.
     pub fn tick(&mut self) {
         self.ticks += 1;
-        {
-            let _net = telemetry::span(Phase::SimNet);
-            self.net.tick();
-            self.drain_network();
-        }
-        {
-            let _ev = telemetry::span(Phase::SimEvents);
-            self.process_pending();
-            self.retry_backlog();
-        }
-        {
-            let _cores = telemetry::span(Phase::SimCores);
-            // Ascending index: the all-cores scan minus its no-op visits.
-            for i in self.wheel.due(self.now).iter() {
-                self.step_core(i);
-            }
+        self.net.tick();
+        self.drain_network();
+        self.process_pending();
+        self.retry_backlog();
+        // Ascending index: the all-cores scan minus its no-op visits.
+        for i in self.wheel.due(self.now).iter() {
+            self.step_core(i);
         }
         self.now += 1;
         self.wheel.refill(self.now);

@@ -24,10 +24,6 @@
 //!   only sanctioned home for threads in simulation code (lint
 //!   rule D3), with results merged by a deterministic reduction keyed on
 //!   cell index so thread count is never observable in output,
-//! * [`telemetry`] — the wall-clock observability plane: executor and
-//!   cache telemetry, explicitly nondeterministic, a type of its own so it
-//!   can never be merged into a registry, and the only sanctioned home for
-//!   wall-clock reads (lint rule D2),
 //! * [`trace`] — cycle-stamped structured event tracing with a bounded
 //!   flight recorder that dumps JSON lines when an invariant fails,
 //! * [`queue::BoundedQueue`] — a bounded FIFO modelling finite hardware
@@ -62,7 +58,6 @@ pub mod par;
 pub mod queue;
 pub mod rng;
 pub mod stats;
-pub mod telemetry;
 pub mod trace;
 
 use core::fmt;

@@ -8,8 +8,9 @@
 //! [`Registry::merge`], and leaves through one of three deterministic
 //! renderings: JSONL ([`Registry::to_jsonl`]), an aligned table
 //! ([`Registry::to_table`]) and the bit-exact line codec the cell cache
-//! stores ([`Registry::to_wire`] / [`Registry::from_wire`]). Wall-clock
-//! observations never enter a registry; they live in [`crate::telemetry`].
+//! stores ([`Registry::to_wire`] / [`Registry::from_wire`]). No wall-clock
+//! observation enters a registry: the libraries read no clock, and run
+//! timings belong to the benchmark package.
 //!
 //! Determinism guarantees:
 //!

@@ -38,11 +38,6 @@
 //! `fsoi_cmp::batch`, the `fsoi-bench` runner — expresses sweeps as pure
 //! per-cell closures.
 //!
-//! Workers emit executor telemetry (cells run, busy time) into
-//! [`crate::telemetry`] — the wall-clock observability plane. Emission is
-//! disabled by default and never touches sweep results, so it cannot
-//! perturb the byte-identity guarantee above.
-//!
 //! ```
 //! use fsoi_sim::par;
 //! let serial: Vec<u64> = par::sweep(100, 1, |i| (i as u64) * 3 + 1);
@@ -51,7 +46,6 @@
 //! ```
 
 use crate::rng::SplitMix64;
-use crate::telemetry;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The number of worker threads a sweep should use by default: the
@@ -112,7 +106,7 @@ pub fn derive_seed(base: u64, cell: u64) -> u64 {
 /// threads and returns the results **indexed by cell** — a deterministic
 /// reduction independent of scheduling, completion order and thread
 /// count. `threads <= 1` (or fewer than two cells) runs serially on the
-/// caller's thread without spawning, accounted as worker 0.
+/// caller's thread without spawning.
 ///
 /// # Panics
 ///
@@ -124,29 +118,22 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    // One cell on worker `me`, accounted in the telemetry plane: worker
-    // `cells` sum to the sweep for every thread count, the serial one too.
-    let run = |me: usize, i: usize| {
-        let _busy = telemetry::worker_busy(me);
-        telemetry::worker_cells(me, 1);
-        f(i)
-    };
     let threads = threads.max(1).min(cells.max(1));
     if threads <= 1 || cells <= 1 {
-        return (0..cells).map(|i| run(0, i)).collect();
+        return (0..cells).map(f).collect();
     }
 
     // Relaxed suffices: the cursor publishes no data — each result
     // reaches the caller through its worker's `join`.
     let next = AtomicUsize::new(0);
-    let (next, run) = (&next, &run);
+    let (next, f) = (&next, &f);
     #[expect(
         clippy::disallowed_methods,
         reason = "D3: the sweep executor is the sanctioned home for threads; its reduction is keyed on cell index"
     )]
     let per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
-            .map(|me| {
+            .map(|_| {
                 s.spawn(move || {
                     let mut out: Vec<(usize, R)> = Vec::new();
                     loop {
@@ -154,7 +141,7 @@ where
                         if i >= cells {
                             break;
                         }
-                        out.push((i, run(me, i)));
+                        out.push((i, f(i)));
                     }
                     out
                 })
@@ -208,10 +195,12 @@ mod tests {
     #[test]
     fn every_cell_runs_exactly_once() {
         let n = 100;
-        let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let _ = sweep(n, 8, |i| counts[i].fetch_add(1, Ordering::SeqCst));
-        for (i, c) in counts.iter().enumerate() {
-            assert_eq!(c.load(Ordering::SeqCst), 1, "cell {i}");
+        for threads in [1, 2, 8] {
+            let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let _ = sweep(n, threads, |i| counts[i].fetch_add(1, Ordering::SeqCst));
+            for (i, c) in counts.iter().enumerate() {
+                assert_eq!(c.load(Ordering::SeqCst), 1, "threads = {threads}, cell {i}");
+            }
         }
     }
 

@@ -99,9 +99,10 @@ tier_full() {
 
 tier_bench() {
     banner bench
-    # Observability: emit the run manifest (deterministic spans + executor
-    # telemetry) for this run; CI uploads target/RUN_manifest.json as an
-    # artifact so a regression investigation starts from real numbers.
+    # Observability: emit the run manifest (config, build, the deterministic
+    # span profile, then the host's thread and CPU counts) for this run; CI
+    # uploads target/RUN_manifest.json as an artifact so a regression
+    # investigation starts from the run's own profile.
     cargo run -q --release --offline -p fsoi-bench --bin experiments -- \
         profile --out target/RUN_manifest.json --det target/RUN_det.txt
     # The layered benchmark (BENCHMARK.json, benchmark/) at ~1/20 size,

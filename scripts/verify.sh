@@ -54,22 +54,30 @@ gate "lint levels (P1 warns, workspace denies)" lint_levels
 gate "docs (rustdoc -D warnings)" env RUSTDOCFLAGS="-D warnings" \
     cargo doc -q --offline --workspace --no-deps
 
-# Observability-plane determinism (DESIGN.md "Observability: two planes,
-# one store each"): the deterministic-plane export of `experiments profile` must
-# be byte-identical across thread counts — the wall-clock telemetry
-# plane may differ, the registry bytes may not. A small --ops
-# keeps this a seconds-scale gate; the full-size pin lives in
+# Observability-plane determinism (DESIGN.md "Observability: one
+# registry, one trace"): the deterministic-plane export of `experiments
+# profile` and its run manifest up to the closing `host` section must be
+# byte-identical across thread counts — only `host` may differ. A small
+# --ops keeps this a seconds-scale gate; the full-size pin lives in
 # crates/bench/tests/profile_manifest.rs.
 profile_det_identity() {
     det1=target/VERIFY_det_t1.txt
     det2=target/VERIFY_det_t2.txt
+    man1=target/VERIFY_manifest_t1.json
+    man2=target/VERIFY_manifest_t2.json
     mkdir -p target
     FSOI_THREADS=1 cargo run -q --release --offline -p fsoi-bench --bin experiments -- \
-        profile --ops 30 --out target/VERIFY_manifest_t1.json --det "$det1"
+        profile --ops 30 --out "$man1" --det "$det1"
     FSOI_THREADS=2 cargo run -q --release --offline -p fsoi-bench --bin experiments -- \
-        profile --ops 30 --out target/VERIFY_manifest_t2.json --det "$det2"
+        profile --ops 30 --out "$man2" --det "$det2"
     cmp "$det1" "$det2" || {
         echo "deterministic-plane export differs between FSOI_THREADS=1 and =2" >&2
+        return 1
+    }
+    sed '/"host": {/,$d' "$man1" > "$man1.cut"
+    sed '/"host": {/,$d' "$man2" > "$man2.cut"
+    cmp "$man1.cut" "$man2.cut" || {
+        echo "run manifest before its host section differs between FSOI_THREADS=1 and =2" >&2
         return 1
     }
 }
