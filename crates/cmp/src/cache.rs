@@ -42,8 +42,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// `cmp.data_resolution_delay` gauges are exact sums over the deliveries,
 /// divided once, where a v5 entry holds running (Welford) means. v7: a
 /// histogram line carries the integer sum of its observations, where a v6
-/// line carries a Welford state.
-const FORMAT: &str = "fsoi-cell/v7";
+/// line carries a Welford state. v8: the profile's `sim/ticks` and
+/// `sim/ff/*` count one kernel visit per memory access (think time rides
+/// its access), where a v7 entry counts a compute gap as a visit of its
+/// own.
+const FORMAT: &str = "fsoi-cell/v8";
 
 /// Distinguishes concurrent writers' temp files within one process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);

@@ -1,8 +1,10 @@
 //! The processor-core model.
 //!
-//! Each core executes its synthetic instruction stream in order: compute
-//! gaps advance time, loads block on L1 misses, stores are posted (the
-//! store buffer hides their latency until a structural stall), and
+//! Each core executes its synthetic instruction stream in order: each
+//! load or store carries the compute gap that follows it (its think
+//! time), which delays the next issue once the access completes; loads
+//! block on L1 misses, stores are posted (the store buffer hides their
+//! latency until a structural stall), and
 //! lock/barrier operations run small multi-step state machines that
 //! generate real coherence traffic (spin probes, sense-line reloads) or —
 //! with §5.1 subscriptions on — wait for confirmation-channel pushes.
@@ -100,7 +102,8 @@ pub struct Core {
     since: Cycle,
     /// Earliest cycle the next operation may issue.
     pub next_at: Cycle,
-    /// An operation that hit a structural stall and must be retried.
+    /// An operation that hit a structural stall and must be retried (a
+    /// load or store keeps its think time owed meanwhile).
     pub pending_op: Option<Op>,
     /// Statistics.
     pub stats: CoreStats,
@@ -130,7 +133,10 @@ impl Core {
         self.state == CoreState::Ready && self.next_at <= now
     }
 
-    /// The next operation: a retried stall first, then the stream.
+    /// The next operation: a retried stall first, then the stream. A load
+    /// or store leaves its think time owed in the workload, for the kernel
+    /// to spend when the access completes
+    /// ([`CoreWorkload::take_think`]).
     pub fn take_op(&mut self) -> Option<Op> {
         self.pending_op.take().or_else(|| self.workload.next_op())
     }
@@ -232,10 +238,20 @@ mod tests {
 
     #[test]
     fn pending_op_takes_priority() {
-        let mut c = core();
-        c.pending_op = Some(Op::Compute(5));
-        assert_eq!(c.take_op(), Some(Op::Compute(5)));
+        // A stalled load is retried before the stream moves on, and keeps
+        // the think time drawn with it owed.
+        let (mut c, mut twin) = (core(), core());
+        let first = c.take_op();
+        let Some(Op::Read(line)) = first else {
+            panic!("tsp at seed 1 opens with a load, not {first:?}");
+        };
+        c.pending_op = first;
+        assert_eq!(c.take_op(), Some(Op::Read(line)));
         assert!(c.pending_op.is_none());
+        assert_eq!(c.workload.issued(), 1, "the retry draws nothing");
+        assert_eq!(twin.take_op(), first);
+        let think = twin.workload.take_think();
+        assert_eq!(c.workload.take_think(), think, "the load's think time");
         assert!(c.take_op().is_some(), "stream continues");
     }
 

@@ -243,6 +243,10 @@ pub struct CmpSystem {
     ff_jumps: u64,
     ff_cycles_skipped: u64,
     events_processed: u64,
+    /// The test-only reference mode: think time is taken as a visit of its
+    /// own, as when a compute gap was a step of the stream.
+    #[cfg(test)]
+    gap_visits: bool,
 }
 
 impl CmpSystem {
@@ -322,6 +326,8 @@ impl CmpSystem {
             ff_jumps: 0,
             ff_cycles_skipped: 0,
             events_processed: 0,
+            #[cfg(test)]
+            gap_visits: false,
             net: cfg.build_network(),
             cfg,
         };
@@ -452,6 +458,11 @@ impl CmpSystem {
         let (mut far, mut live) = (NodeMask::new(), 0);
         for (i, core) in self.cores.iter().enumerate() {
             live += usize::from(!core.is_done());
+            if core.workload.owes_think() && self.folds_think() {
+                let in_flight = matches!(core.pending_op, Some(Op::Read(_) | Op::Write(_)))
+                    || matches!(core.state(), CoreState::WaitRead { .. });
+                assert!(in_flight, "core {i} owes think time outside an access");
+            }
             let at = core.due_at().map(|due| due.max(self.now));
             assert_eq!(wheel.filed[i], at, "core {i} is filed under its wake");
             match at {
@@ -839,6 +850,11 @@ impl CmpSystem {
         }
         self.maybe_probe(i);
         if self.cores[i].wants_to_issue(self.now) {
+            #[cfg(test)]
+            if self.gap_visits && self.gap_visit(i) {
+                self.repark(i, self.now + 1);
+                return;
+            }
             match self.cores[i].take_op() {
                 Some(op) => self.execute(i, op),
                 None => self.retire(i),
@@ -886,11 +902,33 @@ impl CmpSystem {
         self.wheel.file(i, at, self.now);
     }
 
+    /// Core `i`'s load or store completed: the think time drawn with it
+    /// delays the next issue. `floor` is the cycle from which the wheel
+    /// may next visit the core (`now + 1` from its own visit, `now` from an
+    /// event), where a think visit of its own would have come, so the next
+    /// issue lands on the same cycle one visit sooner.
+    fn spend_think(&mut self, i: usize, floor: Cycle) {
+        if !self.folds_think() {
+            return;
+        }
+        let core = &mut self.cores[i];
+        let think = core.workload.take_think();
+        if think > 0 {
+            core.next_at = core.next_at.max(floor) + think;
+        }
+    }
+
+    /// False only in the test-only reference mode, which takes think time
+    /// as a visit of its own.
+    fn folds_think(&self) -> bool {
+        #[cfg(test)]
+        return !self.gap_visits;
+        #[cfg(not(test))]
+        true
+    }
+
     fn execute(&mut self, i: usize, op: Op) {
         match op {
-            Op::Compute(c) => {
-                self.cores[i].next_at = self.now + c.max(1);
-            }
             Op::Read(line) => self.do_read(i, line),
             Op::Write(line) => self.do_write(i, line, op),
             Op::LockAcquire(lock) => self.start_lock_read(i, lock),
@@ -932,6 +970,7 @@ impl CmpSystem {
         match self.issue_read(i, line) {
             ReadIssue::Hit => {
                 self.cores[i].next_at = self.now + self.cfg.l1_latency;
+                self.spend_think(i, self.now + 1);
             }
             ReadIssue::Miss => {
                 let issued_at = self.now;
@@ -956,6 +995,7 @@ impl CmpSystem {
             self.route(i, out, 0, false);
         }
         self.cores[i].next_at = self.now + 1;
+        self.spend_think(i, self.now + 1);
     }
 
     // ----- locks ---------------------------------------------------------
@@ -1121,6 +1161,7 @@ impl CmpSystem {
                 self.reply_latency.record(self.now - issued_at);
                 self.set_state(i, CoreState::Ready);
                 self.cores[i].next_at = self.now + 1;
+                self.spend_think(i, self.now);
             }
             CoreState::LockRead { lock, line: l } if l == line => {
                 self.try_take_lock(i, lock);
@@ -1521,9 +1562,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn wake_driven_equals_full_scan() {
-        use fsoi_check::{any_bool, select, Checker, Gen};
+    /// The drawn cells of the kernel properties: all seven networks, 16/64
+    /// and (in 1 case of 64) 256 nodes, every suite app with `mean_gap`
+    /// 0–400, lock and barrier cadences, optimizations on and off, 8-line
+    /// L2 slices and `l1_latency` 0.
+    fn kernel_cases() -> impl fsoi_check::Gen<Value = KernelCase> {
+        use fsoi_check::{any_bool, select, Gen};
         const NETWORKS: [&str; 7] = ["fsoi", "mesh", "ring", "crossbar", "L0", "Lr1", "Lr2"];
         // 256 nodes in 1 case of 64: one or none at the default case
         // count, ~5 under `scripts/ci.sh --tier scale`'s 300.
@@ -1531,7 +1575,7 @@ mod tests {
         nodes.extend([64; 15]);
         nodes.push(256);
         let apps: Vec<&'static str> = AppProfile::suite().iter().map(|p| p.name).collect();
-        let gen = (
+        (
             (
                 select(&NETWORKS),
                 select(&nodes),
@@ -1566,8 +1610,13 @@ mod tests {
                         seed,
                     }
                 },
-            );
-        Checker::new().check("wake_driven_equals_full_scan", gen, |case| {
+            )
+    }
+
+    #[test]
+    fn wake_driven_equals_full_scan() {
+        let gen = kernel_cases();
+        fsoi_check::Checker::new().check("wake_driven_equals_full_scan", gen, |case| {
             let scan = run_full_scan(case.build(), 10_000_000);
             let mut wake = case.build();
             // One cycle of slack: a run that outlives the reference's
@@ -1584,6 +1633,57 @@ mod tests {
                 scan.report().registry().to_jsonl(),
                 "exports"
             );
+        });
+    }
+
+    impl CmpSystem {
+        /// The system in the reference mode: every think time is a visit
+        /// of its own, as when a compute gap was a step of the stream.
+        fn with_gap_visits(mut self) -> Self {
+            self.gap_visits = true;
+            self
+        }
+
+        /// The reference mode's think visit: a due core with no retry
+        /// pending spends the think time its completed access left owed,
+        /// as executing `Op::Compute(think)` did.
+        pub(super) fn gap_visit(&mut self, i: usize) -> bool {
+            let core = &mut self.cores[i];
+            if core.pending_op.is_some() || !core.workload.owes_think() {
+                return false;
+            }
+            core.next_at = self.now + core.workload.take_think();
+            true
+        }
+    }
+
+    #[test]
+    fn folded_think_equals_gap_visits() {
+        // Both sides run `run()`; only where think time is spent differs.
+        // `wake_driven_equals_full_scan` cannot see a think-time bug: its
+        // two drives share `step_core`.
+        let gen = kernel_cases();
+        fsoi_check::Checker::new().check("folded_think_equals_gap_visits", gen, |case| {
+            let mut gaps = case.build().with_gap_visits();
+            let reference = gaps.run(10_000_000);
+            let mut folded = case.build();
+            // One cycle of slack, as in `wake_driven_equals_full_scan`.
+            let report = folded.run(gaps.now.as_u64() + 1);
+            assert_eq!(folded.now, gaps.now, "final cycle");
+            for (i, (f, g)) in folded.cores.iter().zip(&gaps.cores).enumerate() {
+                assert_eq!(f.stats, g.stats, "core {i}");
+            }
+            let (f, g) = (&folded.reply_latency, &gaps.reply_latency);
+            assert_eq!(format!("{f:?}"), format!("{g:?}"), "reply latencies");
+            assert_eq!(
+                report.registry().to_jsonl(),
+                reference.registry().to_jsonl(),
+                "exports"
+            );
+            let events = |r: &RunReport| r.profile.get("sim/events");
+            assert_eq!(events(&report), events(&reference), "sim/events");
+            let ticks = |r: &RunReport| r.profile.get("sim/ticks");
+            assert!(ticks(&report) <= ticks(&reference), "no visit added");
         });
     }
 

@@ -82,7 +82,8 @@ pub struct AppProfile {
 /// run (or, for an oversized fraction, not at all) instead of at the door.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AppProfileError {
-    /// `mean_gap` is negative or not finite.
+    /// `mean_gap` is negative, not finite, or so large (past ≈ 1.8·10¹⁶)
+    /// that `1 − 1 / (mean_gap + 1)` rounds to 1 and every gap draws 0.
     MeanGap {
         /// The requested mean gap.
         mean_gap: f64,
@@ -130,7 +131,7 @@ impl std::fmt::Display for AppProfileError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
             AppProfileError::MeanGap { mean_gap } => {
-                write!(f, "mean gap {mean_gap} is not a finite number >= 0")
+                write!(f, "mean gap {mean_gap} is not a finite number in 0..1.8e16")
             }
             AppProfileError::Fraction { field, value } => {
                 write!(f, "{field} {value} is outside 0..=1")
@@ -171,7 +172,9 @@ impl AppProfile {
     /// warm-up relies on it). [`CmpSystem::new`](crate::system::CmpSystem::new)
     /// panics on a profile that fails this.
     pub fn validate(&self, nodes: usize, line_bytes: u64) -> Result<(), AppProfileError> {
-        if !(self.mean_gap.is_finite() && self.mean_gap >= 0.0) {
+        // A positive gap needs `1 − p < 1`, or every draw is 0.
+        let drawable = self.mean_gap == 0.0 || 1.0 - 1.0 / (self.mean_gap + 1.0) < 1.0;
+        if !(self.mean_gap.is_finite() && self.mean_gap >= 0.0 && drawable) {
             return Err(AppProfileError::MeanGap {
                 mean_gap: self.mean_gap,
             });
@@ -448,11 +451,10 @@ fn stream_base(core: usize, line_bytes: u64) -> u64 {
     private_base(core) + (PRIVATE_HOT_LINES + 8) * line_bytes
 }
 
-/// One step of a core's instruction stream.
+/// One step of a core's instruction stream. A load or store brings the
+/// compute gap that follows it along: see [`CoreWorkload::take_think`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
-    /// Pure compute for the given cycles.
-    Compute(u64),
     /// A load.
     Read(LineAddr),
     /// A store.
@@ -481,7 +483,9 @@ pub struct CoreWorkload {
     /// Remaining ops inside the current critical section (0 = outside).
     critical_left: u64,
     held_lock: Option<usize>,
-    pending_gap: bool,
+    /// The compute gap drawn with the last load or store, owed until the
+    /// kernel takes it ([`take_think`](Self::take_think)).
+    think: u64,
 }
 
 impl CoreWorkload {
@@ -504,7 +508,7 @@ impl CoreWorkload {
             since_barrier: 0,
             critical_left: 0,
             held_lock: None,
-            pending_gap: false,
+            think: 0,
         }
     }
 
@@ -521,6 +525,19 @@ impl CoreWorkload {
     /// The lock whose critical section the stream is inside, if any.
     pub fn held_lock(&self) -> Option<usize> {
         self.held_lock
+    }
+
+    /// Takes the think time of the last load or store: the compute cycles
+    /// between its completion and the next issue. It stays owed while the
+    /// access stalls or misses; the kernel spends it when the access
+    /// completes.
+    pub fn take_think(&mut self) -> u64 {
+        std::mem::take(&mut self.think)
+    }
+
+    /// Whether think time is still owed.
+    pub(crate) fn owes_think(&self) -> bool {
+        self.think > 0
     }
 
     /// True once the stream is exhausted.
@@ -556,18 +573,10 @@ impl CoreWorkload {
         LineAddr(SHARED_BASE + idx * self.line_bytes)
     }
 
-    /// Produces the next operation, or `None` when the core is done.
+    /// Produces the next operation, or `None` when the core is done. A
+    /// load or store also draws its think time, after its own draws.
     pub fn next_op(&mut self) -> Option<Op> {
         let p = self.profile;
-        // Alternate compute gaps with memory operations.
-        if self.pending_gap {
-            self.pending_gap = false;
-            let gap = self.gap.sample(&mut self.rng);
-            if gap > 0 {
-                return Some(Op::Compute(gap));
-            }
-        }
-
         // Close an open critical section.
         if let Some(lock) = self.held_lock {
             if self.critical_left == 0 {
@@ -604,23 +613,25 @@ impl CoreWorkload {
         self.issued += 1;
         self.since_lock += 1;
         self.since_barrier += 1;
-        self.pending_gap = true;
-        if self.critical_left > 0 {
+        let op = if self.critical_left > 0 {
             self.critical_left -= 1;
             // Critical sections mutate lock-protected shared state.
             let line = self.pick_shared_hot();
-            return Some(if self.rng.bernoulli(0.5) {
+            if self.rng.bernoulli(0.5) {
                 Op::Write(line)
             } else {
                 Op::Read(line)
-            });
-        }
-        let line = self.pick_address();
-        Some(if self.rng.bernoulli(p.read_fraction) {
-            Op::Read(line)
+            }
         } else {
-            Op::Write(line)
-        })
+            let line = self.pick_address();
+            if self.rng.bernoulli(p.read_fraction) {
+                Op::Read(line)
+            } else {
+                Op::Write(line)
+            }
+        };
+        self.think = self.gap.sample(&mut self.rng);
+        Some(op)
     }
 }
 
@@ -798,6 +809,20 @@ mod tests {
         let mut back_to_back = AppProfile::by_name("tsp").unwrap();
         back_to_back.mean_gap = 0.0;
         assert_eq!(back_to_back.validate(16, 32), Ok(()), "0 is the boundary");
+    }
+
+    #[test]
+    fn validate_rejects_a_mean_gap_too_large_to_draw() {
+        // At 1e17 `1 − p` rounds to 1, so `Geometric`'s `ln_q` is +0.0 and
+        // every gap drew 0: the enormous gaps ran back to back.
+        let err = rejected(|p| p.mean_gap = 1e17);
+        assert_eq!(err, AppProfileError::MeanGap { mean_gap: 1e17 });
+        let mut huge = AppProfile::by_name("tsp").unwrap();
+        huge.mean_gap = 1e16;
+        assert_eq!(huge.validate(16, 32), Ok(()));
+        let w = CoreWorkload::new(huge, 0, 32, 2010);
+        let mut rng = w.rng.clone();
+        assert!((0..5).all(|_| w.gap.sample(&mut rng) > 1_000_000_000_000));
     }
 
     #[test]
@@ -1057,6 +1082,121 @@ mod tests {
                 assert_eq!(w.gap.sample(&mut fast), want, "{name}: draw {i}");
             }
             assert_eq!(fast, slow, "{name}: same generator state");
+        }
+    }
+
+    /// A step of the stream as it was when a compute gap was a step of
+    /// its own.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum GapOp {
+        Compute(u64),
+        Op(Op),
+    }
+
+    /// The generator as it was: the gap after a load or store drawn at the
+    /// start of the next call (`pending_gap`) and returned as a `Compute`
+    /// step. It shares `CoreWorkload`'s state and address draws, not its
+    /// `next_op`.
+    struct GapOpReference {
+        w: CoreWorkload,
+        pending_gap: bool,
+    }
+
+    impl GapOpReference {
+        fn next_op(&mut self) -> Option<GapOp> {
+            let w = &mut self.w;
+            let p = w.profile;
+            if self.pending_gap {
+                self.pending_gap = false;
+                let gap = w.gap.sample(&mut w.rng);
+                if gap > 0 {
+                    return Some(GapOp::Compute(gap));
+                }
+            }
+            if let Some(lock) = w.held_lock {
+                if w.critical_left == 0 {
+                    w.held_lock = None;
+                    return Some(GapOp::Op(Op::LockRelease(lock)));
+                }
+            }
+            if w.issued >= p.ops_per_core {
+                return None;
+            }
+            if w.held_lock.is_none()
+                && p.barrier_interval > 0
+                && w.since_barrier >= p.barrier_interval
+            {
+                w.since_barrier = 0;
+                return Some(GapOp::Op(Op::BarrierArrive));
+            }
+            if w.held_lock.is_none()
+                && p.locks > 0
+                && p.lock_interval > 0
+                && w.since_lock >= p.lock_interval
+            {
+                w.since_lock = 0;
+                let lock = w.rng.next_below(p.locks as u64) as usize;
+                w.held_lock = Some(lock);
+                w.critical_left = 1 + w.rng.next_below(4);
+                return Some(GapOp::Op(Op::LockAcquire(lock)));
+            }
+            w.issued += 1;
+            w.since_lock += 1;
+            w.since_barrier += 1;
+            self.pending_gap = true;
+            if w.critical_left > 0 {
+                w.critical_left -= 1;
+                let line = w.pick_shared_hot();
+                return Some(GapOp::Op(if w.rng.bernoulli(0.5) {
+                    Op::Write(line)
+                } else {
+                    Op::Read(line)
+                }));
+            }
+            let line = w.pick_address();
+            Some(GapOp::Op(if w.rng.bernoulli(p.read_fraction) {
+                Op::Read(line)
+            } else {
+                Op::Write(line)
+            }))
+        }
+    }
+
+    #[test]
+    fn think_stream_equals_gap_op_reference() {
+        // Every suite profile as is, back to back, with long gaps, and with
+        // a lock every 10 and a barrier every 50 operations.
+        let mut profiles = Vec::new();
+        for p in AppProfile::suite() {
+            let (mut back_to_back, mut long, mut synced) = (p, p, p);
+            back_to_back.mean_gap = 0.0;
+            long.mean_gap = 400.0;
+            (synced.lock_interval, synced.barrier_interval) = (10, 50);
+            synced.locks = synced.locks.max(2);
+            profiles.extend([p, back_to_back, long, synced]);
+        }
+        for p in profiles {
+            for (core, seed) in [(0, 2010), (0, 2011), (5, 2010), (5, 2011)] {
+                let what = format!("{} gap {} core {core} seed {seed}", p.name, p.mean_gap);
+                let mut reference = GapOpReference {
+                    w: CoreWorkload::new(p, core, 32, seed),
+                    pending_gap: false,
+                };
+                let want: Vec<GapOp> = std::iter::from_fn(|| reference.next_op()).collect();
+                let mut w = CoreWorkload::new(p, core, 32, seed);
+                let mut got = Vec::with_capacity(want.len());
+                while let Some(op) = w.next_op() {
+                    got.push(GapOp::Op(op));
+                    match w.take_think() {
+                        0 => {}
+                        think => got.push(GapOp::Compute(think)),
+                    }
+                }
+                let first = got.iter().zip(&want).position(|(g, r)| g != r);
+                assert_eq!(first, None, "{what}: first differing step");
+                assert_eq!(got.len(), want.len(), "{what}: stream length");
+                assert_eq!(w.rng, reference.w.rng, "{what}: same generator state");
+            }
         }
     }
 

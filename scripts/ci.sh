@@ -16,7 +16,7 @@
 #   scripts/ci.sh --tier scale    # beyond-the-paper grids: 64-node four-network
 #                                 # smoke grid + a single 256-node cell, with
 #                                 # shape-class and byte-identity assertions,
-#                                 # then twelve unoptimized tests, in this order:
+#                                 # then fourteen unoptimized tests, in this order:
 #                                 # evictions_at_256_nodes_are_cross_checked (a
 #                                 # 256-node cell with the directory's eviction
 #                                 # cross-check live);
@@ -35,6 +35,9 @@
 #                                 # cases); wake_driven_equals_full_scan (the CMP
 #                                 # kernel against its full-scan drive with the
 #                                 # wake-wheel cross-check live, 300 cases);
+#                                 # folded_think_equals_gap_visits (the kernel's
+#                                 # think time against the visit-per-gap mode,
+#                                 # 300 cases);
 #                                 # warmed_equals_per_line_preload and
 #                                 # region_runs_split_by_home_equals_filtered_lines
 #                                 # (the bulk L2 warm-up against its per-line
@@ -47,8 +50,11 @@
 #                                 # path against its slow references:
 #                                 # calendar_queue_equals_event_queue (5000 cases),
 #                                 # cache_array_agrees_with_model (exact LRU, 2000
-#                                 # cases) and gap_stream_equals_per_draw_reference
-#                                 # (the single-ln gap draw, all 16 profiles)
+#                                 # cases), gap_stream_equals_per_draw_reference
+#                                 # (the single-ln gap draw, all 16 profiles) and
+#                                 # think_stream_equals_gap_op_reference (think time
+#                                 # riding its access against the Compute-step
+#                                 # generator, all 16 profiles)
 #   scripts/ci.sh --tier tsan     # ThreadSanitizer pass over fsoi-sim (needs nightly;
 #                                 # optional — skipped with a notice when unavailable)
 set -eu
@@ -157,6 +163,11 @@ tier_scale() {
     # cells — all seven networks, a handful at 256 nodes — hold `run()` to
     # the all-cores full-scan drive.
     FSOI_CHECK_CASES=300 cargo test -q --offline -p fsoi-cmp wake_driven_equals_full_scan
+    # Both drives there share `step_core`, so neither sees where think
+    # time is spent. The same three hundred kinds of cell hold `run()` to
+    # the test-only mode that takes each think time as a visit of its own
+    # (`check_kernel` asserting no think time is owed outside an access).
+    FSOI_CHECK_CASES=300 cargo test -q --offline -p fsoi-cmp folded_think_equals_gap_visits
     # And for the L2 warm image: a debug build ends every bulk-built slice
     # with the LRU-list cross-check (`check_victim`). Three hundred shapes
     # hold `Directory::warmed` to the per-line preload, and three hundred
@@ -173,11 +184,14 @@ tier_scale() {
     # lockstep with the heap it replaced (times before its cursor, inside
     # its window, on the edge and far past; `pop_due` with a wandering
     # `now`), the flat shift-indexed cache array against an exact-LRU model
-    # over random shapes with pinned victims, and every suite profile's
-    # gap draw bit-equal to the per-draw formula.
+    # over random shapes with pinned victims, every suite profile's gap
+    # draw bit-equal to the per-draw formula, and every profile's stream,
+    # think time riding its access, equal to the generator whose gap was
+    # a `Compute` step of its own.
     FSOI_CHECK_CASES=5000 cargo test -q --offline -p fsoi-sim calendar_queue_equals_event_queue
     FSOI_CHECK_CASES=2000 cargo test -q --offline -p fsoi-coherence cache_array_agrees_with_model
     cargo test -q --offline -p fsoi-cmp gap_stream_equals_per_draw_reference
+    cargo test -q --offline -p fsoi-cmp think_stream_equals_gap_op_reference
 }
 
 tier_tsan() {
