@@ -166,6 +166,30 @@ fn take<'a>(cmd: &str, args: &'a [String], i: &mut usize) -> &'a str {
     }
 }
 
+/// An output file of `cmd`, created before the command builds anything:
+/// a path it cannot write is refused like any other typed argument.
+struct OutFile {
+    cmd: &'static str,
+    path: String,
+    file: std::fs::File,
+}
+
+impl OutFile {
+    fn create(cmd: &'static str, path: String) -> OutFile {
+        match std::fs::File::create(&path) {
+            Ok(file) => OutFile { cmd, path, file },
+            Err(e) => usage_error(cmd, &format!("cannot write {path}: {e}")),
+        }
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        use std::io::Write;
+        if let Err(e) = self.file.write_all(bytes) {
+            usage_error(self.cmd, &format!("cannot write {}: {e}", self.path));
+        }
+    }
+}
+
 /// [`take`], parsed.
 fn take_parsed<T: std::str::FromStr>(cmd: &str, args: &[String], i: &mut usize) -> T {
     let v = take(cmd, args, i);
@@ -961,6 +985,7 @@ fn grid(args: &[String]) {
                 .unwrap_or_else(|| usage_error("grid", &format!("unknown app {n:?}")))
         })
         .collect();
+    let mut out = out_path.map(|path| OutFile::create("grid", path));
     header(&format!(
         "grid: {nodes}-node design-space grid over {networks_arg}"
     ));
@@ -1067,7 +1092,7 @@ fn grid(args: &[String]) {
     println!("  ok shape: all {n_cells} cells completed with positive latency, energy and traffic");
     println!("  byte-identical across workers {thread_counts:?}: {byte_identical}");
 
-    if let Some(path) = &out_path {
+    if let Some(out) = &mut out {
         let mut summary = String::from("fsoi-grid/v1\n");
         summary.push_str(&format!("nodes {nodes}\n"));
         summary.push_str(&format!("ops_per_core {ops}\n"));
@@ -1086,11 +1111,8 @@ fn grid(args: &[String]) {
             summary.push_str(line);
             summary.push('\n');
         }
-        if let Err(e) = std::fs::write(path, summary) {
-            eprintln!("grid: cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-        println!("  wrote {path}");
+        out.write(summary.as_bytes());
+        println!("  wrote {}", out.path);
     }
     if !byte_identical {
         eprintln!("grid: FAIL — a cell's export diverged across worker counts");
@@ -1123,6 +1145,9 @@ fn profile(args: &[String]) {
     if ops_override == Some(0) {
         usage_error("profile", "--ops must be at least 1, got 0");
     }
+    // `--det` first: a bad one then leaves no default manifest behind.
+    let mut det = det_path.map(|path| OutFile::create("profile", path));
+    let mut out = OutFile::create("profile", out_path);
     header("profile: harness observability over the standard 80-cell sweep");
     let ops = ops_override.unwrap_or_else(|| quick_ops(16));
     let variants = [
@@ -1157,12 +1182,9 @@ fn profile(args: &[String]) {
     // this file across FSOI_THREADS values.
     let det_bytes = format!("{}{}", profile.to_jsonl(), registry.to_jsonl());
     let det_hash = fsoi_cmp::cache::fnv1a64(det_bytes.as_bytes());
-    if let Some(path) = &det_path {
-        if let Err(e) = std::fs::write(path, &det_bytes) {
-            eprintln!("profile: cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-        println!("  wrote deterministic-plane export to {path}");
+    if let Some(det) = &mut det {
+        det.write(det_bytes.as_bytes());
+        println!("  wrote deterministic-plane export to {}", det.path);
     }
 
     let manifest = render_manifest(
@@ -1175,11 +1197,8 @@ fn profile(args: &[String]) {
         det_hash,
         threads,
     );
-    if let Err(e) = std::fs::write(&out_path, manifest) {
-        eprintln!("profile: cannot write {out_path}: {e}");
-        std::process::exit(2);
-    }
-    println!("  wrote {out_path}\n");
+    out.write(manifest.as_bytes());
+    println!("  wrote {}\n", out.path);
     println!("deterministic span profile:");
     for line in profile.to_table().lines() {
         println!("  {line}");

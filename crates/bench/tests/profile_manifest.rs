@@ -87,7 +87,12 @@ fn deterministic_plane_is_byte_identical_across_thread_counts() {
 #[test]
 fn unknown_commands_exit_2_and_manifest_reports_host_cpus() {
     // `bench` is a retired subcommand: rejected like any typo. Garbage
-    // arguments are usage errors too, never a panic or a silent run.
+    // arguments are usage errors too, never a panic or a silent run, and
+    // an output path that cannot be written is refused before any sweep.
+    let unwritable = tmp("no-such-dir").join("out.txt");
+    let unwritable = unwritable.to_str().expect("utf8 path");
+    let [profile_unwritable, grid_unwritable] =
+        ["profile", "grid"].map(|cmd| format!("{cmd}: cannot write {unwritable}"));
     for (args, complaint) in [
         (&["bench"][..], "unknown experiment: bench"),
         (&["no-such-cmd"], "unknown experiment: no-such-cmd"),
@@ -113,6 +118,26 @@ fn unknown_commands_exit_2_and_manifest_reports_host_cpus() {
             &["profile", "--ops", "0"],
             "profile: --ops must be at least 1, got 0",
         ),
+        (
+            &["profile", "--ops", "30", "--out", unwritable],
+            profile_unwritable.as_str(),
+        ),
+        (
+            &["profile", "--ops", "30", "--det", unwritable],
+            profile_unwritable.as_str(),
+        ),
+        (
+            &[
+                "grid",
+                "--ops",
+                "1",
+                "--networks",
+                "fsoi",
+                "--out",
+                unwritable,
+            ],
+            grid_unwritable.as_str(),
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
             .args(args)
@@ -121,6 +146,11 @@ fn unknown_commands_exit_2_and_manifest_reports_host_cpus() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {:?}", out.status);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(complaint), "{args:?}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            !stdout.contains("sweep:") && !stdout.contains("cells (ops/core"),
+            "{args:?} ran before it was refused: {stdout}"
+        );
     }
     // A thread count the other test does not use: own temp files.
     let (manifest, _) = run_profile("3");

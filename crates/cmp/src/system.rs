@@ -255,7 +255,9 @@ impl CmpSystem {
     /// nodes), with every L2 slice warmed from the profile's address map
     /// ([`Directory::warmed`]): the paper measures steady-state windows
     /// (e.g. "between a fixed number of barrier instances"), so the shared
-    /// data is L2-resident when timing starts.
+    /// data is L2-resident when timing starts. A slice keeps its share of
+    /// the map as the runs that describe it, not line by line, until the
+    /// protocol touches a line.
     ///
     /// # Panics
     ///

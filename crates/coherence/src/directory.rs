@@ -21,6 +21,13 @@
 //! and every handler then works on the slot number. The rare deferred
 //! queues live beside the slab, keyed by slot, so a slot holds no heap
 //! pointer and a slice tears down in one free.
+//!
+//! A slice warmed before the measured window ([`Directory::warmed`])
+//! keeps its warm lines as their description until the protocol touches
+//! them: a *warm tier* of runs, every line of it `DV` with no sharers and
+//! older than every slot. A request moves a warm line into the slab;
+//! capacity eviction takes the tier's oldest line first. The slab and
+//! index hold only the lines the protocol has touched.
 
 use crate::protocol::{
     CoherenceMsg, DirState, Grant, LineAddr, LineRun, OutMsg, ProtocolError, ReqType,
@@ -135,6 +142,12 @@ impl DirEntry {
 
 /// Null link / "no slot".
 const NIL: u32 = u32::MAX;
+
+/// The pseudo-slot of a line still in the warm tier: it reads as `DV`
+/// ([`Directory::state_at`]) and is never dereferenced, because only a
+/// request, which first moves the line into a real slot, reaches a
+/// handler arm that writes the entry.
+const WARM: u32 = u32::MAX - 1;
 
 #[derive(Debug)]
 struct Slot {
@@ -258,6 +271,123 @@ impl Slab {
     }
 }
 
+/// The warm lines no message has touched yet, kept as the runs that
+/// describe them. Position `p` is the `p`-th line kept, in call order; it
+/// stands in the LRU order with the implicit stamp `p + 1`, so the tier's
+/// lines are older than every slot (whose stamps are ticks past the
+/// count kept). A line leaves the tier once and for good: into the slab
+/// when a request touches it, or to memory as the capacity victim.
+#[derive(Debug, Default)]
+struct WarmTier {
+    /// The kept runs' first lines, ascending: the lookup's search keys.
+    keys: Vec<u64>,
+    /// Every [`BLOCK`]-th key: the lookup's first level.
+    top: Vec<u64>,
+    /// The rest of each key's run, by key index.
+    spans: Vec<Span>,
+    /// The key index of each run, in call order (ascending `start`).
+    order: Vec<u32>,
+    /// Bit `p` set: position `p` has left the tier.
+    left: Vec<u64>,
+    /// Every position below has left; while `count > 0` this is the tier's
+    /// oldest line, the slice's LRU victim.
+    cursor: u32,
+    /// Positions still in the tier.
+    count: u32,
+}
+
+/// Keys per block of the tier's lookup: a binary search over every
+/// `BLOCK`-th key picks the block, a branch-free count inside it the key.
+/// The lookup runs on every index miss and is bound by cache misses
+/// (hundreds of runs a slice, hundreds of slices at 256 nodes), so its
+/// data is flat and two levels deep.
+const BLOCK: usize = 16;
+
+/// A kept run past its first line.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    /// Bytes between lines; at least 1, so the lookup divides.
+    stride: u64,
+    /// Lines kept.
+    count: u32,
+    /// The position of the first line.
+    start: u32,
+}
+
+impl WarmTier {
+    /// The position of `line` while it is still in the tier: the last run
+    /// starting at or below it, if the line is one of that run's.
+    fn position(&self, line: LineAddr) -> Option<u32> {
+        if self.count == 0 {
+            return None;
+        }
+        let b = self
+            .top
+            .partition_point(|&first| first <= line.0)
+            .checked_sub(1)?;
+        let block = &self.keys[b * BLOCK..self.keys.len().min(b * BLOCK + BLOCK)];
+        let i = b * BLOCK + block.iter().filter(|&&first| first <= line.0).count() - 1;
+        let (offset, span) = (line.0 - self.keys[i], self.spans[i]);
+        let j = offset / span.stride;
+        if j >= u64::from(span.count) || j * span.stride != offset {
+            return None;
+        }
+        let p = span.start + j as u32;
+        (!self.has_left(p)).then_some(p)
+    }
+
+    /// The `p`-th line kept, in the run at key index `i`.
+    fn line_at(&self, i: usize, p: u32) -> LineAddr {
+        let span = self.spans[i];
+        LineAddr(self.keys[i] + u64::from(p - span.start) * span.stride)
+    }
+
+    fn has_left(&self, p: u32) -> bool {
+        self.left[(p / 64) as usize] >> (p % 64) & 1 == 1
+    }
+
+    /// Takes position `p`, still in the tier, out of it.
+    fn leave(&mut self, p: u32) {
+        self.left[(p / 64) as usize] |= 1 << (p % 64);
+        self.count -= 1;
+        if self.count > 0 {
+            while self.has_left(self.cursor) {
+                self.cursor += 1;
+            }
+        }
+    }
+
+    /// The tier's oldest line and its position, `None` once it is empty.
+    fn oldest(&self) -> Option<(u32, LineAddr)> {
+        if self.count == 0 {
+            return None;
+        }
+        let p = self.cursor;
+        let run = self
+            .order
+            .partition_point(|&i| self.spans[i as usize].start <= p)
+            - 1;
+        Some((p, self.line_at(self.order[run] as usize, p)))
+    }
+
+    /// Positions ever kept, in or out of the tier.
+    #[cfg(any(debug_assertions, test))]
+    fn len(&self) -> u32 {
+        let last = self.order.last().map(|&i| self.spans[i as usize]);
+        last.map_or(0, |span| span.start + span.count)
+    }
+
+    /// The lines still in the tier with their positions, oldest first.
+    #[cfg(any(debug_assertions, test))]
+    fn lines(&self) -> impl Iterator<Item = (u32, LineAddr)> + '_ {
+        let positions = self.order.iter().flat_map(|&i| {
+            let span = self.spans[i as usize];
+            (span.start..span.start + span.count).map(move |p| (i as usize, p))
+        });
+        (positions.filter(|&(_, p)| !self.has_left(p))).map(|(i, p)| (p, self.line_at(i, p)))
+    }
+}
+
 /// One node's directory + L2 slice controller.
 #[derive(Debug)]
 pub struct Directory {
@@ -265,10 +395,11 @@ pub struct Directory {
     mem_node: usize,
     capacity_lines: usize,
     deferred_limit: usize,
-    // Line → slot. Ordered (lint rule D1), though nothing iterates it
-    // outside the debug cross-checks.
+    // Line → slot, for the lines the protocol has touched. Ordered (lint
+    // rule D1), though nothing iterates it outside the debug cross-checks.
     index: DetMap<LineAddr, u32>,
     slab: Slab,
+    warm: WarmTier,
     /// Slot → its line's stalled requests, oldest first: present exactly
     /// for the slots whose entry has `has_deferred` set, never empty.
     deferred: DetMap<u32, VecDeque<(usize, ReqType)>>,
@@ -279,8 +410,17 @@ pub struct Directory {
 impl Directory {
     /// Creates the slice at `node`, backed by the memory controller at
     /// `mem_node`, holding up to `capacity_lines` resident lines.
+    ///
+    /// # Panics
+    ///
+    /// If `capacity_lines` is below 4, or does not leave the slot numbers
+    /// `NIL` and `WARM` free.
     pub fn new(node: usize, mem_node: usize, capacity_lines: usize) -> Self {
         assert!(capacity_lines >= 4, "L2 slice too small to be useful");
+        assert!(
+            capacity_lines < WARM as usize,
+            "L2 slice too large for u32 slots"
+        );
         Directory {
             node,
             mem_node,
@@ -298,6 +438,7 @@ impl Directory {
                 tail: NIL,
                 free: NIL,
             },
+            warm: WarmTier::default(),
             deferred: DetMap::new(),
             tick: 0,
             stats: DirStats::default(),
@@ -321,10 +462,15 @@ impl Directory {
 
     /// The directory state of a line (`DI` when untracked).
     pub fn state_of(&self, line: LineAddr) -> DirState {
-        self.get(line).map_or(DirState::DI, |e| e.state)
+        match self.get(line) {
+            Some(e) => e.state,
+            None if self.warm.position(line).is_some() => DirState::DV,
+            None => DirState::DI,
+        }
     }
 
-    /// The current sharers of a line.
+    /// The current sharers of a line (none for a line in the warm tier, as
+    /// for the other three queries below).
     pub fn sharers_of(&self, line: LineAddr) -> Vec<usize> {
         self.get(line)
             .map_or(Vec::new(), |e| e.sharers.iter().collect())
@@ -342,9 +488,10 @@ impl Directory {
             .map(|e| e.owner.get())
     }
 
-    /// Number of tracked lines (resident + transient).
+    /// Number of tracked lines (resident + transient), the warm tier's
+    /// included.
     pub fn tracked(&self) -> usize {
-        self.index.len()
+        self.index.len() + self.warm.count as usize
     }
 
     /// The slice at `node` with its L2 warmed: the lines of `runs`, in
@@ -353,16 +500,20 @@ impl Directory {
     /// measures steady-state windows, e.g. "between a fixed number of
     /// barrier instances").
     ///
-    /// Built in bulk — one slab `extend`, one index build from the runs
-    /// sorted by base — and equal to [`new`](Self::new) followed by a
-    /// per-line `preload` of every line (the test-only reference): the
-    /// `i`-th line kept takes slot `i`, list position `i` and LRU stamp
-    /// `i + 1`, and the slice's tick ends at the number kept.
+    /// Kept as their description, not copied: the kept runs become the
+    /// slice's warm tier, its slab and index stay empty, and the `i`-th
+    /// line kept stands in the LRU order at position `i` with the implicit
+    /// stamp `i + 1`; the slice's tick starts at the number kept. Every
+    /// answer and reaction equals that of [`new`](Self::new) followed by a
+    /// per-line `preload` of every line (the test-only reference): a
+    /// request on a warm line first moves it into a slot at the list's
+    /// tail, where its touch would have moved it, and capacity eviction
+    /// takes the tier's oldest line while the tier lasts.
     ///
     /// # Panics
     ///
     /// As [`new`](Self::new), and if two runs overlap or a run repeats a
-    /// line (zero stride): the bulk index needs disjoint ascending runs.
+    /// line (zero stride): the tier's lookup needs disjoint runs.
     pub fn warmed(
         node: usize,
         mem_node: usize,
@@ -370,7 +521,7 @@ impl Directory {
         runs: impl IntoIterator<Item = LineRun>,
     ) -> Self {
         let mut dir = Directory::new(node, mem_node, capacity_lines);
-        // Each run's kept prefix, with the slot of its first line.
+        // Each run's kept prefix, with the position of its first line.
         let mut kept: Vec<(LineRun, u32)> = Vec::new();
         let mut k = 0;
         for run in runs {
@@ -384,47 +535,51 @@ impl Directory {
                 k += count as usize;
             }
         }
-        let lines = kept.iter().flat_map(|&(run, _)| run.lines());
-        dir.slab
-            .slots
-            .extend(lines.enumerate().map(|(i, line)| Slot {
-                line,
-                entry: DirEntry::new(DirState::DV),
-                prev: if i == 0 { NIL } else { i as u32 - 1 },
-                next: if i + 1 == k { NIL } else { i as u32 + 1 },
-            }));
-        #[cfg(any(debug_assertions, test))]
-        dir.slab.lru.extend(1..=k as u64);
-        if k > 0 {
-            (dir.slab.head, dir.slab.tail) = (0, k as u32 - 1);
-        }
-        dir.tick = k as u64;
-        kept.sort_unstable_by_key(|&(run, _)| run.first);
-        for pair in kept.windows(2) {
-            assert!(
-                pair[0].0.last() < Some(pair[1].0.first),
-                "warm-up runs overlap"
-            );
-        }
-        // Ascending already: the map's bulk build finds one sorted run.
-        dir.index = kept
-            .iter()
-            .flat_map(|&(run, slot)| run.lines().zip(slot..))
+        // Called nearly in address order: the run-adaptive stable sort
+        // merges what is already ascending.
+        let mut sorted: Vec<(u64, u32)> = (kept.iter().zip(0..))
+            .map(|(&(run, _), i)| (run.first.0, i))
             .collect();
+        sorted.sort();
+        let warm = &mut dir.warm;
+        (warm.keys, warm.spans) = (
+            Vec::with_capacity(kept.len()),
+            Vec::with_capacity(kept.len()),
+        );
+        warm.order = vec![0; kept.len()];
+        let mut prev_last = None;
+        for (&(first, i), key) in sorted.iter().zip(0..) {
+            let (run, start) = kept[i as usize];
+            assert!(prev_last < Some(first), "warm-up runs overlap");
+            prev_last = run.last().map(|last| last.0);
+            let (stride, count) = (run.stride.max(1), run.count as u32);
+            warm.keys.push(first);
+            warm.spans.push(Span {
+                stride,
+                count,
+                start,
+            });
+            warm.order[i as usize] = key;
+        }
+        warm.top = warm.keys.iter().step_by(BLOCK).copied().collect();
+        warm.left = vec![0; k.div_ceil(64)];
+        warm.count = k as u32;
+        dir.tick = k as u64;
         #[cfg(debug_assertions)]
         {
-            dir.check_victim(dir.slab.victim());
+            dir.check_victim(dir.warm.oldest().map(|(_, line)| line));
             dir.check_deferred();
+            dir.check_warm();
         }
         dir
     }
 
-    /// Functionally pre-loads a line as resident-valid (`DV`): the
-    /// per-line slow reference [`warmed`](Self::warmed) is tested equal to.
-    /// No-op if the line is already tracked or the slice is full.
+    /// Functionally pre-loads a line as resident-valid (`DV`) into a slot:
+    /// the per-line slow reference [`warmed`](Self::warmed) is tested
+    /// equal to. No-op if the line is already tracked or the slice is full.
     #[cfg(test)]
     fn preload(&mut self, line: LineAddr) -> bool {
-        if self.index.len() >= self.capacity_lines {
+        if self.tracked() >= self.capacity_lines {
             return false;
         }
         let std::collections::btree_map::Entry::Vacant(vacant) = self.index.entry(line) else {
@@ -463,9 +618,18 @@ impl Directory {
         out: &mut Vec<OutMsg>,
     ) -> Result<(), ProtocolError> {
         let line = msg.line();
-        // The one index lookup of the message: the handlers below take the
-        // line's slot (`NIL` = untracked) and hand back where it ended up.
-        let mut slot = self.index.get(&line).copied().unwrap_or(NIL);
+        // The one lookup of the message: the handlers below take the line's
+        // slot (`NIL` = untracked) and hand back where it ended up. A warm
+        // line leaves the tier only for a request; to every other message
+        // it is `DV` in place (`WARM`), which Table 2 makes an error.
+        let mut slot = match self.index.get(&line) {
+            Some(&slot) => slot,
+            None => match self.warm.position(line) {
+                Some(p) if matches!(msg, CoherenceMsg::Req { .. }) => self.materialize(p, line),
+                Some(_) => WARM,
+                None => NIL,
+            },
+        };
         let before = self.state_at(slot);
         match msg {
             CoherenceMsg::Req { kind, .. } => {
@@ -505,12 +669,27 @@ impl Directory {
         }
     }
 
-    /// The state held in `slot` (`DI` for `NIL` and for a freed slot).
+    /// The state held in `slot` (`DV` for `WARM`, `DI` for `NIL` and for a
+    /// freed slot).
     fn state_at(&self, slot: u32) -> DirState {
-        self.slab
-            .slots
-            .get(slot as usize)
-            .map_or(DirState::DI, |s| s.entry.state)
+        match self.slab.slots.get(slot as usize) {
+            Some(s) => s.entry.state,
+            None if slot == WARM => DirState::DV,
+            None => DirState::DI,
+        }
+    }
+
+    /// Moves the warm line at position `p` out of the tier into a `DV`
+    /// slot at the list's tail, stamped with the tick the request's
+    /// [`touch`](Self::touch) takes next: where that touch would have
+    /// moved it from its place in the tier.
+    fn materialize(&mut self, p: u32, line: LineAddr) -> u32 {
+        self.warm.leave(p);
+        let slot = self
+            .slab
+            .alloc(line, DirEntry::new(DirState::DV), self.tick + 1);
+        self.index.insert(line, slot);
+        slot
     }
 
     /// The entry in a slot the protocol dispatch already proved occupied:
@@ -925,11 +1104,7 @@ impl Directory {
         slot: u32,
         out: &mut Vec<OutMsg>,
     ) -> u32 {
-        self.stats.mem_writes += 1;
-        out.push(OutMsg {
-            to: self.mem_node,
-            msg: CoherenceMsg::MemReq { line, write: true },
-        });
+        self.write_to_memory(line, out);
         if !self.entry(slot).has_deferred {
             self.index.remove(&line);
             self.slab.release(slot);
@@ -942,6 +1117,15 @@ impl Directory {
         self.slab.stamp(slot, self.tick);
         self.slab.move_to_tail(slot);
         slot
+    }
+
+    /// Pushes the L2 copy of `line` back to memory.
+    fn write_to_memory(&mut self, line: LineAddr, out: &mut Vec<OutMsg>) {
+        self.stats.mem_writes += 1;
+        out.push(OutMsg {
+            to: self.mem_node,
+            msg: CoherenceMsg::MemReq { line, write: true },
+        });
     }
 
     /// Replays deferred requests while the line is stable (or DI);
@@ -975,12 +1159,27 @@ impl Directory {
 
     /// Evicts LRU stable lines while over capacity ("Repl" events).
     fn enforce_capacity(&mut self, out: &mut Vec<OutMsg>) {
-        while self.index.len() > self.capacity_lines {
-            let slot = self.slab.victim();
+        while self.tracked() > self.capacity_lines {
+            // The tier's lines are older than every slot and all evictable
+            // (`DV`, nothing stalled): its oldest goes first.
+            let warm = self.warm.oldest();
+            let slot = if warm.is_some() {
+                NIL
+            } else {
+                self.slab.victim()
+            };
             #[cfg(debug_assertions)]
             {
-                self.check_victim(slot);
+                let line = warm.map(|(_, line)| line);
+                self.check_victim(line.or(self.slab.slots.get(slot as usize).map(|s| s.line)));
                 self.check_deferred();
+                self.check_warm();
+            }
+            if let Some((p, line)) = warm {
+                self.warm.leave(p);
+                self.stats.evictions += 1;
+                self.write_to_memory(line, out);
+                continue;
             }
             if slot == NIL {
                 return; // everything is in flight; allow overflow
@@ -1021,12 +1220,13 @@ impl Directory {
         }
     }
 
-    /// The reference the LRU list is checked against: the list covers
-    /// exactly the indexed slots in strictly ascending `lru` order, and
-    /// its victim is the full scan's `min_by_key(lru)` over the evictable
-    /// entries.
+    /// The reference the LRU order is checked against: the list covers
+    /// exactly the indexed slots in strictly ascending `lru` order, every
+    /// one newer than the warm tier's implicit stamps (position `p` is
+    /// `p + 1`), and `victim`'s line is the full scan's `min_by_key` stamp
+    /// over the tier and the evictable entries.
     #[cfg(any(debug_assertions, test))]
-    fn check_victim(&self, victim: u32) {
+    fn check_victim(&self, victim: Option<LineAddr>) {
         let (slots, lru) = (&self.slab.slots, &self.slab.lru);
         let (mut s, mut prev, mut listed) = (self.slab.head, NIL, 0);
         while s != NIL {
@@ -1038,20 +1238,50 @@ impl Directory {
             );
             assert_eq!(slot.prev, prev, "back link");
             assert!(prev == NIL || lru[prev as usize] < lru[s as usize]);
+            assert!(
+                lru[s as usize] > u64::from(self.warm.len()),
+                "older than the tier"
+            );
             (prev, s, listed) = (s, slot.next, listed + 1);
         }
         assert_eq!(self.slab.tail, prev);
         assert_eq!(listed, self.index.len(), "every indexed slot is listed");
-        let scanned = self
-            .index
-            .values()
-            .filter(|&&s| slots[s as usize].entry.evictable())
-            .min_by_key(|&&s| lru[s as usize]);
+        let tier = self.warm.lines().map(|(p, line)| (u64::from(p) + 1, line));
+        let indexed = (self.index.iter())
+            .filter(|&(_, &s)| slots[s as usize].entry.evictable())
+            .map(|(&line, &s)| (lru[s as usize], line));
+        let scanned = tier.chain(indexed).min_by_key(|&(stamp, _)| stamp);
         assert_eq!(
-            scanned.copied().unwrap_or(NIL),
+            scanned.map(|(_, line)| line),
             victim,
             "list victim == scan victim"
         );
+    }
+
+    /// The warm tier against its mask: the count is the number of
+    /// positions still in it, every position below the cursor has left and
+    /// the cursor itself has not (while any is left), the lookup finds
+    /// each line still in it at its position, and none of them is indexed.
+    #[cfg(any(debug_assertions, test))]
+    fn check_warm(&self) {
+        let warm = &self.warm;
+        let kept = (0..warm.len()).filter(|&p| !warm.has_left(p)).count();
+        assert_eq!(kept, warm.count as usize, "count == positions in the tier");
+        assert!(
+            (0..warm.cursor).all(|p| warm.has_left(p)),
+            "everything below the cursor has left"
+        );
+        assert!(
+            warm.count == 0 || !warm.has_left(warm.cursor),
+            "the cursor is in the tier"
+        );
+        for (p, line) in warm.lines() {
+            assert_eq!(warm.position(line), Some(p), "the lookup finds {line}");
+            assert!(
+                !self.index.contains_key(&line),
+                "{line} is in the tier and indexed"
+            );
+        }
     }
 
     /// The deferred side table against the slots: its keys are exactly
@@ -1640,13 +1870,17 @@ mod tests {
         LineAddr(0x1000 + i * 32)
     }
 
-    /// Lines in LRU-list order, head (oldest) first, after checking the
-    /// list against the index and the full-scan victim, and the deferred
-    /// side table against the slots.
+    /// Lines in LRU order, oldest first — the warm tier's in warm order,
+    /// then the slab's list from its head — after checking the order
+    /// against the index and the full-scan victim, the deferred side table
+    /// against the slots, and the tier against its mask.
     fn lru_order(d: &Directory) -> Vec<LineAddr> {
-        d.check_victim(d.slab.victim());
+        let slab_victim = d.slab.slots.get(d.slab.victim() as usize);
+        let tier_victim = d.warm.oldest().map(|(_, line)| line);
+        d.check_victim(tier_victim.or(slab_victim.map(|s| s.line)));
         d.check_deferred();
-        let mut order = Vec::new();
+        d.check_warm();
+        let mut order: Vec<LineAddr> = d.warm.lines().map(|(_, line)| line).collect();
         let mut s = d.slab.head;
         while s != NIL {
             order.push(d.slab.slots[s as usize].line);
@@ -1793,27 +2027,9 @@ mod tests {
                         }
                     };
                     if let Ok(out) = d.handle(from, msg) {
-                        for o in out {
-                            let line = o.msg.line();
-                            let reply = match o.msg {
-                                CoherenceMsg::MemReq { write: false, .. } => {
-                                    CoherenceMsg::MemAck { line }
-                                }
-                                CoherenceMsg::Inv { .. } => CoherenceMsg::InvAck {
-                                    line,
-                                    with_data: false,
-                                },
-                                CoherenceMsg::Dwg { .. } => CoherenceMsg::DwgAck {
-                                    line,
-                                    with_data: false,
-                                },
-                                _ => continue,
-                            };
-                            owed.push((o.to, reply));
-                        }
+                        owed.extend(owed_replies(out));
                     }
-                    d.check_victim(d.slab.victim());
-                    d.check_deferred();
+                    lru_order(&d);
                 }
             },
         );
@@ -1835,14 +2051,15 @@ mod tests {
         lru_order(&d);
     }
 
-    // ----- the bulk warm-up and its per-line reference ------------------
+    // ----- the warm tier and its per-line reference --------------------
 
     /// `count` consecutive lines from `nth(i)`.
     fn run_at(i: u64, count: u64) -> LineRun {
         LineRun::contiguous(nth(i), count, 32)
     }
 
-    /// The reference `warmed` replaced: `new`, then one `preload` per line.
+    /// The eager image the warm tier replaced: `new`, then one `preload`
+    /// per line, each line in a slot of its own.
     fn per_line_warm(capacity_lines: usize, runs: &[LineRun]) -> Directory {
         let mut d = Directory::new(0, 99, capacity_lines);
         for line in runs.iter().flat_map(|r| r.lines()) {
@@ -1851,44 +2068,85 @@ mod tests {
         d
     }
 
-    /// What a warm-up sets.
-    #[derive(Debug, PartialEq)]
-    struct WarmImage {
-        index: Vec<(LineAddr, u32)>,
-        /// Each slot's line, state, stamp and links, in slab order.
-        slots: Vec<(LineAddr, DirState, u64, u32, u32)>,
-        /// The list's head and tail, and the free list's head.
-        ends: [u32; 3],
-        tick: u64,
-    }
-
-    fn warm_image(d: &Directory) -> WarmImage {
-        assert_eq!(d.slab.lru.len(), d.slab.slots.len(), "one stamp per slot");
-        assert!(d.deferred.is_empty(), "a warm slice stalls nothing");
-        let slots = d.slab.slots.iter().zip(&d.slab.lru);
-        WarmImage {
-            index: d.index.iter().map(|(&line, &s)| (line, s)).collect(),
-            slots: slots
-                .map(|(s, &lru)| (s.line, s.entry.state, lru, s.prev, s.next))
-                .collect(),
-            ends: [d.slab.head, d.slab.tail, d.slab.free],
-            tick: d.tick,
-        }
+    /// The replies the fake L1s and memory owe the slice for its reaction
+    /// `out`, each with the node that sends it.
+    fn owed_replies(out: Vec<OutMsg>) -> impl Iterator<Item = (usize, CoherenceMsg)> {
+        out.into_iter().filter_map(|o| {
+            let line = o.msg.line();
+            let reply = match o.msg {
+                CoherenceMsg::MemReq { write: false, .. } => CoherenceMsg::MemAck { line },
+                CoherenceMsg::Inv { .. } => CoherenceMsg::InvAck {
+                    line,
+                    with_data: false,
+                },
+                CoherenceMsg::Dwg { .. } => CoherenceMsg::DwgAck {
+                    line,
+                    with_data: false,
+                },
+                _ => return None,
+            };
+            Some((o.to, reply))
+        })
     }
 
     #[test]
     fn warmed_keeps_call_order_and_stops_at_capacity() {
-        let d = Directory::warmed(0, 99, 5, [run_at(10, 3), run_at(0, 4), run_at(20, 2)]);
+        let mut d = Directory::warmed(0, 99, 5, [run_at(10, 3), run_at(0, 4), run_at(20, 2)]);
         assert_eq!(lru_order(&d), [nth(10), nth(11), nth(12), nth(0), nth(1)]);
         assert_eq!((d.tracked(), d.tick), (5, 5));
         assert_eq!(d.state_of(nth(0)), DirState::DV);
         assert_eq!(d.state_of(nth(2)), DirState::DI, "cut mid-run");
         assert_eq!(d.state_of(nth(20)), DirState::DI, "never reached");
+        // A request takes its line to the tail; the rest keep warm order.
+        d.handle(1, req(ReqType::Sh, nth(11))).unwrap();
+        assert_eq!(lru_order(&d), [nth(10), nth(12), nth(0), nth(1), nth(11)]);
+        assert_eq!((d.tracked(), d.tick), (5, 6));
+        // A line past capacity evicts the oldest warm line.
+        let out = d.handle(1, req(ReqType::Sh, nth(2))).unwrap();
+        let write = CoherenceMsg::MemReq {
+            line: nth(10),
+            write: true,
+        };
+        assert_eq!(out[1], OutMsg { to: 99, msg: write });
+        assert_eq!(lru_order(&d), [nth(12), nth(0), nth(1), nth(11), nth(2)]);
+        assert_eq!(d.state_of(nth(10)), DirState::DI, "evicted");
         let empty = Directory::warmed(0, 99, 4, [run_at(0, 0)]);
-        assert_eq!(
-            format!("{empty:?}"),
-            format!("{:?}", Directory::new(0, 99, 4))
-        );
+        assert_eq!(lru_order(&empty), []);
+        assert_eq!((empty.tracked(), empty.tick), (0, 0));
+    }
+
+    #[test]
+    fn only_a_request_takes_a_line_out_of_the_warm_tier() {
+        let runs = [run_at(0, 4)];
+        let (mut lazy, mut eager) = (Directory::warmed(0, 99, 8, runs), per_line_warm(8, &runs));
+        let line = nth(1);
+        for msg in [
+            CoherenceMsg::WriteBack { line },
+            CoherenceMsg::InvAck {
+                line,
+                with_data: true,
+            },
+            CoherenceMsg::DwgAck {
+                line,
+                with_data: false,
+            },
+            CoherenceMsg::MemAck { line },
+            CoherenceMsg::Inv { line },
+        ] {
+            let err = lazy.handle(1, msg).unwrap_err();
+            assert_eq!(err.state, "DV", "{msg:?}");
+            assert_eq!(Err(err), eager.handle(1, msg), "{msg:?}");
+            assert_eq!(
+                lru_order(&lazy),
+                [nth(0), nth(1), nth(2), nth(3)],
+                "{msg:?}"
+            );
+            assert!(lazy.index.is_empty(), "{msg:?} put a warm line in a slot");
+        }
+        let out = lazy.handle(1, req(ReqType::Sh, line)).unwrap();
+        assert_eq!(out, eager.handle(1, req(ReqType::Sh, line)).unwrap());
+        assert_eq!(lru_order(&lazy), [nth(0), nth(2), nth(3), nth(1)]);
+        assert_eq!(lru_order(&lazy), lru_order(&eager));
     }
 
     #[test]
@@ -1907,41 +2165,130 @@ mod tests {
         Directory::warmed(0, 99, 64, [run]);
     }
 
+    /// Random disjoint runs, laid out ascending and called in `key` order.
+    /// Per run: the gap before it and its stride (in lines), its length (a
+    /// quarter of the runs empty) and its key.
+    fn shuffled_runs(shapes: &[(u64, u64, u64, u64)]) -> Vec<LineRun> {
+        let mut next = 0u64;
+        let mut keyed: Vec<(u64, LineRun)> = shapes
+            .iter()
+            .map(|&(gap, stride, len, key)| {
+                let count = len.saturating_sub(125);
+                let first = nth(next + gap);
+                next += gap + stride * count;
+                (
+                    key,
+                    LineRun {
+                        first,
+                        stride: stride * 32,
+                        count,
+                    },
+                )
+            })
+            .collect();
+        keyed.sort_by_key(|&(key, _)| key);
+        keyed.into_iter().map(|(_, run)| run).collect()
+    }
+
+    /// The warm tier against the eager image: one random message script
+    /// on a tier-warmed slice and on its per-line reference — requests
+    /// from random nodes over warm, cut and never-warm lines (the last
+    /// next to a run, between its lines, one past its end), the replies
+    /// they are owed, writebacks from the owner or a stranger, and stray
+    /// acks. After every message both agree on the reaction (or the
+    /// error), the line's state, sharers and owner, a probe line of each
+    /// kind, `tracked()`, every statistic and the LRU order.
     #[test]
-    fn warmed_equals_per_line_preload() {
+    fn lazy_warm_equals_eager_preload() {
         use fsoi_check::{select, vec_of, Checker};
-        // Per run: the gap before it and its stride (in lines), its length
-        // (a quarter of the runs empty) and its place in the call order.
+        use std::cell::Cell;
         let run = (0u64..6, 1u64..5, 0u64..500, 0u64..1000);
-        let gen = (select(&[4usize, 5, 13, 64, 2048]), vec_of(run, 0..12));
-        Checker::new().check("warmed_equals_per_line_preload", gen, |(cap, shapes)| {
-            // Laid out disjoint and ascending, called in key order.
-            let mut next = 0u64;
-            let mut keyed: Vec<(u64, LineRun)> = shapes
+        // Per step: what to send (0–3 a request, 4–5 an owed reply, 6 a
+        // writeback, 7 a stray ack), a node, the kind of line (warm, cut,
+        // never warm) and a pick.
+        let step = (0u8..8, 0usize..6, 0usize..3, 0usize..4096);
+        let gen = (
+            (select(&[4usize, 5, 13, 64, 2048]), 1usize..=4),
+            vec_of(run, 0..12),
+            vec_of(step, 1..200),
+        );
+        let (cases, evicting) = (Cell::new(0u32), Cell::new(0u32));
+        let check = "lazy_warm_equals_eager_preload";
+        Checker::new().check(check, gen, |((cap, limit), shapes, steps)| {
+            let runs = shuffled_runs(shapes);
+            let mut lazy = Directory::warmed(0, 99, *cap, runs.iter().copied());
+            let mut eager = per_line_warm(*cap, &runs);
+            (lazy.deferred_limit, eager.deferred_limit) = (*limit, *limit);
+            assert_eq!(lru_order(&lazy), lru_order(&eager));
+            let all: Vec<LineAddr> = runs.iter().flat_map(|r| r.lines()).collect();
+            let (warm, cut) = all.split_at(all.len().min(*cap));
+            let member: std::collections::BTreeSet<LineAddr> = all.iter().copied().collect();
+            let mut never: Vec<LineAddr> = runs
                 .iter()
-                .map(|&(gap, stride, len, key)| {
-                    let count = len.saturating_sub(125);
-                    let first = nth(next + gap);
-                    next += gap + stride * count;
-                    (
-                        key,
-                        LineRun {
-                            first,
-                            stride: stride * 32,
-                            count,
-                        },
-                    )
+                .flat_map(|r| {
+                    [
+                        r.first.0 - 32,
+                        r.first.0 + 32,
+                        r.first.0 + r.count * r.stride,
+                    ]
                 })
+                .map(LineAddr)
+                .filter(|line| !member.contains(line))
                 .collect();
-            keyed.sort_by_key(|&(key, _)| key);
-            let runs: Vec<LineRun> = keyed.into_iter().map(|(_, run)| run).collect();
-            let bulk = Directory::warmed(0, 99, *cap, runs.iter().copied());
-            let slow = per_line_warm(*cap, &runs);
-            assert_eq!(warm_image(&bulk), warm_image(&slow));
-            let reserved = (bulk.slab.slots.capacity(), slow.slab.slots.capacity());
-            assert_eq!(reserved.0, reserved.1, "the slab is reserved once");
-            assert_eq!(format!("{bulk:?}"), format!("{slow:?}"));
-            lru_order(&bulk);
+            never.push(nth(1 << 20));
+            let pools = [warm, cut, &never[..]];
+            let mut owed: Vec<(usize, CoherenceMsg)> = Vec::new();
+            for &(what, node, kind, pick) in steps {
+                let pool = Some(pools[kind]).filter(|p| !p.is_empty());
+                let line = pool.map_or(never[0], |p| p[pick % p.len()]);
+                let (from, msg) = match what {
+                    0..=3 => {
+                        let kind = [ReqType::Sh, ReqType::Ex, ReqType::Upg, ReqType::Sh];
+                        (node, req(kind[usize::from(what)], line))
+                    }
+                    4 | 5 if !owed.is_empty() => owed.swap_remove(pick % owed.len()),
+                    6 => {
+                        let owner = eager.owner_of(line).filter(|_| pick % 2 == 0);
+                        (owner.unwrap_or(node), CoherenceMsg::WriteBack { line })
+                    }
+                    _ => {
+                        let with_data = pick % 2 == 0;
+                        let stray = [
+                            CoherenceMsg::InvAck { line, with_data },
+                            CoherenceMsg::DwgAck { line, with_data },
+                            CoherenceMsg::MemAck { line },
+                        ];
+                        (node, stray[pick % 3])
+                    }
+                };
+                let reaction = lazy.handle(from, msg);
+                assert_eq!(reaction, eager.handle(from, msg), "{msg:?} from {from}");
+                let probes = pools.map(|p| p.get(pick % p.len().max(1)).copied());
+                for line in probes.into_iter().flatten().chain([msg.line()]) {
+                    assert_eq!(lazy.state_of(line), eager.state_of(line), "{line}");
+                    assert_eq!(lazy.sharers_of(line), eager.sharers_of(line), "{line}");
+                    assert_eq!(lazy.sharer_count_of(line), eager.sharer_count_of(line));
+                    assert_eq!(lazy.owner_of(line), eager.owner_of(line), "{line}");
+                }
+                assert_eq!(lazy.tracked(), eager.tracked());
+                assert_eq!(
+                    format!("{:?}", lazy.stats()),
+                    format!("{:?}", eager.stats())
+                );
+                assert_eq!(lru_order(&lazy), lru_order(&eager), "{msg:?} from {from}");
+                if let Ok(out) = reaction {
+                    owed.extend(owed_replies(out));
+                }
+            }
+            cases.set(cases.get() + 1);
+            evicting.set(evicting.get() + u32::from(lazy.stats().evictions > 0));
         });
+        // The scripts reach eviction, the tier's and the slab's.
+        if cases.get() >= 16 {
+            assert!(
+                2 * evicting.get() >= cases.get(),
+                "{evicting:?} of {cases:?}"
+            );
+        }
     }
 }

@@ -38,12 +38,13 @@
 #                                 # folded_think_equals_gap_visits (the kernel's
 #                                 # think time against the visit-per-gap mode,
 #                                 # 300 cases);
-#                                 # warmed_equals_per_line_preload and
+#                                 # lazy_warm_equals_eager_preload and
 #                                 # region_runs_split_by_home_equals_filtered_lines
-#                                 # (the bulk L2 warm-up against its per-line
-#                                 # reference, slab image then per-home split up to
-#                                 # 256 nodes, LRU-list cross-check live, 300 cases
-#                                 # each); stalls_keep_the_list_and_the_side_table_consistent
+#                                 # (the L2 warm tier against its per-line eager
+#                                 # reference under one message script, then the
+#                                 # per-home split up to 256 nodes, LRU-order and
+#                                 # tier cross-checks live, 300 cases each);
+#                                 # stalls_keep_the_list_and_the_side_table_consistent
 #                                 # (a stall-heavy directory slice with the LRU-list
 #                                 # and deferred-table cross-checks after every
 #                                 # message, 1000 cases); then the per-operation
@@ -168,12 +169,14 @@ tier_scale() {
     # the test-only mode that takes each think time as a visit of its own
     # (`check_kernel` asserting no think time is owed outside an access).
     FSOI_CHECK_CASES=300 cargo test -q --offline -p fsoi-cmp folded_think_equals_gap_visits
-    # And for the L2 warm image: a debug build ends every bulk-built slice
-    # with the LRU-list cross-check (`check_victim`). Three hundred shapes
-    # hold `Directory::warmed` to the per-line preload, and three hundred
-    # profiles at 1..=256 nodes hold the per-home run split to the
+    # And for the L2 warm image: a debug build ends every warmed slice
+    # with the LRU-order and warm-tier cross-checks (`check_victim`,
+    # `check_warm`). Three hundred shapes hold the warm tier to the
+    # per-line eager preload, message by message (reactions, errors, line
+    # queries, statistics and LRU order, evictions forced), and three
+    # hundred profiles at 1..=256 nodes hold the per-home run split to the
     # home-filtered line list, building every slice on the way.
-    FSOI_CHECK_CASES=300 cargo test -q --offline -p fsoi-coherence warmed_equals_per_line_preload
+    FSOI_CHECK_CASES=300 cargo test -q --offline -p fsoi-coherence lazy_warm_equals_eager_preload
     FSOI_CHECK_CASES=300 cargo test -q --offline -p fsoi-cmp region_runs_split_by_home_equals_filtered_lines
     # The directory's deferred side table: a thousand stall-heavy streams
     # on one small slice (deferred limit 1-4, random requests, acks,
