@@ -257,8 +257,11 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// Most lines per L2 slice (512 MB of 32 B lines): each directory
-    /// reserves its entry slab for the full capacity up front.
+    /// Most lines per L2 slice (512 MB of 32 B lines). A directory's slot
+    /// numbers and warm-tier positions are `u32`s, and its entry slab,
+    /// grown only as the protocol touches lines, could reach 56 bytes a
+    /// line: the limit keeps both far from their bounds (≈ 940 MB for a
+    /// full slice).
     pub const MAX_L2_LINES: usize = 1 << 24;
 
     /// Checks the limits construction relies on.

@@ -36,7 +36,7 @@ use crate::interconnect::{Interconnect, NetPacket};
 use crate::memory::MemorySystem;
 use crate::metrics::{DataPacketKind, LatencyFold, RunReport};
 use crate::workload::{AppProfile, CoreWorkload, Op};
-use fsoi_coherence::directory::{DirStats, Directory};
+use fsoi_coherence::directory::{DirStats, Directory, WarmMap};
 use fsoi_coherence::l1::L1Controller;
 use fsoi_coherence::protocol::{CoherenceMsg, LineAddr, OutMsg};
 use fsoi_coherence::sync::{Barrier, BooleanSubscriptionHub, SpinLock};
@@ -50,6 +50,7 @@ use fsoi_sim::stats::Histogram;
 use fsoi_sim::Cycle;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::rc::Rc;
 
 /// How often a spinning core re-probes a sync word, cycles.
 const SPIN_PROBE_PERIOD: u64 = 12;
@@ -255,9 +256,10 @@ impl CmpSystem {
     /// nodes), with every L2 slice warmed from the profile's address map
     /// ([`Directory::warmed`]): the paper measures steady-state windows
     /// (e.g. "between a fixed number of barrier instances"), so the shared
-    /// data is L2-resident when timing starts. A slice keeps its share of
-    /// the map as the runs that describe it, not line by line, until the
-    /// protocol touches a line.
+    /// data is L2-resident when timing starts. The map is built once for
+    /// the cell ([`WarmMap`]) and shared by every slice, which keeps its
+    /// share as a table of where each run starts in its tier, not line by
+    /// line, until the protocol touches a line.
     ///
     /// # Panics
     ///
@@ -285,14 +287,16 @@ impl CmpSystem {
             })
             .collect();
         let dirs = {
-            // Each slice takes its share of every region, in map order —
-            // the order a line-by-line walk of the map would reach it.
-            let runs = scaled.region_runs(n, line_bytes);
+            // One map for the cell; each slice takes its share of every
+            // region, in map order — the order a line-by-line walk of the
+            // map would reach it.
+            let map = Rc::new(WarmMap::new(
+                scaled.region_runs(n, line_bytes),
+                line_bytes,
+                n,
+            ));
             (0..n)
-                .map(|i| {
-                    let homed = runs.iter().map(|run| run.homed_at(i, line_bytes, n));
-                    Directory::warmed(i, mem.controller_node(i), cfg.l2_lines, homed)
-                })
+                .map(|i| Directory::warmed(i, mem.controller_node(i), cfg.l2_lines, &map))
                 .collect()
         };
         let mut sys = CmpSystem {

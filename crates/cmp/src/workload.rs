@@ -750,8 +750,9 @@ mod tests {
     #[test]
     fn region_runs_split_by_home_equals_filtered_lines() {
         use fsoi_check::{select, Checker};
-        use fsoi_coherence::directory::Directory;
+        use fsoi_coherence::directory::{Directory, WarmMap};
         use fsoi_coherence::protocol::DirState;
+        use std::rc::Rc;
         // (nodes, locks, shared-hot), (shared-cold, stream, line size), L2.
         let gen = (
             (1usize..257, 0usize..40, 1u64..600),
@@ -773,15 +774,17 @@ mod tests {
                 homed[line.home(lb, n)].push(line);
             }
             let runs = app.region_runs(n, lb);
+            let map = Rc::new(WarmMap::new(runs.iter().copied(), lb, n));
             for (home, expect) in homed.iter().enumerate() {
                 let split = runs.iter().map(|r| r.homed_at(home, lb, n));
-                let lines: Vec<LineAddr> = split.clone().flat_map(|r| r.lines()).collect();
+                let lines: Vec<LineAddr> = split.flat_map(|r| r.lines()).collect();
                 assert_eq!(&lines, expect, "home {home} of {n}");
-                // The warm image built from them (`check_victim` ends it
-                // in a debug build) keeps the first `l2_lines`.
-                let dir = Directory::warmed(home, 0, l2, split);
+                // The slice's tier over the shared map (`check_warm` ends
+                // it in a debug build) keeps the first `l2_lines`, in order.
+                let dir = Directory::warmed(home, 0, l2, &map);
                 let kept = expect.len().min(l2);
                 assert_eq!(dir.tracked(), kept, "home {home} of {n}");
+                assert_eq!(dir.lru_order(), expect[..kept], "home {home} of {n}");
                 assert!(expect[..kept]
                     .iter()
                     .all(|&l| dir.state_of(l) == DirState::DV));

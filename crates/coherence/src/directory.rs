@@ -14,8 +14,8 @@
 //! When the deferred queue is full the directory NACKs with `Retry`,
 //! which probabilistically avoids fetch deadlock (§4.3.1, footnote 3).
 //!
-//! Entries live in a slab (`Slab`): a `Vec` of 56-byte slots reserved
-//! once for the slice's capacity, a free list, and an intrusive
+//! Entries live in a slab (`Slab`): a `Vec` of 56-byte slots grown by
+//! use up to the slice's capacity, a free list, and an intrusive
 //! doubly-linked LRU list through the occupied slots. An ordered index
 //! maps a line to its slot; a handled message looks the line up there once
 //! and every handler then works on the slot number. The rare deferred
@@ -24,10 +24,11 @@
 //!
 //! A slice warmed before the measured window ([`Directory::warmed`])
 //! keeps its warm lines as their description until the protocol touches
-//! them: a *warm tier* of runs, every line of it `DV` with no sharers and
-//! older than every slot. A request moves a warm line into the slab;
-//! capacity eviction takes the tier's oldest line first. The slab and
-//! index hold only the lines the protocol has touched.
+//! them: a *warm tier* over the cell's one [`WarmMap`], every line of it
+//! `DV` with no sharers and older than every slot. A request moves a warm
+//! line into the slab; capacity eviction takes the tier's oldest line
+//! first. The slab and index hold only the lines the protocol has
+//! touched.
 
 use crate::protocol::{
     CoherenceMsg, DirState, Grant, LineAddr, LineRun, OutMsg, ProtocolError, ReqType,
@@ -36,6 +37,7 @@ use fsoi_sim::det::{DetMap, NodeMask, NodeMaskIter};
 use fsoi_sim::trace::{self, TraceEvent};
 use fsoi_sim::Cycle;
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// Directory statistics.
 #[derive(Debug, Default)]
@@ -171,6 +173,10 @@ struct Slab {
     /// list order against.
     #[cfg(any(debug_assertions, test))]
     lru: Vec<u64>,
+    /// The capacity `slots` grows to by doubling: the slice's capacity
+    /// plus the insert that triggers an eviction. Only a slice whose
+    /// every line is in flight holds more, and then `Vec` grows it.
+    limit: usize,
     head: u32,
     tail: u32,
     free: u32,
@@ -188,6 +194,11 @@ impl Slab {
         };
         let s = match self.free {
             NIL => {
+                let len = self.slots.len();
+                if len == self.slots.capacity() && len < self.limit {
+                    self.slots
+                        .reserve_exact((2 * len).clamp(4, self.limit) - len);
+                }
                 self.slots.push(slot);
                 (self.slots.len() - 1) as u32
             }
@@ -217,6 +228,8 @@ impl Slab {
     fn stamp(&mut self, s: u32, tick: u64) {
         #[cfg(any(debug_assertions, test))]
         {
+            // As the slots grow: past capacity + 1 only when they do.
+            (self.lru).reserve_exact(self.slots.capacity() - self.lru.len());
             self.lru.resize(self.slots.len(), 0);
             self.lru[s as usize] = tick;
         }
@@ -271,22 +284,110 @@ impl Slab {
     }
 }
 
-/// The warm lines no message has touched yet, kept as the runs that
-/// describe them. Position `p` is the `p`-th line kept, in call order; it
-/// stands in the LRU order with the implicit stamp `p + 1`, so the tier's
-/// lines are older than every slot (whose stamps are ticks past the
-/// count kept). A line leaves the tier once and for good: into the slab
-/// when a request touches it, or to memory as the capacity victim.
+/// A cell's L2 warm-up map, built once and shared by every slice it warms
+/// ([`Directory::warmed`]): the address map's runs of consecutive lines in
+/// call order, and the one search over their first lines. A slice keeps
+/// only where each run's share starts in its tier.
+#[derive(Debug, Default)]
+pub struct WarmMap {
+    /// Slices the lines interleave over, by line number.
+    nodes: u64,
+    /// `log2(line_bytes)`: a line's number is its address shifted down.
+    shift: u32,
+    /// The runs, by call index.
+    runs: Vec<MapRun>,
+    /// The non-empty runs' first line numbers, ascending, each with its
+    /// call index: the search.
+    keys: Vec<(u64, u32)>,
+}
+
+/// One run of the map, in line numbers.
+#[derive(Debug, Clone, Copy)]
+struct MapRun {
+    first: u64,
+    count: u64,
+    /// `first / nodes` and `first % nodes`, so that a lookup divides only
+    /// the looked-up line.
+    row: u64,
+    home: u64,
+}
+
+impl WarmMap {
+    /// The map of `runs`, in call order, over `nodes` slices of
+    /// `line_bytes`-byte lines.
+    ///
+    /// # Panics
+    ///
+    /// If `line_bytes` is not a power of two, `nodes` is 0, a run is not
+    /// contiguous whole lines (`stride == line_bytes` from a line
+    /// boundary), or two runs overlap: the lookup needs disjoint runs.
+    pub fn new(runs: impl IntoIterator<Item = LineRun>, line_bytes: u64, nodes: usize) -> Self {
+        assert!(line_bytes.is_power_of_two(), "line size not a power of two");
+        assert!(nodes > 0, "a warm-up map over no slices");
+        let n = nodes as u64;
+        let runs: Vec<MapRun> = (runs.into_iter())
+            .map(|run| {
+                assert!(
+                    run.stride == line_bytes && run.first.0 % line_bytes == 0,
+                    "warm-up run is not contiguous"
+                );
+                let first = run.first.0 / line_bytes;
+                let (row, home) = (first / n, first % n);
+                MapRun {
+                    first,
+                    count: run.count,
+                    row,
+                    home,
+                }
+            })
+            .collect();
+        let mut keys: Vec<(u64, u32)> = (runs.iter().zip(0..))
+            .filter(|(run, _)| run.count > 0)
+            .map(|(run, i)| (run.first, i))
+            .collect();
+        keys.sort_unstable();
+        let mut prev_last = None;
+        for &(first, i) in &keys {
+            assert!(prev_last < Some(first), "warm-up runs overlap");
+            prev_last = Some(first + (runs[i as usize].count - 1));
+        }
+        WarmMap {
+            nodes: n,
+            shift: line_bytes.trailing_zeros(),
+            runs,
+            keys,
+        }
+    }
+
+    /// The lines of `run` before its first homed at `node`: consecutive
+    /// lines have consecutive homes.
+    fn skip(&self, run: MapRun, node: u64) -> u64 {
+        (node + self.nodes - run.home) % self.nodes
+    }
+
+    /// The only run that can hold line number `idx`: the last one
+    /// starting at or below it.
+    fn run_of(&self, idx: u64) -> Option<usize> {
+        let k = self.keys.partition_point(|&(first, _)| first <= idx);
+        Some(self.keys[k.checked_sub(1)?].1 as usize)
+    }
+}
+
+/// The warm lines of one slice no message has touched yet: its share of
+/// the cell's [`WarmMap`], each run's homed lines in call order, cut at
+/// capacity. Position `p` is the `p`-th line kept; it stands in the LRU
+/// order with the implicit stamp `p + 1`, so the tier's lines are older
+/// than every slot (whose stamps are ticks past the count kept). A line
+/// leaves the tier once and for good: into the slab when a request
+/// touches it, or to memory as the capacity victim.
 #[derive(Debug, Default)]
 struct WarmTier {
-    /// The kept runs' first lines, ascending: the lookup's search keys.
-    keys: Vec<u64>,
-    /// Every [`BLOCK`]-th key: the lookup's first level.
-    top: Vec<u64>,
-    /// The rest of each key's run, by key index.
-    spans: Vec<Span>,
-    /// The key index of each run, in call order (ascending `start`).
-    order: Vec<u32>,
+    map: Rc<WarmMap>,
+    /// The slice's node, the home of every line in the tier.
+    node: u64,
+    /// By call index, the position of the run's first kept line, then the
+    /// count kept: runs with no line kept here share the next one's start.
+    start: Vec<u32>,
     /// Bit `p` set: position `p` has left the tier.
     left: Vec<u64>,
     /// Every position below has left; while `count > 0` this is the tier's
@@ -296,50 +397,57 @@ struct WarmTier {
     count: u32,
 }
 
-/// Keys per block of the tier's lookup: a binary search over every
-/// `BLOCK`-th key picks the block, a branch-free count inside it the key.
-/// The lookup runs on every index miss and is bound by cache misses
-/// (hundreds of runs a slice, hundreds of slices at 256 nodes), so its
-/// data is flat and two levels deep.
-const BLOCK: usize = 16;
-
-/// A kept run past its first line.
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    /// Bytes between lines; at least 1, so the lookup divides.
-    stride: u64,
-    /// Lines kept.
-    count: u32,
-    /// The position of the first line.
-    start: u32,
-}
-
 impl WarmTier {
-    /// The position of `line` while it is still in the tier: the last run
-    /// starting at or below it, if the line is one of that run's.
+    /// Slice `node`'s share of `map`, cut at `capacity` lines.
+    fn new(map: &Rc<WarmMap>, node: usize, capacity: usize) -> Self {
+        let node = node as u64;
+        assert!(node < map.nodes, "slice {node} is outside the warm-up map");
+        let mut start = Vec::with_capacity(map.runs.len() + 1);
+        let mut k = 0;
+        for &run in &map.runs {
+            start.push(k as u32);
+            // Every `nodes`-th line from the first homed here (`homed_at`).
+            let homed = run.count.saturating_sub(map.skip(run, node));
+            k += homed.div_ceil(map.nodes).min(capacity as u64 - k);
+        }
+        start.push(k as u32);
+        WarmTier {
+            map: Rc::clone(map),
+            node,
+            start,
+            left: vec![0; (k as usize).div_ceil(64)],
+            cursor: 0,
+            count: k as u32,
+        }
+    }
+
+    /// The position of `line` while it is still in the tier: one division
+    /// for its row and home, the map's search for its run, and the run's
+    /// `start` bounds for the rest.
     fn position(&self, line: LineAddr) -> Option<u32> {
         if self.count == 0 {
             return None;
         }
-        let b = self
-            .top
-            .partition_point(|&first| first <= line.0)
-            .checked_sub(1)?;
-        let block = &self.keys[b * BLOCK..self.keys.len().min(b * BLOCK + BLOCK)];
-        let i = b * BLOCK + block.iter().filter(|&&first| first <= line.0).count() - 1;
-        let (offset, span) = (line.0 - self.keys[i], self.spans[i]);
-        let j = offset / span.stride;
-        if j >= u64::from(span.count) || j * span.stride != offset {
-            return None;
+        let map = &*self.map;
+        let idx = line.0 >> map.shift;
+        let (row, home) = (idx / map.nodes, idx % map.nodes);
+        if home != self.node || idx << map.shift != line.0 {
+            return None; // never in this tier
         }
-        let p = span.start + j as u32;
-        (!self.has_left(p)).then_some(p)
+        let r = map.run_of(idx)?;
+        let run = map.runs[r];
+        // The rows from the run's first line homed here to this one.
+        let q = row - run.row - u64::from(self.node < run.home);
+        let p = u64::from(self.start[r]) + q;
+        (p < u64::from(self.start[r + 1]) && !self.has_left(p as u32)).then_some(p as u32)
     }
 
-    /// The `p`-th line kept, in the run at key index `i`.
-    fn line_at(&self, i: usize, p: u32) -> LineAddr {
-        let span = self.spans[i];
-        LineAddr(self.keys[i] + u64::from(p - span.start) * span.stride)
+    /// The `p`-th line kept, in run `r`.
+    fn line_at(&self, r: usize, p: u32) -> LineAddr {
+        let (map, run) = (&*self.map, self.map.runs[r]);
+        let first = run.first + map.skip(run, self.node);
+        let idx = first + u64::from(p - self.start[r]) * map.nodes;
+        LineAddr(idx << map.shift)
     }
 
     fn has_left(&self, p: u32) -> bool {
@@ -363,28 +471,22 @@ impl WarmTier {
             return None;
         }
         let p = self.cursor;
-        let run = self
-            .order
-            .partition_point(|&i| self.spans[i as usize].start <= p)
-            - 1;
-        Some((p, self.line_at(self.order[run] as usize, p)))
+        // Of the runs sharing a start, only the last keeps a line.
+        let r = self.start.partition_point(|&s| s <= p) - 1;
+        Some((p, self.line_at(r, p)))
     }
 
     /// Positions ever kept, in or out of the tier.
     #[cfg(any(debug_assertions, test))]
     fn len(&self) -> u32 {
-        let last = self.order.last().map(|&i| self.spans[i as usize]);
-        last.map_or(0, |span| span.start + span.count)
+        self.start.last().copied().unwrap_or(0)
     }
 
     /// The lines still in the tier with their positions, oldest first.
-    #[cfg(any(debug_assertions, test))]
     fn lines(&self) -> impl Iterator<Item = (u32, LineAddr)> + '_ {
-        let positions = self.order.iter().flat_map(|&i| {
-            let span = self.spans[i as usize];
-            (span.start..span.start + span.count).map(move |p| (i as usize, p))
-        });
-        (positions.filter(|&(_, p)| !self.has_left(p))).map(|(i, p)| (p, self.line_at(i, p)))
+        let positions = (self.start.windows(2).enumerate())
+            .flat_map(|(r, run)| (run[0]..run[1]).map(move |p| (r, p)));
+        (positions.filter(|&(_, p)| !self.has_left(p))).map(|(r, p)| (p, self.line_at(r, p)))
     }
 }
 
@@ -427,13 +529,15 @@ impl Directory {
             capacity_lines,
             deferred_limit: 16,
             index: DetMap::new(),
-            // Reserved once (pages never touched cost no memory), one past
-            // capacity for the insert that triggers an eviction: a slab
-            // left to grow by doubling peaked 12 % higher in resident size.
+            // Grown by use: only touched lines take a slot (the warm ones
+            // wait in the tier), so most slices never reach capacity, and
+            // a reservation for it would be reused, and paged in, cell
+            // after cell.
             slab: Slab {
-                slots: Vec::with_capacity(capacity_lines + 1),
+                slots: Vec::new(),
                 #[cfg(any(debug_assertions, test))]
-                lru: Vec::with_capacity(capacity_lines + 1),
+                lru: Vec::new(),
+                limit: capacity_lines + 1,
                 head: NIL,
                 tail: NIL,
                 free: NIL,
@@ -494,77 +598,31 @@ impl Directory {
         self.index.len() + self.warm.count as usize
     }
 
-    /// The slice at `node` with its L2 warmed: the lines of `runs`, in
-    /// order, resident-valid (`DV`) up to `capacity_lines`, as if each had
-    /// been fetched and written back before the measured window (the paper
-    /// measures steady-state windows, e.g. "between a fixed number of
-    /// barrier instances").
+    /// The slice at `node` with its L2 warmed: the lines of `map` homed
+    /// here, run by run in call order, resident-valid (`DV`) up to
+    /// `capacity_lines`, as if each had been fetched and written back
+    /// before the measured window (the paper measures steady-state
+    /// windows, e.g. "between a fixed number of barrier instances").
     ///
-    /// Kept as their description, not copied: the kept runs become the
-    /// slice's warm tier, its slab and index stay empty, and the `i`-th
-    /// line kept stands in the LRU order at position `i` with the implicit
-    /// stamp `i + 1`; the slice's tick starts at the number kept. Every
-    /// answer and reaction equals that of [`new`](Self::new) followed by a
-    /// per-line `preload` of every line (the test-only reference): a
+    /// Kept as their description, not copied: the slice shares the cell's
+    /// map and keeps only a table of where each run's share starts, its
+    /// warm tier; its slab and index stay empty, and the `i`-th line kept
+    /// stands in the LRU order at position `i` with the implicit stamp
+    /// `i + 1`; the slice's tick starts at the number kept. Every answer
+    /// and reaction equals that of [`new`](Self::new) followed by a
+    /// per-line `preload` of every line kept (the test-only reference): a
     /// request on a warm line first moves it into a slot at the list's
     /// tail, where its touch would have moved it, and capacity eviction
     /// takes the tier's oldest line while the tier lasts.
     ///
     /// # Panics
     ///
-    /// As [`new`](Self::new), and if two runs overlap or a run repeats a
-    /// line (zero stride): the tier's lookup needs disjoint runs.
-    pub fn warmed(
-        node: usize,
-        mem_node: usize,
-        capacity_lines: usize,
-        runs: impl IntoIterator<Item = LineRun>,
-    ) -> Self {
+    /// As [`new`](Self::new), and if `node` is not one of the map's
+    /// slices.
+    pub fn warmed(node: usize, mem_node: usize, capacity_lines: usize, map: &Rc<WarmMap>) -> Self {
         let mut dir = Directory::new(node, mem_node, capacity_lines);
-        // Each run's kept prefix, with the position of its first line.
-        let mut kept: Vec<(LineRun, u32)> = Vec::new();
-        let mut k = 0;
-        for run in runs {
-            if k == capacity_lines {
-                break;
-            }
-            let count = run.count.min((capacity_lines - k) as u64);
-            if count > 0 {
-                assert!(count == 1 || run.stride > 0, "warm-up run repeats a line");
-                kept.push((LineRun { count, ..run }, k as u32));
-                k += count as usize;
-            }
-        }
-        // Called nearly in address order: the run-adaptive stable sort
-        // merges what is already ascending.
-        let mut sorted: Vec<(u64, u32)> = (kept.iter().zip(0..))
-            .map(|(&(run, _), i)| (run.first.0, i))
-            .collect();
-        sorted.sort();
-        let warm = &mut dir.warm;
-        (warm.keys, warm.spans) = (
-            Vec::with_capacity(kept.len()),
-            Vec::with_capacity(kept.len()),
-        );
-        warm.order = vec![0; kept.len()];
-        let mut prev_last = None;
-        for (&(first, i), key) in sorted.iter().zip(0..) {
-            let (run, start) = kept[i as usize];
-            assert!(prev_last < Some(first), "warm-up runs overlap");
-            prev_last = run.last().map(|last| last.0);
-            let (stride, count) = (run.stride.max(1), run.count as u32);
-            warm.keys.push(first);
-            warm.spans.push(Span {
-                stride,
-                count,
-                start,
-            });
-            warm.order[i as usize] = key;
-        }
-        warm.top = warm.keys.iter().step_by(BLOCK).copied().collect();
-        warm.left = vec![0; k.div_ceil(64)];
-        warm.count = k as u32;
-        dir.tick = k as u64;
+        dir.warm = WarmTier::new(map, node, capacity_lines);
+        dir.tick = u64::from(dir.warm.count);
         #[cfg(debug_assertions)]
         {
             dir.check_victim(dir.warm.oldest().map(|(_, line)| line));
@@ -572,6 +630,19 @@ impl Directory {
             dir.check_warm();
         }
         dir
+    }
+
+    /// The tracked lines in LRU order, oldest first: the warm tier's in
+    /// warm order, then the slab's list from its head. Walks every line;
+    /// for tests and diagnostics.
+    pub fn lru_order(&self) -> Vec<LineAddr> {
+        let mut order: Vec<LineAddr> = self.warm.lines().map(|(_, line)| line).collect();
+        let mut s = self.slab.head;
+        while s != NIL {
+            order.push(self.slab.slots[s as usize].line);
+            s = self.slab.slots[s as usize].next;
+        }
+        order
     }
 
     /// Functionally pre-loads a line as resident-valid (`DV`) into a slot:
@@ -1258,13 +1329,30 @@ impl Directory {
         );
     }
 
-    /// The warm tier against its mask: the count is the number of
-    /// positions still in it, every position below the cursor has left and
-    /// the cursor itself has not (while any is left), the lookup finds
-    /// each line still in it at its position, and none of them is indexed.
+    /// The warm tier against its map and its mask: `start` never
+    /// decreases, and each run keeps its homed count ([`LineRun::homed_at`])
+    /// cut at what capacity had left; the count is the number of positions
+    /// still in the tier, every position below the cursor has left and the
+    /// cursor itself has not (while any is left), the lookup finds each
+    /// line still in it at its position, and none of them is indexed.
     #[cfg(any(debug_assertions, test))]
     fn check_warm(&self) {
-        let warm = &self.warm;
+        let (warm, map) = (&self.warm, &*self.warm.map);
+        if !warm.start.is_empty() {
+            assert_eq!(warm.start.len(), map.runs.len() + 1, "a start per run");
+            assert_eq!(warm.start[0], 0, "the first run starts the tier");
+            let line_bytes = 1 << map.shift;
+            let mut room = self.capacity_lines as u64;
+            for (r, run) in warm.start.windows(2).enumerate() {
+                assert!(run[0] <= run[1], "start never decreases");
+                let MapRun { first, count, .. } = map.runs[r];
+                let whole = LineRun::contiguous(LineAddr(first << map.shift), count, line_bytes);
+                let homed = whole.homed_at(self.node, line_bytes, map.nodes as usize);
+                let kept = u64::from(run[1] - run[0]);
+                assert_eq!(kept, homed.count.min(room), "run {r} keeps its homed lines");
+                room -= kept;
+            }
+        }
         let kept = (0..warm.len()).filter(|&p| !warm.has_left(p)).count();
         assert_eq!(kept, warm.count as usize, "count == positions in the tier");
         assert!(
@@ -1880,13 +1968,7 @@ mod tests {
         d.check_victim(tier_victim.or(slab_victim.map(|s| s.line)));
         d.check_deferred();
         d.check_warm();
-        let mut order: Vec<LineAddr> = d.warm.lines().map(|(_, line)| line).collect();
-        let mut s = d.slab.head;
-        while s != NIL {
-            order.push(d.slab.slots[s as usize].line);
-            s = d.slab.slots[s as usize].next;
-        }
-        order
+        d.lru_order()
     }
 
     #[test]
@@ -1899,7 +1981,27 @@ mod tests {
         assert_eq!(d.tracked(), 4);
         assert_eq!(d.stats().evictions, 36);
         assert_eq!(d.slab.slots.len(), 5, "capacity + the insert that evicts");
-        assert_eq!(d.slab.slots.capacity(), 5, "reserved once, never regrown");
+        assert_eq!(d.slab.slots.capacity(), 5, "grown by use, capped there");
+    }
+
+    #[test]
+    fn a_fresh_slice_reserves_no_slots() {
+        // At the largest capacity a configuration may ask for, a slab
+        // reserved up front is 940 MB of address space per slice.
+        let mut d = Directory::new(0, 99, 1 << 24);
+        assert_eq!(d.slab.slots.capacity(), 0, "nothing before a touch");
+        for i in 0..3 {
+            to_dv(&mut d, nth(i));
+        }
+        assert!(d.slab.slots.capacity() < 8, "grown by use");
+        // Doubling stops at capacity + 1, the most a slice holds while
+        // any line is evictable.
+        let mut d = Directory::new(0, 99, 6);
+        for i in 0..40 {
+            to_dv(&mut d, nth(i));
+            assert!(d.slab.slots.capacity() <= 7, "past capacity + 1");
+            assert!(d.slab.lru.capacity() <= 7, "stamps past capacity + 1");
+        }
     }
 
     #[test]
@@ -2058,10 +2160,16 @@ mod tests {
         LineRun::contiguous(nth(i), count, 32)
     }
 
+    /// Slice 0 of a one-slice map of `runs`, warmed.
+    fn warmed(capacity_lines: usize, runs: &[LineRun]) -> Directory {
+        let map = Rc::new(WarmMap::new(runs.iter().copied(), 32, 1));
+        Directory::warmed(0, 99, capacity_lines, &map)
+    }
+
     /// The eager image the warm tier replaced: `new`, then one `preload`
     /// per line, each line in a slot of its own.
-    fn per_line_warm(capacity_lines: usize, runs: &[LineRun]) -> Directory {
-        let mut d = Directory::new(0, 99, capacity_lines);
+    fn per_line_warm(node: usize, capacity_lines: usize, runs: &[LineRun]) -> Directory {
+        let mut d = Directory::new(node, 99, capacity_lines);
         for line in runs.iter().flat_map(|r| r.lines()) {
             d.preload(line);
         }
@@ -2091,7 +2199,7 @@ mod tests {
 
     #[test]
     fn warmed_keeps_call_order_and_stops_at_capacity() {
-        let mut d = Directory::warmed(0, 99, 5, [run_at(10, 3), run_at(0, 4), run_at(20, 2)]);
+        let mut d = warmed(5, &[run_at(10, 3), run_at(0, 4), run_at(20, 2)]);
         assert_eq!(lru_order(&d), [nth(10), nth(11), nth(12), nth(0), nth(1)]);
         assert_eq!((d.tracked(), d.tick), (5, 5));
         assert_eq!(d.state_of(nth(0)), DirState::DV);
@@ -2110,7 +2218,7 @@ mod tests {
         assert_eq!(out[1], OutMsg { to: 99, msg: write });
         assert_eq!(lru_order(&d), [nth(12), nth(0), nth(1), nth(11), nth(2)]);
         assert_eq!(d.state_of(nth(10)), DirState::DI, "evicted");
-        let empty = Directory::warmed(0, 99, 4, [run_at(0, 0)]);
+        let empty = warmed(4, &[run_at(0, 0)]);
         assert_eq!(lru_order(&empty), []);
         assert_eq!((empty.tracked(), empty.tick), (0, 0));
     }
@@ -2118,7 +2226,7 @@ mod tests {
     #[test]
     fn only_a_request_takes_a_line_out_of_the_warm_tier() {
         let runs = [run_at(0, 4)];
-        let (mut lazy, mut eager) = (Directory::warmed(0, 99, 8, runs), per_line_warm(8, &runs));
+        let (mut lazy, mut eager) = (warmed(8, &runs), per_line_warm(0, 8, &runs));
         let line = nth(1);
         for msg in [
             CoherenceMsg::WriteBack { line },
@@ -2151,90 +2259,91 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "warm-up runs overlap")]
-    fn warmed_rejects_overlapping_runs() {
-        Directory::warmed(0, 99, 64, [run_at(3, 4), run_at(0, 4)]);
+    fn warm_map_rejects_overlapping_runs() {
+        WarmMap::new([run_at(3, 4), run_at(0, 4)], 32, 4);
     }
 
     #[test]
-    #[should_panic(expected = "repeats a line")]
-    fn warmed_rejects_a_zero_stride() {
+    #[should_panic(expected = "not contiguous")]
+    fn warm_map_rejects_a_run_that_is_not_contiguous() {
         let run = LineRun {
-            stride: 0,
+            stride: 64,
             ..run_at(0, 2)
         };
-        Directory::warmed(0, 99, 64, [run]);
+        WarmMap::new([run], 32, 1);
     }
 
-    /// Random disjoint runs, laid out ascending and called in `key` order.
-    /// Per run: the gap before it and its stride (in lines), its length (a
-    /// quarter of the runs empty) and its key.
-    fn shuffled_runs(shapes: &[(u64, u64, u64, u64)]) -> Vec<LineRun> {
+    /// Random disjoint contiguous runs, laid out ascending from arbitrary
+    /// line numbers and called in `key` order. Per run: the gap before it
+    /// (in lines), its length (one in four at most 11 lines, empties and
+    /// runs shorter than a slice count among them) and its key.
+    fn shuffled_runs(shapes: &[(u64, u64, u64)]) -> Vec<LineRun> {
         let mut next = 0u64;
         let mut keyed: Vec<(u64, LineRun)> = shapes
             .iter()
-            .map(|&(gap, stride, len, key)| {
-                let count = len.saturating_sub(125);
-                let first = nth(next + gap);
-                next += gap + stride * count;
-                (
-                    key,
-                    LineRun {
-                        first,
-                        stride: stride * 32,
-                        count,
-                    },
-                )
+            .map(|&(gap, len, key)| {
+                let count = if len < 150 { len % 12 } else { len - 150 };
+                let first = next + gap;
+                next = first + count;
+                (key, run_at(first, count))
             })
             .collect();
         keyed.sort_by_key(|&(key, _)| key);
         keyed.into_iter().map(|(_, run)| run).collect()
     }
 
-    /// The warm tier against the eager image: one random message script
-    /// on a tier-warmed slice and on its per-line reference — requests
-    /// from random nodes over warm, cut and never-warm lines (the last
-    /// next to a run, between its lines, one past its end), the replies
-    /// they are owed, writebacks from the owner or a stranger, and stray
-    /// acks. After every message both agree on the reaction (or the
-    /// error), the line's state, sharers and owner, a probe line of each
-    /// kind, `tracked()`, every statistic and the LRU order.
+    /// The warm tier against the eager image: one random slice of a
+    /// random map of 1 ..= 9 slices, warmed from the shared map and, line
+    /// by line, from its `homed_at` split; then one random message script
+    /// on both — requests from random nodes over warm, cut and never-warm
+    /// lines (the last next to a run, one past its end, or a line of the
+    /// map homed at another slice), the replies they are owed, writebacks
+    /// from the owner or a stranger, and stray acks. After every message
+    /// both agree on the reaction (or the error), the line's state,
+    /// sharers and owner, a probe line of each kind, `tracked()`, every
+    /// statistic and the LRU order.
     #[test]
     fn lazy_warm_equals_eager_preload() {
         use fsoi_check::{select, vec_of, Checker};
         use std::cell::Cell;
-        let run = (0u64..6, 1u64..5, 0u64..500, 0u64..1000);
+        let run = (0u64..20, 0u64..600, 0u64..1000);
         // Per step: what to send (0–3 a request, 4–5 an owed reply, 6 a
         // writeback, 7 a stray ack), a node, the kind of line (warm, cut,
         // never warm) and a pick.
         let step = (0u8..8, 0usize..6, 0usize..3, 0usize..4096);
+        // Capacity, deferred limit, slice count and slice; runs; steps.
         let gen = (
-            (select(&[4usize, 5, 13, 64, 2048]), 1usize..=4),
+            (
+                select(&[4usize, 5, 13, 64, 2048]),
+                1usize..=4,
+                1usize..=9,
+                0usize..9,
+            ),
             vec_of(run, 0..12),
             vec_of(step, 1..200),
         );
         let (cases, evicting) = (Cell::new(0u32), Cell::new(0u32));
         let check = "lazy_warm_equals_eager_preload";
-        Checker::new().check(check, gen, |((cap, limit), shapes, steps)| {
-            let runs = shuffled_runs(shapes);
-            let mut lazy = Directory::warmed(0, 99, *cap, runs.iter().copied());
-            let mut eager = per_line_warm(*cap, &runs);
+        Checker::new().check(check, gen, |((cap, limit, nodes, slice), shapes, steps)| {
+            let (nodes, runs) = (*nodes, shuffled_runs(shapes));
+            let node = slice % nodes;
+            let map = Rc::new(WarmMap::new(runs.iter().copied(), 32, nodes));
+            let homed: Vec<LineRun> = runs.iter().map(|r| r.homed_at(node, 32, nodes)).collect();
+            let mut lazy = Directory::warmed(node, 99, *cap, &map);
+            let mut eager = per_line_warm(node, *cap, &homed);
             (lazy.deferred_limit, eager.deferred_limit) = (*limit, *limit);
             assert_eq!(lru_order(&lazy), lru_order(&eager));
-            let all: Vec<LineAddr> = runs.iter().flat_map(|r| r.lines()).collect();
+            let all: Vec<LineAddr> = homed.iter().flat_map(|r| r.lines()).collect();
             let (warm, cut) = all.split_at(all.len().min(*cap));
-            let member: std::collections::BTreeSet<LineAddr> = all.iter().copied().collect();
+            let member: std::collections::BTreeSet<LineAddr> =
+                runs.iter().flat_map(|r| r.lines()).collect();
             let mut never: Vec<LineAddr> = runs
                 .iter()
-                .flat_map(|r| {
-                    [
-                        r.first.0 - 32,
-                        r.first.0 + 32,
-                        r.first.0 + r.count * r.stride,
-                    ]
-                })
+                .flat_map(|r| [r.first.0 - 32, r.first.0 + r.count * 32])
                 .map(LineAddr)
                 .filter(|line| !member.contains(line))
                 .collect();
+            never.extend(member.iter().filter(|line| line.home(32, nodes) != node));
             never.push(nth(1 << 20));
             let pools = [warm, cut, &never[..]];
             let mut owed: Vec<(usize, CoherenceMsg)> = Vec::new();

@@ -40,10 +40,12 @@
 #                                 # 300 cases);
 #                                 # lazy_warm_equals_eager_preload and
 #                                 # region_runs_split_by_home_equals_filtered_lines
-#                                 # (the L2 warm tier against its per-line eager
-#                                 # reference under one message script, then the
-#                                 # per-home split up to 256 nodes, LRU-order and
-#                                 # tier cross-checks live, 300 cases each);
+#                                 # (a random slice's warm tier over a shared
+#                                 # map of 1..=9 slices against its per-line
+#                                 # eager reference under one message script,
+#                                 # then the per-home split and every slice's
+#                                 # tier over one map up to 256 nodes, LRU-order
+#                                 # and tier cross-checks live, 300 cases each);
 #                                 # stalls_keep_the_list_and_the_side_table_consistent
 #                                 # (a stall-heavy directory slice with the LRU-list
 #                                 # and deferred-table cross-checks after every
