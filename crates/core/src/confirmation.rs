@@ -14,6 +14,7 @@
 //! coherence layer's `BooleanSubscriptionHub` (`fsoi_coherence::sync`).
 
 use crate::topology::NodeId;
+use fsoi_sim::event::MonotoneQueue;
 use fsoi_sim::trace::{self, TraceEvent};
 use fsoi_sim::Cycle;
 use std::cmp::Reverse;
@@ -61,11 +62,16 @@ pub struct Confirmation {
 /// A confirmation's content (receipt, hint) is applied by the network at
 /// resolution time with the correct delay, and its send is traced; all the
 /// channel has to remember of a beam in flight is the cycle it lands, which
-/// the fast-forward scheduler treats as an event.
+/// the fast-forward scheduler treats as an event. Receipts go out at
+/// non-decreasing resolution cycles and land a fixed `delay` later, so
+/// they wait in a FIFO ([`MonotoneQueue`]); winner hints land at explicit
+/// cycles that may precede an older receipt's, so they wait in a min-heap.
+/// The next arrival is the earlier of the two heads.
 #[derive(Debug)]
 pub struct ConfirmationChannel {
     delay: u64,
-    arrivals: BinaryHeap<Reverse<Cycle>>,
+    receipts: MonotoneQueue<()>,
+    hints: BinaryHeap<Reverse<Cycle>>,
     sent: u64,
 }
 
@@ -74,7 +80,8 @@ impl ConfirmationChannel {
     pub fn new(delay: u64) -> Self {
         ConfirmationChannel {
             delay,
-            arrivals: BinaryHeap::new(),
+            receipts: MonotoneQueue::new(),
+            hints: BinaryHeap::new(),
             sent: 0,
         }
     }
@@ -91,18 +98,24 @@ impl ConfirmationChannel {
 
     /// Schedules a confirmation for a packet received at `received_at`; it
     /// arrives `delay` cycles later.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if `received_at` is earlier than the previous
+    /// receipt's: receipts are sent in resolution order.
     pub fn send(&mut self, received_at: Cycle, confirmation: Confirmation) {
-        self.launch(received_at, received_at + self.delay, confirmation);
+        self.receipts.push(received_at + self.delay, ());
+        self.count(received_at, confirmation);
     }
 
     /// Schedules a confirmation with an explicit arrival time (used by the
     /// winner-hint path, which must land before the next data slot).
     pub fn send_at(&mut self, arrive_at: Cycle, confirmation: Confirmation) {
-        self.launch(arrive_at, arrive_at, confirmation);
+        self.hints.push(Reverse(arrive_at));
+        self.count(arrive_at, confirmation);
     }
 
-    fn launch(&mut self, traced_at: Cycle, arrive_at: Cycle, confirmation: Confirmation) {
-        self.arrivals.push(Reverse(arrive_at));
+    fn count(&mut self, traced_at: Cycle, confirmation: Confirmation) {
         self.sent += 1;
         trace::emit_with(traced_at, || TraceEvent::Confirm {
             src: confirmation.from.0 as u64,
@@ -114,8 +127,11 @@ impl ConfirmationChannel {
     /// Lands every confirmation due at or before `now`; returns how many.
     pub fn drain_due(&mut self, now: Cycle) -> usize {
         let mut landed = 0;
-        while self.arrivals.peek().is_some_and(|due| due.0 <= now) {
-            self.arrivals.pop();
+        while self.receipts.pop_due(now).is_some() {
+            landed += 1;
+        }
+        while self.hints.peek().is_some_and(|due| due.0 <= now) {
+            self.hints.pop();
             landed += 1;
         }
         landed
@@ -124,7 +140,11 @@ impl ConfirmationChannel {
     /// Arrival cycle of the earliest in-flight confirmation, if any (the
     /// fast-forward scheduler must not skip past a drain).
     pub fn next_due(&self) -> Option<Cycle> {
-        self.arrivals.peek().map(|due| due.0)
+        let hint = self.hints.peek().map(|due| due.0);
+        [self.receipts.peek_time(), hint]
+            .into_iter()
+            .flatten()
+            .min()
     }
 }
 
@@ -162,22 +182,33 @@ mod tests {
         assert_eq!(ch.drain_due(Cycle(100)), 2);
     }
 
+    /// Receipts and hints wait in different queues; the channel still
+    /// lands them in arrival order, whichever queue holds the earlier one.
     #[test]
-    fn winner_hint_uses_explicit_time() {
-        let mut ch = ConfirmationChannel::new(2);
-        ch.send(Cycle(8), receipt(0)); // lands at 10
-        let hint = Confirmation {
+    fn receipts_and_hints_land_in_arrival_order() {
+        let hint = |slot| Confirmation {
             from: NodeId(2),
             to: NodeId(5),
             kind: ConfirmationKind::WinnerHint {
-                slot_start: Cycle(10),
+                slot_start: Cycle(slot),
             },
         };
-        assert_eq!(hint.kind.name(), "hint");
-        ch.send_at(Cycle(9), hint);
-        assert_eq!(ch.next_due(), Some(Cycle(9)), "earlier than the receipt");
-        assert_eq!(ch.drain_due(Cycle(9)), 1);
-        assert_eq!(ch.next_due(), Some(Cycle(10)));
-        assert_eq!(ch.sent(), 2);
+        assert_eq!(hint(0).kind.name(), "hint");
+        // A hint lands before an older receipt.
+        let mut ch = ConfirmationChannel::new(2);
+        ch.send(Cycle(20), receipt(0)); // lands at 22
+        ch.send_at(Cycle(21), hint(22));
+        assert_eq!(ch.next_due(), Some(Cycle(21)));
+        assert_eq!(ch.drain_due(Cycle(21)), 1);
+        assert_eq!(ch.next_due(), Some(Cycle(22)));
+        assert_eq!(ch.drain_due(Cycle(22)), 1);
+        assert_eq!((ch.next_due(), ch.sent()), (None, 2));
+        // A receipt lands before a later hint.
+        let mut ch = ConfirmationChannel::new(2);
+        ch.send_at(Cycle(39), hint(40));
+        ch.send(Cycle(30), receipt(1)); // lands at 32
+        assert_eq!(ch.next_due(), Some(Cycle(32)));
+        assert_eq!(ch.drain_due(Cycle(39)), 2, "one drain lands both");
+        assert_eq!((ch.next_due(), ch.sent()), (None, 2));
     }
 }

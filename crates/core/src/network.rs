@@ -24,6 +24,14 @@
 //! path") argues why this is the full node × lane scan with the no-op
 //! nodes left out.
 //!
+//! A slot group — the packets that share one receiver in one slot — lives
+//! inside its own resolution event, in a per-lane FIFO: the packet that
+//! opens it is stored inline, and only a collider takes a buffer. A flat
+//! per-lane `open` table finds the group a collider joins, and the
+//! resolver pops the group by value. Receipts ride a FIFO of their own on
+//! the confirmation channel, and each lane's packet-error probability is
+//! computed once, at construction.
+//!
 //! # Example
 //!
 //! ```
@@ -140,14 +148,6 @@ impl NetStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-struct GroupKey {
-    dst: NodeId,
-    lane: usize,
-    rx: usize,
-    slot_id: u64,
-}
-
 #[derive(Debug)]
 struct NodeState {
     out: [BoundedQueue<InFlight>; 2],
@@ -158,84 +158,107 @@ struct NodeState {
     expected_data: NodeMask,
 }
 
-/// An in-flight slot group: the packets that occupy one `(dst, rx, slot)`
-/// cell of a lane until its resolution event fires.
+/// A slot group: the packets that occupy one `(dst, rx, slot)` cell of a
+/// lane, held inside the lane's resolution FIFO until its event fires. A
+/// clean slot — one packet — is the whole record; `rest` takes a pooled
+/// buffer only when a second packet joins.
 #[derive(Debug)]
 struct SlotGroup {
+    /// Push order over both lanes: breaks ties between the lanes' events.
+    seq: u64,
     slot_id: u64,
-    packets: Vec<InFlight>,
+    /// The receiver of `first`'s destination that the group occupies: a
+    /// sender's rank modulo the receiver count, so below the node count.
+    rx: u32,
+    /// The packet that opened the group.
+    first: InFlight,
+    /// The colliders that joined it, in arrival order.
+    rest: Vec<InFlight>,
 }
 
-/// Dense per-lane active-slot state, indexed `dst * receivers + rx`.
-///
-/// Group lookup on the tx and resolve paths is one array index plus a
-/// linear scan of the groups live in that cell (at most two under the
-/// default one-cycle phase-array setup: the current slot and a
-/// not-yet-resolved previous one).
-/// Determinism is structural: cells are only ever addressed point-wise by
-/// a concrete key — nothing iterates the table — so no iteration order
-/// exists to diverge.
-#[derive(Debug)]
-struct SlotTable {
-    cells: Vec<Vec<SlotGroup>>,
-    receivers: usize,
-    live: usize,
-}
-
-impl SlotTable {
-    fn new(nodes: usize, receivers: usize) -> Self {
-        SlotTable {
-            cells: (0..nodes * receivers).map(|_| Vec::new()).collect(),
-            receivers,
-            live: 0,
-        }
+impl SlotGroup {
+    /// The packets in arrival order, the order the resolver draws in.
+    fn packets(&self) -> impl Iterator<Item = &InFlight> {
+        std::iter::once(&self.first).chain(&self.rest)
     }
 
-    /// Adds `packet` to its slot group, drawing a recycled packet buffer
-    /// from `pool` when the group is new. Returns true exactly when a new
-    /// group was created — the caller owes one resolution event per group.
-    fn push(&mut self, key: &GroupKey, packet: InFlight, pool: &mut Vec<Vec<InFlight>>) -> bool {
-        let cell = &mut self.cells[key.dst.0 * self.receivers + key.rx];
-        if let Some(group) = cell.iter_mut().find(|g| g.slot_id == key.slot_id) {
-            group.packets.push(packet);
-            return false;
-        }
-        let mut packets = pool.pop().unwrap_or_default();
-        packets.push(packet);
-        cell.push(SlotGroup {
-            slot_id: key.slot_id,
-            packets,
-        });
-        self.live += 1;
-        true
-    }
-
-    /// Removes and returns the packets of `key`'s group, if it is live.
-    /// The caller returns the buffer to the pool after resolving it.
-    fn take(&mut self, key: &GroupKey) -> Option<Vec<InFlight>> {
-        let cell = &mut self.cells[key.dst.0 * self.receivers + key.rx];
-        let pos = cell.iter().position(|g| g.slot_id == key.slot_id)?;
-        self.live -= 1;
-        Some(cell.swap_remove(pos).packets)
+    fn len(&self) -> usize {
+        1 + self.rest.len()
     }
 }
 
-/// Pending slot resolutions: one FIFO per lane, merged on pop.
+/// Pending slot groups, each held in its own resolution event: one FIFO
+/// per lane, merged on pop.
 ///
 /// A lane's resolution cycle — slot end plus the phase-array setup — never
 /// decreases from one push to the next (the [`MonotoneQueue`] contract), so
 /// each FIFO is already sorted by `(at, seq)`, and popping the smaller of
 /// the two heads is exactly the pop order of one time-ordered,
 /// FIFO-tie-broken heap over both lanes.
-#[derive(Debug, Default)]
+///
+/// `open[lane][dst * receivers + rx]` is the `(slot id, push index)` of the
+/// cell's latest group, and a packet joins that group when its slot id
+/// matches. That is exact: a slot's groups open only in the slot's first
+/// cycle (transmissions start at slot boundaries) and resolve only after
+/// the slot ends, so the group of the current slot is still in the FIFO,
+/// its push index less the lane's pops behind the head. Nothing iterates
+/// the table, so it has no order to diverge.
+#[derive(Debug)]
 struct Resolutions {
-    lanes: [MonotoneQueue<(u64, GroupKey)>; 2],
+    lanes: [MonotoneQueue<SlotGroup>; 2],
+    open: [Vec<(u64, u64)>; 2],
+    receivers: [usize; 2],
+    /// Per lane, the groups pushed so far: the next group's push index.
+    pushed: [u64; 2],
     next_seq: u64,
+    /// Free-list of `rest` buffers: collided groups recycle instead of
+    /// allocating.
+    pool: Vec<Vec<InFlight>>,
 }
 
 impl Resolutions {
-    fn push(&mut self, at: Cycle, key: GroupKey) {
-        self.lanes[key.lane].push(at, (self.next_seq, key));
+    fn new(nodes: usize, receivers: [usize; 2]) -> Self {
+        Resolutions {
+            lanes: [MonotoneQueue::new(), MonotoneQueue::new()],
+            // No slot id matches a cell before its first group.
+            open: receivers.map(|rx| vec![(u64::MAX, 0); nodes * rx]),
+            receivers,
+            pushed: [0; 2],
+            next_seq: 0,
+            pool: Vec::new(),
+        }
+    }
+
+    /// Adds `flight` to its `(dst, rx, slot_id)` group on `lane`; the
+    /// slot's first packet for the cell opens the group, and with it the
+    /// group's resolution event at `at`.
+    fn join(&mut self, lane: usize, rx: usize, slot_id: u64, at: Cycle, flight: InFlight) {
+        let cell = flight.packet.dst * self.receivers[lane] + rx;
+        let (open_slot, index) = self.open[lane][cell];
+        if open_slot == slot_id {
+            let fifo = &mut self.lanes[lane];
+            let popped = self.pushed[lane] - fifo.len() as u64;
+            if let Some(group) = fifo.get_mut((index - popped) as usize) {
+                if group.rest.is_empty() {
+                    group.rest = self.pool.pop().unwrap_or_default();
+                }
+                group.rest.push(flight);
+                return;
+            }
+            debug_assert!(false, "the open group of the current slot is live");
+        }
+        self.open[lane][cell] = (slot_id, self.pushed[lane]);
+        self.lanes[lane].push(
+            at,
+            SlotGroup {
+                seq: self.next_seq,
+                slot_id,
+                rx: rx as u32,
+                first: flight,
+                rest: Vec::new(),
+            },
+        );
+        self.pushed[lane] += 1;
         self.next_seq += 1;
     }
 
@@ -243,7 +266,7 @@ impl Resolutions {
     fn head(&self, lane: usize) -> (Cycle, u64) {
         self.lanes[lane]
             .peek()
-            .map_or((Cycle(u64::MAX), u64::MAX), |&(at, (seq, _))| (at, seq))
+            .map_or((Cycle(u64::MAX), u64::MAX), |(at, group)| (*at, group.seq))
     }
 
     fn peek_time(&self) -> Option<Cycle> {
@@ -251,18 +274,21 @@ impl Resolutions {
         (at != Cycle(u64::MAX)).then_some(at)
     }
 
-    fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, GroupKey)> {
+    /// The earliest group due by `now`, with its lane and resolution cycle.
+    fn pop_due(&mut self, now: Cycle) -> Option<(usize, Cycle, SlotGroup)> {
         let lane = usize::from(self.head(1) < self.head(0));
-        let (at, (_, key)) = self.lanes[lane].pop_due(now)?;
-        Some((at, key))
+        let (at, group) = self.lanes[lane].pop_due(now)?;
+        Some((lane, at, group))
     }
 
-    fn len(&self) -> usize {
-        self.lanes[0].len() + self.lanes[1].len()
+    /// Returns a resolved collision's `rest` buffer to the free-list.
+    fn recycle(&mut self, mut rest: Vec<InFlight>) {
+        rest.clear();
+        self.pool.push(rest);
     }
 
     fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.lanes.iter().all(MonotoneQueue::is_empty)
     }
 }
 
@@ -276,13 +302,7 @@ pub struct FsoiNetwork {
     // Per lane, the nodes with a non-empty `out` queue or a pending retry:
     // the only nodes a slot boundary, `next_event_at` or `is_idle` visits.
     senders: [NodeMask; 2],
-    // Slot groups feed collision resolution and the delivered-packet
-    // order, which feed every export; the dense table is deterministic by
-    // construction (point-wise addressing only, lint rule D1).
-    slots: [SlotTable; 2],
-    // Free-list of packet buffers for slot groups: steady-state slot
-    // turnover recycles instead of allocating.
-    pool: Vec<Vec<InFlight>>,
+    // The slot groups, each inside its resolution event.
     resolutions: Resolutions,
     confirmations: ConfirmationChannel,
     delivered: Vec<NetDelivery>,
@@ -290,7 +310,9 @@ pub struct FsoiNetwork {
     next_id: u64,
     slot_len: [u64; 2],
     ser_cycles: [u64; 2],
-    receivers: [usize; 2],
+    // Per lane, the chance that a raw bit error corrupts a clean slot's
+    // packet: a function of the configuration alone.
+    p_err: [f64; 2],
 }
 
 impl FsoiNetwork {
@@ -317,10 +339,7 @@ impl FsoiNetwork {
             })
             .collect();
         let receivers = [cfg.lanes.meta.receivers, cfg.lanes.data.receivers];
-        let slots = [
-            SlotTable::new(cfg.nodes, receivers[0]),
-            SlotTable::new(cfg.nodes, receivers[1]),
-        ];
+        let resolutions = Resolutions::new(cfg.nodes, receivers);
         let slot_len = [
             cfg.lanes.slot_cycles(PacketClass::Meta),
             cfg.lanes.slot_cycles(PacketClass::Data),
@@ -329,6 +348,8 @@ impl FsoiNetwork {
             cfg.lanes.serialization_cycles(PacketClass::Meta),
             cfg.lanes.serialization_cycles(PacketClass::Data),
         ];
+        let p_err = PacketClass::ALL
+            .map(|class| cfg.packet_error_probability(cfg.lanes.spec(class).packet_bits));
         if trace::compiled() {
             // A failed invariant anywhere downstream dumps the flight
             // recorder's JSONL tail for post-mortem replay.
@@ -340,16 +361,14 @@ impl FsoiNetwork {
             rng: Xoshiro256StarStar::new(seed),
             nodes,
             senders: [NodeMask::new(); 2],
-            slots,
-            pool: Vec::new(),
-            resolutions: Resolutions::default(),
+            resolutions,
             confirmations: ConfirmationChannel::new(CONFIRMATION_DELAY),
             delivered: Vec::new(),
             stats: NetStats::default(),
             next_id: 0,
             slot_len,
             ser_cycles,
-            receivers,
+            p_err,
         }
     }
 
@@ -398,8 +417,63 @@ impl FsoiNetwork {
                 .collect();
             assert_eq!(*tracked, scanned, "senders[{lane}]");
         }
-        let groups: usize = self.slots.iter().map(|t| t.live).sum();
-        assert_eq!(groups, self.resolutions.len(), "one event per slot group");
+    }
+
+    /// Debug builds: every live group's `open` cell holds the slot id and
+    /// push index of that group, or of a younger live group of the same
+    /// cell; no cell has two groups of one slot, so each lane's group count
+    /// is its FIFO length; and every transmission waits in exactly one
+    /// group until it resolves.
+    fn check_groups(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let r = &self.resolutions;
+        assert!(r.pool.iter().all(Vec::is_empty), "pooled buffers are empty");
+        for (lane, fifo) in r.lanes.iter().enumerate() {
+            let receivers = r.receivers[lane];
+            let popped = r.pushed[lane] - fifo.len() as u64;
+            let mut live = Vec::with_capacity(fifo.len());
+            let mut packets = 0;
+            for (i, (_, group)) in fifo.iter().enumerate() {
+                let (dst, rx) = (group.first.dst(), group.rx as usize);
+                for p in group.packets() {
+                    let cell = (
+                        p.dst(),
+                        p.packet.class.lane(),
+                        receiver_index(p.src(), dst, self.cfg.nodes, receivers),
+                    );
+                    assert_eq!(cell, (dst, lane, rx), "a group holds one cell of one lane");
+                }
+                assert!(
+                    !group.rest.is_empty() || group.rest.capacity() == 0,
+                    "a clean slot holds no buffer"
+                );
+                live.push((dst.0 * receivers + rx, group.slot_id, popped + i as u64));
+                packets += group.len() as u64;
+            }
+            live.sort_unstable();
+            for &(cell, slot_id, _) in &live {
+                let (open_slot, index) = r.open[lane][cell];
+                assert!(
+                    open_slot >= slot_id && live.binary_search(&(cell, open_slot, index)).is_ok(),
+                    "lane {lane}, cell {cell}: open ({open_slot}, {index}) is not the latest live group"
+                );
+            }
+            let mut groups: Vec<(usize, u64)> = live.iter().map(|&(c, s, _)| (c, s)).collect();
+            groups.dedup();
+            assert_eq!(
+                groups.len(),
+                fifo.len(),
+                "lane {lane}: one group per cell and slot"
+            );
+            let s = &self.stats;
+            assert_eq!(
+                packets,
+                s.transmissions[lane] - s.delivered[lane] - s.retransmissions[lane],
+                "lane {lane}: every transmission waits in one group until it resolves"
+            );
+        }
     }
 
     /// Processes everything due at the current cycle (the body of
@@ -412,6 +486,7 @@ impl FsoiNetwork {
         // time with the correct delays.
         self.confirmations.drain_due(self.now);
         self.check_senders();
+        self.check_groups();
     }
 
     /// Runs `cycles` ticks, fast-forwarding over provably empty cycles.
@@ -474,60 +549,44 @@ impl FsoiNetwork {
         }
         self.stats.transmissions[lane] += 1;
 
-        let key = GroupKey {
-            dst: flight.dst(),
-            lane,
-            rx: receiver_index(
-                flight.src(),
-                flight.dst(),
-                self.cfg.nodes,
-                self.receivers[lane],
-            ),
-            slot_id: self.now.as_u64() / slot,
-        };
+        let slot_id = self.now.as_u64() / slot;
         trace::emit_with(self.now, || TraceEvent::TxStart {
             packet: flight.id,
             src: flight.packet.src as u64,
             dst: flight.packet.dst as u64,
             lane: lane as u64,
             attempt: u64::from(flight.retries),
-            slot: key.slot_id,
+            slot: slot_id,
         });
         // All packets of a slot resolve at the same deterministic cycle:
         // slot end plus the worst-case phase-array setup. One resolution
         // event per slot group — the packet that opens the group schedules
         // it, later colliders just join.
-        let resolve_at = Cycle((key.slot_id + 1) * slot + self.cfg.phase_array_setup());
-        if self.slots[lane].push(&key, flight, &mut self.pool) {
-            self.resolutions.push(resolve_at, key);
-        }
+        let resolve_at = Cycle((slot_id + 1) * slot + self.cfg.phase_array_setup());
+        let receivers = self.resolutions.receivers[lane];
+        let rx = receiver_index(flight.src(), flight.dst(), self.cfg.nodes, receivers);
+        self.resolutions.join(lane, rx, slot_id, resolve_at, flight);
     }
 
     fn resolve_slots(&mut self) {
-        while let Some((resolve_at, key)) = self.resolutions.pop_due(self.now) {
-            let Some(mut group) = self.slots[key.lane].take(&key) else {
-                debug_assert!(false, "every resolution event has exactly one group");
-                continue;
-            };
-            if group.len() == 1 {
+        while let Some((lane, resolve_at, group)) = self.resolutions.pop_due(self.now) {
+            if group.rest.is_empty() {
                 // A clean slot can still be hit by a raw bit error; the
                 // checksum catches it, no confirmation goes out, and the
                 // sender retries — the same machinery as a collision
                 // (§4.3.1: "errors and collisions [are] handled by the
                 // same mechanism").
-                let bits = self.cfg.lanes.spec(group[0].packet.class).packet_bits;
-                let p_err = self.cfg.packet_error_probability(bits);
+                let p_err = self.p_err[lane];
                 if p_err > 0.0 && self.rng.bernoulli(p_err) {
-                    self.stats.bit_error_drops[key.lane] += 1;
-                    self.drop_and_retry(key.lane, group[0], resolve_at);
+                    self.stats.bit_error_drops[lane] += 1;
+                    self.drop_and_retry(lane, group.first, resolve_at);
                 } else {
-                    self.deliver(group[0], resolve_at);
+                    self.deliver(group.first, resolve_at);
                 }
             } else {
-                self.collide(key, &group, resolve_at);
+                self.collide(lane, &group, resolve_at);
+                self.resolutions.recycle(group.rest);
             }
-            group.clear();
-            self.pool.push(group);
         }
     }
 
@@ -604,8 +663,7 @@ impl FsoiNetwork {
         self.push_retry(lane, ready, flight);
     }
 
-    fn collide(&mut self, key: GroupKey, group: &[InFlight], at: Cycle) {
-        let lane = key.lane;
+    fn collide(&mut self, lane: usize, group: &SlotGroup, at: Cycle) {
         self.stats.collision_events[lane] += 1;
         self.stats.collided_packets[lane] += group.len() as u64;
         let slot = self.slot_len[lane];
@@ -615,13 +673,13 @@ impl FsoiNetwork {
         let next_boundary = detect.round_up_to_slot(slot);
 
         let winner = if lane == PacketClass::Data.lane() && self.cfg.hints {
-            self.select_hint_winner(key.dst, group, next_boundary)
+            self.select_hint_winner(group, next_boundary)
         } else {
             None
         };
 
         let group_size = group.len() as u64;
-        for mut flight in group.iter().copied() {
+        for mut flight in group.packets().copied() {
             flight.retries += 1;
             self.stats.retransmissions[lane] += 1;
             trace::emit_with(at, || TraceEvent::Collide {
@@ -629,7 +687,7 @@ impl FsoiNetwork {
                 src: flight.packet.src as u64,
                 dst: flight.packet.dst as u64,
                 lane: lane as u64,
-                rx: key.rx as u64,
+                rx: u64::from(group.rx),
                 group: group_size,
             });
             let ready = if Some(flight.src()) == winner {
@@ -675,15 +733,10 @@ impl FsoiNetwork {
     /// OR-ed PID/~PID superset, intersect it with the nodes the receiver
     /// expects data from, and choose one uniformly (§5.2 — "the
     /// notification is only used as a hint").
-    fn select_hint_winner(
-        &mut self,
-        dst: NodeId,
-        group: &[InFlight],
-        next_slot: Cycle,
-    ) -> Option<NodeId> {
-        let nodes = self.cfg.nodes;
+    fn select_hint_winner(&mut self, group: &SlotGroup, next_slot: Cycle) -> Option<NodeId> {
+        let (nodes, dst) = (self.cfg.nodes, group.first.dst());
         let header = group
-            .iter()
+            .packets()
             .map(|f| HeaderCode::encode(f.src(), nodes))
             .reduce(HeaderCode::superpose)?;
         let superset = header.possible_senders(nodes);
@@ -704,7 +757,7 @@ impl FsoiNetwork {
             dst: dst.0 as u64,
             winner: winner.0 as u64,
         });
-        if group.iter().any(|f| f.src() == winner) {
+        if group.packets().any(|f| f.src() == winner) {
             self.stats.hints_correct += 1;
         } else {
             self.stats.hints_wrong += 1;
@@ -782,6 +835,7 @@ impl Interconnect for FsoiNetwork {
     /// True when no packet is queued, in flight, or awaiting retry.
     fn is_idle(&self) -> bool {
         self.check_senders();
+        self.check_groups();
         self.resolutions.is_empty() && self.senders.iter().all(NodeMask::is_empty)
     }
 
@@ -893,16 +947,22 @@ impl Interconnect for FsoiNetwork {
     }
 
     /// Books `node`'s incoming data slot around `predicted_arrival` when
-    /// request spacing is on (0 otherwise).
+    /// request spacing is on (0 otherwise). The slots that ended before
+    /// now go first: every reservation searches from its own arrival,
+    /// which is never in the past, so none of them is looked at again.
     fn reserve_reply_slot(&mut self, node: usize, predicted_arrival: Cycle) -> u64 {
         if !self.cfg.request_spacing {
             return 0;
         }
+        debug_assert!(
+            predicted_arrival >= self.now,
+            "a reply predicted at {predicted_arrival:?} lands before now ({:?})",
+            self.now
+        );
         let slot = self.slot_len[PacketClass::Data.lane()];
-        self.nodes[node]
-            .reservations
-            .reserve(predicted_arrival, slot)
-            .request_delay
+        let book = &mut self.nodes[node].reservations;
+        book.prune_before(self.now, slot);
+        book.reserve(predicted_arrival, slot).request_delay
     }
 
     fn supports_confirmation_acks(&self) -> bool {
@@ -1323,7 +1383,8 @@ mod tests {
     #[test]
     fn one_resolution_event_per_slot_group() {
         // Three senders sharing receiver 0 at node 5 collide in slot 0:
-        // the heap must carry one event for the group, not one per packet.
+        // the meta FIFO carries one event holding the whole group, not one
+        // per packet.
         let mut net = net16(40);
         for src in [0usize, 2, 4] {
             assert_eq!(receiver_index(NodeId(src), NodeId(5), 16, 2), 0);
@@ -1331,12 +1392,13 @@ mod tests {
                 .unwrap();
         }
         net.tick(); // cycle 0: all three transmit into the same slot group
-        assert_eq!(net.slots[0].live, 1, "one live group");
-        assert_eq!(
-            net.resolutions.len(),
-            net.slots[0].live,
-            "heap length tracks group count, not packet count"
-        );
+        let fifo = &net.resolutions.lanes[0];
+        assert_eq!(fifo.len(), 1, "one event for the group");
+        let (at, group) = fifo.peek().unwrap();
+        assert_eq!(*at, Cycle(2));
+        assert_eq!(group.first.packet.src, 0, "the opener stays first");
+        let rest: Vec<usize> = group.rest.iter().map(|f| f.packet.src).collect();
+        assert_eq!(rest, [2, 4], "the colliders, in arrival order");
         let out = run_until_idle(&mut net, 20_000);
         assert_eq!(out.len(), 3, "the burst still drains");
         assert!(net.stats().collision_events[0] >= 1);
@@ -1344,17 +1406,67 @@ mod tests {
 
     #[test]
     fn slot_group_buffers_are_pooled() {
+        // Back-to-back clean slots: each group is its one packet, and no
+        // buffer is ever taken.
         let mut net = net16(41);
         for i in 0..4 {
             net.inject(NetPacket::new(0, 1, PacketClass::Meta, i))
                 .unwrap();
         }
         run_until_idle(&mut net, 100);
+        assert_eq!(net.stats().delivered[0], 4);
         assert!(
-            !net.pool.is_empty(),
-            "resolved groups return their buffers to the free-list"
+            net.resolutions.pool.is_empty(),
+            "a clean slot takes no buffer"
         );
-        assert_eq!(net.slots[0].live, 0);
+        // A collision takes one buffer for its colliders and returns it
+        // when the group resolves.
+        net.inject(NetPacket::new(0, 5, PacketClass::Meta, 0))
+            .unwrap();
+        net.inject(NetPacket::new(2, 5, PacketClass::Meta, 0))
+            .unwrap();
+        while net.resolutions.is_empty() {
+            net.tick();
+        }
+        let group = &net.resolutions.lanes[0].peek().unwrap().1;
+        assert_eq!(group.len(), 2, "the two packets collide");
+        while !net.resolutions.is_empty() {
+            net.tick();
+        }
+        assert_eq!(net.stats().collision_events[0], 1);
+        assert_eq!(
+            net.resolutions.pool.len(),
+            1,
+            "the resolved group returned its buffer"
+        );
+    }
+
+    #[test]
+    fn reply_slot_reservations_are_pruned_as_time_passes() {
+        // Thousands of read misses, each reserving a reply slot a few slots
+        // ahead: the book holds the reservations still in the future, not
+        // every one ever made.
+        let mut net = net16(45);
+        let slot = net.slot_len[PacketClass::Data.lane()];
+        let mut granted = Vec::new();
+        for i in 0..5_000u64 {
+            net.run(3 + i % 7);
+            let predicted = net.now() + 3 * slot + i % 7;
+            let delay = net.reserve_reply_slot(3, predicted);
+            granted.push((predicted.as_u64() + delay) / slot);
+            let current = net.now().as_u64() / slot;
+            let outstanding = granted.iter().filter(|&&s| s >= current).count();
+            assert_eq!(
+                net.nodes[3].reservations.active(),
+                outstanding,
+                "reservation {i}"
+            );
+        }
+        assert!(net.nodes[3].reservations.active() < 16);
+        assert!(
+            net.nodes[3].reservations.delayed_requests() > 0,
+            "slots were contended"
+        );
     }
 
     #[test]
@@ -1384,11 +1496,15 @@ mod tests {
     /// delivery carries its own latency components (queuing and
     /// resolution, as `u32`s) so the client can fold the Figure 6/7 stack
     /// without any per-network statistics; they grow it from 56 bytes to
-    /// one 64-byte cache line, and no further.
+    /// one 64-byte cache line, and no further. A slot group is its first
+    /// packet inline plus an empty `Vec` header, and with its resolution
+    /// cycle fills two cache lines.
     #[test]
     fn hot_path_records_stay_small() {
         assert!(std::mem::size_of::<InFlight>() <= 72);
         assert!(std::mem::size_of::<NetDelivery>() <= 64);
+        assert_eq!(std::mem::size_of::<SlotGroup>(), 120);
+        assert_eq!(std::mem::size_of::<(Cycle, SlotGroup)>(), 128);
     }
 
     /// The trace's `Deliver` event and the delivery record tell the same

@@ -76,12 +76,16 @@ impl ReplySlotReservations {
         self.reserved.remove(&(slot_start.as_u64() / slot_len));
     }
 
-    /// Drops all reservations older than `now` (replies that never came —
-    /// e.g. NACKed transactions — must not pin slots forever).
+    /// Drops the reservations of slots that ended before `now`: no later
+    /// [`reserve`](Self::reserve) with an arrival at or after `now` looks
+    /// at them, and nothing else releases a slot whose reply never came
+    /// (e.g. a NACKed transaction).
     pub fn prune_before(&mut self, now: Cycle, slot_len: u64) {
         assert!(slot_len > 0, "slot length must be positive");
         let current = now.as_u64() / slot_len;
-        self.reserved = self.reserved.split_off(&current);
+        while self.reserved.first().is_some_and(|&slot| slot < current) {
+            self.reserved.pop_first();
+        }
     }
 
     /// Number of live reservations.

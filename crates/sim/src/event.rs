@@ -387,6 +387,17 @@ impl<T> MonotoneQueue<T> {
         self.peek().map(|(t, _)| *t)
     }
 
+    /// The payload `index` places behind the head (0 is the head), for
+    /// in-place update; its time stays fixed, so the order does too.
+    pub fn get_mut(&mut self, index: usize) -> Option<&mut T> {
+        self.fifo.get_mut(index).map(|(_, payload)| payload)
+    }
+
+    /// Every pending event, head first.
+    pub fn iter(&self) -> impl Iterator<Item = &(Cycle, T)> {
+        self.fifo.iter()
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.fifo.len()
@@ -499,5 +510,19 @@ mod tests {
         assert_eq!(q.pop_due(Cycle(5)), None);
         assert_eq!(q.pop_due(Cycle(100)), Some((Cycle(10), "b")));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn monotone_queue_updates_in_place_by_position() {
+        let mut q = MonotoneQueue::new();
+        for (t, v) in [(1, 10), (1, 20), (4, 30)] {
+            q.push(Cycle(t), v);
+        }
+        *q.get_mut(1).unwrap() += 1;
+        assert_eq!(q.get_mut(3), None);
+        let order: Vec<_> = q.iter().copied().collect();
+        assert_eq!(order, [(Cycle(1), 10), (Cycle(1), 21), (Cycle(4), 30)]);
+        assert_eq!(q.pop_due(Cycle(1)), Some((Cycle(1), 10)));
+        assert_eq!(q.get_mut(0), Some(&mut 21), "positions count from the head");
     }
 }

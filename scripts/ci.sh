@@ -16,13 +16,16 @@
 #   scripts/ci.sh --tier scale    # beyond-the-paper grids: 64-node four-network
 #                                 # smoke grid + a single 256-node cell, with
 #                                 # shape-class and byte-identity assertions,
-#                                 # then fourteen unoptimized tests, in this order:
+#                                 # then fifteen unoptimized tests, in this order:
 #                                 # evictions_at_256_nodes_are_cross_checked (a
 #                                 # 256-node cell with the directory's eviction
 #                                 # cross-check live);
 #                                 # event_driven_equals_full_scan (fsoi-net: the FSOI
 #                                 # kernel against ScanFsoi with the sender-mask
-#                                 # cross-check live, 1000 cases);
+#                                 # and slot-group cross-checks live, 1000 cases);
+#                                 # fast_forward_equals_cycle_by_cycle (fsoi-net:
+#                                 # run() against tick() at 2-16, 64 and 256 nodes,
+#                                 # the same cross-checks live, 1000 cases);
 #                                 # event_driven_equals_full_scan (fsoi-mesh: the
 #                                 # mesh against ScanMesh with the active-set
 #                                 # cross-check live, 1000 cases); the fsoi-ring
@@ -141,11 +144,16 @@ tier_scale() {
     # deferred side table == flagged slots) are compiled out. One debug-build test by name puts four-word sharer
     # masks, capacity evictions and those cross-checks together.
     cargo test -q --offline -p fsoi-cmp evictions_at_256_nodes_are_cross_checked
-    # Likewise for the FSOI kernel: the sender-mask cross-check (masks ==
-    # full node x lane scan, after every step) only exists in debug builds.
-    # A thousand random shapes up to 256 nodes put four-word masks, the
-    # phase-array path and that cross-check together, against ScanFsoi.
+    # Likewise for the FSOI kernel: the sender-mask and slot-group
+    # cross-checks (masks == full node x lane scan; every live group where
+    # its `open` cell says, every transmission in one group; after every
+    # step) only exist in debug builds. A thousand random shapes up to 256
+    # nodes put four-word masks, the phase-array path and those
+    # cross-checks together, against ScanFsoi. Then a thousand scripts jump
+    # the clock with run() at 2-16, 64 and 256 nodes, where the phase-array
+    # setup keeps two groups of one receiver live, against tick().
     FSOI_CHECK_CASES=1000 cargo test -q --offline -p fsoi-net event_driven_equals_full_scan
+    FSOI_CHECK_CASES=1000 cargo test -q --offline -p fsoi-net --test props fast_forward_equals_cycle_by_cycle
     # The two baseline networks against their slow references: ScanMesh,
     # the all-buffers full scan, against MeshNetwork with the active-set
     # cross-check (`check_active_sets`, debug-only) live, and the crossbar
