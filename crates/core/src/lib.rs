@@ -12,14 +12,13 @@
 //!
 //! * [`network::FsoiNetwork`] — the cycle-driven simulator, driven through
 //!   the workspace's one network interface,
-//!   [`Interconnect`](fsoi_sim::packet::Interconnect);
+//!   [`Interconnect`](fsoi_sim::packet::Interconnect); it also holds the
+//!   confirmation channel (a beam count: receipts and retransmission
+//!   hints act when their slot resolves) and the 64-node phase-array aim;
 //! * [`packet`] — packet classes and the PID/~PID collision-detecting code;
 //! * [`lane`] — lane widths, serialization latencies and slotting;
 //! * [`backoff`] — the `W = 2.7, B = 1.1` retransmission policy;
-//! * [`confirmation`] — the confirmation channel (receipts and
-//!   retransmission hints);
 //! * [`spacing`] — request spacing (reply-slot reservation);
-//! * [`phase_array`] — beam steering for the 64-node configuration;
 //! * [`topology`] — receiver sharing and VCSEL inventory;
 //! * [`analysis`] — the paper's closed-form models (Figures 3 and 4, the
 //!   meta-bandwidth optimum of §4.3.2);
@@ -46,11 +45,9 @@
 pub mod analysis;
 pub mod backoff;
 pub mod config;
-pub mod confirmation;
 pub mod lane;
 pub mod network;
 pub mod packet;
-pub mod phase_array;
 pub mod power;
 pub mod skew;
 pub mod spacing;

@@ -28,9 +28,16 @@
 //! inside its own resolution event, in a per-lane FIFO: the packet that
 //! opens it is stored inline, and only a collider takes a buffer. A flat
 //! per-lane `open` table finds the group a collider joins, and the
-//! resolver pops the group by value. Receipts ride a FIFO of their own on
-//! the confirmation channel, and each lane's packet-error probability is
-//! computed once, at construction.
+//! resolver pops the group by value. Each lane's packet-error probability
+//! is computed once, at construction.
+//!
+//! The confirmation channel is a count, not a queue. A beam does nothing
+//! after it is sent: a sender learns of a collision only because its
+//! receipt never comes, and the resolver applies that when the slot
+//! resolves (the retry waits for the first slot boundary
+//! `CONFIRMATION_DELAY` cycles on); a hint fixes its winner's slot at the
+//! same time. So a send is one
+//! [`NetStats::confirmations`] increment and a `Confirm` trace event.
 //!
 //! # Example
 //!
@@ -50,9 +57,7 @@
 //! ```
 
 use crate::config::{FsoiConfig, TransmitterArray, CONFIRMATION_DELAY};
-use crate::confirmation::{Confirmation, ConfirmationChannel, ConfirmationKind};
 use crate::packet::{HeaderCode, PacketClass};
-use crate::phase_array::PhaseArraySteering;
 use crate::power::FsoiPowerModel;
 use crate::spacing::ReplySlotReservations;
 use crate::topology::{receiver_index, NodeId};
@@ -119,6 +124,9 @@ pub struct NetStats {
     pub hints_correct: u64,
     /// Hints that made a non-collider believe it had won.
     pub hints_wrong: u64,
+    /// Confirmation beams sent: one per delivery (the receipt) and one per
+    /// hint.
+    pub confirmations: u64,
 }
 
 impl NetStats {
@@ -153,7 +161,9 @@ struct NodeState {
     out: [BoundedQueue<InFlight>; 2],
     tx_busy_until: [Cycle; 2],
     retries: [EventQueue<InFlight>; 2],
-    steering: [PhaseArraySteering; 2],
+    /// Per lane, where the phase array is aimed (§3): a transmission to
+    /// any other node pays the setup first. Dedicated lanes never aim.
+    aim: [Option<NodeId>; 2],
     reservations: ReplySlotReservations,
     expected_data: NodeMask,
 }
@@ -304,7 +314,6 @@ pub struct FsoiNetwork {
     senders: [NodeMask; 2],
     // The slot groups, each inside its resolution event.
     resolutions: Resolutions,
-    confirmations: ConfirmationChannel,
     delivered: Vec<NetDelivery>,
     stats: NetStats,
     next_id: u64,
@@ -333,7 +342,7 @@ impl FsoiNetwork {
                 out: [BoundedQueue::new(qcap), BoundedQueue::new(qcap)],
                 tx_busy_until: [Cycle::ZERO; 2],
                 retries: [EventQueue::new(), EventQueue::new()],
-                steering: [PhaseArraySteering::new(), PhaseArraySteering::new()],
+                aim: [None; 2],
                 reservations: ReplySlotReservations::new(),
                 expected_data: NodeMask::new(),
             })
@@ -362,7 +371,6 @@ impl FsoiNetwork {
             nodes,
             senders: [NodeMask::new(); 2],
             resolutions,
-            confirmations: ConfirmationChannel::new(CONFIRMATION_DELAY),
             delivered: Vec::new(),
             stats: NetStats::default(),
             next_id: 0,
@@ -392,11 +400,6 @@ impl FsoiNetwork {
         self.now.as_u64() / self.slot_len[class.lane()]
     }
 
-    /// Confirmations sent so far (traffic on the confirmation channel).
-    pub fn confirmations_sent(&self) -> u64 {
-        self.confirmations.sent()
-    }
-
     /// Number of undrained deliveries.
     pub fn delivered_count(&self) -> usize {
         self.delivered.len()
@@ -422,8 +425,9 @@ impl FsoiNetwork {
     /// Debug builds: every live group's `open` cell holds the slot id and
     /// push index of that group, or of a younger live group of the same
     /// cell; no cell has two groups of one slot, so each lane's group count
-    /// is its FIFO length; and every transmission waits in exactly one
-    /// group until it resolves.
+    /// is its FIFO length; every transmission waits in exactly one group
+    /// until it resolves; and one confirmation went out per delivery and
+    /// per hint.
     fn check_groups(&self) {
         if !cfg!(debug_assertions) {
             return;
@@ -474,6 +478,12 @@ impl FsoiNetwork {
                 "lane {lane}: every transmission waits in one group until it resolves"
             );
         }
+        let s = &self.stats;
+        assert_eq!(
+            s.confirmations,
+            s.delivered[0] + s.delivered[1] + s.hints_issued,
+            "one confirmation per delivery and per hint"
+        );
     }
 
     /// Processes everything due at the current cycle (the body of
@@ -481,10 +491,6 @@ impl FsoiNetwork {
     fn step_cycle(&mut self) {
         self.resolve_slots();
         self.start_transmissions();
-        // Confirmations are drained for bookkeeping; their information
-        // content (receipt, hints) has already been applied at resolution
-        // time with the correct delays.
-        self.confirmations.drain_due(self.now);
         self.check_senders();
         self.check_groups();
     }
@@ -539,7 +545,11 @@ impl FsoiNetwork {
         let setup = match self.cfg.array {
             TransmitterArray::Dedicated => 0,
             TransmitterArray::PhaseArray { setup_cycles } => {
-                node.steering[lane].aim(flight.dst(), setup_cycles)
+                if node.aim[lane].replace(flight.dst()) == Some(flight.dst()) {
+                    0
+                } else {
+                    setup_cycles
+                }
             }
         };
         let slot = self.slot_len[lane];
@@ -622,17 +632,18 @@ impl FsoiNetwork {
             resolution: u64::from(delivery.resolution),
             retries: u64::from(flight.retries),
         });
-        self.confirmations.send(
-            at,
-            Confirmation {
-                from: flight.dst(),
-                to: flight.src(),
-                kind: ConfirmationKind::Receipt {
-                    packet_id: flight.id,
-                },
-            },
-        );
+        self.confirm(at, flight.dst(), flight.src(), "receipt");
         self.delivered.push(delivery);
+    }
+
+    /// Counts one confirmation beam `from → to` and traces it at `at`.
+    fn confirm(&mut self, at: Cycle, from: NodeId, to: NodeId, kind: &'static str) {
+        self.stats.confirmations += 1;
+        trace::emit_with(at, || TraceEvent::Confirm {
+            src: from.0 as u64,
+            dst: to.0 as u64,
+            kind: kind.to_string(),
+        });
     }
 
     /// A single packet corrupted by a raw bit error: no confirmation, so
@@ -762,16 +773,9 @@ impl FsoiNetwork {
         } else {
             self.stats.hints_wrong += 1;
         }
-        self.confirmations.send_at(
-            Cycle(next_slot.as_u64().saturating_sub(1)),
-            Confirmation {
-                from: dst,
-                to: winner,
-                kind: ConfirmationKind::WinnerHint {
-                    slot_start: next_slot,
-                },
-            },
-        );
+        // The hint lands the cycle before the winner's slot.
+        let lands = Cycle(next_slot.as_u64().saturating_sub(1));
+        self.confirm(lands, dst, winner, "hint");
         Some(winner)
     }
 }
@@ -853,7 +857,6 @@ impl Interconnect for FsoiNetwork {
                 n as f64 / s.hints_issued as f64
             }
         };
-        let conf = self.confirmations_sent();
         NetReport {
             tx_probability: PacketClass::ALL.map(|class| {
                 s.transmission_probability(class.lane(), cfg.nodes, self.slots_elapsed(class))
@@ -863,22 +866,19 @@ impl Interconnect for FsoiNetwork {
             hint_wrong_rate: hint_share(s.hints_wrong),
             bit_error_drops: s.bit_error_drops[0] + s.bit_error_drops[1],
             energy_j: FsoiPowerModel::paper_default()
-                .network_energy(s, &cfg.lanes, cfg.nodes, cycles, conf)
+                .network_energy(s, &cfg.lanes, cfg.nodes, cycles)
                 .total_j(),
         }
     }
 
-    /// The next resolution event, the next confirmation arrival, or the
-    /// next slot boundary at which some node can start a transmission (a
-    /// queued packet, or a retry that will have matured by then); never
-    /// `None`.
+    /// The next resolution event or the next slot boundary at which some
+    /// node can start a transmission (a queued packet, or a retry that will
+    /// have matured by then); never `None`. A confirmation in flight is no
+    /// event: nothing happens when it lands.
     fn next_event_at(&self) -> Option<Cycle> {
         let now = self.now.as_u64();
         let mut next = u64::MAX;
         if let Some(t) = self.resolutions.peek_time() {
-            next = next.min(t.as_u64());
-        }
-        if let Some(t) = self.confirmations.next_due() {
             next = next.min(t.as_u64());
         }
         for (lane, senders) in self.senders.iter().enumerate() {
@@ -918,10 +918,9 @@ impl Interconnect for FsoiNetwork {
     /// Byte-identical to calling [`tick`](Interconnect::tick)
     /// `target - now` times: a cycle below the
     /// [`next_event_at`](Interconnect::next_event_at) bound pops no
-    /// resolution, starts no transmission, and drains no confirmation, so
-    /// it touches neither the RNG nor any queue — skipping it skips
-    /// nothing. Cycles that do have work are processed in full, in order,
-    /// at their exact times.
+    /// resolution and starts no transmission, so it touches neither the
+    /// RNG nor any queue — skipping it skips nothing. Cycles that do have
+    /// work are processed in full, in order, at their exact times.
     fn advance_to(&mut self, target: Cycle) {
         while self.now < target {
             match self.next_event_at() {
@@ -1160,17 +1159,19 @@ mod tests {
     fn phase_array_no_setup_for_repeat_target() {
         let cfg = FsoiConfig::nodes(64);
         let mut net = FsoiNetwork::new(cfg, 11);
-        net.inject(NetPacket::new(0, 5, PacketClass::Meta, 1))
-            .unwrap();
-        net.inject(NetPacket::new(0, 5, PacketClass::Meta, 2))
-            .unwrap();
-        let out = run_until_idle(&mut net, 50);
-        assert_eq!(out.len(), 2);
-        // Both resolve at (slot end + pa setup) of their slots; the second
-        // packet needed no retarget, so its tx wasn't lengthened — but
-        // resolution timing is uniform per slot.
-        let retargets: u64 = 1; // only the first aims anew
-        assert_eq!(net.nodes[0].steering[0].retargets(), retargets);
+        let slot = net.meta_slot_len();
+        assert_eq!(net.ser_cycles[0], slot, "a setup overruns the slot");
+        for (tag, dst) in [5, 5, 6, 6].into_iter().enumerate() {
+            net.inject(NetPacket::new(0, dst, PacketClass::Meta, tag as u64))
+                .unwrap();
+        }
+        let out = run_until_idle(&mut net, 100);
+        // A retarget (the first aim, then 5 → 6) keeps the transmitter busy
+        // into the next slot, so the following packet waits a slot; a
+        // repeated target does not. Every slot resolves one setup after its
+        // end.
+        let times: Vec<u64> = out.iter().map(|d| d.latency).collect();
+        assert_eq!(times, [1, 3, 4, 6].map(|end| end * slot + 1));
     }
 
     #[test]
@@ -1226,7 +1227,7 @@ mod tests {
                 .unwrap();
         }
         run_until_idle(&mut net, 100);
-        assert_eq!(net.confirmations_sent(), 4);
+        assert_eq!(net.stats().confirmations, 4);
     }
 
     #[test]
@@ -1449,10 +1450,12 @@ mod tests {
         let mut net = net16(45);
         let slot = net.slot_len[PacketClass::Data.lane()];
         let mut granted = Vec::new();
+        let mut delayed = 0;
         for i in 0..5_000u64 {
             net.run(3 + i % 7);
             let predicted = net.now() + 3 * slot + i % 7;
             let delay = net.reserve_reply_slot(3, predicted);
+            delayed += u32::from(delay > 0);
             granted.push((predicted.as_u64() + delay) / slot);
             let current = net.now().as_u64() / slot;
             let outstanding = granted.iter().filter(|&&s| s >= current).count();
@@ -1463,10 +1466,7 @@ mod tests {
             );
         }
         assert!(net.nodes[3].reservations.active() < 16);
-        assert!(
-            net.nodes[3].reservations.delayed_requests() > 0,
-            "slots were contended"
-        );
+        assert!(delayed > 0, "slots were contended");
     }
 
     #[test]
@@ -1483,10 +1483,10 @@ mod tests {
         assert_eq!(net.next_event_at(), Some(Cycle(2)));
         net.tick();
         net.tick();
-        // Delivered at 2; only the receipt confirmation (due 4) remains.
+        // Delivered at 2, its receipt sent: a confirmation in flight is no
+        // event, so the network is quiet.
         assert_eq!(net.delivered_count(), 1);
-        assert_eq!(net.next_event_at(), Some(Cycle(4)));
-        net.run(10);
+        assert_eq!(net.stats().confirmations, 1);
         assert_eq!(net.next_event_at(), quiet);
     }
 

@@ -93,7 +93,6 @@ impl FsoiPowerModel {
         lanes: &Lanes,
         nodes: usize,
         cycles: u64,
-        confirmations: u64,
     ) -> EnergyReport {
         let seconds = cycles as f64 / self.core_clock_hz;
         let meta_bits = lanes.meta.packet_bits as f64;
@@ -110,7 +109,7 @@ impl FsoiPowerModel {
         let rx_bits_per_node = (lanes.meta.receivers * lanes.meta.vcsels
             + lanes.data.receivers * lanes.data.vcsels
             + 1) as f64;
-        let confirmation_bits = confirmations as f64; // single-bit beams
+        let confirmation_bits = stats.confirmations as f64; // single-bit beams
 
         EnergyReport {
             tx_dynamic_j: tx_bits * self.tx_energy_per_bit_j,
@@ -143,7 +142,7 @@ mod tests {
         let m = FsoiPowerModel::paper_default();
         let stats = NetStats::default();
         let lanes = Lanes::paper_default();
-        let e = m.network_energy(&stats, &lanes, 16, 1_000_000, 0);
+        let e = m.network_energy(&stats, &lanes, 16, 1_000_000);
         assert_eq!(e.tx_dynamic_j, 0.0);
         assert_eq!(e.confirmation_j, 0.0);
         assert!(e.tx_standby_j > 0.0);
@@ -165,8 +164,7 @@ mod tests {
         }
         net.run(20);
         let cycles = net.now().as_u64();
-        let conf = net.confirmations_sent();
-        let e = m.network_energy(net.stats(), &lanes, 16, cycles, conf);
+        let e = m.network_energy(net.stats(), &lanes, 16, cycles);
         assert!(e.tx_dynamic_j > 0.0);
         assert!(e.confirmation_j > 0.0);
         // 8 data packets × 360 bits × ~0.18 pJ ≈ 0.5 nJ.

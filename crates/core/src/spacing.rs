@@ -17,12 +17,6 @@ use std::collections::BTreeSet;
 pub struct ReplySlotReservations {
     /// Reserved slot ids (slot id = slot start cycle / slot length).
     reserved: BTreeSet<u64>,
-    /// Total scheduling delay imposed, for the Figure 6 breakdown.
-    total_delay: u64,
-    /// Number of requests that had to be delayed.
-    delayed_requests: u64,
-    /// Number of reservations made.
-    reservations: u64,
 }
 
 /// Outcome of a reservation attempt.
@@ -57,29 +51,16 @@ impl ReplySlotReservations {
             slot += 1;
         }
         self.reserved.insert(slot);
-        self.reservations += 1;
-        let delay = (slot - first_slot) * slot_len;
-        if delay > 0 {
-            self.delayed_requests += 1;
-            self.total_delay += delay;
-        }
         Reservation {
             slot_start: Cycle(slot * slot_len),
-            request_delay: delay,
+            request_delay: (slot - first_slot) * slot_len,
         }
-    }
-
-    /// Releases the reservation covering `arrival` (called when the reply
-    /// actually lands, or when the transaction aborts).
-    pub fn release(&mut self, slot_start: Cycle, slot_len: u64) {
-        assert!(slot_len > 0, "slot length must be positive");
-        self.reserved.remove(&(slot_start.as_u64() / slot_len));
     }
 
     /// Drops the reservations of slots that ended before `now`: no later
     /// [`reserve`](Self::reserve) with an arrival at or after `now` looks
-    /// at them, and nothing else releases a slot whose reply never came
-    /// (e.g. a NACKed transaction).
+    /// at them. This is the only release: a slot is freed once it is past,
+    /// whether its reply came or not (e.g. a NACKed transaction).
     pub fn prune_before(&mut self, now: Cycle, slot_len: u64) {
         assert!(slot_len > 0, "slot length must be positive");
         let current = now.as_u64() / slot_len;
@@ -91,21 +72,6 @@ impl ReplySlotReservations {
     /// Number of live reservations.
     pub fn active(&self) -> usize {
         self.reserved.len()
-    }
-
-    /// Total scheduling delay imposed so far, in cycles.
-    pub fn total_delay(&self) -> u64 {
-        self.total_delay
-    }
-
-    /// Number of requests that were delayed.
-    pub fn delayed_requests(&self) -> u64 {
-        self.delayed_requests
-    }
-
-    /// Number of reservations made.
-    pub fn reservations(&self) -> u64 {
-        self.reservations
     }
 }
 
@@ -128,24 +94,13 @@ mod tests {
         let a = r.reserve(Cycle(100), 5);
         let b = r.reserve(Cycle(100), 5);
         let c = r.reserve(Cycle(102), 5);
-        assert_eq!(a.slot_start, Cycle(100));
-        assert_eq!(b.slot_start, Cycle(105));
-        assert_eq!(b.request_delay, 5);
-        assert_eq!(c.slot_start, Cycle(110));
-        assert_eq!(c.request_delay, 10);
-        assert_eq!(r.delayed_requests(), 2);
-        assert_eq!(r.total_delay(), 15);
-        assert_eq!(r.reservations(), 3);
-    }
-
-    #[test]
-    fn release_frees_slot() {
-        let mut r = ReplySlotReservations::new();
-        let a = r.reserve(Cycle(50), 5);
-        r.release(a.slot_start, 5);
-        let b = r.reserve(Cycle(50), 5);
-        assert_eq!(b.slot_start, Cycle(50));
-        assert_eq!(b.request_delay, 0);
+        assert_eq!(
+            [a, b, c].map(|g| g.slot_start),
+            [Cycle(100), Cycle(105), Cycle(110)]
+        );
+        // Each delay lands its reply in the granted slot.
+        assert_eq!([a, b, c].map(|g| g.request_delay), [0, 5, 10]);
+        assert_eq!(r.active(), 3);
     }
 
     #[test]

@@ -8,7 +8,6 @@ use fsoi_net::config::{TransmitterArray, CONFIRMATION_DELAY};
 use fsoi_net::lane::{LaneSpec, Lanes};
 use fsoi_net::network::NetStats;
 use fsoi_net::packet::{HeaderCode, PacketClass};
-use fsoi_net::phase_array::PhaseArraySteering;
 use fsoi_net::spacing::ReplySlotReservations;
 use fsoi_net::topology::{receiver_index, senders_for_receiver, NodeId};
 use fsoi_net::{FsoiConfig, FsoiNetwork};
@@ -258,15 +257,11 @@ fn delivered_packets_have_complete_trace_lifecycles() {
 /// interface, plus the FSOI statistics.
 trait Fsoi: Interconnect {
     fn stats(&self) -> &NetStats;
-    fn confirmations_sent(&self) -> u64;
 }
 
 impl Fsoi for FsoiNetwork {
     fn stats(&self) -> &NetStats {
         FsoiNetwork::stats(self)
-    }
-    fn confirmations_sent(&self) -> u64 {
-        FsoiNetwork::confirmations_sent(self)
     }
 }
 
@@ -298,7 +293,7 @@ struct ScanNode {
     out: [VecDeque<ScanPacket>; 2],
     tx_busy_until: [Cycle; 2],
     retries: [EventQueue<ScanPacket>; 2],
-    steering: [PhaseArraySteering; 2],
+    aim: [Option<NodeId>; 2],
     reservations: ReplySlotReservations,
     expected_data: BTreeSet<NodeId>,
 }
@@ -316,8 +311,6 @@ struct ScanFsoi {
     nodes: Vec<ScanNode>,
     groups: BTreeMap<GroupKey, Vec<ScanPacket>>,
     resolutions: EventQueue<GroupKey>,
-    confirmations: EventQueue<()>,
-    confirmations_sent: u64,
     delivered: Vec<NetDelivery>,
     stats: NetStats,
 }
@@ -329,7 +322,7 @@ impl ScanFsoi {
                 out: [VecDeque::new(), VecDeque::new()],
                 tx_busy_until: [Cycle::ZERO; 2],
                 retries: [EventQueue::new(), EventQueue::new()],
-                steering: [PhaseArraySteering::new(), PhaseArraySteering::new()],
+                aim: [None; 2],
                 reservations: ReplySlotReservations::new(),
                 expected_data: BTreeSet::new(),
             })
@@ -341,8 +334,6 @@ impl ScanFsoi {
             nodes,
             groups: BTreeMap::new(),
             resolutions: EventQueue::new(),
-            confirmations: EventQueue::new(),
-            confirmations_sent: 0,
             delivered: Vec::new(),
             stats: NetStats::default(),
         }
@@ -350,11 +341,6 @@ impl ScanFsoi {
 
     fn slot_len(&self, lane: usize) -> u64 {
         self.cfg.lanes.slot_cycles(PacketClass::ALL[lane])
-    }
-
-    fn confirm(&mut self, arrive_at: Cycle) {
-        self.confirmations.push(arrive_at, ());
-        self.confirmations_sent += 1;
     }
 
     fn resolve_slots(&mut self) {
@@ -404,7 +390,7 @@ impl ScanFsoi {
         self.stats.collision_events[lane] += 1;
         self.stats.collided_packets[lane] += group.len() as u64;
         let winner = if lane == PacketClass::Data.lane() && self.cfg.hints {
-            self.select_hint_winner(dst, group, self.next_boundary(lane, at))
+            self.select_hint_winner(dst, group)
         } else {
             None
         };
@@ -421,12 +407,7 @@ impl ScanFsoi {
         }
     }
 
-    fn select_hint_winner(
-        &mut self,
-        dst: NodeId,
-        group: &[ScanPacket],
-        next: Cycle,
-    ) -> Option<NodeId> {
+    fn select_hint_winner(&mut self, dst: NodeId, group: &[ScanPacket]) -> Option<NodeId> {
         let senders: Vec<NodeId> = group.iter().map(ScanPacket::src).collect();
         let superset =
             HeaderCode::superpose_all(&senders, self.cfg.nodes).possible_senders(self.cfg.nodes);
@@ -448,7 +429,7 @@ impl ScanFsoi {
         } else {
             self.stats.hints_wrong += 1;
         }
-        self.confirm(Cycle(next.as_u64().saturating_sub(1)));
+        self.stats.confirmations += 1;
         Some(winner)
     }
 
@@ -465,7 +446,7 @@ impl ScanFsoi {
         let resolution = final_tx.saturating_sub(first_tx);
         let network = at.saturating_sub(final_tx);
         self.stats.delivered[lane] += 1;
-        self.confirm(at + CONFIRMATION_DELAY);
+        self.stats.confirmations += 1;
         self.delivered.push(NetDelivery {
             packet: packet.packet,
             latency: queuing + packet.packet.scheduling_delay + network + resolution,
@@ -491,7 +472,13 @@ impl ScanFsoi {
                 let setup = match self.cfg.array {
                     TransmitterArray::Dedicated => 0,
                     TransmitterArray::PhaseArray { setup_cycles } => {
-                        node.steering[lane].aim(packet.dst(), setup_cycles)
+                        let retarget = node.aim[lane] != Some(packet.dst());
+                        node.aim[lane] = Some(packet.dst());
+                        if retarget {
+                            setup_cycles
+                        } else {
+                            0
+                        }
                     }
                 };
                 let ser = self.cfg.lanes.serialization_cycles(packet.packet.class);
@@ -546,16 +533,12 @@ impl Interconnect for ScanFsoi {
     fn tick(&mut self) {
         self.resolve_slots();
         self.start_transmissions();
-        while self.confirmations.pop_due(self.now).is_some() {}
         self.now += 1;
     }
 
     fn next_event_at(&self) -> Option<Cycle> {
         let now = self.now;
         let mut next = self.resolutions.peek_time().unwrap_or(Cycle(u64::MAX));
-        if let Some(t) = self.confirmations.peek_time() {
-            next = next.min(t);
-        }
         for lane in 0..2 {
             for node in &self.nodes {
                 let queued = (!node.out[lane].is_empty()).then_some(now);
@@ -600,10 +583,6 @@ impl Interconnect for ScanFsoi {
 impl Fsoi for ScanFsoi {
     fn stats(&self) -> &NetStats {
         &self.stats
-    }
-
-    fn confirmations_sent(&self) -> u64 {
-        self.confirmations_sent
     }
 }
 
@@ -713,18 +692,19 @@ fn inject_op(net: &mut impl Fsoi, nodes: usize, &(_, s, d, kind): &Op) -> usize 
 }
 
 /// Everything observable about a finished run: the delivery stream, the
-/// statistics, confirmation traffic, the final clock.
-type Outcome = (Vec<NetDelivery>, NetStats, u64, Cycle);
+/// statistics (confirmation traffic among them), the final clock.
+type Outcome = (Vec<NetDelivery>, NetStats, Cycle);
 
 fn outcome(net: &mut impl Fsoi, delivered: Vec<NetDelivery>, accepted: usize) -> Outcome {
     assert!(net.is_idle(), "the script must drain");
     assert_eq!(delivered.len(), accepted, "every accepted packet arrives");
-    (
-        delivered,
-        net.stats().clone(),
-        net.confirmations_sent(),
-        net.now(),
-    )
+    let s = net.stats();
+    assert_eq!(
+        s.confirmations,
+        s.delivered[0] + s.delivered[1] + s.hints_issued,
+        "one confirmation per delivery and per hint"
+    );
+    (delivered, s.clone(), net.now())
 }
 
 /// Runs `script` on `net` cycle by cycle, then ticks until it drains; also
@@ -753,9 +733,9 @@ fn play<N: Fsoi>(mut net: N, nodes: usize, script: &[Op]) -> (Outcome, Vec<Optio
 
 /// The event-driven step is the full scan: same deliveries (packet,
 /// latency, retries and every latency component) in the same order,
-/// equal statistics, same confirmation traffic,
-/// same drain time, and the same next-event bound before every cycle — for
-/// any network shape and any timed traffic.
+/// equal statistics (confirmation traffic among them), same drain time,
+/// and the same next-event bound before every cycle — for any network
+/// shape and any timed traffic.
 #[test]
 fn event_driven_equals_full_scan() {
     checker!().check(
@@ -767,8 +747,7 @@ fn event_driven_equals_full_scan() {
             let (scan, scan_bounds) = play(ScanFsoi::new(cfg, seed), nodes, script);
             assert_eq!(fast.0, scan.0, "delivery stream");
             assert_eq!(fast.1, scan.1, "statistics");
-            assert_eq!(fast.2, scan.2, "confirmations sent");
-            assert_eq!(fast.3, scan.3, "drain time");
+            assert_eq!(fast.2, scan.2, "drain time");
             assert_eq!(fast_bounds, scan_bounds, "next_event_at before every tick");
         },
     );
