@@ -36,8 +36,8 @@
 //! receipt never comes, and the resolver applies that when the slot
 //! resolves (the retry waits for the first slot boundary
 //! `CONFIRMATION_DELAY` cycles on); a hint fixes its winner's slot at the
-//! same time. So a send is one
-//! [`NetStats::confirmations`] increment and a `Confirm` trace event.
+//! same time. So a send is only a `Confirm` trace event, and the count
+//! of beams is derived: [`NetStats::confirmations`].
 //!
 //! # Example
 //!
@@ -124,12 +124,15 @@ pub struct NetStats {
     pub hints_correct: u64,
     /// Hints that made a non-collider believe it had won.
     pub hints_wrong: u64,
-    /// Confirmation beams sent: one per delivery (the receipt) and one per
-    /// hint.
-    pub confirmations: u64,
 }
 
 impl NetStats {
+    /// Confirmation beams sent: one per delivery (the receipt) and one per
+    /// hint.
+    pub fn confirmations(&self) -> u64 {
+        self.delivered[0] + self.delivered[1] + self.hints_issued
+    }
+
     /// First-attempt transmission probability per node per slot for a lane:
     /// initial (non-retry) transmissions / (nodes × slots elapsed).
     ///
@@ -425,9 +428,8 @@ impl FsoiNetwork {
     /// Debug builds: every live group's `open` cell holds the slot id and
     /// push index of that group, or of a younger live group of the same
     /// cell; no cell has two groups of one slot, so each lane's group count
-    /// is its FIFO length; every transmission waits in exactly one group
-    /// until it resolves; and one confirmation went out per delivery and
-    /// per hint.
+    /// is its FIFO length; and every transmission waits in exactly one
+    /// group until it resolves.
     fn check_groups(&self) {
         if !cfg!(debug_assertions) {
             return;
@@ -478,12 +480,6 @@ impl FsoiNetwork {
                 "lane {lane}: every transmission waits in one group until it resolves"
             );
         }
-        let s = &self.stats;
-        assert_eq!(
-            s.confirmations,
-            s.delivered[0] + s.delivered[1] + s.hints_issued,
-            "one confirmation per delivery and per hint"
-        );
     }
 
     /// Processes everything due at the current cycle (the body of
@@ -632,18 +628,8 @@ impl FsoiNetwork {
             resolution: u64::from(delivery.resolution),
             retries: u64::from(flight.retries),
         });
-        self.confirm(at, flight.dst(), flight.src(), "receipt");
+        confirm(at, flight.dst(), flight.src(), "receipt");
         self.delivered.push(delivery);
-    }
-
-    /// Counts one confirmation beam `from → to` and traces it at `at`.
-    fn confirm(&mut self, at: Cycle, from: NodeId, to: NodeId, kind: &'static str) {
-        self.stats.confirmations += 1;
-        trace::emit_with(at, || TraceEvent::Confirm {
-            src: from.0 as u64,
-            dst: to.0 as u64,
-            kind: kind.to_string(),
-        });
     }
 
     /// A single packet corrupted by a raw bit error: no confirmation, so
@@ -775,9 +761,18 @@ impl FsoiNetwork {
         }
         // The hint lands the cycle before the winner's slot.
         let lands = Cycle(next_slot.as_u64().saturating_sub(1));
-        self.confirm(lands, dst, winner, "hint");
+        confirm(lands, dst, winner, "hint");
         Some(winner)
     }
+}
+
+/// Traces one confirmation beam `from → to`, sent at `at`.
+fn confirm(at: Cycle, from: NodeId, to: NodeId, kind: &'static str) {
+    trace::emit_with(at, || TraceEvent::Confirm {
+        src: from.0 as u64,
+        dst: to.0 as u64,
+        kind: kind.to_string(),
+    });
 }
 
 impl Interconnect for FsoiNetwork {
@@ -1227,7 +1222,7 @@ mod tests {
                 .unwrap();
         }
         run_until_idle(&mut net, 100);
-        assert_eq!(net.stats().confirmations, 4);
+        assert_eq!(net.stats().confirmations(), 4);
     }
 
     #[test]
@@ -1486,7 +1481,7 @@ mod tests {
         // Delivered at 2, its receipt sent: a confirmation in flight is no
         // event, so the network is quiet.
         assert_eq!(net.delivered_count(), 1);
-        assert_eq!(net.stats().confirmations, 1);
+        assert_eq!(net.stats().confirmations(), 1);
         assert_eq!(net.next_event_at(), quiet);
     }
 

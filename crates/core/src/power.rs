@@ -109,7 +109,7 @@ impl FsoiPowerModel {
         let rx_bits_per_node = (lanes.meta.receivers * lanes.meta.vcsels
             + lanes.data.receivers * lanes.data.vcsels
             + 1) as f64;
-        let confirmation_bits = stats.confirmations as f64; // single-bit beams
+        let confirmation_bits = stats.confirmations() as f64; // single-bit beams
 
         EnergyReport {
             tx_dynamic_j: tx_bits * self.tx_energy_per_bit_j,

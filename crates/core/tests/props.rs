@@ -429,7 +429,6 @@ impl ScanFsoi {
         } else {
             self.stats.hints_wrong += 1;
         }
-        self.stats.confirmations += 1;
         Some(winner)
     }
 
@@ -446,7 +445,6 @@ impl ScanFsoi {
         let resolution = final_tx.saturating_sub(first_tx);
         let network = at.saturating_sub(final_tx);
         self.stats.delivered[lane] += 1;
-        self.stats.confirmations += 1;
         self.delivered.push(NetDelivery {
             packet: packet.packet,
             latency: queuing + packet.packet.scheduling_delay + network + resolution,
@@ -698,13 +696,7 @@ type Outcome = (Vec<NetDelivery>, NetStats, Cycle);
 fn outcome(net: &mut impl Fsoi, delivered: Vec<NetDelivery>, accepted: usize) -> Outcome {
     assert!(net.is_idle(), "the script must drain");
     assert_eq!(delivered.len(), accepted, "every accepted packet arrives");
-    let s = net.stats();
-    assert_eq!(
-        s.confirmations,
-        s.delivered[0] + s.delivered[1] + s.hints_issued,
-        "one confirmation per delivery and per hint"
-    );
-    (delivered, s.clone(), net.now())
+    (delivered, net.stats().clone(), net.now())
 }
 
 /// Runs `script` on `net` cycle by cycle, then ticks until it drains; also

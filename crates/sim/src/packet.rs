@@ -176,10 +176,10 @@ pub trait Interconnect: std::fmt::Debug {
     fn report(&self, cycles: u64) -> NetReport;
 
     /// The earliest cycle `>= now()` at which the network could do any
-    /// work on its own — deliver, resolve a slot, start a transmission. `Some(Cycle(u64::MAX))` means "never without
-    /// a new injection"; `None` means "unknown — drive me cycle by
-    /// cycle". The default is the conservative pair: unknown while busy,
-    /// never while idle.
+    /// work on its own — deliver, resolve a slot, start a transmission.
+    /// `Some(Cycle(u64::MAX))` means "never without a new injection";
+    /// `None` means "unknown — drive me cycle by cycle". The default is
+    /// the conservative pair: unknown while busy, never while idle.
     fn next_event_at(&self) -> Option<Cycle> {
         if self.is_idle() {
             Some(Cycle(u64::MAX))

@@ -70,5 +70,5 @@ fn main() {
         "  retransmissions           : {}",
         s.retransmissions[0] + s.retransmissions[1]
     );
-    println!("  confirmations beamed      : {}", s.confirmations);
+    println!("  confirmations beamed      : {}", s.confirmations());
 }

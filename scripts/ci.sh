@@ -146,14 +146,14 @@ tier_scale() {
     cargo test -q --offline -p fsoi-cmp evictions_at_256_nodes_are_cross_checked
     # Likewise for the FSOI kernel: the sender-mask and slot-group
     # cross-checks (masks == full node x lane scan; every live group where
-    # its `open` cell says, every transmission in one group, one
-    # confirmation per delivery and per hint; after every step) only exist
-    # in debug builds. A thousand random shapes up to 256 nodes put
-    # four-word masks, the phase-array path and those cross-checks
-    # together, against ScanFsoi, with the same next_event_at before every
-    # tick (a confirmation in flight is no event). Then a thousand scripts jump
-    # the clock with run() at 2-16, 64 and 256 nodes, where the phase-array
-    # setup keeps two groups of one receiver live, against tick().
+    # its `open` cell says, every transmission in one group; after every
+    # step) only exist in debug builds. A thousand random shapes up to 256
+    # nodes put four-word masks, the phase-array path and those
+    # cross-checks together, against ScanFsoi, with the same next_event_at
+    # before every tick (a confirmation in flight is no event). Then a
+    # thousand scripts jump the clock with run() at 2-16, 64 and 256 nodes,
+    # where the phase-array setup keeps two groups of one receiver live,
+    # against tick().
     FSOI_CHECK_CASES=1000 cargo test -q --offline -p fsoi-net event_driven_equals_full_scan
     FSOI_CHECK_CASES=1000 cargo test -q --offline -p fsoi-net --test props fast_forward_equals_cycle_by_cycle
     # The two baseline networks against their slow references: ScanMesh,
