@@ -299,21 +299,25 @@ fn fig4(scale: u64) {
             print!(" {b:>7.2}");
         }
         println!();
-        let mut best = (f64::INFINITY, 0.0, 0.0);
-        for &w in &ws {
+        let surface = ab::resolution_delay_surface(&ws, &bs, g, trials, 9);
+        let mut best = ab::SurfacePoint {
+            w: 0.0,
+            b: 0.0,
+            delay: f64::INFINITY,
+        };
+        for (&w, row) in ws.iter().zip(surface.chunks(bs.len())) {
             print!("  {w:>6.1}");
-            for &b in &bs {
-                let d = ab::resolution_delay(BackoffPolicy::new(w, b), g, 2, 2, trials, 9);
-                if d < best.0 {
-                    best = (d, w, b);
+            for p in row {
+                if p.delay < best.delay {
+                    best = *p;
                 }
-                print!(" {d:>7.2}");
+                print!(" {:>7.2}", p.delay);
             }
             println!();
         }
         println!(
             "  minimum: {:.2} cycles at W = {}, B = {}  (paper: 7.26 at W = 2.7, B = 1.1)",
-            best.0, best.1, best.2
+            best.delay, best.w, best.b
         );
     }
     println!("\n  Pathological 64-node burst (63 colliders), §4.3.2:");

@@ -264,9 +264,7 @@ impl Checker {
         P: Fn(&G::Value),
     {
         let base = env_u64("FSOI_CHECK_SEED").unwrap_or(self.seed);
-        let cases = env_u64("FSOI_CHECK_CASES")
-            .map(|c| c as u32)
-            .unwrap_or(self.cases);
+        let cases = env_u32("FSOI_CHECK_CASES").unwrap_or(self.cases);
 
         if let Some(seed) = env_u64("FSOI_CHECK_REPLAY") {
             return self.run_case(seed, gen, prop).map_or(Ok(()), Err);
@@ -428,6 +426,20 @@ fn env_u64(var: &str) -> Option<u64> {
             reason = "P1: aborting beats silently running the wrong cases"
         )]
         None => panic!("{var}={s:?} is not a u64 (use 0x-prefixed hex or decimal)"),
+    }
+}
+
+/// [`env_u64`] for a count that must fit a `u32`: a larger value aborts
+/// rather than wrapping to a smaller count.
+fn env_u32(var: &str) -> Option<u32> {
+    let v = env_u64(var)?;
+    match u32::try_from(v) {
+        Ok(v) => Some(v),
+        #[expect(
+            clippy::panic,
+            reason = "P1: aborting beats silently running the wrong cases"
+        )]
+        Err(_) => panic!("{var}={v} does not fit a u32 (at most {})", u32::MAX),
     }
 }
 

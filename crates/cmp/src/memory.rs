@@ -17,8 +17,6 @@ pub struct MemoryChannel {
     bytes_per_cycle: f64,
     latency: u64,
     busy_until: Cycle,
-    served: u64,
-    queued_cycles: u64,
 }
 
 impl MemoryChannel {
@@ -30,8 +28,6 @@ impl MemoryChannel {
             bytes_per_cycle,
             latency,
             busy_until: Cycle::ZERO,
-            served: 0,
-            queued_cycles: 0,
         }
     }
 
@@ -40,21 +36,9 @@ impl MemoryChannel {
     /// latency).
     pub fn request(&mut self, now: Cycle, bytes: u64) -> Cycle {
         let start = self.busy_until.max(now);
-        self.queued_cycles += start - now;
         let service = (bytes as f64 / self.bytes_per_cycle).ceil() as u64;
         self.busy_until = start + service;
-        self.served += 1;
         self.busy_until + self.latency
-    }
-
-    /// Transfers served.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Total cycles requests waited for the channel.
-    pub fn queued_cycles(&self) -> u64 {
-        self.queued_cycles
     }
 }
 
@@ -105,16 +89,6 @@ impl MemorySystem {
         self.channels[c].request(now, bytes)
     }
 
-    /// Total transfers across all channels.
-    pub fn served(&self) -> u64 {
-        self.channels.iter().map(|c| c.served()).sum()
-    }
-
-    /// Total channel queuing cycles.
-    pub fn queued_cycles(&self) -> u64 {
-        self.channels.iter().map(|c| c.queued_cycles()).sum()
-    }
-
     /// Number of channels.
     pub fn channel_count(&self) -> usize {
         self.channels.len()
@@ -131,8 +105,6 @@ mod tests {
         let done = ch.request(Cycle(0), 32);
         // 32 B at 2.667 B/cycle = 12 cycles service + 200 latency.
         assert_eq!(done, Cycle(212));
-        assert_eq!(ch.served(), 1);
-        assert_eq!(ch.queued_cycles(), 0);
     }
 
     #[test]
@@ -141,7 +113,6 @@ mod tests {
         let a = ch.request(Cycle(0), 32);
         let b = ch.request(Cycle(0), 32);
         assert_eq!(b - a, 12, "second transfer waits one service time");
-        assert_eq!(ch.queued_cycles(), 12);
     }
 
     #[test]
@@ -187,11 +158,14 @@ mod tests {
     }
 
     #[test]
-    fn system_request_and_counters() {
+    fn system_request_routes_to_its_channel() {
         let mut m = paper_16();
-        let done = m.request(5, Cycle(10), 32);
-        assert!(done > Cycle(210));
-        assert_eq!(m.served(), 1);
-        assert_eq!(m.queued_cycles(), 0);
+        let first = m.request(5, Cycle(10), 32);
+        let service = first - Cycle(10 + 200);
+        assert!(service > 0);
+        // Node 6 shares node 5's channel and queues one service time
+        // behind it; node 0's channel is idle.
+        assert_eq!(m.request(6, Cycle(10), 32), first + service);
+        assert_eq!(m.request(0, Cycle(10), 32), first);
     }
 }

@@ -44,18 +44,8 @@ use std::rc::Rc;
 pub struct DirStats {
     /// Requests processed (including replays).
     pub requests: u64,
-    /// Data replies sent.
-    pub data_replies: u64,
-    /// ExcAcks sent (upgrade grants).
-    pub exc_acks: u64,
-    /// Invalidations sent.
-    pub invalidations: u64,
-    /// Downgrades sent.
-    pub downgrades: u64,
     /// Retry NACKs sent.
     pub nacks: u64,
-    /// Upgrade requests reinterpreted as exclusive.
-    pub reinterpreted: u64,
     /// Memory reads issued.
     pub mem_reads: u64,
     /// Memory writebacks issued.
@@ -807,12 +797,8 @@ impl Directory {
         self.touch(slot);
         match self.state_at(slot) {
             DirState::DI => {
-                // Fetch from memory; Upg is reinterpreted (the requester
-                // cannot really hold a copy of an unresident line).
-                if kind == ReqType::Upg {
-                    kind = ReqType::Ex;
-                    self.stats.reinterpreted += 1;
-                }
+                // Fetch from memory; Upg is reinterpreted as Ex (the
+                // requester cannot really hold a copy of an unresident line).
                 let next = if kind == ReqType::Sh {
                     DirState::DIDSD
                 } else {
@@ -840,10 +826,7 @@ impl Directory {
                 });
             }
             DirState::DV => {
-                if kind == ReqType::Upg {
-                    kind = ReqType::Ex;
-                    self.stats.reinterpreted += 1;
-                }
+                // Upg is reinterpreted as Ex: nobody holds a copy.
                 let e = self.entry(slot);
                 e.state = DirState::DM;
                 e.owner = NodeId::new(from);
@@ -852,7 +835,6 @@ impl Directory {
                 } else {
                     Grant::Modified
                 };
-                self.stats.data_replies += 1;
                 out.push(OutMsg {
                     to: from,
                     msg: CoherenceMsg::Data { grant, line },
@@ -862,12 +844,10 @@ impl Directory {
                 if kind == ReqType::Upg && !self.entry(slot).is_sharer(from) {
                     // The requester's copy died in a race: full exclusive.
                     kind = ReqType::Ex;
-                    self.stats.reinterpreted += 1;
                 }
                 match kind {
                     ReqType::Sh => {
                         self.entry(slot).add_sharer(from);
-                        self.stats.data_replies += 1;
                         out.push(OutMsg {
                             to: from,
                             msg: CoherenceMsg::Data {
@@ -882,24 +862,20 @@ impl Directory {
                         e.remove_sharer(from);
                         e.requester = NodeId::new(from);
                         for v in e.invalidate_sharers() {
-                            self.stats.invalidations += 1;
                             out.push(OutMsg {
                                 to: v,
                                 msg: CoherenceMsg::Inv { line },
                             });
                         }
-                        let e = self.entry(slot);
                         if e.acks_pending == 0 {
                             e.state = DirState::DM;
                             e.owner = NodeId::new(from);
                             if upgrade {
-                                self.stats.exc_acks += 1;
                                 out.push(OutMsg {
                                     to: from,
                                     msg: CoherenceMsg::ExcAck { line },
                                 });
                             } else {
-                                self.stats.data_replies += 1;
                                 out.push(OutMsg {
                                     to: from,
                                     msg: CoherenceMsg::Data {
@@ -929,7 +905,6 @@ impl Directory {
                     } else {
                         Grant::Modified
                     };
-                    self.stats.data_replies += 1;
                     out.push(OutMsg {
                         to: from,
                         msg: CoherenceMsg::Data { grant, line },
@@ -940,18 +915,14 @@ impl Directory {
                 match kind {
                     ReqType::Sh => {
                         e.state = DirState::DMDSD;
-                        self.stats.downgrades += 1;
                         out.push(OutMsg {
                             to: owner,
                             msg: CoherenceMsg::Dwg { line },
                         });
                     }
                     ReqType::Ex | ReqType::Upg => {
+                        // Upg is reinterpreted as Ex: the owner's copy dies.
                         e.state = DirState::DMDMD;
-                        if kind == ReqType::Upg {
-                            self.stats.reinterpreted += 1;
-                        }
-                        self.stats.invalidations += 1;
                         out.push(OutMsg {
                             to: owner,
                             msg: CoherenceMsg::Inv { line },
@@ -1040,7 +1011,6 @@ impl Directory {
                     e.state = DirState::DM;
                     e.owner = e.requester;
                     let to = e.requester.get();
-                    self.stats.data_replies += 1;
                     out.push(OutMsg {
                         to,
                         msg: CoherenceMsg::Data {
@@ -1057,7 +1027,6 @@ impl Directory {
                     e.state = DirState::DM;
                     e.owner = e.requester;
                     let to = e.requester.get();
-                    self.stats.exc_acks += 1;
                     out.push(OutMsg {
                         to,
                         msg: CoherenceMsg::ExcAck { line },
@@ -1074,7 +1043,6 @@ impl Directory {
                 e.state = DirState::DM;
                 e.owner = e.requester;
                 let to = e.requester.get();
-                self.stats.data_replies += 1;
                 out.push(OutMsg {
                     to,
                     msg: CoherenceMsg::Data {
@@ -1106,7 +1074,6 @@ impl Directory {
                 e.sharers.clear();
                 e.add_sharer(owner);
                 e.add_sharer(req);
-                self.stats.data_replies += 1;
                 out.push(OutMsg {
                     to: req,
                     msg: CoherenceMsg::Data {
@@ -1121,7 +1088,6 @@ impl Directory {
                 e.state = DirState::DM;
                 e.owner = e.requester;
                 let to = e.requester.get();
-                self.stats.data_replies += 1;
                 out.push(OutMsg {
                     to,
                     msg: CoherenceMsg::Data {
@@ -1154,7 +1120,6 @@ impl Directory {
                     Grant::Modified
                 };
                 let to = e.requester.get();
-                self.stats.data_replies += 1;
                 out.push(OutMsg {
                     to,
                     msg: CoherenceMsg::Data { grant, line },
@@ -1269,7 +1234,6 @@ impl Directory {
                     } else {
                         e.state = DirState::DSDIA;
                         for v in victims {
-                            self.stats.invalidations += 1;
                             out.push(OutMsg {
                                 to: v,
                                 msg: CoherenceMsg::Inv { line },
@@ -1280,7 +1244,6 @@ impl Directory {
                 DirState::DM => {
                     e.state = DirState::DMDID;
                     let owner = e.owner.get();
-                    self.stats.invalidations += 1;
                     out.push(OutMsg {
                         to: owner,
                         msg: CoherenceMsg::Inv { line },
@@ -1820,7 +1783,9 @@ mod tests {
         // Node 5 never held the line but sends Upg (race artifact).
         let out = d.handle(5, req(ReqType::Upg, L)).unwrap();
         assert_eq!(out.len(), 2, "treated as Ex: invalidate both sharers");
-        assert_eq!(d.stats().reinterpreted, 1);
+        for (m, to) in out.iter().zip([1, 2]) {
+            assert_eq!((m.to, &m.msg), (to, &CoherenceMsg::Inv { line: L }));
+        }
         assert_eq!(d.state_of(L), DirState::DSDMDA);
     }
 

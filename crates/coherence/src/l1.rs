@@ -75,16 +75,6 @@ pub struct L1Stats {
     pub write_hits: u64,
     /// Write misses (including upgrades).
     pub write_misses: u64,
-    /// Dirty writebacks sent.
-    pub writebacks: u64,
-    /// Invalidations received.
-    pub invalidations: u64,
-    /// Downgrades received.
-    pub downgrades: u64,
-    /// NACK retries performed.
-    pub retries: u64,
-    /// Upgrade→write-miss races (S.Mᴬ hit by Inv).
-    pub upgrade_races: u64,
 }
 
 /// The L1 cache controller of one node.
@@ -246,7 +236,6 @@ impl L1Controller {
         match self.array.peek(line).copied() {
             Some(L1State::M) => {
                 self.array.remove(line);
-                self.stats.writebacks += 1;
                 vec![OutMsg {
                     to: self.home_of(line),
                     msg: CoherenceMsg::WriteBack { line },
@@ -278,7 +267,6 @@ impl L1Controller {
                 payload,
             }) => {
                 if payload == L1State::M {
-                    self.stats.writebacks += 1;
                     out.push(OutMsg {
                         to: self.home_of(victim),
                         msg: CoherenceMsg::WriteBack { line: victim },
@@ -290,7 +278,6 @@ impl L1Controller {
                 // Cache bypass: nothing becomes resident. A modified fill
                 // must return its (dirty) line home immediately.
                 if state == L1State::M {
-                    self.stats.writebacks += 1;
                     out.push(OutMsg {
                         to: self.home_of(line),
                         msg: CoherenceMsg::WriteBack { line },
@@ -356,7 +343,6 @@ impl L1Controller {
                 s => return err(s, "ExcAck"),
             },
             CoherenceMsg::Inv { .. } => {
-                self.stats.invalidations += 1;
                 let with_data = state == L1State::M;
                 match state {
                     L1State::I => {}
@@ -369,7 +355,6 @@ impl L1Controller {
                     L1State::SMA => {
                         // Upgrade race: our S copy dies; the request in
                         // flight becomes a full write miss ("InvAck/I.MD").
-                        self.stats.upgrade_races += 1;
                         self.array.remove(line);
                         self.set_mshr(line, L1State::IMD);
                     }
@@ -380,7 +365,6 @@ impl L1Controller {
                 });
             }
             CoherenceMsg::Dwg { .. } => {
-                self.stats.downgrades += 1;
                 let with_data = state == L1State::M;
                 match state {
                     L1State::I | L1State::ISD | L1State::IMD => {}
@@ -399,7 +383,6 @@ impl L1Controller {
                 });
             }
             CoherenceMsg::Retry { .. } => {
-                self.stats.retries += 1;
                 let kind = match state {
                     L1State::ISD => ReqType::Sh,
                     L1State::IMD => ReqType::Ex,
@@ -528,7 +511,6 @@ mod tests {
             }
         );
         assert_eq!(c.state_of(line), L1State::IMD);
-        assert_eq!(c.stats().upgrade_races, 1);
         // The eventual data grants M.
         c.handle(data(line, Grant::Modified)).unwrap();
         assert_eq!(c.state_of(line), L1State::M);
@@ -566,7 +548,6 @@ mod tests {
             }
         );
         assert_eq!(c.state_of(line), L1State::S);
-        assert_eq!(c.stats().downgrades, 1);
     }
 
     #[test]
@@ -637,7 +618,6 @@ mod tests {
                 line
             }
         );
-        assert_eq!(c.stats().retries, 1);
         // Write-miss retry resends Ex; upgrade retry resends Upg.
         let wline = LineAddr(0x80);
         c.write(wline);
@@ -690,7 +670,6 @@ mod tests {
         );
         assert_eq!(c.state_of(a), L1State::I);
         assert_eq!(c.state_of(b), L1State::S);
-        assert_eq!(c.stats().writebacks, 1);
     }
 
     #[test]

@@ -1,5 +1,9 @@
-//! Synchronization semantics: load-linked / store-conditional, locks and
-//! barriers — plus the paper's §5.1 optimization hooks.
+//! Synchronization semantics: locks and barriers — plus the paper's §5.1
+//! optimization hooks.
+//!
+//! The cores build locks over `ll`/`sc`; the CMP simulator decides a
+//! store-conditional's success from [`SpinLock::try_acquire`], the
+//! memory-side truth, so no per-node link register is modelled.
 //!
 //! The paper implements `ll`/`sc` "differently when feasible": boolean
 //! synchronization variables can be *subscribed* over the confirmation
@@ -7,65 +11,13 @@
 //! updates without any regular packets. [`BooleanSubscriptionHub`] is the
 //! directory-side registry for that path; the CMP simulator decides per
 //! configuration whether updates ride the confirmation channel (optimized)
-//! or full invalidation/reload rounds (baseline).
+//! or full invalidation/reload rounds (baseline). Sync words live in their
+//! own address range, disjoint from every data line, so no normal store
+//! ever hits a subscribed word and nothing revokes a subscription but the
+//! subscriber's own `unsubscribe`.
 
 use crate::protocol::LineAddr;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Per-node link register for load-linked/store-conditional.
-#[derive(Debug, Default)]
-pub struct LlScMonitor {
-    link: Option<LineAddr>,
-    successes: u64,
-    failures: u64,
-}
-
-impl LlScMonitor {
-    /// Creates an empty monitor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Load-linked: records the reservation.
-    pub fn ll(&mut self, line: LineAddr) {
-        self.link = Some(line);
-    }
-
-    /// Store-conditional: succeeds iff the reservation survives; always
-    /// clears it.
-    pub fn sc(&mut self, line: LineAddr) -> bool {
-        let ok = self.link == Some(line);
-        self.link = None;
-        if ok {
-            self.successes += 1;
-        } else {
-            self.failures += 1;
-        }
-        ok
-    }
-
-    /// An invalidation for `line` landed: kill a matching reservation.
-    pub fn on_invalidate(&mut self, line: LineAddr) {
-        if self.link == Some(line) {
-            self.link = None;
-        }
-    }
-
-    /// The active reservation, if any.
-    pub fn reservation(&self) -> Option<LineAddr> {
-        self.link
-    }
-
-    /// Successful store-conditionals.
-    pub fn successes(&self) -> u64 {
-        self.successes
-    }
-
-    /// Failed store-conditionals.
-    pub fn failures(&self) -> u64 {
-        self.failures
-    }
-}
 
 /// A centralized sense-reversing barrier (the paper uses combining-tree
 /// barriers for scale; the tree is composed of these nodes).
@@ -73,7 +25,6 @@ impl LlScMonitor {
 pub struct Barrier {
     participants: usize,
     arrived: usize,
-    sense: bool,
     episodes: u64,
 }
 
@@ -88,7 +39,6 @@ impl Barrier {
         Barrier {
             participants,
             arrived: 0,
-            sense: false,
             episodes: 0,
         }
     }
@@ -99,7 +49,6 @@ impl Barrier {
         self.arrived += 1;
         if self.arrived == self.participants {
             self.arrived = 0;
-            self.sense = !self.sense;
             self.episodes += 1;
             true
         } else {
@@ -107,9 +56,10 @@ impl Barrier {
         }
     }
 
-    /// The sense value spinners compare against.
+    /// The sense value spinners compare against: it flips with every
+    /// completed episode.
     pub fn sense(&self) -> bool {
-        self.sense
+        self.episodes % 2 == 1
     }
 
     /// Completed episodes.
@@ -128,8 +78,6 @@ impl Barrier {
 #[derive(Debug, Default)]
 pub struct SpinLock {
     holder: Option<usize>,
-    acquisitions: u64,
-    contended_acquisitions: u64,
 }
 
 impl SpinLock {
@@ -142,10 +90,8 @@ impl SpinLock {
     pub fn try_acquire(&mut self, node: usize) -> bool {
         if self.holder.is_none() {
             self.holder = Some(node);
-            self.acquisitions += 1;
             true
         } else {
-            self.contended_acquisitions += 1;
             false
         }
     }
@@ -164,16 +110,6 @@ impl SpinLock {
     pub fn holder(&self) -> Option<usize> {
         self.holder
     }
-
-    /// Successful acquisitions.
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions
-    }
-
-    /// Failed (contended) attempts.
-    pub fn contended(&self) -> u64 {
-        self.contended_acquisitions
-    }
 }
 
 /// Directory-side registry of boolean subscriptions (§5.1).
@@ -181,12 +117,10 @@ impl SpinLock {
 /// A node that `ll`s a boolean synchronization word reserves a mini-cycle
 /// on its confirmation receiver and registers here. Subsequent updates to
 /// the word are *pushed* to all subscribers as single-bit
-/// confirmation-channel pulses — no meta/data packets. A normal store to
-/// the containing line simply invalidates (unsubscribes) everyone.
+/// confirmation-channel pulses — no meta/data packets.
 #[derive(Debug, Default)]
 pub struct BooleanSubscriptionHub {
     subs: BTreeMap<LineAddr, BTreeSet<usize>>,
-    updates_pushed: u64,
     packets_saved: u64,
 }
 
@@ -221,19 +155,8 @@ impl BooleanSubscriptionHub {
             .get(&line)
             .map(|s| s.iter().copied().filter(|&n| n != writer).collect())
             .unwrap_or_default();
-        self.updates_pushed += targets.len() as u64;
         self.packets_saved += 3 * targets.len() as u64;
         targets
-    }
-
-    /// A normal (non-boolean) store to the line: all subscriptions die and
-    /// the callers fall back to regular coherence. Returns the nodes to
-    /// invalidate.
-    pub fn invalidate_all(&mut self, line: LineAddr) -> Vec<usize> {
-        self.subs
-            .remove(&line)
-            .map(|s| s.into_iter().collect())
-            .unwrap_or_default()
     }
 
     /// Subscribers of a line.
@@ -242,11 +165,6 @@ impl BooleanSubscriptionHub {
             .get(&line)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default()
-    }
-
-    /// Total single-bit updates pushed.
-    pub fn updates_pushed(&self) -> u64 {
-        self.updates_pushed
     }
 
     /// Regular packets avoided by the optimization so far.
@@ -260,37 +178,6 @@ mod tests {
     use super::*;
 
     const L: LineAddr = LineAddr(0x200);
-
-    #[test]
-    fn ll_sc_roundtrip() {
-        let mut m = LlScMonitor::new();
-        m.ll(L);
-        assert_eq!(m.reservation(), Some(L));
-        assert!(m.sc(L));
-        assert_eq!(m.successes(), 1);
-        // Reservation is consumed.
-        assert!(!m.sc(L));
-        assert_eq!(m.failures(), 1);
-    }
-
-    #[test]
-    fn invalidation_kills_reservation() {
-        let mut m = LlScMonitor::new();
-        m.ll(L);
-        m.on_invalidate(L);
-        assert!(!m.sc(L));
-        // Unrelated invalidation leaves it alone.
-        m.ll(L);
-        m.on_invalidate(LineAddr(0x999000));
-        assert!(m.sc(L));
-    }
-
-    #[test]
-    fn sc_to_different_line_fails() {
-        let mut m = LlScMonitor::new();
-        m.ll(L);
-        assert!(!m.sc(LineAddr(0x300)));
-    }
 
     #[test]
     fn barrier_releases_on_last_arrival() {
@@ -318,8 +205,7 @@ mod tests {
         assert_eq!(l.holder(), Some(1));
         l.release(1);
         assert!(l.try_acquire(2));
-        assert_eq!(l.acquisitions(), 2);
-        assert_eq!(l.contended(), 1);
+        assert!(!l.try_acquire(1));
     }
 
     #[test]
@@ -338,19 +224,17 @@ mod tests {
         hub.subscribe(L, 3);
         let targets = hub.push_update(L, 2);
         assert_eq!(targets, vec![1, 3]);
-        assert_eq!(hub.updates_pushed(), 2);
         assert_eq!(hub.packets_saved(), 6);
     }
 
     #[test]
-    fn unsubscribe_and_invalidate() {
+    fn unsubscribe_leaves_the_rest() {
         let mut hub = BooleanSubscriptionHub::new();
         hub.subscribe(L, 1);
         hub.subscribe(L, 2);
         hub.unsubscribe(L, 1);
         assert_eq!(hub.subscribers(L), vec![2]);
-        let killed = hub.invalidate_all(L);
-        assert_eq!(killed, vec![2]);
+        hub.unsubscribe(L, 2);
         assert!(hub.subscribers(L).is_empty());
         assert!(hub.push_update(L, 0).is_empty());
     }

@@ -4,7 +4,7 @@
 use fsoi_check::{checker, select, set_of, vec_of};
 use fsoi_coherence::cache::{AllocOutcome, CacheArray};
 use fsoi_coherence::protocol::LineAddr;
-use fsoi_coherence::sync::{Barrier, BooleanSubscriptionHub, LlScMonitor};
+use fsoi_coherence::sync::{Barrier, BooleanSubscriptionHub};
 
 /// The flat cache array against an exact-LRU model: per set, a list of
 /// resident lines from least to most recently used, found by division
@@ -90,40 +90,6 @@ fn cache_array_agrees_with_model() {
     );
 }
 
-/// ll/sc: a store-conditional succeeds iff no intervening invalidation
-/// (or other sc) touched the reservation.
-#[test]
-fn llsc_reservation_semantics() {
-    checker!().check(
-        "llsc_reservation_semantics",
-        vec_of((0u8..3, 0u64..4), 1..200),
-        |events| {
-            let mut m = LlScMonitor::new();
-            let mut model: Option<u64> = None;
-            for &(kind, line) in events {
-                let addr = LineAddr(line * 32);
-                match kind {
-                    0 => {
-                        m.ll(addr);
-                        model = Some(line);
-                    }
-                    1 => {
-                        let expect = model == Some(line);
-                        assert_eq!(m.sc(addr), expect);
-                        model = None;
-                    }
-                    _ => {
-                        m.on_invalidate(addr);
-                        if model == Some(line) {
-                            model = None;
-                        }
-                    }
-                }
-            }
-        },
-    );
-}
-
 /// A barrier of n participants releases exactly every n-th arrival and
 /// flips its sense each episode.
 #[test]
@@ -148,7 +114,7 @@ fn barrier_releases_every_nth() {
 }
 
 /// Subscription pushes go to exactly the live subscribers minus the
-/// writer, and invalidation empties the line.
+/// writer, and unsubscribing them all empties the line.
 #[test]
 fn subscription_hub_membership() {
     checker!().check(
@@ -164,8 +130,10 @@ fn subscription_hub_membership() {
             let targets = hub.push_update(line, writer);
             let expect: Vec<usize> = subs.iter().copied().filter(|&s| s != writer).collect();
             assert_eq!(targets, expect);
-            let killed = hub.invalidate_all(line);
-            assert_eq!(killed.len(), subs.len());
+            assert_eq!(&hub.subscribers(line), subs);
+            for &s in subs {
+                hub.unsubscribe(line, s);
+            }
             assert!(hub.subscribers(line).is_empty());
         },
     );

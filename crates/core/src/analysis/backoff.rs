@@ -101,7 +101,9 @@ pub struct SurfacePoint {
     pub delay: f64,
 }
 
-/// Sweeps the (W, B) grid of Figure 4.
+/// Sweeps the (W, B) grid of Figure 4, row by row (`w_values` outer).
+/// Every cell runs [`resolution_delay`] from the same `seed`, so cells
+/// differ by their (W, B) alone, not by their random stream.
 pub fn resolution_delay_surface(
     w_values: &[f64],
     b_values: &[f64],
@@ -110,17 +112,9 @@ pub fn resolution_delay_surface(
     seed: u64,
 ) -> Vec<SurfacePoint> {
     let mut out = Vec::with_capacity(w_values.len() * b_values.len());
-    for (i, &w) in w_values.iter().enumerate() {
-        for (j, &b) in b_values.iter().enumerate() {
-            let policy = BackoffPolicy::new(w, b);
-            let delay = resolution_delay(
-                policy,
-                g,
-                2,
-                2,
-                trials,
-                seed.wrapping_add((i * b_values.len() + j) as u64),
-            );
+    for &w in w_values {
+        for &b in b_values {
+            let delay = resolution_delay(BackoffPolicy::new(w, b), g, 2, 2, trials, seed);
             out.push(SurfacePoint { w, b, delay });
         }
     }
@@ -235,6 +229,9 @@ mod tests {
         let pts = resolution_delay_surface(&[2.0, 3.0], &[1.1, 2.0], 0.01, 2_000, 5);
         assert_eq!(pts.len(), 4);
         assert!(pts.iter().all(|p| p.delay.is_finite() && p.delay > 0.0));
+        // Row-major, every cell from the one seed.
+        let direct = resolution_delay(BackoffPolicy::new(3.0, 1.1), 0.01, 2, 2, 2_000, 5);
+        assert_eq!((pts[2].w, pts[2].b, pts[2].delay), (3.0, 1.1, direct));
     }
 
     #[test]

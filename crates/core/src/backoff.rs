@@ -7,22 +7,14 @@
 //! optimum `W = 2.7, B = 1.1` from an analytical model (Figure 4) —
 //! producing markedly lower common-case resolution delay while still
 //! escaping the pathological all-to-one burst.
+//!
+//! A retry's back-off is one [`BackoffPolicy::draw_delay_slots`] call; the
+//! network engine traces the retry number, the drawn delay and the
+//! resulting ready cycle as a `backoff` event, so a flight-recorder dump
+//! shows why a packet waited. The window is recomputable from the retry
+//! number ([`BackoffPolicy::window_for_retry`]).
 
 use fsoi_sim::rng::Xoshiro256StarStar;
-
-/// One retransmission decision: the window it was drawn from and the slot
-/// delay that came out. The network engine emits this as a `backoff` trace
-/// event so a flight-recorder dump shows *why* a packet waited, not just
-/// that it did.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BackoffDraw {
-    /// The 1-indexed retry this delay was drawn for.
-    pub retry: u32,
-    /// The (real-valued) window `W_r` the draw was uniform over.
-    pub window: f64,
-    /// The drawn delay in whole slots, `>= 1`.
-    pub delay_slots: u64,
-}
 
 /// An exponential back-off policy with (possibly non-integer) starting
 /// window `W` and growth base `B`.
@@ -94,19 +86,8 @@ impl BackoffPolicy {
     /// `W_r = 2.7`, slots 1 and 2 are drawn with probability 1/2.7 each and
     /// slot 3 with probability 0.7/2.7.
     pub fn draw_delay_slots(&self, retry: u32, rng: &mut Xoshiro256StarStar) -> u64 {
-        self.draw(retry, rng).delay_slots
-    }
-
-    /// Like [`draw_delay_slots`](Self::draw_delay_slots), but returns the
-    /// whole [`BackoffDraw`] decision — window included — for tracing.
-    pub fn draw(&self, retry: u32, rng: &mut Xoshiro256StarStar) -> BackoffDraw {
-        let window = self.window_for_retry(retry);
-        let u = rng.next_f64() * window;
-        BackoffDraw {
-            retry,
-            window,
-            delay_slots: (u.floor() as u64) + 1,
-        }
+        let u = rng.next_f64() * self.window_for_retry(retry);
+        (u.floor() as u64) + 1
     }
 
     /// The mean of [`draw_delay_slots`](Self::draw_delay_slots) in slots,
@@ -229,26 +210,5 @@ mod tests {
         let p = BackoffPolicy::new(3.5, 1.3);
         assert_eq!(p.initial_window(), 3.5);
         assert_eq!(p.base(), 1.3);
-    }
-
-    #[test]
-    fn draw_decision_carries_its_window() {
-        let p = BackoffPolicy::PAPER_OPTIMUM;
-        let mut rng = Xoshiro256StarStar::new(5);
-        for retry in 1..=6 {
-            let d = p.draw(retry, &mut rng);
-            assert_eq!(d.retry, retry);
-            assert_eq!(d.window, p.window_for_retry(retry));
-            assert!(d.delay_slots >= 1 && d.delay_slots as f64 <= d.window.ceil());
-        }
-        // The two draw paths share one RNG stream/shape.
-        let mut a = Xoshiro256StarStar::new(9);
-        let mut b = Xoshiro256StarStar::new(9);
-        for retry in 1..=8 {
-            assert_eq!(
-                p.draw_delay_slots(retry, &mut a),
-                p.draw(retry, &mut b).delay_slots
-            );
-        }
     }
 }

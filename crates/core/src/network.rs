@@ -637,9 +637,7 @@ impl FsoiNetwork {
     /// collision, without the collision bookkeeping (no hint: the header
     /// itself may be what broke).
     fn drop_and_retry(&mut self, lane: usize, mut flight: InFlight, at: Cycle) {
-        let slot = self.slot_len[lane];
-        let detect = at + CONFIRMATION_DELAY;
-        let next_boundary = detect.round_up_to_slot(slot);
+        let next_boundary = (at + CONFIRMATION_DELAY).round_up_to_slot(self.slot_len[lane]);
         flight.retries += 1;
         self.stats.retransmissions[lane] += 1;
         trace::emit_with(at, || TraceEvent::BitError {
@@ -648,16 +646,7 @@ impl FsoiNetwork {
             dst: flight.packet.dst as u64,
             lane: lane as u64,
         });
-        let draw = self.cfg.backoff.draw(flight.retries, &mut self.rng);
-        let ready = next_boundary + (draw.delay_slots - 1) * slot;
-        trace::emit_with(at, || TraceEvent::Backoff {
-            packet: flight.id,
-            lane: lane as u64,
-            retry: u64::from(flight.retries),
-            delay_slots: draw.delay_slots,
-            ready: ready.as_u64(),
-        });
-        self.push_retry(lane, ready, flight);
+        self.retry_after_backoff(lane, flight, next_boundary, 0, at);
     }
 
     fn collide(&mut self, lane: usize, group: &SlotGroup, at: Cycle) {
@@ -687,37 +676,42 @@ impl FsoiNetwork {
                 rx: u64::from(group.rx),
                 group: group_size,
             });
-            let ready = if Some(flight.src()) == winner {
+            if Some(flight.src()) == winner {
                 // The winner retransmits in the very next slot.
-                next_boundary
-            } else if winner.is_some() {
-                // Losers skip the winner's slot, then back off.
-                let draw = self.cfg.backoff.draw(flight.retries, &mut self.rng);
-                let ready = next_boundary + draw.delay_slots * slot;
-                trace::emit_with(at, || TraceEvent::Backoff {
-                    packet: flight.id,
-                    lane: lane as u64,
-                    retry: u64::from(flight.retries),
-                    delay_slots: draw.delay_slots,
-                    ready: ready.as_u64(),
-                });
-                ready
+                self.push_retry(lane, next_boundary, flight);
             } else {
-                // No hint: random slot within the back-off window after
-                // detection.
-                let draw = self.cfg.backoff.draw(flight.retries, &mut self.rng);
-                let ready = next_boundary + (draw.delay_slots - 1) * slot;
-                trace::emit_with(at, || TraceEvent::Backoff {
-                    packet: flight.id,
-                    lane: lane as u64,
-                    retry: u64::from(flight.retries),
-                    delay_slots: draw.delay_slots,
-                    ready: ready.as_u64(),
-                });
-                ready
-            };
-            self.push_retry(lane, ready, flight);
+                // Losers skip the winner's slot, then back off; with no
+                // hint, a random slot within the window after detection.
+                let skipped = u64::from(winner.is_some());
+                self.retry_after_backoff(lane, flight, next_boundary, skipped, at);
+            }
         }
+    }
+
+    /// Draws `flight`'s back-off for its current retry and re-queues it in
+    /// the drawn slot of the window that opens `skipped` slots after
+    /// `boundary`.
+    fn retry_after_backoff(
+        &mut self,
+        lane: usize,
+        flight: InFlight,
+        boundary: Cycle,
+        skipped: u64,
+        at: Cycle,
+    ) {
+        let delay_slots = self
+            .cfg
+            .backoff
+            .draw_delay_slots(flight.retries, &mut self.rng);
+        let ready = boundary + (skipped + delay_slots - 1) * self.slot_len[lane];
+        trace::emit_with(at, || TraceEvent::Backoff {
+            packet: flight.id,
+            lane: lane as u64,
+            retry: u64::from(flight.retries),
+            delay_slots,
+            ready: ready.as_u64(),
+        });
+        self.push_retry(lane, ready, flight);
     }
 
     fn push_retry(&mut self, lane: usize, ready: Cycle, flight: InFlight) {

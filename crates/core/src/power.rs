@@ -5,7 +5,9 @@
 //! threshold), receivers stay on, and there is no per-hop buffering or
 //! switching energy at all. This module converts the link budget of
 //! `fsoi-optics` and the traffic counters of the network into joules
-//! (see [`NetStats`]).
+//! (see [`NetStats`]). Receivers are charged as always-on power, never per
+//! bit: Table 1's receive energy per bit is a link-budget output
+//! (`LinkBudget::rx_energy_per_bit_pj`), not an input here.
 //!
 //! [`NetStats`]: crate::network::NetStats
 
@@ -19,10 +21,6 @@ use fsoi_optics::link::LinkBudget;
 pub struct FsoiPowerModel {
     /// Transmit energy per bit while actively lasing, joules.
     pub tx_energy_per_bit_j: f64,
-    /// Receive chain energy per bit-time, joules (receivers are always on;
-    /// this is their power divided by the bit rate, used for the active
-    /// share attribution).
-    pub rx_energy_per_bit_j: f64,
     /// Standby power per transmit VCSEL+driver, watts.
     pub tx_standby_w: f64,
     /// Always-on power per receiver bit (PD + TIA + limiting amp), watts.
@@ -67,7 +65,6 @@ impl FsoiPowerModel {
         assert!(core_clock_hz > 0.0, "core clock must be positive");
         FsoiPowerModel {
             tx_energy_per_bit_j: budget.tx_energy_per_bit_pj * 1e-12,
-            rx_energy_per_bit_j: budget.rx_energy_per_bit_pj * 1e-12,
             tx_standby_w: budget.tx_standby_mw * 1e-3,
             rx_always_on_w: budget.rx_power_mw * 1e-3,
             core_clock_hz,
@@ -132,7 +129,6 @@ mod tests {
     fn model_from_paper_budget() {
         let m = FsoiPowerModel::paper_default();
         assert!((m.tx_energy_per_bit_j * 1e12 - 0.18).abs() < 0.02);
-        assert!((m.rx_energy_per_bit_j * 1e12 - 0.105).abs() < 0.01);
         assert!((m.tx_standby_w * 1e3 - 0.43).abs() < 1e-6);
         assert!((m.rx_always_on_w * 1e3 - 4.2).abs() < 1e-6);
     }

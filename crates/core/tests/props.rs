@@ -352,7 +352,7 @@ impl ScanFsoi {
                 let p_err = self.cfg.packet_error_probability(bits);
                 if p_err > 0.0 && self.rng.bernoulli(p_err) {
                     self.stats.bit_error_drops[lane] += 1;
-                    self.retry_after_backoff(lane, packet, at, 1);
+                    self.retry_after_backoff(lane, packet, at, 0);
                 } else {
                     self.deliver(packet, at);
                 }
@@ -368,9 +368,9 @@ impl ScanFsoi {
         (at + CONFIRMATION_DELAY).round_up_to_slot(self.slot_len(lane))
     }
 
-    /// Re-queues `packet` a back-off draw after the next boundary;
-    /// `skipped` is 1 when the draw counts from that boundary's slot and 0
-    /// when a hint winner owns it.
+    /// Re-queues `packet` in the drawn slot of the back-off window that
+    /// opens `skipped` slots after the next boundary (1 when a hint winner
+    /// owns that boundary's slot).
     fn retry_after_backoff(
         &mut self,
         lane: usize,
@@ -380,9 +380,12 @@ impl ScanFsoi {
     ) {
         packet.retries += 1;
         self.stats.retransmissions[lane] += 1;
-        let draw = self.cfg.backoff.draw(packet.retries, &mut self.rng);
+        let delay_slots = self
+            .cfg
+            .backoff
+            .draw_delay_slots(packet.retries, &mut self.rng);
         let ready =
-            self.next_boundary(lane, at) + (draw.delay_slots - skipped) * self.slot_len(lane);
+            self.next_boundary(lane, at) + (skipped + delay_slots - 1) * self.slot_len(lane);
         self.nodes[packet.packet.src].retries[lane].push(ready, packet);
     }
 
@@ -402,7 +405,7 @@ impl ScanFsoi {
                 let ready = self.next_boundary(lane, at);
                 self.nodes[packet.packet.src].retries[lane].push(ready, packet);
             } else {
-                self.retry_after_backoff(lane, packet, at, u64::from(winner.is_none()));
+                self.retry_after_backoff(lane, packet, at, u64::from(winner.is_some()));
             }
         }
     }

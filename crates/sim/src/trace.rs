@@ -29,7 +29,6 @@
 //!
 //! * `FSOI_TRACE=0` force-disables recording even where compiled in;
 //!   `FSOI_TRACE=1` force-enables it (in builds where it is compiled).
-//! * `FSOI_TRACE_BUF=N` sizes the flight-recorder ring (default 256).
 //! * `FSOI_TRACE_DUMP=path` redirects the panic-time JSONL dump from its
 //!   default in the system temp directory.
 //!
@@ -43,8 +42,7 @@ use std::sync::Once;
 
 use crate::Cycle;
 
-/// Default flight-recorder capacity (records), overridable via
-/// `FSOI_TRACE_BUF`.
+/// The thread-local flight recorder's capacity (records).
 pub const DEFAULT_CAPACITY: usize = 256;
 
 /// A type an event field can have: how it is written into and read back
@@ -451,17 +449,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Creates a recorder sized by `FSOI_TRACE_BUF` (default
-    /// [`DEFAULT_CAPACITY`]).
-    pub fn from_env() -> Self {
-        #[expect(clippy::disallowed_methods, reason = "D2: FSOI_TRACE_BUF knob")]
-        let cap = std::env::var("FSOI_TRACE_BUF")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_CAPACITY);
-        Self::with_capacity(cap)
-    }
-
     /// Number of records currently retained.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -517,7 +504,7 @@ impl FlightRecorder {
 thread_local! {
     static ENABLED: Cell<Option<bool>> = const { Cell::new(None) };
     static SUPPRESS_DUMP: Cell<bool> = const { Cell::new(false) };
-    static RECORDER: RefCell<FlightRecorder> = RefCell::new(FlightRecorder::from_env());
+    static RECORDER: RefCell<FlightRecorder> = RefCell::new(FlightRecorder::with_capacity(DEFAULT_CAPACITY));
 }
 
 /// True when the event API is compiled in at all (debug builds, or any

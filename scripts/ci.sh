@@ -16,7 +16,7 @@
 #   scripts/ci.sh --tier scale    # beyond-the-paper grids: 64-node four-network
 #                                 # smoke grid + a single 256-node cell, with
 #                                 # shape-class and byte-identity assertions,
-#                                 # then fifteen unoptimized tests, in this order:
+#                                 # then sixteen unoptimized tests, in this order:
 #                                 # evictions_at_256_nodes_are_cross_checked (a
 #                                 # 256-node cell with the directory's eviction
 #                                 # cross-check live);
@@ -52,7 +52,9 @@
 #                                 # stalls_keep_the_list_and_the_side_table_consistent
 #                                 # (a stall-heavy directory slice with the LRU-list
 #                                 # and deferred-table cross-checks after every
-#                                 # message, 1000 cases); then the per-operation
+#                                 # message, 1000 cases); the protocol_conformance
+#                                 # fuzz (the Table 2 handlers behind four L1s and
+#                                 # four slices, 1000 cases); then the per-operation
 #                                 # path against its slow references:
 #                                 # calendar_queue_equals_event_queue (5000 cases),
 #                                 # cache_array_agrees_with_model (exact LRU, 2000
@@ -195,6 +197,13 @@ tier_scale() {
     # writebacks and memory replies), with the LRU-list and side-table
     # cross-checks (`check_victim`, `check_deferred`) after every message.
     FSOI_CHECK_CASES=1000 cargo test -q --offline -p fsoi-coherence stalls_keep_the_list_and_the_side_table_consistent
+    # The Table 2 handler arms as a whole: four L1s and four directory
+    # slices under random reads, writes and evictions, every invariant
+    # checked at quiescence. The rare arms (crossing writebacks,
+    # reinterpreted upgrades, upgrade races) are what this fuzz reaches
+    # and the 64 default cases seldom do; an edit inside a handler arm
+    # answers to it. A thousand cases take under a second unoptimized.
+    FSOI_CHECK_CASES=1000 cargo test -q --offline --test protocol_conformance
     # The per-operation path of a CMP cell: the kernel's calendar queue in
     # lockstep with the heap it replaced (times before its cursor, inside
     # its window, on the edge and far past; `pop_due` with a wandering
