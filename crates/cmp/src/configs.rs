@@ -7,8 +7,6 @@ use fsoi_mesh::ideal::{IdealKind, IdealNetwork};
 use fsoi_mesh::network::MeshNetwork;
 use fsoi_net::config::FsoiConfig;
 use fsoi_net::network::FsoiNetwork;
-use fsoi_ring::config::RingConfig;
-use fsoi_ring::crossbar::CrossbarConfig;
 use fsoi_ring::network::{ChannelConfig, ChannelConfigError, ChannelNetwork};
 use fsoi_sim::det::NodeMask;
 
@@ -23,12 +21,11 @@ pub enum NetworkKind {
     /// The mesh with links narrowed to the given fraction of their width
     /// (Figure 11).
     MeshScaled(MeshConfig, f64),
-    /// Corona-style token-ring nanophotonic crossbar (§7.1 comparison).
-    Ring(RingConfig),
-    /// Worst-case-loss ring-matrix crossbar (the PAPERS.md comparative
-    /// study): dedicated passive paths, lasers sized for the worst-case
-    /// insertion loss at the radix.
-    Crossbar(CrossbarConfig),
+    /// A destination-channel crossbar: the Corona-style token ring (§7.1
+    /// comparison, [`ChannelConfig::ring`]) or the worst-case-loss
+    /// ring-matrix crossbar (the PAPERS.md comparative study,
+    /// [`ChannelConfig::crossbar`]), told apart by the arbitration row.
+    Channel(ChannelConfig),
     /// Idealized zero-latency network.
     L0,
     /// Idealized 1-cycle-router network.
@@ -50,12 +47,12 @@ impl NetworkKind {
 
     /// Default Corona-style ring crossbar for `n` nodes.
     pub fn ring(n: usize) -> Self {
-        NetworkKind::Ring(RingConfig::nodes(n))
+        NetworkKind::Channel(ChannelConfig::ring(n))
     }
 
     /// Default worst-case-loss matrix crossbar for `n` nodes.
     pub fn crossbar(n: usize) -> Self {
-        NetworkKind::Crossbar(CrossbarConfig::nodes(n))
+        NetworkKind::Channel(ChannelConfig::crossbar(n))
     }
 
     /// The default network a [`name`](Self::name) denotes at `nodes`
@@ -83,10 +80,7 @@ impl NetworkKind {
     /// ideal networks modelled on it), so the node count must be a
     /// perfect square.
     pub fn is_grid(&self) -> bool {
-        !matches!(
-            self,
-            NetworkKind::Fsoi(_) | NetworkKind::Ring(_) | NetworkKind::Crossbar(_)
-        )
+        !matches!(self, NetworkKind::Fsoi(_) | NetworkKind::Channel(_))
     }
 
     /// The node count the network's own configuration is sized for;
@@ -95,8 +89,7 @@ impl NetworkKind {
         match self {
             NetworkKind::Fsoi(cfg) => Some(cfg.nodes),
             NetworkKind::Mesh(cfg) | NetworkKind::MeshScaled(cfg, _) => Some(cfg.node_count()),
-            NetworkKind::Ring(cfg) => Some(cfg.nodes),
-            NetworkKind::Crossbar(cfg) => Some(cfg.nodes),
+            NetworkKind::Channel(cfg) => Some(cfg.nodes),
             NetworkKind::L0 | NetworkKind::Lr1 | NetworkKind::Lr2 => None,
         }
     }
@@ -107,8 +100,7 @@ impl NetworkKind {
             NetworkKind::Fsoi(_) => "fsoi",
             NetworkKind::Mesh(_) => "mesh",
             NetworkKind::MeshScaled(..) => "mesh-scaled",
-            NetworkKind::Ring(_) => "ring",
-            NetworkKind::Crossbar(_) => "crossbar",
+            NetworkKind::Channel(cfg) => cfg.arbitration.name(),
             NetworkKind::L0 => "L0",
             NetworkKind::Lr1 => "Lr1",
             NetworkKind::Lr2 => "Lr2",
@@ -307,12 +299,7 @@ impl SystemConfig {
         if let NetworkKind::Mesh(mesh) | NetworkKind::MeshScaled(mesh, _) = &self.network {
             mesh.validate().map_err(SystemConfigError::Mesh)?;
         }
-        let channel = match &self.network {
-            NetworkKind::Ring(cfg) => Some(ChannelConfig::from(*cfg)),
-            NetworkKind::Crossbar(cfg) => Some(ChannelConfig::from(*cfg)),
-            _ => None,
-        };
-        if let Some(channel) = channel {
+        if let NetworkKind::Channel(channel) = &self.network {
             channel.validate().map_err(SystemConfigError::Channel)?;
         }
         if let NetworkKind::MeshScaled(_, fraction) = self.network {
@@ -387,8 +374,7 @@ impl SystemConfig {
             NetworkKind::Fsoi(cfg) => Box::new(FsoiNetwork::new(cfg.clone(), self.seed)),
             NetworkKind::Mesh(cfg) => Box::new(MeshNetwork::new(*cfg)),
             NetworkKind::MeshScaled(cfg, f) => Box::new(MeshNetwork::new(*cfg).narrowed(*f)),
-            NetworkKind::Ring(cfg) => Box::new(ChannelNetwork::new(*cfg)),
-            NetworkKind::Crossbar(cfg) => Box::new(ChannelNetwork::new(*cfg)),
+            NetworkKind::Channel(cfg) => Box::new(ChannelNetwork::new(*cfg)),
             NetworkKind::L0 => Box::new(IdealNetwork::new(IdealKind::L0, width)),
             NetworkKind::Lr1 => Box::new(IdealNetwork::new(IdealKind::Lr1, width)),
             NetworkKind::Lr2 => Box::new(IdealNetwork::new(IdealKind::Lr2, width)),
@@ -595,18 +581,21 @@ mod tests {
     fn validate_forwards_the_channel_check() {
         // Each used to validate clean, then panic in `BoundedQueue::new`
         // or let one channel carry several packets in a cycle.
-        let ring = RingConfig {
+        let ring = ChannelConfig {
             injection_queue: 0,
-            ..RingConfig::nodes(16)
+            ..ChannelConfig::ring(16)
         };
-        let crossbar = CrossbarConfig {
+        let crossbar = ChannelConfig {
             data_serialization: 0,
-            ..CrossbarConfig::nodes(16)
+            ..ChannelConfig::crossbar(16)
         };
         let cases = [
-            (NetworkKind::Ring(ring), ChannelConfigError::InjectionQueue),
             (
-                NetworkKind::Crossbar(crossbar),
+                NetworkKind::Channel(ring),
+                ChannelConfigError::InjectionQueue,
+            ),
+            (
+                NetworkKind::Channel(crossbar),
                 ChannelConfigError::Serialization {
                     class: PacketClass::Data,
                 },

@@ -22,9 +22,7 @@ mod tests {
     use fsoi_net::config::FsoiConfig;
     use fsoi_net::network::FsoiNetwork;
     use fsoi_net::packet::PacketClass;
-    use fsoi_ring::config::RingConfig;
-    use fsoi_ring::crossbar::CrossbarConfig;
-    use fsoi_ring::network::ChannelNetwork;
+    use fsoi_ring::network::{ChannelConfig, ChannelNetwork};
     use fsoi_sim::Cycle;
 
     fn deliver_one(net: &mut dyn Interconnect, p: NetPacket) -> NetDelivery {
@@ -220,12 +218,12 @@ mod tests {
     }
 
     fn crossbar(nodes: usize) -> ChannelNetwork {
-        ChannelNetwork::new(CrossbarConfig::nodes(nodes))
+        ChannelNetwork::new(ChannelConfig::crossbar(nodes))
     }
 
     #[test]
     fn ring_delivers() {
-        let mut net = ChannelNetwork::new(RingConfig::nodes(64));
+        let mut net = ChannelNetwork::new(ChannelConfig::ring(64));
         net.inject(NetPacket::new(0, 40, PacketClass::Data, 5))
             .unwrap();
         for _ in 0..50 {

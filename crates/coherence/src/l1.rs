@@ -113,12 +113,6 @@ impl L1Controller {
         self.home_nodes = n;
     }
 
-    /// Sets the MSHR budget (outstanding misses).
-    pub fn set_max_mshrs(&mut self, n: usize) {
-        assert!(n >= 1);
-        self.max_mshrs = n;
-    }
-
     /// This node's id.
     pub fn node(&self) -> usize {
         self.node
@@ -643,7 +637,7 @@ mod tests {
     #[test]
     fn mshr_exhaustion_stalls() {
         let mut c = l1();
-        c.set_max_mshrs(2);
+        c.max_mshrs = 2;
         assert!(!c.read(LineAddr(0x40)).stalled);
         assert!(!c.read(LineAddr(0x80)).stalled);
         assert!(c.read(LineAddr(0xc0)).stalled);

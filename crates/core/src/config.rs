@@ -220,18 +220,6 @@ impl FsoiConfig {
         self
     }
 
-    /// Builder-style: replaces the back-off policy.
-    pub fn with_backoff(mut self, policy: BackoffPolicy) -> Self {
-        self.backoff = policy;
-        self
-    }
-
-    /// Builder-style: forces the transmitter organization.
-    pub fn with_array(mut self, array: TransmitterArray) -> Self {
-        self.array = array;
-        self
-    }
-
     /// Builder-style: toggles the data-lane hint optimization.
     pub fn with_hints(mut self, on: bool) -> Self {
         self.hints = on;
@@ -309,12 +297,8 @@ mod tests {
         let c = FsoiConfig::nodes(16)
             .with_hints(false)
             .with_request_spacing(false)
-            .with_backoff(BackoffPolicy::BINARY)
-            .with_array(TransmitterArray::PhaseArray { setup_cycles: 2 })
             .with_lanes(Lanes::fig11_base());
         assert!(!c.hints && !c.request_spacing);
-        assert_eq!(c.backoff, BackoffPolicy::BINARY);
-        assert_eq!(c.phase_array_setup(), 2);
         assert_eq!(c.lanes.serialization_cycles(PacketClass::Meta), 1);
     }
 

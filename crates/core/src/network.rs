@@ -1235,7 +1235,10 @@ mod tests {
 
     #[test]
     fn binary_backoff_also_drains_but_slower_tail() {
-        let cfg = FsoiConfig::nodes(16).with_backoff(BackoffPolicy::BINARY);
+        let cfg = FsoiConfig {
+            backoff: BackoffPolicy::BINARY,
+            ..FsoiConfig::nodes(16)
+        };
         let mut net = FsoiNetwork::new(cfg, 17);
         for src in 1..16 {
             net.inject(NetPacket::new(src, 0, PacketClass::Meta, 0))

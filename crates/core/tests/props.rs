@@ -630,13 +630,15 @@ fn config(&((nodes, _), (meta_rx, data_rx), (lanes, array), (hints, ber)): &Shap
     };
     lanes.meta.receivers = meta_rx;
     lanes.data.receivers = data_rx;
-    FsoiConfig::nodes(nodes)
-        .with_lanes(lanes)
-        .with_array(array.map_or(TransmitterArray::Dedicated, |setup_cycles| {
+    FsoiConfig {
+        array: array.map_or(TransmitterArray::Dedicated, |setup_cycles| {
             TransmitterArray::PhaseArray { setup_cycles }
-        }))
-        .with_hints(hints)
-        .with_bit_error_rate(ber)
+        }),
+        ..FsoiConfig::nodes(nodes)
+    }
+    .with_lanes(lanes)
+    .with_hints(hints)
+    .with_bit_error_rate(ber)
 }
 
 /// One step of a timed injection script: wait `gap` cycles, then inject.

@@ -97,33 +97,6 @@ impl MeshConfig {
         }
     }
 
-    /// Builder-style: sets the router pipeline depth (e.g. aggressive
-    /// 1- or 2-cycle routers).
-    pub fn with_router_cycles(mut self, cycles: u64) -> Self {
-        assert!(cycles >= 1);
-        self.router_cycles = cycles;
-        self
-    }
-
-    /// Builder-style: sets the VC count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the result fails [`validate`](Self::validate).
-    pub fn with_vcs(mut self, vcs: usize) -> Self {
-        self.vcs = vcs;
-        let valid = self.validate();
-        assert!(valid.is_ok(), "{valid:?}");
-        self
-    }
-
-    /// Builder-style: sets the per-VC buffer depth in flits.
-    pub fn with_vc_depth(mut self, depth: usize) -> Self {
-        assert!(depth >= 1);
-        self.vc_depth = depth;
-        self
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.width * self.height
@@ -172,17 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn builders() {
-        let c = MeshConfig::nodes(16)
-            .with_router_cycles(2)
-            .with_vcs(2)
-            .with_vc_depth(4);
-        assert_eq!(c.router_cycles, 2);
-        assert_eq!(c.vcs, 2);
-        assert_eq!(c.vc_depth, 4);
-    }
-
-    #[test]
     fn validate_rejects_zero_vcs() {
         let c = MeshConfig {
             vcs: 0,
@@ -193,7 +155,11 @@ mod tests {
 
     #[test]
     fn validate_rejects_more_vcs_than_the_masks_hold() {
-        assert_eq!(MeshConfig::nodes(16).with_vcs(6).validate(), Ok(()));
+        let six = MeshConfig {
+            vcs: 6,
+            ..MeshConfig::nodes(16)
+        };
+        assert_eq!(six.validate(), Ok(()));
         let c = MeshConfig {
             vcs: 7,
             ..MeshConfig::nodes(16)
@@ -230,12 +196,6 @@ mod tests {
             ..MeshConfig::nodes(16)
         };
         assert_eq!(c.validate(), Err(MeshConfigError::InjectionQueue));
-    }
-
-    #[test]
-    #[should_panic(expected = "VcCount { vcs: 7 }")]
-    fn with_vcs_panics_on_an_invalid_count() {
-        let _ = MeshConfig::nodes(16).with_vcs(7);
     }
 
     #[test]

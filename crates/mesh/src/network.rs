@@ -535,7 +535,10 @@ mod tests {
         let mut slow = MeshNetwork::new(MeshConfig::nodes(16));
         slow.inject(meta(0, 15, 0)).unwrap();
         let slow_lat = run_until_idle(&mut slow, 200)[0].latency;
-        let mut fast = MeshNetwork::new(MeshConfig::nodes(16).with_router_cycles(1));
+        let mut fast = MeshNetwork::new(MeshConfig {
+            router_cycles: 1,
+            ..MeshConfig::nodes(16)
+        });
         fast.inject(meta(0, 15, 0)).unwrap();
         let fast_lat = run_until_idle(&mut fast, 200)[0].latency;
         assert!(fast_lat < slow_lat, "{fast_lat} < {slow_lat}");

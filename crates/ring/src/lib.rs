@@ -21,28 +21,27 @@
 //! * propagation is speed-of-light around the waveguide loop.
 //!
 //! The model deliberately omits Corona's electrical details and gives the
-//! channels generous WDM bandwidth; see `RingConfig`.
+//! channels generous WDM bandwidth; see [`ChannelConfig::ring`], whose
+//! idle channel's token wait is derived from the loop: half a circulation.
 //!
 //! The crate also hosts the second nanophotonic baseline of the
-//! design-space grids: [`crossbar`], a passive ring-matrix crossbar whose
-//! per-port laser power is sized from the worst-case insertion loss at
-//! its radix (the PAPERS.md comparative study) — dedicated paths and no
-//! token, but a power column that explodes with node count.
+//! design-space grids: [`ChannelConfig::crossbar`], a passive ring-matrix
+//! crossbar whose per-port laser power is sized from the worst-case
+//! insertion loss at its radix (the PAPERS.md comparative study) —
+//! dedicated paths and no token, but a power column that explodes with
+//! node count.
 //!
 //! Both are one engine, [`ChannelNetwork`] — a FIFO writer queue per
-//! destination, served serially — configured by an arbitration row
-//! ([`network::Arbitration`]) built from a [`RingConfig`] or a
-//! [`CrossbarConfig`], and driven through the workspace's one network
-//! interface, [`Interconnect`](fsoi_sim::packet::Interconnect).
+//! destination, served serially — configured by one [`ChannelConfig`]
+//! whose arbitration row ([`network::Arbitration`]) is the only thing the
+//! two differ in, and driven through the workspace's one network
+//! interface, [`Interconnect`](fsoi_sim::packet::Interconnect). A further
+//! destination-channel topology is one more [`ChannelConfig`] constructor.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // rule P1
 #![warn(missing_debug_implementations)]
 
-pub mod config;
-pub mod crossbar;
 pub mod network;
 
-pub use config::RingConfig;
-pub use crossbar::CrossbarConfig;
-pub use network::ChannelNetwork;
+pub use network::{ChannelConfig, ChannelNetwork};

@@ -4,18 +4,26 @@
 //! the same machine — every destination owns one channel, writers queue
 //! for it FIFO, and it carries one packet at a time (no collisions, no
 //! concurrent receivers) — and differ only in how a channel is won and how
-//! long the light then flies: the [`Arbitration`] row.
+//! long the light then flies: the [`Arbitration`] row. Each design point
+//! is one [`ChannelConfig`] constructor ([`ChannelConfig::ring`],
+//! [`ChannelConfig::crossbar`]).
 //!
 //! A tick costs O(activity), not O(nodes): the network keeps the set of
 //! destinations with a waiting writer and visits only those channels, in
 //! ascending order — the order a walk over every channel reaches them, so
 //! deliveries due in the same cycle keep their push order.
 
+use fsoi_optics::crossbar::CrossbarLossModel;
 use fsoi_sim::det::NodeMask;
 use fsoi_sim::event::EventQueue;
 use fsoi_sim::packet::{Interconnect, NetDelivery, NetPacket, NetReport, PacketClass};
 use fsoi_sim::queue::BoundedQueue;
 use fsoi_sim::Cycle;
+
+/// Bit error rate the matrix crossbar's laser budget is sized for. The
+/// passive matrix has no collision/retransmission mechanism to relax it,
+/// so it keeps the strict optical-interconnect target.
+const CROSSBAR_TARGET_BER: f64 = 1e-12;
 
 /// How a destination channel is won and how long the light then flies —
 /// the one thing the two crossbars differ in.
@@ -23,17 +31,15 @@ use fsoi_sim::Cycle;
 pub enum Arbitration {
     /// Corona: a writer acquires the channel's circulating optical token.
     /// A token released less than a circulation ago is hot and passes
-    /// writer-to-writer in `pass_cycles`; a cold one must come around in
-    /// `idle_wait_cycles`. The reader sits somewhere on the loop: flight
-    /// is half a circulation on average. A delivery's `queuing` is the
-    /// acquisition.
+    /// writer-to-writer in `pass_cycles`; a cold one must come around,
+    /// half a circulation on average. The reader sits somewhere on the
+    /// loop: flight is half a circulation on average too. A delivery's
+    /// `queuing` is the acquisition.
     Token {
         /// Cycles for light (and the token) to circulate the full loop.
         circulation_cycles: u64,
         /// Cycles to pass a hot token between contending writers.
         pass_cycles: u64,
-        /// Mean wait for the token of an idle channel.
-        idle_wait_cycles: u64,
     },
     /// Matrix crossbar: dedicated passive paths, so only the (electrical)
     /// output-port arbiter stands before a launch and flight is the
@@ -47,7 +53,8 @@ pub enum Arbitration {
 }
 
 impl Arbitration {
-    /// Cycles from the end of serialization to delivery.
+    /// Cycles from the end of serialization to delivery; on the token row
+    /// also the mean wait for the token of an idle channel.
     fn flight_cycles(self) -> u64 {
         match self {
             Arbitration::Token {
@@ -58,17 +65,26 @@ impl Arbitration {
             } => traversal_cycles,
         }
     }
+
+    /// The network this row makes: `"ring"` for the token, `"crossbar"`
+    /// for the port arbiter.
+    pub fn name(self) -> &'static str {
+        match self {
+            Arbitration::Token { .. } => "ring",
+            Arbitration::Port { .. } => "crossbar",
+        }
+    }
 }
 
 /// Configuration of a [`ChannelNetwork`]: the shape both crossbars share
-/// plus an [`Arbitration`] row. Built from a
-/// [`RingConfig`](crate::config::RingConfig) or a
-/// [`CrossbarConfig`](crate::crossbar::CrossbarConfig).
+/// plus an [`Arbitration`] row. [`ChannelConfig::ring`] and
+/// [`ChannelConfig::crossbar`] build the two design points.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelConfig {
     /// Number of nodes (= number of destination channels).
     pub nodes: usize,
-    /// Serialization cycles of a 72-bit meta packet.
+    /// Serialization cycles of a 72-bit meta packet on one channel's WDM
+    /// bundle.
     pub meta_serialization: u64,
     /// Serialization cycles of a 360-bit data packet.
     pub data_serialization: u64,
@@ -125,6 +141,65 @@ impl std::fmt::Display for ChannelConfigError {
 impl std::error::Error for ChannelConfigError {}
 
 impl ChannelConfig {
+    /// The Corona-style token ring for `n` nodes, one home channel per
+    /// node: generous WDM channel bandwidth (meta in 1 cycle, data in 3),
+    /// a 9-cycle loop — a ~8 cm loop around a 2 cm die is ~2.7 ns in
+    /// silicon (group index ≈ 4), ≈ 9 cycles at 3.3 GHz; Corona's own
+    /// arbitration analysis uses an 8-cycle circulation — so an idle
+    /// channel's token arrives in 4, and a 2-cycle token pass between
+    /// contending writers. Its static power is ring-resonator thermal
+    /// tuning plus modulators, 0.26 W per channel (≈ 16.6 W for 64
+    /// channels; the paper's §2 highlights this as a WDM cost).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2`.
+    pub fn ring(n: usize) -> Self {
+        assert!(n >= 2, "a crossbar needs at least two nodes");
+        ChannelConfig {
+            nodes: n,
+            meta_serialization: 1,
+            data_serialization: 3,
+            injection_queue: 16,
+            channel_static_w: 0.26,
+            arbitration: Arbitration::Token {
+                circulation_cycles: 9,
+                pass_cycles: 2,
+            },
+        }
+    }
+
+    /// The worst-case-loss ring-matrix crossbar for `n` nodes (the
+    /// PAPERS.md comparative study, *Optical Crossbars on Chip: a
+    /// comparative study based on worst-case losses*): every
+    /// source-destination pair has a dedicated passive path, so a packet
+    /// pays one cycle of output-port arbitration, the ring's serialization
+    /// and writer queue (so a latency comparison against Corona isolates
+    /// the arbitration), and a 2-cycle worst-case-path flight (~2 die
+    /// edges of waveguide).
+    /// The price is in the power column: each port's laser is sized for
+    /// the worst-case insertion loss of the whole matrix at this radix
+    /// ([`CrossbarLossModel::paper_default`], a 1e-12 target bit error
+    /// rate), which grows linearly in dB with the radix, so the static
+    /// power per port — laser plus receiver — climbs exponentially with
+    /// node count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2`.
+    pub fn crossbar(n: usize) -> Self {
+        let ring = ChannelConfig::ring(n);
+        let budget = CrossbarLossModel::paper_default().budget(n, CROSSBAR_TARGET_BER);
+        ChannelConfig {
+            channel_static_w: budget.port_power_mw / 1000.0,
+            arbitration: Arbitration::Port {
+                arbitration_cycles: 1,
+                traversal_cycles: 2,
+            },
+            ..ring
+        }
+    }
+
     /// Checks the limits the engine relies on (the fields are public, so a
     /// literal can hold anything): `nodes` in `2..=`[`NodeMask::CAPACITY`],
     /// room for one packet per writer queue, and at least one cycle of
@@ -164,17 +239,6 @@ struct Channel {
     queue: BoundedQueue<(NetPacket, Cycle)>,
 }
 
-/// Statistics of a run.
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct ChannelStats {
-    /// Packets accepted.
-    pub injected: u64,
-    /// Packets rejected (queue full).
-    pub rejected: u64,
-    /// Packets delivered.
-    pub delivered: u64,
-}
-
 /// The destination-channel crossbar engine: a FIFO writer queue per
 /// destination, served serially.
 ///
@@ -195,7 +259,6 @@ pub struct ChannelNetwork {
     /// waits, by arrival.
     deliveries: EventQueue<(NetPacket, Cycle, u32)>,
     delivered: Vec<NetDelivery>,
-    stats: ChannelStats,
 }
 
 impl ChannelNetwork {
@@ -204,8 +267,7 @@ impl ChannelNetwork {
     /// # Panics
     ///
     /// Panics if `cfg` fails [`ChannelConfig::validate`].
-    pub fn new(cfg: impl Into<ChannelConfig>) -> Self {
-        let cfg = cfg.into();
+    pub fn new(cfg: ChannelConfig) -> Self {
         let valid = cfg.validate();
         assert!(valid.is_ok(), "{valid:?}");
         ChannelNetwork {
@@ -220,7 +282,6 @@ impl ChannelNetwork {
             backlogged: NodeMask::new(),
             deliveries: EventQueue::new(),
             delivered: Vec::new(),
-            stats: ChannelStats::default(),
             cfg,
         }
     }
@@ -228,11 +289,6 @@ impl ChannelNetwork {
     /// The configuration.
     pub fn config(&self) -> &ChannelConfig {
         &self.cfg
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> &ChannelStats {
-        &self.stats
     }
 
     /// Static optical power of the whole crossbar (Corona: ring tuning +
@@ -268,17 +324,12 @@ impl Interconnect for ChannelNetwork {
     fn inject(&mut self, packet: NetPacket) -> Result<(), NetPacket> {
         assert_ne!(packet.src, packet.dst, "no self-injection");
         assert!(packet.src < self.cfg.nodes && packet.dst < self.cfg.nodes);
-        match self.channels[packet.dst].queue.push((packet, self.now)) {
-            Ok(()) => {
-                self.stats.injected += 1;
-                self.backlogged.insert(packet.dst);
-                Ok(())
-            }
-            Err(_) => {
-                self.stats.rejected += 1;
-                Err(packet)
-            }
-        }
+        self.channels[packet.dst]
+            .queue
+            .push((packet, self.now))
+            .map_err(|_| packet)?;
+        self.backlogged.insert(packet.dst);
+        Ok(())
     }
 
     fn tick(&mut self) {
@@ -297,12 +348,13 @@ impl Interconnect for ChannelNetwork {
                     Arbitration::Token {
                         circulation_cycles,
                         pass_cycles,
-                        idle_wait_cycles,
                     } => {
                         let hot = ch
                             .last_release
                             .is_some_and(|rel| self.now.saturating_sub(rel) < circulation_cycles);
-                        let acquisition = if hot { pass_cycles } else { idle_wait_cycles };
+                        // A cold token comes around in half a loop, the
+                        // flight time.
+                        let acquisition = if hot { pass_cycles } else { flight };
                         (self.now + acquisition, acquisition)
                     }
                     Arbitration::Port {
@@ -329,7 +381,6 @@ impl Interconnect for ChannelNetwork {
         }
         self.now += 1;
         while let Some((at, (packet, enqueued_at, queuing))) = self.deliveries.pop_due(self.now) {
-            self.stats.delivered += 1;
             self.delivered.push(NetDelivery {
                 packet,
                 latency: at - enqueued_at,
@@ -354,10 +405,7 @@ impl Interconnect for ChannelNetwork {
     }
 
     fn name(&self) -> &'static str {
-        match self.cfg.arbitration {
-            Arbitration::Token { .. } => "ring",
-            Arbitration::Port { .. } => "crossbar",
-        }
+        self.cfg.arbitration.name()
     }
 
     fn report(&self, cycles: u64) -> NetReport {
@@ -374,8 +422,6 @@ impl Interconnect for ChannelNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RingConfig;
-    use crate::crossbar::CrossbarConfig;
 
     fn meta(src: usize, dst: usize, tag: u64) -> NetPacket {
         NetPacket::new(src, dst, PacketClass::Meta, tag)
@@ -398,8 +444,65 @@ mod tests {
     }
 
     #[test]
+    fn constructors_hold_the_recorded_design_points() {
+        // Each design point's value before the two crossbars became one
+        // config: the ring row field by field, and the crossbar's
+        // worst-case-loss port power to the bit.
+        let xbar_static_bits = [
+            (2, 0x3f75_42f8_5402_a946),
+            (16, 0x3f7a_49f0_bd5a_6c42),
+            (64, 0x3fa4_266c_5866_ddec),
+            (256, 0x40a1_5459_db2a_3d14),
+        ];
+        for (n, bits) in xbar_static_bits {
+            let ring = ChannelConfig::ring(n);
+            assert_eq!(
+                ring,
+                ChannelConfig {
+                    nodes: n,
+                    meta_serialization: 1,
+                    data_serialization: 3,
+                    injection_queue: 16,
+                    channel_static_w: 0.26,
+                    arbitration: Arbitration::Token {
+                        circulation_cycles: 9,
+                        pass_cycles: 2,
+                    },
+                }
+            );
+            // The idle token wait is half the loop.
+            assert_eq!(ring.arbitration.flight_cycles(), 4);
+            let xbar = ChannelConfig::crossbar(n);
+            assert_eq!(xbar.channel_static_w.to_bits(), bits, "{n} nodes");
+            assert_eq!(
+                xbar,
+                ChannelConfig {
+                    arbitration: Arbitration::Port {
+                        arbitration_cycles: 1,
+                        traversal_cycles: 2,
+                    },
+                    channel_static_w: xbar.channel_static_w,
+                    ..ring
+                }
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least two nodes")]
+    fn ring_needs_two_nodes() {
+        let _ = ChannelConfig::ring(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least two nodes")]
+    fn crossbar_needs_two_nodes() {
+        let _ = ChannelConfig::crossbar(1);
+    }
+
+    #[test]
     fn single_meta_packet_timing() {
-        let mut net = ChannelNetwork::new(RingConfig::nodes(64));
+        let mut net = ChannelNetwork::new(ChannelConfig::ring(64));
         net.inject(meta(3, 40, 7)).unwrap();
         let out = run_until_idle(&mut net, 100);
         assert_eq!(out.len(), 1);
@@ -410,7 +513,7 @@ mod tests {
 
     #[test]
     fn data_packet_adds_serialization() {
-        let mut net = ChannelNetwork::new(RingConfig::nodes(64));
+        let mut net = ChannelNetwork::new(ChannelConfig::ring(64));
         net.inject(data(3, 40, 0)).unwrap();
         let out = run_until_idle(&mut net, 100);
         assert_eq!(out[0].latency, 11); // 4 + 3 + 4
@@ -420,7 +523,7 @@ mod tests {
     fn same_destination_serializes() {
         // Two writers to one home channel: the second waits for the
         // token, no collisions ever.
-        let mut net = ChannelNetwork::new(RingConfig::nodes(64));
+        let mut net = ChannelNetwork::new(ChannelConfig::ring(64));
         net.inject(data(1, 40, 0)).unwrap();
         net.inject(data(2, 40, 1)).unwrap();
         let out = run_until_idle(&mut net, 200);
@@ -434,7 +537,7 @@ mod tests {
 
     #[test]
     fn different_destinations_run_concurrently() {
-        let mut net = ChannelNetwork::new(RingConfig::nodes(64));
+        let mut net = ChannelNetwork::new(ChannelConfig::ring(64));
         for src in 0..8usize {
             net.inject(meta(src, src + 8, src as u64)).unwrap();
         }
@@ -446,7 +549,7 @@ mod tests {
 
     #[test]
     fn all_to_one_drains_without_loss() {
-        let mut net = ChannelNetwork::new(RingConfig::nodes(16));
+        let mut net = ChannelNetwork::new(ChannelConfig::ring(16));
         let mut injected = 0;
         for src in 1..16usize {
             if net.inject(data(src, 0, src as u64)).is_ok() {
@@ -463,10 +566,7 @@ mod tests {
 
     #[test]
     fn queue_overflow_rejects() {
-        for cfg in [
-            ChannelConfig::from(RingConfig::nodes(16)),
-            CrossbarConfig::nodes(16).into(),
-        ] {
+        for cfg in [ChannelConfig::ring(16), ChannelConfig::crossbar(16)] {
             let mut net = ChannelNetwork::new(cfg);
             let mut ok = 0;
             for i in 0..40u64 {
@@ -475,14 +575,13 @@ mod tests {
                 }
             }
             assert_eq!(ok, 16);
-            assert_eq!(net.stats().rejected, 24);
         }
     }
 
     #[test]
     fn static_power_scales_with_channels() {
-        let small = ChannelNetwork::new(RingConfig::nodes(16));
-        let big = ChannelNetwork::new(RingConfig::nodes(64));
+        let small = ChannelNetwork::new(ChannelConfig::ring(16));
+        let big = ChannelNetwork::new(ChannelConfig::ring(64));
         assert!(big.static_power_w() > small.static_power_w());
         assert!((big.static_power_w() - 0.26 * 64.0).abs() < 1e-9);
     }
@@ -490,10 +589,7 @@ mod tests {
     #[test]
     fn validate_rejects_each_limit() {
         use ChannelConfigError::{InjectionQueue, Nodes, Serialization};
-        let rows = [
-            ChannelConfig::from(RingConfig::nodes(256)),
-            CrossbarConfig::nodes(2).into(),
-        ];
+        let rows = [ChannelConfig::ring(256), ChannelConfig::crossbar(2)];
         type Tweak = fn(&mut ChannelConfig);
         let cases: [(Tweak, _, &str); 5] = [
             (|c| c.nodes = 1, Nodes { nodes: 1 }, "2..=256"),
@@ -529,9 +625,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "InjectionQueue")]
     fn new_rejects_what_validate_rejects() {
-        let cfg = RingConfig {
+        let cfg = ChannelConfig {
             injection_queue: 0,
-            ..RingConfig::nodes(16)
+            ..ChannelConfig::ring(16)
         };
         let _ = ChannelNetwork::new(cfg);
     }
@@ -539,13 +635,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "no self-injection")]
     fn self_injection_panics() {
-        let mut net = ChannelNetwork::new(RingConfig::nodes(16));
+        let mut net = ChannelNetwork::new(ChannelConfig::ring(16));
         let _ = net.inject(meta(3, 3, 0));
     }
 
     #[test]
     fn crossbar_single_meta_packet_timing() {
-        let mut net = ChannelNetwork::new(CrossbarConfig::nodes(64));
+        let mut net = ChannelNetwork::new(ChannelConfig::crossbar(64));
         net.inject(meta(3, 40, 7)).unwrap();
         let out = run_until_idle(&mut net, 100);
         assert_eq!(out.len(), 1);
@@ -556,8 +652,12 @@ mod tests {
 
     #[test]
     fn no_token_beats_corona_on_idle_latency() {
-        let (xbar_cfg, ring_cfg) = (CrossbarConfig::nodes(64), RingConfig::nodes(64));
-        assert!(xbar_cfg.matches_ring_serialization(&ring_cfg));
+        let (xbar_cfg, ring_cfg) = (ChannelConfig::crossbar(64), ChannelConfig::ring(64));
+        assert_eq!(
+            (xbar_cfg.meta_serialization, xbar_cfg.data_serialization),
+            (ring_cfg.meta_serialization, ring_cfg.data_serialization),
+            "the same serialization isolates the arbitration"
+        );
         let mut xbar = ChannelNetwork::new(xbar_cfg);
         let mut ring = ChannelNetwork::new(ring_cfg);
         xbar.inject(data(3, 40, 0)).unwrap();
@@ -574,7 +674,7 @@ mod tests {
 
     #[test]
     fn crossbar_same_destination_serializes() {
-        let mut net = ChannelNetwork::new(CrossbarConfig::nodes(64));
+        let mut net = ChannelNetwork::new(ChannelConfig::crossbar(64));
         net.inject(data(1, 40, 0)).unwrap();
         net.inject(data(2, 40, 1)).unwrap();
         let out = run_until_idle(&mut net, 200);
@@ -591,7 +691,7 @@ mod tests {
 
     #[test]
     fn crossbar_different_destinations_run_concurrently() {
-        let mut net = ChannelNetwork::new(CrossbarConfig::nodes(256));
+        let mut net = ChannelNetwork::new(ChannelConfig::crossbar(256));
         for src in 0..8usize {
             net.inject(meta(src, src + 128, src as u64)).unwrap();
         }
@@ -604,14 +704,14 @@ mod tests {
     fn crossbar_static_power_explodes_with_radix() {
         // The worst-case-loss sizing is the whole point: per-PORT power
         // (not just total) must climb steeply from 64 to 256 ports.
-        let c64 = CrossbarConfig::nodes(64);
-        let c256 = CrossbarConfig::nodes(256);
-        assert!(c64.port_static_w > 0.0);
+        let c64 = ChannelConfig::crossbar(64);
+        let c256 = ChannelConfig::crossbar(256);
+        assert!(c64.channel_static_w > 0.0);
         assert!(
-            c256.port_static_w > c64.port_static_w * 100.0,
+            c256.channel_static_w > c64.channel_static_w * 100.0,
             "64: {} W, 256: {} W",
-            c64.port_static_w,
-            c256.port_static_w
+            c64.channel_static_w,
+            c256.channel_static_w
         );
         let n64 = ChannelNetwork::new(c64);
         let n256 = ChannelNetwork::new(c256);

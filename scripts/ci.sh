@@ -14,8 +14,10 @@
 #   scripts/ci.sh --tier bench    # `experiments profile` run manifest, then the
 #                                 # layered benchmark's smoke run
 #   scripts/ci.sh --tier scale    # beyond-the-paper grids: 64-node four-network
-#                                 # smoke grid + a single 256-node cell, with
+#                                 # smoke grid + a single 256-node row, with
 #                                 # shape-class and byte-identity assertions,
+#                                 # each summary diffed against its golden
+#                                 # (tests/golden/grid_64.txt, grid_256.txt),
 #                                 # then sixteen unoptimized tests, in this order:
 #                                 # evictions_at_256_nodes_are_cross_checked (a
 #                                 # 256-node cell with the directory's eviction
@@ -127,6 +129,17 @@ tier_bench() {
     bash benchmark/run.sh --smoke
 }
 
+# `target/GRID_<nodes>.txt` against `tests/golden/grid_<nodes>.txt`; the
+# second argument is the grid's flags, for the regenerate hint.
+grid_golden() {
+    golden=tests/golden/grid_$1.txt
+    diff -u "$golden" "target/GRID_$1.txt" || {
+        echo "grid --nodes $1 differs from $golden; if the change is meant, regenerate it:" >&2
+        echo "  cargo run -q --release --offline -p fsoi-bench --bin experiments -- grid $2 --out $golden" >&2
+        return 1
+    }
+}
+
 tier_scale() {
     banner scale
     mkdir -p target
@@ -141,6 +154,13 @@ tier_scale() {
     cargo run -q --release --offline -p fsoi-bench --bin experiments -- \
         grid --nodes 256 --ops 50 --apps mp --out target/GRID_256.txt
     echo "scale: grid summaries written to target/GRID_64.txt and target/GRID_256.txt"
+    # Every cell's cycles, latency, energy and packet count against the
+    # committed goldens: the only committed files that pin the matrix
+    # crossbar's latency and energy. A refactor must leave them alone; a
+    # change that means to move a number regenerates them and shows the
+    # diff in review.
+    grid_golden 64 "--nodes 64 --ops 100"
+    grid_golden 256 "--nodes 256 --ops 50 --apps mp"
     # The grids above are release builds, where the directory's debug
     # cross-checks (LRU-list victim == full-scan victim, list invariant,
     # deferred side table == flagged slots) are compiled out. One debug-build test by name puts four-word sharer
