@@ -92,12 +92,17 @@ const COMMANDS: &[(&str, bool, Run)] = &[
 fn main() {
     #[expect(clippy::disallowed_methods, reason = "D2: the CLI's own argv")]
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--full") {
+    // `all` is the default command: a first argument that is a flag is
+    // one of its flags.
+    let (cmd, flags) = match args.first() {
+        Some(first) if !first.starts_with("--") => (first.as_str(), &args[1..]),
+        _ => ("all", &args[..]),
+    };
+    let scale = if flags.iter().any(|a| a == "--full") {
         2
     } else {
         1
     };
-    let cmd = args.first().map(String::as_str).unwrap_or("all");
     // Resolve the command first, so a typo is reported as such whatever
     // follows it; then check the arguments; then run.
     let runs: Vec<Run> = COMMANDS
@@ -116,7 +121,7 @@ fn main() {
     }
     // A command that parses its own flags aside, only `--full` is taken.
     if !runs.iter().any(|run| matches!(run, Run::Flags(_))) {
-        if let Some(bad) = args.iter().skip(1).find(|a| *a != "--full") {
+        if let Some(bad) = flags.iter().find(|a| *a != "--full") {
             usage_error(
                 cmd,
                 &format!("unexpected argument {bad:?} (only --full is accepted)"),
@@ -127,7 +132,7 @@ fn main() {
         match run {
             Run::Fixed(f) => f(),
             Run::Scaled(f) => f(scale),
-            Run::Flags(f) => f(&args[1..]),
+            Run::Flags(f) => f(flags),
         }
     }
 }

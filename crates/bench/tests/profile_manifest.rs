@@ -98,6 +98,7 @@ fn unknown_commands_exit_2_and_manifest_reports_host_cpus() {
         (&["no-such-cmd"], "unknown experiment: no-such-cmd"),
         (&["fgi6", "--bogus-flag"], "unknown experiment: fgi6"),
         (&["fig6", "--bogus-flag"], "fig6: unexpected argument"),
+        (&["--full", "--bogus"], "all: unexpected argument"),
         (&["grid", "--networks", "foo"], "grid: unknown network"),
         (
             &["grid", "--nodes", "300"],

@@ -41,7 +41,6 @@ pub mod tree;
 
 pub use gen::{any_bool, select, set_of, vec_of, Gen};
 pub use runner::{Checker, Failure, DEFAULT_CASES, DEFAULT_SEED};
-pub use tree::Tree;
 
 /// Builds a [`Checker`] whose `.regressions` file sits next to the calling
 /// test source file.

@@ -54,8 +54,8 @@ pub const DEFAULT_SEED: u64 = 0xF501_C8EC_0DE5_EED5;
 /// Default number of fresh cases per property.
 pub const DEFAULT_CASES: u32 = 64;
 
-/// Default bound on shrink-candidate evaluations.
-pub const DEFAULT_SHRINK_STEPS: u32 = 2048;
+/// Bound on shrink-candidate evaluations.
+const MAX_SHRINK_STEPS: u32 = 2048;
 
 /// FNV-1a, used to give every test name its own seed stream.
 fn fnv1a64(s: &str) -> u64 {
@@ -151,7 +151,6 @@ pub struct Failure<V> {
 pub struct Checker {
     seed: u64,
     cases: u32,
-    max_shrink_steps: u32,
     regressions: Option<PathBuf>,
     record: bool,
 }
@@ -168,7 +167,6 @@ impl Checker {
         Checker {
             seed: DEFAULT_SEED,
             cases: DEFAULT_CASES,
-            max_shrink_steps: DEFAULT_SHRINK_STEPS,
             regressions: None,
             record: true,
         }
@@ -203,12 +201,6 @@ impl Checker {
     /// Overrides the fresh-case count.
     pub fn cases(mut self, cases: u32) -> Self {
         self.cases = cases;
-        self
-    }
-
-    /// Overrides the shrink-candidate budget.
-    pub fn max_shrink_steps(mut self, steps: u32) -> Self {
-        self.max_shrink_steps = steps;
         self
     }
 
@@ -321,7 +313,7 @@ impl Checker {
         let mut steps = 0u32;
         'outer: loop {
             for child in node.children() {
-                if steps >= self.max_shrink_steps {
+                if steps >= MAX_SHRINK_STEPS {
                     break 'outer;
                 }
                 steps += 1;

@@ -27,7 +27,7 @@ impl<T: Clone> Clone for Tree<T> {
 
 impl<T> Tree<T> {
     /// A tree with no shrink candidates.
-    pub fn leaf(value: T) -> Self {
+    pub(crate) fn leaf(value: T) -> Self {
         Tree {
             value,
             children: None,
@@ -38,7 +38,7 @@ impl<T> Tree<T> {
     ///
     /// Children should be ordered most-aggressive first (the runner walks
     /// them greedily, committing to the first one that still fails).
-    pub fn with_children(value: T, f: impl Fn() -> Vec<Tree<T>> + 'static) -> Self {
+    pub(crate) fn with_children(value: T, f: impl Fn() -> Vec<Tree<T>> + 'static) -> Self {
         Tree {
             value,
             children: Some(Rc::new(f)),
@@ -46,7 +46,7 @@ impl<T> Tree<T> {
     }
 
     /// Materialises this node's shrink candidates.
-    pub fn children(&self) -> Vec<Tree<T>> {
+    pub(crate) fn children(&self) -> Vec<Tree<T>> {
         match &self.children {
             Some(f) => f(),
             None => Vec::new(),
@@ -56,7 +56,7 @@ impl<T> Tree<T> {
 
 impl<T: Clone + 'static> Tree<T> {
     /// Maps `f` over the value and, lazily, over every shrink candidate.
-    pub fn map<U: Clone + 'static>(&self, f: Rc<dyn Fn(&T) -> U>) -> Tree<U> {
+    pub(crate) fn map<U: Clone + 'static>(&self, f: Rc<dyn Fn(&T) -> U>) -> Tree<U> {
         let value = f(&self.value);
         let inner = self.clone();
         Tree::with_children(value, move || {
@@ -67,7 +67,7 @@ impl<T: Clone + 'static> Tree<T> {
 
 /// Combines two trees into a tree of pairs; shrinks each side independently
 /// (left side first, so earlier tuple positions shrink first).
-pub fn pair<A: Clone + 'static, B: Clone + 'static>(a: Tree<A>, b: Tree<B>) -> Tree<(A, B)> {
+pub(crate) fn pair<A: Clone + 'static, B: Clone + 'static>(a: Tree<A>, b: Tree<B>) -> Tree<(A, B)> {
     let value = (a.value.clone(), b.value.clone());
     Tree::with_children(value, move || {
         let mut out = Vec::new();

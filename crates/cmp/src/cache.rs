@@ -86,11 +86,6 @@ impl CellCache {
         CellCache { dir: dir.into() }
     }
 
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Returns the cached report for `(cfg, app, max_cycles)` if present
     /// and intact, else runs `cold`, stores its result (best-effort) and
     /// returns it. Hits are byte-identical to what `cold` would produce
@@ -245,7 +240,7 @@ mod tests {
         assert_eq!(runs.load(Ordering::SeqCst), 1, "second call must hit");
         assert_eq!(hit.registry().to_jsonl(), cold.registry().to_jsonl());
         assert_eq!(hit.to_wire(), cold.to_wire());
-        let _ = fs::remove_dir_all(cache.dir());
+        let _ = fs::remove_dir_all(&cache.dir);
     }
 
     #[test]
@@ -261,7 +256,7 @@ mod tests {
             cache.lookup(&a.config, &a.app, 999_999).err(),
             Some(CacheMiss::Absent)
         );
-        let _ = fs::remove_dir_all(cache.dir());
+        let _ = fs::remove_dir_all(&cache.dir);
     }
 
     #[test]
@@ -273,7 +268,7 @@ mod tests {
         });
         // Truncate every entry: preimage check / wire parse must fail
         // closed and rerun instead of returning garbage.
-        for entry in fs::read_dir(cache.dir()).expect("cache dir exists") {
+        for entry in fs::read_dir(&cache.dir).expect("cache dir exists") {
             let path = entry.expect("dir entry").path();
             fs::write(&path, "fsoi-cell/v1|bogus\n").expect("truncate entry");
         }
@@ -285,7 +280,7 @@ mod tests {
             cell.run_cold(1_000_000)
         });
         assert_eq!(again.to_wire(), cold.to_wire());
-        let _ = fs::remove_dir_all(cache.dir());
+        let _ = fs::remove_dir_all(&cache.dir);
     }
 
     /// Lines `Registry::from_wire` must refuse, arriving under a valid

@@ -85,7 +85,7 @@ impl NetworkKind {
 
     /// The node count the network's own configuration is sized for;
     /// `None` for the ideal networks, which carry none.
-    pub fn nodes(&self) -> Option<usize> {
+    pub(crate) fn nodes(&self) -> Option<usize> {
         match self {
             NetworkKind::Fsoi(cfg) => Some(cfg.nodes),
             NetworkKind::Mesh(cfg) | NetworkKind::MeshScaled(cfg, _) => Some(cfg.node_count()),
@@ -114,7 +114,7 @@ impl NetworkKind {
 /// values that used to surface as an assert or a `% 0` deep inside
 /// construction (or mid-run) instead of at the door.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SystemConfigError {
+pub(crate) enum SystemConfigError {
     /// `nodes` is zero or more than [`NodeMask::CAPACITY`] (sharer masks).
     Nodes {
         /// The requested node count.
@@ -254,12 +254,12 @@ impl SystemConfig {
     /// grown only as the protocol touches lines, could reach 56 bytes a
     /// line: the limit keeps both far from their bounds (≈ 940 MB for a
     /// full slice).
-    pub const MAX_L2_LINES: usize = 1 << 24;
+    pub(crate) const MAX_L2_LINES: usize = 1 << 24;
 
     /// Checks the limits construction relies on.
     /// [`CmpSystem::new`](crate::system::CmpSystem::new) panics on a
     /// configuration that fails this.
-    pub fn validate(&self) -> Result<(), SystemConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), SystemConfigError> {
         if !(1..=NodeMask::CAPACITY).contains(&self.nodes) {
             return Err(SystemConfigError::Nodes { nodes: self.nodes });
         }

@@ -15,7 +15,7 @@ use fsoi_sim::Cycle;
 
 /// What a core is doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoreState {
+pub(crate) enum CoreState {
     /// Executing; next operation at `next_at`.
     Ready,
     /// Blocked on a load miss.
@@ -73,7 +73,7 @@ pub enum CoreState {
 
 /// Per-core statistics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CoreStats {
+pub(crate) struct CoreStats {
     /// Cycles spent executing (issuing ops or computing), up to the
     /// core's last change of class (see [`Core::set_state`]).
     pub active_cycles: u64,
@@ -89,9 +89,7 @@ pub struct CoreStats {
 
 /// One processor core.
 #[derive(Debug)]
-pub struct Core {
-    /// Core / node id.
-    pub id: usize,
+pub(crate) struct Core {
     /// Its instruction stream.
     pub workload: CoreWorkload,
     /// Current activity; private so every change is accounted by
@@ -111,9 +109,8 @@ pub struct Core {
 
 impl Core {
     /// Creates a core over its workload.
-    pub fn new(id: usize, workload: CoreWorkload) -> Self {
+    pub(crate) fn new(workload: CoreWorkload) -> Self {
         Core {
-            id,
             workload,
             state: CoreState::Ready,
             since: Cycle::ZERO,
@@ -124,12 +121,12 @@ impl Core {
     }
 
     /// True when the stream is exhausted and the core has retired.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.state == CoreState::Done
     }
 
     /// Whether the core wants to issue at `now`.
-    pub fn wants_to_issue(&self, now: Cycle) -> bool {
+    pub(crate) fn wants_to_issue(&self, now: Cycle) -> bool {
         self.state == CoreState::Ready && self.next_at <= now
     }
 
@@ -137,19 +134,19 @@ impl Core {
     /// or store leaves its think time owed in the workload, for the kernel
     /// to spend when the access completes
     /// ([`CoreWorkload::take_think`]).
-    pub fn take_op(&mut self) -> Option<Op> {
+    pub(crate) fn take_op(&mut self) -> Option<Op> {
         self.pending_op.take().or_else(|| self.workload.next_op())
     }
 
     /// Current activity.
-    pub fn state(&self) -> CoreState {
+    pub(crate) fn state(&self) -> CoreState {
         self.state
     }
 
     /// The cycle of the core's next self-driven action — an issue
     /// (`Ready`) or a spin probe — or `None` while only an event (a fill,
     /// a subscription push) can move it.
-    pub fn due_at(&self) -> Option<Cycle> {
+    pub(crate) fn due_at(&self) -> Option<Cycle> {
         match self.state {
             CoreState::Ready => Some(self.next_at),
             CoreState::SpinLock { next_probe, .. } | CoreState::SpinBarrier { next_probe, .. } => {
@@ -164,7 +161,7 @@ impl Core {
     /// class changes, the old class is credited `now - since` and the new
     /// one owns cycle `now` itself — what classifying every core at the
     /// end of every cycle would add up to.
-    pub fn set_state(&mut self, state: CoreState, now: Cycle) {
+    pub(crate) fn set_state(&mut self, state: CoreState, now: Cycle) {
         if Class::of(state) != Class::of(self.state) {
             self.stats = self.stats_at(now);
             self.since = now;
@@ -174,7 +171,7 @@ impl Core {
 
     /// The statistics with the open span — `since` up to, not including,
     /// cycle `now` — credited to the current class.
-    pub fn stats_at(&self, now: Cycle) -> CoreStats {
+    pub(crate) fn stats_at(&self, now: Cycle) -> CoreStats {
         let mut stats = self.stats;
         match Class::of(self.state) {
             Class::Active => stats.active_cycles += now - self.since,
@@ -210,7 +207,7 @@ mod tests {
 
     fn core() -> Core {
         let w = CoreWorkload::new(AppProfile::by_name("tsp").unwrap(), 0, 32, 1);
-        Core::new(0, w)
+        Core::new(w)
     }
 
     #[test]

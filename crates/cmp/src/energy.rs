@@ -10,7 +10,7 @@
 
 /// Per-node power rates at 3.3 GHz / 45 nm.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChipPowerModel {
+pub(crate) struct ChipPowerModel {
     /// Core + L1 switching power while executing, watts.
     pub core_active_w: f64,
     /// Core power while stalled (clock + idle datapath), watts.
@@ -37,25 +37,11 @@ impl ChipEnergy {
     pub fn total_j(&self) -> f64 {
         self.network_j + self.core_j + self.leakage_j
     }
-
-    /// Mean power over `cycles` at `clock_hz`.
-    pub fn average_power_w(&self, cycles: u64, clock_hz: f64) -> f64 {
-        if cycles == 0 {
-            0.0
-        } else {
-            self.total_j() / (cycles as f64 / clock_hz)
-        }
-    }
-
-    /// Energy-delay product (J·s) over `cycles`.
-    pub fn edp(&self, cycles: u64, clock_hz: f64) -> f64 {
-        self.total_j() * cycles as f64 / clock_hz
-    }
 }
 
 impl ChipPowerModel {
     /// Calibrated 45 nm defaults (see module docs).
-    pub fn paper_default() -> Self {
+    pub(crate) fn paper_default() -> Self {
         ChipPowerModel {
             core_active_w: 7.0,
             core_stalled_w: 3.0,
@@ -69,7 +55,7 @@ impl ChipPowerModel {
     /// `active_cycles`/`stalled_cycles` are summed over all cores;
     /// `cycles` is the wall-clock of the run; `network_j` comes from the
     /// interconnect adapter.
-    pub fn energy(
+    pub(crate) fn energy(
         &self,
         nodes: usize,
         cycles: u64,
@@ -98,7 +84,7 @@ mod tests {
         let m = ChipPowerModel::paper_default();
         let cycles = 1_000_000u64;
         let e = m.energy(16, cycles, 16 * cycles, 0, 0.0);
-        let p = e.average_power_w(cycles, m.clock_hz);
+        let p = e.total_j() / (cycles as f64 / m.clock_hz);
         assert!((110.0..160.0).contains(&p), "P = {p} W");
     }
 
@@ -128,7 +114,5 @@ mod tests {
             leakage_j: 3.0,
         };
         assert_eq!(e.total_j(), 6.0);
-        assert!(e.edp(3_300_000, 3.3e9) > 0.0);
-        assert_eq!(ChipEnergy::default().average_power_w(0, 3.3e9), 0.0);
     }
 }

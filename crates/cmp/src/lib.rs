@@ -4,7 +4,7 @@
 //! application workloads ([`workload`]), the Table 2 MESI directory
 //! protocol (`fsoi-coherence`), one of five interconnects ([`configs`] —
 //! FSOI, mesh, L0, Lr1, Lr2), bandwidth-limited memory channels
-//! ([`memory`]), and Wattch-style chip energy accounting ([`energy`]).
+//! (`memory`), and Wattch-style chip energy accounting ([`energy`]).
 //!
 //! The entry point is [`system::CmpSystem`]:
 //!
@@ -27,15 +27,10 @@
 pub mod batch;
 pub mod cache;
 pub mod configs;
-pub mod core;
+mod core;
 pub mod energy;
 pub mod interconnect;
-pub mod memory;
+mod memory;
 pub mod metrics;
 pub mod system;
 pub mod workload;
-
-pub use configs::{NetworkKind, SystemConfig};
-pub use metrics::RunReport;
-pub use system::CmpSystem;
-pub use workload::AppProfile;

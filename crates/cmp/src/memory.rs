@@ -11,7 +11,7 @@ use fsoi_sim::Cycle;
 /// One memory channel: a fixed access latency plus a bandwidth-limited
 /// service pipe.
 #[derive(Debug)]
-pub struct MemoryChannel {
+pub(crate) struct MemoryChannel {
     /// The network node this controller attaches to.
     pub node: usize,
     bytes_per_cycle: f64,
@@ -21,7 +21,7 @@ pub struct MemoryChannel {
 
 impl MemoryChannel {
     /// Creates a channel attached at `node`.
-    pub fn new(node: usize, bytes_per_cycle: f64, latency: u64) -> Self {
+    pub(crate) fn new(node: usize, bytes_per_cycle: f64, latency: u64) -> Self {
         assert!(bytes_per_cycle > 0.0);
         MemoryChannel {
             node,
@@ -34,7 +34,7 @@ impl MemoryChannel {
     /// Accepts a `bytes`-byte transfer at `now`; returns its completion
     /// time (queuing behind earlier transfers + transfer + access
     /// latency).
-    pub fn request(&mut self, now: Cycle, bytes: u64) -> Cycle {
+    pub(crate) fn request(&mut self, now: Cycle, bytes: u64) -> Cycle {
         let start = self.busy_until.max(now);
         let service = (bytes as f64 / self.bytes_per_cycle).ceil() as u64;
         self.busy_until = start + service;
@@ -44,7 +44,7 @@ impl MemoryChannel {
 
 /// The full memory system: interleaved channels mapped over nodes.
 #[derive(Debug)]
-pub struct MemorySystem {
+pub(crate) struct MemorySystem {
     channels: Vec<MemoryChannel>,
     nodes: usize,
 }
@@ -53,7 +53,7 @@ impl MemorySystem {
     /// Builds the system: `total_gb_per_s` split evenly over `channels`
     /// controllers placed at evenly spaced nodes of an `nodes`-node system
     /// clocked at `clock_hz`.
-    pub fn new(
+    pub(crate) fn new(
         nodes: usize,
         channels: usize,
         total_gb_per_s: f64,
@@ -72,26 +72,21 @@ impl MemorySystem {
     }
 
     /// The channel index serving a directory slice (address region).
-    pub fn channel_of(&self, dir_node: usize) -> usize {
+    pub(crate) fn channel_of(&self, dir_node: usize) -> usize {
         assert!(dir_node < self.nodes);
         dir_node * self.channels.len() / self.nodes
     }
 
     /// The network node where a directory's memory controller attaches.
-    pub fn controller_node(&self, dir_node: usize) -> usize {
+    pub(crate) fn controller_node(&self, dir_node: usize) -> usize {
         self.channels[self.channel_of(dir_node)].node
     }
 
     /// Issues a line-sized request on behalf of `dir_node`'s slice and
     /// returns its completion time.
-    pub fn request(&mut self, dir_node: usize, now: Cycle, bytes: u64) -> Cycle {
+    pub(crate) fn request(&mut self, dir_node: usize, now: Cycle, bytes: u64) -> Cycle {
         let c = self.channel_of(dir_node);
         self.channels[c].request(now, bytes)
-    }
-
-    /// Number of channels.
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
     }
 }
 
@@ -137,7 +132,7 @@ mod tests {
     #[test]
     fn interleaving_covers_all_channels() {
         let m = paper_16();
-        assert_eq!(m.channel_count(), 4);
+        assert_eq!(m.channels.len(), 4);
         let mut seen = [false; 4];
         for dir in 0..16 {
             seen[m.channel_of(dir)] = true;
@@ -153,7 +148,7 @@ mod tests {
     #[test]
     fn paper_64_has_8_channels() {
         let m = MemorySystem::new(64, 8, 8.8, 200, 3.3e9);
-        assert_eq!(m.channel_count(), 8);
+        assert_eq!(m.channels.len(), 8);
         assert!(m.controller_node(63) < 64);
     }
 

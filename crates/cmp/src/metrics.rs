@@ -59,7 +59,7 @@ impl LatencyFold {
 
     /// Each component's mean per delivered packet; zeros before the first
     /// delivery.
-    pub fn attribution(&self) -> LatencyAttribution {
+    pub(crate) fn attribution(&self) -> LatencyAttribution {
         let per_packet = |sum| mean(sum, self.delivered);
         LatencyAttribution {
             queuing: per_packet(self.queuing),
@@ -95,7 +95,7 @@ fn mean(sum: u64, count: u64) -> f64 {
 
 /// Traffic classes used in Figure 10's data-lane collision breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DataPacketKind {
+pub(crate) enum DataPacketKind {
     /// Memory fetch completions (MemAck).
     Memory,
     /// Directory → L1 data replies.
@@ -106,7 +106,7 @@ pub enum DataPacketKind {
 
 impl DataPacketKind {
     /// Dense index 0..3.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             DataPacketKind::Memory => 0,
             DataPacketKind::Reply => 1,
@@ -114,17 +114,8 @@ impl DataPacketKind {
         }
     }
 
-    /// Plot label.
-    pub fn label(self) -> &'static str {
-        match self {
-            DataPacketKind::Memory => "Memory packets",
-            DataPacketKind::Reply => "Reply",
-            DataPacketKind::WriteBack => "WriteBack",
-        }
-    }
-
     /// Metric label value (lowercase, no spaces).
-    pub fn metric_label(self) -> &'static str {
+    pub(crate) fn metric_label(self) -> &'static str {
         match self {
             DataPacketKind::Memory => "memory",
             DataPacketKind::Reply => "reply",
@@ -431,7 +422,6 @@ mod tests {
         assert_eq!(DataPacketKind::Memory.index(), 0);
         assert_eq!(DataPacketKind::Reply.index(), 1);
         assert_eq!(DataPacketKind::WriteBack.index(), 2);
-        assert!(DataPacketKind::Reply.label().contains("Reply"));
     }
 
     #[test]

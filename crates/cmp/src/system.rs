@@ -12,7 +12,7 @@
 //!   cores due in it — in ascending index, the order an all-cores scan
 //!   would reach them, which `route`, the locks and the RNG draws depend
 //!   on. Active and stalled cycles are credited when a core changes class
-//!   ([`Core::set_state`]), not counted per cycle, and `finished` reads a
+//!   (`Core::set_state`), not counted per cycle, and `finished` reads a
 //!   live-core count. The all-cores scan survives as the test-only
 //!   reference (`run_full_scan`) the kernel is property-tested equal to.
 //! * **Per-line point-to-point ordering.** The paper relies on the
@@ -263,8 +263,8 @@ impl CmpSystem {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails [`SystemConfig::validate`] or `app` fails
-    /// [`AppProfile::validate`] for `cfg`'s node count and line size.
+    /// Panics if `cfg` fails `SystemConfig::validate` or `app` fails
+    /// `AppProfile::validate` for `cfg`'s node count and line size.
     pub fn new(cfg: SystemConfig, app: AppProfile) -> Self {
         #[expect(
             clippy::expect_used,
@@ -303,7 +303,7 @@ impl CmpSystem {
             app,
             now: Cycle::ZERO,
             cores: (0..n)
-                .map(|i| Core::new(i, CoreWorkload::new(scaled, i, line_bytes, cfg.seed)))
+                .map(|i| Core::new(CoreWorkload::new(scaled, i, line_bytes, cfg.seed)))
                 .collect(),
             l1s,
             dirs,
@@ -347,16 +347,6 @@ impl CmpSystem {
     /// `CmpSystem::new(cfg.with_seed(seed), app)`.
     pub fn fork(&self, seed: u64) -> CmpSystem {
         CmpSystem::new(self.cfg.clone().with_seed(seed), self.app)
-    }
-
-    /// Current cycle.
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
     }
 
     /// Runs until every core retires and the system drains, or `max`
@@ -438,7 +428,7 @@ impl CmpSystem {
 
     /// One cycle: the interconnect, then pending coherence/memory events,
     /// then the cores due now.
-    pub fn tick(&mut self) {
+    pub(crate) fn tick(&mut self) {
         self.ticks += 1;
         self.net.tick();
         self.drain_network();
@@ -1190,7 +1180,7 @@ impl CmpSystem {
     /// Builds the report for a finished (or interrupted) run. It reads
     /// the system only, so a run reported on midway goes on as if no
     /// report had been taken.
-    pub fn report(&self) -> RunReport {
+    pub(crate) fn report(&self) -> RunReport {
         let cycles = self.now.as_u64();
         // Each core's closed spans plus its open one, left open.
         let (mut active, mut stalled) = (0, 0);
@@ -1387,7 +1377,7 @@ mod tests {
     /// the fast-forwarding `run()` must match byte for byte.
     fn run_cycle_by_cycle(mut sys: CmpSystem, max: u64) -> RunReport {
         while !sys.finished() {
-            assert!(sys.now().as_u64() < max, "reference run did not drain");
+            assert!(sys.now.as_u64() < max, "reference run did not drain");
             sys.tick();
         }
         sys.report()
@@ -1710,7 +1700,7 @@ mod tests {
             let whole = build().run(2_000_000);
             let stop = 1 + Xoshiro256StarStar::new(seed).next_below(whole.cycles - 1);
             let mut sys = build();
-            while sys.now().as_u64() < stop {
+            while sys.now.as_u64() < stop {
                 sys.tick();
             }
             let first = sys.report();
@@ -1754,8 +1744,8 @@ mod tests {
                 let mut sys = CmpSystem::new(cfg, app);
                 let mut retired_at = vec![None; 16];
                 while !sys.finished() {
-                    assert!(sys.now().as_u64() < 2_000_000, "did not drain");
-                    let cycle = sys.now().as_u64();
+                    assert!(sys.now.as_u64() < 2_000_000, "did not drain");
+                    let cycle = sys.now.as_u64();
                     sys.tick();
                     for (core, at) in sys.cores.iter().zip(&mut retired_at) {
                         if core.is_done() && at.is_none() {
@@ -1765,15 +1755,11 @@ mod tests {
                 }
                 let what = format!("{} subscriptions {subscriptions}", sys.net.name());
                 let mut total = 0;
-                for (core, at) in sys.cores.iter().zip(&retired_at) {
+                for (id, (core, at)) in sys.cores.iter().zip(&retired_at).enumerate() {
                     let at = at.unwrap();
                     let classified = core.stats.active_cycles + core.stats.stalled_cycles;
-                    assert_eq!(classified, at, "{what}: core {}", core.id);
-                    assert!(
-                        core.stats.stalled_cycles > 0,
-                        "{what}: core {} waited",
-                        core.id
-                    );
+                    assert_eq!(classified, at, "{what}: core {id}");
+                    assert!(core.stats.stalled_cycles > 0, "{what}: core {id} waited");
                     total += at;
                 }
                 let report = sys.report();

@@ -81,7 +81,7 @@ pub struct AppProfile {
 /// values that used to surface as an assert or a `% 0` in the middle of a
 /// run (or, for an oversized fraction, not at all) instead of at the door.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AppProfileError {
+pub(crate) enum AppProfileError {
     /// `mean_gap` is negative, not finite, or so large (past ≈ 1.8·10¹⁶)
     /// that `1 − 1 / (mean_gap + 1)` rounds to 1 and every gap draws 0.
     MeanGap {
@@ -171,7 +171,7 @@ impl AppProfile {
     /// weak-scaled to `nodes`, its regions must be disjoint (the bulk L2
     /// warm-up relies on it). [`CmpSystem::new`](crate::system::CmpSystem::new)
     /// panics on a profile that fails this.
-    pub fn validate(&self, nodes: usize, line_bytes: u64) -> Result<(), AppProfileError> {
+    pub(crate) fn validate(&self, nodes: usize, line_bytes: u64) -> Result<(), AppProfileError> {
         // A positive gap needs `1 − p < 1`, or every draw is 0.
         let drawable = self.mean_gap == 0.0 || 1.0 - 1.0 / (self.mean_gap + 1.0) < 1.0;
         if !(self.mean_gap.is_finite() && self.mean_gap >= 0.0 && drawable) {
@@ -426,17 +426,17 @@ impl AppProfile {
     }
 
     /// The line address of lock `i`.
-    pub fn lock_line(i: usize, line_bytes: u64) -> LineAddr {
+    pub(crate) fn lock_line(i: usize, line_bytes: u64) -> LineAddr {
         LineAddr(SYNC_BASE + i as u64 * line_bytes)
     }
 
     /// The barrier counter line.
-    pub fn barrier_line(line_bytes: u64) -> LineAddr {
+    pub(crate) fn barrier_line(line_bytes: u64) -> LineAddr {
         LineAddr(SYNC_BASE + BARRIER_WORD * line_bytes)
     }
 
     /// The barrier sense (release flag) line spinners watch.
-    pub fn barrier_sense_line(line_bytes: u64) -> LineAddr {
+    pub(crate) fn barrier_sense_line(line_bytes: u64) -> LineAddr {
         LineAddr(SYNC_BASE + (BARRIER_WORD + 1) * line_bytes)
     }
 }
@@ -454,7 +454,7 @@ fn stream_base(core: usize, line_bytes: u64) -> u64 {
 /// One step of a core's instruction stream. A load or store brings the
 /// compute gap that follows it along: see [`CoreWorkload::take_think`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
+pub(crate) enum Op {
     /// A load.
     Read(LineAddr),
     /// A store.
@@ -469,7 +469,7 @@ pub enum Op {
 
 /// Per-core generator of the application's reference stream.
 #[derive(Debug)]
-pub struct CoreWorkload {
+pub(crate) struct CoreWorkload {
     profile: AppProfile,
     core: usize,
     line_bytes: u64,
@@ -495,7 +495,7 @@ impl CoreWorkload {
     ///
     /// Panics if `profile.mean_gap` is negative or not finite (see
     /// [`AppProfile::validate`]).
-    pub fn new(profile: AppProfile, core: usize, line_bytes: u64, seed: u64) -> Self {
+    pub(crate) fn new(profile: AppProfile, core: usize, line_bytes: u64, seed: u64) -> Self {
         CoreWorkload {
             profile,
             core,
@@ -512,18 +512,14 @@ impl CoreWorkload {
         }
     }
 
-    /// The profile driving this stream.
-    pub fn profile(&self) -> &AppProfile {
-        &self.profile
-    }
-
     /// Memory operations issued so far.
-    pub fn issued(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn issued(&self) -> u64 {
         self.issued
     }
 
     /// The lock whose critical section the stream is inside, if any.
-    pub fn held_lock(&self) -> Option<usize> {
+    pub(crate) fn held_lock(&self) -> Option<usize> {
         self.held_lock
     }
 
@@ -531,7 +527,7 @@ impl CoreWorkload {
     /// between its completion and the next issue. It stays owed while the
     /// access stalls or misses; the kernel spends it when the access
     /// completes.
-    pub fn take_think(&mut self) -> u64 {
+    pub(crate) fn take_think(&mut self) -> u64 {
         std::mem::take(&mut self.think)
     }
 
@@ -541,7 +537,8 @@ impl CoreWorkload {
     }
 
     /// True once the stream is exhausted.
-    pub fn is_done(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_done(&self) -> bool {
         self.issued >= self.profile.ops_per_core && self.held_lock.is_none()
     }
 
@@ -575,7 +572,7 @@ impl CoreWorkload {
 
     /// Produces the next operation, or `None` when the core is done. A
     /// load or store also draws its think time, after its own draws.
-    pub fn next_op(&mut self) -> Option<Op> {
+    pub(crate) fn next_op(&mut self) -> Option<Op> {
         let p = self.profile;
         // Close an open critical section.
         if let Some(lock) = self.held_lock {

@@ -126,18 +126,15 @@ impl<T> CacheArray<T> {
     /// Panics if the line is already present (use [`lookup`] first).
     ///
     /// [`lookup`]: CacheArray::lookup
-    #[expect(
-        clippy::expect_used,
-        reason = "P1: with every way evictable and ways >= 1 (asserted at construction) a victim always exists"
-    )]
-    pub fn insert(&mut self, line: LineAddr, payload: T) -> AllocOutcome<T> {
+    #[cfg(test)]
+    pub(crate) fn insert(&mut self, line: LineAddr, payload: T) -> AllocOutcome<T> {
         self.insert_evicting_where(line, payload, |_, _| true)
             .ok()
             .expect("an unfiltered insert always finds a way")
     }
 
-    /// Like [`insert`](Self::insert), but only victims satisfying
-    /// `evictable` may be replaced; a free way is always taken first.
+    /// Inserts `line` with `payload`, evicting the LRU way among those
+    /// satisfying `evictable`; a free way is always taken first.
     ///
     /// # Errors
     ///
@@ -209,7 +206,7 @@ impl<T> CacheArray<T> {
     }
 
     /// Line size in bytes.
-    pub fn line_bytes(&self) -> u64 {
+    pub(crate) fn line_bytes(&self) -> u64 {
         1 << self.line_shift
     }
 

@@ -539,11 +539,6 @@ impl Directory {
         }
     }
 
-    /// This slice's node id.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
     /// Statistics.
     pub fn stats(&self) -> &DirStats {
         &self.stats
@@ -571,7 +566,8 @@ impl Directory {
     }
 
     /// Number of sharers of a line, without materializing the list.
-    pub fn sharer_count_of(&self, line: LineAddr) -> usize {
+    #[cfg(test)]
+    pub(crate) fn sharer_count_of(&self, line: LineAddr) -> usize {
         self.get(line).map_or(0, |e| e.sharers.len())
     }
 

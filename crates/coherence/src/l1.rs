@@ -80,7 +80,6 @@ pub struct L1Stats {
 /// The L1 cache controller of one node.
 #[derive(Debug)]
 pub struct L1Controller {
-    node: usize,
     array: CacheArray<L1State>,
     /// Open MSHRs, at most `max_mshrs` of them: searched by line, never
     /// iterated, so their order reaches no result.
@@ -92,13 +91,12 @@ pub struct L1Controller {
 
 impl L1Controller {
     /// Creates the controller: `capacity_bytes`/`ways`/`line_bytes` shape
-    /// the array (Table 3: 8 KB, 2-way, 32 B). `node` is this L1's node
-    /// id; homes are address-interleaved over `home_nodes` directories
-    /// once [`set_home_nodes`](Self::set_home_nodes) is left at its
-    /// default of the node count given here.
-    pub fn new(node: usize, capacity_lines: usize, ways: usize, line_bytes: u64) -> Self {
+    /// the array (Table 3: 8 KB, 2-way, 32 B). `_node` is this L1's node
+    /// id, which nothing in the controller reads; homes are
+    /// address-interleaved over the directory slices given to
+    /// [`set_home_nodes`](Self::set_home_nodes), one until then.
+    pub fn new(_node: usize, capacity_lines: usize, ways: usize, line_bytes: u64) -> Self {
         L1Controller {
-            node,
             array: CacheArray::new(capacity_lines as u64 * line_bytes, ways, line_bytes),
             mshrs: Vec::new(),
             max_mshrs: 8,
@@ -113,18 +111,13 @@ impl L1Controller {
         self.home_nodes = n;
     }
 
-    /// This node's id.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
     /// Statistics.
     pub fn stats(&self) -> &L1Stats {
         &self.stats
     }
 
     /// The home directory slice of a line (address-interleaved).
-    pub fn home_of(&self, line: LineAddr) -> usize {
+    pub(crate) fn home_of(&self, line: LineAddr) -> usize {
         line.home(self.array.line_bytes(), self.home_nodes)
     }
 

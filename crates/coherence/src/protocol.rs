@@ -13,15 +13,6 @@ impl fmt::Display for LineAddr {
 }
 
 impl LineAddr {
-    /// The line containing byte address `addr` for `line_bytes`-byte lines.
-    pub fn of(addr: u64, line_bytes: u64) -> Self {
-        assert!(
-            line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        LineAddr(addr & !(line_bytes - 1))
-    }
-
     /// The directory slice that homes this line: `line_bytes`-byte lines
     /// interleave over the `nodes` slices by line number. The one
     /// address-to-home map of the system.
@@ -55,12 +46,6 @@ impl LineRun {
     /// The lines, ascending.
     pub fn lines(self) -> impl Iterator<Item = LineAddr> {
         (0..self.count).map(move |i| LineAddr(self.first.0 + i * self.stride))
-    }
-
-    /// The highest line, `None` for an empty run.
-    pub fn last(self) -> Option<LineAddr> {
-        let i = self.count.checked_sub(1)?;
-        Some(LineAddr(self.first.0 + i * self.stride))
     }
 
     /// The lines of this contiguous run that slice `home` of `nodes` homes
@@ -108,11 +93,6 @@ pub enum L1State {
 }
 
 impl L1State {
-    /// Is this a stable (non-transient) state?
-    pub fn is_stable(self) -> bool {
-        matches!(self, L1State::M | L1State::E | L1State::S | L1State::I)
-    }
-
     /// Does the processor have read permission?
     pub fn can_read(self) -> bool {
         matches!(self, L1State::M | L1State::E | L1State::S)
@@ -164,7 +144,7 @@ pub enum DirState {
 
 impl DirState {
     /// Is this a stable state?
-    pub fn is_stable(self) -> bool {
+    pub(crate) fn is_stable(self) -> bool {
         matches!(
             self,
             DirState::DI | DirState::DV | DirState::DS | DirState::DM
@@ -344,10 +324,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn line_addr_masks_offset() {
-        assert_eq!(LineAddr::of(0x1234, 32), LineAddr(0x1220));
-        assert_eq!(LineAddr::of(0x1220, 32), LineAddr(0x1220));
-        assert_eq!(LineAddr::of(0x1f, 32), LineAddr(0));
+    fn line_addr_displays_hex() {
         assert!(LineAddr(0x40).to_string().contains("0x40"));
     }
 
@@ -360,23 +337,13 @@ mod tests {
         assert_eq!(split(0).collect::<Vec<_>>(), [4, 8, 12]);
         assert_eq!(split(1).collect::<Vec<_>>(), [5, 9]);
         assert_eq!(split(2).collect::<Vec<_>>(), [6, 10]);
-        assert_eq!(run.homed_at(2, 32, 4).last(), Some(LineAddr(10 * 32)));
         // A run shorter than the interleave leaves some homes empty.
         let short = LineRun::contiguous(LineAddr(0), 2, 32);
         assert_eq!(short.homed_at(5, 32, 7).count, 0);
-        assert_eq!(short.homed_at(5, 32, 7).last(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn bad_line_size_panics() {
-        LineAddr::of(0, 33);
     }
 
     #[test]
     fn l1_state_predicates() {
-        assert!(L1State::M.is_stable() && L1State::I.is_stable());
-        assert!(!L1State::ISD.is_stable() && !L1State::SMA.is_stable());
         assert!(L1State::S.can_read() && !L1State::S.can_write());
         assert!(L1State::E.can_write() && L1State::M.can_write());
         assert!(!L1State::I.can_read());

@@ -66,11 +66,6 @@ impl Barrier {
     pub fn episodes(&self) -> u64 {
         self.episodes
     }
-
-    /// Arrivals waiting in the current episode.
-    pub fn waiting(&self) -> usize {
-        self.arrived
-    }
 }
 
 /// A test-and-set lock state machine (built over ll/sc by the cores; this
@@ -184,12 +179,12 @@ mod tests {
         let mut b = Barrier::new(3);
         assert!(!b.arrive());
         assert!(!b.arrive());
-        assert_eq!(b.waiting(), 2);
+        assert_eq!(b.arrived, 2);
         let s0 = b.sense();
         assert!(b.arrive());
         assert_eq!(b.sense(), !s0, "sense flips on release");
         assert_eq!(b.episodes(), 1);
-        assert_eq!(b.waiting(), 0);
+        assert_eq!(b.arrived, 0);
         // Reusable.
         assert!(!b.arrive());
         assert!(!b.arrive());

@@ -84,6 +84,7 @@ fn cache_array_agrees_with_model() {
                 }
                 let resident: usize = model.iter().map(Vec::len).sum();
                 assert_eq!(cache.len(), resident);
+                assert_eq!(cache.is_empty(), resident == 0);
                 assert!(cache.len() <= cache.capacity_lines());
             }
         },

@@ -29,7 +29,7 @@ impl BandwidthAllocationModel {
     /// # Panics
     ///
     /// Panics if any constant is negative or all are zero.
-    pub fn new(c1: f64, c2: f64, c3: f64, c4: f64) -> Self {
+    pub(crate) fn new(c1: f64, c2: f64, c3: f64, c4: f64) -> Self {
         let c = [c1, c2, c3, c4];
         assert!(
             c.iter().all(|&x| x >= 0.0),
@@ -49,11 +49,6 @@ impl BandwidthAllocationModel {
     /// collision-resolution products at the observed collision rates.
     pub fn paper_default() -> Self {
         BandwidthAllocationModel::new(1.0, 0.05, 8.364, 0.05)
-    }
-
-    /// The constants `C₁..C₄`.
-    pub fn constants(&self) -> [f64; 4] {
-        self.c
     }
 
     /// The modelled mean latency (arbitrary units) at meta share `bm`.
@@ -151,12 +146,6 @@ mod tests {
         let m = BandwidthAllocationModel::paper_default();
         assert!(m.latency(0.001) > m.latency(0.285) * 10.0);
         assert!(m.latency(0.999) > m.latency(0.285) * 10.0);
-    }
-
-    #[test]
-    fn constants_accessor() {
-        let m = BandwidthAllocationModel::new(1.0, 2.0, 3.0, 4.0);
-        assert_eq!(m.constants(), [1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

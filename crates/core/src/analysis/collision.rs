@@ -65,22 +65,6 @@ pub fn normalized_collision_probability(p: f64, nodes: usize, receivers: usize) 
     }
 }
 
-/// Footnote 4's per-packet view for the 2-receiver design: the probability
-/// that a *transmitted* packet collides. A packet collides when at least
-/// one of the other senders sharing its receiver (≈ `(N−1)/2 − 1` nodes)
-/// transmits to the same destination in the same slot:
-///
-/// ```text
-/// P ≈ 1 − (1 − p/(N−1))^((N−1)/2 − 1) ≈ p/2 − p²/8 + …
-/// ```
-pub fn per_packet_collision_probability(p: f64, nodes: usize) -> f64 {
-    assert!(nodes >= 3, "need at least three nodes for sharing");
-    assert!((0.0..=1.0).contains(&p), "p must be a probability");
-    let sharers = (nodes - 1) as f64 / 2.0 - 1.0;
-    let q = p / (nodes - 1) as f64;
-    1.0 - (1.0 - q).powf(sharers)
-}
-
 /// Result of a Monte-Carlo collision experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonteCarloResult {
@@ -157,6 +141,23 @@ pub fn monte_carlo(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Footnote 4's per-packet view for the 2-receiver design: the
+    /// probability that a *transmitted* packet collides. A packet collides
+    /// when at least one of the other senders sharing its receiver
+    /// (≈ `(N−1)/2 − 1` nodes) transmits to the same destination in the
+    /// same slot:
+    ///
+    /// ```text
+    /// P ≈ 1 − (1 − p/(N−1))^((N−1)/2 − 1) ≈ p/2 − p²/8 + …
+    /// ```
+    fn per_packet_collision_probability(p: f64, nodes: usize) -> f64 {
+        assert!(nodes >= 3, "need at least three nodes for sharing");
+        assert!((0.0..=1.0).contains(&p), "p must be a probability");
+        let sharers = (nodes - 1) as f64 / 2.0 - 1.0;
+        let q = p / (nodes - 1) as f64;
+        1.0 - (1.0 - q).powf(sharers)
+    }
 
     #[test]
     fn zero_p_means_zero_collisions() {

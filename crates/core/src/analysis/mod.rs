@@ -5,8 +5,8 @@
 //! reproduces those models:
 //!
 //! * [`collision`] — collision probability vs transmission probability and
-//!   receiver count (**Figure 3**), including the per-packet approximation
-//!   of footnote 4;
+//!   receiver count (**Figure 3**); its tests hold the Monte-Carlo packet
+//!   rate to footnote 4's per-packet approximation;
 //! * [`bandwidth`] — the meta/data bandwidth-allocation latency model whose
 //!   optimum is `B_M ≈ 0.285` (§4.3.2, item 3);
 //! * [`backoff`] — the collision-resolution-delay model over `(W, B)`

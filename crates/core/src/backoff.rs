@@ -59,12 +59,12 @@ impl BackoffPolicy {
     }
 
     /// The starting window `W`.
-    pub fn initial_window(&self) -> f64 {
+    pub(crate) fn initial_window(&self) -> f64 {
         self.initial_window
     }
 
     /// The growth base `B`.
-    pub fn base(&self) -> f64 {
+    pub(crate) fn base(&self) -> f64 {
         self.base
     }
 

@@ -19,7 +19,7 @@ pub const CONFIRMATION_DELAY: u64 = 2;
 /// division by zero or a network that never drains deep inside a running
 /// simulation instead of at construction time.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ConfigError {
+pub(crate) enum ConfigError {
     /// Fewer than two nodes — there is nobody to talk to.
     TooFewNodes {
         /// The requested node count.
@@ -137,8 +137,7 @@ impl FsoiConfig {
     ///
     /// # Panics
     ///
-    /// Panics when `n` is out of range; [`FsoiConfig::try_nodes`] is the
-    /// non-panicking variant.
+    /// Panics when `n` is out of range.
     pub fn nodes(n: usize) -> Self {
         match Self::try_nodes(n) {
             Ok(cfg) => cfg,
@@ -156,7 +155,7 @@ impl FsoiConfig {
     /// directory masks all track nodes in dense bitmasks of that
     /// capacity, and a violation would otherwise only surface as an
     /// assert deep inside a running simulation).
-    pub fn try_nodes(n: usize) -> Result<Self, ConfigError> {
+    pub(crate) fn try_nodes(n: usize) -> Result<Self, ConfigError> {
         let cfg = FsoiConfig {
             nodes: n,
             lanes: Lanes::paper_default(),
@@ -177,7 +176,7 @@ impl FsoiConfig {
     /// Checks the limits the network relies on.
     /// [`FsoiNetwork::new`](crate::network::FsoiNetwork::new) panics on a
     /// configuration that fails this.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.nodes < 2 {
             return Err(ConfigError::TooFewNodes { nodes: self.nodes });
         }

@@ -31,7 +31,7 @@ impl LaneSpec {
     /// # Panics
     ///
     /// Panics if the lane has no VCSELs or the rate is zero.
-    pub fn serialization_cycles(&self, bits_per_cycle_per_vcsel: usize) -> u64 {
+    pub(crate) fn serialization_cycles(&self, bits_per_cycle_per_vcsel: usize) -> u64 {
         assert!(self.vcsels > 0, "lane must have at least one VCSEL");
         assert!(bits_per_cycle_per_vcsel > 0, "bit rate must be positive");
         let per_cycle = self.vcsels * bits_per_cycle_per_vcsel;
@@ -40,7 +40,7 @@ impl LaneSpec {
 
     /// The slot length equals the serialization latency: back-to-back
     /// packets of the same class never partially overlap.
-    pub fn slot_cycles(&self, bits_per_cycle_per_vcsel: usize) -> u64 {
+    pub(crate) fn slot_cycles(&self, bits_per_cycle_per_vcsel: usize) -> u64 {
         self.serialization_cycles(bits_per_cycle_per_vcsel)
     }
 }
@@ -95,7 +95,7 @@ impl Lanes {
     }
 
     /// Total transmit VCSELs per destination lane set (data + meta).
-    pub fn lane_bits(&self) -> usize {
+    pub(crate) fn lane_bits(&self) -> usize {
         self.meta.vcsels + self.data.vcsels
     }
 

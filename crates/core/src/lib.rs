@@ -22,7 +22,7 @@
 //! * [`topology`] — receiver sharing and VCSEL inventory;
 //! * [`analysis`] — the paper's closed-form models (Figures 3 and 4, the
 //!   meta-bandwidth optimum of §4.3.2);
-//! * [`power`] — per-packet energy accounting built on `fsoi-optics`.
+//! * `power` — per-packet energy accounting built on `fsoi-optics`.
 //!
 //! # Example
 //!
@@ -48,7 +48,7 @@ pub mod config;
 pub mod lane;
 pub mod network;
 pub mod packet;
-pub mod power;
+mod power;
 pub mod skew;
 pub mod spacing;
 pub mod topology;

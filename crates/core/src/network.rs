@@ -139,7 +139,7 @@ impl NetStats {
     /// Returns 0.0 — never `NaN` or `±inf` — for degenerate zero-slot or
     /// zero-node configurations (e.g. a probe before the first slot
     /// boundary, or an empty sweep row).
-    pub fn transmission_probability(&self, lane: usize, nodes: usize, slots: u64) -> f64 {
+    pub(crate) fn transmission_probability(&self, lane: usize, nodes: usize, slots: u64) -> f64 {
         if slots == 0 || nodes == 0 {
             return 0.0;
         }
@@ -332,7 +332,7 @@ impl FsoiNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails [`FsoiConfig::validate`].
+    /// Panics if `cfg` fails `FsoiConfig::validate`.
     pub fn new(cfg: FsoiConfig, seed: u64) -> Self {
         #[expect(
             clippy::expect_used,
@@ -383,11 +383,6 @@ impl FsoiNetwork {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &FsoiConfig {
-        &self.cfg
-    }
-
     /// The meta-lane slot length in cycles.
     pub fn meta_slot_len(&self) -> u64 {
         self.slot_len[PacketClass::Meta.lane()]
@@ -399,7 +394,7 @@ impl FsoiNetwork {
     }
 
     /// Number of slots elapsed on a lane class.
-    pub fn slots_elapsed(&self, class: PacketClass) -> u64 {
+    pub(crate) fn slots_elapsed(&self, class: PacketClass) -> u64 {
         self.now.as_u64() / self.slot_len[class.lane()]
     }
 

@@ -30,7 +30,7 @@ pub struct HeaderCode {
 
 impl HeaderCode {
     /// Bits needed to encode ids `0..nodes`.
-    pub fn id_width(nodes: usize) -> u32 {
+    pub(crate) fn id_width(nodes: usize) -> u32 {
         assert!(nodes >= 2, "a network needs at least two nodes");
         usize::BITS - (nodes - 1).leading_zeros()
     }
@@ -49,7 +49,7 @@ impl HeaderCode {
 
     /// The OR-superposition of this header with another (what a shared
     /// receiver sees when packets collide).
-    pub fn superpose(self, other: HeaderCode) -> HeaderCode {
+    pub(crate) fn superpose(self, other: HeaderCode) -> HeaderCode {
         debug_assert_eq!(self.width, other.width, "mismatched header widths");
         HeaderCode {
             pid: self.pid | other.pid,

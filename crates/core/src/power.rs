@@ -18,7 +18,7 @@ use fsoi_optics::link::LinkBudget;
 /// Per-node, per-network energy/power parameters derived from a link
 /// budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FsoiPowerModel {
+pub(crate) struct FsoiPowerModel {
     /// Transmit energy per bit while actively lasing, joules.
     pub tx_energy_per_bit_j: f64,
     /// Standby power per transmit VCSEL+driver, watts.
@@ -31,7 +31,7 @@ pub struct FsoiPowerModel {
 
 /// An energy report for a simulated interval.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct EnergyReport {
+pub(crate) struct EnergyReport {
     /// Dynamic transmit energy, joules.
     pub tx_dynamic_j: f64,
     /// Transmitter standby energy, joules.
@@ -44,24 +44,15 @@ pub struct EnergyReport {
 
 impl EnergyReport {
     /// Total energy in joules.
-    pub fn total_j(&self) -> f64 {
+    pub(crate) fn total_j(&self) -> f64 {
         self.tx_dynamic_j + self.tx_standby_j + self.rx_static_j + self.confirmation_j
-    }
-
-    /// Average power over `cycles` at `core_clock_hz`, watts.
-    pub fn average_power_w(&self, cycles: u64, core_clock_hz: f64) -> f64 {
-        if cycles == 0 {
-            0.0
-        } else {
-            self.total_j() / (cycles as f64 / core_clock_hz)
-        }
     }
 }
 
 impl FsoiPowerModel {
     /// Builds the model from a link budget at the given core clock
     /// (the paper's 3.3 GHz).
-    pub fn from_budget(budget: &LinkBudget, core_clock_hz: f64) -> Self {
+    pub(crate) fn from_budget(budget: &LinkBudget, core_clock_hz: f64) -> Self {
         assert!(core_clock_hz > 0.0, "core clock must be positive");
         FsoiPowerModel {
             tx_energy_per_bit_j: budget.tx_energy_per_bit_pj * 1e-12,
@@ -72,7 +63,7 @@ impl FsoiPowerModel {
     }
 
     /// The paper's default: Table 1 budget at 3.3 GHz.
-    pub fn paper_default() -> Self {
+    pub(crate) fn paper_default() -> Self {
         let budget = fsoi_optics::link::OpticalLink::paper_default().budget();
         Self::from_budget(&budget, 3.3e9)
     }
@@ -84,7 +75,7 @@ impl FsoiPowerModel {
     /// Receive chains (data + meta + confirmation receivers) are charged
     /// for the whole interval; transmitters are charged per transmitted
     /// bit plus standby for the idle VCSELs.
-    pub fn network_energy(
+    pub(crate) fn network_energy(
         &self,
         stats: &NetStats,
         lanes: &Lanes,
@@ -145,7 +136,7 @@ mod tests {
         assert!(e.rx_static_j > 0.0);
         // Average idle power of the 16-node optical subsystem stays in the
         // low watts (the paper reports 1.8 W average under load).
-        let p = e.average_power_w(1_000_000, 3.3e9);
+        let p = e.total_j() / (1_000_000.0 / 3.3e9);
         assert!(p > 0.5 && p < 3.0, "idle power = {p} W");
     }
 
@@ -176,8 +167,5 @@ mod tests {
             confirmation_j: 4.0,
         };
         assert_eq!(r.total_j(), 10.0);
-        assert_eq!(r.average_power_w(0, 3.3e9), 0.0);
-        let p = r.average_power_w(33, 3.3e9);
-        assert!((p - 10.0 / 1e-8).abs() < 1.0);
     }
 }

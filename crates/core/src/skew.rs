@@ -38,23 +38,13 @@ impl Floorplan {
         }
     }
 
-    /// The 64-node die: 8×8 tiles on the same die outline (2.0 mm pitch
-    /// keeps the corner-to-corner span at ≈ 20 mm).
-    pub fn paper_64() -> Self {
-        Floorplan {
-            side: 8,
-            pitch_m: 2.0e-3,
-            vertical_m: 5.0e-3,
-        }
-    }
-
     /// Number of nodes.
-    pub fn nodes(&self) -> usize {
+    pub(crate) fn nodes(&self) -> usize {
         self.side * self.side
     }
 
     /// Euclidean lateral distance between two nodes' centres, metres.
-    pub fn lateral_distance_m(&self, a: NodeId, b: NodeId) -> f64 {
+    pub(crate) fn lateral_distance_m(&self, a: NodeId, b: NodeId) -> f64 {
         let (ax, ay) = (a.0 % self.side, a.0 / self.side);
         let (bx, by) = (b.0 % self.side, b.0 / self.side);
         let dx = (ax as f64 - bx as f64) * self.pitch_m;
@@ -63,12 +53,12 @@ impl Floorplan {
     }
 
     /// Total flight length of the mirror-guided path between two nodes.
-    pub fn path_length_m(&self, a: NodeId, b: NodeId) -> f64 {
+    pub(crate) fn path_length_m(&self, a: NodeId, b: NodeId) -> f64 {
         self.lateral_distance_m(a, b) + self.vertical_m
     }
 
     /// One-way flight time, picoseconds.
-    pub fn flight_time_ps(&self, a: NodeId, b: NodeId) -> f64 {
+    pub(crate) fn flight_time_ps(&self, a: NodeId, b: NodeId) -> f64 {
         self.path_length_m(a, b) / C * 1e12
     }
 
@@ -203,15 +193,6 @@ mod tests {
         let c = compensation(&plan, NodeId(0), NodeId(15), BIT_PS);
         assert_eq!(c.padding_bits, 0);
         assert!(c.delay_line_ps < 1e-9);
-    }
-
-    #[test]
-    fn sixty_four_node_floorplan() {
-        let plan = Floorplan::paper_64();
-        assert_eq!(plan.nodes(), 64);
-        // Same die size: similar worst-case flight.
-        let p16 = Floorplan::paper_16();
-        assert!((plan.max_flight_time_ps() - p16.max_flight_time_ps()).abs() < 5.0);
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl ReplySlotReservations {
     /// [`reserve`](Self::reserve) with an arrival at or after `now` looks
     /// at them. This is the only release: a slot is freed once it is past,
     /// whether its reply came or not (e.g. a NACKed transaction).
-    pub fn prune_before(&mut self, now: Cycle, slot_len: u64) {
+    pub(crate) fn prune_before(&mut self, now: Cycle, slot_len: u64) {
         assert!(slot_len > 0, "slot length must be positive");
         let current = now.as_u64() / slot_len;
         while self.reserved.first().is_some_and(|&slot| slot < current) {
@@ -70,7 +70,8 @@ impl ReplySlotReservations {
     }
 
     /// Number of live reservations.
-    pub fn active(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn active(&self) -> usize {
         self.reserved.len()
     }
 }

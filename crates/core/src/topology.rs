@@ -13,14 +13,6 @@ use core::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub usize);
 
-impl NodeId {
-    /// The raw index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "node {}", self.0)
@@ -84,7 +76,7 @@ mod tests {
     #[test]
     fn display_and_from() {
         let n: NodeId = 3usize.into();
-        assert_eq!(n.index(), 3);
+        assert_eq!(n.0, 3);
         assert_eq!(n.to_string(), "node 3");
     }
 

@@ -11,7 +11,7 @@ use fsoi_sim::det::NodeMask;
 /// capacity assert or a wedged network inside a running simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MeshConfigError {
-    /// `vcs` is zero or more than [`MeshConfig::MAX_VCS`].
+    /// `vcs` is zero or more than `MeshConfig::MAX_VCS`.
     VcCount {
         /// The requested VCs per input port.
         vcs: usize,
@@ -72,7 +72,7 @@ pub struct MeshConfig {
 
 impl MeshConfig {
     /// Most VCs per input port: `5 × vcs` mask bits must fit a `u32`.
-    pub const MAX_VCS: usize = 6;
+    pub(crate) const MAX_VCS: usize = 6;
 
     /// The paper's baseline for `n` nodes (must be a perfect square):
     /// 4 VCs × 12-flit buffers, 4-cycle routers, 1-cycle links.
@@ -104,7 +104,7 @@ impl MeshConfig {
 
     /// Checks the limits the network's dense state relies on (the fields
     /// are public, so a literal can hold anything): `vcs` in
-    /// `1..=`[`MAX_VCS`](Self::MAX_VCS), at most [`NodeMask::CAPACITY`]
+    /// `1..=MAX_VCS`, at most [`NodeMask::CAPACITY`]
     /// nodes, and room for at least one flit per VC and one packet per
     /// injection queue. [`MeshNetwork::new`](crate::MeshNetwork::new)
     /// panics on a configuration that fails this.

@@ -27,7 +27,7 @@ pub enum IdealKind {
 
 impl IdealKind {
     /// Per-hop latency in cycles (0 for L0).
-    pub fn per_hop_cycles(self) -> u64 {
+    pub(crate) fn per_hop_cycles(self) -> u64 {
         match self {
             IdealKind::L0 => 0,
             IdealKind::Lr1 => 2, // 1 router + 1 link
@@ -63,11 +63,6 @@ impl IdealNetwork {
             deliveries: EventQueue::new(),
             delivered: Vec::new(),
         }
-    }
-
-    /// The idealization in force.
-    pub fn kind(&self) -> IdealKind {
-        self.kind
     }
 }
 
@@ -217,7 +212,7 @@ mod tests {
         assert_eq!(IdealKind::Lr1.per_hop_cycles(), 2);
         assert_eq!(IdealKind::Lr2.per_hop_cycles(), 3);
         let net = IdealNetwork::new(IdealKind::Lr1, 4);
-        assert_eq!(net.kind(), IdealKind::Lr1);
+        assert_eq!(net.kind, IdealKind::Lr1);
         assert_eq!(net.now(), Cycle::ZERO);
     }
 }

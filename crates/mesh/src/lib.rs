@@ -13,11 +13,11 @@
 //!
 //! This crate implements all of them:
 //!
-//! * [`router`] — a wormhole, credit-flow-controlled VC router with the
+//! * `router` — a wormhole, credit-flow-controlled VC router with the
 //!   canonical RC/VA/SA/ST pipeline;
 //! * [`network::MeshNetwork`] — the full cycle-driven mesh;
 //! * [`ideal::IdealNetwork`] — the L0/Lr1/Lr2 analytic configurations;
-//! * [`power`] — Orion-style per-event energy accounting.
+//! * `power` — Orion-style per-event energy accounting.
 //!
 //! Both networks are driven through the workspace's one network interface,
 //! [`Interconnect`](fsoi_sim::packet::Interconnect), which each implements
@@ -32,7 +32,7 @@
 //!
 //! let mut net = MeshNetwork::new(MeshConfig::nodes(16));
 //! net.inject(NetPacket::new(0, 15, PacketClass::Meta, 1)).unwrap();
-//! while net.delivered_count() == 0 {
+//! while !net.is_idle() {
 //!     net.tick();
 //! }
 //! assert_eq!(net.drain()[0].packet.dst, 15);
@@ -46,8 +46,8 @@ pub mod config;
 pub mod ideal;
 pub mod network;
 pub mod packet;
-pub mod power;
-pub mod router;
+mod power;
+mod router;
 pub mod routing;
 
 pub use config::MeshConfig;

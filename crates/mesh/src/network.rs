@@ -149,11 +149,6 @@ impl MeshNetwork {
         self
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &MeshConfig {
-        &self.cfg
-    }
-
     /// Statistics so far, with the routers' power counters summed in.
     pub fn stats(&self) -> MeshStats {
         let mut stats = self.stats;
@@ -164,11 +159,6 @@ impl MeshNetwork {
             stats.allocations += router.allocations;
         }
         stats
-    }
-
-    /// Number of undrained deliveries.
-    pub fn delivered_count(&self) -> usize {
-        self.delivered.len()
     }
 
     /// Debug builds: recomputes both active sets, every router's masks

@@ -38,7 +38,7 @@ impl FlitKind {
 /// One flit in flight: 8 bytes. The packet itself is held once, in the
 /// network's slab, and looked up by `slot` when the tail is ejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Flit {
+pub(crate) struct Flit {
     /// Slab slot of the packet this flit belongs to.
     pub slot: u32,
     /// Destination node (all a router needs for route computation).
@@ -51,7 +51,7 @@ pub struct Flit {
 
 impl Flit {
     /// Flit `seq` of a `flits`-flit packet held in `slot`.
-    pub fn new(slot: u32, dst: u16, seq: u8, flits: u8) -> Self {
+    pub(crate) fn new(slot: u32, dst: u16, seq: u8, flits: u8) -> Self {
         Flit {
             slot,
             dst,

@@ -12,7 +12,7 @@ use crate::network::MeshStats;
 
 /// Per-event energies in joules for a 45 nm mesh router with 72-bit flits.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MeshPowerModel {
+pub(crate) struct MeshPowerModel {
     /// Energy per flit buffer write.
     pub buffer_write_j: f64,
     /// Energy per flit buffer read.
@@ -42,7 +42,7 @@ impl MeshPowerModel {
     /// tree, buffer leakage, allocator idling) is 1.7 W per router —
     /// calibrated against the paper's 20× interconnect-energy ratio over
     /// the 1.8 W optical subsystem.
-    pub fn paper_default() -> Self {
+    pub(crate) fn paper_default() -> Self {
         MeshPowerModel {
             buffer_write_j: 2.5e-12,
             buffer_read_j: 1.8e-12,
@@ -58,18 +58,9 @@ impl MeshPowerModel {
     /// ([`MeshNetwork::stats`]) on `routers` routers.
     ///
     /// [`MeshNetwork::stats`]: crate::network::MeshNetwork::stats
-    pub fn energy_j(&self, stats: &MeshStats, routers: usize, cycles: u64) -> f64 {
+    pub(crate) fn energy_j(&self, stats: &MeshStats, routers: usize, cycles: u64) -> f64 {
         let seconds = cycles as f64 / self.core_clock_hz;
         self.dynamic_j(stats) + routers as f64 * self.router_leakage_w * seconds
-    }
-
-    /// Dynamic energy per delivered bit for a run (J/bit), useful for
-    /// comparing against the optical chain's ~0.3 pJ/bit.
-    pub fn energy_per_bit(&self, stats: &MeshStats, delivered_bits: f64) -> f64 {
-        if delivered_bits <= 0.0 {
-            return 0.0;
-        }
-        self.dynamic_j(stats) / delivered_bits
     }
 
     /// Energy of the counted router and link events.
@@ -126,18 +117,12 @@ mod tests {
             net.tick();
         }
         let bits = 360.0;
-        let e = model.energy_per_bit(&net.stats(), bits);
+        let e = model.dynamic_j(&net.stats()) / bits;
         let optical_e = 0.29e-12; // TX + RX per bit from Table 1
         assert!(
             e / optical_e > 5.0,
             "mesh {e:.3e} J/bit vs optical {optical_e:.3e}"
         );
-    }
-
-    #[test]
-    fn zero_bits_edge_case() {
-        let model = MeshPowerModel::paper_default();
-        assert_eq!(model.energy_per_bit(&MeshStats::default(), 0.0), 0.0);
     }
 
     #[test]

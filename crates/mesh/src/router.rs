@@ -15,8 +15,8 @@
 //! (see the `Router` fields) that let a cycle visit only the VCs that can
 //! act in it — in the order a scan of all `5 × vcs` buffers reaches them,
 //! so arbitration is the scan's. A VC outside `need_va` has nothing for
-//! [`allocate`](Router::allocate) to do and one outside `ready & !need_va`
-//! cannot leave in [`switch`](Router::switch): the scan would look at it
+//! `Router::allocate` to do and one outside `ready & !need_va`
+//! cannot leave in `Router::switch_into`: the scan would look at it
 //! and move on without touching state (DESIGN.md, "Mesh hot path").
 
 use crate::config::MeshConfig;
@@ -46,7 +46,7 @@ struct VirtualChannel {
 
 /// A flit leaving the router this cycle.
 #[derive(Debug, Clone, Copy)]
-pub struct Departure {
+pub(crate) struct Departure {
     /// The flit.
     pub flit: Flit,
     /// Output port index.
@@ -61,7 +61,7 @@ pub struct Departure {
 
 /// The router proper.
 #[derive(Debug)]
-pub struct Router {
+pub(crate) struct Router {
     node: usize,
     vcs: usize,
     vc_depth: usize,
@@ -79,8 +79,9 @@ pub struct Router {
     port_of: [u8; 32],
     /// Per-output round-robin pointers for VC allocation.
     va_rr: [u8; 5],
-    /// Switch-allocation pointer of the standalone [`switch`](Self::switch);
-    /// the network passes its own to [`switch_into`](Self::switch_into).
+    /// Switch-allocation pointer of the unit tests' `switch`; the network
+    /// passes its own to [`switch_into`](Self::switch_into).
+    #[cfg(test)]
     sa_rr: usize,
     /// VCs whose front flit is a head without an output VC: set when a
     /// head becomes the front, cleared on grant.
@@ -103,7 +104,7 @@ pub struct Router {
 impl Router {
     /// Creates the router for mesh node `node`. `cfg` must pass
     /// [`MeshConfig::validate`].
-    pub fn new(cfg: &MeshConfig, node: usize) -> Self {
+    pub(crate) fn new(cfg: &MeshConfig, node: usize) -> Self {
         debug_assert_eq!(cfg.validate(), Ok(()));
         let total = 5 * cfg.vcs;
         let mut port_of = [0; 32];
@@ -130,6 +131,7 @@ impl Router {
                 .collect(),
             port_of,
             va_rr: [0; 5],
+            #[cfg(test)]
             sa_rr: 0,
             need_va: 0,
             ready: 0,
@@ -143,18 +145,13 @@ impl Router {
         }
     }
 
-    /// The mesh node this router serves.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
     /// The low `vcs` bits: one port's worth of a VC mask.
     fn port_mask(&self) -> u32 {
         (1 << self.vcs) - 1
     }
 
     /// Free buffer slots in input (port, vc).
-    pub fn buffer_free(&self, port: usize, vc: usize) -> usize {
+    pub(crate) fn buffer_free(&self, port: usize, vc: usize) -> usize {
         self.vc_depth - self.inputs[port * self.vcs + vc].buf.len()
     }
 
@@ -163,7 +160,7 @@ impl Router {
     /// # Panics
     ///
     /// Panics on buffer overflow — credit flow control must prevent it.
-    pub fn receive_flit(&mut self, port: usize, vc: usize, flit: Flit, now: Cycle) {
+    pub(crate) fn receive_flit(&mut self, port: usize, vc: usize, flit: Flit, now: Cycle) {
         let idx = port * self.vcs + vc;
         let ch = &mut self.inputs[idx];
         assert!(
@@ -203,7 +200,7 @@ impl Router {
 
     /// Returns a credit for output (port, vc) — the downstream router freed
     /// a buffer slot.
-    pub fn credit_return(&mut self, port: usize, vc: usize) {
+    pub(crate) fn credit_return(&mut self, port: usize, vc: usize) {
         let credit = &mut self.credits[port * self.vcs + vc];
         *credit += 1;
         debug_assert!(*credit <= self.vc_depth);
@@ -216,7 +213,7 @@ impl Router {
     /// LSB-first. That matches a two-pass formulation exactly: RC reads
     /// only its own channel, and VA's round-robin state evolves in the
     /// same (port, vc) order either way.
-    pub fn allocate(&mut self) {
+    pub(crate) fn allocate(&mut self) {
         let port_mask = self.port_mask();
         let mut bits = self.need_va;
         while bits != 0 {
@@ -259,21 +256,27 @@ impl Router {
         }
     }
 
-    /// Switch allocation + traversal: picks at most one flit per output
-    /// port and one per input port, removes the winners from their buffers
-    /// and returns them for the network to deliver. Successive calls
-    /// rotate this router's own round-robin pointer.
-    pub fn switch(&mut self, now: Cycle) -> Vec<Departure> {
+    /// [`switch_into`](Self::switch_into) from this router's own
+    /// round-robin pointer, rotated on every call.
+    #[cfg(test)]
+    pub(crate) fn switch(&mut self, now: Cycle) -> Vec<Departure> {
         let mut departures = Vec::new();
         self.switch_into(now, self.sa_rr, &mut departures);
         self.sa_rr = (self.sa_rr + 1) % (5 * self.vcs);
         departures
     }
 
-    /// [`switch`](Self::switch) into a caller-owned buffer (appended, not
-    /// cleared), visiting input VCs in cyclic (port, vc) order from index
+    /// Switch allocation + traversal: picks at most one flit per output
+    /// port and one per input port, removes the winners from their buffers
+    /// and appends them to `departures` (not cleared) for the network to
+    /// deliver, visiting input VCs in cyclic (port, vc) order from index
     /// `start`. `now` must not decrease between calls.
-    pub fn switch_into(&mut self, now: Cycle, start: usize, departures: &mut Vec<Departure>) {
+    pub(crate) fn switch_into(
+        &mut self,
+        now: Cycle,
+        start: usize,
+        departures: &mut Vec<Departure>,
+    ) {
         if now >= self.next_wake {
             self.wake(now);
         }
@@ -378,7 +381,7 @@ impl Router {
     }
 
     /// True when every buffer is empty and no VC holds state.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.check_masks();
         self.ready | self.waiting | self.routed == 0
     }
@@ -420,7 +423,7 @@ impl Router {
 
     /// An input VC of the local port able to accept a new packet's head
     /// (empty and unclaimed), if any.
-    pub fn free_local_vc(&self) -> Option<usize> {
+    pub(crate) fn free_local_vc(&self) -> Option<usize> {
         let taken = (self.ready | self.waiting | self.routed) >> (LOCAL * self.vcs);
         let free = !taken & self.port_mask();
         (free != 0).then(|| free.trailing_zeros() as usize)

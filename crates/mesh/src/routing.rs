@@ -85,25 +85,10 @@ pub fn xy_route(here: usize, dst: usize, width: usize) -> Port {
 
 /// Number of hops between two nodes under minimal routing (the number of
 /// routers traversed minus one).
-pub fn hop_distance(a: usize, b: usize, width: usize) -> usize {
+pub(crate) fn hop_distance(a: usize, b: usize, width: usize) -> usize {
     let (ax, ay) = coords(a, width);
     let (bx, by) = coords(b, width);
     ax.abs_diff(bx) + ay.abs_diff(by)
-}
-
-/// Mean hop distance over all ordered pairs of distinct nodes of a
-/// `width × height` mesh.
-pub fn mean_hop_distance(width: usize, height: usize) -> f64 {
-    let n = width * height;
-    let mut total = 0usize;
-    for a in 0..n {
-        for b in 0..n {
-            if a != b {
-                total += hop_distance(a, b, width);
-            }
-        }
-    }
-    total as f64 / (n * (n - 1)) as f64
 }
 
 #[cfg(test)]
@@ -172,20 +157,5 @@ mod tests {
                 assert_eq!(hops, hop_distance(src, dst, width));
             }
         }
-    }
-
-    #[test]
-    fn mean_hops_4x4() {
-        // Mean Manhattan distance on a 4×4 mesh is 8/3 ≈ 2.67.
-        let m = mean_hop_distance(4, 4);
-        assert!((m - 8.0 / 3.0).abs() < 1e-9, "mean = {m}");
-    }
-
-    #[test]
-    fn mean_hops_8x8() {
-        // Over distinct ordered pairs: 2·(k²−1)/(3k) · k²/(k²−1) = 2k/3,
-        // so an 8×8 mesh averages 16/3 ≈ 5.33 hops.
-        let m = mean_hop_distance(8, 8);
-        assert!((m - 16.0 / 3.0).abs() < 1e-9, "mean = {m}");
     }
 }

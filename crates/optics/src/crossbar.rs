@@ -29,18 +29,16 @@
 //! ```
 //! use fsoi_optics::crossbar::CrossbarLossModel;
 //! let model = CrossbarLossModel::paper_default();
-//! let small = model.worst_case_loss(16).db();
-//! let large = model.worst_case_loss(256).db();
+//! let small = model.budget(16, 1e-12).worst_case_loss_db;
+//! let large = model.budget(256, 1e-12).worst_case_loss_db;
 //! assert!(large > small + 30.0, "loss climbs steeply with radix");
-//! let budget = model.budget(64, 1e-12);
-//! assert!(budget.port_power_mw > 0.0);
+//! assert!(model.budget(64, 1e-12).port_power_mw > 0.0);
 //! ```
 
 use crate::noise;
 use crate::photodetector::Photodetector;
 use crate::tia::Tia;
 use crate::units::{Loss, Power};
-use crate::OpticsError;
 
 /// Bisection iterations for the receiver-sensitivity solve. 80 halvings
 /// of a 12-decade bracket pin the answer far below f64 noise.
@@ -124,7 +122,7 @@ impl CrossbarLossModel {
     /// # Panics
     ///
     /// Panics if `radix < 2`.
-    pub fn worst_case_loss(&self, radix: usize) -> Loss {
+    pub(crate) fn worst_case_loss(&self, radix: usize) -> Loss {
         assert!(radix >= 2, "a crossbar needs at least two ports");
         let passes = 2 * (radix - 1);
         let db = self.ring_drop_db
@@ -195,34 +193,6 @@ impl CrossbarLossModel {
             data_rate_gbps: self.data_rate_gbps,
         }
     }
-
-    /// [`CrossbarLossModel::budget`], failing when the sized launch power
-    /// exceeds `max_laser_optical_mw` (lasers do not come arbitrarily
-    /// large; the study caps its sweeps the same way).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OpticsError::LinkDoesNotClose`] with the achievable Q at
-    /// the power cap when the worst-case path cannot be closed.
-    pub fn validate(
-        &self,
-        radix: usize,
-        target_ber: f64,
-        max_laser_optical_mw: f64,
-    ) -> Result<CrossbarBudget, OpticsError> {
-        let budget = self.budget(radix, target_ber);
-        if budget.laser_optical_mw > max_laser_optical_mw {
-            // Q scales ∝ received power in the circuit-noise-limited
-            // regime: report the Q achievable at the cap.
-            let achievable =
-                budget.required_q * max_laser_optical_mw / budget.laser_optical_mw.max(1e-300);
-            return Err(OpticsError::LinkDoesNotClose {
-                q_factor: achievable,
-                required: budget.required_q,
-            });
-        }
-        Ok(budget)
-    }
 }
 
 #[cfg(test)]
@@ -261,7 +231,7 @@ mod tests {
         let b = m.budget(64, 1e-12);
         let pd = Photodetector::paper_default();
         let tia = Tia::paper_default();
-        let p1 = Power::from_dbm(b.received_one_dbm);
+        let p1 = Power::from_milliwatts(10f64.powf(b.received_one_dbm / 10.0));
         let p0 = Power::from_milliwatts(p1.to_milliwatts() / m.extinction_ratio);
         let i1 = pd.photocurrent(p1);
         let i0 = pd.photocurrent(p0);
@@ -279,18 +249,6 @@ mod tests {
             "q = {q}, required = {}",
             b.required_q
         );
-    }
-
-    #[test]
-    fn validate_rejects_uncloseable_radix() {
-        let m = CrossbarLossModel::paper_default();
-        // A 20 mW laser closes a small crossbar but not a 256-port one.
-        assert!(m.validate(16, 1e-12, 20.0).is_ok());
-        let err = m.validate(256, 1e-12, 20.0);
-        assert!(matches!(err, Err(OpticsError::LinkDoesNotClose { .. })));
-        if let Err(OpticsError::LinkDoesNotClose { q_factor, required }) = err {
-            assert!(q_factor < required);
-        }
     }
 
     #[test]

@@ -15,14 +15,11 @@ use core::f64::consts::PI;
 /// (the 1/e² intensity radius at the narrowest point) and wavelength.
 ///
 /// ```
-/// use fsoi_optics::gaussian::GaussianBeam;
+/// use fsoi_optics::link::OpticalLink;
 /// use fsoi_optics::units::Length;
 ///
 /// // Beam collimated by the paper's 90 µm transmitter micro-lens.
-/// let beam = GaussianBeam::new(
-///     Length::from_micrometers(45.0),
-///     Length::from_nanometers(980.0),
-/// ).unwrap();
+/// let beam = OpticalLink::paper_default().beam();
 /// // After 2 cm the beam has spread well beyond its waist.
 /// let w = beam.radius_at(Length::from_millimeters(20.0));
 /// assert!(w.to_micrometers() > 100.0);
@@ -40,7 +37,7 @@ impl GaussianBeam {
     ///
     /// Returns [`OpticsError::NonPositive`] if either argument is not
     /// strictly positive.
-    pub fn new(waist_radius: Length, wavelength: Length) -> Result<Self, OpticsError> {
+    pub(crate) fn new(waist_radius: Length, wavelength: Length) -> Result<Self, OpticsError> {
         if waist_radius.as_meters() <= 0.0 {
             return Err(OpticsError::NonPositive {
                 what: "waist radius",
@@ -59,27 +56,12 @@ impl GaussianBeam {
         })
     }
 
-    /// The beam's waist radius.
-    pub fn waist_radius(&self) -> Length {
-        self.waist_radius
-    }
-
-    /// The beam's wavelength.
-    pub fn wavelength(&self) -> Length {
-        self.wavelength
-    }
-
     /// Rayleigh range `z_R = π w₀² / λ`: the distance over which the beam
     /// stays roughly collimated.
-    pub fn rayleigh_range(&self) -> Length {
+    pub(crate) fn rayleigh_range(&self) -> Length {
         let w0 = self.waist_radius.as_meters();
         let lambda = self.wavelength.as_meters();
         Length::from_meters(PI * w0 * w0 / lambda)
-    }
-
-    /// Far-field half-angle divergence `θ = λ / (π w₀)`, in radians.
-    pub fn divergence(&self) -> f64 {
-        self.wavelength.as_meters() / (PI * self.waist_radius.as_meters())
     }
 
     /// Beam radius (1/e² intensity) after propagating distance `z` from the
@@ -107,7 +89,7 @@ impl GaussianBeam {
 
     /// Fraction of power captured by an aperture of radius `a` placed a
     /// distance `z` from the waist.
-    pub fn capture_fraction(&self, z: Length, aperture_radius: Length) -> f64 {
+    pub(crate) fn capture_fraction(&self, z: Length, aperture_radius: Length) -> f64 {
         Self::clip_transmission(self.radius_at(z), aperture_radius)
     }
 }
@@ -143,18 +125,10 @@ mod tests {
     }
 
     #[test]
-    fn divergence_matches_formula() {
-        let b = paper_beam();
-        let theta = b.divergence();
-        assert!((theta - 6.93e-3).abs() < 0.05e-3, "θ = {theta}");
-    }
-
-    #[test]
     fn radius_grows_monotonically() {
         let b = paper_beam();
         assert!(
-            (b.radius_at(Length::from_meters(0.0)).as_meters() - b.waist_radius().as_meters())
-                .abs()
+            (b.radius_at(Length::from_meters(0.0)).as_meters() - b.waist_radius.as_meters()).abs()
                 < 1e-12
         );
         let mut prev = 0.0;
@@ -206,12 +180,5 @@ mod tests {
         );
         let db = -10.0 * t.log10();
         assert!((db - 2.4).abs() < 0.2, "clipping loss = {db} dB");
-    }
-
-    #[test]
-    fn getters() {
-        let b = paper_beam();
-        assert!((b.waist_radius().to_micrometers() - 45.0).abs() < 1e-9);
-        assert!((b.wavelength().as_meters() - 9.8e-7).abs() < 1e-15);
     }
 }

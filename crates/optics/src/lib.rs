@@ -15,7 +15,6 @@
 //! * [`tia`] — transimpedance amplifier bandwidth/gain/noise,
 //! * [`noise`] — shot/thermal noise and the Q-factor ⇄ BER relations,
 //! * [`path`] — composable optical paths (mirrors, lenses, free space),
-//! * [`ook`] — on-off-keying superposition (colliding beams OR together),
 //! * [`link`] — the end-to-end link budget that regenerates **Table 1**,
 //! * [`crossbar`] — worst-case-loss budget of a ring-matrix crossbar (the
 //!   PAPERS.md comparative-study baseline for the design-space grids).
@@ -36,12 +35,10 @@
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // rule P1
 #![warn(missing_debug_implementations)]
 
-pub mod clock;
 pub mod crossbar;
 pub mod gaussian;
 pub mod link;
 pub mod noise;
-pub mod ook;
 pub mod path;
 pub mod photodetector;
 pub mod thermal;

@@ -161,24 +161,14 @@ impl OpticalLink {
         .expect("apertures and wavelengths are validated on construction")
     }
 
-    /// The VCSEL of this link.
-    pub fn vcsel(&self) -> &Vcsel {
-        &self.vcsel
-    }
-
     /// The optical path of this link.
     pub fn path(&self) -> &OpticalPath {
         &self.path
     }
 
-    /// The configured data rate.
-    pub fn data_rate(&self) -> Frequency {
-        self.data_rate
-    }
-
     /// The overall small-signal link bandwidth: root-sum-square combination
     /// of the driver, (equalized) VCSEL, photodetector and TIA poles.
-    pub fn link_bandwidth(&self) -> Frequency {
+    pub(crate) fn link_bandwidth(&self) -> Frequency {
         let stages = [
             self.driver_bandwidth.as_hz(),
             self.vcsel.modulation_bandwidth(DRIVER_PEAKING).as_hz(),
@@ -193,7 +183,7 @@ impl OpticalLink {
 
     /// Laser-driver power: static CML analog power scaling with the driver
     /// bandwidth, plus dynamic switching of the VCSEL + driver load.
-    pub fn driver_power(&self) -> Power {
+    pub(crate) fn driver_power(&self) -> Power {
         let static_mw = CML_MILLIWATTS_PER_GHZ_45NM * self.driver_bandwidth.to_ghz();
         let c_load = self.vcsel.parasitic_capacitance().as_farads() + DRIVER_SELF_CAPACITANCE;
         let v = self.supply.as_volts();
@@ -461,12 +451,54 @@ mod tests {
     }
 
     #[test]
-    fn accessors() {
+    fn link_bandwidth_carries_40_gbps() {
         let link = OpticalLink::paper_default();
-        assert!((link.data_rate().to_ghz() - 40.0).abs() < 1e-9);
-        assert!((link.beam().waist_radius().to_micrometers() - 45.0).abs() < 1e-9);
-        assert!((link.vcsel().extinction_ratio() - 11.0).abs() < 1e-9);
-        assert!((link.path().length().as_meters() - 0.02).abs() < 1e-12);
         assert!(link.link_bandwidth().to_ghz() > 14.0);
+    }
+
+    #[test]
+    fn colliding_ook_beams_read_as_or() {
+        // Colliding beams add their light at the receiver (§4.3.2). With
+        // the paper VCSEL's 11:1 extinction ratio and a decision threshold
+        // midway between the received one and zero levels, one sender's
+        // one still clears the threshold on top of the others' zeros, and
+        // all-zero light stays below it: the received word is the OR of
+        // the sent words for small collision multiplicities. Enough zero
+        // light from many senders crosses the threshold, so the OR model
+        // (and the paper's design) assumes few senders per receiver.
+        let link = OpticalLink::paper_default();
+        let loss = link.path.total_loss(&link.beam());
+        let one = link.vcsel.one_level_power().attenuate(loss).as_watts();
+        let zero = link.vcsel.zero_level_power().attenuate(loss).as_watts();
+        let threshold = (one + zero) / 2.0;
+        let reads_as_or = |senders: usize| {
+            let single_one = one + (senders - 1) as f64 * zero;
+            let all_zero = senders as f64 * zero;
+            single_one >= threshold && all_zero < threshold
+        };
+        assert!(reads_as_or(2));
+        assert!(reads_as_or(3));
+        assert!(!reads_as_or(7));
+    }
+
+    #[test]
+    fn optical_clock_uncertainty_fits_the_bit() {
+        // Footnote 2: the chip is synchronous through optical clock
+        // distribution, so slot boundaries align chip-wide only if the
+        // clock uncertainty between two nodes is a small fraction of the
+        // optical bit. A path-matched H-tree with ±30 µm arm mismatch at
+        // group index 1.5 skews two leaves by 2 × 30 µm × 1.5 / c ≈ 0.3 ps;
+        // each leaf's receive chain adds 0.4 ps RMS jitter, √2 × that
+        // between two leaves, budgeted at ±3σ.
+        let link = OpticalLink::paper_default();
+        let bit_ps = 1e12 / link.data_rate.as_hz();
+        let skew_ps = 2.0 * 30e-6 * 1.5 / crate::units::SPEED_OF_LIGHT * 1e12;
+        let uncertainty_ps = skew_ps + 3.0 * 0.4 * std::f64::consts::SQRT_2;
+        assert!((0.2..0.4).contains(&skew_ps), "skew = {skew_ps} ps");
+        assert!(
+            uncertainty_ps < 0.1 * bit_ps,
+            "uncertainty is {:.1}% of a bit",
+            100.0 * uncertainty_ps / bit_ps
+        );
     }
 }

@@ -10,7 +10,7 @@ use crate::units::{Current, Frequency, ELEMENTARY_CHARGE};
 
 /// Root-mean-square shot noise current on average current `i` over
 /// bandwidth `bw`: `σ = √(2 q I B)`.
-pub fn shot_noise_rms(i: Current, bw: Frequency) -> Current {
+pub(crate) fn shot_noise_rms(i: Current, bw: Frequency) -> Current {
     let var = 2.0 * ELEMENTARY_CHARGE * i.as_amps().max(0.0) * bw.as_hz();
     Current::from_amps(var.sqrt())
 }
@@ -18,12 +18,12 @@ pub fn shot_noise_rms(i: Current, bw: Frequency) -> Current {
 /// RMS input-referred circuit (thermal + TIA) noise for a white
 /// input-noise current density `density_a_per_rthz` (A/√Hz) over
 /// bandwidth `bw`.
-pub fn circuit_noise_rms(density_a_per_rthz: f64, bw: Frequency) -> Current {
+pub(crate) fn circuit_noise_rms(density_a_per_rthz: f64, bw: Frequency) -> Current {
     Current::from_amps(density_a_per_rthz * bw.as_hz().sqrt())
 }
 
 /// Combines independent noise contributions by root-sum-square.
-pub fn combine_rms(contributions: &[Current]) -> Current {
+pub(crate) fn combine_rms(contributions: &[Current]) -> Current {
     let var: f64 = contributions.iter().map(|c| c.as_amps().powi(2)).sum();
     Current::from_amps(var.sqrt())
 }
@@ -31,7 +31,7 @@ pub fn combine_rms(contributions: &[Current]) -> Current {
 /// The complementary error function, accurate to a relative error of about
 /// `1.2 × 10⁻⁷` everywhere (Numerical Recipes' Chebyshev fit), which is
 /// ample for BER work down to 10⁻¹⁵.
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     let z = x.abs();
     let t = 1.0 / (1.0 + 0.5 * z);
     let ans = t
@@ -52,11 +52,11 @@ pub fn erfc(x: f64) -> f64 {
 }
 
 /// OOK bit error rate for a given Q-factor: `BER = ½ erfc(Q/√2)`.
-pub fn q_to_ber(q: f64) -> f64 {
+pub(crate) fn q_to_ber(q: f64) -> f64 {
     0.5 * erfc(q / core::f64::consts::SQRT_2)
 }
 
-/// Inverse of [`q_to_ber`]: the Q-factor required for a target BER,
+/// Inverse of `q_to_ber`: the Q-factor required for a target BER,
 /// computed by bisection.
 ///
 /// # Panics
@@ -80,7 +80,7 @@ pub fn ber_to_q(ber: f64) -> f64 {
 ///
 /// Returns 0.0 if the eye is closed (`i1 <= i0`) or the noise is zero on
 /// both rails (degenerate but defined).
-pub fn q_factor(i1: Current, i0: Current, sigma1: Current, sigma0: Current) -> f64 {
+pub(crate) fn q_factor(i1: Current, i0: Current, sigma1: Current, sigma0: Current) -> f64 {
     let eye = i1.as_amps() - i0.as_amps();
     let noise = sigma1.as_amps() + sigma0.as_amps();
     if eye <= 0.0 {

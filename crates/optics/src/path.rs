@@ -96,7 +96,7 @@ impl OpticalPath {
     /// radius). Anti-reflection-coated surfaces transmit 99.5 %; gold
     /// micro-mirrors reflect 98 %; the double GaAs substrate pass absorbs
     /// 0.1 dB total.
-    pub fn paper_diagonal() -> Self {
+    pub(crate) fn paper_diagonal() -> Self {
         #[expect(
             clippy::expect_used,
             reason = "P1: the paper's 95 um aperture is a positive constant"
@@ -125,7 +125,7 @@ impl OpticalPath {
     }
 
     /// Total geometric flight length of the path.
-    pub fn length(&self) -> Length {
+    pub(crate) fn length(&self) -> Length {
         let total = self
             .elements
             .iter()
@@ -161,25 +161,15 @@ impl OpticalPath {
     }
 
     /// Total path loss for `beam`: surface losses plus diffraction loss.
-    pub fn total_loss(&self, beam: &GaussianBeam) -> Loss {
+    pub(crate) fn total_loss(&self, beam: &GaussianBeam) -> Loss {
         self.surface_loss() + self.clipping_loss(beam)
     }
 
     /// Speed-of-light propagation delay over the path, in picoseconds.
     /// (The paper notes path-length differences of up to tens of
     /// picoseconds between node pairs, compensated by serializer padding.)
-    pub fn propagation_delay_ps(&self) -> f64 {
+    pub(crate) fn propagation_delay_ps(&self) -> f64 {
         self.length().as_meters() / crate::units::SPEED_OF_LIGHT * 1e12
-    }
-
-    /// The receiving aperture radius.
-    pub fn receiver_aperture_radius(&self) -> Length {
-        self.receiver_aperture_radius
-    }
-
-    /// The elements of the path, in order.
-    pub fn elements(&self) -> &[PathElement] {
-        &self.elements
     }
 }
 
@@ -231,7 +221,7 @@ mod tests {
         // everything.
         let c = p.clipping_loss(&paper_beam()).db();
         assert!(c < 0.01, "clip = {c}");
-        assert_eq!(p.elements().len(), 0);
+        assert!(p.elements.is_empty());
     }
 
     #[test]

@@ -25,7 +25,7 @@ impl Photodetector {
     ///
     /// Returns [`OpticsError::NonPositive`] for a non-positive responsivity
     /// or capacitance.
-    pub fn new(
+    pub(crate) fn new(
         responsivity_a_per_w: f64,
         capacitance: Capacitance,
         dark_current: Current,
@@ -63,24 +63,9 @@ impl Photodetector {
         .expect("paper defaults are valid")
     }
 
-    /// Responsivity in A/W.
-    pub fn responsivity(&self) -> f64 {
-        self.responsivity_a_per_w
-    }
-
-    /// Junction capacitance.
-    pub fn capacitance(&self) -> Capacitance {
-        self.capacitance
-    }
-
-    /// Dark current.
-    pub fn dark_current(&self) -> Current {
-        self.dark_current
-    }
-
     /// Photocurrent generated by incident optical power (including dark
     /// current).
-    pub fn photocurrent(&self, incident: Power) -> Current {
+    pub(crate) fn photocurrent(&self, incident: Power) -> Current {
         Current::from_amps(
             self.responsivity_a_per_w * incident.as_watts() + self.dark_current.as_amps(),
         )
@@ -88,22 +73,15 @@ impl Photodetector {
 
     /// RC-limited bandwidth into a front-end with the given input
     /// resistance.
-    pub fn bandwidth_into(&self, input_resistance: Resistance) -> Frequency {
+    pub(crate) fn bandwidth_into(&self, input_resistance: Resistance) -> Frequency {
         let rc = input_resistance.as_ohms() * self.capacitance.as_farads();
         Frequency::from_hz(1.0 / (2.0 * PI * rc))
-    }
-
-    /// Quantum efficiency at the given wavelength: `η = R · hc / (λ q)`.
-    pub fn quantum_efficiency(&self, wavelength: crate::units::Length) -> f64 {
-        let photon_e = crate::units::photon_energy(wavelength);
-        self.responsivity_a_per_w * photon_e / crate::units::ELEMENTARY_CHARGE
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::Length;
 
     #[test]
     fn photocurrent_linear_in_power() {
@@ -131,14 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn quantum_efficiency_at_980nm() {
-        let pd = Photodetector::paper_default();
-        // η = 0.5 A/W × 1.265 eV ≈ 0.63.
-        let eta = pd.quantum_efficiency(Length::from_nanometers(980.0));
-        assert!((eta - 0.63).abs() < 0.01, "η = {eta}");
-    }
-
-    #[test]
     fn validation() {
         assert!(Photodetector::new(
             0.0,
@@ -150,13 +120,5 @@ mod tests {
             Photodetector::new(0.5, Capacitance::from_farads(0.0), Current::from_amps(0.0))
                 .is_err()
         );
-    }
-
-    #[test]
-    fn getters() {
-        let pd = Photodetector::paper_default();
-        assert!((pd.responsivity() - 0.5).abs() < 1e-12);
-        assert!((pd.capacitance().to_femtofarads() - 100.0).abs() < 1e-9);
-        assert!((pd.dark_current().as_amps() - 1e-8).abs() < 1e-15);
     }
 }

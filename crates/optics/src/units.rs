@@ -10,21 +10,22 @@ use core::fmt;
 use core::ops::{Add, Div, Mul, Sub};
 
 macro_rules! quantity {
-    ($(#[$meta:meta])* $name:ident, $unit:literal, $ctor:ident, $getter:ident) => {
+    ($(#[$meta:meta])* $vis:vis $name:ident, $unit:literal,
+     $ctor_vis:vis $ctor:ident, $getter_vis:vis $getter:ident) => {
         $(#[$meta])*
         #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-        pub struct $name(f64);
+        $vis struct $name(f64);
 
         impl $name {
             #[doc = concat!("Creates a value in ", $unit, ".")]
             #[inline]
-            pub fn $ctor(v: f64) -> Self {
+            $ctor_vis fn $ctor(v: f64) -> Self {
                 $name(v)
             }
 
             #[doc = concat!("Returns the value in ", $unit, ".")]
             #[inline]
-            pub fn $getter(self) -> f64 {
+            $getter_vis fn $getter(self) -> f64 {
                 self.0
             }
         }
@@ -79,65 +80,55 @@ macro_rules! quantity {
 
 quantity!(
     /// Optical or electrical power in watts.
-    Power, "W", from_watts, as_watts
+    pub Power, "W", pub from_watts, pub as_watts
 );
 quantity!(
     /// A physical length in metres.
-    Length, "m", from_meters, as_meters
+    pub Length, "m", pub(crate) from_meters, pub(crate) as_meters
 );
 quantity!(
     /// Electrical current in amperes.
-    Current, "A", from_amps, as_amps
+    pub(crate) Current, "A", pub(crate) from_amps, pub(crate) as_amps
 );
 quantity!(
     /// Electrical potential in volts.
-    Voltage, "V", from_volts, as_volts
+    pub(crate) Voltage, "V", pub(crate) from_volts, pub(crate) as_volts
 );
 quantity!(
     /// Frequency or bandwidth in hertz.
-    Frequency, "Hz", from_hz, as_hz
+    pub Frequency, "Hz", pub(crate) from_hz, pub(crate) as_hz
 );
 quantity!(
     /// Capacitance in farads.
-    Capacitance, "F", from_farads, as_farads
+    pub(crate) Capacitance, "F", pub(crate) from_farads, pub(crate) as_farads
 );
 quantity!(
     /// Resistance in ohms.
-    Resistance, "Ω", from_ohms, as_ohms
-);
-quantity!(
-    /// A time interval in seconds.
-    TimeSpan, "s", from_seconds, as_seconds
+    pub(crate) Resistance, "Ω", pub(crate) from_ohms, pub(crate) as_ohms
 );
 
 impl Power {
     /// Creates a power from milliwatts.
     #[inline]
-    pub fn from_milliwatts(mw: f64) -> Self {
+    pub(crate) fn from_milliwatts(mw: f64) -> Self {
         Power::from_watts(mw * 1e-3)
     }
 
     /// The power in milliwatts.
     #[inline]
-    pub fn to_milliwatts(self) -> f64 {
+    pub(crate) fn to_milliwatts(self) -> f64 {
         self.as_watts() * 1e3
-    }
-
-    /// Creates a power from a dBm value (`0 dBm` = 1 mW).
-    #[inline]
-    pub fn from_dbm(dbm: f64) -> Self {
-        Power::from_watts(1e-3 * 10f64.powf(dbm / 10.0))
     }
 
     /// The power in dBm. Returns `-inf` for zero power.
     #[inline]
-    pub fn to_dbm(self) -> f64 {
+    pub(crate) fn to_dbm(self) -> f64 {
         10.0 * (self.as_watts() / 1e-3).log10()
     }
 
     /// Attenuates this power by `loss`.
     #[inline]
-    pub fn attenuate(self, loss: Loss) -> Power {
+    pub(crate) fn attenuate(self, loss: Loss) -> Power {
         Power::from_watts(self.as_watts() * loss.transmittance())
     }
 }
@@ -171,19 +162,13 @@ impl Length {
 impl Current {
     /// Creates a current from milliamperes.
     #[inline]
-    pub fn from_milliamps(ma: f64) -> Self {
+    pub(crate) fn from_milliamps(ma: f64) -> Self {
         Current::from_amps(ma * 1e-3)
-    }
-
-    /// The current in milliamperes.
-    #[inline]
-    pub fn to_milliamps(self) -> f64 {
-        self.as_amps() * 1e3
     }
 
     /// The current in microamperes.
     #[inline]
-    pub fn to_microamps(self) -> f64 {
+    pub(crate) fn to_microamps(self) -> f64 {
         self.as_amps() * 1e6
     }
 }
@@ -197,59 +182,31 @@ impl Frequency {
 
     /// The frequency in gigahertz.
     #[inline]
-    pub fn to_ghz(self) -> f64 {
+    pub(crate) fn to_ghz(self) -> f64 {
         self.as_hz() * 1e-9
-    }
-}
-
-impl TimeSpan {
-    /// Creates a time span from picoseconds.
-    #[inline]
-    pub fn from_picoseconds(ps: f64) -> Self {
-        TimeSpan::from_seconds(ps * 1e-12)
-    }
-
-    /// The time span in picoseconds.
-    #[inline]
-    pub fn to_picoseconds(self) -> f64 {
-        self.as_seconds() * 1e12
     }
 }
 
 impl Capacitance {
     /// Creates a capacitance from femtofarads.
     #[inline]
-    pub fn from_femtofarads(ff: f64) -> Self {
+    pub(crate) fn from_femtofarads(ff: f64) -> Self {
         Capacitance::from_farads(ff * 1e-15)
-    }
-
-    /// The capacitance in femtofarads.
-    #[inline]
-    pub fn to_femtofarads(self) -> f64 {
-        self.as_farads() * 1e15
     }
 }
 
 /// An optical attenuation expressed in decibels of *loss* (positive =
 /// attenuating).
-///
-/// ```
-/// use fsoi_optics::units::Loss;
-/// let l = Loss::from_db(3.0103);
-/// assert!((l.transmittance() - 0.5).abs() < 1e-4);
-/// let combined = l + Loss::from_db(3.0103);
-/// assert!((combined.db() - 6.0206).abs() < 1e-4);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Loss(f64);
 
 impl Loss {
     /// No attenuation.
-    pub const NONE: Loss = Loss(0.0);
+    pub(crate) const NONE: Loss = Loss(0.0);
 
     /// Creates a loss from decibels (positive attenuates).
     #[inline]
-    pub fn from_db(db: f64) -> Self {
+    pub(crate) fn from_db(db: f64) -> Self {
         Loss(db)
     }
 
@@ -259,7 +216,7 @@ impl Loss {
     ///
     /// Panics if `t` is not in `(0, 1]`.
     #[inline]
-    pub fn from_transmittance(t: f64) -> Self {
+    pub(crate) fn from_transmittance(t: f64) -> Self {
         assert!(t > 0.0 && t <= 1.0, "transmittance must be in (0, 1]");
         Loss(-10.0 * t.log10())
     }
@@ -272,7 +229,7 @@ impl Loss {
 
     /// The equivalent power transmittance.
     #[inline]
-    pub fn transmittance(self) -> f64 {
+    pub(crate) fn transmittance(self) -> f64 {
         10f64.powf(-self.0 / 10.0)
     }
 }
@@ -291,40 +248,18 @@ impl fmt::Display for Loss {
     }
 }
 
-/// Boltzmann constant (J/K).
-pub const BOLTZMANN: f64 = 1.380_649e-23;
 /// Elementary charge (C).
-pub const ELEMENTARY_CHARGE: f64 = 1.602_176_634e-19;
+pub(crate) const ELEMENTARY_CHARGE: f64 = 1.602_176_634e-19;
 /// Speed of light in vacuum (m/s).
-pub const SPEED_OF_LIGHT: f64 = 2.997_924_58e8;
-/// Planck constant (J·s).
-pub const PLANCK: f64 = 6.626_070_15e-34;
-
-/// Photon energy at the given wavelength, in joules.
-///
-/// ```
-/// use fsoi_optics::units::{photon_energy, Length};
-/// let e = photon_energy(Length::from_nanometers(980.0));
-/// assert!((e - 2.0e-19).abs() < 0.1e-19); // ~1.27 eV
-/// ```
-///
-/// # Panics
-///
-/// Panics if the wavelength is not positive.
-pub fn photon_energy(wavelength: Length) -> f64 {
-    let lambda = wavelength.as_meters();
-    assert!(lambda > 0.0, "wavelength must be positive");
-    PLANCK * SPEED_OF_LIGHT / lambda
-}
+pub(crate) const SPEED_OF_LIGHT: f64 = 2.997_924_58e8;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn power_dbm_roundtrip() {
-        let p = Power::from_dbm(-10.0);
-        assert!((p.to_milliwatts() - 0.1).abs() < 1e-9);
+    fn power_dbm() {
+        let p = Power::from_milliwatts(0.1);
         assert!((p.to_dbm() + 10.0).abs() < 1e-9);
         assert!((Power::from_milliwatts(1.0).to_dbm()).abs() < 1e-9);
     }
@@ -353,11 +288,8 @@ mod tests {
     }
 
     #[test]
-    fn timespan_capacitance() {
-        assert!((TimeSpan::from_picoseconds(1.7).as_seconds() - 1.7e-12).abs() < 1e-20);
-        assert!((TimeSpan::from_seconds(1e-12).to_picoseconds() - 1.0).abs() < 1e-9);
+    fn capacitance() {
         assert!((Capacitance::from_femtofarads(90.0).as_farads() - 9e-14).abs() < 1e-20);
-        assert!((Capacitance::from_farads(1e-13).to_femtofarads() - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -391,15 +323,5 @@ mod tests {
     fn displays() {
         assert!(Power::from_watts(1.0).to_string().contains('W'));
         assert!(Loss::from_db(2.6).to_string().contains("dB"));
-    }
-
-    #[test]
-    fn photon_energy_980nm() {
-        let e = photon_energy(Length::from_nanometers(980.0));
-        let ev = e / ELEMENTARY_CHARGE;
-        assert!(
-            (ev - 1.265).abs() < 0.01,
-            "980 nm photon is ~1.265 eV, got {ev}"
-        );
     }
 }

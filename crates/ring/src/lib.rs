@@ -37,11 +37,14 @@
 //! two differ in, and driven through the workspace's one network
 //! interface, [`Interconnect`](fsoi_sim::packet::Interconnect). A further
 //! destination-channel topology is one more [`ChannelConfig`] constructor.
+//!
+//! [`ChannelConfig`]: network::ChannelConfig
+//! [`ChannelConfig::ring`]: network::ChannelConfig::ring
+//! [`ChannelConfig::crossbar`]: network::ChannelConfig::crossbar
+//! [`ChannelNetwork`]: network::ChannelNetwork
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // rule P1
 #![warn(missing_debug_implementations)]
 
 pub mod network;
-
-pub use network::{ChannelConfig, ChannelNetwork};

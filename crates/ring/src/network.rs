@@ -286,15 +286,10 @@ impl ChannelNetwork {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &ChannelConfig {
-        &self.cfg
-    }
-
     /// Static optical power of the whole crossbar (Corona: ring tuning +
     /// modulators; matrix: every port's worst-case-sized laser plus
     /// receiver), watts.
-    pub fn static_power_w(&self) -> f64 {
+    pub(crate) fn static_power_w(&self) -> f64 {
         self.cfg.channel_static_w * self.cfg.nodes as f64
     }
 

@@ -7,8 +7,8 @@
 //! iteration order (and anything derived from it, like eviction-victim
 //! tie-breaks or export ordering) changes run to run.
 //!
-//! [`DetMap`] and [`DetSet`] are the sanctioned replacements: the names
-//! simulation code uses for `BTreeMap`/`BTreeSet`, which guarantee
+//! [`DetMap`] (the name simulation code uses for `BTreeMap`), `BTreeSet`
+//! and [`NodeMask`] are the sanctioned replacements, which guarantee
 //!
 //! * iteration in strict ascending key order, identical in every process,
 //! * no dependence on OS entropy, ASLR, or hasher state,
@@ -22,36 +22,28 @@
 //! here.
 //!
 //! ```
-//! use fsoi_sim::det::{DetMap, DetSet};
+//! use fsoi_sim::det::DetMap;
 //! let mut m: DetMap<u64, &str> = DetMap::new();
 //! m.insert(3, "c");
 //! m.insert(1, "a");
 //! let keys: Vec<u64> = m.keys().copied().collect();
 //! assert_eq!(keys, vec![1, 3], "iteration order is the key order");
-//!
-//! let mut s: DetSet<u64> = DetSet::new();
-//! s.insert(9);
-//! s.insert(4);
-//! assert_eq!(s.iter().copied().collect::<Vec<_>>(), vec![4, 9]);
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A deterministic map: `BTreeMap` under the name lint rule D1 points to.
 pub type DetMap<K, V> = BTreeMap<K, V>;
 
-/// A deterministic set: `BTreeSet` under the name lint rule D1 points to.
-pub type DetSet<T> = BTreeSet<T>;
-
 /// A deterministic set of small indices (node ids) backed by a fixed
 /// array of `u64` words.
 ///
-/// The hot-path replacement for `DetSet<NodeId>` where the universe is
+/// The hot-path replacement for a `BTreeSet<NodeId>` where the universe is
 /// bounded by the node count (≤ [`NodeMask::CAPACITY`]): membership is one
 /// shift-and-mask into the owning word, and iteration walks set bits in
 /// strictly ascending index order — low word first, LSB first within each
-/// word, the same order a `DetSet` would produce — so swapping one for the
-/// other cannot perturb any export. Like its siblings above, it depends on
+/// word, the same order a `BTreeSet` would produce — so swapping one for the
+/// other cannot perturb any export. Like [`DetMap`], it depends on
 /// nothing but its own bits: no hasher, no OS entropy (lint rule D1).
 ///
 /// The mask started life as a single `u128`; the word array exists so the
@@ -246,7 +238,7 @@ mod tests {
     #[test]
     fn node_mask_matches_det_set_semantics() {
         let mut mask = NodeMask::new();
-        let mut set: DetSet<usize> = DetSet::new();
+        let mut set = std::collections::BTreeSet::new();
         for i in [5usize, 1, 127, 5, 64, 0] {
             assert_eq!(mask.insert(i), set.insert(i), "insert({i})");
         }

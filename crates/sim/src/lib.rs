@@ -11,9 +11,9 @@
 //! * [`event::EventQueue`] — a stable (FIFO within a cycle) time-ordered
 //!   event queue, and two specialisations with its exact pop order
 //!   ([`event::CalendarQueue`], [`event::MonotoneQueue`]),
-//! * [`det::DetMap`] / [`det::DetSet`] — order-deterministic associative
-//!   containers (the names simulation code uses for `BTreeMap`/`BTreeSet`
-//!   in place of `HashMap`/`HashSet`, enforced by lint rule D1),
+//! * [`det::DetMap`] / [`det::NodeMask`] — order-deterministic containers
+//!   (the name simulation code uses for `BTreeMap`, and a bit set of node
+//!   ids, in place of `HashMap`/`HashSet`, enforced by lint rule D1),
 //! * [`stats`] — the exact reply-latency histogram (integer bin counts and
 //!   sum) and the geometric mean,
 //! * [`metrics::Registry`] — the deterministic observability plane's one
@@ -94,12 +94,6 @@ impl Cycle {
         self.0.saturating_sub(other.0)
     }
 
-    /// Checked subtraction; `None` if `other` is in the future of `self`.
-    #[inline]
-    pub fn checked_sub(self, other: Cycle) -> Option<u64> {
-        self.0.checked_sub(other.0)
-    }
-
     /// Rounds this timestamp *up* to the next multiple of `slot` cycles.
     ///
     /// Used for slotted transmission: a packet that becomes ready inside a
@@ -177,11 +171,9 @@ mod tests {
     }
 
     #[test]
-    fn cycle_saturating_and_checked() {
+    fn cycle_saturating_sub() {
         assert_eq!(Cycle(3).saturating_sub(Cycle(5)), 0);
         assert_eq!(Cycle(5).saturating_sub(Cycle(3)), 2);
-        assert_eq!(Cycle(3).checked_sub(Cycle(5)), None);
-        assert_eq!(Cycle(5).checked_sub(Cycle(3)), Some(2));
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub enum Metric {
 
 impl Metric {
     /// The metric's type name as exported (`counter`, `gauge`, …).
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             Metric::Counter(_) => "counter",
             Metric::Gauge(_) => "gauge",
@@ -362,7 +362,7 @@ impl Registry {
     /// Decodes [`Registry::to_wire`] text. `None` on anything else — an
     /// unknown kind, a key that is not in canonical form or holds a
     /// reserved character, a malformed number, a short or long token list,
-    /// a histogram [`Histogram::from_raw`] rejects, a key seen twice — so
+    /// a histogram `Histogram::from_raw` rejects, a key seen twice — so
     /// a reader of stored text fails closed instead of trusting damage.
     pub fn from_wire(text: &str) -> Option<Registry> {
         let mut reg = Registry::new();

@@ -19,8 +19,6 @@
 /// for v in [1, 2, 30] { h.record(v); }
 /// assert_eq!((h.count(), h.sum(), h.overflow()), (3, 33, 1));
 /// assert_eq!(h.mean(), 11.0);
-/// assert_eq!(h.percentile(0.5), Some(9));
-/// assert_eq!(h.percentile(0.99), None, "in the overflow bin");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
@@ -103,7 +101,7 @@ impl Histogram {
     }
 
     /// The count in bin `idx` (bins are `[idx*w, (idx+1)*w)`).
-    pub fn bin(&self, idx: usize) -> u64 {
+    pub(crate) fn bin(&self, idx: usize) -> u64 {
         self.bins.get(idx).copied().unwrap_or(0)
     }
 
@@ -136,7 +134,7 @@ impl Histogram {
     /// bin at which at least `q` (in `[0,1]`) of the mass lies at or below
     /// it. `None` when the quantile falls in the overflow bin; `Some(0)` when
     /// the histogram is empty.
-    pub fn percentile(&self, q: f64) -> Option<u64> {
+    pub(crate) fn percentile(&self, q: f64) -> Option<u64> {
         let n = self.count();
         if n == 0 {
             return Some(0);
@@ -158,7 +156,12 @@ impl Histogram {
     /// unless that state is one [`Histogram::new`] and
     /// [`Histogram::record`] could build: a zero `bin_width`, no bins, a
     /// count that overflows `u64` or a nonzero `sum` over no observations.
-    pub fn from_raw(bin_width: u64, bins: Vec<u64>, overflow: u64, sum: u64) -> Option<Self> {
+    pub(crate) fn from_raw(
+        bin_width: u64,
+        bins: Vec<u64>,
+        overflow: u64,
+        sum: u64,
+    ) -> Option<Self> {
         let count = bins
             .iter()
             .try_fold(overflow, |acc, &c| acc.checked_add(c))?;

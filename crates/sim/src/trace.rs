@@ -8,7 +8,7 @@
 //! * [`TraceEvent`] / [`TraceRecord`] — one cycle-stamped record per
 //!   lifecycle step, keyed by packet id where one exists, serializable to
 //!   (and parseable from) single-line JSON,
-//! * [`FlightRecorder`] — a bounded ring buffer keeping the last `N`
+//! * `FlightRecorder` — a bounded ring buffer keeping the last `N`
 //!   records,
 //! * a **thread-local recorder** written through [`emit`] / [`emit_with`],
 //!   dumped as JSON lines whenever a panic (failed invariant, debug
@@ -43,7 +43,7 @@ use std::sync::Once;
 use crate::Cycle;
 
 /// The thread-local flight recorder's capacity (records).
-pub const DEFAULT_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_CAPACITY: usize = 256;
 
 /// A type an event field can have: how it is written into and read back
 /// from a dump line, and whether it is a number.
@@ -285,7 +285,7 @@ trace_events! {
 
 impl TraceEvent {
     /// The packet id this event belongs to, for lifecycle variants.
-    pub fn packet_id(&self) -> Option<u64> {
+    pub(crate) fn packet_id(&self) -> Option<u64> {
         self.num("packet")
     }
 
@@ -332,7 +332,7 @@ impl TraceRecord {
     }
 
     /// Appends the JSON line for this record to `out`.
-    pub fn write_jsonl(&self, out: &mut String) {
+    pub(crate) fn write_jsonl(&self, out: &mut String) {
         let _ = write!(
             out,
             "{{\"cycle\":{},\"event\":\"{}\"",
@@ -431,7 +431,7 @@ fn take_json_str(s: &str) -> Option<(String, &str)> {
 /// default per-thread sink — cheap enough to leave on for entire runs, yet
 /// it holds exactly the context a post-mortem needs.
 #[derive(Debug, Clone)]
-pub struct FlightRecorder {
+pub(crate) struct FlightRecorder {
     cap: usize,
     buf: Vec<TraceRecord>,
     head: usize,
@@ -440,7 +440,7 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// Creates a recorder keeping the last `cap` records (minimum 1).
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         FlightRecorder {
             cap: cap.max(1),
             buf: Vec::new(),
@@ -449,28 +449,13 @@ impl FlightRecorder {
         }
     }
 
-    /// Number of records currently retained.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Total records ever offered, including overwritten ones.
-    pub fn total_recorded(&self) -> u64 {
+    pub(crate) fn total_recorded(&self) -> u64 {
         self.total
     }
 
     /// Accepts one record, overwriting the oldest when full.
-    pub fn record(&mut self, record: TraceRecord) {
+    pub(crate) fn record(&mut self, record: TraceRecord) {
         self.total += 1;
         if self.buf.len() < self.cap {
             self.buf.push(record);
@@ -481,14 +466,14 @@ impl FlightRecorder {
     }
 
     /// Drops all retained records (the capacity is kept).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.buf.clear();
         self.head = 0;
         self.total = 0;
     }
 
     /// The retained records, oldest first.
-    pub fn events(&self) -> Vec<TraceRecord> {
+    pub(crate) fn events(&self) -> Vec<TraceRecord> {
         let mut out = Vec::with_capacity(self.buf.len());
         out.extend_from_slice(&self.buf[self.head..]);
         out.extend_from_slice(&self.buf[..self.head]);
@@ -496,7 +481,7 @@ impl FlightRecorder {
     }
 
     /// Serializes the retained records as JSON lines, oldest first.
-    pub fn dump_jsonl(&self) -> String {
+    pub(crate) fn dump_jsonl(&self) -> String {
         jsonl_lines(&self.events())
     }
 }
@@ -528,7 +513,7 @@ fn default_enabled() -> bool {
 /// Resolved once per thread from `FSOI_TRACE` (default: on wherever
 /// tracing is compiled in); override with [`set_enabled`].
 #[inline]
-pub fn on() -> bool {
+pub(crate) fn on() -> bool {
     if !compiled() {
         return false;
     }
@@ -855,14 +840,14 @@ mod tests {
                 event: TraceEvent::Hint { dst: i, winner: 0 },
             });
         }
-        assert_eq!(fr.len(), 4);
+        assert_eq!(fr.buf.len(), 4);
         assert_eq!(fr.total_recorded(), 10);
         let cycles: Vec<u64> = fr.events().iter().map(|r| r.cycle).collect();
         assert_eq!(cycles, vec![6, 7, 8, 9]);
         let dump = fr.dump_jsonl();
         assert_eq!(dump.lines().count(), 4);
         fr.clear();
-        assert!(fr.is_empty());
+        assert!(fr.buf.is_empty());
         assert_eq!(fr.total_recorded(), 0);
     }
 

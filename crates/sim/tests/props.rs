@@ -308,6 +308,7 @@ fn registry_wire_round_trips_bit_exact() {
             assert_eq!(back.to_wire(), wire);
             assert_eq!(back.to_jsonl(), reg.to_jsonl());
             assert_eq!(back.len(), reg.len());
+            assert_eq!(back.is_empty(), reg.is_empty());
         },
     );
 }
