@@ -29,9 +29,8 @@ mod tests {
         net.inject(p).unwrap();
         for _ in 0..2_000 {
             net.tick();
-            let out = net.drain();
-            if !out.is_empty() {
-                return out[0];
+            if let Some(d) = net.drain().next() {
+                return d;
             }
         }
         panic!("packet never delivered on {}", net.name());
@@ -63,6 +62,73 @@ mod tests {
             assert_eq!(d.packet.tag, 42);
             assert!(d.latency > 0);
             assert!(net.is_idle());
+        }
+    }
+
+    #[test]
+    fn every_network_keeps_the_drain_contract() {
+        // A meta and a data packet from every node to its neighbour, all
+        // injected at cycle 0: every network delivers several in one cycle.
+        let burst: Vec<NetPacket> = (0..16)
+            .flat_map(|src| {
+                PacketClass::ALL.map(|class| {
+                    NetPacket::new(src, (src + 1) % 16, class, (2 * src + class.lane()) as u64)
+                })
+            })
+            .collect();
+        let loaded = || {
+            every_network().into_iter().map(|mut net| {
+                for &p in &burst {
+                    net.inject(p).unwrap();
+                }
+                net
+            })
+        };
+        // Three copies of each network see the same traffic: one drained
+        // every cycle, one every seventh cycle, one whose drain is dropped
+        // after half its items.
+        for ((mut each, mut sparse), mut halved) in loaded().zip(loaded()).zip(loaded()) {
+            let name = each.name();
+            let (mut stream, mut batched) = (Vec::new(), Vec::new());
+            let mut widest = 0;
+            for cycle in 1u64.. {
+                assert!(cycle < 10_000, "{name} must drain");
+                for net in [&mut each, &mut sparse, &mut halved] {
+                    net.tick();
+                }
+                let batch: Vec<NetDelivery> = each.drain().collect();
+                assert_eq!(each.drain().len(), 0, "{name}: a second drain is empty");
+                widest = widest.max(batch.len());
+                let mut half = halved.drain();
+                assert_eq!(half.len(), batch.len(), "{name}: cycle {cycle}");
+                let read = batch.len().div_ceil(2);
+                let first = half.by_ref().take(read);
+                assert!(
+                    first.eq(batch[..read].iter().copied()),
+                    "{name}: cycle {cycle}"
+                );
+                drop(half);
+                assert_eq!(
+                    halved.drain().len(),
+                    0,
+                    "{name}: dropping discards the rest"
+                );
+                if cycle % 7 == 0 {
+                    batched.extend(sparse.drain());
+                }
+                stream.extend(batch);
+                if each.is_idle() {
+                    break;
+                }
+            }
+            batched.extend(sparse.drain());
+            assert_eq!(stream.len(), burst.len(), "{name}");
+            assert!(widest >= 2, "{name}: one cycle delivers several");
+            // Everything left at cycle 0, so a delivery's latency is its
+            // arrival cycle: the stream is in delivery order, and draining
+            // less often only cuts it in other places.
+            assert!(stream.is_sorted_by_key(|d| d.latency), "{name}");
+            assert_eq!(batched, stream, "{name}: drained every seventh cycle");
         }
     }
 
@@ -229,7 +295,7 @@ mod tests {
         for _ in 0..50 {
             net.tick();
         }
-        let out = net.drain();
+        let out: Vec<_> = net.drain().collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].packet.tag, 5);
         assert!(net.is_idle());
@@ -245,7 +311,7 @@ mod tests {
         for _ in 0..50 {
             net.tick();
         }
-        let out = net.drain();
+        let out: Vec<_> = net.drain().collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].packet.tag, 5);
         assert!(net.is_idle());
@@ -261,7 +327,7 @@ mod tests {
         for _ in 0..50 {
             net.tick();
         }
-        let out = net.drain();
+        let out: Vec<_> = net.drain().collect();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].packet.dst, 255);
         // 256-port lasers are sized for ~48 dB more worst-case loss than

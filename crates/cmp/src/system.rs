@@ -537,20 +537,20 @@ impl CmpSystem {
     }
 
     /// Processing latency applied when a message reaches its handler.
-    fn processing_latency(&self, msg: &CoherenceMsg) -> u64 {
+    fn processing_latency(cfg: &SystemConfig, msg: &CoherenceMsg) -> u64 {
         match msg {
             // Directory-bound: an L2/directory access.
             CoherenceMsg::Req { .. }
             | CoherenceMsg::WriteBack { .. }
             | CoherenceMsg::InvAck { .. }
             | CoherenceMsg::DwgAck { .. }
-            | CoherenceMsg::MemAck { .. } => self.cfg.l2_latency,
+            | CoherenceMsg::MemAck { .. } => cfg.l2_latency,
             // L1-bound: an L1 access.
             CoherenceMsg::Data { .. }
             | CoherenceMsg::ExcAck { .. }
             | CoherenceMsg::Inv { .. }
             | CoherenceMsg::Dwg { .. }
-            | CoherenceMsg::Retry { .. } => self.cfg.l1_latency,
+            | CoherenceMsg::Retry { .. } => cfg.l1_latency,
             // Memory controller: the channel model supplies all timing.
             CoherenceMsg::MemReq { .. } => 0,
         }
@@ -565,7 +565,7 @@ impl CmpSystem {
     fn route(&mut self, from: usize, out: OutMsg, scheduling_delay: u64, direct: bool) {
         if from == out.to {
             // Local: no network, just processing latency.
-            let lat = self.processing_latency(&out.msg).max(1);
+            let lat = Self::processing_latency(&self.cfg, &out.msg).max(1);
             self.pending.push(
                 self.now + lat,
                 Pending::Deliver {
@@ -685,7 +685,7 @@ impl CmpSystem {
             self.pending
                 .push(self.now + CONFIRMATION_DELAY, Pending::ReleaseOrder { key });
             // Hand to the handler after its processing latency.
-            let lat = self.processing_latency(&msg).max(1);
+            let lat = Self::processing_latency(&self.cfg, &msg).max(1);
             self.pending.push(
                 self.now + lat,
                 Pending::Deliver {
@@ -703,7 +703,7 @@ impl CmpSystem {
             match ev {
                 Pending::Deliver { from, to, msg } => self.deliver(from, to, msg),
                 Pending::DirectDeliver { from, out } => {
-                    let lat = self.processing_latency(&out.msg).max(1);
+                    let lat = Self::processing_latency(&self.cfg, &out.msg).max(1);
                     self.pending.push(
                         self.now + lat,
                         Pending::Deliver {

@@ -13,6 +13,10 @@
 use crate::backoff::BackoffPolicy;
 use fsoi_sim::rng::Xoshiro256StarStar;
 
+/// A trial stops at this slot; originals still unresolved there are left
+/// out of the mean.
+const SLOT_CAP: u64 = 100_000;
+
 /// Monte-Carlo estimate of the mean collision-resolution delay (in cycles)
 /// for a two-packet meta collision, with background traffic joining the
 /// same receiver at probability `g` per slot.
@@ -35,58 +39,205 @@ pub fn resolution_delay(
 ) -> f64 {
     assert!((0.0..1.0).contains(&g), "background rate must be in [0, 1)");
     assert!(slot_cycles > 0);
-    let mut rng = Xoshiro256StarStar::new(seed);
-    // Detection happens this many slots after the colliding slot.
-    let detect_slots = confirmation_cycles.div_ceil(slot_cycles);
-    let mut total_delay_cycles = 0.0;
-    let mut resolved_packets = 0u64;
+    let cell = Fig4Cell {
+        policy,
+        g,
+        slot_cycles,
+        // Detection happens this many slots after the colliding slot.
+        detect_slots: confirmation_cycles.div_ceil(slot_cycles),
+        slot_cap: SLOT_CAP,
+    };
+    cell.mean_delay(trials, &mut Xoshiro256StarStar::new(seed))
+}
 
-    for _ in 0..trials {
-        // Contenders: (next transmission slot, retry count, is_original).
-        let mut contenders: Vec<(u64, u32, bool)> = Vec::new();
-        for _ in 0..2 {
-            let d = policy.draw_delay_slots(1, &mut rng);
-            contenders.push((detect_slots + d, 1, true));
+/// Retries whose back-off window [`Fig4Cell::mean_delay`] looks up.
+const WINDOW_TABLE: u32 = 512;
+
+/// One Figure 4 cell's Monte-Carlo parameters.
+#[derive(Debug, Clone, Copy)]
+struct Fig4Cell {
+    policy: BackoffPolicy,
+    g: f64,
+    slot_cycles: u64,
+    detect_slots: u64,
+    slot_cap: u64,
+}
+
+impl Fig4Cell {
+    /// Runs `trials` trials slot by slot. Each slot draws its background
+    /// arrival, then looks at the contenders due in it: one alone goes
+    /// through (an original is resolved), two or more collide and redraw.
+    /// Only the due contenders are looked at, through a wheel of due
+    /// slots; the draws and their order are those of a scan of the whole
+    /// contender list in its `Vec` order, which a clean slot's
+    /// `swap_remove` permutes.
+    fn mean_delay(&self, trials: u32, rng: &mut Xoshiro256StarStar) -> f64 {
+        // A window costs a `powi`; the first retries' are looked up.
+        let windows: Vec<f64> = (1..=WINDOW_TABLE)
+            .map(|r| self.policy.window_for_retry(r))
+            .collect();
+        let draw = |retry: u32, rng: &mut Xoshiro256StarStar| {
+            let window = match windows.get(retry as usize - 1) {
+                Some(&w) => w,
+                None => self.policy.window_for_retry(retry),
+            };
+            BackoffPolicy::draw_in_window(window, rng)
+        };
+        let mut total_delay_cycles = 0.0;
+        let mut resolved_packets = 0u64;
+        let mut contenders = Contenders::new();
+        for _ in 0..trials {
+            contenders.clear();
+            for _ in 0..2 {
+                let d = draw(1, rng);
+                contenders.push(self.detect_slots + d, 1, true);
+            }
+            let mut originals_left = 2;
+            let mut slot = 1u64;
+            while originals_left > 0 && slot < self.slot_cap {
+                // Background arrival occupying this receiver's slot.
+                if rng.bernoulli(self.g) {
+                    contenders.push(slot, 0, false);
+                }
+                contenders.take_due(slot);
+                match *contenders.here.as_slice() {
+                    [] => {}
+                    [key] => {
+                        if contenders.remove(key as u32) {
+                            total_delay_cycles += (slot * self.slot_cycles) as f64;
+                            resolved_packets += 1;
+                            originals_left -= 1;
+                        }
+                    }
+                    _ => {
+                        for i in 0..contenders.here.len() {
+                            let id = contenders.here[i] as u32;
+                            let retry = contenders.all[id as usize].retry + 1;
+                            let d = draw(retry, rng);
+                            contenders.redraw(id, slot + self.detect_slots + d, retry);
+                        }
+                    }
+                }
+                slot += 1;
+            }
         }
-        let mut originals_left = 2;
-        let mut slot = 1u64;
-        while originals_left > 0 && slot < 100_000 {
-            // Background arrival occupying this receiver's slot.
-            if rng.bernoulli(g) {
-                contenders.push((slot, 0, false));
-            }
-            let here: Vec<usize> = contenders
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.0 == slot)
-                .map(|(i, _)| i)
-                .collect();
-            match here.len() {
-                0 => {}
-                1 => {
-                    let idx = here[0];
-                    if contenders[idx].2 {
-                        total_delay_cycles += (slot * slot_cycles) as f64;
-                        resolved_packets += 1;
-                        originals_left -= 1;
-                    }
-                    contenders.swap_remove(idx);
-                }
-                _ => {
-                    for &idx in &here {
-                        let retry = contenders[idx].1 + 1;
-                        let d = policy.draw_delay_slots(retry, &mut rng);
-                        contenders[idx] = (slot + detect_slots + d, retry, contenders[idx].2);
-                    }
-                }
-            }
-            slot += 1;
+        if resolved_packets == 0 {
+            f64::INFINITY
+        } else {
+            total_delay_cycles / resolved_packets as f64
         }
     }
-    if resolved_packets == 0 {
-        f64::INFINITY
-    } else {
-        total_delay_cycles / resolved_packets as f64
+}
+
+/// One contender of a trial.
+#[derive(Debug, Clone, Copy)]
+struct Contender {
+    /// Its index in the contender list.
+    pos: u32,
+    retry: u32,
+    due: u64,
+    original: bool,
+    /// The next id in its wheel bucket, or [`NO_ID`].
+    next: u32,
+}
+
+/// The end of a wheel bucket.
+const NO_ID: u32 = u32::MAX;
+
+/// Buckets in the due-slot wheel. A contender due a wheel turn or more
+/// later shares a bucket with nearer ones and is passed over once a turn.
+const WHEEL: usize = 1 << 12;
+
+/// A trial's contenders: the list in its `Vec` order, and a wheel of
+/// their ids by due slot. Ids are handed out in push order.
+#[derive(Debug)]
+struct Contenders {
+    /// Every contender pushed this trial, by id.
+    all: Vec<Contender>,
+    /// The live contenders' ids in list order.
+    list: Vec<u32>,
+    /// Per due slot modulo [`WHEEL`], the first id of a linked bucket
+    /// holding every live contender due in such a slot.
+    wheel: Vec<u32>,
+    /// The contenders [`take_due`](Self::take_due) found, in list order,
+    /// each as its position above its id (`pos << 32 | id`), so that
+    /// sorting the keys sorts by position.
+    here: Vec<u64>,
+}
+
+impl Contenders {
+    fn new() -> Self {
+        Contenders {
+            all: Vec::new(),
+            list: Vec::new(),
+            wheel: vec![NO_ID; WHEEL],
+            here: Vec::new(),
+        }
+    }
+
+    /// Empties the list and the wheel for the next trial.
+    fn clear(&mut self) {
+        for &id in &self.list {
+            self.wheel[self.all[id as usize].due as usize % WHEEL] = NO_ID;
+        }
+        self.all.clear();
+        self.list.clear();
+    }
+
+    fn push(&mut self, due: u64, retry: u32, original: bool) {
+        let id = self.all.len() as u32;
+        self.all.push(Contender {
+            pos: self.list.len() as u32,
+            retry,
+            due,
+            original,
+            next: NO_ID,
+        });
+        self.list.push(id);
+        self.file(id);
+    }
+
+    /// Links `id` into the bucket of its due slot.
+    fn file(&mut self, id: u32) {
+        let c = &mut self.all[id as usize];
+        let head = &mut self.wheel[c.due as usize % WHEEL];
+        c.next = std::mem::replace(head, id);
+    }
+
+    /// Files `id` under a new due slot.
+    fn redraw(&mut self, id: u32, due: u64, retry: u32) {
+        let c = &mut self.all[id as usize];
+        (c.due, c.retry) = (due, retry);
+        self.file(id);
+    }
+
+    /// Moves the contenders due at `slot` out of the wheel into `here`, in
+    /// list order.
+    fn take_due(&mut self, slot: u64) {
+        self.here.clear();
+        let bucket = slot as usize % WHEEL;
+        let mut id = std::mem::replace(&mut self.wheel[bucket], NO_ID);
+        while id != NO_ID {
+            let c = self.all[id as usize];
+            if c.due == slot {
+                self.here.push(u64::from(c.pos) << 32 | u64::from(id));
+            } else {
+                self.file(id);
+            }
+            id = c.next;
+        }
+        self.here.sort_unstable();
+    }
+
+    /// Takes `id` out of the list as `Vec::swap_remove` does: the last
+    /// contender moves into its place. Returns whether it was an original.
+    fn remove(&mut self, id: u32) -> bool {
+        let Contender { pos, original, .. } = self.all[id as usize];
+        self.list.swap_remove(pos as usize);
+        if let Some(&moved) = self.list.get(pos as usize) {
+            self.all[moved as usize].pos = pos;
+        }
+        original
     }
 }
 
@@ -189,6 +340,113 @@ pub fn pathological_burst(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fsoi_check::{select, Checker};
+
+    /// The slow reference: every slot scans the whole contender list.
+    fn scan_delay(cell: &Fig4Cell, trials: u32, rng: &mut Xoshiro256StarStar) -> f64 {
+        let (policy, detect_slots) = (cell.policy, cell.detect_slots);
+        let mut total_delay_cycles = 0.0;
+        let mut resolved_packets = 0u64;
+
+        for _ in 0..trials {
+            // Contenders: (next transmission slot, retry count, is_original).
+            let mut contenders: Vec<(u64, u32, bool)> = Vec::new();
+            for _ in 0..2 {
+                let d = policy.draw_delay_slots(1, rng);
+                contenders.push((detect_slots + d, 1, true));
+            }
+            let mut originals_left = 2;
+            let mut slot = 1u64;
+            while originals_left > 0 && slot < cell.slot_cap {
+                // Background arrival occupying this receiver's slot.
+                if rng.bernoulli(cell.g) {
+                    contenders.push((slot, 0, false));
+                }
+                let here: Vec<usize> = contenders
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| c.0 == slot)
+                    .map(|(i, _)| i)
+                    .collect();
+                match here.len() {
+                    0 => {}
+                    1 => {
+                        let idx = here[0];
+                        if contenders[idx].2 {
+                            total_delay_cycles += (slot * cell.slot_cycles) as f64;
+                            resolved_packets += 1;
+                            originals_left -= 1;
+                        }
+                        contenders.swap_remove(idx);
+                    }
+                    _ => {
+                        for &idx in &here {
+                            let retry = contenders[idx].1 + 1;
+                            let d = policy.draw_delay_slots(retry, rng);
+                            contenders[idx] = (slot + detect_slots + d, retry, contenders[idx].2);
+                        }
+                    }
+                }
+                slot += 1;
+            }
+        }
+        if resolved_packets == 0 {
+            f64::INFINITY
+        } else {
+            total_delay_cycles / resolved_packets as f64
+        }
+    }
+
+    /// The due-slot wheel is the scan: the same mean to the bit and the
+    /// generator left in the same state, over random cells. Short slot caps
+    /// stop busy trials early. One case in eight is a window that never
+    /// grows (`W = B = 1`), whose two originals collide until the full cap
+    /// while background joins them; another starts at a window of
+    /// thousands of slots, so contenders wait out whole wheel turns.
+    #[test]
+    fn indexed_trials_equal_the_contender_scan() {
+        let gen = (
+            (1.0..6.0, 1.0..2.5, 0.0..0.35),
+            (1u32..30, 0u64..u64::MAX, 1u64..1_500),
+            (0u8..8, select(&[(2, 2), (2, 0), (1, 3), (3, 7)])),
+        );
+        Checker::new().check(
+            "indexed_trials_equal_the_contender_scan",
+            gen,
+            |&((w, b, g), (trials, seed, cap), (shape, (slot_cycles, confirmation)))| {
+                let (policy, g, trials, slot_cap) = match shape {
+                    0 => (
+                        BackoffPolicy::fixed(1.0),
+                        g / 10_000.0,
+                        trials % 2 + 1,
+                        SLOT_CAP,
+                    ),
+                    1 => (
+                        BackoffPolicy::new(w * 1_000.0, b),
+                        g / 100.0,
+                        trials % 4 + 1,
+                        WHEEL as u64 + cap * 16,
+                    ),
+                    _ => (BackoffPolicy::new(w, b), g, trials, cap),
+                };
+                let cell = Fig4Cell {
+                    policy,
+                    g,
+                    slot_cycles,
+                    detect_slots: u64::div_ceil(confirmation, slot_cycles),
+                    slot_cap,
+                };
+                let (mut fast, mut scan) =
+                    (Xoshiro256StarStar::new(seed), Xoshiro256StarStar::new(seed));
+                let (got, want) = (
+                    cell.mean_delay(trials, &mut fast),
+                    scan_delay(&cell, trials, &mut scan),
+                );
+                assert_eq!(got.to_bits(), want.to_bits(), "{cell:?}: {got} vs {want}");
+                assert_eq!(fast, scan, "{cell:?}: generator state");
+            },
+        );
+    }
 
     #[test]
     fn paper_optimum_delay_near_7_cycles() {

@@ -86,8 +86,16 @@ impl BackoffPolicy {
     /// `W_r = 2.7`, slots 1 and 2 are drawn with probability 1/2.7 each and
     /// slot 3 with probability 0.7/2.7.
     pub fn draw_delay_slots(&self, retry: u32, rng: &mut Xoshiro256StarStar) -> u64 {
-        let u = rng.next_f64() * self.window_for_retry(retry);
-        (u.floor() as u64) + 1
+        Self::draw_in_window(self.window_for_retry(retry), rng)
+    }
+
+    /// [`draw_delay_slots`](Self::draw_delay_slots) in a window already
+    /// known.
+    pub(crate) fn draw_in_window(window: f64, rng: &mut Xoshiro256StarStar) -> u64 {
+        // `as` truncates toward zero and saturates below at 0, so it is
+        // `floor` for every `u` (and needs no `floor` call).
+        let u = rng.next_f64() * window;
+        (u as u64) + 1
     }
 
     /// The mean of [`draw_delay_slots`](Self::draw_delay_slots) in slots,

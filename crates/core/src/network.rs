@@ -52,8 +52,8 @@
 //! while net.delivered_count() == 0 {
 //!     net.tick();
 //! }
-//! let out = net.drain();
-//! assert_eq!(out[0].packet.dst, 5);
+//! let d = net.drain().next().unwrap();
+//! assert_eq!(d.packet.dst, 5);
 //! ```
 
 use crate::config::{FsoiConfig, TransmitterArray, CONFIRMATION_DELAY};
@@ -477,6 +477,54 @@ impl FsoiNetwork {
         }
     }
 
+    /// The earliest cycle sender `n` could pop a packet on `lane`: queued
+    /// work is ready now, a retry matures at its scheduled cycle, and the
+    /// transmission then waits for the transmitter to go quiet — exactly
+    /// the eligibility test in `start_transmissions`. Never below `now`.
+    fn sender_eligible(&self, lane: usize, n: usize) -> u64 {
+        let now = self.now.as_u64();
+        let node = &self.nodes[n];
+        let ready = if node.out[lane].is_empty() {
+            node.retries[lane]
+                .peek_time()
+                .map_or(u64::MAX, Cycle::as_u64)
+        } else {
+            now
+        };
+        ready.max(now).max(node.tx_busy_until[lane].as_u64())
+    }
+
+    /// The slot boundary at or after a lane's earliest eligible cycle
+    /// (`u64::MAX` stays "never"). Rounding up is monotone, so it is
+    /// applied once, to the lane's minimum.
+    fn round_to_slot(&self, lane: usize, eligible: u64) -> u64 {
+        if eligible == u64::MAX {
+            eligible
+        } else {
+            Cycle(eligible)
+                .round_up_to_slot(self.slot_len[lane])
+                .as_u64()
+        }
+    }
+
+    /// Debug builds: the next-event bound with every sender of every lane
+    /// walked (the walk the early exit replaced) equals `next`.
+    fn check_next_event(&self, next: u64) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let mut full = self.resolutions.peek_time().map_or(u64::MAX, Cycle::as_u64);
+        for lane in 0..2 {
+            let eligible = self.senders[lane]
+                .iter()
+                .map(|n| self.sender_eligible(lane, n))
+                .min()
+                .unwrap_or(u64::MAX);
+            full = full.min(self.round_to_slot(lane, eligible));
+        }
+        assert_eq!(next, full, "next-event bound at {:?}", self.now);
+    }
+
     /// Processes everything due at the current cycle (the body of
     /// [`tick`](Interconnect::tick), without the time advance).
     fn step_cycle(&mut self) {
@@ -812,8 +860,8 @@ impl Interconnect for FsoiNetwork {
         self.now += 1;
     }
 
-    fn drain(&mut self) -> Vec<NetDelivery> {
-        std::mem::take(&mut self.delivered)
+    fn drain(&mut self) -> std::vec::Drain<'_, NetDelivery> {
+        self.delivered.drain(..)
     }
 
     fn now(&self) -> Cycle {
@@ -861,38 +909,21 @@ impl Interconnect for FsoiNetwork {
     /// event: nothing happens when it lands.
     fn next_event_at(&self) -> Option<Cycle> {
         let now = self.now.as_u64();
-        let mut next = u64::MAX;
-        if let Some(t) = self.resolutions.peek_time() {
-            next = next.min(t.as_u64());
-        }
-        for (lane, senders) in self.senders.iter().enumerate() {
-            // Earliest cycle any sender could pop a packet on this lane:
-            // queued work is ready immediately, a retry matures at its
-            // scheduled cycle. The transmission then waits for the
-            // transmitter to go quiet and the next slot boundary — exactly
-            // the eligibility test in `start_transmissions`. Rounding up
-            // to a boundary is monotone, so it is applied once, to the
-            // lane's minimum.
+        let mut next = self.resolutions.peek_time().map_or(u64::MAX, Cycle::as_u64);
+        for lane in 0..2 {
+            // Earliest cycle any sender could pop a packet on this lane.
+            // Every sender's term is at least `now`, so the first sender
+            // that can go now ends the walk with the exact minimum.
             let mut eligible = u64::MAX;
-            for n in senders {
-                let node = &self.nodes[n];
-                let ready = if node.out[lane].is_empty() {
-                    node.retries[lane]
-                        .peek_time()
-                        .map_or(u64::MAX, Cycle::as_u64)
-                } else {
-                    now
-                };
-                eligible = eligible.min(ready.max(now).max(node.tx_busy_until[lane].as_u64()));
+            for n in &self.senders[lane] {
+                eligible = eligible.min(self.sender_eligible(lane, n));
+                if eligible == now {
+                    break;
+                }
             }
-            if eligible != u64::MAX {
-                next = next.min(
-                    Cycle(eligible)
-                        .round_up_to_slot(self.slot_len[lane])
-                        .as_u64(),
-                );
-            }
+            next = next.min(self.round_to_slot(lane, eligible));
         }
+        self.check_next_event(next);
         Some(Cycle(next))
     }
 
@@ -1343,14 +1374,13 @@ mod tests {
             }
         }
         let out = run_until_idle(&mut net, 20_000);
-        let total = out.len() + net.drain().len();
         assert_eq!(net.stats().collision_events, [0, 0], "no collisions here");
         assert!(
             net.stats().bit_error_drops[1] > 0,
             "errors must have struck"
         );
         assert_eq!(net.stats().delivered[1], 40, "all packets recovered");
-        let _ = total;
+        assert_eq!(out.len(), 40, "each delivered once");
     }
 
     #[test]
@@ -1479,7 +1509,7 @@ mod tests {
 
     /// `fsoi_storm` runs on these records: every outgoing queue, retry
     /// queue and slot group holds `InFlight`s by value, and every drain
-    /// hands the delivered buffer of `NetDelivery`s to the caller. A
+    /// moves `NetDelivery`s out of the network's delivered buffer. A
     /// delivery carries its own latency components (queuing and
     /// resolution, as `u32`s) so the client can fold the Figure 6/7 stack
     /// without any per-network statistics; they grow it from 56 bytes to
@@ -1579,7 +1609,7 @@ mod tests {
                     net.tick();
                 }
             }
-            let delivered: Vec<NetDelivery> = net.drain();
+            let delivered: Vec<NetDelivery> = net.drain().collect();
             (delivered, net.stats().clone(), net.now())
         };
         assert_eq!(drive(true), drive(false));

@@ -188,7 +188,7 @@ fn delivered_packets_have_complete_trace_lifecycles() {
                     net.run(1_000);
                 }
                 assert!(net.is_idle(), "injected traffic must drain");
-                net.drain()
+                net.drain().collect::<Vec<_>>()
             });
 
             let mut lives: BTreeMap<u64, Life> = BTreeMap::new();
@@ -568,8 +568,8 @@ impl Interconnect for ScanFsoi {
         self.now
     }
 
-    fn drain(&mut self) -> Vec<NetDelivery> {
-        std::mem::take(&mut self.delivered)
+    fn drain(&mut self) -> std::vec::Drain<'_, NetDelivery> {
+        self.delivered.drain(..)
     }
 
     fn name(&self) -> &'static str {

@@ -101,8 +101,8 @@ impl Interconnect for IdealNetwork {
         }
     }
 
-    fn drain(&mut self) -> Vec<NetDelivery> {
-        std::mem::take(&mut self.delivered)
+    fn drain(&mut self) -> std::vec::Drain<'_, NetDelivery> {
+        self.delivered.drain(..)
     }
 
     fn now(&self) -> Cycle {

@@ -35,7 +35,7 @@
 //! while !net.is_idle() {
 //!     net.tick();
 //! }
-//! assert_eq!(net.drain()[0].packet.dst, 15);
+//! assert_eq!(net.drain().next().unwrap().packet.dst, 15);
 //! ```
 
 #![warn(missing_docs)]

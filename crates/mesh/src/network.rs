@@ -327,8 +327,8 @@ impl Interconnect for MeshNetwork {
         self.now += 1;
     }
 
-    fn drain(&mut self) -> Vec<NetDelivery> {
-        std::mem::take(&mut self.delivered)
+    fn drain(&mut self) -> std::vec::Drain<'_, NetDelivery> {
+        self.delivered.drain(..)
     }
 
     fn now(&self) -> Cycle {

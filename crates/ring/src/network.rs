@@ -387,8 +387,8 @@ impl Interconnect for ChannelNetwork {
         self.check_backlogged();
     }
 
-    fn drain(&mut self) -> Vec<NetDelivery> {
-        std::mem::take(&mut self.delivered)
+    fn drain(&mut self) -> std::vec::Drain<'_, NetDelivery> {
+        self.delivered.drain(..)
     }
 
     fn now(&self) -> Cycle {

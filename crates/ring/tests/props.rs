@@ -71,10 +71,10 @@ fn ring_conserves_packets() {
                 }
                 net.tick();
             }
-            let mut delivered: Vec<u64> = net.drain().iter().map(|d| d.packet.tag).collect();
+            let mut delivered: Vec<u64> = net.drain().map(|d| d.packet.tag).collect();
             for _ in 0..50_000 {
                 net.tick();
-                delivered.extend(net.drain().iter().map(|d| d.packet.tag));
+                delivered.extend(net.drain().map(|d| d.packet.tag));
                 if net.is_idle() {
                     break;
                 }
@@ -268,8 +268,8 @@ impl ScanChannel {
         }
     }
 
-    fn drain(&mut self) -> Vec<NetDelivery> {
-        std::mem::take(&mut self.delivered)
+    fn drain(&mut self) -> std::vec::Drain<'_, NetDelivery> {
+        self.delivered.drain(..)
     }
 
     fn is_idle(&self) -> bool {
@@ -297,11 +297,11 @@ impl Lockstep {
         self.fast.tick();
         self.scan.tick();
         let now = self.fast.now();
-        assert_eq!(
-            self.fast.drain(),
-            self.scan.drain(),
-            "deliveries at {now:?}"
-        );
+        let (fast, scan) = (self.fast.drain(), self.scan.drain());
+        assert_eq!(fast.len(), scan.len(), "deliveries at {now:?}");
+        for (i, (fast, scan)) in fast.zip(scan).enumerate() {
+            assert_eq!(fast, scan, "delivery {i} at {now:?}");
+        }
         assert_eq!(self.fast.is_idle(), self.scan.is_idle(), "idle at {now:?}");
     }
 }

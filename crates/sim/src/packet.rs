@@ -163,8 +163,14 @@ pub trait Interconnect: std::fmt::Debug {
     fn inject(&mut self, packet: NetPacket) -> Result<(), NetPacket>;
     /// Advances one cycle.
     fn tick(&mut self);
-    /// Takes deliveries since the last drain.
-    fn drain(&mut self) -> Vec<NetDelivery>;
+    /// Takes the deliveries since the last drain, in delivery order.
+    ///
+    /// The iterator borrows the network's own delivery buffer, so the
+    /// network keeps one buffer for the whole run and the caller allocates
+    /// nothing; while it lives the network cannot be driven. Dropping it
+    /// discards whatever was not read, and a second drain in the same
+    /// cycle is empty.
+    fn drain(&mut self) -> std::vec::Drain<'_, NetDelivery>;
     /// Current network time.
     fn now(&self) -> Cycle;
     /// True when nothing is queued or in flight.

@@ -25,7 +25,7 @@ fn main() {
     while net.delivered_count() == 0 {
         net.tick();
     }
-    let d = net.drain().remove(0);
+    let d = net.drain().next().expect("one delivery is waiting");
     println!(
         "clean transfer : node 0 → node 9 in {} cycles (tag {:#x}, {} retries)",
         d.latency, d.packet.tag, d.retries

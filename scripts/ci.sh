@@ -18,7 +18,7 @@
 #                                 # shape-class and byte-identity assertions,
 #                                 # each summary diffed against its golden
 #                                 # (tests/golden/grid_64.txt, grid_256.txt),
-#                                 # then sixteen unoptimized tests, in this order:
+#                                 # then seventeen unoptimized tests, in this order:
 #                                 # evictions_at_256_nodes_are_cross_checked (a
 #                                 # 256-node cell with the directory's eviction
 #                                 # cross-check live);
@@ -64,7 +64,10 @@
 #                                 # (the single-ln gap draw, all 16 profiles) and
 #                                 # think_stream_equals_gap_op_reference (think time
 #                                 # riding its access against the Compute-step
-#                                 # generator, all 16 profiles)
+#                                 # generator, all 16 profiles); then Figure 4's
+#                                 # Monte Carlo: indexed_trials_equal_the_contender_scan
+#                                 # (the due-slot wheel against the whole-list scan,
+#                                 # equal mean and generator state, 300 cases)
 #   scripts/ci.sh --tier tsan     # ThreadSanitizer pass over fsoi-sim (needs nightly;
 #                                 # optional — skipped with a notice when unavailable)
 set -eu
@@ -236,6 +239,14 @@ tier_scale() {
     FSOI_CHECK_CASES=2000 cargo test -q --offline -p fsoi-coherence cache_array_agrees_with_model
     cargo test -q --offline -p fsoi-cmp gap_stream_equals_per_draw_reference
     cargo test -q --offline -p fsoi-cmp think_stream_equals_gap_op_reference
+    # Figure 4's Monte Carlo looks only at the contenders due in a slot,
+    # through a wheel of due slots, and reproduces the old list's
+    # swap_remove order for a collision's redraws. Three hundred random
+    # cells (W, B, G, slot and detect lengths, short slot caps, and the
+    # never-growing window that runs to the full 100 000-slot cap) hold it
+    # to the scan of the whole list: the same mean to the bit and the same
+    # generator state after the last trial.
+    FSOI_CHECK_CASES=300 cargo test -q --offline -p fsoi-net indexed_trials_equal_the_contender_scan
 }
 
 tier_tsan() {

@@ -37,8 +37,9 @@
 //! while net.delivered_count() == 0 {
 //!     net.tick();
 //! }
-//! let out = net.drain();
-//! assert_eq!(out[0].packet.dst, 5);
+//! // The drain borrows the network's delivery buffer; nothing is copied.
+//! let d = net.drain().next().unwrap();
+//! assert_eq!(d.packet.dst, 5);
 //! ```
 //!
 //! To reproduce a paper experiment end to end, run the harness in

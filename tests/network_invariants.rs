@@ -58,9 +58,10 @@ fn drive_fsoi(script: &[(u8, u8, u8, bool)], seed: u64) -> Vec<(usize, usize, u6
             next = it.next();
         }
         net.tick();
+        let now = net.now().as_u64();
         for d in net.drain() {
             let at = injected_at[d.packet.tag as usize] + d.latency;
-            assert_eq!(at + 1, net.now().as_u64(), "tag {}", d.packet.tag);
+            assert_eq!(at + 1, now, "tag {}", d.packet.tag);
             let lane = &mut sums[d.packet.class.lane()];
             lane[0] += d.latency;
             lane[1] += u64::from(d.queuing)
@@ -140,7 +141,7 @@ fn mesh_conserves_packets() {
                 }
                 net.tick();
             }
-            let mut delivered = net.drain();
+            let mut delivered: Vec<_> = net.drain().collect();
             for _ in 0..100_000 {
                 net.tick();
                 delivered.extend(net.drain());
@@ -261,7 +262,7 @@ fn every_delivery_decomposes() {
             };
             let mut net = SystemConfig::paper_n(nodes, kind).build_network();
             let name = net.name();
-            let mut delivered = net.drain();
+            let mut delivered: Vec<_> = net.drain().collect();
             let mut injected = 0;
             for &(gap, src, off, (data, delay)) in burst {
                 for _ in 0..gap {
