@@ -1507,6 +1507,37 @@ mod tests {
         assert_eq!(net.next_event_at(), quiet);
     }
 
+    /// The sender walk may stop only at a sender that can go now. At a
+    /// 64-node slot boundary, node 0 (walked first) is busy until one
+    /// cycle past it, its first aim's phase-array setup, and node 1 is
+    /// free: the bound is now, not node 0's next slot nor the
+    /// resolution one cycle later, and node 1 transmits in this slot.
+    #[test]
+    fn next_event_at_walks_past_a_busy_lower_sender() {
+        let mut net = FsoiNetwork::new(FsoiConfig::nodes(64), 46);
+        let slot = net.meta_slot_len();
+        for tag in 0..2 {
+            net.inject(NetPacket::new(0, 5, PacketClass::Meta, tag))
+                .unwrap();
+        }
+        net.tick(); // cycle 0: node 0 sends tag 0 and keeps tag 1 queued
+        net.run(slot - 1);
+        assert_eq!(net.now(), Cycle(slot));
+        assert_eq!(net.nodes[0].tx_busy_until[0], Cycle(slot + 1));
+        assert!(
+            !Cycle(slot + 1).is_slot_boundary(slot),
+            "busy into the slot"
+        );
+        net.inject(NetPacket::new(1, 9, PacketClass::Meta, 2))
+            .unwrap();
+        assert_eq!(net.next_event_at(), Some(Cycle(slot)));
+        net.run(4 * slot);
+        let latency: Vec<(u64, u64)> = net.drain().map(|d| (d.packet.tag, d.latency)).collect();
+        // Node 1 sends in slot 1, its slot group resolving one setup after
+        // the slot's end; node 0's tag 1 waits for slot 2.
+        assert_eq!(latency, [(0, slot + 1), (2, slot + 1), (1, 3 * slot + 1)]);
+    }
+
     /// `fsoi_storm` runs on these records: every outgoing queue, retry
     /// queue and slot group holds `InFlight`s by value, and every drain
     /// moves `NetDelivery`s out of the network's delivered buffer. A

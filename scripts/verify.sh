@@ -49,6 +49,30 @@ lint_levels() {
 }
 gate "lint levels (P1 warns, workspace denies)" lint_levels
 
+# The release profile (DESIGN.md "Hot path & memory layout") is one table
+# in .cargo/config.toml, which cargo reads for every build started inside
+# the checkout, the benchmark package's included. A deleted line would fall
+# back to per-crate codegen in silence, and the config would silently
+# override a manifest that set either key, so no Cargo.toml may.
+release_profile() {
+    config=.cargo/config.toml
+    for key in 'lto = "fat"' 'codegen-units = 1'; do
+        found=$(sed -n '/^\[profile\.release\]$/,/^\[/p' "$config" | grep -c -x "$key" || true)
+        [ "$found" = 1 ] || {
+            echo "$config [profile.release]: '$key' is missing" >&2
+            return 1
+        }
+    done
+    manifests=$(find . \( -name target -o -name .git \) -prune -o -name Cargo.toml -print)
+    setters=$(echo "$manifests" | xargs grep -l -E '(^|[.[:space:]])(lto|codegen-units)[[:space:]]*=' || true)
+    [ -z "$setters" ] || {
+        echo "these manifests set lto or codegen-units, which $config overrides:" >&2
+        echo "$setters" >&2
+        return 1
+    }
+}
+gate "release profile (fat LTO, one codegen unit)" release_profile
+
 # Every intra-doc link resolves, and none points at a private item: a
 # deleted or renamed function must take its doc links with it.
 gate "docs (rustdoc -D warnings)" env RUSTDOCFLAGS="-D warnings" \
